@@ -6,7 +6,9 @@ verification with constant fitting).
 
 Exit codes: 0 success / all verifications passed; 2 a verification ran to
 completion and failed (violations are written next to the report); 1
-operational errors (bad flags, malformed config, unknown inequality id).
+operational errors (bad flags, malformed config, unknown inequality id) and
+numerical failures (quadrature, density estimate, sampler calibration), each
+reported as one ``harnacklab: error:`` line.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from jsonschema import ValidationError
 
 from . import __version__
-from .density import stable_density_grid
+from .density import DensityEstimateError, stable_density_grid
 from .harnack_lab import (
     INEQUALITY_IDS,
     default_comparison_grid,
@@ -34,7 +36,7 @@ from .harnack_lab import (
     verify_truncated_ratio,
     young_suite,
 )
-from .levy_core import OUSpec, StableSpec, TruncatedStableSpec, describe_spec
+from .levy_core import OUSpec, QuadratureError, StableSpec, TruncatedStableSpec, describe_spec
 from .ou_semigroup import ball_indicator, constant, estimate_Ptf, gaussian_bump
 from .reports import (
     timestamp,
@@ -43,7 +45,7 @@ from .reports import (
     write_report,
     write_samples_dump,
 )
-from .sampling import SeedSpec, sample_rot_stable, sample_truncated_stable
+from .sampling import CalibrationError, SeedSpec, sample_rot_stable, sample_truncated_stable
 
 __all__ = ["main"]
 
@@ -121,7 +123,9 @@ def _build_parser() -> _Parser:
     p_density.add_argument("--t", type=float, required=True)
     p_density.add_argument("--x", action="append", help="point, comma-separated; repeatable")
     p_density.add_argument("--radii", help="comma-separated radii along the first axis")
-    p_density.add_argument("--threads", type=int, default=1)
+    p_density.add_argument(
+        "--threads", type=int, default=1, help="accepted for compatibility; has no effect"
+    )
     p_density.add_argument("--format", choices=["json", "csv", "both"], default="json")
 
     p_sample = sub.add_parser("sample", parents=[common], help="raw increment dump")
@@ -143,7 +147,9 @@ def _build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", parents=[common], help="verify inequalities")
     p_verify.add_argument("--inequality", default="all", help="inequality id or 'all'")
     p_verify.add_argument("--format", choices=["json", "csv", "both"], default="json")
-    p_verify.add_argument("--threads", type=int, default=1)
+    p_verify.add_argument(
+        "--threads", type=int, default=1, help="accepted for compatibility; has no effect"
+    )
     p_verify.add_argument("--grid", help="JSON grid-override file")
     return parser
 
@@ -396,7 +402,15 @@ def main(argv=None) -> int:
     except CLIError as exc:
         print(f"harnacklab: error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ValidationError, OSError, NotImplementedError) as exc:
+    except (
+        ValueError,
+        ValidationError,
+        OSError,
+        NotImplementedError,
+        QuadratureError,
+        DensityEstimateError,
+        CalibrationError,
+    ) as exc:
         print(f"harnacklab: error: {exc}", file=sys.stderr)
         return 1
 

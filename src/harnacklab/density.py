@@ -2,9 +2,15 @@
 
 The stable density is recovered from exp(-t psi) by radial Fourier inversion.
 All inversion integrals oscillate (cosine kernel in one dimension, Bessel
-kernel above), so the integration range is split at the kernel's zeros: an
-adaptive pass covers [0, first zero] and vectorized fixed-order panels cover
-the remaining half-periods up to the exponential cutoff of exp(-t psi).
+kernel above), so the integration range is split at the kernel's zeros.  The
+head segment [0, first zero] is covered by Gauss-Legendre panels graded
+geometrically toward s = 0, where the s^alpha in exp(-t psi) is not smooth;
+its error is estimated by doubling the panel order.  Fixed-order panels
+cover the remaining half-periods up to the exponential cutoff of exp(-t psi).
+Every radius of one time slice goes through a single vectorised pass: the
+panels of all radii are laid end to end and evaluated a fixed number of
+nodes at a time, and each radius sums its own panels exactly (math.fsum), so
+a value never depends on which other radii share its batch.
 Truncated-stable densities have no usable inversion (their symbol decays too
 slowly); they are estimated from samples by a binned Gaussian KDE.
 """
@@ -12,9 +18,8 @@ slowly); they are estimated from samples by a binned Gaussian KDE.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import integrate
@@ -55,7 +60,25 @@ __all__ = [
 # contribute below double precision to every inversion integral.
 TAIL_EXPONENT = 45.0
 
+# half-period panels of the oscillating tail
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
+
+# Head panels [H q^(k+1), H q^k] shrink toward s = 0 by HEAD_RATIO down to
+# 10^(-10/(d+alpha)) of the smaller of H and the decay scale (t b)^(-1/alpha).
+# On the last panel [0, H q^m] the non-smooth factor 1 - t b s^alpha differs
+# from 1 by at most (s/scale)^alpha, over a share (s/scale)^d of the head, so
+# what a panel rule can miss there stays below 1e-10 of the head.  The head
+# is integrated at two orders; their relative gap must stay under HEAD_RTOL.
+HEAD_RATIO = 0.25
+HEAD_RTOL = 1e-10
+_HEAD_RULES = (
+    np.polynomial.legendre.leggauss(16),
+    np.polynomial.legendre.leggauss(32),
+)
+
+# Panels are evaluated this many nodes at a time, whatever the number of radii
+# and panels, which bounds the memory of one pass.
+CHUNK_NODES = 1 << 16
 
 
 class DensityEstimateError(RuntimeError):
@@ -76,43 +99,116 @@ def _origin_density(d: int, alpha: float, tb: float) -> float:
     )
 
 
-def _kernel_zeros(d: int, radius: float, upper: float, max_segments: int) -> np.ndarray:
-    """Zeros of the radial Fourier kernel s -> K_d(s * radius) below ``upper``."""
-    approx = upper * radius / math.pi
-    if approx > max_segments:
-        raise QuadratureError(
-            f"inversion would need ~{approx:.0f} oscillation segments (cap {max_segments})"
-        )
+def _unit_kernel_zeros(d: int, count: int) -> np.ndarray:
+    """First ``count`` positive zeros of the radial Fourier kernel s -> K_d(s)."""
     if d == 1:
-        k = np.arange(0, int(approx) + 2)
-        zeros = (k + 0.5) * math.pi / radius
-    else:
-        nu = d / 2.0 - 1.0
-        count = max(8, int(approx - nu / 2.0 + 6.0))
-        zeros = bessel_zeros(nu, count) / radius
-    return zeros[zeros < upper]
+        return (np.arange(count) + 0.5) * math.pi
+    return bessel_zeros(d / 2.0 - 1.0, count)
 
 
-def _inversion_integral(d: int, alpha: float, tb: float, radius: float, max_segments: int) -> float:
-    """integral over [0, inf) of exp(-tb s^alpha) K_d(s radius) s^(d-1) ds."""
+def _panel_sums(
+    integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    counts: np.ndarray,
+    bounds: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    rule: tuple[np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """Per-owner sums of Gauss-Legendre panel integrals, CHUNK_NODES nodes at a time.
+
+    Owner j holds ``counts[j]`` consecutive panels; ``bounds(j, k)`` gives the
+    (lo, hi) of panels k of owners j, and ``integrand(s, j)`` the integrand at
+    nodes s (one row per panel).  Each panel integral is computed row by row
+    and each owner's panels are summed with math.fsum, so a sum does not depend
+    on how the panels fall into chunks.
+    """
+    x, w = rule
+    offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    total = int(offsets[-1])
+    step = max(1, CHUNK_NODES // len(x))
+    sums = np.zeros(len(counts))
+    open_parts: dict[int, list[np.ndarray]] = {}
+    for p0 in range(0, total, step):
+        p1 = min(p0 + step, total)
+        panel = np.arange(p0, p1)
+        owner = np.searchsorted(offsets, panel, side="right") - 1
+        lo, hi = bounds(owner, panel - offsets[owner])
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        nodes = mid[:, None] + half[:, None] * x[None, :]
+        vals = half * (integrand(nodes, owner) * w).sum(axis=1)
+        first, last = int(owner[0]), int(owner[-1])
+        pieces = np.split(vals, offsets[first + 1 : last + 1] - p0)
+        for j, piece in zip(range(first, last + 1), pieces):
+            open_parts.setdefault(j, []).append(piece)
+            if offsets[j + 1] <= p1:
+                sums[j] = math.fsum(np.concatenate(open_parts.pop(j)).tolist())
+    return sums
+
+
+def _inversion_integrals(
+    d: int, alpha: float, tb: float, radii: np.ndarray, max_segments: int
+) -> tuple[np.ndarray, dict[int, str]]:
+    """integral over [0, inf) of exp(-tb s^alpha) K_d(s r) s^(d-1) ds for every r in ``radii``.
+
+    Returns the integrals (NaN where a radius failed) and, per failed index,
+    the reason: more than ``max_segments`` oscillation segments (checked
+    before anything is allocated for that radius) or a head error estimate
+    above HEAD_RTOL.  Radii must be positive.
+    """
+    radii = np.asarray(radii, dtype=float)
     upper = (TAIL_EXPONENT / tb) ** (1.0 / alpha)
+    approx = upper * radii / math.pi
+    errors = {
+        int(j): f"inversion would need ~{approx[j]:.0f} oscillation segments (cap {max_segments})"
+        for j in np.flatnonzero(approx > max_segments)
+    }
+    ok = approx <= max_segments
+    r = radii[ok]
+    out = np.full(len(radii), np.nan)
+    if len(r) == 0:
+        return out, errors
 
-    def f(s):
-        s = np.asarray(s, dtype=float)
-        return np.exp(-tb * s**alpha) * _kernel(d, s * radius) * s ** (d - 1.0)
+    top = float(approx[ok].max())
+    nu = d / 2.0 - 1.0
+    count = int(top) + 2 if d == 1 else max(8, int(top - nu / 2.0 + 6.0))
+    zeros = _unit_kernel_zeros(d, count)
+    n_zeros = np.searchsorted(zeros, upper * r)  # kernel zeros below the cutoff
+    head = np.where(n_zeros > 0, zeros[0] / r, upper)
 
-    breaks = _kernel_zeros(d, radius, upper, max_segments)
-    if len(breaks) == 0:
-        val, _ = integrate.quad(f, 0.0, upper, limit=300, epsabs=0.0, epsrel=1e-11)
-        return val
-    head, _ = integrate.quad(f, 0.0, breaks[0], limit=300, epsabs=0.0, epsrel=1e-11)
-    pts = np.append(breaks, upper)
-    lo, hi = pts[:-1], pts[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes = mid[:, None] + half[:, None] * _GL_X[None, :]
-    panel = half * (f(nodes.ravel()).reshape(nodes.shape) @ _GL_W)
-    return head + math.fsum(panel.tolist())
+    def integrand(s, owner):
+        return np.exp(-tb * s**alpha) * _kernel(d, s * r[owner][:, None]) * s ** (d - 1.0)
+
+    # head: graded panels, m of them shrinking geometrically plus [0, H q^m]
+    floor = 10.0 ** (-10.0 / (d + alpha)) * np.minimum(head, tb ** (-1.0 / alpha))
+    levels = np.ceil(np.log(head / floor) / -math.log(HEAD_RATIO)).astype(np.int64)
+
+    def head_bounds(owner, k):
+        h, m = head[owner], levels[owner]
+        hi = h * HEAD_RATIO**k
+        lo = np.where(k < m, h * HEAD_RATIO ** (k + 1), 0.0)
+        return lo, hi
+
+    coarse, fine = (_panel_sums(integrand, levels + 1, head_bounds, rule) for rule in _HEAD_RULES)
+
+    # tail: one panel per half-period from the first zero, the last ending at the cutoff
+    last = len(zeros) - 1
+
+    def tail_bounds(owner, k):
+        ro = r[owner]
+        nxt = np.minimum(k + 1, last)
+        hi = np.where(k + 1 < n_zeros[owner], zeros[nxt] / ro, upper)
+        return zeros[k] / ro, hi
+
+    tail = _panel_sums(integrand, n_zeros, tail_bounds, (_GL_X, _GL_W))
+
+    idx = np.flatnonzero(ok)
+    gap = np.abs(fine - coarse)
+    for j, g, f in zip(idx, gap, fine):
+        if not g <= HEAD_RTOL * abs(f):
+            errors[int(j)] = (
+                f"head segment error estimate {g:.2e} exceeds {HEAD_RTOL:g} x {abs(f):.3e}"
+            )
+    out[idx] = fine + tail
+    return out, errors
 
 
 def _kernel(d: int, u):
@@ -139,6 +235,59 @@ def tail_asymptotic(spec: StableSpec, t: float, x) -> float:
     return t * spec.c * radius ** (-(spec.d + spec.alpha))
 
 
+def _radial_densities(
+    spec: StableSpec,
+    t: float,
+    radii,
+    *,
+    max_segments: int = 40000,
+    tail_switch: float | None = None,
+) -> tuple[np.ndarray, list[str]]:
+    """p_t at each of ``radii`` with its method tag, all radii in one inversion pass.
+
+    Radius 0 takes the closed form ('origin'); radii beyond ``tail_switch``
+    t^(1/alpha) take :func:`tail_asymptotic`.  The rest are inverted together
+    ('quadrature'); a radius whose inversion fails (segment cap, head error
+    estimate, or a negative value beyond the clamp tolerance) falls back to
+    the asymptote ('asymptotic') when it is at least 4 t^(1/alpha), and
+    otherwise raises :class:`QuadratureError`.
+    """
+    if t <= 0.0:
+        raise ValueError("time must be positive")
+    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    d, alpha = spec.d, spec.alpha
+    tb = t * compute_sigma(d, alpha) * spec.c
+    origin = _origin_density(d, alpha, tb)
+    scale = t ** (1.0 / alpha)
+    values = np.empty(len(radii))
+    tags = ["quadrature"] * len(radii)
+
+    quad = []
+    for j, radius in enumerate(radii.tolist()):
+        if radius == 0.0:
+            values[j], tags[j] = origin, "origin"
+        elif tail_switch is not None and radius > tail_switch * scale:
+            values[j], tags[j] = tail_asymptotic(spec, t, radius), "asymptotic"
+        else:
+            quad.append(j)
+
+    integrals, errors = _inversion_integrals(d, alpha, tb, radii[quad], max_segments)
+    vals = (2.0 * math.pi) ** (-d) * sphere_surface(d) * integrals
+    neg_tol = 1e-10 * max(1.0, origin)
+    for i, (j, val) in enumerate(zip(quad, vals.tolist())):
+        radius = float(radii[j])
+        reason = errors.get(i)
+        if reason is None and val < -neg_tol:
+            reason = f"inversion produced {val:.3e} at t={t}, |x|={radius} (beyond clamp tolerance)"
+        if reason is None:
+            values[j] = max(val, 0.0)
+        elif radius >= 4.0 * scale:
+            values[j], tags[j] = tail_asymptotic(spec, t, radius), "asymptotic"
+        else:
+            raise QuadratureError(reason)
+    return values, tags
+
+
 def stable_density(
     spec: StableSpec,
     t: float,
@@ -156,39 +305,20 @@ def stable_density(
     short-circuits to :func:`tail_asymptotic` beyond that scaled radius; by
     default the quadrature runs everywhere and the asymptote is only a
     fallback when the oscillation budget is exhausted.  With ``detail`` the
-    method tag ('origin', 'quadrature', 'asymptotic') comes back too.
+    method tag ('origin', 'quadrature', 'asymptotic') comes back too.  The
+    value is bit-identical to the one :func:`stable_density_grid` gives for
+    the same radius in any batch.
     """
     if t <= 0.0:
         raise ValueError("time must be positive")
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     if xv.size != spec.d:
         raise ValueError(f"x has {xv.size} coordinates, expected d={spec.d}")
-    radius = float(np.linalg.norm(xv))
-    tb = t * compute_sigma(spec.d, spec.alpha) * spec.c
-
-    if radius == 0.0:
-        val = _origin_density(spec.d, spec.alpha, tb)
-        return (val, "origin") if detail else val
-
-    if tail_switch is not None and radius > tail_switch * t ** (1.0 / spec.alpha):
-        val = tail_asymptotic(spec, t, xv)
-        return (val, "asymptotic") if detail else val
-
-    norm_const = (2.0 * math.pi) ** (-spec.d) * sphere_surface(spec.d)
-    try:
-        val = norm_const * _inversion_integral(spec.d, spec.alpha, tb, radius, max_segments)
-        neg_tol = 1e-10 * max(1.0, _origin_density(spec.d, spec.alpha, tb))
-        if val < -neg_tol:
-            raise QuadratureError(
-                f"inversion produced {val:.3e} at t={t}, |x|={radius} (beyond clamp tolerance)"
-            )
-        val = max(val, 0.0)
-        return (val, "quadrature") if detail else val
-    except QuadratureError:
-        if radius >= 4.0 * t ** (1.0 / spec.alpha):
-            val = tail_asymptotic(spec, t, xv)
-            return (val, "asymptotic") if detail else val
-        raise
+    values, tags = _radial_densities(
+        spec, t, [float(np.linalg.norm(xv))], max_segments=max_segments, tail_switch=tail_switch
+    )
+    val = float(values[0])
+    return (val, tags[0]) if detail else val
 
 
 def stable_cdf_1d(spec: StableSpec, t: float, x: float) -> float:
@@ -280,24 +410,17 @@ def stable_density_grid(
 ) -> DensityGrid:
     """Evaluate the stable density on points, tracking method and clamp counts.
 
-    Grid nodes are independent; with threads > 1 they are evaluated by a
-    thread pool and reassembled by index, so the output never depends on the
-    worker count.  More than 1% clamped (negative -> 0) nodes aborts.
+    All radii go through one vectorised inversion pass.  ``threads`` is
+    accepted for compatibility and has no effect.  More than 1% clamped
+    (negative -> 0) nodes aborts.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-
-    def one(i: int):
-        return stable_density(spec, t, points[i], detail=True, tail_switch=tail_switch)
-
-    idx = range(len(points))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, idx))
-    else:
-        results = [one(i) for i in idx]
-    values = np.array([v for v, _ in results])
-    tags = [tag for _, tag in results]
-    clamped = int(sum(1 for v in values if v == 0.0))
+    if points.shape[1] != spec.d:
+        raise ValueError(f"x has {points.shape[1]} coordinates, expected d={spec.d}")
+    values, tags = _radial_densities(
+        spec, t, np.linalg.norm(points, axis=1), tail_switch=tail_switch
+    )
+    clamped = int(np.count_nonzero(values == 0.0))
     meta = {
         "method_counts": {tag: tags.count(tag) for tag in set(tags)},
         "clamped": clamped,
@@ -322,12 +445,12 @@ class BoundConstants:
             raise ValueError(f"need 0 < c1_hat <= c2_hat, got {self.c1_hat}, {self.c2_hat}")
 
 
-def _scaled_ratio_profile(spec: StableSpec, scaled_radius: float) -> float:
-    """p_1(x) / phi(1, |x|) at |x| = scaled_radius: by self-similarity this is
-    the envelope ratio at every (t, x) with |x| = scaled_radius * t^(1/alpha)."""
-    e1 = np.zeros(spec.d)
-    e1[0] = scaled_radius
-    return stable_density(spec, 1.0, e1) / float(phi_envelope(spec.d, spec.alpha, 1.0, scaled_radius))
+def _scaled_ratio_profile(spec: StableSpec, scaled_radii) -> np.ndarray:
+    """p_1(x) / phi(1, |x|) at each |x| in ``scaled_radii``: by self-similarity this
+    is the envelope ratio at every (t, x) with |x| = scaled_radius * t^(1/alpha)."""
+    radii = np.atleast_1d(np.asarray(scaled_radii, dtype=float))
+    values, _ = _radial_densities(spec, 1.0, radii)
+    return values / phi_envelope(spec.d, spec.alpha, 1.0, radii)
 
 
 def _refine_extrema(
@@ -335,18 +458,19 @@ def _refine_extrema(
 ) -> tuple[float, float]:
     """(min, max) of g on [lo, hi] by dense scan plus local refinement.
 
-    A log-spaced scan keeps resolution near lo when hi/lo is large; the
-    profile varies on a multiplicative scale there.
+    ``g`` maps an array of points (or one point) to an array of values; the
+    scan evaluates it once on all points.  A log-spaced scan keeps resolution near lo when
+    hi/lo is large; the profile varies on a multiplicative scale there.
     """
     xs = np.geomspace(lo, hi, n_scan) if log else np.linspace(lo, hi, n_scan)
-    vals = np.array([g(x) for x in xs])
+    vals = np.asarray(g(xs), dtype=float)
     gmin, gmax = float(vals.min()), float(vals.max())
     for sign in (1.0, -1.0):
         v = sign * vals
         for i in range(1, n_scan - 1):
             if v[i] <= v[i - 1] and v[i] <= v[i + 1]:
                 res: OptimizeResult = minimize_scalar(
-                    lambda x: sign * g(x),
+                    lambda x: sign * float(g(x)[0]),
                     bounds=(xs[i - 1], xs[i + 1]),
                     method="bounded",
                     options={"xatol": 1e-9 * max(1.0, hi)},
@@ -376,20 +500,20 @@ def estimate_bound_constants(
     x_grid = np.atleast_2d(np.asarray(x_grid, dtype=float))
     if not t_grid or len(x_grid) == 0:
         raise ValueError("t_grid and x_grid must be nonempty")
-    ratios = []
+    radii = np.linalg.norm(x_grid, axis=1)
+    c1, c2 = math.inf, -math.inf
     max_scaled = 0.0
     for t in t_grid:
-        radii = np.linalg.norm(x_grid, axis=1)
         max_scaled = max(max_scaled, float(radii.max()) / t ** (1.0 / spec.alpha))
-        for xv, radius in zip(x_grid, radii):
-            p = stable_density(spec, t, xv)
-            ratio = p / float(phi_envelope(spec.d, spec.alpha, t, radius))
-            if not math.isfinite(ratio) or ratio <= 0.0:
-                raise DensityEstimateError(
-                    f"non-usable envelope ratio {ratio!r} at t={t}, x={xv.tolist()}"
-                )
-            ratios.append(ratio)
-    c1, c2 = min(ratios), max(ratios)
+        values, _ = _radial_densities(spec, t, radii)
+        ratios = values / phi_envelope(spec.d, spec.alpha, t, radii)
+        bad = np.flatnonzero(~(np.isfinite(ratios) & (ratios > 0.0)))
+        if len(bad):
+            raise DensityEstimateError(
+                f"non-usable envelope ratio {float(ratios[bad[0]])!r} "
+                f"at t={t}, x={x_grid[bad[0]].tolist()}"
+            )
+        c1, c2 = min(c1, float(ratios.min())), max(c2, float(ratios.max()))
     meta = {
         "t_grid": t_grid,
         "n_x": len(x_grid),

@@ -24,7 +24,6 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -33,13 +32,14 @@ import numpy as np
 from .density import (
     BoundConstants,
     DensityGrid,
+    _radial_densities,
     check_truncated_bounds,
     estimate_bound_constants,
     grid_interp,
-    stable_density,
     truncated_density_estimate,
     TruncatedBoundConstants,
 )
+from .density import stable_density  # noqa: F401  (kept importable as harnack_lab.stable_density)
 from .levy_core import (
     OUSpec,
     StableSpec,
@@ -401,32 +401,24 @@ def lemma_ratio_bound(
 
 
 def _ratio_density_cache(
-    spec: StableSpec, nodes: Sequence[Node], threads: int = 1
+    spec: StableSpec, nodes: Sequence[Node]
 ) -> dict[tuple[float, float], float]:
     """Evaluate p_t at every distinct (t, radius) the nodes need.
 
     Rotational invariance means only the radius matters, so collinear grids
-    collapse to a few thousand quadratures.  Keys are rounded to 1e-12 to
-    merge radii that differ only by float noise.
+    collapse to a few thousand radii, inverted in one pass per time slice.
+    Keys are rounded to 1e-12 to merge radii that differ only by float noise.
     """
-    keys = set()
+    by_t: dict[float, set[float]] = {}
     for nd in nodes:
         for point in (nd.x, nd.y):
-            keys.add((nd.t, round(float(np.linalg.norm(point - nd.z)), 12)))
-    keys = sorted(keys)
-
-    def one(key):
-        t, radius = key
-        point = np.zeros(spec.d)
-        point[0] = radius
-        return stable_density(spec, t, point)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vals = list(pool.map(one, keys))
-    else:
-        vals = [one(k) for k in keys]
-    return dict(zip(keys, vals))
+            by_t.setdefault(nd.t, set()).add(round(float(np.linalg.norm(point - nd.z)), 12))
+    cache = {}
+    for t in sorted(by_t):
+        radii = sorted(by_t[t])
+        values, _ = _radial_densities(spec, t, radii)
+        cache.update(zip(((t, r) for r in radii), values.tolist()))
+    return cache
 
 
 def _lookup(cache: dict, t: float, radius: float) -> float:
@@ -451,6 +443,8 @@ def verify_ratio_lemma(
     per-case and global bounds with a relative tolerance absorbing
     quadrature noise.  Zero violations is the pass condition; the fitted
     constant reported is the empirical max of ratio / comparison shape.
+    ``threads`` is accepted for compatibility and has no effect: each time
+    slice of densities is computed in one vectorised pass.
     """
     grid = list(default_ratio_grid(spec.d, spec.alpha) if grid is None else grid)
     if not grid:
@@ -477,7 +471,7 @@ def verify_ratio_lemma(
         )
 
     def run(nodes: Sequence[Node]):
-        cache = _ratio_density_cache(spec, nodes, threads=threads)
+        cache = _ratio_density_cache(spec, nodes)
         results, violations, case_counts = [], [], {}
         excluded = 0
         for nd in nodes:

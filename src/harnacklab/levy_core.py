@@ -176,6 +176,7 @@ class OUSpec:
             raise ValueError("drift matrix has non-finite entries")
         A.setflags(write=False)
         object.__setattr__(self, "A", A)
+        object.__setattr__(self, "_op_norm", float(np.linalg.norm(A, 2)))
 
     @property
     def d(self) -> int:
@@ -183,8 +184,8 @@ class OUSpec:
 
     @property
     def op_norm(self) -> float:
-        """Spectral norm of the drift matrix."""
-        return float(np.linalg.norm(self.A, 2))
+        """Spectral norm of the drift matrix (computed once; A is read-only)."""
+        return self._op_norm
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,19 @@ import math
 import numpy as np
 import pytest
 
+from harnacklab import cli
 from harnacklab.cli import main
-from harnacklab.density import stable_density_grid
+from harnacklab.density import DensityEstimateError, stable_density_grid
 from harnacklab.harnack_lab import InequalityReport
 from harnacklab.levy_core import OUSpec, StableSpec, TruncatedStableSpec
 from harnacklab.ou_semigroup import ball_indicator, estimate_Ptf
 from harnacklab.reports import canonical_json, read_samples_dump, validate_report
-from harnacklab.sampling import SeedSpec, sample_rot_stable, sample_truncated_stable
+from harnacklab.sampling import (
+    CalibrationError,
+    SeedSpec,
+    sample_rot_stable,
+    sample_truncated_stable,
+)
 
 STABLE_CFG = {"driver": "stable", "d": 1, "alpha": 1.0, "c": 1.0}
 TRUNC_CFG = {"driver": "truncated_stable", "d": 1, "alpha": 1.0, "c": 1.0, "r": 1.0}
@@ -385,3 +391,43 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert canonical_json(docs[0]) == canonical_json(docs[1])
         assert docs[0]["fitted_C"] <= docs[0]["mc_meta"]["lemma_constant"] * (1 + 1e-6)
+
+
+class TestNumericalErrors:
+    """Numerical failures exit 1 with one ``harnacklab: error:`` line, no traceback."""
+
+    @staticmethod
+    def _assert_one_line_error(rc, capsys, fragment):
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("harnacklab: error: ")
+        assert err.count("\n") == 1
+        assert fragment in err
+
+    def test_quadrature_error(self, tmp_path, capsys):
+        # c=1e-6 puts the exponential cutoff so far out that radius 1 (inside
+        # 4 t^(1/alpha), so without an asymptotic fallback) exceeds the segment cap
+        spec = write_json(
+            tmp_path, "tiny_c.json", {"driver": "stable", "d": 1, "alpha": 0.5, "c": 1e-6}
+        )
+        rc = main(["density", "--spec", spec, "--t", "1", "--radii", "1.0"])
+        self._assert_one_line_error(rc, capsys, "oscillation segments")
+
+    def test_density_estimate_error(self, stable_cfg, monkeypatch, capsys):
+        def clamped(*args, **kwargs):
+            raise DensityEstimateError("3/3 grid nodes clamped to zero: quadrature breakdown")
+
+        monkeypatch.setattr(cli, "stable_density_grid", clamped)
+        rc = main(["density", "--spec", stable_cfg, "--t", "1", "--radii", "1,2,3"])
+        self._assert_one_line_error(rc, capsys, "clamped to zero")
+
+    def test_calibration_error(self, stable_cfg, tmp_path, monkeypatch, capsys):
+        def miscalibrated(*args, **kwargs):
+            raise CalibrationError("rotational stable sampler misses its characteristic function")
+
+        monkeypatch.setattr(cli, "sample_rot_stable", miscalibrated)
+        rc = main([
+            "sample", "--spec", stable_cfg, "--t", "1", "--n", "10",
+            "--out", str(tmp_path / "draws.bin"),
+        ])
+        self._assert_one_line_error(rc, capsys, "characteristic function")

@@ -32,7 +32,8 @@ from harnacklab import (
     tail_convexity_profile,
     truncated_density_estimate,
 )
-from harnacklab.density import _fit_tail_envelope
+from harnacklab import density
+from harnacklab.density import TAIL_EXPONENT, _fit_tail_envelope
 from harnacklab.levy_core import sphere_surface
 
 
@@ -262,6 +263,58 @@ class TestEnvelope:
             estimate_bound_constants(spec, [], np.array([[1.0]]))
         with pytest.raises(ValueError):
             estimate_bound_constants(spec, [1.0], np.zeros((0, 1)))
+
+
+def _axis_points(d: int, radii) -> np.ndarray:
+    points = np.zeros((len(radii), d))
+    points[:, 0] = radii
+    return points
+
+
+class TestBatchedInversion:
+    @pytest.mark.parametrize("d,alpha,t", [(1, 1.0, 1.0), (2, 1.5, 0.25)])
+    def test_batch_values_bit_identical_to_single(self, d, alpha, t, monkeypatch):
+        spec = StableSpec(d=d, alpha=alpha, c=1.0)
+        radii = np.concatenate([np.geomspace(1e-3, 10.0, 20), np.linspace(100.0, 800.0, 20)])
+        # the batch spans several chunks: half-period panels of 24 nodes each
+        upper = (TAIL_EXPONENT / (t * sigma_closed_form(d, alpha))) ** (1.0 / alpha)
+        assert 24 * np.sum(upper * radii / math.pi) > 4 * density.CHUNK_NODES
+        single = np.array([stable_density(spec, t, x) for x in _axis_points(d, radii)])
+        batch = stable_density_grid(spec, t, _axis_points(d, radii)).values
+        assert np.array_equal(batch, single)
+        # chunk boundaries falling elsewhere inside each radius change nothing
+        monkeypatch.setattr(density, "CHUNK_NODES", 1000)
+        assert np.array_equal(stable_density_grid(spec, t, _axis_points(d, radii)).values, single)
+
+    def test_grid_meta_counts_methods_and_clamps(self):
+        # past the 40000-segment cap the d=1, alpha=0.5 inversion falls back
+        spec = StableSpec(d=1, alpha=0.5, c=1.0)
+        radii = [0.0, 0.5, 30.0, 1e6, 3e6]
+        g = stable_density_grid(spec, 1.0, _axis_points(1, radii))
+        assert g.meta == {
+            "method_counts": {"origin": 1, "quadrature": 2, "asymptotic": 2},
+            "clamped": 0,
+        }
+        for x, v in zip(g.points, g.values):
+            assert v == stable_density(spec, 1.0, x)
+        switched = stable_density_grid(spec, 1.0, _axis_points(1, radii), tail_switch=20.0)
+        assert switched.meta["method_counts"] == {"origin": 1, "quadrature": 1, "asymptotic": 3}
+
+    def test_over_cap_radius_raises_before_allocating(self):
+        # d=2 would need ~1e13 Bessel zeros here; the cap must stop it first
+        import tracemalloc
+
+        spec = StableSpec(d=2, alpha=0.5, c=1e-6)
+        tracemalloc.start()
+        try:
+            with pytest.raises(QuadratureError, match="oscillation segments"):
+                stable_density(spec, 1.0, np.array([1.0, 0.0]))
+            values = stable_density_grid(spec, 1.0, _axis_points(2, [1e7, 1e9])).values
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(values, [tail_asymptotic(spec, 1.0, r) for r in (1e7, 1e9)])
+        assert peak < 1 << 20
 
 
 class TestDensityGrid:
