@@ -173,7 +173,7 @@ def _cmd_density(args) -> int:
             points.append(vec)
     if not points:
         raise CLIError("give at least one of --x or --radii")
-    grid = stable_density_grid(spec, args.t, np.array(points), threads=args.threads)
+    grid = stable_density_grid(spec, args.t, np.array(points))
     doc = {
         "t": args.t,
         "spec": describe_spec(spec),
@@ -262,7 +262,7 @@ def _applicable_ids(cfg: dict) -> list[str]:
     return ["log_harnack", "truncated_ratio", "young", "jensen"]
 
 
-def _run_one(ineq: str, cfg: dict, seed: SeedSpec, threads: int, overrides: dict):
+def _run_one(ineq: str, cfg: dict, seed: SeedSpec, overrides: dict):
     driver = _driver_from_config(cfg)
     ou = _ou_from_config(cfg)
     has_drift = np.any(ou.A != 0.0)
@@ -312,9 +312,7 @@ def _run_one(ineq: str, cfg: dict, seed: SeedSpec, threads: int, overrides: dict
         if "n_z" in overrides:
             kw["n_z"] = overrides["n_z"]
         grid = default_ratio_grid(driver.d, driver.alpha, **kw) if kw else None
-        return verify_ratio_lemma(
-            driver, grid=grid, threads=threads, seed=seed, validation=validation
-        )
+        return verify_ratio_lemma(driver, grid=grid, seed=seed, validation=validation)
     if ineq == "truncated_ratio":
         if not isinstance(driver, TruncatedStableSpec):
             raise CLIError("truncated_ratio applies to the truncated_stable driver")
@@ -359,7 +357,7 @@ def _cmd_verify(args) -> int:
 
     all_passed = True
     for one in ids:
-        report = _run_one(one, cfg, SeedSpec(args.seed), args.threads, overrides)
+        report = _run_one(one, cfg, SeedSpec(args.seed), overrides)
         doc = report.to_dict()
         doc["version"] = __version__
         doc["created_at"] = timestamp()

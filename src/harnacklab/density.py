@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 from scipy.ndimage import gaussian_filter1d
 from scipy.optimize import OptimizeResult, linprog, minimize_scalar
 
@@ -56,9 +56,12 @@ __all__ = [
     "grid_mass",
 ]
 
-# exp(-TAIL_EXPONENT) ~ 2.9e-20: frequencies beyond (TAIL_EXPONENT / (t b))^(1/alpha)
-# contribute below double precision to every inversion integral.
+# In u = t b s^alpha the inversion integrand is bounded by a multiple of the
+# Gamma(d/alpha) density exp(-u) u^(d/alpha - 1), so the frequency cutoff sits
+# where that law's upper tail drops below TAIL_MASS: u = max(TAIL_EXPONENT,
+# gammainccinv(d/alpha, TAIL_MASS)), which is TAIL_EXPONENT while d/alpha <= 2.5.
 TAIL_EXPONENT = 45.0
+TAIL_MASS = 1e-17
 
 # half-period panels of the oscillating tail
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
@@ -90,12 +93,16 @@ class DensityEstimateError(RuntimeError):
 
 
 def _origin_density(d: int, alpha: float, tb: float) -> float:
-    """p_t(0) in closed form: (2 pi)^(-d) |S^(d-1)| Gamma(d/alpha) / (alpha (t b)^(d/alpha))."""
-    return (
-        (2.0 * math.pi) ** (-d)
-        * sphere_surface(d)
-        * math.gamma(d / alpha)
-        / (alpha * tb ** (d / alpha))
+    """p_t(0) in closed form: (2 pi)^(-d) |S^(d-1)| Gamma(d/alpha) / (alpha (t b)^(d/alpha)).
+
+    Summed in log space: Gamma(d/alpha) and (t b)^(d/alpha) can each overflow
+    where their quotient is still a double.
+    """
+    return math.exp(
+        math.log(sphere_surface(d) / alpha)
+        - d * math.log(2.0 * math.pi)
+        + math.lgamma(d / alpha)
+        - (d / alpha) * math.log(tb)
     )
 
 
@@ -155,7 +162,8 @@ def _inversion_integrals(
     above HEAD_RTOL.  Radii must be positive.
     """
     radii = np.asarray(radii, dtype=float)
-    upper = (TAIL_EXPONENT / tb) ** (1.0 / alpha)
+    u_max = max(TAIL_EXPONENT, float(special.gammainccinv(d / alpha, TAIL_MASS)))
+    upper = (u_max / tb) ** (1.0 / alpha)
     approx = upper * radii / math.pi
     errors = {
         int(j): f"inversion would need ~{approx[j]:.0f} oscillation segments (cap {max_segments})"
@@ -405,13 +413,12 @@ def stable_density_grid(
     spec: StableSpec,
     t: float,
     points: np.ndarray,
-    threads: int = 1,
+    *,
     tail_switch: float | None = None,
 ) -> DensityGrid:
     """Evaluate the stable density on points, tracking method and clamp counts.
 
-    All radii go through one vectorised inversion pass.  ``threads`` is
-    accepted for compatibility and has no effect.  More than 1% clamped
+    All radii go through one vectorised inversion pass.  More than 1% clamped
     (negative -> 0) nodes aborts.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))

@@ -5,7 +5,9 @@ inequality (by quadrature for densities, by common-random-number Monte Carlo
 for semigroups), and fits the smallest constant C that makes the inequality
 hold on the grid after subtracting statistical slack.  A disjoint validation
 grid then re-fits the constant; a verification only counts as stable when the
-validation constant does not inflate past a configurable factor.  Fitting,
+validation constant does not inflate by more than 25 % (STABILITY_THRESHOLD).
+The three semigroup verifiers share one driver, which samples both sides on
+shared noise and hands them to a per-node statistic.  Fitting,
 not testing: the inequalities are existential in C, so the lab's job is to
 exhibit a finite C and show it does not drift, never to hard-code one.
 
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -64,6 +66,7 @@ __all__ = [
     "CheckResult",
     "LogRatioIntegralReport",
     "INEQUALITY_IDS",
+    "STABILITY_THRESHOLD",
     "fit_constant",
     "harnack_shape",
     "classify_case",
@@ -97,6 +100,9 @@ INEQUALITY_IDS = (
     "young",
     "jensen",
 )
+
+# a validation constant above (1 + STABILITY_THRESHOLD) x the fitted one fails
+STABILITY_THRESHOLD = 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +438,6 @@ def verify_ratio_lemma(
     *,
     validation: bool = True,
     rel_slack: float = 1e-6,
-    threads: int = 1,
     underflow: float = 1e-300,
     seed: SeedSpec | None = None,
 ) -> InequalityReport:
@@ -443,8 +448,6 @@ def verify_ratio_lemma(
     per-case and global bounds with a relative tolerance absorbing
     quadrature noise.  Zero violations is the pass condition; the fitted
     constant reported is the empirical max of ratio / comparison shape.
-    ``threads`` is accepted for compatibility and has no effect: each time
-    slice of densities is computed in one vectorised pass.
     """
     grid = list(default_ratio_grid(spec.d, spec.alpha) if grid is None else grid)
     if not grid:
@@ -600,12 +603,105 @@ def _driver_alpha(spec: OUSpec) -> float:
     return drv.stable_floor.alpha
 
 
-def _stability(fitted: float, validation: float | None, threshold: float) -> bool | None:
+def _stability(fitted: float, validation: float | None) -> bool | None:
     if validation is None:
         return None
     if fitted == 0.0:
-        return validation <= threshold
-    return validation <= (1.0 + threshold) * fitted
+        return validation <= STABILITY_THRESHOLD
+    return validation <= (1.0 + STABILITY_THRESHOLD) * fitted
+
+
+# (f, node, f at the n endpoints from x, f at the n endpoints from y) -> the
+# node's result, or None when the node is excluded
+Statistic = Callable[[TestFunction, Node, np.ndarray, np.ndarray], NodeResult | None]
+
+
+def _fits_by(results: Sequence[NodeResult], key: str) -> dict:
+    """Fitted constant of each group of results sharing ``extra[key]``."""
+    groups: dict = {}
+    for r in results:
+        groups.setdefault(r.extra[key], []).append(r)
+    return {str(k): _fit_from_results(rs) for k, rs in groups.items()}
+
+
+def _verify_semigroup(
+    inequality_id: str,
+    claim: str,
+    spec: OUSpec,
+    f_set: Sequence[TestFunction],
+    grid: Sequence[Node] | None,
+    statistics: Sequence[Statistic],
+    meta: Callable[[list[NodeResult]], dict],
+    *,
+    n: int,
+    seed: SeedSpec | None,
+    n_steps: int | None,
+    validation: bool,
+    grid_meta: dict | None = None,
+) -> InequalityReport:
+    """Run, fit, validate and report one semigroup inequality.
+
+    P_t f is sampled once per (f, node) at x and at y on shared noise (seed
+    substream 1, and substream 2 for the validation grid) and handed to every
+    statistic; results are kept per statistic and concatenated in statistic
+    order.  ``meta(results)`` adds the verifier's own entries to ``mc_meta``
+    after both grids have run.
+    """
+    seed = SeedSpec(0) if seed is None else seed
+    grid = list(default_comparison_grid(spec.d) if grid is None else grid)
+
+    def run(nodes, substream):
+        sampler = SemigroupSampler(spec, n, seed.substream(substream), n_steps=n_steps)
+        per_stat: list[list[NodeResult]] = [[] for _ in statistics]
+        excluded = 0
+        for f in f_set:
+            for nd in nodes:
+                vx = sampler.values(f, nd.x, nd.t)
+                vy = sampler.values(f, nd.y, nd.t)
+                for out, stat in zip(per_stat, statistics):
+                    res = stat(f, nd, vx, vy)
+                    if res is None:
+                        excluded += 1
+                    else:
+                        out.append(res)
+        return [r for out in per_stat for r in out], excluded
+
+    results, excluded = run(grid, 1)
+    if not results:
+        raise ValueError("all nodes excluded: semigroup means not significantly positive")
+    fitted = _fit_from_results(results)
+
+    validation_C = None
+    if validation:
+        vres, vexcl = run(validation_comparison_grid(spec.d), 2)
+        excluded += vexcl
+        if vres:
+            validation_C = _fit_from_results(vres)
+
+    return InequalityReport(
+        inequality_id=inequality_id,
+        claim=claim,
+        spec_doc=describe_spec(spec),
+        grid_meta={"nodes": len(grid), "functions": [f.tag for f in f_set], **(grid_meta or {})},
+        per_node=results,
+        fitted_C=fitted,
+        validation_C=validation_C,
+        excluded_nodes=excluded,
+        seed_doc=_seed_doc(seed),
+        mc_meta={
+            "n": n,
+            **meta(results),
+            "stability_threshold": STABILITY_THRESHOLD,
+            "stability_ok": _stability(fitted, validation_C),
+        },
+        violations=[],
+    )
+
+
+def _time_scale(spec: OUSpec, time_scale: str | None) -> str:
+    if time_scale is None:
+        return "raw" if spec.op_norm == 0.0 else "capped"
+    return time_scale
 
 
 def verify_harnack(
@@ -617,9 +713,7 @@ def verify_harnack(
     seed: SeedSpec | None = None,
     time_scale: str | None = None,
     n_steps: int | None = None,
-    epsilon: float | None = None,
     validation: bool = True,
-    stability_threshold: float = 0.25,
 ) -> InequalityReport:
     """Fit C in P_t f(x) <= C (1 + |x-y|/t_eff^(1/alpha))^(d+alpha) P_t f(y).
 
@@ -627,94 +721,37 @@ def verify_harnack(
     numbers), so the x = y nodes witness C >= 1 with zero slack and the
     fitted constant reflects genuine spatial decorrelation, not Monte Carlo
     scatter.  Nodes where P_t f(y) is not significantly positive are
-    excluded.
+    excluded.  The report is 'harnack_stable' for the 'raw' time scale and
+    'harnack_ou' for 'capped'.
     """
-    if seed is None:
-        seed = SeedSpec(0)
-    alpha = _driver_alpha(spec)
-    d = spec.d
-    if time_scale is None:
-        time_scale = "raw" if spec.op_norm == 0.0 else "capped"
+    alpha, d = _driver_alpha(spec), spec.d
+    time_scale = _time_scale(spec, time_scale)
     f_set = default_test_functions(d) if f_set is None else list(f_set)
-    grid = list(default_comparison_grid(d) if grid is None else grid)
 
-    def run(nodes, sampler):
-        results, excluded = [], 0
-        for f in f_set:
-            for nd in nodes:
-                vx = sampler.values(f, nd.x, nd.t)
-                vy = sampler.values(f, nd.y, nd.t)
-                mx, my, varx, vary, cov = _paired_stats(vx, vy)
-                se_y = math.sqrt(vary / sampler.n)
-                if my <= 3.0 * se_y:
-                    excluded += 1
-                    continue
-                shape = harnack_shape(
-                    float(np.linalg.norm(nd.x - nd.y)), nd.t, alpha, d, time_scale
-                )
-                rhs_shape = my * shape
-                coeff = (mx / rhs_shape) * shape  # provisional C-hat times shape
-                slack = _difference_slack(1.0, varx, coeff, vary, cov, sampler.n)
-                results.append(
-                    NodeResult(
-                        node=nd,
-                        lhs=mx,
-                        rhs_shape=rhs_shape,
-                        slack=slack,
-                        extra={
-                            "f": f.tag,
-                            "se_lhs": math.sqrt(varx / sampler.n),
-                            "se_rhs": se_y,
-                        },
-                    )
-                )
-        return results, excluded
-
-    sampler = SemigroupSampler(spec, n, seed.substream(1), n_steps=n_steps, epsilon=epsilon)
-    results, excluded = run(grid, sampler)
-    if not results:
-        raise ValueError("all nodes excluded: semigroup means not significantly positive")
-    fitted = _fit_from_results(results)
-
-    validation_C = None
-    if validation:
-        vsampler = SemigroupSampler(
-            spec, n, seed.substream(2), n_steps=n_steps, epsilon=epsilon
+    def statistic(f, nd, vx, vy):
+        mx, my, varx, vary, cov = _paired_stats(vx, vy)
+        se_y = math.sqrt(vary / n)
+        if my <= 3.0 * se_y:
+            return None
+        shape = harnack_shape(float(np.linalg.norm(nd.x - nd.y)), nd.t, alpha, d, time_scale)
+        rhs_shape = my * shape
+        coeff = (mx / rhs_shape) * shape  # provisional C-hat times shape
+        return NodeResult(
+            node=nd,
+            lhs=mx,
+            rhs_shape=rhs_shape,
+            slack=_difference_slack(1.0, varx, coeff, vary, cov, n),
+            extra={"f": f.tag, "se_lhs": math.sqrt(varx / n), "se_rhs": se_y},
         )
-        vres, vexcl = run(validation_comparison_grid(d), vsampler)
-        excluded += vexcl
-        if vres:
-            validation_C = _fit_from_results(vres)
 
-    per_f = {}
-    for f in f_set:
-        rf = [r for r in results if r.extra.get("f") == f.tag]
-        if rf:
-            per_f[f.tag] = _fit_from_results(rf)
-
-    ineq_id = "harnack_stable" if spec.op_norm == 0.0 else "harnack_ou"
     t_word = "t" if time_scale == "raw" else "min(t,1)"
-    return InequalityReport(
-        inequality_id=ineq_id,
-        claim=(
-            f"P_t f(x) <= C (1 + |x-y|/{t_word}^(1/alpha))^(d+alpha) P_t f(y) "
-            "for bounded nonnegative f"
-        ),
-        spec_doc=describe_spec(spec),
-        grid_meta={"nodes": len(grid), "functions": [f.tag for f in f_set]},
-        per_node=results,
-        fitted_C=fitted,
-        validation_C=validation_C,
-        excluded_nodes=excluded,
-        seed_doc=_seed_doc(seed),
-        mc_meta={
-            "n": n,
-            "time_scale": time_scale,
-            "per_f_fitted": per_f,
-            "stability_threshold": stability_threshold,
-            "stability_ok": _stability(fitted, validation_C, stability_threshold),
-        },
-        violations=[],
+    return _verify_semigroup(
+        "harnack_stable" if time_scale == "raw" else "harnack_ou",
+        f"P_t f(x) <= C (1 + |x-y|/{t_word}^(1/alpha))^(d+alpha) P_t f(y) "
+        "for bounded nonnegative f",
+        spec, f_set, grid, [statistic],
+        lambda results: {"time_scale": time_scale, "per_f_fitted": _fits_by(results, "f")},
+        n=n, seed=seed, n_steps=n_steps, validation=validation,
     )
 
 
@@ -728,118 +765,66 @@ def verify_p_harnack(
     seed: SeedSpec | None = None,
     time_scale: str | None = None,
     n_steps: int | None = None,
-    epsilon: float | None = None,
     validation: bool = True,
-    stability_threshold: float = 0.25,
 ) -> InequalityReport:
     """Fit C in (P_t f(x))^p <= C (1 + |x-y|/t_eff^(1/alpha))^(p(d+alpha)) P_t f^p(y).
 
     As p -> 1 the statement degenerates to the plain Harnack inequality, so a
     run at p close to 1 must reproduce the plain fitted constant; that
-    continuity is part of the acceptance battery.  Every node also gets an
-    empirical Jensen sanity check (mean f)^p <= mean f^p + 3 SE.
+    continuity is part of the acceptance battery.  Every node, validation
+    nodes included, also gets an empirical Jensen sanity check
+    (mean f)^p <= mean f^p + 3 SE.
     """
-    if seed is None:
-        seed = SeedSpec(0)
     for p in p_list:
         if p <= 1.0:
             raise ValueError(f"power must exceed 1, got {p}")
-    alpha = _driver_alpha(spec)
-    d = spec.d
-    if time_scale is None:
-        time_scale = "raw" if spec.op_norm == 0.0 else "capped"
+    alpha, d = _driver_alpha(spec), spec.d
+    time_scale = _time_scale(spec, time_scale)
     f_set = default_test_functions(d) if f_set is None else list(f_set)
-    grid = list(default_comparison_grid(d) if grid is None else grid)
-
     jensen_failures = 0
 
-    def run(nodes, sampler):
-        nonlocal jensen_failures
-        results, excluded = [], 0
-        for p in p_list:
-            for f in f_set:
-                for nd in nodes:
-                    vx = sampler.values(f, nd.x, nd.t)
-                    vyp = sampler.values(f, nd.y, nd.t) ** p
-                    mx, myp, varx, varyp, cov = _paired_stats(vx, vyp)
-                    se_yp = math.sqrt(varyp / sampler.n)
-                    if myp <= 3.0 * se_yp:
-                        excluded += 1
-                        continue
-                    vxp = vx**p
-                    mxp = _exact_mean(vxp)
-                    se_xp = float(vxp.std(ddof=1)) / math.sqrt(sampler.n)
-                    if _exact_mean(vx) ** p > mxp + 3.0 * se_xp:
-                        jensen_failures += 1
-                    base = harnack_shape(
-                        float(np.linalg.norm(nd.x - nd.y)), nd.t, alpha, d, time_scale
-                    ) ** (1.0 / (d + alpha))
-                    shape_p = base ** (p * (d + alpha))
-                    lhs = mx**p
-                    rhs_shape = myp * shape_p
-                    grad_l = p * mx ** (p - 1.0)
-                    coeff = (lhs / rhs_shape) * shape_p
-                    slack = _difference_slack(grad_l, varx, coeff, varyp, cov, sampler.n)
-                    results.append(
-                        NodeResult(
-                            node=nd,
-                            lhs=lhs,
-                            rhs_shape=rhs_shape,
-                            slack=slack,
-                            extra={"f": f.tag, "p": p},
-                        )
-                    )
-        return results, excluded
+    def power_statistic(p):
+        def statistic(f, nd, vx, vy):
+            nonlocal jensen_failures
+            vyp = vy**p
+            mx, myp, varx, varyp, cov = _paired_stats(vx, vyp)
+            if myp <= 3.0 * math.sqrt(varyp / n):
+                return None
+            vxp = vx**p
+            mxp = _exact_mean(vxp)
+            se_xp = float(vxp.std(ddof=1)) / math.sqrt(n)
+            if _exact_mean(vx) ** p > mxp + 3.0 * se_xp:
+                jensen_failures += 1
+            base = harnack_shape(
+                float(np.linalg.norm(nd.x - nd.y)), nd.t, alpha, d, time_scale
+            ) ** (1.0 / (d + alpha))
+            shape_p = base ** (p * (d + alpha))
+            lhs = mx**p
+            rhs_shape = myp * shape_p
+            coeff = (lhs / rhs_shape) * shape_p
+            return NodeResult(
+                node=nd,
+                lhs=lhs,
+                rhs_shape=rhs_shape,
+                slack=_difference_slack(p * mx ** (p - 1.0), varx, coeff, varyp, cov, n),
+                extra={"f": f.tag, "p": p},
+            )
 
-    sampler = SemigroupSampler(spec, n, seed.substream(1), n_steps=n_steps, epsilon=epsilon)
-    results, excluded = run(grid, sampler)
-    if not results:
-        raise ValueError("all nodes excluded: semigroup means not significantly positive")
-    fitted = _fit_from_results(results)
-
-    validation_C = None
-    if validation:
-        vsampler = SemigroupSampler(
-            spec, n, seed.substream(2), n_steps=n_steps, epsilon=epsilon
-        )
-        vres, vexcl = run(validation_comparison_grid(d), vsampler)
-        excluded += vexcl
-        if vres:
-            validation_C = _fit_from_results(vres)
-
-    per_p = {}
-    for p in p_list:
-        rp = [r for r in results if r.extra.get("p") == p]
-        if rp:
-            per_p[str(p)] = _fit_from_results(rp)
+        return statistic
 
     t_word = "t" if time_scale == "raw" else "min(t,1)"
-    return InequalityReport(
-        inequality_id="p_harnack",
-        claim=(
-            f"(P_t f(x))^p <= C (1 + |x-y|/{t_word}^(1/alpha))^(p(d+alpha)) P_t f^p(y) "
-            "for bounded nonnegative f and p > 1"
-        ),
-        spec_doc=describe_spec(spec),
-        grid_meta={
-            "nodes": len(grid),
-            "functions": [f.tag for f in f_set],
-            "p_list": list(p_list),
-        },
-        per_node=results,
-        fitted_C=fitted,
-        validation_C=validation_C,
-        excluded_nodes=excluded,
-        seed_doc=_seed_doc(seed),
-        mc_meta={
-            "n": n,
+    return _verify_semigroup(
+        "p_harnack",
+        f"(P_t f(x))^p <= C (1 + |x-y|/{t_word}^(1/alpha))^(p(d+alpha)) P_t f^p(y) "
+        "for bounded nonnegative f and p > 1",
+        spec, f_set, grid, [power_statistic(p) for p in p_list],
+        lambda results: {
             "time_scale": time_scale,
-            "per_p_fitted": per_p,
+            "per_p_fitted": _fits_by(results, "p"),
             "jensen_failures": jensen_failures,
-            "stability_threshold": stability_threshold,
-            "stability_ok": _stability(fitted, validation_C, stability_threshold),
         },
-        violations=[],
+        n=n, seed=seed, n_steps=n_steps, validation=validation,
+        grid_meta={"p_list": list(p_list)},
     )
 
 
@@ -856,9 +841,7 @@ def verify_log_harnack(
     n: int = 10**5,
     seed: SeedSpec | None = None,
     n_steps: int | None = None,
-    epsilon: float | None = None,
     validation: bool = True,
-    stability_threshold: float = 0.25,
 ) -> InequalityReport:
     """Fit C in P_t(log f)(x) <= log P_t f(y) + C (1+|x-y|) log((2+|x-y|)/(t∧1)).
 
@@ -866,79 +849,36 @@ def verify_log_harnack(
     With shared noise the x = y nodes reduce to the empirical Jensen
     inequality, which holds exactly sample by sample, so their fitted
     constant is identically zero; any positive fitted C measures genuine
-    displacement cost.
+    displacement cost.  No node is excluded.
     """
-    if seed is None:
-        seed = SeedSpec(0)
-    alpha = _driver_alpha(spec)
-    d = spec.d
-    f_set = log_test_functions(d) if f_set is None else list(f_set)
+    f_set = log_test_functions(spec.d) if f_set is None else list(f_set)
     for f in f_set:
         if not f.geq_one:
             raise ValueError(f"log-Harnack needs f >= 1, got {f.tag}")
-    grid = list(default_comparison_grid(d) if grid is None else grid)
 
-    def run(nodes, sampler):
-        results = []
-        for f in f_set:
-            for nd in nodes:
-                log_vx = np.log(sampler.values(f, nd.x, nd.t))
-                vy = sampler.values(f, nd.y, nd.t)
-                _, _, varl, vary, cov = _paired_stats(log_vx, vy)
-                ml, my = _exact_mean(log_vx), _exact_mean(vy)
-                lhs = ml - math.log(my)
-                cost = log_harnack_cost(float(np.linalg.norm(nd.x - nd.y)), nd.t)
-                var = varl + vary / my**2 - 2.0 * cov / my
-                slack = 3.0 * math.sqrt(max(var, 0.0) / sampler.n)
-                results.append(
-                    NodeResult(
-                        node=nd,
-                        lhs=lhs,
-                        rhs_shape=cost,
-                        slack=slack,
-                        extra={"f": f.tag, "log_mean_rhs": math.log(my)},
-                    )
-                )
-        return results
-
-    sampler = SemigroupSampler(spec, n, seed.substream(1), n_steps=n_steps, epsilon=epsilon)
-    results = run(grid, sampler)
-    fitted = _fit_from_results(results)
-
-    diag_nodes = [
-        r for r in results if np.array_equal(r.node.x, r.node.y)
-    ]
-    diag_C = _fit_from_results(diag_nodes) if diag_nodes else None
-
-    validation_C = None
-    if validation:
-        vsampler = SemigroupSampler(
-            spec, n, seed.substream(2), n_steps=n_steps, epsilon=epsilon
+    def statistic(f, nd, vx, vy):
+        log_vx = np.log(vx)
+        _, _, varl, vary, cov = _paired_stats(log_vx, vy)
+        ml, my = _exact_mean(log_vx), _exact_mean(vy)
+        var = varl + vary / my**2 - 2.0 * cov / my
+        return NodeResult(
+            node=nd,
+            lhs=ml - math.log(my),
+            rhs_shape=log_harnack_cost(float(np.linalg.norm(nd.x - nd.y)), nd.t),
+            slack=3.0 * math.sqrt(max(var, 0.0) / n),
+            extra={"f": f.tag, "log_mean_rhs": math.log(my)},
         )
-        vres = run(validation_comparison_grid(d), vsampler)
-        if vres:
-            validation_C = _fit_from_results(vres)
 
-    return InequalityReport(
-        inequality_id="log_harnack",
-        claim=(
-            "P_t(log f)(x) <= log P_t f(y) + C (1 + |x-y|) log((2 + |x-y|)/(t ∧ 1)) "
-            "for f >= 1"
-        ),
-        spec_doc=describe_spec(spec),
-        grid_meta={"nodes": len(grid), "functions": [f.tag for f in f_set]},
-        per_node=results,
-        fitted_C=fitted,
-        validation_C=validation_C,
-        excluded_nodes=0,
-        seed_doc=_seed_doc(seed),
-        mc_meta={
-            "n": n,
-            "x_equals_y_C": diag_C,
-            "stability_threshold": stability_threshold,
-            "stability_ok": _stability(fitted, validation_C, stability_threshold),
-        },
-        violations=[],
+    def meta(results):
+        diag = [r for r in results if np.array_equal(r.node.x, r.node.y)]
+        return {"x_equals_y_C": _fit_from_results(diag) if diag else None}
+
+    return _verify_semigroup(
+        "log_harnack",
+        "P_t(log f)(x) <= log P_t f(y) + C (1 + |x-y|) log((2 + |x-y|)/(t ∧ 1)) "
+        "for f >= 1",
+        spec, f_set, grid, [statistic], meta,
+        n=n, seed=seed, n_steps=n_steps, validation=validation,
     )
 
 
@@ -986,9 +926,7 @@ def verify_truncated_ratio(
     constants: TruncatedBoundConstants | None = None,
     offsets: Sequence[float] = (0.0, 0.5, 1.0, 2.0),
     z_count: int = 41,
-    epsilon: float | None = None,
     validation: bool = True,
-    stability_threshold: float = 0.25,
 ) -> InequalityReport:
     """Fit C1 in the truncated-density ratio bound from KDE estimates.
 
@@ -1004,9 +942,7 @@ def verify_truncated_ratio(
     t_grid = list(t_grid)
     if estimates is None:
         estimates = [
-            truncated_density_estimate(
-                spec, t, n, seed=seed.substream(3, i), epsilon=epsilon
-            )
+            truncated_density_estimate(spec, t, n, seed=seed.substream(3, i))
             for i, t in enumerate(t_grid)
         ]
     estimates = list(estimates)
@@ -1081,8 +1017,8 @@ def verify_truncated_ratio(
             "n": n,
             "C2": c_exp,
             "tail_fit": constants.grid_meta.get("tail_fit"),
-            "stability_threshold": stability_threshold,
-            "stability_ok": _stability(fitted, validation_C, stability_threshold),
+            "stability_threshold": STABILITY_THRESHOLD,
+            "stability_ok": _stability(fitted, validation_C),
         },
         violations=[],
     )

@@ -141,7 +141,7 @@ def test_criterion_03_two_sided_bound():
 def test_criterion_04_ratio_lemma():
     start = time.time()
     grid = default_ratio_grid(1, 1.0)
-    report = verify_ratio_lemma(CAUCHY, grid=grid, validation=True, threads=4)
+    report = verify_ratio_lemma(CAUCHY, grid=grid, validation=True)
     elapsed = time.time() - start
     ok = (
         len(grid) >= 10**4

@@ -260,6 +260,24 @@ class TestVerifyCommand:
         )
         assert main(["verify", "--spec", cfg, "--inequality", "harnack_stable"]) == 1
 
+    def test_harnack_ou_without_drift_is_labelled_ou(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "free.json", {"driver": "stable", "d": 1, "alpha": 1.5})
+        grid = write_json(
+            tmp_path, "grid.json",
+            {"n": 2000, "t_values": [0.5], "offsets": [0, 1], "validation": False},
+        )
+        out_dir = tmp_path / "reports"
+        rc = main([
+            "verify", "--spec", cfg, "--grid", grid, "--inequality", "harnack_ou",
+            "--out", str(out_dir),
+        ])
+        assert rc == 0
+        assert "harnack_ou: PASS" in capsys.readouterr().out
+        doc = json.loads((out_dir / "report_harnack_ou.json").read_text())
+        assert doc["inequality_id"] == "harnack_ou"
+        assert doc["mc_meta"]["time_scale"] == "capped"
+        validate_report(doc)
+
     def test_bad_grid_override_schema(self, stable_cfg, tmp_path, capsys):
         grid = write_json(tmp_path, "grid.json", {"n": 4000, "bogus_key": 1})
         rc = main([
@@ -338,7 +356,7 @@ class TestVerifyCommand:
         assert "ratio_lemma" not in out
 
     def test_failed_verification_exits_two(self, stable_cfg, tmp_path, capsys, monkeypatch):
-        def fake_run(ineq, cfg, seed, threads, overrides):
+        def fake_run(ineq, cfg, seed, overrides):
             return InequalityReport(
                 inequality_id="young",
                 claim="forced failure",
@@ -412,6 +430,16 @@ class TestNumericalErrors:
         )
         rc = main(["density", "--spec", spec, "--t", "1", "--radii", "1.0"])
         self._assert_one_line_error(rc, capsys, "oscillation segments")
+
+    def test_origin_value_does_not_overflow(self, tmp_path, capsys):
+        # every density call forms p_t(0); at d/alpha = 50 and t = 1e4 it holds
+        # Gamma(50) / (t b)^50, whose denominator overflows a double on its own
+        spec = write_json(tmp_path, "d5.json", {"driver": "stable", "d": 5, "alpha": 0.1})
+        rc = main(["density", "--spec", spec, "--t", "10000", "--radii", "1.0"])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        values = json.loads(captured.out)["values"]
+        assert len(values) == 1 and math.isfinite(values[0]) and values[0] > 0.0
 
     def test_density_estimate_error(self, stable_cfg, monkeypatch, capsys):
         def clamped(*args, **kwargs):

@@ -84,6 +84,28 @@ class TestClosedForms:
         assert tag == "origin"
         assert val == pytest.approx(ref, rel=1e-11)
 
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_small_alpha_near_origin(self, d):
+        # the s^(d-1) weight puts the integrand's mass at u = t b s^alpha ~ d/alpha,
+        # beyond u = 45 when d/alpha = 50; a cutoff there lost 75 % of p_t at d=5
+        spec = StableSpec(d=d, alpha=0.1, c=1.0)
+        near = stable_density(spec, 1.0, _axis_points(d, [1e-3])[0])
+        assert near / stable_density(spec, 1.0, np.zeros(d)) == pytest.approx(1.0, abs=1e-6)
+
+    def test_origin_value_past_overflow(self):
+        # Gamma(50) / (t b)^50 at t = 1e4: the power alone overflows a double
+        spec = StableSpec(d=5, alpha=0.1, c=1.0)
+        tb = 1e4 * sigma_closed_form(5, 0.1)
+        log_ref = (
+            math.log(sphere_surface(5) / 0.1)
+            - 5 * math.log(2.0 * math.pi)
+            + math.lgamma(50.0)
+            - 50.0 * math.log(tb)
+        )
+        val = stable_density(spec, 1e4, np.zeros(5))
+        assert 0.0 < val < 1e-250
+        assert math.log(val) == pytest.approx(log_ref, rel=1e-12)
+
     def test_gaussian_endpoint(self):
         # at alpha near 2 the law approaches N(0, 2 t b); the remaining gap is
         # a few percent at this alpha, which is what the tolerance encodes
@@ -334,8 +356,8 @@ class TestDensityGrid:
     def test_grid_thread_invariance(self):
         spec = StableSpec(d=1, alpha=1.0, c=1.0)
         pts = np.linspace(-3.0, 3.0, 25)[:, None]
-        g1 = stable_density_grid(spec, 0.5, pts, threads=1)
-        g3 = stable_density_grid(spec, 0.5, pts, threads=3)
+        g1 = stable_density_grid(spec, 0.5, pts)
+        g3 = stable_density_grid(spec, 0.5, pts)
         assert np.array_equal(g1.values, g3.values)
         assert g1.meta["method_counts"] == g3.meta["method_counts"]
         assert sum(g1.meta["method_counts"].values()) == 25

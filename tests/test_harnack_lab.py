@@ -43,13 +43,14 @@ from harnacklab.harnack_lab import (
     young_suite,
 )
 from harnacklab.levy_core import OUSpec, StableSpec, TruncatedStableSpec
-from harnacklab.ou_semigroup import ball_indicator, constant
+from harnacklab.ou_semigroup import SemigroupSampler, ball_indicator, constant
 from harnacklab.reports import canonical_json, validate_report
 from harnacklab.sampling import SeedSpec
 
 CAUCHY = StableSpec(d=1, alpha=1.0, c=1.0)
 OU_FREE = OUSpec(A=np.zeros((1, 1)), driver=CAUCHY)
 OU_DRIFT = OUSpec(A=np.array([[0.5]]), driver=CAUCHY)
+OU_CONTRACT = OUSpec(A=np.array([[-0.5]]), driver=CAUCHY)
 TSPEC = TruncatedStableSpec(d=1, alpha=1.0, c=1.0, r=1.0)
 T_GRID = (0.5, 1.0)
 
@@ -386,12 +387,9 @@ class TestVerifyRatioLemma:
         consts = BoundConstants(
             c1_hat=0.05, c2_hat=5.0, grid_meta={"certified_scaled_radius": 1e9}
         )
-        one = verify_ratio_lemma(
-            CAUCHY, grid=SMALL_RATIO_GRID, constants=consts, validation=False, threads=1
-        )
-        two = verify_ratio_lemma(
-            CAUCHY, grid=SMALL_RATIO_GRID, constants=consts, validation=False, threads=2
-        )
+        kw = dict(grid=SMALL_RATIO_GRID, constants=consts, validation=False)
+        one = verify_ratio_lemma(CAUCHY, **kw)
+        two = verify_ratio_lemma(CAUCHY, **kw)
         assert [r.lhs for r in one.per_node] == [r.lhs for r in two.per_node]
         assert one.fitted_C == two.fitted_C
         assert one.violations == [] and two.violations == []
@@ -458,6 +456,23 @@ class TestVerifyPHarnack:
         assert report.grid_meta["p_list"] == [2.0, 4.0]
         assert report.passed
 
+    def test_samples_each_node_once_for_all_powers(self, monkeypatch):
+        calls = []
+        values = SemigroupSampler.values
+
+        def counted(self, f, x, t):
+            calls.append(t)
+            return values(self, f, x, t)
+
+        monkeypatch.setattr(SemigroupSampler, "values", counted)
+        grid = [node(0.5, [0.0], [0.0]), node(0.5, [1.0], [0.0])]
+        report = verify_p_harnack(
+            OU_FREE, f_set=[constant(2.0)], grid=grid, p_list=(1.5, 2.0, 4.0),
+            n=2000, seed=SeedSpec(37), validation=False,
+        )
+        assert len(calls) == 2 * len(grid)  # x and y once per node, not per power
+        assert [r.extra["p"] for r in report.per_node] == [1.5, 1.5, 2.0, 2.0, 4.0, 4.0]
+
 
 class TestVerifyLogHarnack:
     def test_rejects_functions_below_one(self):
@@ -477,6 +492,18 @@ class TestVerifyLogHarnack:
         assert report.fitted_C >= 0.0
         assert report.validation_C is not None
         validate_report(report.to_dict())
+
+
+@pytest.mark.parametrize("spec", [OU_DRIFT, OU_CONTRACT], ids=["expanding", "contracting"])
+@pytest.mark.parametrize(
+    "verify", [verify_harnack, verify_p_harnack, verify_log_harnack], ids=lambda v: v.__name__
+)
+def test_drift_runs_pass_with_stable_validation(verify, spec):
+    report = verify(spec, n=20000, seed=SeedSpec(5))
+    assert report.mc_meta["stability_ok"] is True
+    assert report.passed
+    assert report.mc_meta.get("time_scale", "capped") == "capped"
+    validate_report(report.to_dict())
 
 
 class TestVerifyTruncatedRatio:
