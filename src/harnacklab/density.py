@@ -1,16 +1,20 @@
 """Transition densities: characteristic-function inversion and KDE estimation.
 
-The stable density is recovered from exp(-t psi) by radial Fourier inversion.
-All inversion integrals oscillate (cosine kernel in one dimension, Bessel
-kernel above), so the integration range is split at the kernel's zeros.  The
-head segment [0, first zero] is covered by Gauss-Legendre panels graded
+The stable density is recovered from exp(-t psi) by radial Fourier inversion,
+and the one-dimensional CDF by a sine inversion of the same exponential; one
+routine computes every such integral of exp(-t b s^alpha) K(s r) s^power.
+All of them oscillate (cosine kernel in one dimension, Bessel kernel above,
+sine for the CDF), so the integration range is split at the kernel's zeros.
+The head segment [0, first zero] is covered by Gauss-Legendre panels graded
 geometrically toward s = 0, where the s^alpha in exp(-t psi) is not smooth;
 its error is estimated by doubling the panel order.  Fixed-order panels
 cover the remaining half-periods up to the exponential cutoff of exp(-t psi).
 Every radius of one time slice goes through a single vectorised pass: the
 panels of all radii are laid end to end and evaluated a fixed number of
 nodes at a time, and each radius sums its own panels exactly (math.fsum), so
-a value never depends on which other radii share its batch.
+a value never depends on which other radii share its batch.  Densities past
+their segment cap fall back to the tail asymptote from 4 (t b)^(1/alpha) on;
+the CDF has no fallback and refuses.
 Truncated-stable densities have no usable inversion (their symbol decays too
 slowly); they are estimated from samples by a binned Gaussian KDE.
 """
@@ -19,10 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 from scipy.ndimage import gaussian_filter1d
 from scipy.optimize import OptimizeResult, linprog, minimize_scalar
 
@@ -56,10 +61,13 @@ __all__ = [
     "grid_mass",
 ]
 
-# In u = t b s^alpha the inversion integrand is bounded by a multiple of the
-# Gamma(d/alpha) density exp(-u) u^(d/alpha - 1), so the frequency cutoff sits
-# where that law's upper tail drops below TAIL_MASS: u = max(TAIL_EXPONENT,
-# gammainccinv(d/alpha, TAIL_MASS)), which is TAIL_EXPONENT while d/alpha <= 2.5.
+# In u = t b s^alpha an inversion integrand exp(-t b s^alpha) K(s r) s^power
+# with |K| <= 1 is bounded by a multiple of the Gamma(k) density
+# exp(-u) u^(k - 1), k = (power + 1)/alpha (k = d/alpha for a density), so the
+# frequency cutoff sits where that law's upper tail drops below TAIL_MASS:
+# u = max(TAIL_EXPONENT, gammainccinv(k, TAIL_MASS)), which is TAIL_EXPONENT
+# while k <= 2.5.  The CDF's sin(s r)/s has k = 0 and stays at TAIL_EXPONENT:
+# beyond it |sin(s r)|/s <= 1/s leaves at most E1(45)/alpha ~ 6e-22/alpha.
 TAIL_EXPONENT = 45.0
 TAIL_MASS = 1e-17
 
@@ -67,11 +75,13 @@ TAIL_MASS = 1e-17
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
 
 # Head panels [H q^(k+1), H q^k] shrink toward s = 0 by HEAD_RATIO down to
-# 10^(-10/(d+alpha)) of the smaller of H and the decay scale (t b)^(-1/alpha).
-# On the last panel [0, H q^m] the non-smooth factor 1 - t b s^alpha differs
-# from 1 by at most (s/scale)^alpha, over a share (s/scale)^d of the head, so
-# what a panel rule can miss there stays below 1e-10 of the head.  The head
-# is integrated at two orders; their relative gap must stay under HEAD_RTOL.
+# 10^(-10/(n+alpha)) of the smaller of H and the decay scale (t b)^(-1/alpha),
+# where the integrand grows like s^(n-1) near 0: n = d for a density, n = 1 for
+# the CDF, whose sin(s r)/s tends to r.  On the last panel [0, H q^m] the
+# non-smooth factor 1 - t b s^alpha differs from 1 by at most (s/scale)^alpha,
+# over a share (s/scale)^n of the head, so what a panel rule can miss there
+# stays below 1e-10 of the head.  The head is integrated at two orders; their
+# relative gap must stay under HEAD_RTOL.
 HEAD_RATIO = 0.25
 HEAD_RTOL = 1e-10
 _HEAD_RULES = (
@@ -82,6 +92,16 @@ _HEAD_RULES = (
 # Panels are evaluated this many nodes at a time, whatever the number of radii
 # and panels, which bounds the memory of one pass.
 CHUNK_NODES = 1 << 16
+
+# Oscillation segments one radius may take, checked before anything is
+# allocated for it: densities fall back to the tail asymptote past theirs, the
+# CDF has no fallback and refuses.
+DENSITY_MAX_SEGMENTS = 40_000
+CDF_MAX_SEGMENTS = 2_000_000
+
+# Kernel key of sin(u), the CDF's kernel; a key d >= 1 is the radial Fourier
+# kernel of dimension d.
+SINE = 0
 
 
 class DensityEstimateError(RuntimeError):
@@ -106,11 +126,29 @@ def _origin_density(d: int, alpha: float, tb: float) -> float:
     )
 
 
-def _unit_kernel_zeros(d: int, count: int) -> np.ndarray:
-    """First ``count`` positive zeros of the radial Fourier kernel s -> K_d(s)."""
-    if d == 1:
-        return (np.arange(count) + 0.5) * math.pi
-    return bessel_zeros(d / 2.0 - 1.0, count)
+def _kernel(kernel: int, u):
+    """Inversion kernel K(u) at u = s r: sin for ``SINE``, else the radial
+    Fourier kernel of dimension ``kernel`` (cos at 1, Bessel above)."""
+    if kernel == SINE:
+        return np.sin(u)
+    if kernel == 1:
+        return np.cos(u)
+    return sphere_cf(kernel, u)
+
+
+@lru_cache(maxsize=None)
+def _vanishes_at_zero(kernel: int) -> bool:
+    """Whether K(0) = 0, which lifts the integrand's order at s = 0 by one."""
+    return bool(_kernel(kernel, 0.0) == 0.0)
+
+
+def _unit_kernel_zeros(kernel: int, limit: float) -> np.ndarray:
+    """The positive zeros of K below ``limit`` and at least one past it."""
+    if kernel in (SINE, 1):
+        offset = 1.0 if kernel == SINE else 0.5
+        return (np.arange(int(limit / math.pi) + 2) + offset) * math.pi
+    nu = kernel / 2.0 - 1.0
+    return bessel_zeros(nu, max(8, int(limit / math.pi - nu / 2.0 + 6.0)))
 
 
 def _panel_sums(
@@ -152,17 +190,21 @@ def _panel_sums(
 
 
 def _inversion_integrals(
-    d: int, alpha: float, tb: float, radii: np.ndarray, max_segments: int
+    kernel: int, power: float, alpha: float, tb: float, radii: np.ndarray, max_segments: int
 ) -> tuple[np.ndarray, dict[int, str]]:
-    """integral over [0, inf) of exp(-tb s^alpha) K_d(s r) s^(d-1) ds for every r in ``radii``.
+    """integral over [0, inf) of exp(-tb s^alpha) K(s r) s^power ds for every r in ``radii``.
 
-    Returns the integrals (NaN where a radius failed) and, per failed index,
-    the reason: more than ``max_segments`` oscillation segments (checked
-    before anything is allocated for that radius) or a head error estimate
-    above HEAD_RTOL.  Radii must be positive.
+    K is :func:`_kernel` of ``kernel``.  Returns the integrals (NaN where a
+    radius failed) and, per failed index, the reason: more than
+    ``max_segments`` oscillation segments (checked before anything is
+    allocated for that radius) or a head error estimate above HEAD_RTOL.
+    Radii must be positive.
     """
     radii = np.asarray(radii, dtype=float)
-    u_max = max(TAIL_EXPONENT, float(special.gammainccinv(d / alpha, TAIL_MASS)))
+    shape = (power + 1.0) / alpha  # the Gamma(k) bound of the TAIL_EXPONENT comment
+    u_max = TAIL_EXPONENT
+    if shape > 0.0:
+        u_max = max(u_max, float(special.gammainccinv(shape, TAIL_MASS)))
     upper = (u_max / tb) ** (1.0 / alpha)
     approx = upper * radii / math.pi
     errors = {
@@ -175,18 +217,17 @@ def _inversion_integrals(
     if len(r) == 0:
         return out, errors
 
-    top = float(approx[ok].max())
-    nu = d / 2.0 - 1.0
-    count = int(top) + 2 if d == 1 else max(8, int(top - nu / 2.0 + 6.0))
-    zeros = _unit_kernel_zeros(d, count)
+    zeros = _unit_kernel_zeros(kernel, float(upper * r.max()))
     n_zeros = np.searchsorted(zeros, upper * r)  # kernel zeros below the cutoff
     head = np.where(n_zeros > 0, zeros[0] / r, upper)
 
     def integrand(s, owner):
-        return np.exp(-tb * s**alpha) * _kernel(d, s * r[owner][:, None]) * s ** (d - 1.0)
+        return np.exp(-tb * s**alpha) * _kernel(kernel, s * r[owner][:, None]) * s**power
 
-    # head: graded panels, m of them shrinking geometrically plus [0, H q^m]
-    floor = 10.0 ** (-10.0 / (d + alpha)) * np.minimum(head, tb ** (-1.0 / alpha))
+    # head: graded panels, m of them shrinking geometrically plus [0, H q^m];
+    # near s = 0 the integrand grows like s^(n-1), one order above s^power where K(0) = 0
+    n = power + 1.0 + (1.0 if _vanishes_at_zero(kernel) else 0.0)
+    floor = 10.0 ** (-10.0 / (n + alpha)) * np.minimum(head, tb ** (-1.0 / alpha))
     levels = np.ceil(np.log(head / floor) / -math.log(HEAD_RATIO)).astype(np.int64)
 
     def head_bounds(owner, k):
@@ -219,46 +260,34 @@ def _inversion_integrals(
     return out, errors
 
 
-def _kernel(d: int, u):
-    if d == 1:
-        return np.cos(u)
-    return sphere_cf(d, u)
-
-
 def tail_asymptotic(spec: StableSpec, t: float, x) -> float:
     """Far-field envelope t * c * |x|^(-d-alpha): the leading jump-tail term.
 
     This is the mass a single large jump deposits near x, and the function
     whose min with t^(-d/alpha) forms the two-sided envelope.  It is an
-    envelope, not the exact density; accuracy improves as |x| grows.
+    envelope, not the exact density; accuracy improves as |x| grows, and it
+    is refused inside 4 (t b)^(1/alpha).
     """
     if t <= 0.0:
         raise ValueError("time must be positive")
     radius = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
-    if radius < 4.0 * t ** (1.0 / spec.alpha):
+    # (t b)^(1/alpha), b = sigma(d, alpha) c, is where p_t turns from bulk to tail
+    reach = 4.0 * (t * compute_sigma(spec.d, spec.alpha) * spec.c) ** (1.0 / spec.alpha)
+    if radius < reach:
         raise ValueError(
-            f"tail asymptote requires |x| >= 4 t^(1/alpha) = {4.0 * t ** (1.0 / spec.alpha):.6g}, "
-            f"got |x| = {radius:.6g}"
+            f"tail asymptote requires |x| >= 4 (t b)^(1/alpha) = {reach:.6g}, got |x| = {radius:.6g}"
         )
     return t * spec.c * radius ** (-(spec.d + spec.alpha))
 
 
-def _radial_densities(
-    spec: StableSpec,
-    t: float,
-    radii,
-    *,
-    max_segments: int = 40000,
-    tail_switch: float | None = None,
-) -> tuple[np.ndarray, list[str]]:
+def _radial_densities(spec: StableSpec, t: float, radii) -> tuple[np.ndarray, list[str]]:
     """p_t at each of ``radii`` with its method tag, all radii in one inversion pass.
 
-    Radius 0 takes the closed form ('origin'); radii beyond ``tail_switch``
-    t^(1/alpha) take :func:`tail_asymptotic`.  The rest are inverted together
-    ('quadrature'); a radius whose inversion fails (segment cap, head error
-    estimate, or a negative value beyond the clamp tolerance) falls back to
-    the asymptote ('asymptotic') when it is at least 4 t^(1/alpha), and
-    otherwise raises :class:`QuadratureError`.
+    Radius 0 takes the closed form ('origin'); the rest are inverted together
+    ('quadrature').  A radius whose inversion fails (DENSITY_MAX_SEGMENTS,
+    head error estimate, or a negative value beyond the clamp tolerance)
+    falls back to :func:`tail_asymptotic` ('asymptotic') when it is at least
+    4 (t b)^(1/alpha), and otherwise raises :class:`QuadratureError`.
     """
     if t <= 0.0:
         raise ValueError("time must be positive")
@@ -266,71 +295,56 @@ def _radial_densities(
     d, alpha = spec.d, spec.alpha
     tb = t * compute_sigma(d, alpha) * spec.c
     origin = _origin_density(d, alpha, tb)
-    scale = t ** (1.0 / alpha)
+    reach = 4.0 * tb ** (1.0 / alpha)
     values = np.empty(len(radii))
-    tags = ["quadrature"] * len(radii)
-
-    quad = []
-    for j, radius in enumerate(radii.tolist()):
-        if radius == 0.0:
-            values[j], tags[j] = origin, "origin"
-        elif tail_switch is not None and radius > tail_switch * scale:
-            values[j], tags[j] = tail_asymptotic(spec, t, radius), "asymptotic"
-        else:
-            quad.append(j)
-
-    integrals, errors = _inversion_integrals(d, alpha, tb, radii[quad], max_segments)
+    at_origin = radii == 0.0
+    values[at_origin] = origin
+    tags = ["origin" if o else "quadrature" for o in at_origin.tolist()]
+    quad = np.flatnonzero(~at_origin)
+    integrals, errors = _inversion_integrals(
+        d, d - 1.0, alpha, tb, radii[quad], DENSITY_MAX_SEGMENTS
+    )
     vals = (2.0 * math.pi) ** (-d) * sphere_surface(d) * integrals
     neg_tol = 1e-10 * max(1.0, origin)
-    for i, (j, val) in enumerate(zip(quad, vals.tolist())):
+    for i, (j, val) in enumerate(zip(quad.tolist(), vals.tolist())):
         radius = float(radii[j])
         reason = errors.get(i)
         if reason is None and val < -neg_tol:
             reason = f"inversion produced {val:.3e} at t={t}, |x|={radius} (beyond clamp tolerance)"
         if reason is None:
             values[j] = max(val, 0.0)
-        elif radius >= 4.0 * scale:
+        elif radius >= reach:
             values[j], tags[j] = tail_asymptotic(spec, t, radius), "asymptotic"
         else:
             raise QuadratureError(reason)
     return values, tags
 
 
-def stable_density(
-    spec: StableSpec,
-    t: float,
-    x,
-    *,
-    max_segments: int = 40000,
-    tail_switch: float | None = None,
-    detail: bool = False,
-):
+def stable_density(spec: StableSpec, t: float, x) -> float:
     """Transition density p_t(x) of the rotationally invariant stable process.
 
     Evaluates the inversion integral at the native (t, x); nothing is
     rescaled internally, which keeps the self-similarity law a genuine test
-    rather than an identity.  ``tail_switch`` (in units of t^(1/alpha))
-    short-circuits to :func:`tail_asymptotic` beyond that scaled radius; by
-    default the quadrature runs everywhere and the asymptote is only a
-    fallback when the oscillation budget is exhausted.  With ``detail`` the
-    method tag ('origin', 'quadrature', 'asymptotic') comes back too.  The
-    value is bit-identical to the one :func:`stable_density_grid` gives for
-    the same radius in any batch.
+    rather than an identity.  The asymptote is only a fallback, far out
+    where the oscillation budget is exhausted.  The value is bit-identical
+    to the one :func:`stable_density_grid` gives for the same radius in any
+    batch; that function also reports how each value was obtained.
     """
     if t <= 0.0:
         raise ValueError("time must be positive")
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     if xv.size != spec.d:
         raise ValueError(f"x has {xv.size} coordinates, expected d={spec.d}")
-    values, tags = _radial_densities(
-        spec, t, [float(np.linalg.norm(xv))], max_segments=max_segments, tail_switch=tail_switch
-    )
-    val = float(values[0])
-    return (val, tags[0]) if detail else val
+    values, _ = _radial_densities(spec, t, [float(np.linalg.norm(xv))])
+    return float(values[0])
 
 
 def stable_cdf_1d(spec: StableSpec, t: float, x: float) -> float:
-    """CDF of the one-dimensional stable marginal, by sine-kernel inversion."""
+    """CDF of the one-dimensional stable marginal: 1/2 + (1/pi) int exp(-t b s^alpha) sin(s x)/s ds.
+
+    The sine integral goes through the same batched inversion as the
+    densities, capped at CDF_MAX_SEGMENTS oscillation segments.
+    """
     if spec.d != 1:
         raise ValueError("cdf inversion implemented for d=1 only")
     if t <= 0.0:
@@ -338,34 +352,13 @@ def stable_cdf_1d(spec: StableSpec, t: float, x: float) -> float:
     x = float(x)
     if x == 0.0:
         return 0.5
-    radius = abs(x)
     tb = t * compute_sigma(1, spec.alpha) * spec.c
-    upper = (TAIL_EXPONENT / tb) ** (1.0 / spec.alpha)
-    n_seg = int(upper * radius / math.pi) + 2
-    if n_seg > 2 * 10**6:
-        raise QuadratureError(
-            f"cdf inversion needs {n_seg} oscillation segments at |x|={radius:.3g}; "
-            "this radius is far enough out that 1 - cdf is dominated by the jump tail"
-        )
-
-    def f(s):
-        s = np.asarray(s, dtype=float)
-        return np.exp(-tb * s**spec.alpha) * np.sin(s * radius) / s
-
-    k = np.arange(1, n_seg)
-    breaks = k * math.pi / radius
-    breaks = breaks[breaks < upper]
-    if len(breaks) == 0:
-        val, _ = integrate.quad(f, 0.0, upper, limit=300, epsabs=0.0, epsrel=1e-11)
-    else:
-        val, _ = integrate.quad(f, 0.0, breaks[0], limit=300, epsabs=0.0, epsrel=1e-11)
-        pts = np.append(breaks, upper)
-        lo, hi = pts[:-1], pts[1:]
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        nodes = mid[:, None] + half[:, None] * _GL_X[None, :]
-        val += math.fsum((half * (f(nodes.ravel()).reshape(nodes.shape) @ _GL_W)).tolist())
-    out = 0.5 + math.copysign(val / math.pi, x)
+    integrals, errors = _inversion_integrals(
+        SINE, -1.0, spec.alpha, tb, np.array([abs(x)]), CDF_MAX_SEGMENTS
+    )
+    if errors:
+        raise QuadratureError(f"cdf at |x|={abs(x):.3g}: {errors[0]}")
+    out = 0.5 + math.copysign(float(integrals[0]) / math.pi, x)
     return min(max(out, 0.0), 1.0)
 
 
@@ -409,24 +402,17 @@ class DensityGrid:
         return np.linalg.norm(self.points, axis=1)
 
 
-def stable_density_grid(
-    spec: StableSpec,
-    t: float,
-    points: np.ndarray,
-    *,
-    tail_switch: float | None = None,
-) -> DensityGrid:
+def stable_density_grid(spec: StableSpec, t: float, points: np.ndarray) -> DensityGrid:
     """Evaluate the stable density on points, tracking method and clamp counts.
 
-    All radii go through one vectorised inversion pass.  More than 1% clamped
-    (negative -> 0) nodes aborts.
+    All radii go through one vectorised inversion pass; ``meta["method_counts"]``
+    counts the 'origin', 'quadrature' and 'asymptotic' values.  More than 1%
+    clamped (negative -> 0) nodes aborts.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != spec.d:
         raise ValueError(f"x has {points.shape[1]} coordinates, expected d={spec.d}")
-    values, tags = _radial_densities(
-        spec, t, np.linalg.norm(points, axis=1), tail_switch=tail_switch
-    )
+    values, tags = _radial_densities(spec, t, np.linalg.norm(points, axis=1))
     clamped = int(np.count_nonzero(values == 0.0))
     meta = {
         "method_counts": {tag: tags.count(tag) for tag in set(tags)},

@@ -15,7 +15,6 @@ which is what lets fitted constants behave like constants instead of noise.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -99,8 +98,8 @@ def sample_ou(
     Increments are exact in law for each step (the drivers have no Gaussian
     part beyond the controlled small-jump proxy); the left-point weights
     carry the O(||A|| t / n_steps) discretization error.  Step k draws from
-    the child stream seed.rng(k), so the output is independent of chunking
-    or thread layout and fully determined by (seed, cfg, n).
+    the child stream seed.rng(k), so the output is fully determined by
+    (seed, cfg, n).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -297,20 +296,18 @@ class SemigroupSampler:
         self.n_steps = n_steps
         self.epsilon = epsilon
         self._noise: dict[float, np.ndarray] = {}
-        self._lock = threading.Lock()
 
     def noise(self, t: float) -> np.ndarray:
         key = float(t)
-        with self._lock:
-            cached = self._noise.get(key)
-            if cached is None:
-                bits = int(np.float64(key).view(np.uint64))
-                stream = self.seed.substream(bits >> 32, bits & 0xFFFFFFFF)
-                cached = ou_noise(
-                    self.spec, key, self.n, stream, n_steps=self.n_steps, epsilon=self.epsilon
-                )
-                cached.setflags(write=False)
-                self._noise[key] = cached
+        cached = self._noise.get(key)
+        if cached is None:
+            bits = int(np.float64(key).view(np.uint64))
+            stream = self.seed.substream(bits >> 32, bits & 0xFFFFFFFF)
+            cached = ou_noise(
+                self.spec, key, self.n, stream, n_steps=self.n_steps, epsilon=self.epsilon
+            )
+            cached.setflags(write=False)
+            self._noise[key] = cached
         return cached
 
     def endpoints(self, x, t: float) -> np.ndarray:

@@ -8,9 +8,8 @@ variance-matched Gaussian standing in for the jumps below a cutoff epsilon,
 whose characteristic-function error is bounded by
 :func:`small_jump_cf_error_bound`.
 
-Everything is deterministic given a :class:`SeedSpec` and independent of how
-callers distribute work across threads: draws happen in fixed logical chunks
-in a fixed order.
+Everything is deterministic given a :class:`SeedSpec`: draws happen in fixed
+logical chunks in a fixed order.
 """
 
 from __future__ import annotations
@@ -50,7 +49,8 @@ __all__ = [
 ]
 
 # Samplers draw per logical chunk of this many output samples, so the draw
-# sequence is a pure function of (seed, n) and never of worker layout.
+# sequence is a pure function of (seed, n) and the temporary jump arrays are
+# those of one chunk.
 CHUNK = 1 << 16
 
 

@@ -423,12 +423,22 @@ class TestNumericalErrors:
         assert fragment in err
 
     def test_quadrature_error(self, tmp_path, capsys):
-        # c=1e-6 puts the exponential cutoff so far out that radius 1 (inside
-        # 4 t^(1/alpha), so without an asymptotic fallback) exceeds the segment cap
+        # at alpha=0.2 the length scale (t b)^(1/alpha) is ~1.7e5, and radius 1e3
+        # (inside 4 of them, so without an asymptotic fallback) already needs
+        # ~3e5 oscillation segments, past the cap
         spec = write_json(
-            tmp_path, "tiny_c.json", {"driver": "stable", "d": 1, "alpha": 0.5, "c": 1e-6}
+            tmp_path, "small_alpha.json", {"driver": "stable", "d": 1, "alpha": 0.2, "c": 1.0}
         )
-        rc = main(["density", "--spec", spec, "--t", "1", "--radii", "1.0"])
+        rc = main(["density", "--spec", spec, "--t", "1", "--radii", "1000.0"])
+        self._assert_one_line_error(rc, capsys, "oscillation segments")
+
+    def test_no_fallback_inside_four_length_scales(self, tmp_path, capsys):
+        # at alpha=0.1 the length scale is ~1.8e13 t^(1/alpha): radius 10 is deep
+        # in the bulk, where the tail asymptote (0.079) exceeds p_t(0) (6.6e-8)
+        spec = write_json(
+            tmp_path, "tiny_alpha.json", {"driver": "stable", "d": 1, "alpha": 0.1, "c": 1.0}
+        )
+        rc = main(["density", "--spec", spec, "--t", "1", "--radii", "10.0"])
         self._assert_one_line_error(rc, capsys, "oscillation segments")
 
     def test_origin_value_does_not_overflow(self, tmp_path, capsys):

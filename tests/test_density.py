@@ -80,9 +80,9 @@ class TestClosedForms:
             * math.gamma(d / alpha)
             / (alpha * tb ** (d / alpha))
         )
-        val, tag = stable_density(spec, t, np.zeros(d), detail=True)
-        assert tag == "origin"
-        assert val == pytest.approx(ref, rel=1e-11)
+        assert stable_density(spec, t, np.zeros(d)) == pytest.approx(ref, rel=1e-11)
+        g = stable_density_grid(spec, t, np.zeros((1, d)))
+        assert g.meta["method_counts"] == {"origin": 1}
 
     @pytest.mark.parametrize("d", [3, 5])
     def test_small_alpha_near_origin(self, d):
@@ -146,20 +146,20 @@ class TestScalingAndSymmetry:
 
 class TestTailAsymptote:
     def test_precondition(self):
+        # the length scale (t b)^(1/alpha) is pi here, so the asymptote starts at 4 pi
         spec = StableSpec(d=1, alpha=1.0, c=1.0)
         with pytest.raises(ValueError):
-            tail_asymptotic(spec, 1.0, 3.9)
-        assert tail_asymptotic(spec, 1.0, 5.0) == pytest.approx(5.0**-2.0, rel=1e-14)
+            tail_asymptotic(spec, 1.0, 12.5)
+        assert tail_asymptotic(spec, 1.0, 13.0) == pytest.approx(13.0**-2.0, rel=1e-14)
         with pytest.raises(ValueError):
             tail_asymptotic(spec, 0.0, 10.0)
 
-    def test_quadrature_approaches_asymptote_heavy_tail(self):
+    def test_quadrature_approaches_asymptote_heavy_tail(self, monkeypatch):
+        monkeypatch.setattr(density, "DENSITY_MAX_SEGMENTS", 10**6)
         spec = StableSpec(d=1, alpha=0.5, c=1.0)
-        rels = []
-        for r in (3e3, 3e4):
-            p, tag = stable_density(spec, 1.0, r, max_segments=10**6, detail=True)
-            assert tag == "quadrature"
-            rels.append(abs(p / tail_asymptotic(spec, 1.0, r) - 1.0))
+        g = stable_density_grid(spec, 1.0, [[3e3], [3e4]])
+        assert g.meta["method_counts"] == {"quadrature": 2}
+        rels = [abs(p / tail_asymptotic(spec, 1.0, r) - 1.0) for r, p in zip((3e3, 3e4), g.values)]
         assert rels[0] < 0.1
         assert rels[1] < 0.04
         assert rels[1] < rels[0]
@@ -174,28 +174,35 @@ class TestTailAsymptote:
         assert rels[1] < 0.05
         assert rels[1] < rels[0]
 
-    def test_detail_tags_and_switch(self):
+    def test_method_tags(self):
         spec = StableSpec(d=1, alpha=1.0, c=1.0)
-        _, tag = stable_density(spec, 1.0, 1.0, detail=True)
-        assert tag == "quadrature"
-        val, tag = stable_density(spec, 1.0, 8.0, detail=True, tail_switch=5.0)
-        assert tag == "asymptotic"
-        assert val == tail_asymptotic(spec, 1.0, 8.0)
-        _, tag = stable_density(spec, 1.0, 4.0, detail=True, tail_switch=5.0)
-        assert tag == "quadrature"
+        g = stable_density_grid(spec, 1.0, [[0.0], [1.0]])
+        assert g.meta["method_counts"] == {"origin": 1, "quadrature": 1}
 
     def test_segment_exhaustion_fallback(self):
         # far out, an exhausted oscillation budget falls back to the asymptote
         spec = StableSpec(d=1, alpha=0.5, c=1.0)
-        val, tag = stable_density(spec, 1.0, 1e6, detail=True)
-        assert tag == "asymptotic"
-        assert val == pytest.approx(tail_asymptotic(spec, 1.0, 1e6), rel=1e-14)
+        g = stable_density_grid(spec, 1.0, [[1e6]])
+        assert g.meta["method_counts"] == {"asymptotic": 1}
+        assert g.values[0] == pytest.approx(tail_asymptotic(spec, 1.0, 1e6), rel=1e-14)
 
-    def test_segment_exhaustion_near_origin_raises(self):
-        # inside 4 t^(1/alpha) there is no valid fallback
+    def test_segment_exhaustion_near_origin_raises(self, monkeypatch):
+        # inside 4 (t b)^(1/alpha) there is no valid fallback
+        monkeypatch.setattr(density, "DENSITY_MAX_SEGMENTS", 10)
         spec = StableSpec(d=1, alpha=0.5, c=1.0)
         with pytest.raises(QuadratureError):
-            stable_density(spec, 1.0, 2.0, max_segments=10)
+            stable_density(spec, 1.0, 2.0)
+
+    def test_fallback_starts_at_four_length_scales(self, monkeypatch):
+        # (t b)^(1/alpha) = 25 t^(1/alpha) here: between 4 t^(1/alpha) and
+        # 4 (t b)^(1/alpha) the asymptote overstates the density up to 8x
+        monkeypatch.setattr(density, "DENSITY_MAX_SEGMENTS", 10)
+        spec = StableSpec(d=1, alpha=0.5, c=1.0)
+        reach = 4.0 * sigma_closed_form(1, 0.5) ** 2.0
+        with pytest.raises(QuadratureError, match="oscillation segments"):
+            stable_density(spec, 1.0, 0.99 * reach)
+        g = stable_density_grid(spec, 1.0, [[1.01 * reach]])
+        assert g.meta["method_counts"] == {"asymptotic": 1}
 
 
 class TestCdf1d:
@@ -234,6 +241,20 @@ class TestCdf1d:
         spec = StableSpec(d=1, alpha=0.5, c=1.0)
         with pytest.raises(QuadratureError):
             stable_cdf_1d(spec, 1.0, 1e12)
+
+    def test_far_radius_memory_bounded(self):
+        # ~2.9e5 oscillation segments: evaluated in chunks, not as one array
+        import tracemalloc
+
+        spec = StableSpec(d=1, alpha=1.0, c=1.0 / math.pi)
+        tracemalloc.start()
+        try:
+            val = stable_cdf_1d(spec, 1.0, 2e4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert val == pytest.approx(0.5 + math.atan(2e4) / math.pi, abs=1e-12)
+        assert peak < 32 << 20
 
     def test_d2_rejected(self):
         with pytest.raises(ValueError):
@@ -319,23 +340,24 @@ class TestBatchedInversion:
         }
         for x, v in zip(g.points, g.values):
             assert v == stable_density(spec, 1.0, x)
-        switched = stable_density_grid(spec, 1.0, _axis_points(1, radii), tail_switch=20.0)
-        assert switched.meta["method_counts"] == {"origin": 1, "quadrature": 1, "asymptotic": 3}
 
     def test_over_cap_radius_raises_before_allocating(self):
-        # d=2 would need ~1e13 Bessel zeros here; the cap must stop it first
+        # at one length scale d=2, alpha=0.1 would need ~1e18 Bessel zeros;
+        # the cap must stop it first
         import tracemalloc
 
-        spec = StableSpec(d=2, alpha=0.5, c=1e-6)
+        spec = StableSpec(d=2, alpha=0.1, c=1.0)
+        scale = sigma_closed_form(2, 0.1) ** 10.0
+        far = [1e2 * scale, 1e4 * scale]
         tracemalloc.start()
         try:
             with pytest.raises(QuadratureError, match="oscillation segments"):
-                stable_density(spec, 1.0, np.array([1.0, 0.0]))
-            values = stable_density_grid(spec, 1.0, _axis_points(2, [1e7, 1e9])).values
+                stable_density(spec, 1.0, np.array([scale, 0.0]))
+            values = stable_density_grid(spec, 1.0, _axis_points(2, far)).values
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert np.array_equal(values, [tail_asymptotic(spec, 1.0, r) for r in (1e7, 1e9)])
+        assert np.array_equal(values, [tail_asymptotic(spec, 1.0, r) for r in far])
         assert peak < 1 << 20
 
 
