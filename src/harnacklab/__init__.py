@@ -61,13 +61,11 @@ from .density import (
 )
 from .ou_semigroup import (
     FactorizationReport,
-    OUPathConfig,
     SemigroupEstimate,
     SemigroupSampler,
     TestFunction,
     ball_indicator,
     constant,
-    default_n_steps,
     estimate_Ptf,
     exp_cap,
     factorization_check,

@@ -635,7 +635,6 @@ def _verify_semigroup(
     *,
     n: int,
     seed: SeedSpec | None,
-    n_steps: int | None,
     validation: bool,
     grid_meta: dict | None = None,
 ) -> InequalityReport:
@@ -651,7 +650,7 @@ def _verify_semigroup(
     grid = list(default_comparison_grid(spec.d) if grid is None else grid)
 
     def run(nodes, substream):
-        sampler = SemigroupSampler(spec, n, seed.substream(substream), n_steps=n_steps)
+        sampler = SemigroupSampler(spec, n, seed.substream(substream))
         per_stat: list[list[NodeResult]] = [[] for _ in statistics]
         excluded = 0
         for f in f_set:
@@ -712,7 +711,6 @@ def verify_harnack(
     n: int = 10**5,
     seed: SeedSpec | None = None,
     time_scale: str | None = None,
-    n_steps: int | None = None,
     validation: bool = True,
 ) -> InequalityReport:
     """Fit C in P_t f(x) <= C (1 + |x-y|/t_eff^(1/alpha))^(d+alpha) P_t f(y).
@@ -751,7 +749,7 @@ def verify_harnack(
         "for bounded nonnegative f",
         spec, f_set, grid, [statistic],
         lambda results: {"time_scale": time_scale, "per_f_fitted": _fits_by(results, "f")},
-        n=n, seed=seed, n_steps=n_steps, validation=validation,
+        n=n, seed=seed, validation=validation,
     )
 
 
@@ -764,7 +762,6 @@ def verify_p_harnack(
     n: int = 10**5,
     seed: SeedSpec | None = None,
     time_scale: str | None = None,
-    n_steps: int | None = None,
     validation: bool = True,
 ) -> InequalityReport:
     """Fit C in (P_t f(x))^p <= C (1 + |x-y|/t_eff^(1/alpha))^(p(d+alpha)) P_t f^p(y).
@@ -823,7 +820,7 @@ def verify_p_harnack(
             "per_p_fitted": _fits_by(results, "p"),
             "jensen_failures": jensen_failures,
         },
-        n=n, seed=seed, n_steps=n_steps, validation=validation,
+        n=n, seed=seed, validation=validation,
         grid_meta={"p_list": list(p_list)},
     )
 
@@ -840,7 +837,6 @@ def verify_log_harnack(
     *,
     n: int = 10**5,
     seed: SeedSpec | None = None,
-    n_steps: int | None = None,
     validation: bool = True,
 ) -> InequalityReport:
     """Fit C in P_t(log f)(x) <= log P_t f(y) + C (1+|x-y|) log((2+|x-y|)/(t∧1)).
@@ -878,7 +874,7 @@ def verify_log_harnack(
         "P_t(log f)(x) <= log P_t f(y) + C (1 + |x-y|) log((2 + |x-y|)/(t ∧ 1)) "
         "for f >= 1",
         spec, f_set, grid, [statistic], meta,
-        n=n, seed=seed, n_steps=n_steps, validation=validation,
+        n=n, seed=seed, validation=validation,
     )
 
 

@@ -21,7 +21,6 @@ from typing import Callable, Union
 import numpy as np
 from scipy import integrate, special
 from scipy.linalg import expm
-from scipy.optimize import brentq
 
 __all__ = [
     "StableSpec",
@@ -258,39 +257,40 @@ def one_minus_sphere_cf(d: int, u):
 # by segment between consecutive Bessel zeros and accelerated with the
 # Cohen-Villegas-Zagier transform for alternating series.
 
-_ZERO_CACHE: dict[float, list[float]] = {}
+_ZERO_CACHE: dict[float, np.ndarray] = {}
+_NEWTON_STEPS = 12
 
 
 def bessel_zeros(nu: float, count: int) -> np.ndarray:
     """First ``count`` positive zeros of J_nu, for any real order nu > -1.
 
-    McMahon's expansion seeds a bracketing refinement, which keeps the
-    routine valid for the half-integer orders that odd dimensions produce.
+    McMahon's expansion seeds every missing zero at once and vectorised
+    Newton steps (J_nu' = (nu/x) J_nu - J_{nu+1}) refine the whole array; the
+    half-integer orders that odd dimensions produce are exact cases of the
+    expansion.  Raises QuadratureError if the refinement does not settle on
+    strictly increasing zeros.
     """
-    zeros = _ZERO_CACHE.setdefault(float(nu), [])
-    mu = 4.0 * nu * nu
-    m = len(zeros)
-    while len(zeros) < count:
-        m += 1
-        beta = (m + 0.5 * nu - 0.25) * math.pi
-        guess = beta - (mu - 1.0) / (8.0 * beta) - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (
+    key = float(nu)
+    zeros = _ZERO_CACHE.get(key, np.empty(0))
+    if len(zeros) < count:
+        mu = 4.0 * nu * nu
+        beta = (np.arange(len(zeros) + 1, count + 1) + 0.5 * nu - 0.25) * math.pi
+        x = beta - (mu - 1.0) / (8.0 * beta) - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (
             3.0 * (8.0 * beta) ** 3
         )
-        lo, hi = guess - 0.6, guess + 0.6
-        if zeros and lo <= zeros[-1]:
-            lo = zeros[-1] + 1e-9
-        flo, fhi = special.jv(nu, lo), special.jv(nu, hi)
-        if flo * fhi > 0.0:
-            # widen until the bracket straddles the zero
-            for widen in (1.2, 1.5, 2.0):
-                lo2, hi2 = guess - widen, guess + widen
-                if special.jv(nu, lo2) * special.jv(nu, hi2) < 0.0:
-                    lo, hi = lo2, hi2
-                    break
-            else:
-                raise QuadratureError(f"could not bracket zero #{m} of J_{nu}")
-        zeros.append(float(brentq(lambda x: special.jv(nu, x), lo, hi, xtol=1e-14)))
-    return np.array(zeros[:count])
+        for _ in range(_NEWTON_STEPS):
+            j = special.jv(nu, x)
+            step = j / (nu / x * j - special.jv(nu + 1.0, x))
+            x -= step
+            if np.all(np.abs(step) <= 1e-15 * x):
+                break
+        else:
+            raise QuadratureError(f"Newton refinement of the zeros of J_{nu} did not converge")
+        zeros = np.concatenate([zeros, x])
+        if not (zeros[0] > 0.0 and np.all(np.diff(zeros) > 0.0)):
+            raise QuadratureError(f"zeros of J_{nu} are not strictly increasing")
+        _ZERO_CACHE[key] = zeros
+    return zeros[:count].copy()
 
 
 def sum_alternating(magnitudes: np.ndarray) -> float:

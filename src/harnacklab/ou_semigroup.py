@@ -1,10 +1,12 @@
 """Ornstein-Uhlenbeck dynamics and Monte Carlo semigroup estimation.
 
 The process solves dX_t = A X_t dt + dZ_t, so the endpoint decomposes as
-X_t = e^{tA} x0 + (stochastic convolution of the driver).  The convolution is
-simulated on a uniform grid with exact driver increments and left-point
-matrix weights; only the weighting is discretized.  A = 0 collapses to the
-pure Levy process with a single exact increment.
+X_t = e^{tA} x0 + W_t with W_t the stochastic convolution, equal in law to
+the integral of e^{sA} dZ_s over [0, t].  W_t is drawn exactly in time, with
+no grid (see :func:`ou_noise`): A = 0 is one driver increment, a stable part
+under a drift A + A^T = 2aI is one stable draw at an effective time, and
+every other part is compound-Poisson jumps at uniform times with matrix
+weights plus a small-jump Gaussian with the exact OU covariance.
 
 The estimator class keeps one noise array per time and reuses it for every
 starting point (common random numbers).  That makes the Harnack-type
@@ -28,16 +30,20 @@ from .levy_core import (
     compute_c0,
     time_integrated_symbol,
 )
-from .sampling import SeedSpec, sample_increment
+from .sampling import (
+    SeedSpec,
+    _compound_poisson_gaussian,
+    _jump_parts,
+    sample_increment,
+    sample_rot_stable,
+)
 
 __all__ = [
-    "OUPathConfig",
     "TestFunction",
     "SemigroupEstimate",
     "SemigroupSampler",
     "FactorizationReport",
     "matrix_exp",
-    "default_n_steps",
     "sample_ou",
     "ou_noise",
     "estimate_Ptf",
@@ -47,6 +53,14 @@ __all__ = [
     "constant",
     "exp_cap",
 ]
+
+# Time buckets are at most 1/(BUCKETS_PER_UNIT ||A||) wide, so the Taylor series
+# of e^{hA} inside one has h ||A|| <= 1/16; TAYLOR_TERMS terms of it leave a
+# relative truncation error below (1/16)^9 / 9! ~ 4e-17.
+BUCKETS_PER_UNIT = 16
+TAYLOR_TERMS = 8
+# Jumps weighted per pass: the pass's arrays stay in cache and its temporaries small.
+WEIGH_SLICE = 1 << 14
 
 
 def matrix_exp(A: np.ndarray, t: float = 1.0) -> np.ndarray:
@@ -66,72 +80,104 @@ def matrix_exp(A: np.ndarray, t: float = 1.0) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class OUPathConfig:
-    """Discretization of the stochastic convolution: n_steps increments to horizon t."""
+def _jump_weigher(spec: OUSpec, t: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """weigh(u, jumps): row i of jumps times e^{u_i t A}, for u in [0, 1).
 
-    n_steps: int
-    t: float
-
-    def __post_init__(self) -> None:
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be at least 1")
-        if self.t <= 0.0:
-            raise ValueError("horizon must be positive")
-
-
-def default_n_steps(op_norm: float, t: float) -> int:
-    """ceil(50 ||A|| t), at least 1: keeps the weight discretization bias ~1%."""
-    return max(1, math.ceil(50.0 * op_norm * t))
-
-
-def sample_ou(
-    spec: OUSpec,
-    x0,
-    cfg: OUPathConfig,
-    n: int,
-    seed: SeedSpec,
-    epsilon: float | None = None,
-) -> np.ndarray:
-    """(n, d) endpoints X_t = e^{tA} x0 + sum_k e^{(t - t_k)A} dZ_k.
-
-    Increments are exact in law for each step (the drivers have no Gaussian
-    part beyond the controlled small-jump proxy); the left-point weights
-    carry the O(||A|| t / n_steps) discretization error.  Step k draws from
-    the child stream seed.rng(k), so the output is fully determined by
-    (seed, cfg, n).
+    [0, t] is cut into equal buckets; the weight is :func:`matrix_exp` at the
+    start of the jump's bucket times the Taylor series of e^{hA} for the time
+    h past that start, evaluated on whole coordinate arrays.
     """
+    A = spec.A
+    buckets = max(1, math.ceil(BUCKETS_PER_UNIT * spec.op_norm * t))
+    width = t / buckets
+    starts = np.stack([matrix_exp(A, k * width) for k in range(buckets)])
+
+    def weigh(u: np.ndarray, jumps: np.ndarray) -> np.ndarray:
+        for lo in range(0, len(u), WEIGH_SLICE):
+            part = slice(lo, lo + WEIGH_SLICE)
+            pos = u[part] * buckets
+            k = np.minimum(pos.astype(np.intp), buckets - 1)
+            h = (pos - k) * width
+            cols = jumps[part].T
+            acc = cols  # Horner: J + (hA/1)(J + (hA/2)(J + ...))
+            for j in range(TAYLOR_TERMS, 0, -1):
+                acc = (A / j) @ acc
+                acc *= h
+                acc += cols
+            cols[:] = np.einsum("mij,jm->im", starts[k], acc)
+        return jumps
+
+    return weigh
+
+
+def _gramian_factor(A: np.ndarray, t: float) -> np.ndarray:
+    """Cholesky factor of the integral of e^{sA} e^{sA^T} over [0, t].
+
+    One 2d x 2d exponential of [[-A, I], [0, A^T]] holds e^{tA^T} in its lower
+    right block and the integral of e^{-(t-s)A} e^{sA^T} in its upper right
+    one; e^{tA} times the latter is the integral (Van Loan 1978).
+    """
+    d = len(A)
+    F = matrix_exp(np.block([[-A, np.eye(d)], [np.zeros((d, d)), A.T]]), t)
+    gram = F[d:, d:].T @ F[:d, d:]
+    return np.linalg.cholesky(0.5 * (gram + gram.T))
+
+
+def ou_noise(spec: OUSpec, t: float, n: int, seed: SeedSpec) -> np.ndarray:
+    """(n, d) draws of the endpoint noise W_t (the x0 = 0 endpoint), exact in time.
+
+    W_t equals the integral of e^{sA} dZ_s over [0, t] in law, and is built
+    from the driver's parts, all drawn from seed.rng(0):
+
+    - A = 0: the driver's increment ``sample_increment(driver, t, n, rng)``.
+    - A stable measure (the driver or a dominating floor) when A + A^T = 2aI
+      (every d = 1 drift; a I plus a skew part): by rotational invariance,
+      one stable draw at the effective time (e^{alpha a t} - 1)/(alpha a).
+    - Otherwise the stable measure is split at t^(1/alpha)/10 into Pareto
+      jumps and a Gaussian (Asmussen-Rosinski).  Jumps of every part fall at
+      uniform times s with weights e^{sA}; a part's small-jump Gaussian with
+      variance v per unit time gets the covariance v times the integral of
+      e^{sA} e^{sA^T}.
+    """
+    if t <= 0.0:
+        raise ValueError("time must be positive")
     if n < 1:
         raise ValueError("n must be at least 1")
-    d = spec.d
-    x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float).reshape(d)
-    t, steps = cfg.t, cfg.n_steps
-    dt = t / steps
-    identity_weights = spec.op_norm == 0.0
-    acc = np.zeros((n, d))
-    for k in range(steps):
-        dz = sample_increment(spec.driver, dt, n, seed.rng(k), epsilon=epsilon)
-        if identity_weights:
-            acc += dz
-        else:
-            w = matrix_exp(spec.A, t - k * dt)
-            acc += dz @ w.T
-    if identity_weights:
-        return acc + x0
-    return acc + matrix_exp(spec.A, t) @ x0
+    driver = spec.driver
+    if spec.op_norm == 0.0:
+        return sample_increment(driver, t, n, seed.rng(0))
+    rng = seed.rng(0)
+    floor = driver if isinstance(driver, StableSpec) else getattr(driver, "stable_floor", None)
+    sym = spec.A + spec.A.T  # 2aI when A is conformal
+    conformal = floor is not None and np.array_equal(sym, sym[0, 0] * np.eye(spec.d))
+    noise = np.zeros((n, spec.d))
+    if conformal:
+        rate = 0.5 * floor.alpha * sym[0, 0]
+        noise = sample_rot_stable(floor, t if rate == 0.0 else math.expm1(rate * t) / rate, n, rng)
+    parts = _jump_parts(driver, t, split_stable=not conformal)
+    if parts:
+        weigh = _jump_weigher(spec, t)
+        factor = _gramian_factor(spec.A, t)
+        for intensity, icdf, sd in parts:
+            noise = noise + _compound_poisson_gaussian(
+                rng, n, spec.d, t * intensity, icdf, sd * factor, weigh=weigh
+            )
+    return noise
 
 
-def ou_noise(
-    spec: OUSpec,
-    t: float,
-    n: int,
-    seed: SeedSpec,
-    n_steps: int | None = None,
-    epsilon: float | None = None,
-) -> np.ndarray:
-    """Endpoint noise (the x0 = 0 endpoint): reusable for any starting point."""
-    steps = n_steps if n_steps is not None else default_n_steps(spec.op_norm, t)
-    return sample_ou(spec, None, OUPathConfig(n_steps=steps, t=t), n, seed, epsilon=epsilon)
+def _flow(spec: OUSpec, x, t: float) -> np.ndarray:
+    """e^{tA} x; x itself when A = 0, without a matrix exponential."""
+    x = np.asarray(x, dtype=float).reshape(spec.d)
+    return x if spec.op_norm == 0.0 else matrix_exp(spec.A, t) @ x
+
+
+def sample_ou(spec: OUSpec, x0, t: float, n: int, seed: SeedSpec) -> np.ndarray:
+    """(n, d) endpoints X_t = e^{tA} x0 + W_t, with W_t from :func:`ou_noise`.
+
+    Exact in law: there is no time grid.  The output is a pure function of
+    (spec, x0, t, n, seed).
+    """
+    return _flow(spec, x0, t) + ou_noise(spec, t, n, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -280,21 +326,12 @@ class SemigroupSampler:
     pattern of t, so results do not depend on evaluation order.
     """
 
-    def __init__(
-        self,
-        spec: OUSpec,
-        n: int,
-        seed: SeedSpec,
-        n_steps: int | None = None,
-        epsilon: float | None = None,
-    ) -> None:
+    def __init__(self, spec: OUSpec, n: int, seed: SeedSpec) -> None:
         if n < 1:
             raise ValueError("n must be at least 1")
         self.spec = spec
         self.n = n
         self.seed = seed
-        self.n_steps = n_steps
-        self.epsilon = epsilon
         self._noise: dict[float, np.ndarray] = {}
 
     def noise(self, t: float) -> np.ndarray:
@@ -303,17 +340,13 @@ class SemigroupSampler:
         if cached is None:
             bits = int(np.float64(key).view(np.uint64))
             stream = self.seed.substream(bits >> 32, bits & 0xFFFFFFFF)
-            cached = ou_noise(
-                self.spec, key, self.n, stream, n_steps=self.n_steps, epsilon=self.epsilon
-            )
+            cached = ou_noise(self.spec, key, self.n, stream)
             cached.setflags(write=False)
             self._noise[key] = cached
         return cached
 
     def endpoints(self, x, t: float) -> np.ndarray:
-        x = np.asarray(x, dtype=float).reshape(self.spec.d)
-        shift = x if self.spec.op_norm == 0.0 else matrix_exp(self.spec.A, t) @ x
-        return shift[None, :] + self.noise(t)
+        return _flow(self.spec, x, t)[None, :] + self.noise(t)
 
     def values(self, f: Callable[[np.ndarray], np.ndarray], x, t: float) -> np.ndarray:
         return np.asarray(f(self.endpoints(x, t)), dtype=float)
@@ -338,13 +371,11 @@ def estimate_Ptf(
     t: float,
     n: int,
     seed: SeedSpec,
-    n_steps: int | None = None,
-    epsilon: float | None = None,
 ) -> SemigroupEstimate:
     """One-shot Monte Carlo estimate of P_t f(x)."""
     if n < 10**3:
         raise ValueError("semigroup estimation needs n >= 1e3")
-    return SemigroupSampler(spec, n, seed, n_steps=n_steps, epsilon=epsilon).estimate(f, x, t)
+    return SemigroupSampler(spec, n, seed).estimate(f, x, t)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,9 @@ __all__ = [
 # sequence is a pure function of (seed, n) and the temporary jump arrays are
 # those of one chunk.
 CHUNK = 1 << 16
+# Most Poisson jumps one chunk may expect: the chunk's jump arrays stay within
+# a few GB, and larger requests fail with ValueError instead of exhausting memory.
+MAX_CHUNK_JUMPS = 2**25
 
 
 class CalibrationError(RuntimeError):
@@ -274,7 +277,8 @@ def _random_directions(rng: np.random.Generator, count: int, d: int) -> np.ndarr
     g = rng.standard_normal((count, d))
     norms = np.linalg.norm(g, axis=1)
     norms[norms < 1e-300] = 1.0
-    return g / norms[:, None]
+    g /= norms[:, None]
+    return g
 
 
 def _compound_poisson_chunk(
@@ -283,15 +287,22 @@ def _compound_poisson_chunk(
     rate: float,
     icdf: Callable[[np.ndarray], np.ndarray],
     d: int,
+    weigh: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """m compound-Poisson sums (and their jump counts) for one chunk."""
+    """m compound-Poisson sums (and their jump counts) for one chunk.
+
+    ``weigh(u, jumps)``, if given, weights the jumps in place given each
+    jump's time as a fraction u of the horizon, drawn uniform after the jumps.
+    """
     counts = rng.poisson(rate, m)
     total = int(counts.sum())
     sums = np.zeros((m, d))
     if total > 0:
         radii = icdf(rng.random(total))
-        dirs = _random_directions(rng, total, d)
-        jumps = radii[:, None] * dirs
+        jumps = _random_directions(rng, total, d)
+        jumps *= radii[:, None]
+        if weigh is not None:
+            jumps = weigh(rng.random(total), jumps)
         owner = np.repeat(np.arange(m), counts)
         for j in range(d):
             sums[:, j] = np.bincount(owner, weights=jumps[:, j], minlength=m)
@@ -304,23 +315,44 @@ def _compound_poisson_gaussian(
     d: int,
     rate: float,
     icdf: Callable[[np.ndarray], np.ndarray],
-    gaussian_sd: float,
+    gaussian: float | np.ndarray,
     return_counts: bool = False,
+    weigh: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ):
+    """n compound-Poisson sums (Poisson ``rate`` per sample) plus a Gaussian.
+
+    ``gaussian`` is the Gaussian's standard deviation per coordinate, or a
+    (d, d) factor L of its covariance L L^T.  Raises ValueError before
+    allocating anything when one chunk expects more than MAX_CHUNK_JUMPS jumps.
+    """
+    expected = rate * min(n, CHUNK)
+    if expected > MAX_CHUNK_JUMPS:
+        raise ValueError(
+            f"compound-Poisson sampling expects {expected:.3g} jumps per chunk of "
+            f"{min(n, CHUNK)} samples, over the budget of {MAX_CHUNK_JUMPS}"
+        )
     out = np.empty((n, d))
     counts = np.empty(n, dtype=np.int64) if return_counts else None
     for start in range(0, n, CHUNK):
         stop = min(n, start + CHUNK)
         m = stop - start
-        sums, cnt = _compound_poisson_chunk(rng, m, rate, icdf, d)
-        if gaussian_sd > 0.0:
-            sums += gaussian_sd * rng.standard_normal((m, d))
+        sums, cnt = _compound_poisson_chunk(rng, m, rate, icdf, d, weigh)
+        if np.ndim(gaussian) == 2:
+            sums += rng.standard_normal((m, d)) @ gaussian.T
+        elif gaussian > 0.0:
+            sums += gaussian * rng.standard_normal((m, d))
         out[start:stop] = sums
         if return_counts:
             counts[start:stop] = cnt
     if return_counts:
         return out, counts
     return out
+
+
+def _truncated_part(spec: TruncatedStableSpec, epsilon: float) -> tuple:
+    decomp = make_jump_decomposition(spec, epsilon)
+    icdf = _power_radius_icdf(spec.alpha, epsilon, spec.r)
+    return decomp.poisson_intensity, icdf, decomp.gaussian_sd_per_coord
 
 
 def sample_truncated_stable(
@@ -344,16 +376,9 @@ def sample_truncated_stable(
         raise ValueError("n must be at least 1")
     if epsilon is None:
         epsilon = default_small_jump_cutoff(spec, t)
-    decomp = make_jump_decomposition(spec, epsilon)
-    rng = _as_rng(seed)
+    intensity, icdf, sd = _truncated_part(spec, epsilon)
     return _compound_poisson_gaussian(
-        rng,
-        n,
-        spec.d,
-        rate=t * decomp.poisson_intensity,
-        icdf=_power_radius_icdf(spec.alpha, epsilon, spec.r),
-        gaussian_sd=decomp.gaussian_sd_per_coord * math.sqrt(t),
-        return_counts=return_counts,
+        _as_rng(seed), n, spec.d, t * intensity, icdf, sd * math.sqrt(t), return_counts
     )
 
 
@@ -383,6 +408,32 @@ def _tabulated_radius_icdf(
     return icdf, total
 
 
+def _residual_part(residual: ResidualLevyMeasure, epsilon: float, r_max: float) -> tuple:
+    """The residual measure's part, tabulated on [epsilon, r_max].
+
+    Raises TailMassError if the mass neglected beyond r_max exceeds 1e-4 of
+    the total jump mass.
+    """
+    d = residual.d
+    surf = sphere_surface(d)
+    dens = residual.radial_density
+
+    icdf, body_mass = _tabulated_radius_icdf(dens, d, epsilon, r_max)
+    tail_mass, _ = integrate.quad(
+        lambda rho: float(dens(np.array([rho]))[0]) * rho ** (d - 1), r_max, np.inf, limit=200
+    )
+    if body_mass > 0.0 and tail_mass > 1e-4 * (body_mass + tail_mass):
+        raise TailMassError(
+            f"neglected jump mass beyond r_max={r_max} is {tail_mass / (body_mass + tail_mass):.2e} "
+            "of the total; increase r_max"
+        )
+
+    var_total, _ = integrate.quad(
+        lambda rho: float(dens(np.array([rho]))[0]) * rho ** (d + 1), 0.0, epsilon, limit=200
+    )
+    return surf * body_mass, icdf, math.sqrt(surf * var_total / d)
+
+
 def sample_residual(
     residual: ResidualLevyMeasure,
     t: float,
@@ -404,39 +455,15 @@ def sample_residual(
     if n < 1:
         raise ValueError("n must be at least 1")
     d = residual.d
-    surf = sphere_surface(d)
-    dens = residual.radial_density
-
-    icdf, body_mass = _tabulated_radius_icdf(dens, d, epsilon, r_max)
-    tail_mass, _ = integrate.quad(
-        lambda rho: float(dens(np.array([rho]))[0]) * rho ** (d - 1), r_max, np.inf, limit=200
-    )
-    intensity = surf * body_mass
-    if body_mass > 0.0 and tail_mass > 1e-4 * (body_mass + tail_mass):
-        raise TailMassError(
-            f"neglected jump mass beyond r_max={r_max} is {tail_mass / (body_mass + tail_mass):.2e} "
-            "of the total; increase r_max"
-        )
-
-    var_total, _ = integrate.quad(
-        lambda rho: float(dens(np.array([rho]))[0]) * rho ** (d + 1), 0.0, epsilon, limit=200
-    )
-    gaussian_sd = math.sqrt(surf * var_total / d)
-
+    intensity, icdf, sd = _residual_part(residual, epsilon, r_max)
     rng = _as_rng(seed)
-    if intensity == 0.0 and gaussian_sd == 0.0:
+    if intensity == 0.0 and sd == 0.0:
         out = np.zeros((n, d))
         if return_counts:
             return out, np.zeros(n, dtype=np.int64)
         return out
     return _compound_poisson_gaussian(
-        rng,
-        n,
-        d,
-        rate=t * intensity,
-        icdf=icdf,
-        gaussian_sd=gaussian_sd * math.sqrt(t),
-        return_counts=return_counts,
+        rng, n, d, t * intensity, icdf, sd * math.sqrt(t), return_counts
     )
 
 
@@ -466,6 +493,30 @@ def sample_increment(
             eps = t ** (1.0 / driver.stable_floor.alpha) / 10.0
         res_part = sample_residual(residual, t, eps, n, rng)
         return floor_part + res_part
+    raise TypeError(f"unsupported driver {type(driver).__name__}")
+
+
+def _jump_parts(driver, t: float, split_stable: bool) -> list[tuple]:
+    """The compound-Poisson parts of ``driver`` at horizon t, cut where
+    sample_increment cuts: (jump intensity, radius inverse CDF, small-jump sd
+    per coordinate), the intensity and the Gaussian's variance per unit time.
+
+    With ``split_stable`` a stable measure (the driver, or a dominating
+    measure's floor) is a part too: the truncation at r = inf, which the
+    default cutoff cuts at t^(1/alpha)/10 (Asmussen-Rosinski).  Without it
+    the stable measure is left out, for the caller to draw exactly.
+    """
+    if isinstance(driver, StableSpec):
+        whole = TruncatedStableSpec(driver.d, driver.alpha, driver.c, math.inf)
+        return _jump_parts(whole, t, True) if split_stable else []
+    if isinstance(driver, TruncatedStableSpec):
+        return [_truncated_part(driver, default_small_jump_cutoff(driver, t))]
+    if isinstance(driver, DominatingLevySpec):
+        floor = driver.stable_floor
+        eps = t ** (1.0 / floor.alpha) / 10.0
+        return _jump_parts(floor, t, split_stable) + [
+            _residual_part(split_levy_measure(driver), eps, 1e3)
+        ]
     raise TypeError(f"unsupported driver {type(driver).__name__}")
 
 

@@ -174,6 +174,19 @@ class TestSampleCommand:
         assert meta["spec"]["driver"] == "truncated_stable"
 
 
+    def test_jump_budget_is_a_clean_error(self, tmp_path, capsys):
+        # about 4.1e7 jumps per sample: refused before anything is allocated
+        cfg = write_json(tmp_path, "heavy.json", {
+            "driver": "truncated_stable", "d": 1, "alpha": 1.9, "c": 1.0, "r": 1e-3,
+        })
+        out = tmp_path / "dump.bin"
+        rc = main(["sample", "--spec", cfg, "--t", "1.0", "--n", "10", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "budget" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+
 class TestEstimateCommand:
     def test_matches_library(self, stable_cfg, capsys):
         rc = main([

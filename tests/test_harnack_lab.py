@@ -413,7 +413,7 @@ class TestVerifyHarnack:
     def test_drift_switches_id_and_cap(self):
         grid = [node(0.5, [0.0], [0.0]), node(0.5, [1.0], [0.0]), node(2.0, [1.0], [0.0])]
         report = verify_harnack(
-            OU_DRIFT, grid=grid, n=6000, n_steps=8, seed=SeedSpec(32), validation=False
+            OU_DRIFT, grid=grid, n=6000, seed=SeedSpec(32), validation=False
         )
         assert report.inequality_id == "harnack_ou"
         assert report.mc_meta["time_scale"] == "capped"

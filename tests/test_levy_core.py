@@ -141,6 +141,17 @@ class TestGeometry:
         assert np.array_equal(first, again[:5])
         assert np.all(np.diff(again) > 0.0)
 
+    @pytest.mark.parametrize("nu", [0.0, 1.0])
+    def test_bessel_zeros_match_scipy(self, nu):
+        ref = special.jn_zeros(int(nu), 3000)
+        assert np.allclose(bessel_zeros(nu, 3000), ref, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("nu, offset", [(0.5, 0.0), (-0.5, 0.5)])
+    def test_bessel_zeros_half_integer_closed_forms(self, nu, offset):
+        # J_(1/2) ~ sin(x)/sqrt(x) and J_(-1/2) ~ cos(x)/sqrt(x)
+        k = np.arange(1, 5001)
+        assert np.allclose(bessel_zeros(nu, 5000), (k - offset) * np.pi, rtol=1e-13, atol=0)
+
     def test_sum_alternating_known_series(self):
         k = np.arange(60, dtype=float)
         assert sum_alternating(1.0 / (k + 1.0)) == pytest.approx(math.log(2.0), abs=1e-13)

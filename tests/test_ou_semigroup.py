@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from harnacklab import (
-    OUPathConfig,
+    DominatingLevySpec,
     OUSpec,
     SeedSpec,
     SemigroupSampler,
@@ -15,7 +16,7 @@ from harnacklab import (
     ball_indicator,
     compute_c0,
     constant,
-    default_n_steps,
+    default_small_jump_cutoff,
     empirical_cf,
     estimate_Ptf,
     exp_cap,
@@ -25,9 +26,13 @@ from harnacklab import (
     ou_noise,
     sample_increment,
     sample_ou,
+    small_jump_cf_error_bound,
+    split_levy_measure,
     symbol_radial,
+    time_integrated_symbol,
 )
 from harnacklab.ou_semigroup import TestFunction as ParametricFunction
+from harnacklab.ou_semigroup import _gramian_factor, _jump_weigher
 
 
 def stable_ou(A, d=1, alpha=1.0, c=1.0):
@@ -58,53 +63,38 @@ class TestMatrixExp:
             matrix_exp(np.array([[710.0]]), 1.0)
 
 
-class TestPathConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            OUPathConfig(n_steps=0, t=1.0)
-        with pytest.raises(ValueError):
-            OUPathConfig(n_steps=1, t=0.0)
-
-    def test_default_steps(self):
-        assert default_n_steps(0.0, 5.0) == 1
-        assert default_n_steps(0.5, 2.0) == 50
-        assert default_n_steps(1.0, 1.0) == 50
-        assert default_n_steps(0.013, 1.0) == 1
-        assert default_n_steps(0.03, 1.0) == 2
-
-
 class TestSampleOU:
     def test_zero_drift_single_step_is_exact_increment(self):
         driver = StableSpec(d=1, alpha=1.5, c=1.0)
         spec = OUSpec(A=np.zeros((1, 1)), driver=driver)
         seed = SeedSpec(81)
-        got = sample_ou(spec, np.array([2.0]), OUPathConfig(n_steps=1, t=0.7), 500, seed)
+        got = sample_ou(spec, np.array([2.0]), 0.7, 500, seed)
         want = sample_increment(driver, 0.7, 500, seed.rng(0)) + 2.0
         assert np.array_equal(got, want)
 
-    def test_single_step_weights(self):
+    def test_skew_drift_is_one_increment_at_t(self):
+        # A = 0.3 times a rotation generator: A + A^T = 0, so W_t is the
+        # driver's increment at t itself, and the start moves by e^{tA}
         driver = StableSpec(d=2, alpha=1.0, c=1.0)
         A = np.array([[0.0, 0.3], [-0.3, 0.0]])
         spec = OUSpec(A=A, driver=driver)
         seed = SeedSpec(82)
         t = 0.5
-        got = sample_ou(spec, np.array([1.0, -1.0]), OUPathConfig(n_steps=1, t=t), 200, seed)
+        got = sample_ou(spec, np.array([1.0, -1.0]), t, 200, seed)
         dz = sample_increment(driver, t, 200, seed.rng(0))
-        want = dz @ matrix_exp(A, t).T + matrix_exp(A, t) @ np.array([1.0, -1.0])
-        assert np.allclose(got, want, rtol=0, atol=1e-12)
+        want = matrix_exp(A, t) @ np.array([1.0, -1.0]) + dz
+        assert np.array_equal(got, want)
 
     def test_deterministic_across_calls(self):
         spec = stable_ou([[-0.5]])
-        cfg = OUPathConfig(n_steps=4, t=1.0)
-        a = sample_ou(spec, None, cfg, 100, SeedSpec(83))
-        b = sample_ou(spec, None, cfg, 100, SeedSpec(83))
+        a = sample_ou(spec, [0.0], 1.0, 100, SeedSpec(83))
+        b = sample_ou(spec, [0.0], 1.0, 100, SeedSpec(83))
         assert np.array_equal(a, b)
 
     def test_ou_noise_wrapper(self):
         spec = stable_ou([[-0.5]])
         a = ou_noise(spec, 1.0, 50, SeedSpec(84))
-        b = sample_ou(spec, None, OUPathConfig(n_steps=default_n_steps(0.5, 1.0), t=1.0),
-                      50, SeedSpec(84))
+        b = sample_ou(spec, [0.0], 1.0, 50, SeedSpec(84))
         assert np.array_equal(a, b)
 
     def test_increment_additivity_in_law(self):
@@ -123,17 +113,141 @@ class TestSampleOU:
             target = np.exp(-(s + t) * symbol_radial(driver, radii))
             assert np.all(np.abs(means - target) < 4.0 * ses)
 
-    def test_step_doubling_bias_within_noise(self):
-        spec = stable_ou([[-0.5]])
-        f = gaussian_bump(0.0, 1.0)
-        coarse = estimate_Ptf(spec, f, [0.5], 1.0, 5000, SeedSpec(86), n_steps=25)
-        fine = estimate_Ptf(spec, f, [0.5], 1.0, 5000, SeedSpec(87), n_steps=50)
-        assert abs(coarse.mean - fine.mean) < 3.0 * (coarse.std_err + fine.std_err) + 0.01
-
     def test_validation(self):
         spec = stable_ou([[0.0]])
         with pytest.raises(ValueError):
-            sample_ou(spec, None, OUPathConfig(n_steps=1, t=1.0), 0, SeedSpec(0))
+            sample_ou(spec, [0.0], 1.0, 0, SeedSpec(0))
+        with pytest.raises(ValueError):
+            ou_noise(stable_ou([[0.5]]), 0.0, 10, SeedSpec(0))
+
+
+def effective_time(alpha, a, t):
+    """integral of e^{alpha a s} over [0, t]."""
+    return math.expm1(alpha * a * t) / (alpha * a)
+
+
+class TestExactNoise:
+    """W_t against its exact characteristic function exp(-time_integrated_symbol)."""
+
+    @pytest.mark.parametrize("driver", [
+        StableSpec(d=2, alpha=1.5),
+        TruncatedStableSpec(d=1, alpha=1.2, c=1.0, r=1.0),
+    ])
+    def test_zero_drift_is_the_driver_increment(self, driver):
+        spec = OUSpec(A=np.zeros((driver.d, driver.d)), driver=driver)
+        got = ou_noise(spec, 0.8, 300, SeedSpec(71))
+        assert np.array_equal(got, sample_increment(driver, 0.8, 300, SeedSpec(71).rng(0)))
+
+    @pytest.mark.parametrize("A, a", [
+        ([[0.5]], 0.5),
+        ([[-1.0]], -1.0),
+        ([[0.5, 0.8], [-0.8, 0.5]], 0.5),
+    ])
+    def test_conformal_drift_is_one_draw_at_effective_time(self, A, a):
+        driver = StableSpec(d=len(A), alpha=1.5)
+        spec = OUSpec(A=np.array(A), driver=driver)
+        t = 0.8
+        got = ou_noise(spec, t, 300, SeedSpec(72))
+        tau = effective_time(1.5, a, t)
+        assert np.array_equal(got, sample_increment(driver, tau, 300, SeedSpec(72).rng(0)))
+        # tau psi(xi) is the exact exponent, whatever the skew part
+        xi = np.array([0.7, -0.4][: len(A)])
+        exponent = time_integrated_symbol(spec, xi, t)
+        psi = symbol_radial(driver, float(np.linalg.norm(xi)))[0]
+        assert tau * psi == pytest.approx(exponent, rel=1e-10)
+
+    @pytest.mark.parametrize("A", [
+        [[0.5, 1.0], [0.0, -0.5]],
+        [[0.0, 1.0], [0.0, 0.0]],  # defective
+        [[-2.0, 3.0, 0.0], [-1.0, 0.3, 0.5], [0.0, 0.2, 1.1]],
+    ])
+    def test_jump_weights_match_matrix_exp(self, A):
+        A = np.array(A)
+        spec = OUSpec(A=A, driver=StableSpec(d=len(A), alpha=1.5))
+        t = 1.7
+        rng = np.random.default_rng(3)
+        u = rng.random(500)
+        jumps = rng.standard_normal((500, len(A)))
+        want = np.stack([matrix_exp(A, ui * t) @ j for ui, j in zip(u, jumps)])
+        got = _jump_weigher(spec, t)(u, jumps.copy())
+        assert np.allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("A", [[[0.5, 1.0], [0.0, -0.5]], [[-1.0]]])
+    def test_gramian_factor_matches_quadrature(self, A):
+        A = np.array(A)
+        t = 1.3
+        gram, _ = integrate.quad_vec(
+            lambda s: matrix_exp(A, s) @ matrix_exp(A, s).T, 0.0, t, epsabs=0.0, epsrel=1e-13
+        )
+        factor = _gramian_factor(A, t)
+        assert np.allclose(factor @ factor.T, gram, rtol=1e-12, atol=0.0)
+
+    # (driver, A, the measure whose small jumps become a Gaussian, or None)
+    CASES = {
+        "stable-1d-expanding": (StableSpec(d=1, alpha=1.5), [[0.5]], None),
+        "stable-1d-contracting": (StableSpec(d=1, alpha=1.5), [[-1.0]], None),
+        "stable-2d-skew": (StableSpec(d=2, alpha=1.5), [[0.5, 0.8], [-0.8, 0.5]], None),
+        "stable-2d-general": (
+            StableSpec(d=2, alpha=1.5),
+            [[0.5, 1.0], [0.0, -0.5]],
+            TruncatedStableSpec(d=2, alpha=1.5, c=1.0, r=math.inf),
+        ),
+        "truncated-1d": (
+            TruncatedStableSpec(d=1, alpha=1.2, c=1.0, r=1.0),
+            [[-0.5]],
+            TruncatedStableSpec(d=1, alpha=1.2, c=1.0, r=1.0),
+        ),
+        "truncated-2d-nilpotent": (
+            TruncatedStableSpec(d=2, alpha=1.2, c=1.0, r=1.0),
+            [[0.0, 1.0], [0.0, 0.0]],
+            TruncatedStableSpec(d=2, alpha=1.2, c=1.0, r=1.0),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_cf_matches_time_integrated_symbol(self, case):
+        driver, A, split = self.CASES[case]
+        spec = OUSpec(A=np.array(A, dtype=float), driver=driver)
+        t, n = 0.5, 2 * 10**5
+        if driver.d == 1:
+            xis = np.array([[0.3], [0.7], [1.5]])
+        else:
+            xis = np.array([[0.3, 0.0], [0.5, 0.5], [0.6, -0.6]])
+        means, ses = empirical_cf(ou_noise(spec, t, n, SeedSpec(73)), xis)
+        for xi, mean, se in zip(xis, means, ses):
+            target = math.exp(-time_integrated_symbol(spec, xi, t))
+            slack = 4.0 * se
+            if split is not None:
+                # |e^{sA^T} xi| <= e^{s mu} |xi|, mu the top eigenvalue of (A + A^T)/2
+                mu = float(np.linalg.eigvalsh(0.5 * (spec.A + spec.A.T))[-1])
+                radius = float(np.linalg.norm(xi)) * math.exp(t * max(mu, 0.0))
+                eps = default_small_jump_cutoff(split, t)
+                slack += small_jump_cf_error_bound(split, t, eps, radius)
+            assert abs(mean - target) < slack, (case, xi, mean, target, slack)
+
+
+    def test_dominating_driver_under_drift(self):
+        # density 2 rho^(-1-alpha) over the floor rho^(-1-alpha): the law of the
+        # stable driver with c = 2, drawn as the exact floor plus weighted
+        # residual jumps and their small-jump Gaussian
+        floor = StableSpec(d=1, alpha=1.0, c=1.0)
+        dom = DominatingLevySpec(
+            d=1, radial_density=lambda rho: 2.0 * rho ** (-2.0), stable_floor=floor
+        )
+        A = np.array([[-0.5]])
+        t, n = 0.5, 4 * 10**4
+        w = ou_noise(OUSpec(A=A, driver=dom), t, n, SeedSpec(74))
+        twice = OUSpec(A=A, driver=StableSpec(d=1, alpha=1.0, c=2.0))
+        xis = np.array([[0.4], [1.0]])
+        means, ses = empirical_cf(w, xis)
+        residual = split_levy_measure(dom)
+        for xi, mean, se in zip(xis, means, ses):
+            target = math.exp(-time_integrated_symbol(twice, xi, t))
+            # mu(A) < 0, so |e^{sA^T} xi| <= |xi|; the tabulation drops the
+            # residual mass beyond r_max = 1e3 (fraction ~1e-5)
+            eps = t ** (1.0 / floor.alpha) / 10.0
+            bound = small_jump_cf_error_bound(residual, t, eps, float(xi[0]))
+            assert abs(mean - target) < 4.0 * se + bound + 5e-3
 
 
 class TestTestFunctions:

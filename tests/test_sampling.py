@@ -33,6 +33,7 @@ from harnacklab import (
     split_levy_measure,
     symbol_radial,
 )
+from harnacklab import sampling
 from harnacklab.sampling import CHUNK, _one_sided_stable
 
 
@@ -270,6 +271,24 @@ class TestTruncatedSampler:
         assert counts.dtype == np.int64
         # Poisson(2): mean within 3 sd of estimator
         assert abs(counts.mean() - 2.0) < 3.0 * math.sqrt(2.0 / 300.0)
+
+    def test_jump_budget_refuses_before_allocating(self):
+        # r = 1e-3 at t = 1 cuts at 1e-4: about 4.1e7 jumps per sample, so ten
+        # samples would need about 4e8 jumps in one chunk
+        spec = TruncatedStableSpec(d=1, alpha=1.9, c=1.0, r=1e-3)
+        with pytest.raises(ValueError, match="budget"):
+            sample_truncated_stable(spec, 1.0, None, 10, SeedSpec(49))
+
+    def test_jump_budget_counts_one_chunk(self, monkeypatch):
+        # the budget bounds the jumps one chunk expects, not the whole request
+        monkeypatch.setattr(sampling, "MAX_CHUNK_JUMPS", 1000)
+        spec = TruncatedStableSpec(d=1, alpha=1.0, c=1.0, r=1.0)
+        rate = make_jump_decomposition(spec, 0.995).poisson_intensity
+        assert rate * CHUNK < 1000 < rate * 3 * CHUNK
+        x = sample_truncated_stable(spec, 1.0, 0.995, 3 * CHUNK, SeedSpec(50))
+        assert x.shape == (3 * CHUNK, 1)
+        with pytest.raises(ValueError, match="budget"):
+            sample_truncated_stable(spec, 2.0, 0.995, CHUNK, SeedSpec(50))
 
     def test_bounded_jumps_light_tail(self):
         # all jumps have radius <= r, so excursions beyond k r need k jumps;
