@@ -402,6 +402,7 @@ def main(argv=None) -> int:
         return 1
     except (
         ValueError,
+        OverflowError,
         ValidationError,
         OSError,
         NotImplementedError,

@@ -34,6 +34,7 @@ from .sampling import (
     SeedSpec,
     _compound_poisson_gaussian,
     _jump_parts,
+    _stable_measure,
     sample_increment,
     sample_rot_stable,
 )
@@ -74,7 +75,8 @@ def matrix_exp(A: np.ndarray, t: float = 1.0) -> np.ndarray:
         raise ValueError(f"matrix must be square, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix has non-finite entries")
-    out = expm(t * A)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = expm(t * A)
     if not np.all(np.isfinite(out)):
         raise OverflowError(f"matrix exponential overflowed for ||tA|| = {np.linalg.norm(t * A, 2):.3g}")
     return out
@@ -111,15 +113,25 @@ def _jump_weigher(spec: OUSpec, t: float) -> Callable[[np.ndarray, np.ndarray], 
 
 
 def _gramian_factor(A: np.ndarray, t: float) -> np.ndarray:
-    """Cholesky factor of the integral of e^{sA} e^{sA^T} over [0, t].
+    """Cholesky factor of the Gramian G(t), the integral of e^{sA} e^{sA^T} over [0, t].
 
-    One 2d x 2d exponential of [[-A, I], [0, A^T]] holds e^{tA^T} in its lower
-    right block and the integral of e^{-(t-s)A} e^{sA^T} in its upper right
-    one; e^{tA} times the latter is the integral (Van Loan 1978).
+    G(h) comes from one 2d x 2d exponential at h = t / 2^k, the first with
+    h ||A|| <= 1: that of [[-A, I], [0, A^T]] holds e^{hA^T} in its lower
+    right block and the integral of e^{-(h-s)A} e^{sA^T} in its upper right
+    one, and e^{hA} times the latter is G(h) (Van Loan 1978).  k doublings
+    G(2h) = G(h) + e^{hA} G(h) e^{hA^T} then reach t, so e^{-sA}, which
+    overflows for a strongly contracting A, is only ever formed at s <= h.
     """
     d = len(A)
-    F = matrix_exp(np.block([[-A, np.eye(d)], [np.zeros((d, d)), A.T]]), t)
-    gram = F[d:, d:].T @ F[:d, d:]
+    k = max(0, math.ceil(math.log2(t * np.linalg.norm(A, 2))))
+    F = matrix_exp(np.block([[-A, np.eye(d)], [np.zeros((d, d)), A.T]]), t / 2**k)
+    flow = F[d:, d:].T
+    gram = flow @ F[:d, d:]
+    for _ in range(k):
+        gram = gram + flow @ gram @ flow.T
+        flow = flow @ flow
+    if not np.all(np.isfinite(gram)):
+        raise OverflowError(f"OU noise covariance overflowed for ||tA|| = {t * np.linalg.norm(A, 2):.3g}")
     return np.linalg.cholesky(0.5 * (gram + gram.T))
 
 
@@ -133,8 +145,10 @@ def ou_noise(spec: OUSpec, t: float, n: int, seed: SeedSpec) -> np.ndarray:
     - A stable measure (the driver or a dominating floor) when A + A^T = 2aI
       (every d = 1 drift; a I plus a skew part): by rotational invariance,
       one stable draw at the effective time (e^{alpha a t} - 1)/(alpha a).
-    - Otherwise the stable measure is split at t^(1/alpha)/10 into Pareto
-      jumps and a Gaussian (Asmussen-Rosinski).  Jumps of every part fall at
+    - Otherwise the stable measure is split into Pareto jumps and a Gaussian
+      (Asmussen-Rosinski) at the cutoff where, without drift, the Gaussian
+      moves the cf by at most 1e-4 (a few jumps per sample; see
+      ``sampling._split_cutoff``).  Jumps of every part fall at
       uniform times s with weights e^{sA}; a part's small-jump Gaussian with
       variance v per unit time gets the covariance v times the integral of
       e^{sA} e^{sA^T}.
@@ -147,7 +161,7 @@ def ou_noise(spec: OUSpec, t: float, n: int, seed: SeedSpec) -> np.ndarray:
     if spec.op_norm == 0.0:
         return sample_increment(driver, t, n, seed.rng(0))
     rng = seed.rng(0)
-    floor = driver if isinstance(driver, StableSpec) else getattr(driver, "stable_floor", None)
+    floor = _stable_measure(driver)
     sym = spec.A + spec.A.T  # 2aI when A is conformal
     conformal = floor is not None and np.array_equal(sym, sym[0, 0] * np.eye(spec.d))
     noise = np.zeros((n, spec.d))

@@ -52,9 +52,14 @@ __all__ = [
 # sequence is a pure function of (seed, n) and the temporary jump arrays are
 # those of one chunk.
 CHUNK = 1 << 16
-# Most Poisson jumps one chunk may expect: the chunk's jump arrays stay within
-# a few GB, and larger requests fail with ValueError instead of exhausting memory.
+# Most Poisson jumps one chunk may expect, which keeps its jump arrays within a
+# few GB: a compound-Poisson sampler whose rate needs it draws chunks of fewer
+# than CHUNK samples, and one whose single sample expects more fails with
+# ValueError instead of exhausting memory.
 MAX_CHUNK_JUMPS = 2**25
+# Largest change a stable measure's small-jump Gaussian may make to the
+# characteristic function without drift (see _split_cutoff).
+SPLIT_CF_ERROR = 1e-4
 
 
 class CalibrationError(RuntimeError):
@@ -322,19 +327,20 @@ def _compound_poisson_gaussian(
     """n compound-Poisson sums (Poisson ``rate`` per sample) plus a Gaussian.
 
     ``gaussian`` is the Gaussian's standard deviation per coordinate, or a
-    (d, d) factor L of its covariance L L^T.  Raises ValueError before
-    allocating anything when one chunk expects more than MAX_CHUNK_JUMPS jumps.
+    (d, d) factor L of its covariance L L^T.  Chunks hold CHUNK samples, or
+    as many as expect at most MAX_CHUNK_JUMPS jumps; a rate above the budget
+    raises ValueError before anything is allocated.
     """
-    expected = rate * min(n, CHUNK)
-    if expected > MAX_CHUNK_JUMPS:
+    if rate > MAX_CHUNK_JUMPS:
         raise ValueError(
-            f"compound-Poisson sampling expects {expected:.3g} jumps per chunk of "
-            f"{min(n, CHUNK)} samples, over the budget of {MAX_CHUNK_JUMPS}"
+            f"compound-Poisson sampling expects {rate:.3g} jumps per sample, "
+            f"over the budget of {MAX_CHUNK_JUMPS} per chunk"
         )
+    size = CHUNK if rate * CHUNK <= MAX_CHUNK_JUMPS else int(MAX_CHUNK_JUMPS // rate)
     out = np.empty((n, d))
     counts = np.empty(n, dtype=np.int64) if return_counts else None
-    for start in range(0, n, CHUNK):
-        stop = min(n, start + CHUNK)
+    for start in range(0, n, size):
+        stop = min(n, start + size)
         m = stop - start
         sums, cnt = _compound_poisson_chunk(rng, m, rate, icdf, d, weigh)
         if np.ndim(gaussian) == 2:
@@ -467,6 +473,61 @@ def sample_residual(
     )
 
 
+def _stable_measure(driver) -> StableSpec | None:
+    """The stable measure drawn exactly: the driver itself or a dominating floor."""
+    if isinstance(driver, StableSpec):
+        return driver
+    return getattr(driver, "stable_floor", None)
+
+
+def _split_cutoff(spec: StableSpec, t: float) -> float:
+    """Cutoff at which a stable measure becomes jumps plus a small-jump Gaussian.
+
+    The largest epsilon whose Gaussian changes the time-t characteristic
+    function by at most SPLIT_CF_ERROR at every frequency when there is no
+    drift (Asmussen-Rosinski).  The measure is symmetric, so the Gaussian's
+    exponent errs by at most t |xi|^4 m4 / (8 d (d + 2)), m4 the fourth
+    moment of the jumps below epsilon, and that times the cf e^{-t c sigma
+    |xi|^alpha} peaks at |xi|^alpha = 4 / (alpha t c sigma).  The cutoff
+    scales as (t c)^(1/alpha), so the expected jumps per sample depend on
+    d and alpha alone (at most about 17 for d <= 10).
+    """
+    d, a, tc = spec.d, spec.alpha, t * spec.c
+    peak = (a * math.e * tc * compute_sigma(d, a) / 4.0) ** (4.0 / a)
+    power = SPLIT_CF_ERROR * 8.0 * d * (d + 2) * (4.0 - a) / (tc * sphere_surface(d)) * peak
+    return power ** (1.0 / (4.0 - a))
+
+
+def _jump_parts(driver, t: float, epsilon: float | None = None, split_stable: bool = False) -> list:
+    """The compound-Poisson parts of ``driver`` at horizon t: (jump intensity,
+    radius inverse CDF, small-jump sd per coordinate), the intensity and the
+    Gaussian's variance per unit time.
+
+    Parts are cut at ``epsilon``, by default at min(r, t^(1/alpha))/10 for a
+    measure truncated at r and at t^(1/alpha)/10, alpha the floor's, for a
+    dominating measure's residual.  The residual is tabulated up to r_max =
+    1e3; the floor carries the heavy tail, so the neglect check concerns
+    only the excess.
+    A stable measure (the driver, or a dominating floor) is left out, for the
+    caller to draw exactly, unless ``split_stable`` makes it a part too, cut
+    at :func:`_split_cutoff`.
+    """
+    if isinstance(driver, StableSpec):
+        if not split_stable:
+            return []
+        whole = TruncatedStableSpec(driver.d, driver.alpha, driver.c, math.inf)
+        return [_truncated_part(whole, _split_cutoff(driver, t))]
+    if isinstance(driver, TruncatedStableSpec):
+        eps = default_small_jump_cutoff(driver, t) if epsilon is None else epsilon
+        return [_truncated_part(driver, eps)]
+    if isinstance(driver, DominatingLevySpec):
+        floor = driver.stable_floor
+        eps = t ** (1.0 / floor.alpha) / 10.0 if epsilon is None else epsilon
+        residual = _residual_part(split_levy_measure(driver), eps, 1e3)
+        return _jump_parts(floor, t, split_stable=split_stable) + [residual]
+    raise TypeError(f"unsupported driver {type(driver).__name__}")
+
+
 def sample_increment(
     driver,
     t: float,
@@ -474,50 +535,24 @@ def sample_increment(
     seed: Union[SeedSpec, np.random.Generator],
     epsilon: float | None = None,
 ) -> np.ndarray:
-    """Time-t increment of any supported driver, dispatched by spec type.
+    """Time-t increment of any supported driver.
 
-    A dominating measure splits into its exact stable floor plus the residual
-    compound-Poisson part (one r_max = 1e3 tabulation; the floor carries the
-    heavy tail, so the residual neglect check concerns only the excess).
+    The stable measure (the driver, or a dominating measure's floor) is drawn
+    exactly, then each of :func:`_jump_parts` (cut at ``epsilon`` or by
+    default) as compound-Poisson jumps plus a small-jump Gaussian.
     """
-    if isinstance(driver, StableSpec):
-        return sample_rot_stable(driver, t, n, seed)
-    if isinstance(driver, TruncatedStableSpec):
-        return sample_truncated_stable(driver, t, epsilon, n, seed)
-    if isinstance(driver, DominatingLevySpec):
-        residual = split_levy_measure(driver)
-        rng = _as_rng(seed)
-        floor_part = sample_rot_stable(driver.stable_floor, t, n, rng)
-        eps = epsilon
-        if eps is None:
-            eps = t ** (1.0 / driver.stable_floor.alpha) / 10.0
-        res_part = sample_residual(residual, t, eps, n, rng)
-        return floor_part + res_part
-    raise TypeError(f"unsupported driver {type(driver).__name__}")
-
-
-def _jump_parts(driver, t: float, split_stable: bool) -> list[tuple]:
-    """The compound-Poisson parts of ``driver`` at horizon t, cut where
-    sample_increment cuts: (jump intensity, radius inverse CDF, small-jump sd
-    per coordinate), the intensity and the Gaussian's variance per unit time.
-
-    With ``split_stable`` a stable measure (the driver, or a dominating
-    measure's floor) is a part too: the truncation at r = inf, which the
-    default cutoff cuts at t^(1/alpha)/10 (Asmussen-Rosinski).  Without it
-    the stable measure is left out, for the caller to draw exactly.
-    """
-    if isinstance(driver, StableSpec):
-        whole = TruncatedStableSpec(driver.d, driver.alpha, driver.c, math.inf)
-        return _jump_parts(whole, t, True) if split_stable else []
-    if isinstance(driver, TruncatedStableSpec):
-        return [_truncated_part(driver, default_small_jump_cutoff(driver, t))]
-    if isinstance(driver, DominatingLevySpec):
-        floor = driver.stable_floor
-        eps = t ** (1.0 / floor.alpha) / 10.0
-        return _jump_parts(floor, t, split_stable) + [
-            _residual_part(split_levy_measure(driver), eps, 1e3)
-        ]
-    raise TypeError(f"unsupported driver {type(driver).__name__}")
+    if t <= 0.0:
+        raise ValueError("time must be positive")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    parts = _jump_parts(driver, t, epsilon)
+    rng = _as_rng(seed)
+    stable = _stable_measure(driver)
+    out = None if stable is None else sample_rot_stable(stable, t, n, rng)
+    for intensity, icdf, sd in parts:
+        part = _compound_poisson_gaussian(rng, n, driver.d, t * intensity, icdf, sd * math.sqrt(t))
+        out = part if out is None else out + part
+    return out
 
 
 # ---------------------------------------------------------------------------

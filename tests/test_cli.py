@@ -234,6 +234,18 @@ class TestEstimateCommand:
         )
         assert main(["estimate", "--spec", cfg, "--t", "0.5", "--x", "1.0"]) == 1
 
+    @pytest.mark.parametrize("a, rc", [(-400.0, 0), (400.0, 1)])
+    def test_extreme_drift(self, tmp_path, capsys, a, rc):
+        # contracting: e^{-tA} = e^{800} is never formed; expanding: e^{tA}
+        # overflows, a one-line error
+        cfg = write_json(tmp_path, "ou.json", {
+            "driver": "truncated_stable", "d": 1, "alpha": 1.2, "c": 1.0, "r": 1.0, "A": [[a]],
+        })
+        assert main(["estimate", "--spec", cfg, "--t", "2.0", "--x", "1.0", "--n", "1000"]) == rc
+        if rc:
+            err = capsys.readouterr().err
+            assert "overflow" in err and len(err.strip().splitlines()) == 1
+
     def test_file_output(self, stable_cfg, tmp_path):
         out = tmp_path / "est.json"
         rc = main([

@@ -32,7 +32,9 @@ from harnacklab import (
     time_integrated_symbol,
 )
 from harnacklab.ou_semigroup import TestFunction as ParametricFunction
+from harnacklab.levy_core import compute_sigma, sphere_surface
 from harnacklab.ou_semigroup import _gramian_factor, _jump_weigher
+from harnacklab.sampling import SPLIT_CF_ERROR, _jump_parts, _split_cutoff
 
 
 def stable_ou(A, d=1, alpha=1.0, c=1.0):
@@ -172,15 +174,48 @@ class TestExactNoise:
         got = _jump_weigher(spec, t)(u, jumps.copy())
         assert np.allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
-    @pytest.mark.parametrize("A", [[[0.5, 1.0], [0.0, -0.5]], [[-1.0]]])
-    def test_gramian_factor_matches_quadrature(self, A):
+    @pytest.mark.parametrize("A, t", [
+        ([[0.5, 1.0], [0.0, -0.5]], 1.3),
+        ([[-1.0]], 1.3),
+        ([[-2.0, 3.0], [-1.0, 0.4]], 2.5),  # ||tA|| > 1: doubled up to t
+    ])
+    def test_gramian_factor_matches_quadrature(self, A, t):
         A = np.array(A)
-        t = 1.3
         gram, _ = integrate.quad_vec(
             lambda s: matrix_exp(A, s) @ matrix_exp(A, s).T, 0.0, t, epsabs=0.0, epsrel=1e-13
         )
         factor = _gramian_factor(A, t)
         assert np.allclose(factor @ factor.T, gram, rtol=1e-12, atol=0.0)
+
+    def test_strongly_contracting_drift(self):
+        # e^{-tA} = e^{800} would overflow; the Gramian is (1 - e^{-1600}) / 800
+        A = np.array([[-400.0]])
+        assert _gramian_factor(A, 2.0)[0, 0] ** 2 == pytest.approx(1.0 / 800.0, rel=1e-13)
+        spec = OUSpec(A=A, driver=TruncatedStableSpec(d=1, alpha=1.2, c=1.0, r=1.0))
+        w = ou_noise(spec, 2.0, 1000, SeedSpec(76))
+        assert np.all(np.isfinite(w)) and np.std(w) < 1.0
+
+    @pytest.mark.parametrize("d, alpha, t, c", [(2, 1.5, 0.7, 1.0), (3, 1.9, 1.0, 2.0), (5, 1.2, 0.4, 1.0)])
+    def test_split_cutoff_meets_its_cf_error(self, d, alpha, t, c):
+        # at A = 0 the small-jump Gaussian changes the cf exponent by
+        # t c |S| int_0^eps (|xi|^2 rho^2 / (2d) - 1 + E cos(|xi| rho theta_1)) rho^(-1-alpha),
+        # summed here from the Bessel series of E cos(s theta_1); times the cf
+        # it peaks at the tolerance, so the cutoff is no smaller than needed
+        spec = StableSpec(d=d, alpha=alpha, c=c)
+        eps = _split_cutoff(spec, t)
+        psi = t * c * compute_sigma(d, alpha)
+
+        def error(x):
+            exponent = sum(
+                (-1) ** k * (x / 2.0) ** (2 * k) * math.gamma(d / 2.0)
+                / (math.factorial(k) * math.gamma(k + d / 2.0)) * eps ** (2 * k - alpha) / (2 * k - alpha)
+                for k in range(2, 40)
+            )
+            return math.exp(-psi * x**alpha) * t * c * sphere_surface(d) * exponent
+
+        peak = (4.0 / (alpha * psi)) ** (1.0 / alpha)
+        worst = max(error(x) for x in peak * np.geomspace(0.25, 4.0, 201))
+        assert 0.9 * SPLIT_CF_ERROR < worst <= SPLIT_CF_ERROR
 
     # (driver, A, the measure whose small jumps become a Gaussian, or None)
     CASES = {
@@ -190,7 +225,7 @@ class TestExactNoise:
         "stable-2d-general": (
             StableSpec(d=2, alpha=1.5),
             [[0.5, 1.0], [0.0, -0.5]],
-            TruncatedStableSpec(d=2, alpha=1.5, c=1.0, r=math.inf),
+            StableSpec(d=2, alpha=1.5),
         ),
         "truncated-1d": (
             TruncatedStableSpec(d=1, alpha=1.2, c=1.0, r=1.0),
@@ -203,6 +238,25 @@ class TestExactNoise:
             TruncatedStableSpec(d=2, alpha=1.2, c=1.0, r=1.0),
         ),
     }
+
+    @staticmethod
+    def proxy_error(spec, split, t, xi):
+        """Bound on the relative cf error of the small-jump Gaussian of ``split``.
+
+        1 - cos x - x^2/2 lies in [-x^4/24, 0] and E theta_1^4 = 3/(d(d+2)), so
+        the exponent errs by at most m4/(8d(d+2)) times the integral of
+        |e^{sA^T} xi|^4 over [0, t], m4 the fourth moment of the jumps below eps.
+        """
+        if isinstance(split, StableSpec):
+            eps = _split_cutoff(split, t)
+        else:
+            eps = default_small_jump_cutoff(split, t)
+        d, a = split.d, split.alpha
+        m4 = split.c * sphere_surface(d) * eps ** (4.0 - a) / (4.0 - a)
+        quartic, _ = integrate.quad(
+            lambda s: float(np.linalg.norm(matrix_exp(spec.A, s).T @ xi)) ** 4, 0.0, t
+        )
+        return m4 * quartic / (8.0 * d * (d + 2))
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_cf_matches_time_integrated_symbol(self, case):
@@ -218,13 +272,27 @@ class TestExactNoise:
             target = math.exp(-time_integrated_symbol(spec, xi, t))
             slack = 4.0 * se
             if split is not None:
-                # |e^{sA^T} xi| <= e^{s mu} |xi|, mu the top eigenvalue of (A + A^T)/2
-                mu = float(np.linalg.eigvalsh(0.5 * (spec.A + spec.A.T))[-1])
-                radius = float(np.linalg.norm(xi)) * math.exp(t * max(mu, 0.0))
-                eps = default_small_jump_cutoff(split, t)
-                slack += small_jump_cf_error_bound(split, t, eps, radius)
+                slack += target * self.proxy_error(spec, split, t, xi)
             assert abs(mean - target) < slack, (case, xi, mean, target, slack)
 
+    def test_general_drift_at_high_alpha_and_dimension(self):
+        # d = 3, alpha = 1.9 under a non-conformal drift with a skew part, at
+        # the verifiers' default n: a few jumps per sample, where a cutoff at
+        # t^(1/alpha)/10 would take 525 and overrun the jump budget per chunk
+        A = np.array([[0.5, 0.0, 0.0], [0.0, -0.5, 0.0], [0.0, 0.0, 0.1]])
+        A += np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.3], [0.0, -0.3, 0.0]])
+        driver = StableSpec(d=3, alpha=1.9)
+        spec = OUSpec(A=A, driver=driver)
+        t, n = 1.0, 10**5
+        [(intensity, _, _)] = _jump_parts(driver, t, split_stable=True)
+        assert t * intensity < 5.0
+        xis = np.array([[0.1, 0.0, 0.0], [0.1, -0.1, 0.1], [0.0, 0.1, 0.15]])
+        means, ses = empirical_cf(ou_noise(spec, t, n, SeedSpec(75)), xis)
+        for xi, mean, se in zip(xis, means, ses):
+            target = math.exp(-time_integrated_symbol(spec, xi, t))
+            assert 0.2 < target < 0.9
+            slack = 4.0 * se + target * self.proxy_error(spec, driver, t, xi)
+            assert abs(mean - target) < slack, (xi, mean, target, slack)
 
     def test_dominating_driver_under_drift(self):
         # density 2 rho^(-1-alpha) over the floor rho^(-1-alpha): the law of the
@@ -241,13 +309,15 @@ class TestExactNoise:
         xis = np.array([[0.4], [1.0]])
         means, ses = empirical_cf(w, xis)
         residual = split_levy_measure(dom)
+        # the tabulation drops the residual jumps beyond r_max = 1e3, mass
+        # 2 / 1e3 per unit time, which raises the cf by at most that exponent
+        dropped = t * 2.0 / 1e3
         for xi, mean, se in zip(xis, means, ses):
             target = math.exp(-time_integrated_symbol(twice, xi, t))
-            # mu(A) < 0, so |e^{sA^T} xi| <= |xi|; the tabulation drops the
-            # residual mass beyond r_max = 1e3 (fraction ~1e-5)
+            # mu(A) < 0, so |e^{sA^T} xi| <= |xi|
             eps = t ** (1.0 / floor.alpha) / 10.0
             bound = small_jump_cf_error_bound(residual, t, eps, float(xi[0]))
-            assert abs(mean - target) < 4.0 * se + bound + 5e-3
+            assert abs(mean - target) < 4.0 * se + bound + target * math.expm1(dropped)
 
 
 class TestTestFunctions:

@@ -279,16 +279,22 @@ class TestTruncatedSampler:
         with pytest.raises(ValueError, match="budget"):
             sample_truncated_stable(spec, 1.0, None, 10, SeedSpec(49))
 
-    def test_jump_budget_counts_one_chunk(self, monkeypatch):
-        # the budget bounds the jumps one chunk expects, not the whole request
+    def test_jump_budget_shrinks_the_chunk(self, monkeypatch):
+        # a rate that would put more than the budget into a CHUNK-sample chunk
+        # draws chunks of budget // rate samples; only a rate above the budget,
+        # a single sample expecting more, is refused
         monkeypatch.setattr(sampling, "MAX_CHUNK_JUMPS", 1000)
         spec = TruncatedStableSpec(d=1, alpha=1.0, c=1.0, r=1.0)
-        rate = make_jump_decomposition(spec, 0.995).poisson_intensity
-        assert rate * CHUNK < 1000 < rate * 3 * CHUNK
-        x = sample_truncated_stable(spec, 1.0, 0.995, 3 * CHUNK, SeedSpec(50))
-        assert x.shape == (3 * CHUNK, 1)
+        rate = make_jump_decomposition(spec, 0.9).poisson_intensity
+        size = int(1000 // rate)
+        assert size < CHUNK
+        x, counts = sample_truncated_stable(spec, 1.0, 0.9, 3 * size + 7, SeedSpec(50), True)
+        assert x.shape == (3 * size + 7, 1)
+        assert abs(counts.mean() - rate) < 4.0 * math.sqrt(rate / len(counts))
+        first = sample_truncated_stable(spec, 1.0, 0.9, size, SeedSpec(50))
+        assert np.array_equal(x[:size], first)
         with pytest.raises(ValueError, match="budget"):
-            sample_truncated_stable(spec, 2.0, 0.995, CHUNK, SeedSpec(50))
+            sample_truncated_stable(spec, 1001.0 / rate, 0.9, 10, SeedSpec(50))
 
     def test_bounded_jumps_light_tail(self):
         # all jumps have radius <= r, so excursions beyond k r need k jumps;
