@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -563,29 +564,68 @@ def verify_ratio_lemma(
 # semigroup Harnack verifiers
 
 
-def _exact_mean(v: np.ndarray) -> float:
-    """Mean that is exact for constant arrays.
+class _Moments:
+    """One sample array and its moments, each computed on first use."""
 
-    np.mean of n identical values can be off by an ulp (the sum rounds), which
-    matters only where an inequality holds with equality; returning the common
-    value keeps those degenerate nodes exactly on the boundary.
+    def __init__(self, v: np.ndarray) -> None:
+        self.v = v
+
+    @cached_property
+    def mean(self) -> float:
+        return float(self.v.mean())
+
+    @cached_property
+    def centered(self) -> np.ndarray:
+        return self.v - self.mean
+
+    @cached_property
+    def var(self) -> float:
+        return float(self.centered @ self.centered) / (self.v.size - 1)
+
+    @cached_property
+    def exact_mean(self) -> float:
+        """Mean that is exact for constant arrays.
+
+        np.mean of n identical values can be off by an ulp (the sum rounds),
+        which matters only where an inequality holds with equality; returning
+        the common value keeps those degenerate nodes exactly on the boundary.
+        """
+        lo, hi = float(self.v.min()), float(self.v.max())
+        return lo if lo == hi else self.mean
+
+    @cached_property
+    def std_err(self) -> float:
+        return float(self.v.std(ddof=1)) / math.sqrt(self.v.size)
+
+
+class _PointSample(_Moments):
+    """f at the n endpoints from one point, with its p-th powers and its log.
+
+    Each transform is derived once per point, however many nodes and
+    statistics use it.
     """
-    lo, hi = float(v.min()), float(v.max())
-    if lo == hi:
-        return lo
-    return float(v.mean())
+
+    def __init__(self, v: np.ndarray) -> None:
+        super().__init__(v)
+        self._powers: dict[float, _Moments] = {}
+
+    def power(self, p: float) -> _Moments:
+        m = self._powers.get(p)
+        if m is None:
+            m = self._powers[p] = _Moments(self.v**p)
+        return m
+
+    @cached_property
+    def log(self) -> _Moments:
+        return _Moments(np.log(self.v))
 
 
-def _paired_stats(vx: np.ndarray, vy: np.ndarray) -> tuple[float, float, float, float, float]:
-    n = vx.size
-    mx, my = float(vx.mean()), float(vy.mean())
+def _paired_stats(a: _Moments, b: _Moments) -> tuple[float, float, float, float, float]:
+    """Means, variances and covariance of two paired sample arrays."""
+    n = a.v.size
     if n < 2:
-        return mx, my, 0.0, 0.0, 0.0
-    dx, dy = vx - mx, vy - my
-    varx = float(dx @ dx) / (n - 1)
-    vary = float(dy @ dy) / (n - 1)
-    cov = float(dx @ dy) / (n - 1)
-    return mx, my, varx, vary, cov
+        return a.mean, b.mean, 0.0, 0.0, 0.0
+    return a.mean, b.mean, a.var, b.var, float(a.centered @ b.centered) / (n - 1)
 
 
 def _difference_slack(
@@ -613,7 +653,7 @@ def _stability(fitted: float, validation: float | None) -> bool | None:
 
 # (f, node, f at the n endpoints from x, f at the n endpoints from y) -> the
 # node's result, or None when the node is excluded
-Statistic = Callable[[TestFunction, Node, np.ndarray, np.ndarray], NodeResult | None]
+Statistic = Callable[[TestFunction, Node, _PointSample, _PointSample], NodeResult | None]
 
 
 def _fits_by(results: Sequence[NodeResult], key: str) -> dict:
@@ -622,6 +662,17 @@ def _fits_by(results: Sequence[NodeResult], key: str) -> dict:
     for r in results:
         groups.setdefault(r.extra[key], []).append(r)
     return {str(k): _fit_from_results(rs) for k, rs in groups.items()}
+
+
+def _block_sample(
+    block: dict, sampler: SemigroupSampler, f: TestFunction, point, t: float
+) -> _PointSample:
+    """f at the endpoints from point at time t, looked up in or added to the block."""
+    key = np.asarray(point, dtype=float).tobytes()
+    got = block.get(key)
+    if got is None:
+        got = block[key] = _PointSample(sampler.values(f, point, t))
+    return got
 
 
 def _verify_semigroup(
@@ -640,11 +691,15 @@ def _verify_semigroup(
 ) -> InequalityReport:
     """Run, fit, validate and report one semigroup inequality.
 
-    P_t f is sampled once per (f, node) at x and at y on shared noise (seed
-    substream 1, and substream 2 for the validation grid) and handed to every
-    statistic; results are kept per statistic and concatenated in statistic
-    order.  ``meta(results)`` adds the verifier's own entries to ``mc_meta``
-    after both grids have run.
+    P_t f is sampled on shared noise (seed substream 1, and substream 2 for
+    the validation grid) once per distinct (f, t, point), and its powers,
+    log and moments once per point, then handed to every statistic at every
+    node that has the point as x or y.  Nodes come f-outer with each t
+    contiguous on the shipped grids, so only the current (f, t) block of
+    points is kept; a grid that revisits a t recomputes its points.  Results
+    are kept per statistic and concatenated in statistic order.
+    ``meta(results)`` adds the verifier's own entries to ``mc_meta`` after
+    both grids have run.
     """
     seed = SeedSpec(0) if seed is None else seed
     grid = list(default_comparison_grid(spec.d) if grid is None else grid)
@@ -654,11 +709,16 @@ def _verify_semigroup(
         per_stat: list[list[NodeResult]] = [[] for _ in statistics]
         excluded = 0
         for f in f_set:
+            block_t, block = None, {}
             for nd in nodes:
-                vx = sampler.values(f, nd.x, nd.t)
-                vy = sampler.values(f, nd.y, nd.t)
+                if nd.t != block_t:
+                    block_t, block = nd.t, {}
                 for out, stat in zip(per_stat, statistics):
-                    res = stat(f, nd, vx, vy)
+                    # no name holds a sample past its block, so the next
+                    # time's noise draw, where the peak is, sees one block
+                    res = stat(
+                        f, nd, *(_block_sample(block, sampler, f, p, nd.t) for p in (nd.x, nd.y))
+                    )
                     if res is None:
                         excluded += 1
                     else:
@@ -726,8 +786,8 @@ def verify_harnack(
     time_scale = _time_scale(spec, time_scale)
     f_set = default_test_functions(d) if f_set is None else list(f_set)
 
-    def statistic(f, nd, vx, vy):
-        mx, my, varx, vary, cov = _paired_stats(vx, vy)
+    def statistic(f, nd, sx, sy):
+        mx, my, varx, vary, cov = _paired_stats(sx, sy)
         se_y = math.sqrt(vary / n)
         if my <= 3.0 * se_y:
             return None
@@ -781,16 +841,13 @@ def verify_p_harnack(
     jensen_failures = 0
 
     def power_statistic(p):
-        def statistic(f, nd, vx, vy):
+        def statistic(f, nd, sx, sy):
             nonlocal jensen_failures
-            vyp = vy**p
-            mx, myp, varx, varyp, cov = _paired_stats(vx, vyp)
+            mx, myp, varx, varyp, cov = _paired_stats(sx, sy.power(p))
             if myp <= 3.0 * math.sqrt(varyp / n):
                 return None
-            vxp = vx**p
-            mxp = _exact_mean(vxp)
-            se_xp = float(vxp.std(ddof=1)) / math.sqrt(n)
-            if _exact_mean(vx) ** p > mxp + 3.0 * se_xp:
+            sxp = sx.power(p)
+            if sx.exact_mean**p > sxp.exact_mean + 3.0 * sxp.std_err:
                 jensen_failures += 1
             base = harnack_shape(
                 float(np.linalg.norm(nd.x - nd.y)), nd.t, alpha, d, time_scale
@@ -852,10 +909,9 @@ def verify_log_harnack(
         if not f.geq_one:
             raise ValueError(f"log-Harnack needs f >= 1, got {f.tag}")
 
-    def statistic(f, nd, vx, vy):
-        log_vx = np.log(vx)
-        _, _, varl, vary, cov = _paired_stats(log_vx, vy)
-        ml, my = _exact_mean(log_vx), _exact_mean(vy)
+    def statistic(f, nd, sx, sy):
+        _, _, varl, vary, cov = _paired_stats(sx.log, sy)
+        ml, my = sx.log.exact_mean, sy.exact_mean
         var = varl + vary / my**2 - 2.0 * cov / my
         return NodeResult(
             node=nd,

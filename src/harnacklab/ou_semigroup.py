@@ -337,7 +337,8 @@ class SemigroupSampler:
     at the same t then uses literally the same W_t (common random numbers):
     comparisons between starting points are exact at x = y and tightly
     correlated elsewhere.  The per-t noise stream is derived from the bit
-    pattern of t, so results do not depend on evaluation order.
+    pattern of t, so results do not depend on evaluation order.  e^{tA} is
+    likewise computed once per t.
     """
 
     def __init__(self, spec: OUSpec, n: int, seed: SeedSpec) -> None:
@@ -347,6 +348,7 @@ class SemigroupSampler:
         self.n = n
         self.seed = seed
         self._noise: dict[float, np.ndarray] = {}
+        self._flow: dict[float, np.ndarray] = {}
 
     def noise(self, t: float) -> np.ndarray:
         key = float(t)
@@ -360,7 +362,14 @@ class SemigroupSampler:
         return cached
 
     def endpoints(self, x, t: float) -> np.ndarray:
-        return _flow(self.spec, x, t)[None, :] + self.noise(t)
+        x = np.asarray(x, dtype=float).reshape(self.spec.d)
+        if self.spec.op_norm != 0.0:
+            key = float(t)
+            flow = self._flow.get(key)
+            if flow is None:
+                flow = self._flow[key] = matrix_exp(self.spec.A, key)
+            x = flow @ x
+        return x[None, :] + self.noise(t)
 
     def values(self, f: Callable[[np.ndarray], np.ndarray], x, t: float) -> np.ndarray:
         return np.asarray(f(self.endpoints(x, t)), dtype=float)

@@ -5,8 +5,10 @@ structure, exact behavior at degenerate nodes (x = y under shared noise), and
 error paths; the statistically demanding runs live in the acceptance suite.
 """
 
+import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -470,8 +472,54 @@ class TestVerifyPHarnack:
             OU_FREE, f_set=[constant(2.0)], grid=grid, p_list=(1.5, 2.0, 4.0),
             n=2000, seed=SeedSpec(37), validation=False,
         )
-        assert len(calls) == 2 * len(grid)  # x and y once per node, not per power
+        # one call per distinct (t, point), not per node side or per power
+        assert len(calls) == 2
         assert [r.extra["p"] for r in report.per_node] == [1.5, 1.5, 2.0, 2.0, 4.0, 4.0]
+
+
+    def test_memo_holds_one_time_block(self):
+        # five times instead of one may add their four noise arrays to the
+        # peak, not four more blocks of sampled values and powers
+        n = 2 * 10**4
+        f_set = [ball_indicator([0.0], 1.0, offset=0.5)]
+
+        def peak(t_values):
+            grid = default_comparison_grid(1, t_values=t_values)
+            tracemalloc.start()
+            try:
+                verify_p_harnack(
+                    OU_FREE, f_set=f_set, grid=grid, n=n, seed=SeedSpec(38), validation=False
+                )
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak((0.5,))  # warm-up: first-use allocations outside the verifier
+        one = peak((0.5,))
+        five = peak((0.1, 0.25, 0.5, 1.0, 2.0))
+        assert five - one <= 1.5 * 4 * n * 1 * 8
+
+
+class TestSemigroupReportsPinned:
+    """sha256 of canonical_json for the d=2 OU with A = 0.5 I, alpha = 1.5,
+    c = 1, at n = 2000, seed 7, with validation.  The digests were recorded
+    before the per-point sample memo, so they pin both the sampled values and
+    the arithmetic of every statistic."""
+
+    SPEC = OUSpec(A=0.5 * np.eye(2), driver=StableSpec(d=2, alpha=1.5, c=1.0))
+
+    @pytest.mark.parametrize(
+        "verify, digest",
+        [
+            (verify_harnack, "36bfe921696513fc479bd30ac31701b7d5d10a93a687a6304c973ded491da51b"),
+            (verify_p_harnack, "9b7d68d95e4a9ced1264acd48972f686ea84252372a03d4c70b7efc66e389e09"),
+            (verify_log_harnack, "07e10203d87a3d638d4c7f6203d0896cd2f7ec4f21ba21667a13b8bac7c7cfca"),
+        ],
+        ids=lambda v: getattr(v, "__name__", "digest"),
+    )
+    def test_canonical_digest(self, verify, digest):
+        report = verify(self.SPEC, n=2000, seed=SeedSpec(7), validation=True)
+        assert hashlib.sha256(canonical_json(report.to_dict()).encode()).hexdigest() == digest
 
 
 class TestVerifyLogHarnack:

@@ -400,6 +400,26 @@ class TestSemigroupSampler:
         assert np.array_equal(a05, b05)
         assert np.array_equal(a10, b10)
 
+    def test_flow_computed_once_per_time(self, monkeypatch):
+        import harnacklab.ou_semigroup as ou
+
+        calls = []
+
+        def counted(A, t=1.0):
+            calls.append(t)
+            return matrix_exp(A, t)
+
+        monkeypatch.setattr(ou, "matrix_exp", counted)
+        spec = stable_ou([[0.5, 0.2], [0.0, -0.3]], d=2)
+        s = SemigroupSampler(spec, 100, SeedSpec(98))
+        noise = {t: s.noise(t) for t in (0.5, 1.0)}
+        calls.clear()  # drawing the noise weighs jumps with exponentials of its own
+        for t in (0.5, 1.0, 0.5):
+            for x in ([0.0, 0.0], [1.0, -2.0]):
+                expected = (matrix_exp(spec.A, t) @ np.asarray(x))[None, :] + noise[t]
+                assert np.array_equal(s.endpoints(x, t), expected)
+        assert calls == [0.5, 1.0]
+
     def test_unit_function_exact(self):
         spec = stable_ou([[0.0]])
         est = SemigroupSampler(spec, 2000, SeedSpec(93)).estimate(constant(1.0), [3.0], 0.5)
