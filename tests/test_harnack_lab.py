@@ -476,7 +476,6 @@ class TestVerifyPHarnack:
         assert len(calls) == 2
         assert [r.extra["p"] for r in report.per_node] == [1.5, 1.5, 2.0, 2.0, 4.0, 4.0]
 
-
     def test_memo_holds_one_time_block(self):
         # five times instead of one may add their four noise arrays to the
         # peak, not four more blocks of sampled values and powers
@@ -497,7 +496,8 @@ class TestVerifyPHarnack:
         peak((0.5,))  # warm-up: first-use allocations outside the verifier
         one = peak((0.5,))
         five = peak((0.1, 0.25, 0.5, 1.0, 2.0))
-        assert five - one <= 1.5 * 4 * n * 1 * 8
+        noise_bytes = n * 1 * 8  # one (n, d) float64 noise array, d = 1
+        assert five - one <= 1.5 * 4 * noise_bytes
 
 
 class TestSemigroupReportsPinned:

@@ -401,15 +401,13 @@ class TestSemigroupSampler:
         assert np.array_equal(a10, b10)
 
     def test_flow_computed_once_per_time(self, monkeypatch):
-        import harnacklab.ou_semigroup as ou
-
         calls = []
 
         def counted(A, t=1.0):
             calls.append(t)
             return matrix_exp(A, t)
 
-        monkeypatch.setattr(ou, "matrix_exp", counted)
+        monkeypatch.setattr("harnacklab.ou_semigroup.matrix_exp", counted)
         spec = stable_ou([[0.5, 0.2], [0.0, -0.3]], d=2)
         s = SemigroupSampler(spec, 100, SeedSpec(98))
         noise = {t: s.noise(t) for t in (0.5, 1.0)}
