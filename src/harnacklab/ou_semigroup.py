@@ -146,12 +146,17 @@ def ou_noise(spec: OUSpec, t: float, n: int, seed: SeedSpec) -> np.ndarray:
       (every d = 1 drift; a I plus a skew part): by rotational invariance,
       one stable draw at the effective time (e^{alpha a t} - 1)/(alpha a).
     - Otherwise the stable measure is split into Pareto jumps and a Gaussian
-      (Asmussen-Rosinski) at the cutoff where, without drift, the Gaussian
-      moves the cf by at most 1e-4 (a few jumps per sample; see
-      ``sampling._split_cutoff``).  Jumps of every part fall at
-      uniform times s with weights e^{sA}; a part's small-jump Gaussian with
-      variance v per unit time gets the covariance v times the integral of
-      e^{sA} e^{sA^T}.
+      (Asmussen-Rosinski).  Jumps of every part fall at uniform times s with
+      weights e^{sA}; a part's small-jump Gaussian with variance v per unit
+      time gets the covariance v times the integral of e^{sA} e^{sA^T}.
+
+    Stable and truncated measures are cut at ``sampling._split_cutoff``,
+    where, without drift, the Gaussian moves the cf by at most 1e-4: a few
+    jumps per sample, and none for a truncated measure once the cutoff
+    reaches r.  The noise only feeds P_t f, an integral of the cf for smooth
+    bounded f, so the cf budget bounds what it reads; density estimates,
+    which read tails, draw through ``sample_truncated_stable`` instead.  A
+    dominating measure's residual is cut at t^(1/alpha)/10.
     """
     if t <= 0.0:
         raise ValueError("time must be positive")

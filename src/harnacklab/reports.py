@@ -81,8 +81,12 @@ def load_schema(name: str) -> dict:
 
 def validate_against(instance: dict, schema_name: str) -> None:
     """Raise jsonschema.ValidationError listing the first schema failure."""
-    validator = Draft202012Validator(load_schema(schema_name))
-    validator.validate(_plain(instance))
+    _validate_plain(_plain(instance), schema_name)
+
+
+def _validate_plain(plain: dict, schema_name: str) -> None:
+    """validate_against for a document _plain has already converted."""
+    Draft202012Validator(load_schema(schema_name)).validate(plain)
 
 
 def validate_config(config: dict) -> None:
@@ -147,7 +151,7 @@ def write_report(report: dict, out: Path | str, fmt: str = "json") -> list[Path]
     if fmt not in ("json", "csv", "both"):
         raise ValueError(f"format must be json, csv or both, got {fmt!r}")
     report = _plain(report)
-    validate_report(report)
+    _validate_plain(report, "report")
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     written = []

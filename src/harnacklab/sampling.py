@@ -8,6 +8,19 @@ variance-matched Gaussian standing in for the jumps below a cutoff epsilon,
 whose characteristic-function error is bounded by
 :func:`small_jump_cf_error_bound`.
 
+Which cutoff applies depends on what reads the draws:
+
+- :func:`sample_increment`, which feeds the semigroup (P_t f through
+  ``ou_noise``), cuts stable and truncated measures at :func:`_split_cutoff`,
+  the largest epsilon whose Gaussian moves the time-t characteristic function
+  by at most SPLIT_CF_ERROR.  P_t f of a smooth bounded f is an integral of
+  the characteristic function, so that budget bounds what it reads, with a
+  few jumps per sample at any t.
+- :func:`sample_truncated_stable` keeps :func:`default_small_jump_cutoff`.
+  It feeds the kernel density estimates, whose tails a characteristic-function
+  budget does not bound (at epsilon = r the law would be a Gaussian with
+  Gaussian tails), so it keeps the jumps that carry the tail.
+
 Everything is deterministic given a :class:`SeedSpec`: draws happen in fixed
 logical chunks in a fixed order.
 """
@@ -20,7 +33,7 @@ from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 
 from .levy_core import (
     DominatingLevySpec,
@@ -244,8 +257,13 @@ class JumpDecomposition:
 
 
 def default_small_jump_cutoff(spec: TruncatedStableSpec, t: float) -> float:
-    """Cutoff min(r/10, t^(1/alpha)/10): keeps the Gaussian-proxy cf error
-    below Monte Carlo noise at the default sample sizes."""
+    """Cutoff min(r/10, t^(1/alpha)/10) of :func:`sample_truncated_stable`.
+
+    It keeps the Gaussian-proxy cf error below Monte Carlo noise at the
+    default sample sizes and leaves every jump above a tenth of the typical
+    step, so the density tails the kernel density estimates read stay those
+    of the jumps.  The semigroup's draws cut at :func:`_split_cutoff` instead.
+    """
     if t <= 0.0:
         raise ValueError("time must be positive")
     return min(spec.r / 10.0, t ** (1.0 / spec.alpha) / 10.0)
@@ -277,12 +295,15 @@ def _power_radius_icdf(alpha: float, lo: float, hi: float) -> Callable[[np.ndarr
 
 
 def _random_directions(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
+    """(count, d) uniform unit vectors; temporaries stay within CHUNK rows."""
     if d == 1:
         return (rng.integers(0, 2, count) * 2 - 1).astype(float).reshape(count, 1)
     g = rng.standard_normal((count, d))
-    norms = np.linalg.norm(g, axis=1)
-    norms[norms < 1e-300] = 1.0
-    g /= norms[:, None]
+    for lo in range(0, count, CHUNK):
+        block = g[lo : lo + CHUNK]
+        norms = np.linalg.norm(block, axis=1)
+        norms[norms < 1e-300] = 1.0
+        block /= norms[:, None]
     return g
 
 
@@ -298,6 +319,9 @@ def _compound_poisson_chunk(
 
     ``weigh(u, jumps)``, if given, weights the jumps in place given each
     jump's time as a fraction u of the horizon, drawn uniform after the jumps.
+    The radii go once they have scaled the jumps, so at most the jumps, their
+    owners and the one contiguous column bincount copies are held at once:
+    8 (d + 2) bytes per jump.
     """
     counts = rng.poisson(rate, m)
     total = int(counts.sum())
@@ -306,6 +330,7 @@ def _compound_poisson_chunk(
         radii = icdf(rng.random(total))
         jumps = _random_directions(rng, total, d)
         jumps *= radii[:, None]
+        del radii
         if weigh is not None:
             jumps = weigh(rng.random(total), jumps)
         owner = np.repeat(np.arange(m), counts)
@@ -329,7 +354,8 @@ def _compound_poisson_gaussian(
     ``gaussian`` is the Gaussian's standard deviation per coordinate, or a
     (d, d) factor L of its covariance L L^T.  Chunks hold CHUNK samples, or
     as many as expect at most MAX_CHUNK_JUMPS jumps; a rate above the budget
-    raises ValueError before anything is allocated.
+    raises ValueError before anything is allocated.  A zero rate draws no
+    Poisson counts: the output is the Gaussian alone.
     """
     if rate > MAX_CHUNK_JUMPS:
         raise ValueError(
@@ -342,7 +368,10 @@ def _compound_poisson_gaussian(
     for start in range(0, n, size):
         stop = min(n, start + size)
         m = stop - start
-        sums, cnt = _compound_poisson_chunk(rng, m, rate, icdf, d, weigh)
+        if rate > 0.0:
+            sums, cnt = _compound_poisson_chunk(rng, m, rate, icdf, d, weigh)
+        else:
+            sums, cnt = np.zeros((m, d)), np.zeros(m, dtype=np.int64)
         if np.ndim(gaussian) == 2:
             sums += rng.standard_normal((m, d)) @ gaussian.T
         elif gaussian > 0.0:
@@ -356,6 +385,15 @@ def _compound_poisson_gaussian(
 
 
 def _truncated_part(spec: TruncatedStableSpec, epsilon: float) -> tuple:
+    """(jump intensity, radius inverse CDF, small-jump sd per coordinate).
+
+    At epsilon >= r every jump is small: the part is the Gaussian with the
+    whole variance, c |S| r^(2-alpha) / (2-alpha) over d per coordinate, and
+    draws no jumps.
+    """
+    if epsilon >= spec.r:
+        var_total = spec.c * sphere_surface(spec.d) * spec.r ** (2.0 - spec.alpha) / (2.0 - spec.alpha)
+        return 0.0, None, math.sqrt(var_total / spec.d)
     decomp = make_jump_decomposition(spec, epsilon)
     icdf = _power_radius_icdf(spec.alpha, epsilon, spec.r)
     return decomp.poisson_intensity, icdf, decomp.gaussian_sd_per_coord
@@ -480,22 +518,98 @@ def _stable_measure(driver) -> StableSpec | None:
     return getattr(driver, "stable_floor", None)
 
 
-def _split_cutoff(spec: StableSpec, t: float) -> float:
-    """Cutoff at which a stable measure becomes jumps plus a small-jump Gaussian.
+def _split_cutoff(spec: StableSpec | TruncatedStableSpec, t: float) -> float:
+    """Cutoff at which a stable or truncated measure becomes jumps plus a
+    small-jump Gaussian.
 
-    The largest epsilon whose Gaussian changes the time-t characteristic
-    function by at most SPLIT_CF_ERROR at every frequency when there is no
-    drift (Asmussen-Rosinski).  The measure is symmetric, so the Gaussian's
-    exponent errs by at most t |xi|^4 m4 / (8 d (d + 2)), m4 the fourth
-    moment of the jumps below epsilon, and that times the cf e^{-t c sigma
-    |xi|^alpha} peaks at |xi|^alpha = 4 / (alpha t c sigma).  The cutoff
-    scales as (t c)^(1/alpha), so the expected jumps per sample depend on
-    d and alpha alone (at most about 17 for d <= 10).
+    The largest epsilon, at most r for a measure truncated at r, whose Gaussian
+    changes the time-t characteristic function by at most SPLIT_CF_ERROR at
+    every frequency when there is no drift (Asmussen-Rosinski).  The measure
+    is symmetric, so the Gaussian's exponent errs by at most t |xi|^4 m4 /
+    (8 d (d + 2)) (:func:`small_jump_cf_error_bound`), m4 = c |S| eps^(4 -
+    alpha) / (4 - alpha) the fourth moment of the jumps below epsilon, and
+    the cutoff puts the sup of that times the measure's own |cf| at the
+    budget.  For a stable measure the sup is at |xi|^alpha = 4 / (alpha t c
+    sigma); the cutoff scales as (t c)^(1/alpha), so the expected jumps per
+    sample depend on d and alpha alone (at most about 17 for d <= 10).  For
+    a truncated one it is :func:`_truncated_log_peak`; a cutoff of r makes
+    the whole measure Gaussian, with no jumps.
     """
     d, a, tc = spec.d, spec.alpha, t * spec.c
-    peak = (a * math.e * tc * compute_sigma(d, a) / 4.0) ** (4.0 / a)
-    power = SPLIT_CF_ERROR * 8.0 * d * (d + 2) * (4.0 - a) / (tc * sphere_surface(d)) * peak
-    return power ** (1.0 / (4.0 - a))
+    budget = SPLIT_CF_ERROR * 8.0 * d * (d + 2) * (4.0 - a) / (tc * sphere_surface(d))
+    if isinstance(spec, StableSpec):
+        peak = (a * math.e * tc * compute_sigma(d, a) / 4.0) ** (4.0 / a)
+        return (budget * peak) ** (1.0 / (4.0 - a))
+    log_eps = (math.log(budget) - _truncated_log_peak(spec, t)) / (4.0 - a)
+    return spec.r if log_eps >= math.log(spec.r) else math.exp(log_eps)
+
+
+# The truncated symbol's power series in v = r |xi| is summed up to v =
+# SERIES_REACH, where its cancellation costs about 1e-9, with this many terms.
+SERIES_REACH = 20.0
+SERIES_TERMS = 60
+
+
+def _truncated_series(d: int, alpha: float) -> np.ndarray:
+    """Coefficients, in x = v^2, of F(v) = sum over k >= 1 of (-1)^(k+1)
+    v^(2k) / (4^k k! (d/2)_k (2k - alpha)).
+
+    The truncated symbol is psi(xi) = c |S| r^(-alpha) F(r |xi|): the series
+    of 1 - E cos(v theta_1) integrated against rho^(-1-alpha) on [0, r].
+    """
+    k = np.arange(1, SERIES_TERMS + 1)
+    signed = -np.cumprod(-1.0 / (4.0 * k * (d / 2.0 + k - 1.0)))
+    return np.concatenate([[0.0], signed / (2.0 * k - alpha)])
+
+
+def _truncated_log_peak(spec: TruncatedStableSpec, t: float) -> float:
+    """log of the sup over every |xi| = s > 0 of s^4 e^{-t psi(s)}, psi the
+    truncated symbol.
+
+    With v = r s and tau = t c |S| r^(-alpha), the log is 4 log v - tau F(v)
+    - 4 log r (see :func:`_truncated_series`).  It rises while v^2 < 4 d (2 -
+    alpha) / tau, because psi'(s) <= s c |S| r^(2-alpha) / (d (2 - alpha)),
+    so the sup over v <= SERIES_REACH is sought from there on a log grid and
+    refined by bounded Brent.  Beyond V = SERIES_REACH two lower bounds hold,
+    and the smaller of their sups bounds the rest:
+
+    - the jumps past r change the stable symbol by at most 2 c |S| r^(-alpha)
+      / alpha, so F(v) >= (sigma / |S|) v^alpha - 2 / alpha;
+    - F(v) / v^alpha, the integral of u^(-1-alpha) (1 - E cos(u theta_1))
+      over [0, v], grows with v, so F(v) >= F(V) (v / V)^alpha.  This one
+      keeps small alpha at long times from a vacuous sup.
+    """
+    d, a = spec.d, spec.alpha
+    surf = sphere_surface(d)
+    tau = t * spec.c * surf * spec.r**-a
+    coeffs = _truncated_series(d, a)
+
+    def log_quartic(log_v):
+        return 4.0 * log_v - tau * np.polynomial.polynomial.polyval(np.exp(2.0 * log_v), coeffs)
+
+    reach = math.log(SERIES_REACH)
+    rise = 0.5 * math.log(4.0 * d * (2.0 - a) / tau)
+    grid = np.linspace(min(rise, reach), reach, 512)
+    values = log_quartic(grid)
+    i = int(np.argmax(values))
+    best = float(values[i])
+    if 0 < i < len(grid) - 1:
+        found = optimize.minimize_scalar(
+            lambda x: -log_quartic(x), bounds=(grid[i - 1], grid[i + 1]), method="bounded",
+            options={"xatol": 1e-10},
+        )
+        best = max(best, -float(found.fun))
+    # each lower bound on F beyond the reach, growth * v^alpha - offset, has
+    # its 4 log v - tau F fall past its own peak: the value there, or at the
+    # reach, bounds the rest
+    tails = []
+    for growth, offset in (
+        (compute_sigma(d, a) / surf, 2.0 / a),
+        (np.polynomial.polynomial.polyval(SERIES_REACH**2, coeffs) / SERIES_REACH**a, 0.0),
+    ):
+        far = max(reach, math.log(4.0 / (a * tau * growth)) / a)
+        tails.append(4.0 * far - tau * (growth * math.exp(a * far) - offset))
+    return max(best, min(tails)) - 4.0 * math.log(spec.r)
 
 
 def _jump_parts(driver, t: float, epsilon: float | None = None, split_stable: bool = False) -> list:
@@ -503,11 +617,12 @@ def _jump_parts(driver, t: float, epsilon: float | None = None, split_stable: bo
     radius inverse CDF, small-jump sd per coordinate), the intensity and the
     Gaussian's variance per unit time.
 
-    Parts are cut at ``epsilon``, by default at min(r, t^(1/alpha))/10 for a
-    measure truncated at r and at t^(1/alpha)/10, alpha the floor's, for a
-    dominating measure's residual.  The residual is tabulated up to r_max =
-    1e3; the floor carries the heavy tail, so the neglect check concerns
-    only the excess.
+    Parts are cut at ``epsilon``, by default at :func:`_split_cutoff` for a
+    measure truncated at r (a few jumps per sample, none once the cutoff
+    reaches r) and at t^(1/alpha)/10, alpha the floor's, for a dominating
+    measure's residual.  The residual is tabulated up to r_max = 1e3; the
+    floor carries the heavy tail, so the neglect check concerns only the
+    excess.
     A stable measure (the driver, or a dominating floor) is left out, for the
     caller to draw exactly, unless ``split_stable`` makes it a part too, cut
     at :func:`_split_cutoff`.
@@ -518,7 +633,7 @@ def _jump_parts(driver, t: float, epsilon: float | None = None, split_stable: bo
         whole = TruncatedStableSpec(driver.d, driver.alpha, driver.c, math.inf)
         return [_truncated_part(whole, _split_cutoff(driver, t))]
     if isinstance(driver, TruncatedStableSpec):
-        eps = default_small_jump_cutoff(driver, t) if epsilon is None else epsilon
+        eps = _split_cutoff(driver, t) if epsilon is None else epsilon
         return [_truncated_part(driver, eps)]
     if isinstance(driver, DominatingLevySpec):
         floor = driver.stable_floor
@@ -535,11 +650,16 @@ def sample_increment(
     seed: Union[SeedSpec, np.random.Generator],
     epsilon: float | None = None,
 ) -> np.ndarray:
-    """Time-t increment of any supported driver.
+    """Time-t increment of any supported driver, as the semigroup reads it.
 
     The stable measure (the driver, or a dominating measure's floor) is drawn
-    exactly, then each of :func:`_jump_parts` (cut at ``epsilon`` or by
-    default) as compound-Poisson jumps plus a small-jump Gaussian.
+    exactly, then each of :func:`_jump_parts` as compound-Poisson jumps plus a
+    small-jump Gaussian.  By default a truncated driver is cut at
+    :func:`_split_cutoff`: its characteristic function stays within
+    SPLIT_CF_ERROR, which bounds P_t f for smooth bounded f, with a few jumps
+    per sample.  Its tails are not those of the law once the cutoff nears r,
+    so density estimates draw through :func:`sample_truncated_stable`
+    instead.  ``epsilon`` fixes the cutoff of every part.
     """
     if t <= 0.0:
         raise ValueError("time must be positive")
@@ -586,21 +706,24 @@ def small_jump_cf_error_bound(
 ) -> float:
     """Bound on the cf error from replacing sub-epsilon jumps by a Gaussian.
 
-    Third-order bound: |error in the cf exponent| <= t |xi|^3 / 6 * integral
-    of |z|^3 over |z| < epsilon, which also bounds the multiplicative error
-    of the characteristic function itself while the exponent error is small.
+    Every measure here is symmetric and isotropic, so the bound is fourth
+    order: 1 - cos x - x^2/2 lies in [-x^4/24, 0] and E theta_1^4 = 3 / (d
+    (d + 2)), so the Gaussian raises the cf exponent by at most t |xi|^4 m4 /
+    (8 d (d + 2)), m4 the integral of |z|^4 over |z| < epsilon.  The
+    Gaussian's cf lies below the true one, so this bounds the cf error too.
     """
+    d = measure.d
     if isinstance(measure, TruncatedStableSpec):
         a = measure.alpha
-        third = measure.c * sphere_surface(measure.d) * epsilon ** (3.0 - a) / (3.0 - a)
+        fourth = measure.c * sphere_surface(d) * min(epsilon, measure.r) ** (4.0 - a) / (4.0 - a)
     elif isinstance(measure, ResidualLevyMeasure):
-        third, _ = integrate.quad(
-            lambda rho: float(measure.radial_density(np.array([rho]))[0]) * rho ** (measure.d + 2),
+        fourth, _ = integrate.quad(
+            lambda rho: float(measure.radial_density(np.array([rho]))[0]) * rho ** (d + 3),
             0.0,
             epsilon,
             limit=200,
         )
-        third *= sphere_surface(measure.d)
+        fourth *= sphere_surface(d)
     else:
         raise TypeError(f"unsupported measure {type(measure).__name__}")
-    return t * xi_radius**3 * third / 6.0
+    return t * xi_radius**4 * fourth / (8.0 * d * (d + 2))

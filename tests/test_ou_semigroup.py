@@ -16,7 +16,6 @@ from harnacklab import (
     ball_indicator,
     compute_c0,
     constant,
-    default_small_jump_cutoff,
     empirical_cf,
     estimate_Ptf,
     exp_cap,
@@ -247,10 +246,7 @@ class TestExactNoise:
         the exponent errs by at most m4/(8d(d+2)) times the integral of
         |e^{sA^T} xi|^4 over [0, t], m4 the fourth moment of the jumps below eps.
         """
-        if isinstance(split, StableSpec):
-            eps = _split_cutoff(split, t)
-        else:
-            eps = default_small_jump_cutoff(split, t)
+        eps = _split_cutoff(split, t)
         d, a = split.d, split.alpha
         m4 = split.c * sphere_surface(d) * eps ** (4.0 - a) / (4.0 - a)
         quartic, _ = integrate.quad(

@@ -5,14 +5,17 @@ transforms, jump-measure moments) or the quadrature CDF oracle from helpers,
 never against the sampler's own machinery.
 """
 
+import functools
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from helpers import cdf_interpolant, ks_statistic, ks_threshold
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from harnacklab import (
     DominatingLevySpec,
@@ -34,6 +37,7 @@ from harnacklab import (
     symbol_radial,
 )
 from harnacklab import sampling
+from harnacklab.levy_core import sphere_surface
 from harnacklab.sampling import CHUNK, _one_sided_stable
 
 
@@ -186,7 +190,6 @@ class TestJumpDecomposition:
     def test_against_numeric_integrals(self, d, alpha, c, r, eps):
         spec = TruncatedStableSpec(d=d, alpha=alpha, c=c, r=r)
         decomp = make_jump_decomposition(spec, eps)
-        from harnacklab.levy_core import sphere_surface
 
         intensity, _ = integrate.quad(lambda rho: c * rho ** (-1.0 - alpha), eps, r)
         var_total, _ = integrate.quad(lambda rho: c * rho ** (1.0 - alpha), 0.0, eps)
@@ -397,17 +400,168 @@ class TestSampleIncrement:
             sample_increment(object(), 1.0, 10, SeedSpec(0))
 
 
+@functools.lru_cache(maxsize=None)
+def _cos_coefficients(d):
+    return [
+        (-1) ** k * math.gamma(d / 2.0) / (4**k * math.factorial(k) * math.gamma(k + d / 2.0))
+        for k in range(24)
+    ]
+
+
+def _cos_series(d, u, first):
+    """Sum over k >= first of (-1)^k (u/2)^(2k) Gamma(d/2) / (k! Gamma(k + d/2)),
+    the tail of the series of E cos(u theta_1), theta uniform on the unit
+    sphere of R^d (used below u = 2, where 24 terms are plenty)."""
+    x = u * u
+    return sum(c * x**k for k, c in enumerate(_cos_coefficients(d)) if k >= first)
+
+
+def _one_minus_mean_cos(d, u):
+    """1 - E cos(u theta_1), by its series below u = 2 and by Bessel J above."""
+    if u < 2.0:
+        return -_cos_series(d, u, 1)
+    if d == 1:
+        return 1.0 - math.cos(u)
+    nu = d / 2.0 - 1.0
+    return 1.0 - math.gamma(d / 2.0) * (2.0 / u) ** nu * special.jv(nu, u)
+
+
+class TestSemigroupCutoff:
+    """The truncated parts of ``sample_increment`` are cut at the cf budget."""
+
+    WORKLOAD = TruncatedStableSpec(d=1, alpha=1.8, c=1.0, r=0.5)
+
+    @staticmethod
+    def cf_error(spec, t, eps, s):
+        """The Gaussian's exact change of the time-t cf at |xi| = s, by quadrature.
+
+        The cf is e^{-t psi}; the Gaussian raises the exponent by t c |S| times
+        the integral over [0, eps] of (s^2 rho^2 / (2d) - 1 + E cos(s rho
+        theta_1)) rho^(-1-alpha).
+        """
+        d, a = spec.d, spec.alpha
+        scale = t * spec.c * sphere_surface(d)
+
+        def psi(rho):
+            return _one_minus_mean_cos(d, s * rho) * rho ** (-1.0 - a)
+
+        def excess(rho):
+            u = s * rho
+            gap = _cos_series(d, u, 2) if u < 2.0 else u * u / (2.0 * d) - _one_minus_mean_cos(d, u)
+            return gap * rho ** (-1.0 - a)
+
+        cf = math.exp(-scale * integrate.quad(psi, 0.0, spec.r, limit=400)[0])
+        return cf * -math.expm1(-scale * integrate.quad(excess, 0.0, eps, limit=400)[0])
+
+    @pytest.mark.parametrize(
+        "d, alpha, r, t",
+        [
+            (1, 1.8, 0.5, 1e-3),
+            (1, 1.8, 0.5, 0.1),
+            (1, 1.8, 0.5, 1.0),
+            (1, 1.8, 0.5, 2.0),
+            (2, 1.2, 1.0, 0.5),
+            (3, 1.9, 0.5, 1e-2),
+        ],
+    )
+    def test_cutoff_meets_its_cf_error_at_the_peak(self, d, alpha, r, t):
+        # the cutoff is below r here, so the worst exact cf error over all
+        # frequencies sits at the budget: met, and not by a needlessly small cutoff
+        spec = TruncatedStableSpec(d=d, alpha=alpha, c=1.0, r=r)
+        eps = sampling._split_cutoff(spec, t)
+        assert eps < r
+        coarse = np.geomspace(1e-2, 1e2, 61) / r
+        errors = [self.cf_error(spec, t, eps, s) for s in coarse]
+        i = int(np.argmax(errors))
+        fine = np.geomspace(coarse[max(i - 1, 0)], coarse[min(i + 1, 60)], 41)
+        worst = max(self.cf_error(spec, t, eps, s) for s in fine)
+        assert 0.9 * sampling.SPLIT_CF_ERROR <= worst <= sampling.SPLIT_CF_ERROR
+
+    def test_series_matches_the_symbol(self):
+        for spec in (self.WORKLOAD, TruncatedStableSpec(d=2, alpha=1.2, c=1.0, r=1.0)):
+            s = np.array([0.05, 1.0, 7.0, sampling.SERIES_REACH / spec.r])
+            coeffs = sampling._truncated_series(spec.d, spec.alpha)
+            series = sphere_surface(spec.d) * spec.r**-spec.alpha * np.polynomial.polynomial.polyval(
+                (spec.r * s) ** 2, coeffs
+            )
+            assert np.allclose(series, symbol_radial(spec, s), rtol=1e-9, atol=0.0)
+
+    def test_cutoff_reaches_r_and_draws_no_jumps(self):
+        # at t = 5 the law is Gaussian enough that the whole measure becomes
+        # the Gaussian: variance t c |S| r^(2-alpha) / (2-alpha), no jumps
+        spec, t, n = self.WORKLOAD, 5.0, 4 * 10**4
+        assert sampling._split_cutoff(spec, t) == spec.r
+        [(intensity, _, sd)] = sampling._jump_parts(spec, t)
+        assert intensity == 0.0
+        var = 2.0 * spec.r**0.2 / 0.2
+        assert sd**2 == pytest.approx(var, rel=1e-14)
+        x = sample_increment(spec, t, n, SeedSpec(65)).ravel()
+        assert np.array_equal(x, sd * math.sqrt(t) * SeedSpec(65).rng().standard_normal(n))
+
+    @pytest.mark.parametrize("t", [0.1, 1.0, 2.0])
+    def test_increment_cf_within_the_bound(self, t):
+        spec, n = self.WORKLOAD, 2 * 10**5
+        eps = sampling._split_cutoff(spec, t)
+        x = sample_increment(spec, t, n, SeedSpec(66)).ravel()
+        radii = np.array([0.5, 1.0, 2.0, 3.0])
+        means, ses = empirical_cf(x, radii[:, None])
+        target = np.exp(-t * symbol_radial(spec, radii))
+        for i, xi in enumerate(radii):
+            bound = small_jump_cf_error_bound(spec, t, eps, xi)
+            assert abs(means[i] - target[i]) < 4.0 * ses[i] + bound, (xi, means[i], target[i])
+
+    def test_few_jumps_per_sample(self):
+        for t in np.geomspace(0.1, 2.0, 25):
+            [(intensity, _, _)] = sampling._jump_parts(self.WORKLOAD, t)
+            assert t * intensity <= 6.0, t
+
+    @pytest.mark.parametrize("d, r", [(1, 1e-3), (2, 1.0), (3, 1e3)])
+    def test_small_alpha_at_long_times_stays_finite(self, d, r):
+        # alpha = 0.1 at t = 100: the stable comparison alone past the series'
+        # reach bounds the sup by e^(2 t c |S| r^(-alpha) / alpha), which made
+        # the cutoff underflow to 0
+        spec = TruncatedStableSpec(d=d, alpha=0.1, c=1.0, r=r)
+        t = 100.0
+        eps = sampling._split_cutoff(spec, t)
+        assert 0.0 < eps <= r
+        [(intensity, _, _)] = sampling._jump_parts(spec, t)
+        assert t * intensity < 200.0
+
+    def test_density_sampler_keeps_its_cutoff(self):
+        # sample_truncated_stable feeds density estimates and keeps
+        # default_small_jump_cutoff; these bytes are its output before the
+        # semigroup's parts took the cf-budget cutoff
+        x = sample_truncated_stable(self.WORKLOAD, 1.0, None, 20000, SeedSpec(7))
+        assert hashlib.sha256(x.tobytes()).hexdigest() == (
+            "375397b9fe83498f077c2b977d3f629d510f91dfef2f80c7b4e6b15aff3e1af8"
+        )
+
+
+class TestCompoundPoissonMemory:
+    def test_bytes_per_jump_at_d3(self):
+        # the jumps (24 B), their owners (8 B) and one column (8 B) at a time
+        icdf = sampling._power_radius_icdf(1.5, 0.01, 1.0)
+        rng = np.random.default_rng(5)
+        tracemalloc.start()
+        try:
+            _, counts = sampling._compound_poisson_chunk(rng, 2000, 500.0, icdf, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / counts.sum() < 44.0
+
+
 class TestCfErrorBound:
     def test_truncated_closed_form(self):
         spec = TruncatedStableSpec(d=1, alpha=1.0, c=1.0, r=1.0)
-        # t |xi|^3 / 6 * c * surf * eps^(3-alpha) / (3-alpha)
+        # t |xi|^4 / (8 d (d + 2)) * c * surf * eps^(4-alpha) / (4-alpha)
         assert small_jump_cf_error_bound(spec, 2.0, 0.1, 1.5) == pytest.approx(
-            2.0 * 1.5**3 / 6.0 * 2.0 * 0.1**2 / 2.0, rel=1e-12
+            2.0 * 1.5**4 / 24.0 * 2.0 * 0.1**3 / 3.0, rel=1e-12
         )
 
     def test_residual_matches_truncated_formula(self):
-        # the residual of (2x floor) is the floor itself, whose third absolute
-        # moment below eps agrees with the truncated closed form
+        # the residual of (2x floor) is the floor itself, whose fourth moment
+        # below eps agrees with the truncated closed form
         floor = StableSpec(d=1, alpha=1.0, c=1.0)
         dom = DominatingLevySpec(
             d=1, radial_density=lambda rho: 2.0 * rho ** (-2.0), stable_floor=floor
