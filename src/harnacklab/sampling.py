@@ -599,9 +599,9 @@ def _truncated_log_peak(spec: TruncatedStableSpec, t: float) -> float:
             options={"xatol": 1e-10},
         )
         best = max(best, -float(found.fun))
-    # each lower bound on F beyond the reach, growth * v^alpha - offset, has
-    # its 4 log v - tau F fall past its own peak: the value there, or at the
-    # reach, bounds the rest
+    # with F >= growth v^alpha - offset, 4 log v - tau F falls past v^alpha =
+    # 4 / (alpha tau growth): its bound there, or at the reach if later,
+    # bounds the rest
     tails = []
     for growth, offset in (
         (compute_sigma(d, a) / surf, 2.0 / a),
