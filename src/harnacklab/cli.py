@@ -99,16 +99,6 @@ def _parse_vector(text: str, d: int, flag: str) -> np.ndarray:
     return vec
 
 
-def _emit(doc: dict, out: str | None, fmt: str) -> None:
-    if out is None:
-        json.dump(doc, sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
-        return
-    write_report(doc, out, fmt) if "per_node" in doc else Path(out).write_text(
-        json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    )
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="harnacklab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"harnacklab {__version__}")

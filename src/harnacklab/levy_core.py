@@ -370,7 +370,11 @@ def _bulk_quad(f, lo: float, hi: float, d: int, epsrel: float = 1e-12) -> float:
         if k > 4096:
             pts = list(inside)
             break
-    val, err = integrate.quad(f, lo, hi, points=pts or None, limit=400, epsabs=0.0, epsrel=epsrel)
+    # quad spends one subinterval per breakpoint before it bisects any, so
+    # its limit grows with them (r |xi| past about 1,250 has over 400)
+    val, err = integrate.quad(
+        f, lo, hi, points=pts or None, limit=400 + len(pts), epsabs=0.0, epsrel=epsrel
+    )
     if not math.isfinite(val):
         raise QuadratureError(f"bulk quadrature diverged on [{lo}, {hi}]")
     return val

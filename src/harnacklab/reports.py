@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from datetime import datetime, timezone
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -89,6 +91,113 @@ def _validate_plain(plain: dict, schema_name: str) -> None:
     Draft202012Validator(load_schema(schema_name)).validate(plain)
 
 
+# Keywords the compiled check understands; anything else in a schema is
+# refused when it is compiled, so a schema edit cannot slip past it.
+_KEYWORDS = frozenset({
+    "$schema", "$id", "title",
+    "type", "enum", "properties", "required", "items", "minimum", "additionalProperties",
+})
+# exact Python types per JSON type: a subclass is refused, which is stricter
+# than jsonschema and costs only the fallback
+_TYPES = {
+    "object": (dict,),
+    "array": (list,),
+    "string": (str,),
+    "boolean": (bool,),
+    "null": (type(None),),
+    "number": (int, float),
+}
+
+
+def _type_check(names):
+    names = [names] if isinstance(names, str) else list(names)
+    exact = frozenset(tp for name in names if name != "integer" for tp in _TYPES[name])
+    if "integer" not in names:
+        return lambda v: type(v) in exact
+    return lambda v: type(v) in exact or type(v) is int or (type(v) is float and v.is_integer())
+
+
+def _enum_check(members):
+    # same type and equal, so True never matches 1 and [True] never [1]
+    scalars = [m for m in members if not isinstance(m, (list, dict))]
+    return lambda v: any(type(v) is type(m) and v == m for m in scalars)
+
+
+def _minimum_check(bound):
+    def check(v):
+        if isinstance(v, bool) or not isinstance(v, numbers.Number):
+            return True  # jsonschema applies minimum to numbers only
+        return type(v) in (int, float) and v >= bound
+
+    return check
+
+
+def _compile_schema(schema: dict):
+    """A predicate that accepts only instances ``schema`` accepts.
+
+    It covers ``type``, ``enum``, ``properties``, ``required``, ``items``,
+    ``minimum``, ``additionalProperties: true`` and the annotations, with
+    Draft 2020-12 meaning, and raises ValueError on any other keyword.  It
+    may reject what jsonschema would accept (a subclass of dict or float,
+    say), never the reverse, so a rejection is only a cue to ask jsonschema.
+    """
+    if not isinstance(schema, dict):
+        raise ValueError(f"cannot compile the schema {schema!r}")
+    unknown = set(schema) - _KEYWORDS
+    if unknown:
+        raise ValueError(f"cannot compile schema keywords {sorted(unknown)}")
+    if schema.get("additionalProperties", True) is not True:
+        raise ValueError("cannot compile additionalProperties other than true")
+    checks = []
+    if "type" in schema:
+        checks.append(_type_check(schema["type"]))
+    if "enum" in schema:
+        checks.append(_enum_check(schema["enum"]))
+    if "minimum" in schema:
+        checks.append(_minimum_check(schema["minimum"]))
+    if "required" in schema:
+        required = frozenset(schema["required"])
+        checks.append(lambda v: not isinstance(v, dict) or v.keys() >= required)
+    if "properties" in schema:
+        props = tuple((k, _compile_schema(sub)) for k, sub in schema["properties"].items())
+        checks.append(_properties_check(props))
+    if "items" in schema:
+        item = _compile_schema(schema["items"])
+        checks.append(lambda v: not isinstance(v, list) or all(map(item, v)))
+    if not checks:
+        return lambda v: True
+    if len(checks) == 1:
+        return checks[0]
+    return _all_of(tuple(checks))
+
+
+def _properties_check(props):
+    def check(v):
+        if isinstance(v, dict):
+            for key, ok in props:
+                if key in v and not ok(v[key]):
+                    return False
+        return True
+
+    return check
+
+
+def _all_of(checks):
+    def check(v):
+        for ok in checks:
+            if not ok(v):
+                return False
+        return True
+
+    return check
+
+
+@cache
+def _schema_check(schema_name: str):
+    """The compiled predicate of a published schema, built on first use."""
+    return _compile_schema(load_schema(schema_name))
+
+
 def validate_config(config: dict) -> None:
     validate_against(config, "config")
 
@@ -146,12 +255,16 @@ def write_report(report: dict, out: Path | str, fmt: str = "json") -> list[Path]
     """Write a validated report as pretty JSON and/or flattened CSV.
 
     ``out`` is the JSON path; the CSV sibling swaps the suffix.  Returns the
-    paths written.
+    paths written.  The report is checked against report.schema.json by a
+    predicate compiled from the schema once per process; only when that
+    rejects does jsonschema validate it, so an invalid report raises
+    jsonschema's own ValidationError and nothing is written.
     """
     if fmt not in ("json", "csv", "both"):
         raise ValueError(f"format must be json, csv or both, got {fmt!r}")
     report = _plain(report)
-    _validate_plain(report, "report")
+    if not _schema_check("report")(report):
+        _validate_plain(report, "report")
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     written = []

@@ -210,6 +210,15 @@ class TestSymbols:
             )
             assert symbol_radial(spec, s)[0] == pytest.approx(ref, rel=1e-8)
 
+    @pytest.mark.parametrize("d, v", [(1, 3e3), (2, 3e3), (3, 3e3), (1, 1e4)])
+    def test_truncated_symbol_at_far_frequency(self, d, v):
+        # past r |xi| of about 1,250 the bulk integral has more kernel zeros
+        # than quad's old subinterval limit; far out the symbol is the stable
+        # one less the mass of the jumps past r, c |S| r^(-alpha) / alpha
+        spec = TruncatedStableSpec(d=d, alpha=1.0, c=1.0, r=1.0)
+        far = compute_sigma(d, 1.0) * v - sphere_surface(d)
+        assert symbol_radial(spec, v)[0] == pytest.approx(far, rel=1e-6)
+
     def test_truncated_monotone_and_zero_at_origin(self):
         trunc = TruncatedStableSpec(d=2, alpha=0.8, c=1.0, r=1.0)
         s = np.linspace(0.0, 10.0, 30)

@@ -37,7 +37,7 @@ from harnacklab import (
     symbol_radial,
 )
 from harnacklab import sampling
-from harnacklab.levy_core import sphere_surface
+from harnacklab.levy_core import compute_sigma, sphere_surface
 from harnacklab.sampling import CHUNK, _one_sided_stable
 
 
@@ -485,6 +485,20 @@ class TestSemigroupCutoff:
                 (spec.r * s) ** 2, coeffs
             )
             assert np.allclose(series, symbol_radial(spec, s), rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "d, alpha, r", [(1, 1.8, 0.5), (2, 1.2, 1.0), (1, 0.3, 1.0), (3, 1.9, 0.5)]
+    )
+    def test_tail_bounds_hold_past_the_series(self, d, alpha, r):
+        # the two lower bounds on F(v) = psi / (c |S| r^(-alpha)) that
+        # _truncated_log_peak uses past V = SERIES_REACH, against quadrature
+        spec = TruncatedStableSpec(d=d, alpha=alpha, c=1.0, r=r)
+        surf, reach = sphere_surface(d), sampling.SERIES_REACH
+        v = np.array([50.0, 300.0, 3000.0])
+        F = symbol_radial(spec, v / r) / (surf * r**-alpha)
+        F_reach = np.polynomial.polynomial.polyval(reach**2, sampling._truncated_series(d, alpha))
+        assert np.all(F >= compute_sigma(d, alpha) / surf * v**alpha - 2.0 / alpha)
+        assert np.all(F >= F_reach * (v / reach) ** alpha)
 
     def test_cutoff_reaches_r_and_draws_no_jumps(self):
         # at t = 5 the law is Gaussian enough that the whole measure becomes
