@@ -212,9 +212,9 @@ class TestSymbols:
 
     @pytest.mark.parametrize("d, v", [(1, 3e3), (2, 3e3), (3, 3e3), (1, 1e4)])
     def test_truncated_symbol_at_far_frequency(self, d, v):
-        # past r |xi| of about 1,250 the bulk integral has more kernel zeros
-        # than quad's old subinterval limit; far out the symbol is the stable
-        # one less the mass of the jumps past r, c |S| r^(-alpha) / alpha
+        # past r |xi| of about 1,250 the bulk integral has over 400 kernel
+        # zeros as breakpoints; far out the symbol is the stable one less the
+        # mass of the jumps past r, c |S| r^(-alpha) / alpha
         spec = TruncatedStableSpec(d=d, alpha=1.0, c=1.0, r=1.0)
         far = compute_sigma(d, 1.0) * v - sphere_surface(d)
         assert symbol_radial(spec, v)[0] == pytest.approx(far, rel=1e-6)
