@@ -10,18 +10,14 @@ fitting the existential constants those inequalities only assert to exist.
 __version__ = "0.1.0"
 
 from .levy_core import (
-    DominatingLevySpec,
-    DominationError,
     OUSpec,
     QuadratureError,
-    ResidualLevyMeasure,
     StableSpec,
     TruncatedStableSpec,
     compute_c0,
     compute_mu_hat,
     compute_sigma,
     describe_spec,
-    split_levy_measure,
     symbol,
     symbol_radial,
     time_integrated_symbol,
@@ -30,12 +26,10 @@ from .sampling import (
     CalibrationError,
     JumpDecomposition,
     SeedSpec,
-    TailMassError,
     default_small_jump_cutoff,
     empirical_cf,
     make_jump_decomposition,
     sample_increment,
-    sample_residual,
     sample_rot_stable,
     sample_sym_stable_1d,
     sample_truncated_stable,
@@ -78,7 +72,6 @@ from .harnack_lab import (
     CheckResult,
     InequalityReport,
     INEQUALITY_IDS,
-    LogRatioIntegralReport,
     Node,
     NodeResult,
     RatioCase,
@@ -90,7 +83,6 @@ from .harnack_lab import (
     jensen_check,
     jensen_suite,
     lemma_ratio_bound,
-    log_ratio_integral_bound,
     truncated_ratio_bound,
     verify_harnack,
     verify_log_harnack,

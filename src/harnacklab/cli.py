@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -60,9 +61,22 @@ class _Parser(argparse.ArgumentParser):
         raise CLIError(message)
 
 
+def _read_json(path: str, what: str):
+    """The JSON document in ``path``, refusing the NaN and infinite numbers
+    that Python's json module would accept."""
+
+    def finite(literal: str) -> float:
+        value = float(literal)
+        if not math.isfinite(value):
+            raise CLIError(f"{what} {path} holds the non-finite number {literal}")
+        return value
+
+    return json.loads(Path(path).read_text(), parse_float=finite, parse_constant=finite)
+
+
 def _load_config(path: str) -> dict:
     try:
-        cfg = json.loads(Path(path).read_text())
+        cfg = _read_json(path, "config")
     except OSError as exc:
         raise CLIError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -332,7 +346,7 @@ def _cmd_verify(args) -> int:
     overrides: dict = {}
     if args.grid:
         try:
-            overrides = json.loads(Path(args.grid).read_text())
+            overrides = _read_json(args.grid, "grid override")
         except (OSError, json.JSONDecodeError) as exc:
             raise CLIError(f"cannot read grid override {args.grid}: {exc}") from exc
         try:

@@ -49,7 +49,7 @@ from .levy_core import (
     TruncatedStableSpec,
     describe_spec,
 )
-from .sampling import SeedSpec, sample_truncated_stable
+from .sampling import SeedSpec
 from .ou_semigroup import (
     SemigroupSampler,
     TestFunction,
@@ -65,7 +65,6 @@ __all__ = [
     "InequalityReport",
     "RatioCase",
     "CheckResult",
-    "LogRatioIntegralReport",
     "INEQUALITY_IDS",
     "STABILITY_THRESHOLD",
     "fit_constant",
@@ -84,7 +83,6 @@ __all__ = [
     "verify_p_harnack",
     "verify_log_harnack",
     "verify_truncated_ratio",
-    "log_ratio_integral_bound",
     "young_inequality_check",
     "jensen_check",
     "young_suite",
@@ -636,13 +634,6 @@ def _difference_slack(
     return 3.0 * math.sqrt(max(var, 0.0) / n)
 
 
-def _driver_alpha(spec: OUSpec) -> float:
-    drv = spec.driver
-    if isinstance(drv, (StableSpec, TruncatedStableSpec)):
-        return drv.alpha
-    return drv.stable_floor.alpha
-
-
 def _stability(fitted: float, validation: float | None) -> bool | None:
     if validation is None:
         return None
@@ -782,7 +773,7 @@ def verify_harnack(
     excluded.  The report is 'harnack_stable' for the 'raw' time scale and
     'harnack_ou' for 'capped'.
     """
-    alpha, d = _driver_alpha(spec), spec.d
+    alpha, d = spec.driver.alpha, spec.d
     time_scale = _time_scale(spec, time_scale)
     f_set = default_test_functions(d) if f_set is None else list(f_set)
 
@@ -835,7 +826,7 @@ def verify_p_harnack(
     for p in p_list:
         if p <= 1.0:
             raise ValueError(f"power must exceed 1, got {p}")
-    alpha, d = _driver_alpha(spec), spec.d
+    alpha, d = spec.driver.alpha, spec.d
     time_scale = _time_scale(spec, time_scale)
     f_set = default_test_functions(d) if f_set is None else list(f_set)
     jensen_failures = 0
@@ -1073,103 +1064,6 @@ def verify_truncated_ratio(
             "stability_ok": _stability(fitted, validation_C),
         },
         violations=[],
-    )
-
-
-@dataclass(frozen=True)
-class LogRatioIntegralReport:
-    """Relative entropy between two truncated transition laws versus its cost.
-
-    kl_estimate approximates the integral of log(p_t(y,.) / p_t(x,.)) against
-    p_t(y,.); the log-Harnack mechanism needs it controlled by
-    C (1 + |x-y|) log((2 + |x-y|) / t).
-    """
-
-    t: float
-    x: tuple[float, ...]
-    y: tuple[float, ...]
-    kl_estimate: float
-    std_err: float
-    envelope_unit: float
-    C: float
-    holds: bool
-    floored_count: int
-    n: int
-
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "x": list(self.x),
-            "y": list(self.y),
-            "kl_estimate": self.kl_estimate,
-            "std_err": self.std_err,
-            "envelope_unit": self.envelope_unit,
-            "C": self.C,
-            "holds": self.holds,
-            "floored_count": self.floored_count,
-            "n": self.n,
-        }
-
-
-def log_ratio_integral_bound(
-    spec: TruncatedStableSpec,
-    t: float,
-    x,
-    y,
-    *,
-    n: int = 10**5,
-    seed: SeedSpec | None = None,
-    estimate: DensityGrid | None = None,
-    C: float | None = None,
-    floor: float = 1e-12,
-) -> LogRatioIntegralReport:
-    """Monte Carlo bound on the entropy-type integral behind the log-Harnack cost.
-
-    Draws Z from the transition law started at x and averages
-    log p_hat(Z - x) - log p_hat(Z - y) on the KDE estimate (the relative
-    entropy of the x-law with respect to the y-law); densities below
-    ``floor`` are floored and counted rather than allowed to blow up the
-    logarithm.  With C omitted, the smallest admissible constant is fitted;
-    with C given, holds reports whether the estimate stays below
-    C * envelope + 3 SE.
-    """
-    if spec.d != 1:
-        raise NotImplementedError("entropy integral check is implemented for d=1")
-    if not 0.0 < t <= 1.0:
-        raise ValueError("the entropy-cost envelope is stated for t in (0, 1]")
-    if seed is None:
-        seed = SeedSpec(0)
-    x = np.asarray(x, dtype=float).reshape(1)
-    y = np.asarray(y, dtype=float).reshape(1)
-    if estimate is None:
-        estimate = truncated_density_estimate(
-            spec, t, max(n, 2 * 10**5), seed=seed.substream(5)
-        )
-    z = x[None, :] + sample_truncated_stable(spec, t, None, n, seed.substream(7))
-    px = grid_interp(estimate, z - x)
-    py = grid_interp(estimate, z - y)
-    floored = int(np.sum(px < floor) + np.sum(py < floor))
-    vals = np.log(np.maximum(px, floor)) - np.log(np.maximum(py, floor))
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1)) / math.sqrt(n)
-    dist = float(np.linalg.norm(x - y))
-    env = (1.0 + dist) * math.log((2.0 + dist) / t)
-    if C is None:
-        C = max(mean, 0.0) / env
-        holds = True
-    else:
-        holds = mean <= C * env + 3.0 * se
-    return LogRatioIntegralReport(
-        t=t,
-        x=tuple(x),
-        y=tuple(y),
-        kl_estimate=mean,
-        std_err=se,
-        envelope_unit=env,
-        C=float(C),
-        holds=bool(holds),
-        floored_count=floored,
-        n=n,
     )
 
 

@@ -1,10 +1,9 @@
 """Levy measures and characteristic exponents of the isotropic stable family.
 
 The noises handled here are rotationally invariant alpha-stable measures
-c |z|^(-d-alpha) dz, their truncations to a centred ball, and user-supplied
-isotropic measures that dominate a stable floor.  Everything downstream
-(density inversion, exact samplers, semigroup estimation) consumes the types
-and symbol routines defined in this module.
+c |z|^(-d-alpha) dz and their truncations to a centred ball.  Everything
+downstream (density inversion, exact samplers, semigroup estimation) consumes
+the types and symbol routines defined in this module.
 
 Sign convention: for a symmetric driver the characteristic function of the
 time-t marginal is exp(-t * symbol(xi)), so the symbol is real and
@@ -16,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 from scipy import integrate, special
@@ -25,10 +24,7 @@ from scipy.linalg import expm
 __all__ = [
     "StableSpec",
     "TruncatedStableSpec",
-    "DominatingLevySpec",
     "OUSpec",
-    "ResidualLevyMeasure",
-    "DominationError",
     "QuadratureError",
     "describe_spec",
     "sphere_surface",
@@ -41,7 +37,6 @@ __all__ = [
     "symbol",
     "symbol_radial",
     "compute_c0",
-    "split_levy_measure",
     "time_integrated_symbol",
     "compute_mu_hat",
 ]
@@ -49,10 +44,6 @@ __all__ = [
 
 class QuadratureError(RuntimeError):
     """An adaptive integration step failed to reach its tolerance."""
-
-
-class DominationError(ValueError):
-    """A user-supplied Levy density fails to dominate the stable floor."""
 
 
 # ---------------------------------------------------------------------------
@@ -101,28 +92,7 @@ class TruncatedStableSpec:
             raise ValueError(f"truncation radius must be positive, got {self.r}")
 
 
-@dataclass(frozen=True)
-class DominatingLevySpec:
-    """Isotropic Levy measure m(|z|) dz dominating a stable floor.
-
-    ``radial_density`` maps an array of radii to the (Lebesgue) density value
-    m(rho) >= 0 and must be vectorized.  Domination means
-    m(rho) >= floor.c * rho^(-d-alpha) for all rho > 0; it is verified on a
-    logarithmic grid by :func:`split_levy_measure`.
-    """
-
-    d: int
-    radial_density: Callable[[np.ndarray], np.ndarray]
-    stable_floor: StableSpec
-
-    def __post_init__(self) -> None:
-        if self.d != self.stable_floor.d:
-            raise ValueError(
-                f"dimension mismatch: spec has d={self.d}, floor has d={self.stable_floor.d}"
-            )
-
-
-DriverSpec = Union[StableSpec, TruncatedStableSpec, DominatingLevySpec]
+DriverSpec = Union[StableSpec, TruncatedStableSpec]
 
 
 def describe_spec(spec) -> dict:
@@ -136,12 +106,6 @@ def describe_spec(spec) -> dict:
             "alpha": spec.alpha,
             "c": spec.c,
             "r": spec.r,
-        }
-    if isinstance(spec, DominatingLevySpec):
-        return {
-            "driver": "dominating",
-            "d": spec.d,
-            "stable_floor": describe_spec(spec.stable_floor),
         }
     if isinstance(spec, OUSpec):
         doc = describe_spec(spec.driver)
@@ -407,11 +371,6 @@ def compute_sigma(d: int, alpha: float) -> float:
     return sphere_surface(d) * radial
 
 
-@lru_cache(maxsize=None)
-def _truncated_radial_tail_zeros(d: int) -> np.ndarray:
-    return bessel_zeros(d / 2.0 - 1.0, 2048)
-
-
 def _incomplete_exponent(d: int, alpha: float, v: float) -> float:
     """integral of u^(-1-alpha) (1 - sphere_cf(d, u)) du over [0, v]."""
     if v <= 0.0:
@@ -448,42 +407,7 @@ def symbol_radial(spec: DriverSpec, s) -> np.ndarray:
                     * _incomplete_exponent(spec.d, spec.alpha, spec.r * si)
                 )
         return out
-    if isinstance(spec, DominatingLevySpec):
-        return _dominating_symbol_radial(spec, s)
     raise TypeError(f"unknown driver spec {type(spec).__name__}")
-
-
-def _dominating_symbol_radial(spec: DominatingLevySpec, s: np.ndarray) -> np.ndarray:
-    d = spec.d
-    surf = sphere_surface(d)
-    out = np.empty_like(s)
-    for i, si in enumerate(s):
-        if si == 0.0:
-            out[i] = 0.0
-            continue
-
-        def f(rho, si=si):
-            return one_minus_sphere_cf(d, rho * si) * spec.radial_density(rho) * rho ** (d - 1)
-
-        # beyond rho_max the kernel factor is bounded by 2, so the tail is
-        # controlled by the measure's own tail mass
-        rho_max = max(50.0 / si, 50.0)
-        zeros = _truncated_radial_tail_zeros(d) / si
-        pts = list(zeros[(zeros > 0.0) & (zeros < rho_max)])[:900]
-        val, _ = integrate.quad(f, 0.0, rho_max, points=pts or None, limit=1000,
-                                epsabs=0.0, epsrel=1e-9)
-        # for rho > rho_max the kernel is ~1 (its oscillation has died out at
-        # radius rho_max * si >= 50), so the remainder is the plain tail mass
-        tail_mass, _ = integrate.quad(
-            lambda rho: spec.radial_density(rho) * rho ** (d - 1), rho_max, np.inf, limit=200
-        )
-        if not math.isfinite(tail_mass) or surf * tail_mass > 0.05 * abs(surf * val):
-            raise QuadratureError(
-                f"dominating measure decays too slowly beyond rho={rho_max:.3g} "
-                "for reliable symbol quadrature"
-            )
-        out[i] = surf * (val + tail_mass)
-    return out
 
 
 def symbol(spec: DriverSpec, xi) -> np.ndarray:
@@ -519,67 +443,6 @@ def compute_c0(op_norm: float, d: int) -> float:
 
     val, _ = integrate.quad(f, 0.0, upper, limit=200, epsabs=0.0, epsrel=1e-12)
     return sphere_surface(d) * val
-
-
-# ---------------------------------------------------------------------------
-# measure splitting
-
-
-@dataclass(frozen=True)
-class ResidualLevyMeasure:
-    """What remains of a dominating measure after removing its stable floor."""
-
-    d: int
-    floor: StableSpec
-    radial_density: Callable[[np.ndarray], np.ndarray]
-    grid: np.ndarray
-    worst_relative_residual: float
-
-
-def split_levy_measure(
-    spec: DominatingLevySpec,
-    grid: np.ndarray | None = None,
-    rel_tol: float = 1e-9,
-) -> ResidualLevyMeasure:
-    """Split m(|z|) dz into the stable floor plus a nonnegative residual.
-
-    Domination is verified pointwise on ``grid`` (default: 400 log-spaced
-    radii in [1e-6, 1e3]).  The floor spans many orders of magnitude there,
-    so the check is relative: residual >= -rel_tol * floor.  Negative values
-    inside that tolerance are rounding noise from the caller's own arithmetic
-    and the returned residual density clamps them to zero.
-    """
-    if grid is None:
-        grid = np.geomspace(1e-6, 1e3, 400)
-    grid = np.asarray(grid, dtype=float)
-    floor = spec.stable_floor
-
-    def floor_density(rho: np.ndarray) -> np.ndarray:
-        return floor.c * rho ** (-(floor.d + floor.alpha))
-
-    m = np.asarray(spec.radial_density(grid), dtype=float)
-    f = floor_density(grid)
-    rel = (m - f) / f
-    worst = float(rel.min())
-    if worst < -rel_tol:
-        idx = int(np.argmin(rel))
-        raise DominationError(
-            f"density fails to dominate the stable floor at rho={grid[idx]:.6g}: "
-            f"m={m[idx]:.6g} < floor={f[idx]:.6g} (relative deficit {rel[idx]:.3e})"
-        )
-
-    def residual(rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=float)
-        diff = np.asarray(spec.radial_density(rho), dtype=float) - floor_density(rho)
-        return np.maximum(diff, 0.0)
-
-    return ResidualLevyMeasure(
-        d=spec.d,
-        floor=floor,
-        radial_density=residual,
-        grid=grid,
-        worst_relative_residual=worst,
-    )
 
 
 # ---------------------------------------------------------------------------

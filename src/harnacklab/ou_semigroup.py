@@ -26,7 +26,6 @@ from scipy.linalg import expm
 from .levy_core import (
     OUSpec,
     StableSpec,
-    TruncatedStableSpec,
     compute_c0,
     time_integrated_symbol,
 )
@@ -34,7 +33,6 @@ from .sampling import (
     SeedSpec,
     _compound_poisson_gaussian,
     _jump_parts,
-    _stable_measure,
     sample_increment,
     sample_rot_stable,
 )
@@ -142,21 +140,20 @@ def ou_noise(spec: OUSpec, t: float, n: int, seed: SeedSpec) -> np.ndarray:
     from the driver's parts, all drawn from seed.rng(0):
 
     - A = 0: the driver's increment ``sample_increment(driver, t, n, rng)``.
-    - A stable measure (the driver or a dominating floor) when A + A^T = 2aI
-      (every d = 1 drift; a I plus a skew part): by rotational invariance,
-      one stable draw at the effective time (e^{alpha a t} - 1)/(alpha a).
-    - Otherwise the stable measure is split into Pareto jumps and a Gaussian
-      (Asmussen-Rosinski).  Jumps of every part fall at uniform times s with
-      weights e^{sA}; a part's small-jump Gaussian with variance v per unit
-      time gets the covariance v times the integral of e^{sA} e^{sA^T}.
+    - A stable driver when A + A^T = 2aI (every d = 1 drift; a I plus a skew
+      part): by rotational invariance, one stable draw at the effective time
+      (e^{alpha a t} - 1)/(alpha a).
+    - Otherwise the measure is split into Pareto jumps and a Gaussian
+      (Asmussen-Rosinski).  The jumps fall at uniform times s with weights
+      e^{sA}; the small-jump Gaussian with variance v per unit time gets the
+      covariance v times the integral of e^{sA} e^{sA^T}.
 
-    Stable and truncated measures are cut at ``sampling._split_cutoff``,
-    where, without drift, the Gaussian moves the cf by at most 1e-4: a few
-    jumps per sample, and none for a truncated measure once the cutoff
-    reaches r.  The noise only feeds P_t f, an integral of the cf for smooth
-    bounded f, so the cf budget bounds what it reads; density estimates,
-    which read tails, draw through ``sample_truncated_stable`` instead.  A
-    dominating measure's residual is cut at t^(1/alpha)/10.
+    The measure is cut at ``sampling._split_cutoff``, where, without drift,
+    the Gaussian moves the cf by at most 1e-4: a few jumps per sample, and
+    none for a truncated measure once the cutoff reaches r.  The noise only
+    feeds P_t f, an integral of the cf for smooth bounded f, so the cf budget
+    bounds what it reads; density estimates, which read tails, draw through
+    ``sample_truncated_stable`` instead.
     """
     if t <= 0.0:
         raise ValueError("time must be positive")
@@ -166,13 +163,12 @@ def ou_noise(spec: OUSpec, t: float, n: int, seed: SeedSpec) -> np.ndarray:
     if spec.op_norm == 0.0:
         return sample_increment(driver, t, n, seed.rng(0))
     rng = seed.rng(0)
-    floor = _stable_measure(driver)
     sym = spec.A + spec.A.T  # 2aI when A is conformal
-    conformal = floor is not None and np.array_equal(sym, sym[0, 0] * np.eye(spec.d))
+    conformal = isinstance(driver, StableSpec) and np.array_equal(sym, sym[0, 0] * np.eye(spec.d))
     noise = np.zeros((n, spec.d))
     if conformal:
-        rate = 0.5 * floor.alpha * sym[0, 0]
-        noise = sample_rot_stable(floor, t if rate == 0.0 else math.expm1(rate * t) / rate, n, rng)
+        rate = 0.5 * driver.alpha * sym[0, 0]
+        noise = sample_rot_stable(driver, t if rate == 0.0 else math.expm1(rate * t) / rate, n, rng)
     parts = _jump_parts(driver, t, split_stable=not conformal)
     if parts:
         weigh = _jump_weigher(spec, t)
@@ -471,18 +467,14 @@ def factorization_check(
     """
     if not 0.0 < t <= 1.0:
         raise ValueError("factorization check is defined for t in (0, 1]")
-    driver = spec.driver
-    if isinstance(driver, (StableSpec, TruncatedStableSpec)):
-        c_floor, alpha = driver.c, driver.alpha
-    else:
-        c_floor, alpha = driver.stable_floor.c, driver.stable_floor.alpha
+    c, alpha = spec.driver.c, spec.driver.alpha
     d = spec.d
     probes = _default_probes(d) if probe_xis is None else np.atleast_2d(np.asarray(probe_xis, float))
     c0 = compute_c0(spec.op_norm, d)
     mu, sf, pi = [], [], []
     for xi in probes:
         integral = time_integrated_symbol(spec, xi, t)
-        stable_exp = t * c0 * c_floor * float(np.linalg.norm(xi)) ** alpha
+        stable_exp = t * c0 * c * float(np.linalg.norm(xi)) ** alpha
         mu.append(math.exp(-integral))
         sf.append(math.exp(-stable_exp))
         pi.append(math.exp(stable_exp - integral))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import numbers
 from datetime import datetime, timezone
 from functools import cache
@@ -36,18 +37,21 @@ __all__ = [
 
 
 def _plain(obj):
-    """Recursively convert numpy scalars/arrays so json sees pure Python."""
+    """Recursively convert numpy scalars/arrays so json sees pure Python.
+
+    Floats, the most common leaves, are tested first (np.float64 is a float).
+    """
+    if isinstance(obj, (float, np.floating)):
+        v = float(obj)
+        if not math.isfinite(v):
+            raise ValueError("non-finite value cannot be serialized to a report")
+        return v
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        if v != v or v in (float("inf"), float("-inf")):
-            raise ValueError("non-finite value cannot be serialized to a report")
-        return v
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):

@@ -1,24 +1,23 @@
-"""Random variate generation for stable, truncated-stable, and residual noises.
+"""Random variate generation for stable and truncated-stable noises.
 
 Exact transforms (Chambers-Mallows-Stuck in one dimension, Gaussian
 subordination through a Kanter one-sided draw in higher dimensions) cover the
-rotationally invariant stable family.  Truncated and residual measures have
-no exact sampler; they use the standard compound-Poisson construction with a
-variance-matched Gaussian standing in for the jumps below a cutoff epsilon,
-whose characteristic-function error is bounded by
-:func:`small_jump_cf_error_bound`.
+rotationally invariant stable family.  Truncated measures have no exact
+sampler; they use the standard compound-Poisson construction with a
+variance-matched Gaussian standing in for the jumps below a cutoff, whose
+characteristic-function error is bounded by :func:`small_jump_cf_error_bound`.
 
 Which cutoff applies depends on what reads the draws:
 
 - :func:`sample_increment`, which feeds the semigroup (P_t f through
   ``ou_noise``), cuts stable and truncated measures at :func:`_split_cutoff`,
-  the largest epsilon whose Gaussian moves the time-t characteristic function
+  the largest cutoff whose Gaussian moves the time-t characteristic function
   by at most SPLIT_CF_ERROR.  P_t f of a smooth bounded f is an integral of
   the characteristic function, so that budget bounds what it reads, with a
   few jumps per sample at any t.
 - :func:`sample_truncated_stable` keeps :func:`default_small_jump_cutoff`.
   It feeds the kernel density estimates, whose tails a characteristic-function
-  budget does not bound (at epsilon = r the law would be a Gaussian with
+  budget does not bound (at a cutoff of r the law would be a Gaussian with
   Gaussian tails), so it keeps the jumps that carry the tail.
 
 Everything is deterministic given a :class:`SeedSpec`: draws happen in fixed
@@ -33,29 +32,24 @@ from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 
 from .levy_core import (
-    DominatingLevySpec,
-    ResidualLevyMeasure,
     StableSpec,
     TruncatedStableSpec,
     compute_sigma,
     sphere_surface,
-    split_levy_measure,
 )
 
 __all__ = [
     "SeedSpec",
     "JumpDecomposition",
     "CalibrationError",
-    "TailMassError",
     "sample_sym_stable_1d",
     "sample_rot_stable",
     "make_jump_decomposition",
     "default_small_jump_cutoff",
     "sample_truncated_stable",
-    "sample_residual",
     "sample_increment",
     "empirical_cf",
     "small_jump_cf_error_bound",
@@ -77,10 +71,6 @@ SPLIT_CF_ERROR = 1e-4
 
 class CalibrationError(RuntimeError):
     """A sampler failed its characteristic-function self-check."""
-
-
-class TailMassError(ValueError):
-    """Neglected jump mass beyond the tabulation radius is too large."""
 
 
 @dataclass(frozen=True)
@@ -227,20 +217,24 @@ def sample_rot_stable(
     |xi|^alpha), so the standard draw is scaled by (t sigma c)^(1/alpha).
     The first call for each (d, alpha) runs a characteristic-function
     self-check at three probe frequencies (n = 1e6, fixed internal seed) and
-    raises CalibrationError beyond 3 Monte Carlo standard errors.
+    raises CalibrationError beyond 3 Monte Carlo standard errors.  A t sigma c
+    that overflows a double raises OverflowError.
     """
     if t <= 0.0:
         raise ValueError("time must be positive")
     if n < 1:
         raise ValueError("n must be at least 1")
+    tb = t * compute_sigma(spec.d, spec.alpha) * spec.c
+    if not math.isfinite(tb):
+        raise OverflowError(f"t sigma c overflows a double at t={t:g}, c={spec.c:g}")
     _rot_stable_self_check(spec.d, int(round(spec.alpha * 10**9)))
     rng = _as_rng(seed)
-    mult = (t * compute_sigma(spec.d, spec.alpha) * spec.c) ** (1.0 / spec.alpha)
+    mult = tb ** (1.0 / spec.alpha)
     return mult * _standard_rot_stable(spec.d, spec.alpha, n, rng)
 
 
 # ---------------------------------------------------------------------------
-# compound-Poisson machinery for truncated and residual measures
+# compound-Poisson machinery for truncated measures
 
 
 @dataclass(frozen=True)
@@ -426,98 +420,6 @@ def sample_truncated_stable(
     )
 
 
-def _tabulated_radius_icdf(
-    density: Callable[[np.ndarray], np.ndarray],
-    d: int,
-    lo: float,
-    hi: float,
-    n_nodes: int = 1200,
-) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
-    """Inverse CDF (by table) of radius ~ density(rho) rho^(d-1) on [lo, hi].
-
-    Returns (icdf, total unnormalized mass without surface factor).
-    """
-    grid = np.geomspace(lo, hi, n_nodes)
-    vals = np.asarray(density(grid), dtype=float) * grid ** (d - 1)
-    increments = 0.5 * (vals[1:] + vals[:-1]) * np.diff(grid)
-    cdf = np.concatenate([[0.0], np.cumsum(increments)])
-    total = cdf[-1]
-    if total <= 0.0:
-        return (lambda u: np.full_like(u, lo)), 0.0
-    cdf /= total
-
-    def icdf(u: np.ndarray) -> np.ndarray:
-        return np.interp(u, cdf, grid)
-
-    return icdf, total
-
-
-def _residual_part(residual: ResidualLevyMeasure, epsilon: float, r_max: float) -> tuple:
-    """The residual measure's part, tabulated on [epsilon, r_max].
-
-    Raises TailMassError if the mass neglected beyond r_max exceeds 1e-4 of
-    the total jump mass.
-    """
-    d = residual.d
-    surf = sphere_surface(d)
-    dens = residual.radial_density
-
-    icdf, body_mass = _tabulated_radius_icdf(dens, d, epsilon, r_max)
-    tail_mass, _ = integrate.quad(
-        lambda rho: float(dens(np.array([rho]))[0]) * rho ** (d - 1), r_max, np.inf, limit=200
-    )
-    if body_mass > 0.0 and tail_mass > 1e-4 * (body_mass + tail_mass):
-        raise TailMassError(
-            f"neglected jump mass beyond r_max={r_max} is {tail_mass / (body_mass + tail_mass):.2e} "
-            "of the total; increase r_max"
-        )
-
-    var_total, _ = integrate.quad(
-        lambda rho: float(dens(np.array([rho]))[0]) * rho ** (d + 1), 0.0, epsilon, limit=200
-    )
-    return surf * body_mass, icdf, math.sqrt(surf * var_total / d)
-
-
-def sample_residual(
-    residual: ResidualLevyMeasure,
-    t: float,
-    epsilon: float,
-    n: int,
-    seed: Union[SeedSpec, np.random.Generator],
-    r_max: float = 1e3,
-    return_counts: bool = False,
-) -> np.ndarray:
-    """(n, d) increments of the Levy process with the residual measure.
-
-    Jumps with radius in (epsilon, r_max] are compound Poisson from a
-    tabulated inverse CDF; jumps below epsilon become a variance-matched
-    Gaussian.  Raises TailMassError if the mass neglected beyond r_max
-    exceeds 1e-4 of the total jump mass.
-    """
-    if t <= 0.0 or epsilon <= 0.0:
-        raise ValueError("time and cutoff must be positive")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    d = residual.d
-    intensity, icdf, sd = _residual_part(residual, epsilon, r_max)
-    rng = _as_rng(seed)
-    if intensity == 0.0 and sd == 0.0:
-        out = np.zeros((n, d))
-        if return_counts:
-            return out, np.zeros(n, dtype=np.int64)
-        return out
-    return _compound_poisson_gaussian(
-        rng, n, d, t * intensity, icdf, sd * math.sqrt(t), return_counts
-    )
-
-
-def _stable_measure(driver) -> StableSpec | None:
-    """The stable measure drawn exactly: the driver itself or a dominating floor."""
-    if isinstance(driver, StableSpec):
-        return driver
-    return getattr(driver, "stable_floor", None)
-
-
 def _split_cutoff(spec: StableSpec | TruncatedStableSpec, t: float) -> float:
     """Cutoff at which a stable or truncated measure becomes jumps plus a
     small-jump Gaussian.
@@ -612,20 +514,15 @@ def _truncated_log_peak(spec: TruncatedStableSpec, t: float) -> float:
     return max(best, min(tails)) - 4.0 * math.log(spec.r)
 
 
-def _jump_parts(driver, t: float, epsilon: float | None = None, split_stable: bool = False) -> list:
+def _jump_parts(driver, t: float, split_stable: bool = False) -> list:
     """The compound-Poisson parts of ``driver`` at horizon t: (jump intensity,
     radius inverse CDF, small-jump sd per coordinate), the intensity and the
     Gaussian's variance per unit time.
 
-    Parts are cut at ``epsilon``, by default at :func:`_split_cutoff` for a
-    measure truncated at r (a few jumps per sample, none once the cutoff
-    reaches r) and at t^(1/alpha)/10, alpha the floor's, for a dominating
-    measure's residual.  The residual is tabulated up to r_max = 1e3; the
-    floor carries the heavy tail, so the neglect check concerns only the
-    excess.
-    A stable measure (the driver, or a dominating floor) is left out, for the
-    caller to draw exactly, unless ``split_stable`` makes it a part too, cut
-    at :func:`_split_cutoff`.
+    A truncated driver is one part, cut at :func:`_split_cutoff` (a few jumps
+    per sample, none once the cutoff reaches r).  A stable driver is left
+    out, for the caller to draw exactly, unless ``split_stable`` makes it a
+    part too, cut at :func:`_split_cutoff`.
     """
     if isinstance(driver, StableSpec):
         if not split_stable:
@@ -633,13 +530,7 @@ def _jump_parts(driver, t: float, epsilon: float | None = None, split_stable: bo
         whole = TruncatedStableSpec(driver.d, driver.alpha, driver.c, math.inf)
         return [_truncated_part(whole, _split_cutoff(driver, t))]
     if isinstance(driver, TruncatedStableSpec):
-        eps = _split_cutoff(driver, t) if epsilon is None else epsilon
-        return [_truncated_part(driver, eps)]
-    if isinstance(driver, DominatingLevySpec):
-        floor = driver.stable_floor
-        eps = t ** (1.0 / floor.alpha) / 10.0 if epsilon is None else epsilon
-        residual = _residual_part(split_levy_measure(driver), eps, 1e3)
-        return _jump_parts(floor, t, split_stable=split_stable) + [residual]
+        return [_truncated_part(driver, _split_cutoff(driver, t))]
     raise TypeError(f"unsupported driver {type(driver).__name__}")
 
 
@@ -648,31 +539,27 @@ def sample_increment(
     t: float,
     n: int,
     seed: Union[SeedSpec, np.random.Generator],
-    epsilon: float | None = None,
 ) -> np.ndarray:
-    """Time-t increment of any supported driver, as the semigroup reads it.
+    """Time-t increment of a stable or truncated driver, as the semigroup reads it.
 
-    The stable measure (the driver, or a dominating measure's floor) is drawn
-    exactly, then each of :func:`_jump_parts` as compound-Poisson jumps plus a
-    small-jump Gaussian.  By default a truncated driver is cut at
-    :func:`_split_cutoff`: its characteristic function stays within
-    SPLIT_CF_ERROR, which bounds P_t f for smooth bounded f, with a few jumps
-    per sample.  Its tails are not those of the law once the cutoff nears r,
-    so density estimates draw through :func:`sample_truncated_stable`
-    instead.  ``epsilon`` fixes the cutoff of every part.
+    A stable driver is drawn exactly.  A truncated driver is its
+    :func:`_jump_parts` part: compound-Poisson jumps plus a small-jump
+    Gaussian, cut at :func:`_split_cutoff`, so its characteristic function
+    stays within SPLIT_CF_ERROR, which bounds P_t f for smooth bounded f,
+    with a few jumps per sample.  Its tails are not those of the law once the
+    cutoff nears r, so density estimates draw through
+    :func:`sample_truncated_stable` instead.
     """
     if t <= 0.0:
         raise ValueError("time must be positive")
     if n < 1:
         raise ValueError("n must be at least 1")
-    parts = _jump_parts(driver, t, epsilon)
+    parts = _jump_parts(driver, t)
     rng = _as_rng(seed)
-    stable = _stable_measure(driver)
-    out = None if stable is None else sample_rot_stable(stable, t, n, rng)
-    for intensity, icdf, sd in parts:
-        part = _compound_poisson_gaussian(rng, n, driver.d, t * intensity, icdf, sd * math.sqrt(t))
-        out = part if out is None else out + part
-    return out
+    if not parts:
+        return sample_rot_stable(driver, t, n, rng)
+    [(intensity, icdf, sd)] = parts
+    return _compound_poisson_gaussian(rng, n, driver.d, t * intensity, icdf, sd * math.sqrt(t))
 
 
 # ---------------------------------------------------------------------------
@@ -699,31 +586,21 @@ def empirical_cf(samples: np.ndarray, xis: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def small_jump_cf_error_bound(
-    measure: Union[TruncatedStableSpec, ResidualLevyMeasure],
+    measure: TruncatedStableSpec,
     t: float,
     epsilon: float,
     xi_radius: float,
 ) -> float:
     """Bound on the cf error from replacing sub-epsilon jumps by a Gaussian.
 
-    Every measure here is symmetric and isotropic, so the bound is fourth
+    The measure is symmetric and isotropic, so the bound is fourth
     order: 1 - cos x - x^2/2 lies in [-x^4/24, 0] and E theta_1^4 = 3 / (d
     (d + 2)), so the Gaussian raises the cf exponent by at most t |xi|^4 m4 /
     (8 d (d + 2)), m4 the integral of |z|^4 over |z| < epsilon.  The
     Gaussian's cf lies below the true one, so this bounds the cf error too.
     """
-    d = measure.d
-    if isinstance(measure, TruncatedStableSpec):
-        a = measure.alpha
-        fourth = measure.c * sphere_surface(d) * min(epsilon, measure.r) ** (4.0 - a) / (4.0 - a)
-    elif isinstance(measure, ResidualLevyMeasure):
-        fourth, _ = integrate.quad(
-            lambda rho: float(measure.radial_density(np.array([rho]))[0]) * rho ** (d + 3),
-            0.0,
-            epsilon,
-            limit=200,
-        )
-        fourth *= sphere_surface(d)
-    else:
+    if not isinstance(measure, TruncatedStableSpec):
         raise TypeError(f"unsupported measure {type(measure).__name__}")
+    d, a = measure.d, measure.alpha
+    fourth = measure.c * sphere_surface(d) * min(epsilon, measure.r) ** (4.0 - a) / (4.0 - a)
     return t * xi_radius**4 * fourth / (8.0 * d * (d + 2))

@@ -494,3 +494,52 @@ class TestNumericalErrors:
             "--out", str(tmp_path / "draws.bin"),
         ])
         self._assert_one_line_error(rc, capsys, "characteristic function")
+
+
+class TestNonFiniteInputs:
+    """Inputs the schemas accept but a double cannot carry: one error line, no output.
+
+    Warnings are errors here, so a RuntimeWarning printed before the error
+    line fails the test instead of passing unseen.
+    """
+
+    OVERFLOW_CFG = '{"driver": "stable", "d": 1, "alpha": 1.0, "c": 1e308}'
+    STABLE_CFG_TEXT = '{"driver": "stable", "d": 1, "alpha": 1.0, "c": 1.0}'
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "config, grid, command, fragment",
+        [
+            (OVERFLOW_CFG, None, ["sample", "--t", "1", "--n", "10"], "overflows"),
+            (OVERFLOW_CFG, None, ["density", "--t", "1", "--radii", "1"], "overflows"),
+            ('{"driver": "stable", "d": 1, "alpha": NaN}', None,
+             ["sample", "--t", "1", "--n", "10"], "cfg.json holds the non-finite number NaN"),
+            ('{"driver": "stable", "d": 1, "alpha": 1.0, "c": Infinity}', None,
+             ["density", "--t", "1", "--radii", "1"],
+             "cfg.json holds the non-finite number Infinity"),
+            (STABLE_CFG_TEXT, '{"t_values": [NaN], "n": 4000}',
+             ["verify", "--inequality", "young"],
+             "grid.json holds the non-finite number NaN"),
+            (STABLE_CFG_TEXT, '{"offsets": [0.0, -Infinity], "n": 4000}',
+             ["verify", "--inequality", "young"],
+             "grid.json holds the non-finite number -Infinity"),
+        ],
+        ids=[
+            "sample-overflow", "density-overflow", "config-nan", "config-infinity",
+            "grid-nan", "grid-minus-infinity",
+        ],
+    )
+    def test_one_line_error_and_no_output(self, tmp_path, capsys, config, grid, command, fragment):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        out = tmp_path / "out" / "result.bin"
+        argv = command + ["--spec", str(cfg), "--out", str(out)]
+        if grid is not None:
+            (tmp_path / "grid.json").write_text(grid)
+            argv += ["--grid", str(tmp_path / "grid.json")]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("harnacklab: error: ") and err.count("\n") == 1, err
+        assert fragment in err
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())

@@ -31,7 +31,6 @@ from harnacklab.harnack_lab import (
     jensen_suite,
     lemma_ratio_bound,
     log_harnack_cost,
-    log_ratio_integral_bound,
     log_test_functions,
     truncated_ratio_bound,
     validation_comparison_grid,
@@ -582,57 +581,6 @@ class TestVerifyTruncatedRatio:
         a = verify_truncated_ratio(TSPEC, T_GRID, **kw)
         b = verify_truncated_ratio(TSPEC, T_GRID, **kw)
         assert canonical_json(a.to_dict()) == canonical_json(b.to_dict())
-
-
-class TestLogRatioIntegral:
-    def test_coincident_points_cost_zero(self, trunc_estimates):
-        report = log_ratio_integral_bound(
-            TSPEC, 0.5, [0.0], [0.0], n=4000, seed=SeedSpec(9),
-            estimate=trunc_estimates[0],
-        )
-        assert report.kl_estimate == 0.0
-        assert report.std_err == 0.0
-        assert report.C == 0.0
-        assert report.holds
-        assert report.envelope_unit == pytest.approx(math.log(4.0))
-
-    def test_displaced_points(self, trunc_estimates):
-        report = log_ratio_integral_bound(
-            TSPEC, 0.5, [0.0], [0.6], n=4000, seed=SeedSpec(9),
-            estimate=trunc_estimates[0], C=50.0,
-        )
-        assert math.isfinite(report.kl_estimate)
-        assert report.holds
-        assert report.envelope_unit == pytest.approx(1.6 * math.log(2.6 / 0.5))
-        assert report.floored_count >= 0
-        assert report.n == 4000
-        d = report.to_dict()
-        assert set(d) == {
-            "t", "x", "y", "kl_estimate", "std_err", "envelope_unit", "C",
-            "holds", "floored_count", "n",
-        }
-        json.dumps(d)
-
-    def test_fitted_constant_is_admissible(self, trunc_estimates):
-        report = log_ratio_integral_bound(
-            TSPEC, 0.5, [0.0], [1.0], n=4000, seed=SeedSpec(10),
-            estimate=trunc_estimates[0],
-        )
-        assert report.C >= 0.0
-        assert report.holds
-
-    def test_time_window(self, trunc_estimates):
-        for bad_t in (0.0, 1.5):
-            with pytest.raises(ValueError, match="\\(0, 1\\]"):
-                log_ratio_integral_bound(
-                    TSPEC, bad_t, [0.0], [0.5], n=100, estimate=trunc_estimates[0]
-                )
-
-    def test_one_dimension_only(self):
-        with pytest.raises(NotImplementedError):
-            log_ratio_integral_bound(
-                TruncatedStableSpec(d=2, alpha=1.0, c=1.0, r=1.0), 0.5, [0, 0], [1, 0]
-            )
 
 
 class TestYoungCheck:

@@ -1,4 +1,4 @@
-"""Symbols, geometric kernels, and measure splitting.
+"""Symbols, geometric kernels, and process specifications.
 
 Frozen numeric oracles here were produced from closed forms evaluated
 independently of the package quadrature (classical Fourier identities for the
@@ -10,13 +10,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate, special
 
 from harnacklab import (
-    DominatingLevySpec,
-    DominationError,
     OUSpec,
     StableSpec,
     TruncatedStableSpec,
@@ -24,7 +22,6 @@ from harnacklab import (
     compute_mu_hat,
     compute_sigma,
     describe_spec,
-    split_levy_measure,
     symbol,
     symbol_radial,
     time_integrated_symbol,
@@ -230,89 +227,6 @@ class TestSymbols:
         with pytest.raises(ValueError):
             symbol_radial(StableSpec(d=1, alpha=1.0), np.array([-1.0]))
 
-    def test_dominating_symbol_between_floor_and_double(self):
-        floor = StableSpec(d=1, alpha=1.0, c=1.0)
-        spec = DominatingLevySpec(
-            d=1,
-            radial_density=lambda rho: 2.0 * rho ** (-2.0),
-            stable_floor=floor,
-        )
-        s = np.array([0.5, 1.0, 2.0])
-        v = symbol_radial(spec, s)
-        ref = symbol_radial(StableSpec(d=1, alpha=1.0, c=2.0), s)
-        # beyond its cutoff radius the quadrature swaps the oscillating kernel
-        # for its mean, so accuracy is ~1e-4 relative by construction
-        assert np.allclose(v, ref, rtol=5e-4)
-
-
-class TestSplitLevyMeasure:
-    def _floor(self, d=1, alpha=1.0, c=1.0):
-        return StableSpec(d=d, alpha=alpha, c=c)
-
-    def test_exact_floor_gives_zero_residual(self):
-        floor = self._floor()
-        spec = DominatingLevySpec(
-            d=1, radial_density=lambda rho: rho ** (-2.0), stable_floor=floor
-        )
-        res = split_levy_measure(spec)
-        assert abs(res.worst_relative_residual) < 1e-12
-        rho = np.geomspace(0.01, 10.0, 50)
-        assert np.all(res.radial_density(rho) >= 0.0)
-        assert np.max(res.radial_density(rho) * rho**2) < 1e-12
-
-    def test_double_floor_residual_is_floor(self):
-        floor = self._floor()
-        spec = DominatingLevySpec(
-            d=1, radial_density=lambda rho: 2.0 * rho ** (-2.0), stable_floor=floor
-        )
-        res = split_levy_measure(spec)
-        assert res.worst_relative_residual == pytest.approx(1.0, rel=1e-12)
-        rho = np.geomspace(0.01, 10.0, 50)
-        assert np.allclose(res.radial_density(rho), rho ** (-2.0), rtol=1e-12)
-
-    def test_deficit_raises(self):
-        floor = self._floor()
-        spec = DominatingLevySpec(
-            d=1,
-            radial_density=lambda rho: (1.0 - 1e-6) * rho ** (-2.0),
-            stable_floor=floor,
-        )
-        with pytest.raises(DominationError):
-            split_levy_measure(spec)
-
-    def test_rounding_deficit_tolerated_and_clamped(self):
-        floor = self._floor()
-        spec = DominatingLevySpec(
-            d=1,
-            radial_density=lambda rho: (1.0 - 1e-10) * rho ** (-2.0),
-            stable_floor=floor,
-        )
-        res = split_levy_measure(spec)
-        assert res.worst_relative_residual < 0.0
-        assert np.all(res.radial_density(np.geomspace(0.1, 10, 20)) >= 0.0)
-
-    @given(
-        alpha=st.floats(min_value=0.3, max_value=1.8),
-        excess=st.floats(min_value=0.0, max_value=5.0),
-        bump_scale=st.floats(min_value=0.1, max_value=3.0),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_residual_recovers_excess(self, alpha, excess, bump_scale):
-        floor = StableSpec(d=1, alpha=alpha, c=1.0)
-
-        def extra(rho):
-            return excess * np.exp(-((rho / bump_scale) ** 2))
-
-        spec = DominatingLevySpec(
-            d=1,
-            radial_density=lambda rho: rho ** (-1.0 - alpha) + extra(rho),
-            stable_floor=floor,
-        )
-        res = split_levy_measure(spec)
-        rho = np.geomspace(0.05, 20.0, 60)
-        assert np.allclose(res.radial_density(rho), extra(rho), rtol=1e-9, atol=1e-12)
-
-
 class TestOUCharacteristics:
     def test_zero_drift_reduces_to_symbol(self):
         driver = StableSpec(d=2, alpha=1.5, c=0.5)
@@ -360,14 +274,6 @@ class TestSpecs:
         with pytest.raises(ValueError):
             TruncatedStableSpec(d=1, alpha=1.0, r=-2.0)
 
-    def test_dominating_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            DominatingLevySpec(
-                d=2,
-                radial_density=lambda rho: rho ** (-2.0),
-                stable_floor=StableSpec(d=1, alpha=1.0),
-            )
-
     def test_ou_validation(self):
         driver = StableSpec(d=2, alpha=1.0)
         with pytest.raises(ValueError):
@@ -398,12 +304,6 @@ class TestSpecs:
             "c": 1.0,
             "r": 3.0,
         }
-        dom = DominatingLevySpec(
-            d=1, radial_density=lambda rho: rho ** (-2.0), stable_floor=StableSpec(d=1, alpha=1.0)
-        )
-        doc = describe_spec(dom)
-        assert doc["driver"] == "dominating"
-        assert doc["stable_floor"]["alpha"] == 1.0
         ou = OUSpec(A=np.array([[-0.5]]), driver=StableSpec(d=1, alpha=1.0))
         doc = describe_spec(ou)
         assert doc["A"] == [[-0.5]]

@@ -7,7 +7,6 @@ import pytest
 from scipy import integrate
 
 from harnacklab import (
-    DominatingLevySpec,
     OUSpec,
     SeedSpec,
     SemigroupSampler,
@@ -25,8 +24,6 @@ from harnacklab import (
     ou_noise,
     sample_increment,
     sample_ou,
-    small_jump_cf_error_bound,
-    split_levy_measure,
     symbol_radial,
     time_integrated_symbol,
 )
@@ -289,32 +286,6 @@ class TestExactNoise:
             assert 0.2 < target < 0.9
             slack = 4.0 * se + target * self.proxy_error(spec, driver, t, xi)
             assert abs(mean - target) < slack, (xi, mean, target, slack)
-
-    def test_dominating_driver_under_drift(self):
-        # density 2 rho^(-1-alpha) over the floor rho^(-1-alpha): the law of the
-        # stable driver with c = 2, drawn as the exact floor plus weighted
-        # residual jumps and their small-jump Gaussian
-        floor = StableSpec(d=1, alpha=1.0, c=1.0)
-        dom = DominatingLevySpec(
-            d=1, radial_density=lambda rho: 2.0 * rho ** (-2.0), stable_floor=floor
-        )
-        A = np.array([[-0.5]])
-        t, n = 0.5, 4 * 10**4
-        w = ou_noise(OUSpec(A=A, driver=dom), t, n, SeedSpec(74))
-        twice = OUSpec(A=A, driver=StableSpec(d=1, alpha=1.0, c=2.0))
-        xis = np.array([[0.4], [1.0]])
-        means, ses = empirical_cf(w, xis)
-        residual = split_levy_measure(dom)
-        # the tabulation drops the residual jumps beyond r_max = 1e3, mass
-        # 2 / 1e3 per unit time, which raises the cf by at most that exponent
-        dropped = t * 2.0 / 1e3
-        for xi, mean, se in zip(xis, means, ses):
-            target = math.exp(-time_integrated_symbol(twice, xi, t))
-            # mu(A) < 0, so |e^{sA^T} xi| <= |xi|
-            eps = t ** (1.0 / floor.alpha) / 10.0
-            bound = small_jump_cf_error_bound(residual, t, eps, float(xi[0]))
-            assert abs(mean - target) < 4.0 * se + bound + target * math.expm1(dropped)
-
 
 class TestTestFunctions:
     def test_ball_indicator_values(self):

@@ -69,6 +69,21 @@ def test_invalid_report_raises_the_schema_error_and_writes_nothing(tmp_path, mut
     assert not out.exists() and not out.with_suffix(".csv").exists()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=str)
+@pytest.mark.parametrize("scalar", [float, np.float64])
+@pytest.mark.parametrize("nest", [lambda v: {"a": {"b": v}}, lambda v: [0.5, [v]]],
+                         ids=["in_dict", "in_list"])
+def test_non_finite_values_are_refused_and_nothing_is_written(tmp_path, value, scalar, nest):
+    doc = copy.deepcopy(YOUNG)
+    doc["mc_meta"]["extra"] = nest(scalar(value))
+    with pytest.raises(ValueError, match="non-finite"):
+        reports.canonical_json(doc)
+    out = tmp_path / "young.json"
+    with pytest.raises(ValueError, match="non-finite"):
+        write_report(doc, out, "both")
+    assert not out.exists() and not out.with_suffix(".csv").exists()
+
+
 def test_valid_report_is_written(tmp_path):
     out = tmp_path / "young.json"
     assert write_report(YOUNG, out, "both") == [out, out.with_suffix(".csv")]

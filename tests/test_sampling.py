@@ -18,22 +18,17 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from harnacklab import (
-    DominatingLevySpec,
-    ResidualLevyMeasure,
     SeedSpec,
     StableSpec,
-    TailMassError,
     TruncatedStableSpec,
     default_small_jump_cutoff,
     empirical_cf,
     make_jump_decomposition,
     sample_increment,
-    sample_residual,
     sample_rot_stable,
     sample_sym_stable_1d,
     sample_truncated_stable,
     small_jump_cf_error_bound,
-    split_levy_measure,
     symbol_radial,
 )
 from harnacklab import sampling
@@ -306,69 +301,6 @@ class TestTruncatedSampler:
         assert np.max(np.abs(x)) < 25.0
 
 
-class TestResidualSampler:
-    def _residual_of_double_floor(self, alpha=1.0):
-        floor = StableSpec(d=1, alpha=alpha, c=1.0)
-        spec = DominatingLevySpec(
-            d=1,
-            radial_density=lambda rho: 2.0 * rho ** (-1.0 - alpha),
-            stable_floor=floor,
-        )
-        return split_levy_measure(spec)
-
-    def test_residual_cf_matches_floor_symbol(self):
-        res = self._residual_of_double_floor()
-        t, n, eps = 0.5, 4 * 10**4, 0.05
-        x = sample_residual(res, t, eps, n, SeedSpec(51)).ravel()
-        radii = np.array([0.5, 1.0])
-        means, ses = empirical_cf(x, radii[:, None])
-        target = np.exp(-t * symbol_radial(StableSpec(d=1, alpha=1.0, c=1.0), radii))
-        for i, xi in enumerate(radii):
-            bound = small_jump_cf_error_bound(res, t, eps, xi)
-            # the tabulation drops mass beyond r_max = 1e3 (fraction ~1e-5)
-            assert abs(means[i] - target[i]) < 3.0 * ses[i] + bound + 2e-3 * t
-
-    def test_tail_mass_error(self):
-        res = ResidualLevyMeasure(
-            d=1,
-            floor=StableSpec(d=1, alpha=1.0),
-            radial_density=lambda rho: rho ** (-1.5),
-            grid=np.geomspace(0.1, 10.0, 10),
-            worst_relative_residual=0.0,
-        )
-        with pytest.raises(TailMassError):
-            sample_residual(res, 1.0, 0.1, 100, SeedSpec(52))
-
-    def test_zero_residual_gives_zeros(self):
-        res = ResidualLevyMeasure(
-            d=1,
-            floor=StableSpec(d=1, alpha=1.0),
-            radial_density=lambda rho: np.zeros_like(rho),
-            grid=np.geomspace(0.1, 10.0, 10),
-            worst_relative_residual=0.0,
-        )
-        x = sample_residual(res, 1.0, 0.1, 64, SeedSpec(53))
-        assert np.array_equal(x, np.zeros((64, 1)))
-
-    def test_gaussian_only_residual(self):
-        # density supported entirely below the cutoff: pure variance-matched Gaussian
-        def dens(rho):
-            return np.where(rho < 0.05, 1.0, 0.0)
-
-        res = ResidualLevyMeasure(
-            d=1,
-            floor=StableSpec(d=1, alpha=1.0),
-            radial_density=dens,
-            grid=np.geomspace(0.001, 10.0, 10),
-            worst_relative_residual=0.0,
-        )
-        t, n = 1.0, 4 * 10**4
-        x = sample_residual(res, t, 0.05, n, SeedSpec(54)).ravel()
-        var_total, _ = integrate.quad(lambda rho: rho**2, 0.0, 0.05)
-        target = t * 2.0 * var_total
-        assert np.var(x) == pytest.approx(target, rel=0.05)
-
-
 class TestSampleIncrement:
     def test_stable_dispatch_identical(self):
         spec = StableSpec(d=1, alpha=1.5)
@@ -378,22 +310,9 @@ class TestSampleIncrement:
 
     def test_truncated_dispatch_identical(self):
         spec = TruncatedStableSpec(d=1, alpha=1.0, r=1.0)
-        a = sample_increment(spec, 0.7, 100, SeedSpec(62), epsilon=0.1)
-        b = sample_truncated_stable(spec, 0.7, 0.1, 100, SeedSpec(62))
+        a = sample_increment(spec, 0.7, 100, SeedSpec(62))
+        b = sample_truncated_stable(spec, 0.7, sampling._split_cutoff(spec, 0.7), 100, SeedSpec(62))
         assert np.array_equal(a, b)
-
-    def test_dominating_matches_total_measure(self):
-        floor = StableSpec(d=1, alpha=1.0, c=1.0)
-        dom = DominatingLevySpec(
-            d=1, radial_density=lambda rho: 2.0 * rho ** (-2.0), stable_floor=floor
-        )
-        t, n = 0.5, 4 * 10**4
-        x = sample_increment(dom, t, n, SeedSpec(63)).ravel()
-        ref = sample_rot_stable(StableSpec(d=1, alpha=1.0, c=2.0), t, n, SeedSpec(64)).ravel()
-        xis = np.array([[0.4], [1.0]])
-        mx, sx = empirical_cf(x, xis)
-        mr, sr = empirical_cf(ref, xis)
-        assert np.all(np.abs(mx - mr) < 3.0 * (sx + sr) + 5e-3)
 
     def test_unknown_driver(self):
         with pytest.raises(TypeError):
@@ -572,19 +491,6 @@ class TestCfErrorBound:
         assert small_jump_cf_error_bound(spec, 2.0, 0.1, 1.5) == pytest.approx(
             2.0 * 1.5**4 / 24.0 * 2.0 * 0.1**3 / 3.0, rel=1e-12
         )
-
-    def test_residual_matches_truncated_formula(self):
-        # the residual of (2x floor) is the floor itself, whose fourth moment
-        # below eps agrees with the truncated closed form
-        floor = StableSpec(d=1, alpha=1.0, c=1.0)
-        dom = DominatingLevySpec(
-            d=1, radial_density=lambda rho: 2.0 * rho ** (-2.0), stable_floor=floor
-        )
-        res = split_levy_measure(dom)
-        trunc = TruncatedStableSpec(d=1, alpha=1.0, c=1.0, r=1.0)
-        got = small_jump_cf_error_bound(res, 1.0, 0.2, 1.0)
-        ref = small_jump_cf_error_bound(trunc, 1.0, 0.2, 1.0)
-        assert got == pytest.approx(ref, rel=1e-8)
 
     @given(
         eps=st.floats(min_value=1e-3, max_value=0.5),
