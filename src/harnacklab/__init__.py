@@ -49,7 +49,6 @@ from .density import (
     stable_cdf_1d,
     stable_density,
     stable_density_grid,
-    tail_asymptotic,
     tail_convexity_profile,
     truncated_density_estimate,
 )

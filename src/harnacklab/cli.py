@@ -355,9 +355,9 @@ def _cmd_verify(args) -> int:
             raise CLIError(f"grid override violates its schema: {exc.message}") from exc
 
     ids = _applicable_ids(cfg) if ineq == "all" else [ineq]
+    # write_report creates the directory with the first report, so a run that
+    # fails before it leaves nothing behind
     out_dir = Path(args.out) if args.out else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
 
     all_passed = True
     for one in ids:

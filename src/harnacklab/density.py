@@ -1,22 +1,34 @@
-"""Transition densities: characteristic-function inversion and KDE estimation.
+"""Transition densities: the stable law as a Gaussian scale mixture, and KDE estimation.
 
-The stable density is recovered from exp(-t psi) by radial Fourier inversion,
-and the one-dimensional CDF by a sine inversion of the same exponential; one
-routine computes every such integral of exp(-t b s^alpha) K(s r) s^power.
-All of them oscillate (cosine kernel in one dimension, Bessel kernel above,
-sine for the CDF), so the integration range is split at the kernel's zeros.
-The head segment [0, first zero] is covered by Gauss-Legendre panels graded
-geometrically toward s = 0, where the s^alpha in exp(-t psi) is not smooth;
-its error is estimated by doubling the panel order.  Fixed-order panels
-cover the remaining half-periods up to the exponential cutoff of exp(-t psi).
-Every radius of one time slice goes through a single vectorised pass: the
-panels of all radii are laid end to end and evaluated a fixed number of
-nodes at a time, and each radius sums its own panels exactly (math.fsum), so
-a value never depends on which other radii share its batch.  Densities past
-their segment cap fall back to the tail asymptote from 4 (t b)^(1/alpha) on;
-the CDF has no fallback and refuses.
-Truncated-stable densities have no usable inversion (their symbol decays too
-slowly); they are estimated from samples by a binned Gaussian KDE.
+The stable law with characteristic function exp(-t b |xi|^alpha) is
+X = sqrt(2 S) G, G standard normal in R^d, S positive beta-stable (beta =
+alpha/2).  Kanter's representation S = (A_t(phi)/E)^(1/m), with phi uniform on
+(0, pi), E standard exponential, m = beta/(1 - beta), k = 1/(1 - beta),
+A(phi) = sin(beta phi)^m sin((1 - beta) phi) / sin(phi)^k and A_t = (t b)^k A,
+gives integrals whose integrands are positive:
+
+    p_t(r) = (m/pi) (4 pi)^(-d/2) int_0^pi A_t^(-d/(2m)) J(r^2 A_t^(-1/m) / 4) dphi,
+    J(rho) = int_0^inf v^(m + d/2 - 1) exp(-v^m - rho v) dv,
+    1 - F_t(x) = (1/pi) int_0^pi C(x A_t^(-1/(2m))) dphi,  C(q) = E Phi(-q sqrt(E^(1/m)/2)),
+
+so every value keeps its relative accuracy, at any radius and at the native
+(t, x).  log J and log C are tabulated once per (d, alpha), on first use and in
+a bounded cache, on a uniform grid in log rho or log q (trapezoid rule in a log
+variable, exponentially accurate for these log-concave integrands) and read
+by a degree-7 spline; past each table end a truncated series takes over, from
+where its first omitted term is below 1e-17 of its first.
+
+One phi-rule serves all radii of a call.  With theta = pi - phi, A_t grows like
+theta^(-k), and a radius r keeps its mass in a layer near
+theta ~ (r / (t b)^(1/alpha))^(-alpha): Gauss-Legendre panels of one width in
+log theta cover each radius's layer below theta = 1, and panels in phi cover
+theta in [1, pi]; the width comes from the curvature of the tabulated
+integrand.  log A is summed from log-sines, so nothing overflows as alpha -> 2
+or underflows as alpha -> 0.  Each radius sums its own nodes exactly
+(math.fsum), so a value never depends on the other radii of its call.
+
+Truncated-stable densities have no such mixture; they are estimated from
+samples by a binned Gaussian KDE.
 """
 
 from __future__ import annotations
@@ -24,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import special
@@ -35,9 +47,7 @@ from .levy_core import (
     QuadratureError,
     StableSpec,
     TruncatedStableSpec,
-    bessel_zeros,
     compute_sigma,
-    sphere_cf,
     sphere_surface,
 )
 from .sampling import SeedSpec, sample_truncated_stable
@@ -49,7 +59,6 @@ __all__ = [
     "DensityEstimateError",
     "stable_density",
     "stable_cdf_1d",
-    "tail_asymptotic",
     "phi_envelope",
     "stable_density_grid",
     "estimate_bound_constants",
@@ -61,280 +70,351 @@ __all__ = [
     "grid_mass",
 ]
 
-# In u = t b s^alpha an inversion integrand exp(-t b s^alpha) K(s r) s^power
-# with |K| <= 1 is bounded by a multiple of the Gamma(k) density
-# exp(-u) u^(k - 1), k = (power + 1)/alpha (k = d/alpha for a density), so the
-# frequency cutoff sits where that law's upper tail drops below TAIL_MASS:
-# u = max(TAIL_EXPONENT, gammainccinv(k, TAIL_MASS)), which is TAIL_EXPONENT
-# while k <= 2.5.  The CDF's sin(s r)/s has k = 0 and stays at TAIL_EXPONENT:
-# beyond it |sin(s r)|/s <= 1/s leaves at most E1(45)/alpha ~ 6e-22/alpha.
-TAIL_EXPONENT = 45.0
-TAIL_MASS = 1e-17
-
-# half-period panels of the oscillating tail
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
-
-# Head panels [H q^(k+1), H q^k] shrink toward s = 0 by HEAD_RATIO down to
-# 10^(-10/(n+alpha)) of the smaller of H and the decay scale (t b)^(-1/alpha),
-# where the integrand grows like s^(n-1) near 0: n = d for a density, n = 1 for
-# the CDF, whose sin(s r)/s tends to r.  On the last panel [0, H q^m] the
-# non-smooth factor 1 - t b s^alpha differs from 1 by at most (s/scale)^alpha,
-# over a share (s/scale)^n of the head, so what a panel rule can miss there
-# stays below 1e-10 of the head.  The head is integrated at two orders; their
-# relative gap must stay under HEAD_RTOL.
-HEAD_RATIO = 0.25
-HEAD_RTOL = 1e-10
-_HEAD_RULES = (
-    np.polynomial.legendre.leggauss(16),
-    np.polynomial.legendre.leggauss(32),
-)
-
-# Panels are evaluated this many nodes at a time, whatever the number of radii
-# and panels, which bounds the memory of one pass.
-CHUNK_NODES = 1 << 16
-
-# Oscillation segments one radius may take, checked before anything is
-# allocated for it: densities fall back to the tail asymptote past theirs, the
-# CDF has no fallback and refuses.
-DENSITY_MAX_SEGMENTS = 40_000
-CDF_MAX_SEGMENTS = 2_000_000
-
-# Kernel key of sin(u), the CDF's kernel; a key d >= 1 is the radial Fourier
-# kernel of dimension d.
-SINE = 0
+# A series past a table end takes over where its first omitted term is below
+# exp(-SERIES_LOG_TOL) ~ 1e-17 of its first; it has at most SERIES_TERMS terms.
+SERIES_LOG_TOL = 39.2
+SERIES_TERMS = 8
+# Table step in log rho or log q (halved where m > 1, where log J bends faster)
+# and trapezoid step of the tabulated integrals, which are analytic in a strip
+# of half-width pi/4 or more: the rule's error is about exp(-pi^2 / (2 step)).
+TABLE_STEP = 0.05
+TRAPEZOID_STEP = 0.15
+# Windows leave out what lies PEAK_DROP below an integrand's peak (e^-45 ~ 3e-20).
+PEAK_DROP = 45.0
+# phi-panels: 8 Gauss-Legendre nodes each, one curvature scale of the
+# tabulated integrand wide in log rho (or log q).
+_GL = np.polynomial.legendre.leggauss(8)
 
 
 class DensityEstimateError(RuntimeError):
-    """A density estimate failed a structural check (mass, clamping, support)."""
+    """A density estimate failed a structural check (mass, support, fit)."""
 
 
 # ---------------------------------------------------------------------------
-# stable density by inversion
+# stable density and CDF as Gaussian scale mixtures
 
 
-def _origin_density(d: int, alpha: float, tb: float) -> float:
-    """p_t(0) in closed form: (2 pi)^(-d) |S^(d-1)| Gamma(d/alpha) / (alpha (t b)^(d/alpha)).
+def _log_origin_density(d: int, alpha: float, log_tb: float) -> float:
+    """log p_t(0) = log((2 pi)^(-d) |S^(d-1)| Gamma(d/alpha) / (alpha (t b)^(d/alpha))),
+    summed in log space, where Gamma(d/alpha) and (t b)^(d/alpha) can each overflow."""
+    lead = math.log(sphere_surface(d) / alpha) - d * math.log(2.0 * math.pi)
+    return lead + math.lgamma(d / alpha) - (d / alpha) * log_tb
 
-    Summed in log space: Gamma(d/alpha) and (t b)^(d/alpha) can each overflow
-    where their quotient is still a double.
-    """
-    return math.exp(
-        math.log(sphere_surface(d) / alpha)
-        - d * math.log(2.0 * math.pi)
-        + math.lgamma(d / alpha)
-        - (d / alpha) * math.log(tb)
+
+def _kanter_exponents(alpha: float) -> tuple[float, float, float]:
+    """(beta, m, k) = (alpha/2, beta/(1 - beta), 1/(1 - beta))."""
+    beta = alpha / 2.0
+    return beta, beta / (1.0 - beta), 1.0 / (1.0 - beta)
+
+
+def _log_a_phi(beta: float, phi: np.ndarray) -> np.ndarray:
+    """log A(phi) for phi in (0, pi - 1]."""
+    m, k = beta / (1.0 - beta), 1.0 / (1.0 - beta)
+    return m * np.log(np.sin(beta * phi)) + np.log(np.sin((1.0 - beta) * phi)) - k * np.log(np.sin(phi))
+
+
+def _log_a_theta(beta: float, u: np.ndarray) -> np.ndarray:
+    """log A at theta = pi - phi = e^u <= 1: sin(beta phi) = sin(pi (1 - beta) + beta theta),
+    and log sin(theta) = u + log(sin(theta)/theta) stays finite where e^u underflows."""
+    m, k = beta / (1.0 - beta), 1.0 / (1.0 - beta)
+    theta = np.exp(u)
+    return (
+        m * np.log(np.sin(math.pi * (1.0 - beta) + beta * theta))
+        + np.log(np.sin((1.0 - beta) * (math.pi - theta)))
+        - k * (u + np.log(np.sinc(theta / math.pi)))
     )
 
 
-def _kernel(kernel: int, u):
-    """Inversion kernel K(u) at u = s r: sin for ``SINE``, else the radial
-    Fourier kernel of dimension ``kernel`` (cos at 1, Bessel above)."""
-    if kernel == SINE:
-        return np.sin(u)
-    if kernel == 1:
-        return np.cos(u)
-    return sphere_cf(kernel, u)
+class _EndSeries:
+    """A table's closed-form end: the truncation of log sum_n sign_n exp(coef_n + slope_n y)
+    (sign_0 = +1) that reaches closest to the table, from y = ``reach`` on.
 
-
-@lru_cache(maxsize=None)
-def _vanishes_at_zero(kernel: int) -> bool:
-    """Whether K(0) = 0, which lifts the integrand's order at s = 0 by one."""
-    return bool(_kernel(kernel, 0.0) == 0.0)
-
-
-def _unit_kernel_zeros(kernel: int, limit: float) -> np.ndarray:
-    """The positive zeros of K below ``limit`` and at least one past it."""
-    if kernel in (SINE, 1):
-        offset = 1.0 if kernel == SINE else 0.5
-        return (np.arange(int(limit / math.pi) + 2) + offset) * math.pi
-    nu = kernel / 2.0 - 1.0
-    return bessel_zeros(nu, max(8, int(limit / math.pi - nu / 2.0 + 6.0)))
-
-
-def _panel_sums(
-    integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    counts: np.ndarray,
-    bounds: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
-    rule: tuple[np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """Per-owner sums of Gauss-Legendre panel integrals, CHUNK_NODES nodes at a time.
-
-    Owner j holds ``counts[j]`` consecutive panels; ``bounds(j, k)`` gives the
-    (lo, hi) of panels k of owners j, and ``integrand(s, j)`` the integrand at
-    nodes s (one row per panel).  Each panel integral is computed row by row
-    and each owner's panels are summed with math.fsum, so a sum does not depend
-    on how the panels fall into chunks.
+    Term n relative to term 0 is exp(dc_n + ds_n y); N terms serve where term N
+    is below exp(-SERIES_LOG_TOL) and term 1 does not exceed term 0.  The
+    series are alternating, with remainders bounded by their first omitted term
+    (Taylor series of completely monotone functions).  Every ds_n is a whole
+    multiple of ds_1, so the sum is exp(coef_0 + slope_0 y) (1 + P(w)), P a
+    polynomial in w = exp(ds_1 (y - reach)), which is at most 1 past the reach.
     """
-    x, w = rule
-    offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-    total = int(offsets[-1])
-    step = max(1, CHUNK_NODES // len(x))
-    sums = np.zeros(len(counts))
-    open_parts: dict[int, list[np.ndarray]] = {}
-    for p0 in range(0, total, step):
-        p1 = min(p0 + step, total)
-        panel = np.arange(p0, p1)
-        owner = np.searchsorted(offsets, panel, side="right") - 1
-        lo, hi = bounds(owner, panel - offsets[owner])
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        nodes = mid[:, None] + half[:, None] * x[None, :]
-        vals = half * (integrand(nodes, owner) * w).sum(axis=1)
-        first, last = int(owner[0]), int(owner[-1])
-        pieces = np.split(vals, offsets[first + 1 : last + 1] - p0)
-        for j, piece in zip(range(first, last + 1), pieces):
-            open_parts.setdefault(j, []).append(piece)
-            if offsets[j + 1] <= p1:
-                sums[j] = math.fsum(np.concatenate(open_parts.pop(j)).tolist())
-    return sums
+
+    def __init__(self, coef, slope, sign, lower: bool):
+        dc, ds = coef - coef[0], slope - slope[0]
+        first = -dc[1] / ds[1]
+        ends = [(-SERIES_LOG_TOL - dc[n]) / ds[n] for n in range(1, len(coef))]
+        ends = [min(y, first) if lower else max(y, first) for y in ends]
+        n = int(np.argmax(ends) if lower else np.argmin(ends)) + 1
+        self.reach, self.lead, self.slope, self.rate = ends[n - 1], coef[0], slope[0], ds[1]
+        powers = np.rint(ds[:n] / ds[1]).astype(int)
+        self.poly = np.zeros(powers[-1] + 1)
+        self.poly[powers[1:]] = sign[1:n] * np.exp(dc[1:n] + ds[1:n] * self.reach)
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        w = np.exp(self.rate * (y - self.reach))
+        return self.lead + self.slope * y + np.log1p(np.polynomial.polynomial.polyval(w, self.poly))
 
 
-def _inversion_integrals(
-    kernel: int, power: float, alpha: float, tb: float, radii: np.ndarray, max_segments: int
-) -> tuple[np.ndarray, dict[int, str]]:
-    """integral over [0, inf) of exp(-tb s^alpha) K(s r) s^power ds for every r in ``radii``.
+class _LogTable:
+    """log f on y = log rho or log q: a degree-7 spline through ``log_values`` on a
+    uniform grid of ``step`` between the reaches of two end series, the series outside."""
 
-    K is :func:`_kernel` of ``kernel``.  Returns the integrals (NaN where a
-    radius failed) and, per failed index, the reason: more than
-    ``max_segments`` oscillation segments (checked before anything is
-    allocated for that radius) or a head error estimate above HEAD_RTOL.
-    Radii must be positive.
+    def __init__(self, log_values, below: _EndSeries, above: _EndSeries, step: float):
+        # imported here, where a table is first built: it adds ~40 ms to importing the package
+        from scipy.interpolate import make_interp_spline
+
+        self.below, self.above, self.lo, self.hi = below, above, below.reach, above.reach
+        y = self.lo - 4.0 * step + step * np.arange(math.ceil((self.hi - self.lo) / step) + 9)
+        self.spline = make_interp_spline(y, log_values(y), k=7)
+
+    def __call__(self, y) -> np.ndarray:
+        y = np.asarray(y, dtype=float)
+        out = np.empty(y.shape)
+        low, high = y < self.lo, y > self.hi
+        mid = ~(low | high)
+        out[low], out[high], out[mid] = self.below(y[low]), self.above(y[high]), self.spline(y[mid])
+        return out
+
+
+def _log_trapezoid(log_integrand, lo: float, hi: float, params: np.ndarray) -> np.ndarray:
+    """log of the integral of exp(log_integrand(s, p)) over s in [lo, hi], for each p.
+
+    Trapezoid rule at TRAPEZOID_STEP, 64 parameters at a time; the integrand
+    must have fallen PEAK_DROP below its peak at both ends of the window.
     """
-    radii = np.asarray(radii, dtype=float)
-    shape = (power + 1.0) / alpha  # the Gamma(k) bound of the TAIL_EXPONENT comment
-    u_max = TAIL_EXPONENT
-    if shape > 0.0:
-        u_max = max(u_max, float(special.gammainccinv(shape, TAIL_MASS)))
-    upper = (u_max / tb) ** (1.0 / alpha)
-    approx = upper * radii / math.pi
-    errors = {
-        int(j): f"inversion would need ~{approx[j]:.0f} oscillation segments (cap {max_segments})"
-        for j in np.flatnonzero(approx > max_segments)
-    }
-    ok = approx <= max_segments
-    r = radii[ok]
-    out = np.full(len(radii), np.nan)
-    if len(r) == 0:
-        return out, errors
-
-    zeros = _unit_kernel_zeros(kernel, float(upper * r.max()))
-    n_zeros = np.searchsorted(zeros, upper * r)  # kernel zeros below the cutoff
-    head = np.where(n_zeros > 0, zeros[0] / r, upper)
-
-    def integrand(s, owner):
-        return np.exp(-tb * s**alpha) * _kernel(kernel, s * r[owner][:, None]) * s**power
-
-    # head: graded panels, m of them shrinking geometrically plus [0, H q^m];
-    # near s = 0 the integrand grows like s^(n-1), one order above s^power where K(0) = 0
-    n = power + 1.0 + (1.0 if _vanishes_at_zero(kernel) else 0.0)
-    floor = 10.0 ** (-10.0 / (n + alpha)) * np.minimum(head, tb ** (-1.0 / alpha))
-    levels = np.ceil(np.log(head / floor) / -math.log(HEAD_RATIO)).astype(np.int64)
-
-    def head_bounds(owner, k):
-        h, m = head[owner], levels[owner]
-        hi = h * HEAD_RATIO**k
-        lo = np.where(k < m, h * HEAD_RATIO ** (k + 1), 0.0)
-        return lo, hi
-
-    coarse, fine = (_panel_sums(integrand, levels + 1, head_bounds, rule) for rule in _HEAD_RULES)
-
-    # tail: one panel per half-period from the first zero, the last ending at the cutoff
-    last = len(zeros) - 1
-
-    def tail_bounds(owner, k):
-        ro = r[owner]
-        nxt = np.minimum(k + 1, last)
-        hi = np.where(k + 1 < n_zeros[owner], zeros[nxt] / ro, upper)
-        return zeros[k] / ro, hi
-
-    tail = _panel_sums(integrand, n_zeros, tail_bounds, (_GL_X, _GL_W))
-
-    idx = np.flatnonzero(ok)
-    gap = np.abs(fine - coarse)
-    for j, g, f in zip(idx, gap, fine):
-        if not g <= HEAD_RTOL * abs(f):
-            errors[int(j)] = (
-                f"head segment error estimate {g:.2e} exceeds {HEAD_RTOL:g} x {abs(f):.3e}"
-            )
-    out[idx] = fine + tail
-    return out, errors
+    s = lo + TRAPEZOID_STEP * np.arange(int((hi - lo) / TRAPEZOID_STEP) + 2)
+    out = np.empty(len(params))
+    for i in range(0, len(params), 64):
+        vals = log_integrand(s[None, :], params[i : i + 64, None])
+        top = vals.max(axis=1)
+        if np.any(np.maximum(vals[:, 0], vals[:, -1]) > top - PEAK_DROP):
+            raise QuadratureError("mixture table window does not hold its integrand")
+        out[i : i + 64] = top + np.log(TRAPEZOID_STEP * np.exp(vals - top[:, None]).sum(axis=1))
+    return out
 
 
-def tail_asymptotic(spec: StableSpec, t: float, x) -> float:
-    """Far-field envelope t * c * |x|^(-d-alpha): the leading jump-tail term.
+def _log_j_table(d: int, alpha: float) -> _LogTable:
+    """log J(e^y) with J(rho) = int_0^inf v^(m + d/2 - 1) exp(-v^m - rho v) dv."""
+    _, m, _ = _kanter_exponents(alpha)
+    h, n = d / 2.0, np.arange(SERIES_TERMS + 1)
+    sign = (-1.0) ** n
+    # rho -> 0: (1/m) sum (-rho)^n Gamma(1 + (h + n)/m) / n!
+    lg = special.gammaln(1.0 + (h + n) / m) - special.gammaln(n + 1.0) - math.log(m)
+    below = _EndSeries(lg, n.astype(float), sign, lower=True)
+    # rho -> inf: sum (-1)^n Gamma(m + h + n m) / n! rho^(-(m + h + n m))
+    lg = special.gammaln(m + h + n * m) - special.gammaln(n + 1.0)
+    above = _EndSeries(lg, -(m + h + n * m), sign, lower=False)
+    # integrate in s = log v (m <= 1) or s = log v^m (m > 1), so that both
+    # exponentials in s have rates p1, p2 at most 1
+    if m <= 1.0:
+        a, p1, p2, shift = m + h, m, 1.0, 0.0
+    else:
+        a, p1, p2, shift = 1.0 + h / m, 1.0, 1.0 / m, -math.log(m)
 
-    This is the mass a single large jump deposits near x, and the function
-    whose min with t^(-d/alpha) forms the two-sided envelope.  It is an
-    envelope, not the exact density, and it is refused inside 4 (t b)^(1/alpha).
-    Its relative error falls only like |x|^(-alpha), so at small alpha it is
-    far off: against Bergstrom's series at d = 1 it is +113 % at alpha = 0.1
-    and +56 % at alpha = 0.3 ten length scales (t b)^(1/alpha) out, +27 % and
-    +1.4 % at 1e6 of them, and 8e-4 at alpha = 0.5 at 1e6.
+    def log_integrand(s, y):
+        return shift + a * s - np.exp(p1 * s) - np.exp(y + p2 * s)
+
+    # the mode solves p1 e^(p1 s) + p2 e^(y + p2 s) = a, so it lies within
+    # log(2)/p of the smaller root of the two one-term equations, p = min(p1, p2);
+    # left of it the log-integrand falls at least like a (t - 1/p) over t, right
+    # of it like a ((e^(p t) - 1)/p - t)
+    def mode_bound(y: float) -> float:
+        return min(math.log(a / p1) / p1, (math.log(a / p2) - y) / p2)
+
+    p = min(p1, p2)
+    right = 1.0
+    while a * (math.expm1(p * right) / p - right) < PEAK_DROP:
+        right *= 1.2
+    lo = mode_bound(above.reach + 1.0) - (math.log(2.0) + 1.0) / p - PEAK_DROP / a
+    hi = mode_bound(below.reach - 1.0) + right
+    step = TABLE_STEP if m <= 1.0 else TABLE_STEP / 2.0
+    return _LogTable(lambda y: _log_trapezoid(log_integrand, lo, hi, y), below, above, step)
+
+
+def _log_c_table(alpha: float) -> _LogTable:
+    """log C(e^y) with C(q) = E Phi(-q sqrt(W/2)), W = E^(1/m), E standard exponential."""
+    _, m, _ = _kanter_exponents(alpha)
+    n = np.arange(SERIES_TERMS)
+    # q -> 0: 1/2 - K(q), K(q) = sum (-1)^n q^(2n+1) E (W/2)^(n+1/2) / (sqrt(2 pi) 2^n n! (2n+1))
+    j = 2.0 * n + 1.0
+    lg = special.gammaln(1.0 + j / (2.0 * m)) - (j / 2.0 + n) * math.log(2.0) - special.gammaln(n + 1.0)
+    lg -= np.log(j) + 0.5 * math.log(2.0 * math.pi)
+    below = _EndSeries(
+        np.append(-math.log(2.0), lg), np.append(0.0, j), np.append(1.0, -((-1.0) ** n)), lower=True
+    )
+    # q -> inf: sum_{n >= 1} (-1)^(n+1) (4/q^2)^(n m) Gamma(n m + 1/2) / (2 sqrt(pi) n!)
+    n = n + 1.0
+    lg = n * m * math.log(4.0) + special.gammaln(n * m + 0.5) - special.gammaln(n + 1.0)
+    above = _EndSeries(lg - math.log(2.0 * math.sqrt(math.pi)), -2.0 * m * n, (-1.0) ** (n + 1), lower=False)
+    if m >= 1.0:
+        # s = log E: C = int exp(s - e^s) Phi(-q e^(s/(2m)) / sqrt 2) ds; its mode
+        # sits near s = m log(4m / q^2) once q^2 > 4m
+        def log_integrand(s, y):
+            return s - np.exp(s) + special.log_ndtr(-np.exp(y + s / (2.0 * m)) / math.sqrt(2.0))
+
+        lo = min(0.0, m * (math.log(4.0 * m) - 2.0 * (above.reach + 1.0))) - PEAK_DROP - 10.0
+        hi = 4.0
+    else:
+        # s = log z, z = q sqrt(W/2): C = int z phi(z) (1 - exp(-(sqrt 2 z/q)^(2m))) ds
+        def log_integrand(s, y):
+            v = np.minimum(2.0 * m * (s - y) + m * math.log(2.0), 50.0)
+            return s - 0.5 * np.exp(2.0 * s) + np.log(-np.expm1(-np.exp(v))) - 0.5 * math.log(2.0 * math.pi)
+
+        lo, hi = -PEAK_DROP - 5.0, 3.5
+    step = TABLE_STEP if m <= 1.0 else TABLE_STEP / 2.0
+    return _LogTable(lambda y: _log_trapezoid(log_integrand, lo, hi, y), below, above, step)
+
+
+class _MixtureRule:
+    """The phi-rule for I(c) = int_0^pi A_t^(-lam) f(c - log A_t / mu) dphi, f = e^table.
+
+    In y = c - log A_t / mu the integrand, weighted by dphi, behaves like
+    H(y) = exp(gamma y) f(e^y) near theta = pi - phi = 0, where log A_t is
+    linear in log theta: H rises like exp(gamma y), peaks at ``y_peak`` and has
+    fallen PEAK_DROP below its peak at ``y_right``.  Log-theta panels of width
+    ``du``, from the curvature of log H, run from theta = 1 down to where a
+    radius's H has fallen PEAK_DROP below its largest value on theta <= 1;
+    fixed phi-panels, no wider in y, cover theta in [1, pi].
     """
+
+    def __init__(self, table: _LogTable, beta: float, lam: float, mu: float):
+        self.table, self.beta, self.lam, self.mu = table, beta, lam, mu
+        self.k = k = 1.0 / (1.0 - beta)
+        self.gamma = gamma = lam * mu + mu / k
+        y = np.arange(table.lo - 1.0, max(table.hi, table.lo) + 20.0, 0.01)
+        log_h = gamma * y + table(y)
+        top = int(np.argmax(log_h))
+        peak = float(log_h[top])
+        below = np.flatnonzero(log_h[top:] < peak - PEAK_DROP)
+        end = top + below[0] + 1 if len(below) else len(y)
+        # past the y grid the leading term of the upper series sets H's slope
+        overrun = (log_h[-1] - peak + PEAK_DROP) / -(gamma + table.above.slope)
+        self.y_right = float(y[end - 1] if len(below) else y[-1] + overrun)
+        self.y_peak = float(y[top])
+        self.rise_y, self.rise_log_h = y[: top + 1], np.maximum.accumulate(log_h[: top + 1])
+        start = max(0, int(np.searchsorted(self.rise_log_h, peak - PEAK_DROP)) - 1)
+        curvature = np.abs(np.diff(log_h[start:end], 2)).max() / 0.01**2
+        dy = min(1.0 / math.sqrt(curvature), 3.0 / gamma)
+        self.du = mu / k * dy
+        # log A departs from its theta -> 0 line k (log sin(pi beta) - u) by at most this
+        self.log_sin = math.log(math.sin(math.pi * (1.0 - beta)))
+        u = np.linspace(-30.0, 0.0, 301)
+        self.u_margin = np.abs(_log_a_theta(beta, u) - k * (self.log_sin - u)).max() / k + self.du
+        self.log_a_one = float(_log_a_theta(beta, np.zeros(1))[0])
+        edge = math.pi - 1.0
+        n = max(2, math.ceil(float(np.ptp(_log_a_phi(beta, np.array([1e-9, edge])))) / mu / dy))
+        x, w = _GL
+        half = 0.5 * edge / n
+        self.phi_log_a = _log_a_phi(beta, ((2.0 * np.arange(n) + 1.0)[:, None] + x[None, :]) * half).ravel()
+        self.phi_log_w = np.log(half * np.tile(w, n))
+
+    def log_integrals(self, log_tb: float, c: np.ndarray) -> np.ndarray:
+        """log I(c) for each entry of c, with log A_t = k log(t b) + log A."""
+        k, mu, lam, log_sin = self.k, self.mu, self.lam, self.log_sin
+        c = np.asarray(c, dtype=float)
+        # theta in [1, pi]
+        phi_terms = (
+            -lam * (k * log_tb + self.phi_log_a)[None, :]
+            + self.table(c[:, None] - self.phi_log_a[None, :] / mu)
+            + self.phi_log_w[None, :]
+        )
+        # theta <= 1: y = c - log A / mu ~ c + (k u - k log sin(pi beta)) / mu
+        top = np.minimum(self.y_peak, c - self.log_a_one / mu)
+        target = self.gamma * top + self.table(top) - PEAK_DROP
+        y_left = np.interp(target, self.rise_log_h, self.rise_y)
+        past = target < self.rise_log_h[0]
+        y_left[past] = self.rise_y[0] + (target[past] - self.rise_log_h[0]) / self.gamma
+        to_u = mu / k
+        u_left = to_u * (y_left - c) + log_sin - self.u_margin
+        u_right = to_u * (self.y_right - c) + log_sin + self.u_margin
+        first = np.maximum(0, np.floor(-u_right / self.du)).astype(np.int64)
+        counts = np.maximum(first, np.ceil(-u_left / self.du).astype(np.int64)) - first
+        owner = np.repeat(np.arange(len(c)), counts)
+        starts = np.cumsum(counts) - counts
+        panel = np.arange(int(counts.sum())) - np.repeat(starts - first, counts)
+        # log A and log weights on the panels any radius uses, computed once
+        j0 = int(panel.min()) if len(panel) else 0
+        x, w = _GL
+        u = -(np.arange(j0, int(panel.max()) + 1 if len(panel) else 0)[:, None] + 0.5) * self.du
+        u = u + 0.5 * self.du * x[None, :]
+        log_a = _log_a_theta(self.beta, u)[panel - j0]
+        theta_terms = (
+            -lam * (k * log_tb + log_a)
+            + self.table(c[owner][:, None] - log_a / mu)
+            + (u + math.log(0.5 * self.du) + np.log(w)[None, :])[panel - j0]
+        )
+        # each radius sums its own terms exactly, scaled by its largest
+        peak = phi_terms.max(axis=1)
+        np.maximum.at(peak, owner, theta_terms.max(axis=1, initial=-np.inf))
+        phi_vals = np.exp(phi_terms - peak[:, None]).tolist()
+        theta_vals = np.exp(theta_terms - peak[owner][:, None]).ravel().tolist()
+        sums = [
+            math.fsum(phi_vals[i] + theta_vals[8 * a : 8 * (a + n)])
+            for i, (a, n) in enumerate(zip(starts.tolist(), counts.tolist()))
+        ]
+        return peak + np.log(sums)
+
+
+@lru_cache(maxsize=32)
+def _density_rule(d: int, alpha: float) -> _MixtureRule:
+    beta, m, _ = _kanter_exponents(alpha)
+    return _MixtureRule(_log_j_table(d, alpha), beta, lam=d / (2.0 * m), mu=m)
+
+
+@lru_cache(maxsize=32)
+def _cdf_rule(alpha: float) -> _MixtureRule:
+    beta, m, _ = _kanter_exponents(alpha)
+    return _MixtureRule(_log_c_table(alpha), beta, lam=0.0, mu=2.0 * m)
+
+
+def _log_tb(spec: StableSpec, t: float) -> float:
+    """log(t b), b = sigma(d, alpha) c; a t b that overflows a double raises OverflowError."""
     if t <= 0.0:
         raise ValueError("time must be positive")
-    radius = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
-    # (t b)^(1/alpha), b = sigma(d, alpha) c, is where p_t turns from bulk to tail
-    reach = 4.0 * (t * compute_sigma(spec.d, spec.alpha) * spec.c) ** (1.0 / spec.alpha)
-    if radius < reach:
-        raise ValueError(
-            f"tail asymptote requires |x| >= 4 (t b)^(1/alpha) = {reach:.6g}, got |x| = {radius:.6g}"
-        )
-    return t * spec.c * radius ** (-(spec.d + spec.alpha))
+    tb = t * compute_sigma(spec.d, spec.alpha) * spec.c
+    if not math.isfinite(tb):
+        raise OverflowError(f"t sigma c overflows a double at t={t:g}, c={spec.c:g}")
+    return math.log(tb)
+
+
+def _log_radial_densities(spec: StableSpec, t: float, radii) -> np.ndarray:
+    """log p_t at each of ``radii``, all radii under one phi-rule.
+
+    Radius 0 takes the closed form, the rest the mixture integral; a density
+    below the smallest double still has a finite log.  A t b that overflows a
+    double raises OverflowError.
+    """
+    log_tb = _log_tb(spec, t)
+    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    if not np.all(np.isfinite(radii) & (radii >= 0.0)):
+        raise ValueError("radii must be finite and nonnegative")
+    d, alpha = spec.d, spec.alpha
+    logs = np.empty(len(radii))
+    at_origin = radii == 0.0
+    logs[at_origin] = _log_origin_density(d, alpha, log_tb)
+    r = radii[~at_origin]
+    if len(r):
+        _, m, k = _kanter_exponents(alpha)
+        c = 2.0 * np.log(r) - math.log(4.0) - k * log_tb / m
+        log_const = math.log(m / math.pi) - 0.5 * d * math.log(4.0 * math.pi)
+        logs[~at_origin] = log_const + _density_rule(d, alpha).log_integrals(log_tb, c)
+    return logs
 
 
 def _radial_densities(spec: StableSpec, t: float, radii) -> tuple[np.ndarray, list[str]]:
-    """p_t at each of ``radii`` with its method tag, all radii in one inversion pass.
-
-    Radius 0 takes the closed form ('origin'); the rest are inverted together
-    ('quadrature').  A radius whose inversion fails (DENSITY_MAX_SEGMENTS,
-    head error estimate, or a negative value beyond the clamp tolerance)
-    falls back to :func:`tail_asymptotic` ('asymptotic') when it is at least
-    4 (t b)^(1/alpha), and otherwise raises :class:`QuadratureError`.  A t b
-    that overflows a double raises OverflowError.
-    """
-    if t <= 0.0:
-        raise ValueError("time must be positive")
+    """p_t at each of ``radii`` with its method tag: 'origin' for the closed form
+    at radius 0, 'quadrature' for the mixture integral."""
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    d, alpha = spec.d, spec.alpha
-    tb = t * compute_sigma(d, alpha) * spec.c
-    if not math.isfinite(tb):
-        raise OverflowError(f"t sigma c overflows a double at t={t:g}, c={spec.c:g}")
-    origin = _origin_density(d, alpha, tb)
-    reach = 4.0 * tb ** (1.0 / alpha)
-    values = np.empty(len(radii))
-    at_origin = radii == 0.0
-    values[at_origin] = origin
-    tags = ["origin" if o else "quadrature" for o in at_origin.tolist()]
-    quad = np.flatnonzero(~at_origin)
-    integrals, errors = _inversion_integrals(
-        d, d - 1.0, alpha, tb, radii[quad], DENSITY_MAX_SEGMENTS
-    )
-    vals = (2.0 * math.pi) ** (-d) * sphere_surface(d) * integrals
-    neg_tol = 1e-10 * max(1.0, origin)
-    for i, (j, val) in enumerate(zip(quad.tolist(), vals.tolist())):
-        radius = float(radii[j])
-        reason = errors.get(i)
-        if reason is None and val < -neg_tol:
-            reason = f"inversion produced {val:.3e} at t={t}, |x|={radius} (beyond clamp tolerance)"
-        if reason is None:
-            values[j] = max(val, 0.0)
-        elif radius >= reach:
-            values[j], tags[j] = tail_asymptotic(spec, t, radius), "asymptotic"
-        else:
-            raise QuadratureError(reason)
-    return values, tags
+    values = np.exp(_log_radial_densities(spec, t, radii))
+    return values, ["origin" if r == 0.0 else "quadrature" for r in radii.tolist()]
 
 
 def stable_density(spec: StableSpec, t: float, x) -> float:
     """Transition density p_t(x) of the rotationally invariant stable process.
 
-    Evaluates the inversion integral at the native (t, x); nothing is
-    rescaled internally, which keeps the self-similarity law a genuine test
-    rather than an identity.  The asymptote is only a fallback, far out
-    where the oscillation budget is exhausted.  The value is bit-identical
-    to the one :func:`stable_density_grid` gives for the same radius in any
-    batch; that function also reports how each value was obtained.
+    Evaluates the mixture integral at the native (t, x); nothing is rescaled
+    internally, which keeps the self-similarity law a genuine test rather
+    than an identity.  The value is bit-identical to the one
+    :func:`stable_density_grid` gives for the same radius in any batch; that
+    function also reports how each value was obtained.
     """
     if t <= 0.0:
         raise ValueError("time must be positive")
@@ -346,29 +426,21 @@ def stable_density(spec: StableSpec, t: float, x) -> float:
 
 
 def stable_cdf_1d(spec: StableSpec, t: float, x: float) -> float:
-    """CDF of the one-dimensional stable marginal: 1/2 + (1/pi) int exp(-t b s^alpha) sin(s x)/s ds.
+    """CDF of the one-dimensional stable marginal, from the mixture integral of 1 - F.
 
-    The sine integral goes through the same batched inversion as the
-    densities, capped at CDF_MAX_SEGMENTS oscillation segments.  A t b that
-    overflows a double raises OverflowError.
+    F(-x) = 1 - F(x) holds exactly.  A t b that overflows a double raises
+    OverflowError.
     """
     if spec.d != 1:
-        raise ValueError("cdf inversion implemented for d=1 only")
-    if t <= 0.0:
-        raise ValueError("time must be positive")
+        raise ValueError("cdf implemented for d=1 only")
+    log_tb = _log_tb(spec, t)
     x = float(x)
     if x == 0.0:
         return 0.5
-    tb = t * compute_sigma(1, spec.alpha) * spec.c
-    if not math.isfinite(tb):
-        raise OverflowError(f"t sigma c overflows a double at t={t:g}, c={spec.c:g}")
-    integrals, errors = _inversion_integrals(
-        SINE, -1.0, spec.alpha, tb, np.array([abs(x)]), CDF_MAX_SEGMENTS
-    )
-    if errors:
-        raise QuadratureError(f"cdf at |x|={abs(x):.3g}: {errors[0]}")
-    out = 0.5 + math.copysign(float(integrals[0]) / math.pi, x)
-    return min(max(out, 0.0), 1.0)
+    _, m, k = _kanter_exponents(spec.alpha)
+    c = math.log(abs(x)) - k * log_tb / (2.0 * m)
+    upper = min(math.exp(_cdf_rule(spec.alpha).log_integrals(log_tb, np.array([c]))[0]) / math.pi, 0.5)
+    return 1.0 - upper if x > 0.0 else upper
 
 
 def phi_envelope(d: int, alpha: float, t: float, radius) -> np.ndarray:
@@ -412,25 +484,20 @@ class DensityGrid:
 
 
 def stable_density_grid(spec: StableSpec, t: float, points: np.ndarray) -> DensityGrid:
-    """Evaluate the stable density on points, tracking method and clamp counts.
+    """Evaluate the stable density on points, tracking methods and underflows.
 
-    All radii go through one vectorised inversion pass; ``meta["method_counts"]``
-    counts the 'origin', 'quadrature' and 'asymptotic' values.  More than 1%
-    clamped (negative -> 0) nodes aborts.
+    All radii share one phi-rule; ``meta["method_counts"]`` counts the
+    'origin' and 'quadrature' values, and ``meta["clamped"]`` the values that
+    underflow to 0, densities below the smallest double.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != spec.d:
         raise ValueError(f"x has {points.shape[1]} coordinates, expected d={spec.d}")
     values, tags = _radial_densities(spec, t, np.linalg.norm(points, axis=1))
-    clamped = int(np.count_nonzero(values == 0.0))
     meta = {
         "method_counts": {tag: tags.count(tag) for tag in set(tags)},
-        "clamped": clamped,
+        "clamped": int(np.count_nonzero(values == 0.0)),
     }
-    if clamped > 0.01 * len(points):
-        raise DensityEstimateError(
-            f"{clamped}/{len(points)} grid nodes clamped to zero: quadrature breakdown"
-        )
     return DensityGrid(t=t, points=points, values=values, meta=meta)
 
 

@@ -2,7 +2,7 @@
 
 The noises handled here are rotationally invariant alpha-stable measures
 c |z|^(-d-alpha) dz and their truncations to a centred ball.  Everything
-downstream (density inversion, exact samplers, semigroup estimation) consumes
+downstream (stable densities, exact samplers, semigroup estimation) consumes
 the types and symbol routines defined in this module.
 
 Sign convention: for a symmetric driver the characteristic function of the
@@ -32,7 +32,6 @@ __all__ = [
     "sphere_cf",
     "one_minus_sphere_cf",
     "bessel_zeros",
-    "sum_alternating",
     "compute_sigma",
     "symbol",
     "symbol_radial",
@@ -172,7 +171,7 @@ def sphere_cf(d: int, u):
 
     Equals Gamma(d/2) (2/u)^(d/2-1) J_{d/2-1}(u); cos(u) when d = 1.  Radial
     Fourier kernels reduce to this function, so it shows up in every symbol
-    and density integral below.
+    integral below.
     """
     u = np.asarray(u, dtype=float)
     if d == 1:
@@ -214,12 +213,11 @@ def one_minus_sphere_cf(d: int, u):
 
 
 # ---------------------------------------------------------------------------
-# oscillatory-tail machinery
+# oscillatory integrals
 #
-# Radial integrands here carry a J_{d/2-1} factor, so naive infinite-range
-# quadrature stalls or silently misconverges.  All tails are summed segment
-# by segment between consecutive Bessel zeros and accelerated with the
-# Cohen-Villegas-Zagier transform for alternating series.
+# Radial integrands here carry a J_{d/2-1} factor, so naive adaptive
+# quadrature stalls or silently misconverges; it gets a breakpoint at every
+# Bessel zero inside its interval.
 
 _ZERO_CACHE: dict[float, np.ndarray] = {}
 _NEWTON_STEPS = 12
@@ -257,68 +255,6 @@ def bessel_zeros(nu: float, count: int) -> np.ndarray:
     return zeros[:count].copy()
 
 
-def sum_alternating(magnitudes: np.ndarray) -> float:
-    """Sum of sum((-1)^k a_k) from the first terms, via the CVZ acceleration.
-
-    ``magnitudes`` holds a_0, a_1, ... (nonnegative).  Convergence is
-    geometric at rate (3 + sqrt(8))^(-n), so ~20 terms deliver near machine
-    precision for the smooth tails this module produces.
-    """
-    a = np.asarray(magnitudes, dtype=float)
-    n = len(a)
-    if n == 0:
-        return 0.0
-    dd = (3.0 + math.sqrt(8.0)) ** n
-    dd = 0.5 * (dd + 1.0 / dd)
-    b, c, s = -1.0, -dd, 0.0
-    for k in range(n):
-        c = b - c
-        s += c * a[k]
-        b = (k + n) * (k - n) * b / ((k + 0.5) * (k + 1.0))
-    return s / dd
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
-
-
-def _segment_integrals(f, breakpoints: np.ndarray) -> np.ndarray:
-    """Fixed-order Gauss-Legendre integrals of f over consecutive segments."""
-    lo = breakpoints[:-1]
-    hi = breakpoints[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    # nodes: (n_seg, 24)
-    x = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = f(x.ravel()).reshape(x.shape)
-    return half * (vals @ _GL_WEIGHTS)
-
-
-def _oscillatory_tail(d: int, power: float, n_segments: int = 24) -> tuple[float, float]:
-    """(start, integral of rho^power * sphere_cf(d, rho) over [start, inf)).
-
-    ``start`` is a zero of the oscillating kernel so consecutive segment
-    integrals alternate in sign; the alternating series is CVZ-accelerated.
-    Requires power < (d - 1) / 2 for convergence (always true here).
-    """
-    nu = d / 2.0 - 1.0
-    zeros = bessel_zeros(nu, n_segments + 12)
-    # skip the first few zeros so the bulk integral absorbs the non-asymptotic region
-    z = zeros[zeros > 10.0]
-    if len(z) < n_segments + 1:
-        z = zeros[-(n_segments + 1):]
-    z = z[: n_segments + 1]
-
-    def f(rho):
-        return rho**power * sphere_cf(d, rho)
-
-    segs = _segment_integrals(f, z)
-    total = sum_alternating(np.abs(segs))
-    # restore the sign of the first segment
-    if segs[0] < 0.0:
-        total = -total
-    return float(z[0]), float(total)
-
-
 def _bulk_quad(f, lo: float, hi: float, d: int, epsrel: float = 1e-12) -> float:
     """Adaptive integral of f on [lo, hi] with breakpoints at kernel zeros."""
     nu = d / 2.0 - 1.0
@@ -352,23 +288,17 @@ def _bulk_quad(f, lo: float, hi: float, d: int, epsrel: float = 1e-12) -> float:
 def compute_sigma(d: int, alpha: float) -> float:
     """Normalization sigma(d, alpha) = integral of (1 - cos z_1) |z|^(-d-alpha) dz.
 
-    Computed by adaptive quadrature: a bulk integral up to a Bessel zero, the
-    exact power-law tail of the constant part, and a CVZ-accelerated
-    alternating series for the oscillatory remainder.  The closed form
-    2^(1-alpha) pi^(d/2) Gamma(1 - alpha/2) / (alpha Gamma((d+alpha)/2))
-    serves as an independent oracle in the test suite and is deliberately not
-    used here.
+    Closed form 2^(1-alpha) pi^(d/2) Gamma(1 - alpha/2) / (alpha Gamma((d+alpha)/2));
+    the test suite checks it against the defining integral in mpmath.
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"stability index must lie in (0, 2), got {alpha}")
-
-    def bulk(rho):
-        return rho ** (-1.0 - alpha) * one_minus_sphere_cf(d, rho)
-
-    start, tail_osc = _oscillatory_tail(d, -1.0 - alpha)
-    bulk_val = _bulk_quad(bulk, 0.0, start, d)
-    radial = bulk_val + start ** (-alpha) / alpha - tail_osc
-    return sphere_surface(d) * radial
+    return (
+        2.0 ** (1.0 - alpha)
+        * math.pi ** (d / 2.0)
+        * math.gamma(1.0 - alpha / 2.0)
+        / (alpha * math.gamma((d + alpha) / 2.0))
+    )
 
 
 def _incomplete_exponent(d: int, alpha: float, v: float) -> float:

@@ -1,16 +1,20 @@
-"""Shared test utilities: an accurate stable CDF oracle and KS machinery.
+"""Shared test utilities: an accurate stable CDF oracle, KS machinery and the
+jump-tail series of the stable density.
 
 The CDF oracle is deliberately independent of the package's density code in
 the tail: beyond a switch radius it uses the classical convergent series for
 the symmetric stable survival function (alpha <= 1), so sampler tests are
 anchored to two separately-derived computations that must agree where they
-overlap.
+overlap.  ``bergstrom_density`` sums the density's series in mpmath and uses
+no package code.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
@@ -107,3 +111,45 @@ def ks_threshold(n: int, level: float = 0.01) -> float:
     """Asymptotic KS critical value: c(level) / sqrt(n), c(0.01) = 1.628."""
     coeff = {0.1: 1.224, 0.05: 1.358, 0.01: 1.628}[level]
     return coeff / math.sqrt(n)
+
+
+def sigma_mp(d: int, alpha):
+    """sigma(d, alpha) from its closed form, in mpmath."""
+    return (
+        2 ** (1 - alpha)
+        * mp.pi ** (mp.mpf(d) / 2)
+        * mp.gamma(1 - alpha / 2)
+        / (alpha * mp.gamma((d + alpha) / 2))
+    )
+
+
+def exact_alpha(alpha: float):
+    """alpha as the nearest small-denominator fraction (0.1 -> 1/10) and as an mpf."""
+    q = Fraction(alpha).limit_denominator(1000)
+    return q, mp.mpf(q.numerator) / q.denominator
+
+
+def bergstrom_density(alpha: float, x: float, d: int = 1) -> float:
+    """The stable density at radius x > 0 in R^d at t = c = 1, for alpha < 1:
+
+    (pi^(-d/2-1) / x^d) sum over k >= 1 of (-1)^(k+1) / k! 2^(k alpha)
+    Gamma(k alpha/2 + 1) Gamma((k alpha + d)/2) sin(k pi alpha/2) (tb x^(-alpha))^k,
+
+    tb = sigma(d, alpha); at d = 1 this is Bergstrom's series.  alpha is exact,
+    so the terms where k alpha / 2 is an integer vanish exactly.  From one
+    length scale tb^(1/alpha) on, the sine-free term size falls with k; the sum
+    stops once that size is negligible, so a vanishing term is skipped rather
+    than ending the sum.
+    """
+    with mp.workdps(50):
+        q, a = exact_alpha(alpha)
+        x = mp.mpf(x)
+        y = 2**a * sigma_mp(d, a) * x**-a
+        total, k = mp.mpf(0), 0
+        while True:
+            k += 1
+            size = mp.gamma(k * a / 2 + 1) * mp.gamma((k * a + d) / 2) / mp.factorial(k) * y**k
+            if size < mp.mpf(10) ** -60 * abs(total):
+                return float(total / (mp.pi ** (mp.mpf(d) / 2 + 1) * x**d))
+            if (k * q / 2).denominator != 1:
+                total += (-1) ** (k + 1) * size * mp.sinpi(k * a / 2)

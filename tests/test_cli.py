@@ -10,12 +10,13 @@ import math
 
 import numpy as np
 import pytest
+from helpers import bergstrom_density
 
 from harnacklab import cli
 from harnacklab.cli import main
 from harnacklab.density import DensityEstimateError, stable_density_grid
 from harnacklab.harnack_lab import InequalityReport
-from harnacklab.levy_core import OUSpec, StableSpec, TruncatedStableSpec
+from harnacklab.levy_core import OUSpec, QuadratureError, StableSpec, TruncatedStableSpec
 from harnacklab.ou_semigroup import ball_indicator, estimate_Ptf
 from harnacklab.reports import canonical_json, read_samples_dump, validate_report
 from harnacklab.sampling import (
@@ -447,24 +448,43 @@ class TestNumericalErrors:
         assert err.count("\n") == 1
         assert fragment in err
 
-    def test_quadrature_error(self, tmp_path, capsys):
-        # at alpha=0.2 the length scale (t b)^(1/alpha) is ~1.7e5, and radius 1e3
-        # (inside 4 of them, so without an asymptotic fallback) already needs
-        # ~3e5 oscillation segments, past the cap
+    @staticmethod
+    def _density_matches_series(tmp_path, capsys, alpha, radius):
         spec = write_json(
-            tmp_path, "small_alpha.json", {"driver": "stable", "d": 1, "alpha": 0.2, "c": 1.0}
+            tmp_path, "small_alpha.json", {"driver": "stable", "d": 1, "alpha": alpha, "c": 1.0}
         )
-        rc = main(["density", "--spec", spec, "--t", "1", "--radii", "1000.0"])
-        self._assert_one_line_error(rc, capsys, "oscillation segments")
+        rc = main(["density", "--spec", spec, "--t", "1", "--radii", repr(radius)])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        doc = json.loads(captured.out)
+        assert doc["meta"]["method_counts"] == {"quadrature": 1}
+        assert doc["values"][0] == pytest.approx(bergstrom_density(alpha, radius), rel=1e-10)
+
+    def test_quadrature_error(self, stable_cfg, monkeypatch, capsys):
+        def failed(*args, **kwargs):
+            raise QuadratureError("mixture table window does not hold its integrand")
+
+        monkeypatch.setattr(cli, "stable_density_grid", failed)
+        rc = main(["density", "--spec", stable_cfg, "--t", "1", "--radii", "1"])
+        self._assert_one_line_error(rc, capsys, "window does not hold")
+
+    def test_small_alpha_bulk_radius_matches_series(self, tmp_path, capsys):
+        # the length scale (t b)^(1/alpha) is ~1.7e5 at alpha = 0.2: a Fourier
+        # inversion at radius 1e3 would need ~3e5 oscillation segments
+        self._density_matches_series(tmp_path, capsys, 0.2, 1e3)
 
     def test_no_fallback_inside_four_length_scales(self, tmp_path, capsys):
-        # at alpha=0.1 the length scale is ~1.8e13 t^(1/alpha): radius 10 is deep
-        # in the bulk, where the tail asymptote (0.079) exceeds p_t(0) (6.6e-8)
-        spec = write_json(
-            tmp_path, "tiny_alpha.json", {"driver": "stable", "d": 1, "alpha": 0.1, "c": 1.0}
-        )
-        rc = main(["density", "--spec", spec, "--t", "1", "--radii", "10.0"])
-        self._assert_one_line_error(rc, capsys, "oscillation segments")
+        # ~1.8e13 at alpha = 0.1: radius 10 is deep in the bulk, where the tail
+        # envelope (0.079) exceeds p_t(0) (6.6e-8)
+        self._density_matches_series(tmp_path, capsys, 0.1, 10.0)
+
+    def test_failed_run_leaves_no_out_directory(self, tmp_path, capsys):
+        # t sigma c overflows before any report exists, so --out stays uncreated
+        spec = write_json(tmp_path, "huge_c.json", {"driver": "stable", "d": 1, "alpha": 1.0, "c": 1e308})
+        out = tmp_path / "rep2"
+        rc = main(["verify", "--spec", spec, "--inequality", "ratio_lemma", "--out", str(out)])
+        self._assert_one_line_error(rc, capsys, "overflows")
+        assert not out.exists()
 
     def test_origin_value_does_not_overflow(self, tmp_path, capsys):
         # every density call forms p_t(0); at d/alpha = 50 and t = 1e4 it holds
@@ -523,10 +543,12 @@ class TestNonFiniteInputs:
             (STABLE_CFG_TEXT, '{"offsets": [0.0, -Infinity], "n": 4000}',
              ["verify", "--inequality", "young"],
              "grid.json holds the non-finite number -Infinity"),
+            (STABLE_CFG_TEXT, None, ["density", "--t", "1", "--radii", "nan"],
+             "radii must be finite and nonnegative"),
         ],
         ids=[
             "sample-overflow", "density-overflow", "config-nan", "config-infinity",
-            "grid-nan", "grid-minus-infinity",
+            "grid-nan", "grid-minus-infinity", "radius-nan",
         ],
     )
     def test_one_line_error_and_no_output(self, tmp_path, capsys, config, grid, command, fragment):

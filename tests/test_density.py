@@ -1,4 +1,4 @@
-"""Density inversion, envelope constants, and KDE machinery.
+"""Stable densities and CDFs from the mixture integrals, envelope constants, and KDE machinery.
 
 Closed-form references (Cauchy in one and two dimensions, the origin value,
 the Gaussian endpoint, the convergent jump-tail series) are evaluated from
@@ -10,12 +10,11 @@ import math
 
 import numpy as np
 import pytest
-from helpers import tail_complement_series
+from helpers import bergstrom_density, tail_complement_series
 
 from harnacklab import (
     DensityEstimateError,
     DensityGrid,
-    QuadratureError,
     SeedSpec,
     StableSpec,
     TruncatedStableSpec,
@@ -28,12 +27,11 @@ from harnacklab import (
     stable_cdf_1d,
     stable_density,
     stable_density_grid,
-    tail_asymptotic,
     tail_convexity_profile,
     truncated_density_estimate,
 )
 from harnacklab import density
-from harnacklab.density import TAIL_EXPONENT, _fit_tail_envelope
+from harnacklab.density import _fit_tail_envelope
 from harnacklab.levy_core import sphere_surface
 
 
@@ -144,22 +142,17 @@ class TestScalingAndSymmetry:
             stable_density(spec, 1.0, np.zeros(3))
 
 
-class TestTailAsymptote:
-    def test_precondition(self):
-        # the length scale (t b)^(1/alpha) is pi here, so the asymptote starts at 4 pi
-        spec = StableSpec(d=1, alpha=1.0, c=1.0)
-        with pytest.raises(ValueError):
-            tail_asymptotic(spec, 1.0, 12.5)
-        assert tail_asymptotic(spec, 1.0, 13.0) == pytest.approx(13.0**-2.0, rel=1e-14)
-        with pytest.raises(ValueError):
-            tail_asymptotic(spec, 0.0, 10.0)
+def tail_envelope(spec: StableSpec, t: float, r: float) -> float:
+    """t c r^(-d-alpha): the mass one large jump deposits near radius r."""
+    return t * spec.c * r ** (-(spec.d + spec.alpha))
 
-    def test_quadrature_approaches_asymptote_heavy_tail(self, monkeypatch):
-        monkeypatch.setattr(density, "DENSITY_MAX_SEGMENTS", 10**6)
+
+class TestTailAsymptote:
+    def test_quadrature_approaches_asymptote_heavy_tail(self):
         spec = StableSpec(d=1, alpha=0.5, c=1.0)
         g = stable_density_grid(spec, 1.0, [[3e3], [3e4]])
         assert g.meta["method_counts"] == {"quadrature": 2}
-        rels = [abs(p / tail_asymptotic(spec, 1.0, r) - 1.0) for r, p in zip((3e3, 3e4), g.values)]
+        rels = [abs(p / tail_envelope(spec, 1.0, r) - 1.0) for r, p in zip((3e3, 3e4), g.values)]
         assert rels[0] < 0.1
         assert rels[1] < 0.04
         assert rels[1] < rels[0]
@@ -169,7 +162,7 @@ class TestTailAsymptote:
         rels = []
         for r in (20.0, 80.0):
             p = stable_density(spec, 1.0, r)
-            rels.append(abs(p / tail_asymptotic(spec, 1.0, r) - 1.0))
+            rels.append(abs(p / tail_envelope(spec, 1.0, r) - 1.0))
         assert rels[0] < 0.2
         assert rels[1] < 0.05
         assert rels[1] < rels[0]
@@ -179,30 +172,23 @@ class TestTailAsymptote:
         g = stable_density_grid(spec, 1.0, [[0.0], [1.0]])
         assert g.meta["method_counts"] == {"origin": 1, "quadrature": 1}
 
-    def test_segment_exhaustion_fallback(self):
-        # far out, an exhausted oscillation budget falls back to the asymptote
+    def test_far_radius_is_quadrature(self):
+        # a million length scales out the value is the series', not the envelope's
         spec = StableSpec(d=1, alpha=0.5, c=1.0)
         g = stable_density_grid(spec, 1.0, [[1e6]])
-        assert g.meta["method_counts"] == {"asymptotic": 1}
-        assert g.values[0] == pytest.approx(tail_asymptotic(spec, 1.0, 1e6), rel=1e-14)
+        assert g.meta["method_counts"] == {"quadrature": 1}
+        assert g.values[0] == pytest.approx(bergstrom_density(0.5, 1e6), rel=1e-10)
 
-    def test_segment_exhaustion_near_origin_raises(self, monkeypatch):
-        # inside 4 (t b)^(1/alpha) there is no valid fallback
-        monkeypatch.setattr(density, "DENSITY_MAX_SEGMENTS", 10)
-        spec = StableSpec(d=1, alpha=0.5, c=1.0)
-        with pytest.raises(QuadratureError):
-            stable_density(spec, 1.0, 2.0)
-
-    def test_fallback_starts_at_four_length_scales(self, monkeypatch):
-        # (t b)^(1/alpha) = 25 t^(1/alpha) here: between 4 t^(1/alpha) and
-        # 4 (t b)^(1/alpha) the asymptote overstates the density up to 8x
-        monkeypatch.setattr(density, "DENSITY_MAX_SEGMENTS", 10)
+    def test_no_switch_around_four_length_scales(self):
+        # (t b)^(1/alpha) = 25 t^(1/alpha) here; on either side of four length
+        # scales the tail envelope overstates the density up to 8x
         spec = StableSpec(d=1, alpha=0.5, c=1.0)
         reach = 4.0 * sigma_closed_form(1, 0.5) ** 2.0
-        with pytest.raises(QuadratureError, match="oscillation segments"):
-            stable_density(spec, 1.0, 0.99 * reach)
-        g = stable_density_grid(spec, 1.0, [[1.01 * reach]])
-        assert g.meta["method_counts"] == {"asymptotic": 1}
+        radii = [2.0, 0.99 * reach, 1.01 * reach]
+        g = stable_density_grid(spec, 1.0, _axis_points(1, radii))
+        assert g.meta["method_counts"] == {"quadrature": 3}
+        for r, p in zip(radii, g.values):
+            assert p == pytest.approx(bergstrom_density(0.5, r), rel=1e-10)
 
 
 class TestCdf1d:
@@ -237,13 +223,17 @@ class TestCdf1d:
         series_tail = tail_complement_series(0.5, tb, x)
         assert quad_tail == pytest.approx(series_tail, abs=1e-10)
 
-    def test_far_radius_rejected(self):
+    def test_far_radius_tail(self):
+        # F(-x) carries the tail mass without cancellation, to relative accuracy
         spec = StableSpec(d=1, alpha=0.5, c=1.0)
-        with pytest.raises(QuadratureError):
-            stable_cdf_1d(spec, 1.0, 1e12)
+        tb = sigma_closed_form(1, 0.5)
+        for x in (1e6, 1e12):
+            series = tail_complement_series(0.5, tb, x)
+            assert stable_cdf_1d(spec, 1.0, -x) == pytest.approx(series, rel=1e-10)
+            assert stable_cdf_1d(spec, 1.0, x) == 1.0 - stable_cdf_1d(spec, 1.0, -x)
 
     def test_far_radius_memory_bounded(self):
-        # ~2.9e5 oscillation segments: evaluated in chunks, not as one array
+        # a sine inversion would need ~2.9e5 half-periods here
         import tracemalloc
 
         spec = StableSpec(d=1, alpha=1.0, c=1.0 / math.pi)
@@ -316,49 +306,87 @@ def _axis_points(d: int, radii) -> np.ndarray:
 
 class TestBatchedInversion:
     @pytest.mark.parametrize("d,alpha,t", [(1, 1.0, 1.0), (2, 1.5, 0.25)])
-    def test_batch_values_bit_identical_to_single(self, d, alpha, t, monkeypatch):
+    def test_batch_values_bit_identical_to_single(self, d, alpha, t):
         spec = StableSpec(d=d, alpha=alpha, c=1.0)
-        radii = np.concatenate([np.geomspace(1e-3, 10.0, 20), np.linspace(100.0, 800.0, 20)])
-        # the batch spans several chunks: half-period panels of 24 nodes each
-        upper = (TAIL_EXPONENT / (t * sigma_closed_form(d, alpha))) ** (1.0 / alpha)
-        assert 24 * np.sum(upper * radii / math.pi) > 4 * density.CHUNK_NODES
+        radii = np.concatenate([np.geomspace(1e-3, 10.0, 20), np.geomspace(100.0, 1e7, 20)])
         single = np.array([stable_density(spec, t, x) for x in _axis_points(d, radii)])
         batch = stable_density_grid(spec, t, _axis_points(d, radii)).values
         assert np.array_equal(batch, single)
-        # chunk boundaries falling elsewhere inside each radius change nothing
-        monkeypatch.setattr(density, "CHUNK_NODES", 1000)
-        assert np.array_equal(stable_density_grid(spec, t, _axis_points(d, radii)).values, single)
+        # neither the order of a batch nor its other members change a value
+        order = np.random.default_rng(5).permutation(len(radii))
+        shuffled = stable_density_grid(spec, t, _axis_points(d, radii[order])).values
+        assert np.array_equal(shuffled, single[order])
+        assert np.array_equal(stable_density_grid(spec, t, _axis_points(d, radii[::3])).values, single[::3])
 
     def test_grid_meta_counts_methods_and_clamps(self):
-        # past the 40000-segment cap the d=1, alpha=0.5 inversion falls back
         spec = StableSpec(d=1, alpha=0.5, c=1.0)
         radii = [0.0, 0.5, 30.0, 1e6, 3e6]
         g = stable_density_grid(spec, 1.0, _axis_points(1, radii))
-        assert g.meta == {
-            "method_counts": {"origin": 1, "quadrature": 2, "asymptotic": 2},
-            "clamped": 0,
-        }
+        assert g.meta == {"method_counts": {"origin": 1, "quadrature": 4}, "clamped": 0}
         for x, v in zip(g.points, g.values):
             assert v == stable_density(spec, 1.0, x)
 
-    def test_over_cap_radius_raises_before_allocating(self):
-        # at one length scale d=2, alpha=0.1 would need ~1e18 Bessel zeros;
-        # the cap must stop it first
+    def test_tiny_alpha_radii_memory_bounded(self):
+        # at d=2, alpha=0.1 the length scale is 2e13, where a Hankel inversion
+        # would need ~1e18 Bessel zeros at one length scale
         import tracemalloc
 
         spec = StableSpec(d=2, alpha=0.1, c=1.0)
         scale = sigma_closed_form(2, 0.1) ** 10.0
-        far = [1e2 * scale, 1e4 * scale]
+        radii = [scale, 1e2 * scale, 1e4 * scale]
+        stable_density(spec, 1.0, np.array([scale, 0.0]))  # builds the table
         tracemalloc.start()
         try:
-            with pytest.raises(QuadratureError, match="oscillation segments"):
-                stable_density(spec, 1.0, np.array([scale, 0.0]))
-            values = stable_density_grid(spec, 1.0, _axis_points(2, far)).values
+            g = stable_density_grid(spec, 1.0, _axis_points(2, radii))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert np.array_equal(values, [tail_asymptotic(spec, 1.0, r) for r in far])
+        assert g.meta["method_counts"] == {"quadrature": 3}
+        for r, p in zip(radii, g.values):
+            assert p == pytest.approx(bergstrom_density(0.1, r, d=2), rel=1e-10)
         assert peak < 1 << 20
+
+
+class TestBox:
+    """Every (d, alpha, t) of the box d <= 5, alpha in [0.1, 1.99], t in [1e-4, 1e4]
+    and every radius from 1e-3 to 1e6 length scales gets a quadrature value.
+
+    A Gaussian scale mixture is radially decreasing, so the densities must not
+    increase with r; the CDF must be a distribution function, symmetric about 0.
+    At d = 5, alpha = 0.1, t = 1e4 the density falls below the smallest double
+    from about 1e-3 length scales on, so positivity is asserted on its log, which
+    the values are the exponentials of.
+    """
+
+    SCALED = np.logspace(-3.0, 6.0, 37)
+    TIMES = (1e-4, 1.0, 1e4)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.7, 1.0, 1.5, 1.9, 1.99])
+    def test_density_positive_and_decreasing(self, d, alpha):
+        spec = StableSpec(d=d, alpha=alpha)
+        for t in self.TIMES:
+            scale = (t * sigma_closed_form(d, alpha)) ** (1.0 / alpha)
+            radii = np.concatenate(([0.0], scale * self.SCALED))
+            g = stable_density_grid(spec, t, _axis_points(d, radii))
+            assert g.meta["method_counts"] == {"origin": 1, "quadrature": len(self.SCALED)}
+            logs = density._log_radial_densities(spec, t, radii)
+            assert np.all(np.isfinite(logs))
+            assert np.all(np.diff(logs) <= 0.0), (t, logs)
+            assert np.array_equal(g.values, np.exp(logs))
+            assert g.meta["clamped"] == np.count_nonzero(g.values == 0.0)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.7, 1.0, 1.5, 1.9, 1.99])
+    def test_cdf_is_a_symmetric_distribution_function(self, alpha):
+        spec = StableSpec(d=1, alpha=alpha)
+        for t in self.TIMES:
+            scale = (t * sigma_closed_form(1, alpha)) ** (1.0 / alpha)
+            x = scale * self.SCALED
+            right = np.array([stable_cdf_1d(spec, t, v) for v in x])
+            left = np.array([stable_cdf_1d(spec, t, -v) for v in x])
+            assert np.all((left >= 0.0) & (left <= 0.5) & (right >= 0.5) & (right <= 1.0))
+            assert np.all(np.diff(right) >= 0.0) and np.all(np.diff(left) <= 0.0)
+            assert np.array_equal(left + right, np.ones_like(x))
 
 
 class TestDensityGrid:

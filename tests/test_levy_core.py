@@ -3,11 +3,14 @@
 Frozen numeric oracles here were produced from closed forms evaluated
 independently of the package quadrature (classical Fourier identities for the
 stable normalization and the cosine-integral form of the small-ball constant),
-so agreement is evidence, not circularity.
+so agreement is evidence, not circularity.  The package computes the stable
+normalization from its closed form; the defining integral, summed in mpmath,
+is the oracle for it.
 """
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
@@ -32,7 +35,6 @@ from harnacklab.levy_core import (
     one_minus_sphere_cf,
     sphere_cf,
     sphere_surface,
-    sum_alternating,
 )
 
 
@@ -46,6 +48,30 @@ def sigma_closed_form(d: int, alpha: float) -> float:
     )
 
 
+def sigma_integral(d: int, alpha: float) -> float:
+    """sigma(d, alpha) = int (1 - cos z_1) |z|^(-d-alpha) dz in mpmath, by Fubini.
+
+    With z = (z_1, |z_1| w), w in R^(d-1), it is W I: W = |S^(d-2)| int_0^inf
+    rho^(d-2) (1 + rho^2)^(-(d+alpha)/2) drho (W = 1 at d = 1) and I = 2 int_0^inf
+    (1 - cos z) z^(-1-alpha) dz.  I is summed on [0, pi] as 2 sin^2(z/2) z^(-1-alpha)
+    in w = z^(2-alpha), where it is smooth, and past pi as pi^(-alpha)/alpha minus
+    int_pi^inf cos(z) z^(-1-alpha) dz = Re(i^(-alpha) Gamma(-alpha, -i pi)).
+    """
+    with mp.workdps(20):
+        a = mp.mpf(alpha)
+        p = 1 / (2 - a)
+        head = mp.quad(lambda w: 2 * mp.sin(w**p / 2) ** 2 * w ** (-2 * p) * p, [0, 1])
+        head += mp.quad(lambda z: 2 * mp.sin(z / 2) ** 2 * z ** (-1 - a), [1, mp.pi])
+        tail = mp.re(mp.j ** (-a) * mp.gammainc(-a, -mp.j * mp.pi))
+        total = 2 * (head + mp.pi ** (-a) / a - tail)
+        if d > 1:
+            surface = 2 * mp.pi ** (mp.mpf(d - 1) / 2) / mp.gamma(mp.mpf(d - 1) / 2)
+            total *= surface * mp.quad(
+                lambda r: r ** (d - 2) * (1 + r * r) ** (-(d + a) / 2), [0, 1, mp.inf]
+            )
+        return float(total)
+
+
 class TestSigma:
     def test_frozen_values(self):
         assert compute_sigma(1, 1.0) == pytest.approx(math.pi, rel=1e-13)
@@ -57,7 +83,9 @@ class TestSigma:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0, 1.3, 1.7, 1.9])
     def test_matches_closed_form(self, d, alpha):
-        assert compute_sigma(d, alpha) == pytest.approx(sigma_closed_form(d, alpha), rel=1e-11)
+        # the closed form, and the defining integral it stands for
+        assert compute_sigma(d, alpha) == pytest.approx(sigma_closed_form(d, alpha), rel=1e-14)
+        assert compute_sigma(d, alpha) == pytest.approx(sigma_integral(d, alpha), rel=1e-12)
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
@@ -148,18 +176,6 @@ class TestGeometry:
         # J_(1/2) ~ sin(x)/sqrt(x) and J_(-1/2) ~ cos(x)/sqrt(x)
         k = np.arange(1, 5001)
         assert np.allclose(bessel_zeros(nu, 5000), (k - offset) * np.pi, rtol=1e-13, atol=0)
-
-    def test_sum_alternating_known_series(self):
-        k = np.arange(60, dtype=float)
-        assert sum_alternating(1.0 / (k + 1.0)) == pytest.approx(math.log(2.0), abs=1e-13)
-        assert sum_alternating(1.0 / (2.0 * k + 1.0)) == pytest.approx(math.pi / 4.0, abs=1e-13)
-        assert sum_alternating(np.array([])) == 0.0
-
-    @given(q=st.floats(min_value=0.05, max_value=0.45))
-    def test_sum_alternating_geometric(self, q):
-        # sum (-1)^k q^k = 1 / (1 + q)
-        a = q ** np.arange(40, dtype=float)
-        assert sum_alternating(a) == pytest.approx(1.0 / (1.0 + q), rel=1e-12)
 
 
 class TestSymbols:

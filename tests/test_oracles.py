@@ -7,19 +7,17 @@ Hankel transform (1/(2 pi)) int exp(-tb s^alpha) J_0(s r) s ds in two.  The
 CDF reference is 1/2 + (1/pi) int exp(-tb s^alpha) sin(s x)/s ds, split at
 the zeros k pi/x.  For alpha < 1 the one-dimensional density has a third,
 quadrature-free reference: Bergstrom's convergent series in x^(-k alpha - 1),
-summed in 50-digit arithmetic.  The normalization sigma(d, alpha) comes from
-its closed form.  Nothing here uses harnacklab except the function under test
-and its StableSpec argument.
+summed in 50-digit arithmetic (``helpers.bergstrom_density``).  The
+normalization sigma(d, alpha) comes from its closed form.  Nothing here uses
+harnacklab except the function under test and its StableSpec argument.
 """
-
-from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
+from helpers import bergstrom_density, exact_alpha, sigma_mp
 
 from harnacklab import (
-    QuadratureError,
     StableSpec,
     stable_cdf_1d,
     stable_density,
@@ -30,19 +28,10 @@ from harnacklab import (
 CUTOFF_EXPONENT = 70
 
 
-def _sigma(d: int, alpha):
-    return (
-        2 ** (1 - alpha)
-        * mp.pi ** (mp.mpf(d) / 2)
-        * mp.gamma(1 - alpha / 2)
-        / (alpha * mp.gamma((d + alpha) / 2))
-    )
-
-
 def _oracle_density(d: int, alpha: float, c: float, t: float, r: float) -> float:
     with mp.workdps(30):
         a, r = mp.mpf(alpha), mp.mpf(r)
-        tb = mp.mpf(t) * mp.mpf(c) * _sigma(d, a)
+        tb = mp.mpf(t) * mp.mpf(c) * sigma_mp(d, a)
         cutoff = (CUTOFF_EXPONENT / tb) ** (1 / a)
         zeros = []
         k = 1
@@ -90,7 +79,7 @@ CDF_GROUP = 8
 def _oracle_cdf(alpha: float, c: float, t: float, x: float) -> float:
     with mp.workdps(20):
         a, x = mp.mpf(alpha), mp.mpf(x)
-        tb = mp.mpf(t) * mp.mpf(c) * _sigma(1, a)
+        tb = mp.mpf(t) * mp.mpf(c) * sigma_mp(1, a)
         cutoff = (CDF_CUTOFF_EXPONENT / tb) ** (1 / a)
         n = int(cutoff * x / mp.pi)
         breaks = [k * mp.pi / x for k in range(1, n + 1, CDF_GROUP)]
@@ -122,60 +111,14 @@ def test_stable_cdf_matches_mpmath(alpha, c, t, x):
     assert stable_cdf_1d(spec, t, -x) == pytest.approx(1.0 - ref, rel=0.0, abs=1e-10)
 
 
-def _exact(alpha: float):
-    """alpha as the nearest small-denominator fraction (0.1 -> 1/10) and as an mpf."""
-    q = Fraction(alpha).limit_denominator(1000)
-    return q, mp.mpf(q.numerator) / q.denominator
-
-
-def _bergstrom_density(alpha: float, x: float) -> float:
-    """(1/pi) sum over k >= 1 of (-1)^(k+1) Gamma(k alpha + 1)/k! sin(k pi alpha/2)
-    tb^k x^(-k alpha - 1): the d = 1 density at t = c = 1, tb = sigma(1, alpha),
-    for alpha < 1.
-
-    alpha is exact, so the terms where k alpha / 2 is an integer vanish
-    exactly.  From one length scale tb^(1/alpha) on, Gamma(k alpha + 1)/k!
-    (tb x^(-alpha))^k falls with k; the sum stops once that sine-free size
-    is negligible, so a vanishing term is skipped rather than ending the sum.
-    """
-    with mp.workdps(50):
-        q, a = _exact(alpha)
-        x = mp.mpf(x)
-        y = _sigma(1, a) * x**-a
-        total, k = mp.mpf(0), 0
-        while True:
-            k += 1
-            size = mp.gamma(k * a + 1) / mp.factorial(k) * y**k
-            if size < mp.mpf(10) ** -60 * abs(total):
-                return float(total / (mp.pi * x))
-            if (k * q / 2).denominator != 1:
-                total += (-1) ** (k + 1) * size * mp.sinpi(k * a / 2)
-
-
-def _bergstrom_case(alpha, scales):
-    # the quadrature refuses these radii or answers them with the one-term
-    # tail asymptote, which is 113 % off at alpha = 0.1 and 56 % at alpha = 0.3
-    # ten length scales out; ROADMAP item 1 (a positive-integral density)
-    # should flip them to passing
-    if alpha == 0.5 and scales in (1, 10):
-        return pytest.param(alpha, scales)
-    return pytest.param(
-        alpha, scales,
-        marks=pytest.mark.xfail(
-            strict=True, raises=(AssertionError, QuadratureError),
-            reason="refused or asymptotic until ROADMAP item 1 lands",
-        ),
-    )
-
-
 @pytest.mark.parametrize(
     "alpha,scales",
-    [_bergstrom_case(a, m) for a in (0.1, 0.3, 0.5) for m in (1, 10, 1e2, 1e3, 1e4, 1e6)],
+    [(a, m) for a in (0.1, 0.3, 0.5) for m in (1, 10, 1e2, 1e3, 1e4, 1e6)],
 )
 def test_stable_density_matches_bergstrom_series(alpha, scales):
     # the radius is `scales` length scales (t b)^(1/alpha), at t = c = 1
     with mp.workdps(50):
-        _, a = _exact(alpha)
-        x = float(scales * _sigma(1, a) ** (1 / a))
+        _, a = exact_alpha(alpha)
+        x = float(scales * sigma_mp(1, a) ** (1 / a))
     grid = stable_density_grid(StableSpec(d=1, alpha=alpha), 1.0, np.array([[x]]))
-    assert grid.values[0] == pytest.approx(_bergstrom_density(alpha, x), rel=1e-10, abs=0.0)
+    assert grid.values[0] == pytest.approx(bergstrom_density(alpha, x), rel=1e-10, abs=0.0)
