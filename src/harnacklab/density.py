@@ -79,6 +79,9 @@ SERIES_TERMS = 8
 # of half-width pi/4 or more: the rule's error is about exp(-pi^2 / (2 step)).
 TABLE_STEP = 0.05
 TRAPEZOID_STEP = 0.15
+# A table's cost bounds: alpha -> 0 widens tables, alpha -> 2 the integrals' windows.
+TABLE_POINTS = 1 << 16
+TRAPEZOID_NODES = 1 << 27
 # Windows leave out what lies PEAK_DROP below an integrand's peak (e^-45 ~ 3e-20).
 PEAK_DROP = 45.0
 # phi-panels: 8 Gauss-Legendre nodes each, one curvature scale of the
@@ -107,14 +110,8 @@ def _kanter_exponents(alpha: float) -> tuple[float, float, float]:
     return beta, beta / (1.0 - beta), 1.0 / (1.0 - beta)
 
 
-def _log_a_phi(beta: float, phi: np.ndarray) -> np.ndarray:
-    """log A(phi) for phi in (0, pi - 1]."""
-    m, k = beta / (1.0 - beta), 1.0 / (1.0 - beta)
-    return m * np.log(np.sin(beta * phi)) + np.log(np.sin((1.0 - beta) * phi)) - k * np.log(np.sin(phi))
-
-
 def _log_a_theta(beta: float, u: np.ndarray) -> np.ndarray:
-    """log A at theta = pi - phi = e^u <= 1: sin(beta phi) = sin(pi (1 - beta) + beta theta),
+    """log A at theta = pi - phi = e^u: sin(beta phi) = sin(pi (1 - beta) + beta theta),
     and log sin(theta) = u + log(sin(theta)/theta) stays finite where e^u underflows."""
     m, k = beta / (1.0 - beta), 1.0 / (1.0 - beta)
     theta = np.exp(u)
@@ -140,8 +137,7 @@ class _EndSeries:
     def __init__(self, coef, slope, sign, lower: bool):
         dc, ds = coef - coef[0], slope - slope[0]
         first = -dc[1] / ds[1]
-        ends = [(-SERIES_LOG_TOL - dc[n]) / ds[n] for n in range(1, len(coef))]
-        ends = [min(y, first) if lower else max(y, first) for y in ends]
+        ends = [(min if lower else max)((-SERIES_LOG_TOL - dc[n]) / ds[n], first) for n in range(1, len(coef))]
         n = int(np.argmax(ends) if lower else np.argmin(ends)) + 1
         self.reach, self.lead, self.slope, self.rate = ends[n - 1], coef[0], slope[0], ds[1]
         powers = np.rint(ds[:n] / ds[1]).astype(int)
@@ -162,7 +158,10 @@ class _LogTable:
         from scipy.interpolate import make_interp_spline
 
         self.below, self.above, self.lo, self.hi = below, above, below.reach, above.reach
-        y = self.lo - 4.0 * step + step * np.arange(math.ceil((self.hi - self.lo) / step) + 9)
+        n = math.ceil((self.hi - self.lo) / step) + 9
+        if n > TABLE_POINTS:
+            raise QuadratureError(f"a mixture table needs {n} points (cap {TABLE_POINTS}): alpha is too close to 0")
+        y = self.lo - 4.0 * step + step * np.arange(n)
         self.spline = make_interp_spline(y, log_values(y), k=7)
 
     def __call__(self, y) -> np.ndarray:
@@ -174,20 +173,39 @@ class _LogTable:
         return out
 
 
-def _log_trapezoid(log_integrand, lo: float, hi: float, params: np.ndarray) -> np.ndarray:
-    """log of the integral of exp(log_integrand(s, p)) over s in [lo, hi], for each p.
+def _log_trapezoid(log_integrand, params: np.ndarray) -> np.ndarray:
+    """log of the integral over s of exp(log_integrand(s, p)), for each p in ``params``.
 
-    Trapezoid rule at TRAPEZOID_STEP, 64 parameters at a time; the integrand
-    must have fallen PEAK_DROP below its peak at both ends of the window.
+    The log-integrand must be concave in s.  A golden-section search finds each
+    peak within |s| < 1e6 and bisection the window where it has fallen
+    PEAK_DROP below; the trapezoid rule at TRAPEZOID_STEP covers the window,
+    a few parameters at a time.  More than TRAPEZOID_NODES nodes in all raise.
     """
-    s = lo + TRAPEZOID_STEP * np.arange(int((hi - lo) / TRAPEZOID_STEP) + 2)
-    out = np.empty(len(params))
-    for i in range(0, len(params), 64):
-        vals = log_integrand(s[None, :], params[i : i + 64, None])
-        top = vals.max(axis=1)
-        if np.any(np.maximum(vals[:, 0], vals[:, -1]) > top - PEAK_DROP):
-            raise QuadratureError("mixture table window does not hold its integrand")
-        out[i : i + 64] = top + np.log(TRAPEZOID_STEP * np.exp(vals - top[:, None]).sum(axis=1))
+    g = lambda s: log_integrand(s, params)
+    lo, hi = np.full(len(params), -1e6), np.full(len(params), 1e6)
+    for _ in range(90):
+        a, b = hi - 0.618034 * (hi - lo), lo + 0.618034 * (hi - lo)
+        rising = g(a) < g(b)
+        lo, hi = np.where(rising, a, lo), np.where(rising, hi, b)
+    mode = 0.5 * (lo + hi)
+    peak = g(mode)
+    ends = []
+    for far in (-1e6, 1e6):
+        inside, outside = mode, np.full(len(params), far)
+        for _ in range(60):
+            mid = 0.5 * (inside + outside)
+            kept = g(mid) > peak - PEAK_DROP
+            inside, outside = np.where(kept, mid, inside), np.where(kept, outside, mid)
+        ends.append(outside)
+    nodes = (ends[1] - ends[0]) / TRAPEZOID_STEP + 2
+    if np.any(np.abs(ends) == 1e6) or nodes.sum() > TRAPEZOID_NODES:
+        raise QuadratureError("mixture table integrals exceed their node budget: alpha is too close to 2")
+    out, chunk = np.empty(len(params)), max(1, int(TRAPEZOID_NODES // 512 // nodes.max()))
+    for i in range(0, len(params), chunk):
+        rows = slice(i, i + chunk)
+        s = ends[0][rows, None] + TRAPEZOID_STEP * np.arange(int(nodes[rows].max()))
+        vals = log_integrand(s, params[rows, None]) - peak[rows, None]
+        out[rows] = peak[rows] + np.log(TRAPEZOID_STEP * np.exp(vals).sum(axis=1))
     return out
 
 
@@ -210,23 +228,11 @@ def _log_j_table(d: int, alpha: float) -> _LogTable:
         a, p1, p2, shift = 1.0 + h / m, 1.0, 1.0 / m, -math.log(m)
 
     def log_integrand(s, y):
-        return shift + a * s - np.exp(p1 * s) - np.exp(y + p2 * s)
+        # capped exponents: e^700 already puts a node far below its peak
+        return shift + a * s - np.exp(np.minimum(p1 * s, 700.0)) - np.exp(np.minimum(y + p2 * s, 700.0))
 
-    # the mode solves p1 e^(p1 s) + p2 e^(y + p2 s) = a, so it lies within
-    # log(2)/p of the smaller root of the two one-term equations, p = min(p1, p2);
-    # left of it the log-integrand falls at least like a (t - 1/p) over t, right
-    # of it like a ((e^(p t) - 1)/p - t)
-    def mode_bound(y: float) -> float:
-        return min(math.log(a / p1) / p1, (math.log(a / p2) - y) / p2)
-
-    p = min(p1, p2)
-    right = 1.0
-    while a * (math.expm1(p * right) / p - right) < PEAK_DROP:
-        right *= 1.2
-    lo = mode_bound(above.reach + 1.0) - (math.log(2.0) + 1.0) / p - PEAK_DROP / a
-    hi = mode_bound(below.reach - 1.0) + right
     step = TABLE_STEP if m <= 1.0 else TABLE_STEP / 2.0
-    return _LogTable(lambda y: _log_trapezoid(log_integrand, lo, hi, y), below, above, step)
+    return _LogTable(lambda y: _log_trapezoid(log_integrand, y), below, above, step)
 
 
 def _log_c_table(alpha: float) -> _LogTable:
@@ -245,22 +251,19 @@ def _log_c_table(alpha: float) -> _LogTable:
     lg = n * m * math.log(4.0) + special.gammaln(n * m + 0.5) - special.gammaln(n + 1.0)
     above = _EndSeries(lg - math.log(2.0 * math.sqrt(math.pi)), -2.0 * m * n, (-1.0) ** (n + 1), lower=False)
     if m >= 1.0:
-        # s = log E: C = int exp(s - e^s) Phi(-q e^(s/(2m)) / sqrt 2) ds; its mode
-        # sits near s = m log(4m / q^2) once q^2 > 4m
+        # s = log E: C = int exp(s - e^s) Phi(-q e^(s/(2m)) / sqrt 2) ds
         def log_integrand(s, y):
-            return s - np.exp(s) + special.log_ndtr(-np.exp(y + s / (2.0 * m)) / math.sqrt(2.0))
-
-        lo = min(0.0, m * (math.log(4.0 * m) - 2.0 * (above.reach + 1.0))) - PEAK_DROP - 10.0
-        hi = 4.0
+            w = np.exp(np.minimum(y + s / (2.0 * m), 300.0)) / math.sqrt(2.0)
+            return s - np.exp(np.minimum(s, 700.0)) + special.log_ndtr(-w)
     else:
         # s = log z, z = q sqrt(W/2): C = int z phi(z) (1 - exp(-(sqrt 2 z/q)^(2m))) ds
         def log_integrand(s, y):
-            v = np.minimum(2.0 * m * (s - y) + m * math.log(2.0), 50.0)
-            return s - 0.5 * np.exp(2.0 * s) + np.log(-np.expm1(-np.exp(v))) - 0.5 * math.log(2.0 * math.pi)
+            v = np.clip(2.0 * m * (s - y) + m * math.log(2.0), -700.0, 50.0)
+            gauss = s - 0.5 * np.exp(np.minimum(2.0 * s, 700.0)) - 0.5 * math.log(2.0 * math.pi)
+            return gauss + np.log(-np.expm1(-np.exp(v)))
 
-        lo, hi = -PEAK_DROP - 5.0, 3.5
     step = TABLE_STEP if m <= 1.0 else TABLE_STEP / 2.0
-    return _LogTable(lambda y: _log_trapezoid(log_integrand, lo, hi, y), below, above, step)
+    return _LogTable(lambda y: _log_trapezoid(log_integrand, y), below, above, step)
 
 
 class _MixtureRule:
@@ -300,10 +303,12 @@ class _MixtureRule:
         self.u_margin = np.abs(_log_a_theta(beta, u) - k * (self.log_sin - u)).max() / k + self.du
         self.log_a_one = float(_log_a_theta(beta, np.zeros(1))[0])
         edge = math.pi - 1.0
-        n = max(2, math.ceil(float(np.ptp(_log_a_phi(beta, np.array([1e-9, edge])))) / mu / dy))
+        log_a_edges = _log_a_theta(beta, np.log([math.pi - 1e-6, 1.0]))
+        n = max(2, math.ceil(float(np.ptp(log_a_edges)) / mu / dy))
         x, w = _GL
         half = 0.5 * edge / n
-        self.phi_log_a = _log_a_phi(beta, ((2.0 * np.arange(n) + 1.0)[:, None] + x[None, :]) * half).ravel()
+        phi = ((2.0 * np.arange(n) + 1.0)[:, None] + x[None, :]) * half
+        self.phi_log_a = _log_a_theta(beta, np.log(math.pi - phi)).ravel()
         self.phi_log_w = np.log(half * np.tile(w, n))
 
     def log_integrals(self, log_tb: float, c: np.ndarray) -> np.ndarray:
@@ -416,8 +421,6 @@ def stable_density(spec: StableSpec, t: float, x) -> float:
     :func:`stable_density_grid` gives for the same radius in any batch; that
     function also reports how each value was obtained.
     """
-    if t <= 0.0:
-        raise ValueError("time must be positive")
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     if xv.size != spec.d:
         raise ValueError(f"x has {xv.size} coordinates, expected d={spec.d}")

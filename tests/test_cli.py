@@ -462,11 +462,11 @@ class TestNumericalErrors:
 
     def test_quadrature_error(self, stable_cfg, monkeypatch, capsys):
         def failed(*args, **kwargs):
-            raise QuadratureError("mixture table window does not hold its integrand")
+            raise QuadratureError("bulk quadrature diverged on [0.0, 3.14]")
 
         monkeypatch.setattr(cli, "stable_density_grid", failed)
         rc = main(["density", "--spec", stable_cfg, "--t", "1", "--radii", "1"])
-        self._assert_one_line_error(rc, capsys, "window does not hold")
+        self._assert_one_line_error(rc, capsys, "bulk quadrature diverged")
 
     def test_small_alpha_bulk_radius_matches_series(self, tmp_path, capsys):
         # the length scale (t b)^(1/alpha) is ~1.7e5 at alpha = 0.2: a Fourier
@@ -477,6 +477,13 @@ class TestNumericalErrors:
         # ~1.8e13 at alpha = 0.1: radius 10 is deep in the bulk, where the tail
         # envelope (0.079) exceeds p_t(0) (6.6e-8)
         self._density_matches_series(tmp_path, capsys, 0.1, 10.0)
+
+    @pytest.mark.parametrize("alpha, fragment", [(0.001, "too close to 0"), (1.9999999, "too close to 2")])
+    def test_alpha_beyond_the_tables(self, tmp_path, capsys, alpha, fragment):
+        # the schema accepts any alpha in (0, 2); the tables' budgets refuse these in one line
+        spec = write_json(tmp_path, "edge.json", {"driver": "stable", "d": 2, "alpha": alpha})
+        rc = main(["density", "--spec", spec, "--t", "1", "--radii", "1.0"])
+        self._assert_one_line_error(rc, capsys, fragment)
 
     def test_failed_run_leaves_no_out_directory(self, tmp_path, capsys):
         # t sigma c overflows before any report exists, so --out stays uncreated
