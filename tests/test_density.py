@@ -179,14 +179,23 @@ class TestTailAsymptote:
         assert g.meta["method_counts"] == {"quadrature": 1}
         assert g.values[0] == pytest.approx(bergstrom_density(0.5, 1e6), rel=1e-10)
 
-    def test_no_switch_around_four_length_scales(self):
+    def test_segment_exhaustion_near_origin_raises(self):
+        # inside 4 (t b)^(1/alpha) the mixture rule has no budget to exhaust:
+        # the density is answered and matches the series
+        spec = StableSpec(d=1, alpha=0.5, c=1.0)
+        assert stable_density(spec, 1.0, 2.0) == pytest.approx(bergstrom_density(0.5, 2.0), rel=1e-10)
+        g = stable_density_grid(spec, 1.0, [[2.0]])
+        assert g.meta["method_counts"] == {"quadrature": 1}
+
+    def test_fallback_starts_at_four_length_scales(self):
         # (t b)^(1/alpha) = 25 t^(1/alpha) here; on either side of four length
-        # scales the tail envelope overstates the density up to 8x
+        # scales the tail envelope overstates the density up to 8x, so no
+        # radius switches to it
         spec = StableSpec(d=1, alpha=0.5, c=1.0)
         reach = 4.0 * sigma_closed_form(1, 0.5) ** 2.0
-        radii = [2.0, 0.99 * reach, 1.01 * reach]
+        radii = [0.99 * reach, 1.01 * reach]
         g = stable_density_grid(spec, 1.0, _axis_points(1, radii))
-        assert g.meta["method_counts"] == {"quadrature": 3}
+        assert g.meta["method_counts"] == {"quadrature": 2}
         for r, p in zip(radii, g.values):
             assert p == pytest.approx(bergstrom_density(0.5, r), rel=1e-10)
 
