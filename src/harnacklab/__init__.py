@@ -15,7 +15,6 @@ from .levy_core import (
     StableSpec,
     TruncatedStableSpec,
     compute_c0,
-    compute_mu_hat,
     compute_sigma,
     describe_spec,
     symbol,
@@ -23,7 +22,6 @@ from .levy_core import (
     time_integrated_symbol,
 )
 from .sampling import (
-    CalibrationError,
     JumpDecomposition,
     SeedSpec,
     default_small_jump_cutoff,
@@ -33,7 +31,6 @@ from .sampling import (
     sample_rot_stable,
     sample_sym_stable_1d,
     sample_truncated_stable,
-    small_jump_cf_error_bound,
 )
 from .density import (
     BoundConstants,
@@ -43,13 +40,13 @@ from .density import (
     check_truncated_bounds,
     estimate_bound_constants,
     grid_interp,
-    grid_mass,
     kde_1d,
     phi_envelope,
     stable_cdf_1d,
     stable_density,
     stable_density_grid,
     tail_convexity_profile,
+    truncated_density,
     truncated_density_estimate,
 )
 from .ou_semigroup import (

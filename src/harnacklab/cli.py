@@ -24,7 +24,7 @@ import numpy as np
 from jsonschema import ValidationError
 
 from . import __version__
-from .density import DensityEstimateError, stable_density_grid
+from .density import DensityEstimateError, DensityGrid, stable_density_grid, truncated_density
 from .harnack_lab import (
     INEQUALITY_IDS,
     default_comparison_grid,
@@ -46,7 +46,7 @@ from .reports import (
     write_report,
     write_samples_dump,
 )
-from .sampling import CalibrationError, SeedSpec, sample_rot_stable, sample_truncated_stable
+from .sampling import SeedSpec, sample_rot_stable, sample_truncated_stable
 
 __all__ = ["main"]
 
@@ -164,8 +164,6 @@ def _build_parser() -> _Parser:
 
 def _cmd_density(args) -> int:
     cfg = _load_config(args.spec)
-    if cfg["driver"] != "stable":
-        raise CLIError("density evaluation by quadrature is available for the stable driver")
     spec = _driver_from_config(cfg)
     points = []
     for text in args.x or []:
@@ -177,7 +175,12 @@ def _cmd_density(args) -> int:
             points.append(vec)
     if not points:
         raise CLIError("give at least one of --x or --radii")
-    grid = stable_density_grid(spec, args.t, np.array(points))
+    if isinstance(spec, StableSpec):
+        grid = stable_density_grid(spec, args.t, np.array(points))
+    else:
+        points = np.array(points)
+        values = truncated_density(spec, args.t, points[:, 0])
+        grid = DensityGrid(args.t, points, values, {"clamped": int(np.count_nonzero(values == 0.0))})
     doc = {
         "t": args.t,
         "spec": describe_spec(spec),
@@ -327,7 +330,7 @@ def _run_one(ineq: str, cfg: dict, seed: SeedSpec, overrides: dict):
             kw["offsets"] = tuple(offsets)
         if "z_count" in overrides:
             kw["z_count"] = overrides["z_count"]
-        return verify_truncated_ratio(driver, n=n, seed=seed, validation=validation, **kw)
+        return verify_truncated_ratio(driver, seed=seed, validation=validation, **kw)
     if ineq == "young":
         return young_suite(n_cases=overrides.get("n_cases", 1000), seed=seed)
     if ineq == "jensen":
@@ -412,7 +415,6 @@ def main(argv=None) -> int:
         NotImplementedError,
         QuadratureError,
         DensityEstimateError,
-        CalibrationError,
     ) as exc:
         print(f"harnacklab: error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,5 @@
-"""Transition densities: the stable law as a Gaussian scale mixture, and KDE estimation.
+"""Transition densities: the stable law as a Gaussian scale mixture, the truncated law
+in d=1 by tilted Fourier inversion, and KDE estimation.
 
 The stable law with characteristic function exp(-t b |xi|^alpha) is
 X = sqrt(2 S) G, G standard normal in R^d, S positive beta-stable (beta =
@@ -27,8 +28,10 @@ integrand.  log A is summed from log-sines, so nothing overflows as alpha -> 2
 or underflows as alpha -> 0.  Each radius sums its own nodes exactly
 (math.fsum), so a value never depends on the other radii of its call.
 
-Truncated-stable densities have no such mixture; they are estimated from
-samples by a binned Gaussian KDE.
+Truncated-stable densities have no such mixture.  In d=1 they come from a
+saddlepoint-tilted Fourier inversion (:func:`truncated_density`); a binned
+Gaussian KDE of Monte Carlo samples (:func:`truncated_density_estimate`)
+estimates them too, which checks the sampler.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .levy_core import (
     QuadratureError,
     StableSpec,
     TruncatedStableSpec,
+    _truncated_series,
     compute_sigma,
     sphere_surface,
 )
@@ -61,13 +65,13 @@ __all__ = [
     "stable_cdf_1d",
     "phi_envelope",
     "stable_density_grid",
+    "truncated_density",
     "estimate_bound_constants",
     "kde_1d",
     "truncated_density_estimate",
     "check_truncated_bounds",
     "tail_convexity_profile",
     "grid_interp",
-    "grid_mass",
 ]
 
 # A series past a table end takes over where its first omitted term is below
@@ -456,6 +460,142 @@ def phi_envelope(d: int, alpha: float, t: float, radius) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# truncated-stable density in d=1 by saddlepoint-tilted Fourier inversion
+#
+# The truncated measure has every exponential moment, so kappa(theta) = log E
+# e^(theta X_1) = tau G(theta r), tau = 2 c r^(-alpha), G(w) = int_0^1 (cosh(w u)
+# - 1) u^(-1-alpha) du, is entire, and p_t(y) = (1/pi) int_0^inf Re exp(t
+# kappa(eta + i xi) - (eta + i xi) y) dxi for every real eta.  At the saddle
+# point t kappa'(eta) = y (Daniels 1954) the integrand is a bump of width
+# 1/sqrt(t kappa''(eta)) around xi = 0, so values keep their relative accuracy
+# in the superexponential tail.
+
+# Tilts eta r stop at TILT_REACH, where the real series still holds to 1e-16.
+# The xi-rule ends where t psi(xi) >= CF_DROP (e^-45 ~ 3e-20 of the peak); a
+# call whose rule needs more than XI_NODES nodes raises QuadratureError.
+TILT_REACH, CF_DROP, XI_NODES = 50.0, 45.0, 1 << 16
+
+
+@lru_cache(maxsize=32)
+def _exponent_rule(alpha: float) -> tuple:
+    """(G as a polynomial in w^2; Gauss-Jacobi nodes u and weights for int_0^1 f(u)
+    u^(1-alpha) du; the saddle table: a = eta r on [0, TILT_REACH], G, G', sqrt(G'')
+    and the running integral of sqrt(G'') there; 16-node Gauss-Legendre nodes and
+    weights for the xi-panels)."""
+    poly = np.polynomial.Polynomial(np.abs(_truncated_series(1, alpha)))
+    x, w = special.roots_jacobi(64, 0.0, 1.0 - alpha)
+    a = np.linspace(0.0, TILT_REACH, 2001)
+    d1, d2 = poly.deriv()(a * a), poly.deriv(2)(a * a)
+    root = np.sqrt(2.0 * d1 + 4.0 * a * a * d2)
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (root[1:] + root[:-1]) * np.diff(a))])
+    table = (a, poly(a * a), 2.0 * a * d1, root, cum)
+    return poly, 0.5 * (1.0 + x), w * 2.0 ** (alpha - 2.0), table, np.polynomial.legendre.leggauss(16)
+
+
+def _exponent(alpha: float, w: np.ndarray) -> np.ndarray:
+    """G(w) at complex w with Re w, Im w >= 0.
+
+    The series serves |w| <= 8, and the Gauss-Jacobi rule |w| below 48 or
+    below Re w + 40.  Past both, G = -pi |w|^alpha e^(i alpha (arg w - pi/2)) /
+    (2 Gamma(1 + alpha) sin(pi alpha / 2)) + 1/alpha - (E(w) + E(-w)) / 2,
+    E(z) = int_1^inf e^(-z u) u^(-1-alpha) du (continued from Re z > 0) by 41
+    terms of e^(-z)/z sum_k (-1)^k (alpha + 1)_k z^(-k); what they leave out
+    is below e^-40 of e^(Re w).
+    """
+    poly, u, weights, _, _ = _exponent_rule(alpha)
+    out, size = np.empty_like(w), np.abs(w)
+    far = (size >= 48.0) & (size - w.real >= 40.0)
+    mid = (size > 8.0) & ~far
+    out[size <= 8.0] = poly(w[size <= 8.0] ** 2)
+    h = np.sinh(0.5 * np.multiply.outer(w[mid], u))
+    out[mid] = (2.0 * h * h / u**2) @ weights
+    wf, tail = w[far], 0.0
+    for z in (wf, -wf):
+        term = total = np.ones_like(z)
+        for k in range(1, 41):
+            term = term * (-(alpha + k) / z)
+            total = total + term
+        tail = tail + np.exp(-z) / z * total
+    stable = np.abs(wf) ** alpha * np.exp(1j * alpha * (np.angle(wf) - math.pi / 2.0))
+    out[far] = 1.0 / alpha - 0.5 * tail - math.pi * stable / (
+        2.0 * math.gamma(1.0 + alpha) * math.sin(math.pi * alpha / 2.0)
+    )
+    return out
+
+
+def truncated_density(spec: TruncatedStableSpec, t: float, x):
+    """Transition density p_t(x) of the d=1 truncated stable process, to about 1e-12.
+
+    ``x`` is a scalar or an array; the result has its shape.  Each point's
+    saddle tilt is read from a table and rounded to whole saddle widths, so
+    kappa is evaluated once per level.  One Gauss-Legendre rule in xi serves
+    every point: 16-node panels that double in width from half the narrowest
+    saddle width up to 2.5 periods of the fastest oscillation (max |x| + r),
+    then stay that wide up to where t psi(xi) >= CF_DROP.  A point whose
+    Chernoff bound p(0) e^(t kappa(eta) - eta |x|) underflows is 0 and is not
+    integrated.  The rule depends on the call's points, so a value moves with
+    the other points of its call at the level of rounding (about 1e-15).  A
+    t c r^(-alpha) that overflows a double raises OverflowError; a rule beyond
+    XI_NODES nodes, or an integral that lost its accuracy, raises
+    QuadratureError.
+    """
+    if spec.d != 1:
+        raise NotImplementedError("the truncated density is implemented for d=1")
+    xv = np.asarray(x, dtype=float)
+    y = np.abs(xv).ravel()
+    if not (t > 0.0 and np.all(np.isfinite(y))):
+        raise ValueError("time must be positive and points finite")
+    alpha, r = spec.alpha, spec.r
+    ttau = t * 2.0 * spec.c * r**-alpha
+    if not math.isfinite(ttau):
+        raise OverflowError(f"t c r^(-alpha) overflows a double at t={t:g}, c={spec.c:g}, r={r:g}")
+    poly, _, _, (a_tab, g_tab, g1_tab, root, cum), (gl_x, gl_w) = _exponent_rule(alpha)
+    # past reach, t psi(xi) >= t (c sigma xi^alpha - 2 c r^(-alpha) / alpha) >= CF_DROP
+    sigma_c = compute_sigma(1, alpha) * spec.c
+    reach = ((CF_DROP / t + 2.0 * spec.c * r**-alpha / alpha) / sigma_c) ** (1.0 / alpha)
+    # saddles from the table y(a) = t tau r G'(a), levels from s(a) = int sqrt(t tau G'') da
+    y_tab, s_tab = ttau * r * g1_tab, math.sqrt(ttau) * cum
+    a_star = np.interp(y, y_tab, a_tab)
+    bound = ttau * np.interp(a_star, a_tab, g_tab) - a_star / r * y  # >= its value at a_star
+    live = np.flatnonzero(bound + math.log(2.0 * reach / math.pi) > -746.0)
+    log_p = np.full(len(y), -np.inf)
+    if len(live) and y[live].max() > y_tab[-1]:
+        raise QuadratureError(f"|x|={y[live].max():g} lies past the truncated density's tilt table at t={t:g}")
+    level = np.rint(np.interp(y[live], y_tab, s_tab)).astype(int)
+    levels = np.unique(level)
+    a_lev = np.interp(levels.astype(float), s_tab, a_tab)
+    if len(live):
+        top = math.sqrt(ttau) * float(np.interp(a_lev[-1], a_tab, root)) * r  # sqrt(t kappa'') there
+        width = 5.0 * math.pi / (float(y[live].max()) + r)
+        edges = [0.0, min(0.5 / top, reach)]
+        while edges[-1] < reach and len(edges) * 16 <= XI_NODES:
+            edges.append(edges[-1] + min(edges[-1], width))
+        if not edges[-1] >= reach:
+            raise QuadratureError(
+                f"the truncated density at t={t:g} needs more than {XI_NODES} xi-nodes "
+                f"(alpha={alpha:g}, c={spec.c:g}, r={r:g}, max |x|={y[live].max():g})"
+            )
+        half = 0.5 * np.diff(edges)[:, None]
+        xi = (np.array(edges[:-1])[:, None] + half * (1.0 + gl_x)).ravel()
+        wts = (half * gl_w).ravel()
+    for q, a in zip(levels, a_lev):
+        g0 = float(poly(a * a))
+        z = ttau * (_exponent(alpha, a + 1j * r * xi) - g0)
+        mag = np.exp(z.real) * wts
+        keep = mag > 0.0
+        mag, phase, nodes = mag[keep], z.imag[keep], xi[keep]
+        idx = live[level == q]
+        step = max(1, (1 << 22) // len(nodes))
+        for part in (idx[lo : lo + step] for lo in range(0, len(idx), step)):
+            vals = np.cos(phase - np.multiply.outer(y[part], nodes)) @ mag
+            if np.any(vals <= 1e-6 * mag.sum()):  # cancelled to 1e-6 of its |integrand|
+                raise QuadratureError(f"the truncated density lost its accuracy at t={t:g}")
+            log_p[part] = ttau * g0 - a / r * y[part] + np.log(vals / math.pi)
+    values = np.exp(log_p)
+    return values.reshape(xv.shape) if xv.ndim else float(values[0])
+
+
+# ---------------------------------------------------------------------------
 # grids and envelope constants
 
 
@@ -710,14 +850,6 @@ def grid_interp(grid: DensityGrid, points) -> np.ndarray:
     return np.interp(pts, xs, grid.values, left=0.0, right=0.0)
 
 
-def grid_mass(grid: DensityGrid) -> float:
-    """Trapezoidal mass of a 1-d grid (sorted points assumed)."""
-    if grid.d != 1:
-        raise ValueError("mass computation implemented for d=1 grids")
-    xs = grid.points[:, 0]
-    return float(np.trapezoid(grid.values, xs))
-
-
 # ---------------------------------------------------------------------------
 # truncated-bound constants
 
@@ -792,12 +924,15 @@ def check_truncated_bounds(
     t_grid: Sequence[float],
     estimates: Sequence[DensityGrid],
 ) -> TruncatedBoundConstants:
-    """Fit c1..c7 against the KDE estimates and verify zero violations at fit.
+    """Fit c1..c7 against density grids and verify zero violations at fit.
 
-    Bins whose KDE standard error exceeds 30% of the estimate are dropped
-    from the fits (far-tail noise).  If fewer than ~100 effective samples
-    land beyond |x| = 1, the tail fit is marked unreliable in grid_meta and
-    the tail constants fall back to 1.
+    A grid with an ``se`` entry in its meta is a KDE (:func:`truncated_density_estimate`):
+    its bins whose standard error exceeds 30% of the estimate are dropped from
+    the fits (far-tail noise), and if fewer than ~100 effective samples land
+    beyond |x| = 1 the tail fit is marked unreliable in grid_meta and the tail
+    constants fall back to 1.  A grid without one holds exact values (as
+    :func:`truncated_density` gives them): only its zero values are dropped,
+    and its tail is fitted whenever it has points beyond |x| = 1.
     """
     t_grid = list(t_grid)
     if len(t_grid) != len(estimates):
@@ -842,13 +977,14 @@ def check_truncated_bounds(
     if c2 <= 0.0:
         raise DensityEstimateError("bulk lower constant collapsed to zero")
 
+    exact = all("se" not in g.meta for g in estimates)
     meta: dict = {
         "t_grid": t_grid,
         "per_t_c7": per_t_c7,
-        "tail_effective_samples": tail_samples,
+        "tail_effective_samples": None if exact else tail_samples,
         "tail_fit": "ok",
     }
-    if tail_u and tail_samples >= 100.0:
+    if tail_u and (exact or tail_samples >= 100.0):
         u = np.concatenate(tail_u)
         logp = np.concatenate(tail_logp)
         c3, c4 = _fit_tail_envelope(u, logp, "upper")

@@ -38,8 +38,7 @@ from .density import (
     _radial_densities,
     check_truncated_bounds,
     estimate_bound_constants,
-    grid_interp,
-    truncated_density_estimate,
+    truncated_density,
     TruncatedBoundConstants,
 )
 from .density import stable_density  # noqa: F401  (kept importable as harnack_lab.stable_density)
@@ -951,83 +950,70 @@ def truncated_ratio_bound(
     return c_mult * t ** (-spec.d / spec.alpha) * (m / t) ** (c_exp * m)
 
 
-def _kde_se_at(grid: DensityGrid, points: np.ndarray) -> np.ndarray:
-    se = grid.meta.get("se")
-    if se is None:
-        return np.zeros(np.asarray(points).size)
-    xs = grid.points[:, 0]
-    return np.interp(np.asarray(points, dtype=float).ravel(), xs, se)
+# truncated_ratio fits its tail envelopes on FIT_POINTS radii per time in
+# [0, reach]: reach is the first max(3, 2r) (1 + k/16), k < 240, where p at the
+# smallest time falls to TAIL_FLOOR of p(0), or the last.
+FIT_POINTS = 257
+TAIL_FLOOR = 1e-5
 
 
 def verify_truncated_ratio(
     spec: TruncatedStableSpec,
     t_grid: Sequence[float] = (0.25, 0.5, 1.0),
     *,
-    n: int = 4 * 10**5,
     seed: SeedSpec | None = None,
-    estimates: Sequence[DensityGrid] | None = None,
     constants: TruncatedBoundConstants | None = None,
     offsets: Sequence[float] = (0.0, 0.5, 1.0, 2.0),
     z_count: int = 41,
     validation: bool = True,
 ) -> InequalityReport:
-    """Fit C1 in the truncated-density ratio bound from KDE estimates.
+    """Fit C1 in the truncated-density ratio bound on the exact d=1 density.
 
-    The exponent constant C2 comes from the fitted tail envelopes (the sum
-    of the upper and lower tail rates), so only the multiplicative constant
-    is free.  KDE bins with standard error above 30% of the value, or empty,
-    are excluded rather than fitted against.
+    Every density is :func:`truncated_density`, so no node carries slack and
+    the report is a function of (spec, grid) alone; ``seed`` is recorded in
+    it and changes no value.  The exponent constant C2 = c4 + c6 is the sum
+    of the upper and lower tail rates that :func:`check_truncated_bounds`
+    fits to exact values on FIT_POINTS radii in [0, reach] per time, unless
+    ``constants`` are given.  The nodes' z runs over [-z_max, z_max], z_max =
+    reach - max(offsets) - 0.25 (at least 1).  A node is excluded only where
+    a density underflows to 0.
     """
     if spec.d != 1:
         raise NotImplementedError("truncated ratio verification is implemented for d=1")
-    if seed is None:
-        seed = SeedSpec(0)
     t_grid = list(t_grid)
-    if estimates is None:
-        estimates = [
-            truncated_density_estimate(spec, t, n, seed=seed.substream(3, i))
-            for i, t in enumerate(t_grid)
-        ]
-    estimates = list(estimates)
+    radii = max(3.0, 2.0 * spec.r) * (1.0 + np.arange(240) / 16.0)
+    p = truncated_density(spec, min(t_grid), np.append(0.0, radii))
+    below = np.flatnonzero(p[1:] <= TAIL_FLOOR * p[0])
+    reach = float(radii[below[0] if len(below) else -1])
     if constants is None:
-        constants = check_truncated_bounds(spec, t_grid, estimates)
+        fit = np.linspace(0.0, reach, FIT_POINTS)
+        grids = [DensityGrid(t, fit[:, None], truncated_density(spec, t, fit)) for t in t_grid]
+        constants = check_truncated_bounds(spec, t_grid, grids)
     c_exp = max(constants.c4 + constants.c6, 0.1)
-
-    reach = min(float(np.max(np.abs(g.points[:, 0]))) for g in estimates)
     z_max = max(reach - max(offsets) - 0.25, 1.0)
 
     def run(z_values):
         results, excluded = [], 0
-        for t, grid_t in zip(t_grid, estimates):
+        y = np.zeros(1)
+        for t in t_grid:
+            p = truncated_density(spec, t, np.subtract.outer(np.append(offsets, 0.0), z_values))
             for i, off in enumerate(offsets):
                 x = np.array([off])
-                y = np.zeros(1)
-                for zr in z_values:
-                    z = np.array([zr])
-                    px = float(np.asarray(grid_interp(grid_t, x - z)).reshape(()))
-                    py = float(np.asarray(grid_interp(grid_t, y - z)).reshape(()))
-                    se_x = float(_kde_se_at(grid_t, x - z)[0])
-                    se_y = float(_kde_se_at(grid_t, y - z)[0])
-                    if px <= 0.0 or py <= 0.0 or se_x > 0.3 * px or se_y > 0.3 * py:
+                for px, py, zr in zip(p[i], p[-1], z_values):
+                    if px <= 0.0 or py <= 0.0:
                         excluded += 1
                         continue
-                    ratio = px / py
+                    z = np.array([zr])
                     shape = truncated_ratio_bound(spec, t, x, y, z, 1.0, c_exp)
-                    slack = 3.0 * ratio * math.sqrt((se_x / px) ** 2 + (se_y / py) ** 2)
                     results.append(
-                        NodeResult(
-                            node=Node(t=t, x=x, y=y, z=z),
-                            lhs=ratio,
-                            rhs_shape=shape,
-                            slack=slack,
-                        )
+                        NodeResult(node=Node(t=t, x=x, y=y, z=z), lhs=px / py, rhs_shape=shape, slack=0.0)
                     )
         return results, excluded
 
     z_values = np.linspace(-z_max, z_max, z_count)
     results, excluded = run(z_values)
     if not results:
-        raise ValueError("all truncated-ratio nodes excluded: KDE too noisy")
+        raise ValueError("all truncated-ratio nodes excluded: the densities underflow")
     fitted = _fit_from_results(results)
 
     validation_C = None
@@ -1050,6 +1036,7 @@ def verify_truncated_ratio(
             "offsets": list(offsets),
             "z_count": z_count,
             "z_max": z_max,
+            "reach": reach,
         },
         per_node=results,
         fitted_C=fitted,
@@ -1057,7 +1044,6 @@ def verify_truncated_ratio(
         excluded_nodes=excluded,
         seed_doc=_seed_doc(seed),
         mc_meta={
-            "n": n,
             "C2": c_exp,
             "tail_fit": constants.grid_meta.get("tail_fit"),
             "stability_threshold": STABILITY_THRESHOLD,

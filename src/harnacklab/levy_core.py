@@ -37,7 +37,6 @@ __all__ = [
     "symbol_radial",
     "compute_c0",
     "time_integrated_symbol",
-    "compute_mu_hat",
 ]
 
 
@@ -340,6 +339,24 @@ def symbol_radial(spec: DriverSpec, s) -> np.ndarray:
     raise TypeError(f"unknown driver spec {type(spec).__name__}")
 
 
+# Terms, in v^2, of the truncated symbol's power series.
+SERIES_TERMS = 60
+
+
+def _truncated_series(d: int, alpha: float) -> np.ndarray:
+    """Coefficients, in x = v^2, of F(v) = sum over k >= 1 of (-1)^(k+1)
+    v^(2k) / (4^k k! (d/2)_k (2k - alpha)).
+
+    The truncated symbol is psi(xi) = c |S| r^(-alpha) F(r |xi|): the series
+    of 1 - E cos(v theta_1) integrated against rho^(-1-alpha) on [0, r].  At
+    d = 1, 4^k k! (1/2)_k = (2k)!, and the cumulant kappa(theta) = log E
+    e^(theta X_1) = -c |S| r^(-alpha) F(-i r theta) is the same series.
+    """
+    k = np.arange(1, SERIES_TERMS + 1)
+    signed = -np.cumprod(-1.0 / (4.0 * k * (d / 2.0 + k - 1.0)))
+    return np.concatenate([[0.0], signed / (2.0 * k - alpha)])
+
+
 def symbol(spec: DriverSpec, xi) -> np.ndarray:
     """Levy symbol psi(xi) with E exp(i<xi, X_t>) = exp(-t psi(xi)).
 
@@ -397,11 +414,3 @@ def time_integrated_symbol(spec: OUSpec, xi, t: float) -> float:
 
     val, _ = integrate.quad(f, 0.0, t, limit=200, epsabs=0.0, epsrel=1e-11)
     return val
-
-
-def compute_mu_hat(spec: OUSpec, xi, t: float) -> float:
-    """Characteristic function of the time-t OU noise integral (started at 0).
-
-    Real-valued in (0, 1] because every driver here is symmetric.
-    """
-    return math.exp(-time_integrated_symbol(spec, xi, t))

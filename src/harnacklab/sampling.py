@@ -5,7 +5,8 @@ subordination through a Kanter one-sided draw in higher dimensions) cover the
 rotationally invariant stable family.  Truncated measures have no exact
 sampler; they use the standard compound-Poisson construction with a
 variance-matched Gaussian standing in for the jumps below a cutoff, whose
-characteristic-function error is bounded by :func:`small_jump_cf_error_bound`.
+characteristic-function error is fourth order in the frequency (see
+:func:`_split_cutoff`).
 
 Which cutoff applies depends on what reads the draws:
 
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
@@ -37,6 +37,7 @@ from scipy import optimize
 from .levy_core import (
     StableSpec,
     TruncatedStableSpec,
+    _truncated_series,
     compute_sigma,
     sphere_surface,
 )
@@ -44,7 +45,6 @@ from .levy_core import (
 __all__ = [
     "SeedSpec",
     "JumpDecomposition",
-    "CalibrationError",
     "sample_sym_stable_1d",
     "sample_rot_stable",
     "make_jump_decomposition",
@@ -52,7 +52,6 @@ __all__ = [
     "sample_truncated_stable",
     "sample_increment",
     "empirical_cf",
-    "small_jump_cf_error_bound",
 ]
 
 # Samplers draw per logical chunk of this many output samples, so the draw
@@ -67,10 +66,6 @@ MAX_CHUNK_JUMPS = 2**25
 # Largest change a stable measure's small-jump Gaussian may make to the
 # characteristic function without drift (see _split_cutoff).
 SPLIT_CF_ERROR = 1e-4
-
-
-class CalibrationError(RuntimeError):
-    """A sampler failed its characteristic-function self-check."""
 
 
 @dataclass(frozen=True)
@@ -179,32 +174,6 @@ def _standard_rot_stable(d: int, alpha: float, n: int, rng: np.random.Generator)
     return np.sqrt(2.0 * s)[:, None] * g
 
 
-@lru_cache(maxsize=None)
-def _rot_stable_self_check(d: int, alpha_key: int) -> bool:
-    """One-off characteristic-function gate for the (d, alpha) sampler.
-
-    The subordinator scale is analytic, not fitted; this check only guards
-    against transform bugs.  Fixed internal seed makes it deterministic: it
-    either always passes or always fails for a given numpy version.
-    """
-    alpha = alpha_key / 10**9
-    n = 10**6
-    rng = np.random.default_rng(np.random.SeedSequence(0xA11CE5EED, spawn_key=(d, alpha_key)))
-    x = _standard_rot_stable(d, alpha, n, rng)
-    for radius in (0.4, 1.0, 2.2):
-        xi = np.zeros(d)
-        xi[0] = radius
-        re, se = empirical_cf(x, xi[None, :])
-        target = math.exp(-(radius**alpha))
-        if abs(re[0] - target) > 3.0 * se[0]:
-            raise CalibrationError(
-                f"rotational stable sampler (d={d}, alpha={alpha}) misses its "
-                f"characteristic function at |xi|={radius}: "
-                f"{re[0]:.6f} vs {target:.6f} (se {se[0]:.2e})"
-            )
-    return True
-
-
 def sample_rot_stable(
     spec: StableSpec,
     t: float,
@@ -215,10 +184,7 @@ def sample_rot_stable(
 
     The time-t marginal has characteristic function exp(-t sigma(d, alpha) c
     |xi|^alpha), so the standard draw is scaled by (t sigma c)^(1/alpha).
-    The first call for each (d, alpha) runs a characteristic-function
-    self-check at three probe frequencies (n = 1e6, fixed internal seed) and
-    raises CalibrationError beyond 3 Monte Carlo standard errors.  A t sigma c
-    that overflows a double raises OverflowError.
+    A t sigma c that overflows a double raises OverflowError.
     """
     if t <= 0.0:
         raise ValueError("time must be positive")
@@ -227,7 +193,6 @@ def sample_rot_stable(
     tb = t * compute_sigma(spec.d, spec.alpha) * spec.c
     if not math.isfinite(tb):
         raise OverflowError(f"t sigma c overflows a double at t={t:g}, c={spec.c:g}")
-    _rot_stable_self_check(spec.d, int(round(spec.alpha * 10**9)))
     rng = _as_rng(seed)
     mult = tb ** (1.0 / spec.alpha)
     return mult * _standard_rot_stable(spec.d, spec.alpha, n, rng)
@@ -428,8 +393,9 @@ def _split_cutoff(spec: StableSpec | TruncatedStableSpec, t: float) -> float:
     changes the time-t characteristic function by at most SPLIT_CF_ERROR at
     every frequency when there is no drift (Asmussen-Rosinski).  The measure
     is symmetric, so the Gaussian's exponent errs by at most t |xi|^4 m4 /
-    (8 d (d + 2)) (:func:`small_jump_cf_error_bound`), m4 = c |S| eps^(4 -
-    alpha) / (4 - alpha) the fourth moment of the jumps below epsilon, and
+    (8 d (d + 2)) (1 - cos x - x^2/2 lies in [-x^4/24, 0] and E theta_1^4 =
+    3 / (d (d + 2))), m4 = c |S| eps^(4 - alpha) / (4 - alpha) the fourth
+    moment of the jumps below epsilon, and
     the cutoff puts the sup of that times the measure's own |cf| at the
     budget.  For a stable measure the sup is at |xi|^alpha = 4 / (alpha t c
     sigma); the cutoff scales as (t c)^(1/alpha), so the expected jumps per
@@ -446,22 +412,9 @@ def _split_cutoff(spec: StableSpec | TruncatedStableSpec, t: float) -> float:
     return spec.r if log_eps >= math.log(spec.r) else math.exp(log_eps)
 
 
-# The truncated symbol's power series in v = r |xi| is summed up to v =
-# SERIES_REACH, where its cancellation costs about 1e-9, with this many terms.
+# The truncated symbol's power series (levy_core._truncated_series) is summed
+# up to v = r |xi| = SERIES_REACH, where its cancellation costs about 1e-9.
 SERIES_REACH = 20.0
-SERIES_TERMS = 60
-
-
-def _truncated_series(d: int, alpha: float) -> np.ndarray:
-    """Coefficients, in x = v^2, of F(v) = sum over k >= 1 of (-1)^(k+1)
-    v^(2k) / (4^k k! (d/2)_k (2k - alpha)).
-
-    The truncated symbol is psi(xi) = c |S| r^(-alpha) F(r |xi|): the series
-    of 1 - E cos(v theta_1) integrated against rho^(-1-alpha) on [0, r].
-    """
-    k = np.arange(1, SERIES_TERMS + 1)
-    signed = -np.cumprod(-1.0 / (4.0 * k * (d / 2.0 + k - 1.0)))
-    return np.concatenate([[0.0], signed / (2.0 * k - alpha)])
 
 
 def _truncated_log_peak(spec: TruncatedStableSpec, t: float) -> float:
@@ -583,24 +536,3 @@ def empirical_cf(samples: np.ndarray, xis: np.ndarray) -> tuple[np.ndarray, np.n
     means = c.mean(axis=0)
     ses = c.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(len(xis))
     return means, ses
-
-
-def small_jump_cf_error_bound(
-    measure: TruncatedStableSpec,
-    t: float,
-    epsilon: float,
-    xi_radius: float,
-) -> float:
-    """Bound on the cf error from replacing sub-epsilon jumps by a Gaussian.
-
-    The measure is symmetric and isotropic, so the bound is fourth
-    order: 1 - cos x - x^2/2 lies in [-x^4/24, 0] and E theta_1^4 = 3 / (d
-    (d + 2)), so the Gaussian raises the cf exponent by at most t |xi|^4 m4 /
-    (8 d (d + 2)), m4 the integral of |z|^4 over |z| < epsilon.  The
-    Gaussian's cf lies below the true one, so this bounds the cf error too.
-    """
-    if not isinstance(measure, TruncatedStableSpec):
-        raise TypeError(f"unsupported measure {type(measure).__name__}")
-    d, a = measure.d, measure.alpha
-    fourth = measure.c * sphere_surface(d) * min(epsilon, measure.r) ** (4.0 - a) / (4.0 - a)
-    return t * xi_radius**4 * fourth / (8.0 * d * (d + 2))

@@ -6,7 +6,8 @@ the tail: beyond a switch radius it uses the classical convergent series for
 the symmetric stable survival function (alpha <= 1), so sampler tests are
 anchored to two separately-derived computations that must agree where they
 overlap.  ``bergstrom_density`` sums the density's series in mpmath and uses
-no package code.
+no package code.  ``compute_mu_hat``, ``grid_mass`` and
+``small_jump_cf_error_bound`` are small closed forms that only the tests use.
 """
 
 from __future__ import annotations
@@ -18,7 +19,16 @@ import mpmath as mp
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from harnacklab import StableSpec, compute_sigma, stable_cdf_1d
+from harnacklab import (
+    DensityGrid,
+    OUSpec,
+    StableSpec,
+    TruncatedStableSpec,
+    compute_sigma,
+    stable_cdf_1d,
+    time_integrated_symbol,
+)
+from harnacklab.levy_core import sphere_surface
 
 
 def tail_complement_series(alpha: float, tb: float, x: float, kmax: int = 400) -> float:
@@ -153,3 +163,40 @@ def bergstrom_density(alpha: float, x: float, d: int = 1) -> float:
                 return float(total / (mp.pi ** (mp.mpf(d) / 2 + 1) * x**d))
             if (k * q / 2).denominator != 1:
                 total += (-1) ** (k + 1) * size * mp.sinpi(k * a / 2)
+
+
+def compute_mu_hat(spec: OUSpec, xi, t: float) -> float:
+    """Characteristic function of the time-t OU noise integral (started at 0).
+
+    Real-valued in (0, 1] because every driver here is symmetric.
+    """
+    return math.exp(-time_integrated_symbol(spec, xi, t))
+
+
+def grid_mass(grid: DensityGrid) -> float:
+    """Trapezoidal mass of a 1-d grid (sorted points assumed)."""
+    if grid.d != 1:
+        raise ValueError("mass computation implemented for d=1 grids")
+    xs = grid.points[:, 0]
+    return float(np.trapezoid(grid.values, xs))
+
+
+def small_jump_cf_error_bound(
+    measure: TruncatedStableSpec,
+    t: float,
+    epsilon: float,
+    xi_radius: float,
+) -> float:
+    """Bound on the cf error from replacing sub-epsilon jumps by a Gaussian.
+
+    The measure is symmetric and isotropic, so the bound is fourth
+    order: 1 - cos x - x^2/2 lies in [-x^4/24, 0] and E theta_1^4 = 3 / (d
+    (d + 2)), so the Gaussian raises the cf exponent by at most t |xi|^4 m4 /
+    (8 d (d + 2)), m4 the integral of |z|^4 over |z| < epsilon.  The
+    Gaussian's cf lies below the true one, so this bounds the cf error too.
+    """
+    if not isinstance(measure, TruncatedStableSpec):
+        raise TypeError(f"unsupported measure {type(measure).__name__}")
+    d, a = measure.d, measure.alpha
+    fourth = measure.c * sphere_surface(d) * min(epsilon, measure.r) ** (4.0 - a) / (4.0 - a)
+    return t * xi_radius**4 * fourth / (8.0 * d * (d + 2))

@@ -25,6 +25,7 @@ from harnacklab.density import (
     stable_density,
     stable_density_grid,
     tail_convexity_profile,
+    truncated_density,
     truncated_density_estimate,
 )
 from harnacklab.harnack_lab import (
@@ -266,6 +267,21 @@ def test_criterion_08_truncated_bounds(big_kde_estimates):
     _line(8, ok, f"c1..c7 fitted {['%.3g' % c for c in cs]}, 0 violations at fit; "
                  f"-log p/|x| at (1.5,2,3) = {np.round(g, 3).tolist()} increasing "
                  f"beyond 2se; {elapsed:.0f}s")
+
+
+def test_criterion_08_exact_density_agrees(big_kde_estimates):
+    # criterion 8's witness on the exact d=1 density, with no noise, and the
+    # exact values against the seed-81 KDEs criterion 8 reads, within 3 SE in
+    # every bin criterion 8 fits (standard error at most 30% of the estimate)
+    radii = np.array([1.5, 2.0, 3.0])
+    g = -np.log(truncated_density(TSPEC, 0.5, radii)) / radii
+    assert g[0] < g[1] < g[2]
+    for grid in big_kde_estimates:
+        se = grid.meta["se"]
+        good = (grid.values > 0.0) & (se <= 0.3 * grid.values)
+        exact = truncated_density(TSPEC, grid.t, grid.points[good, 0])
+        worst = float(np.max(np.abs(grid.values[good] - exact) / se[good]))
+        assert worst <= 3.0, f"t={grid.t}: KDE {worst:.2f} SE off the exact density"
 
 
 def test_criterion_09_log_harnack():

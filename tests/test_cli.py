@@ -14,13 +14,12 @@ from helpers import bergstrom_density
 
 from harnacklab import cli
 from harnacklab.cli import main
-from harnacklab.density import DensityEstimateError, stable_density_grid
+from harnacklab.density import DensityEstimateError, stable_density_grid, truncated_density
 from harnacklab.harnack_lab import InequalityReport
 from harnacklab.levy_core import OUSpec, QuadratureError, StableSpec, TruncatedStableSpec
 from harnacklab.ou_semigroup import ball_indicator, estimate_Ptf
 from harnacklab.reports import canonical_json, read_samples_dump, validate_report
 from harnacklab.sampling import (
-    CalibrationError,
     SeedSpec,
     sample_rot_stable,
     sample_truncated_stable,
@@ -100,8 +99,20 @@ class TestDensityCommand:
         assert main(["density", "--spec", stable_cfg, "--t", "1.0"]) == 1
         assert "--x or --radii" in capsys.readouterr().err
 
-    def test_truncated_driver_rejected(self, trunc_cfg):
-        assert main(["density", "--spec", trunc_cfg, "--t", "1.0", "--radii", "0"]) == 1
+    def test_truncated_driver_rejected_in_d2(self, tmp_path, capsys):
+        spec = write_json(tmp_path, "trunc2.json", dict(TRUNC_CFG, d=2))
+        assert main(["density", "--spec", spec, "--t", "1.0", "--radii", "0"]) == 1
+        err = capsys.readouterr().err
+        assert "implemented for d=1" in err and len(err.strip().splitlines()) == 1
+
+    def test_truncated_values_match_library(self, trunc_cfg, capsys):
+        rc = main(["density", "--spec", trunc_cfg, "--t", "0.5", "--radii", "0,1,2", "--x", "-3"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        spec = TruncatedStableSpec(d=1, alpha=1.0, c=1.0, r=1.0)
+        assert doc["values"] == truncated_density(spec, 0.5, np.array([-3.0, 0.0, 1.0, 2.0])).tolist()
+        assert doc["points"] == [[-3.0], [0.0], [1.0], [2.0]]
+        assert doc["meta"] == {"clamped": 0}
 
     def test_stdout_values_match_library(self, stable_cfg, capsys):
         rc = main(["density", "--spec", stable_cfg, "--t", "1.0", "--radii", "0,1,2"])
@@ -510,17 +521,6 @@ class TestNumericalErrors:
         monkeypatch.setattr(cli, "stable_density_grid", clamped)
         rc = main(["density", "--spec", stable_cfg, "--t", "1", "--radii", "1,2,3"])
         self._assert_one_line_error(rc, capsys, "clamped to zero")
-
-    def test_calibration_error(self, stable_cfg, tmp_path, monkeypatch, capsys):
-        def miscalibrated(*args, **kwargs):
-            raise CalibrationError("rotational stable sampler misses its characteristic function")
-
-        monkeypatch.setattr(cli, "sample_rot_stable", miscalibrated)
-        rc = main([
-            "sample", "--spec", stable_cfg, "--t", "1", "--n", "10",
-            "--out", str(tmp_path / "draws.bin"),
-        ])
-        self._assert_one_line_error(rc, capsys, "characteristic function")
 
 
 class TestNonFiniteInputs:

@@ -1,4 +1,5 @@
-"""Stable densities and CDFs from the mixture integrals, envelope constants, and KDE machinery.
+"""Stable densities and CDFs from the mixture integrals, the d=1 truncated density,
+envelope constants, and KDE machinery.
 
 Closed-form references (Cauchy in one and two dimensions, the origin value,
 the Gaussian endpoint, the convergent jump-tail series) are evaluated from
@@ -10,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import bergstrom_density, tail_complement_series
+from helpers import bergstrom_density, grid_mass, tail_complement_series
 
 from harnacklab import (
     DensityEstimateError,
@@ -21,13 +22,13 @@ from harnacklab import (
     check_truncated_bounds,
     estimate_bound_constants,
     grid_interp,
-    grid_mass,
     kde_1d,
     phi_envelope,
     stable_cdf_1d,
     stable_density,
     stable_density_grid,
     tail_convexity_profile,
+    truncated_density,
     truncated_density_estimate,
 )
 from harnacklab import density
@@ -460,6 +461,51 @@ class TestKde:
             kde_1d(np.array([1.0]))
         with pytest.raises(ValueError):
             kde_1d(np.ones(100), bandwidth=0.0)
+
+
+class TestTruncatedDensity:
+    SPEC = TruncatedStableSpec(d=1, alpha=1.0, c=1.0, r=1.0)
+
+    @pytest.mark.parametrize(
+        "alpha,c,r", [(0.5, 4.0, 1.0), (0.5, 1.0, 1.0), (1.0, 1.0, 1.0), (1.8, 1.0, 0.5)]
+    )
+    @pytest.mark.parametrize("t", [0.25, 1.0])
+    def test_mass_is_one(self, alpha, c, r, t):
+        # 32-node Gauss-Legendre panels, geometric from 1e-3 out to |x| = 40,
+        # where every one of these densities is below 1e-30 of its peak
+        spec = TruncatedStableSpec(d=1, alpha=alpha, c=c, r=r)
+        edges = np.concatenate([[0.0], np.geomspace(1e-3, 40.0, 48)])
+        nodes, weights = np.polynomial.legendre.leggauss(32)
+        half = 0.5 * np.diff(edges)[:, None]
+        x = edges[:-1, None] + half * (1.0 + nodes)
+        p = truncated_density(spec, t, x)
+        assert p[-1, -1] < 1e-30 * p[0, 0]
+        assert 2.0 * float(np.sum(p * half * weights)) == pytest.approx(1.0, abs=1e-10)
+
+    def test_symmetric_and_shaped(self):
+        x = np.array([[0.3, -1.7], [2.5, 0.0]])
+        p = truncated_density(self.SPEC, 0.5, x)
+        assert p.shape == x.shape
+        assert np.array_equal(truncated_density(self.SPEC, 0.5, -x), p)
+        # alone, the point gets a coarser rule: the same value to rounding
+        assert truncated_density(self.SPEC, 0.5, 2.5) == pytest.approx(p[1, 0], rel=1e-13)
+        assert isinstance(truncated_density(self.SPEC, 0.5, 2.5), float)
+
+    def test_values_below_the_smallest_double_are_zero(self):
+        p = truncated_density(self.SPEC, 0.5, np.array([0.0, 1e3, 1e300]))
+        assert p[0] > 0.0 and p[1] == 0.0 and p[2] == 0.0
+
+    def test_refusals(self):
+        with pytest.raises(NotImplementedError):
+            truncated_density(TruncatedStableSpec(d=2, alpha=1.0, c=1.0, r=1.0), 0.5, 0.0)
+        for bad_t, bad_x in ((0.0, 1.0), (-1.0, 1.0), (1.0, np.nan)):
+            with pytest.raises(ValueError):
+                truncated_density(self.SPEC, bad_t, bad_x)
+        with pytest.raises(OverflowError):
+            truncated_density(TruncatedStableSpec(d=1, alpha=1.0, c=1e300, r=1e-300), 1.0, 0.0)
+        # alpha = 0.1 at t = 0.01: psi reaches 45 / t only past xi ~ 1e60
+        with pytest.raises(density.QuadratureError, match="xi-nodes"):
+            truncated_density(TruncatedStableSpec(d=1, alpha=0.1, c=1.0, r=1.0), 0.01, 1.0)
 
 
 class TestTruncatedEstimate:

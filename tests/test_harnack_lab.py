@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harnacklab.density import BoundConstants, truncated_density_estimate
+from harnacklab.density import BoundConstants
 from harnacklab.harnack_lab import (
     INEQUALITY_IDS,
     InequalityReport,
@@ -63,16 +63,6 @@ def node(t, x, y, z=None):
         y=np.atleast_1d(np.asarray(y, dtype=float)),
         z=None if z is None else np.atleast_1d(np.asarray(z, dtype=float)),
     )
-
-
-@pytest.fixture(scope="module")
-def trunc_estimates():
-    """Two truncated-noise KDEs shared by the ratio and entropy tests."""
-    seed = SeedSpec(402)
-    return [
-        truncated_density_estimate(TSPEC, t, 3 * 10**4, seed=seed.substream(i))
-        for i, t in enumerate(T_GRID)
-    ]
 
 
 class TestFitConstant:
@@ -560,10 +550,9 @@ class TestVerifyTruncatedRatio:
         with pytest.raises(NotImplementedError):
             verify_truncated_ratio(TruncatedStableSpec(d=2, alpha=1.0, c=1.0, r=1.0))
 
-    def test_small_run(self, trunc_estimates):
+    def test_small_run(self):
         report = verify_truncated_ratio(
-            TSPEC, T_GRID, estimates=trunc_estimates,
-            offsets=(0.0, 1.0), z_count=9, seed=SeedSpec(7),
+            TSPEC, T_GRID, offsets=(0.0, 1.0), z_count=9, seed=SeedSpec(7),
         )
         assert report.inequality_id == "truncated_ratio"
         assert report.violations == []
@@ -576,13 +565,15 @@ class TestVerifyTruncatedRatio:
         assert report.validation_C is None or math.isfinite(report.validation_C)
         validate_report(report.to_dict())
 
-    def test_deterministic_given_estimates(self, trunc_estimates):
-        kw = dict(
-            estimates=trunc_estimates, offsets=(0.0, 1.0), z_count=9, seed=SeedSpec(7)
-        )
-        a = verify_truncated_ratio(TSPEC, T_GRID, **kw)
-        b = verify_truncated_ratio(TSPEC, T_GRID, **kw)
+    def test_deterministic_and_seed_free(self):
+        kw = dict(offsets=(0.0, 1.0), z_count=9)
+        a = verify_truncated_ratio(TSPEC, T_GRID, seed=SeedSpec(7), **kw)
+        b = verify_truncated_ratio(TSPEC, T_GRID, seed=SeedSpec(7), **kw)
         assert canonical_json(a.to_dict()) == canonical_json(b.to_dict())
+        # the densities are exact: the seed is recorded and changes no value
+        c = verify_truncated_ratio(TSPEC, T_GRID, seed=SeedSpec(8), **kw)
+        assert [r.to_dict() for r in c.per_node] == [r.to_dict() for r in a.per_node]
+        assert (c.fitted_C, c.validation_C) == (a.fitted_C, a.validation_C)
 
 
 class TestYoungCheck:

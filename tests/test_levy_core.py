@@ -13,6 +13,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from helpers import compute_mu_hat
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate, special
@@ -22,7 +23,6 @@ from harnacklab import (
     StableSpec,
     TruncatedStableSpec,
     compute_c0,
-    compute_mu_hat,
     compute_sigma,
     describe_spec,
     symbol,

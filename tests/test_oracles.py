@@ -1,4 +1,5 @@
-"""Independent mpmath oracles for the stable density and the 1-d CDF.
+"""Independent mpmath oracles for the stable density, the 1-d CDF and the
+d=1 truncated-stable density.
 
 Each density reference is a finite-range ``mp.quad`` of the radial inversion
 integral in 30-digit arithmetic, split at the zeros of its kernel: the cosine
@@ -8,8 +9,11 @@ CDF reference is 1/2 + (1/pi) int exp(-tb s^alpha) sin(s x)/s ds, split at
 the zeros k pi/x.  For alpha < 1 the one-dimensional density has a third,
 quadrature-free reference: Bergstrom's convergent series in x^(-k alpha - 1),
 summed in 50-digit arithmetic (``helpers.bergstrom_density``).  The
-normalization sigma(d, alpha) comes from its closed form.  Nothing here uses
-harnacklab except the function under test and its StableSpec argument.
+normalization sigma(d, alpha) comes from its closed form.  The truncated
+reference is the cosine transform (1/pi) int exp(-t psi(s)) cos(s x) ds in
+30-digit arithmetic, with psi from its incomplete-gamma closed form rather
+than the power series the package sums.  Nothing here uses harnacklab except
+the function under test and its spec argument.
 """
 
 import mpmath as mp
@@ -19,9 +23,11 @@ from helpers import bergstrom_density, exact_alpha, sigma_mp
 
 from harnacklab import (
     StableSpec,
+    TruncatedStableSpec,
     stable_cdf_1d,
     stable_density,
     stable_density_grid,
+    truncated_density,
 )
 
 # exp(-70) ~ 4e-31: the integrand beyond this cutoff is below the working precision
@@ -122,3 +128,59 @@ def test_stable_density_matches_bergstrom_series(alpha, scales):
         x = float(scales * sigma_mp(1, a) ** (1 / a))
     grid = stable_density_grid(StableSpec(d=1, alpha=alpha), 1.0, np.array([[x]]))
     assert grid.values[0] == pytest.approx(bergstrom_density(alpha, x), rel=1e-10, abs=0.0)
+
+
+# the truncated reference drops what lies below exp(-55) ~ 1e-24 of its peak,
+# summed on 32-node Gauss-Legendre panels of width at most 16 / max |x|
+TRUNCATED_DROP = 55
+TRUNCATED_PANEL = 32
+
+
+def _truncated_symbol_mp(a, c, r, s):
+    """psi(s) = 2c int_0^r (1 - cos s z) z^(-1-a) dz = c sigma s^a - 2c r^(-a)/a
+    + 2c int_r^inf cos(s z) z^(-1-a) dz, the last term as (-is)^a Gamma(-a, -isr)
+    or, at a = 1, where that incomplete gamma is slow, by the sine integral."""
+    sigma = mp.pi / (mp.gamma(1 + a) * mp.sin(mp.pi * a / 2))
+    if a == 1:
+        far = mp.cos(s * r) / r - s * (mp.pi / 2 - mp.si(s * r))
+    else:
+        far = mp.re((-1j * s) ** a * mp.gammainc(-a, -1j * s * r))
+    return c * sigma * s**a - 2 * c * r**-a / a + 2 * c * far
+
+
+def _oracle_truncated(alpha: float, c: float, r: float, t: float, xs) -> np.ndarray:
+    with mp.workdps(30):
+        a, c, r, t = mp.mpf(alpha), mp.mpf(c), mp.mpf(r), mp.mpf(t)
+        sigma = mp.pi / (mp.gamma(1 + a) * mp.sin(mp.pi * a / 2))
+        # past psi's lower bound c sigma s^a - 2c r^(-a)/a reaching DROP / t
+        cutoff = ((TRUNCATED_DROP / t + 2 * c * r**-a / a) / (sigma * c)) ** (1 / a)
+        width = min(mp.pi / r, 16 / max(max(xs), 1))
+        nodes, weights = mp.gauss_quadrature(TRUNCATED_PANEL, "legendre")
+        sums = [mp.mpf(0)] * len(xs)
+        lo = mp.mpf(0)
+        while lo < cutoff:
+            for u, w in zip(nodes, weights):
+                s = lo + width * (u + 1) / 2
+                f = w * width / 2 * mp.exp(-t * _truncated_symbol_mp(a, c, r, s))
+                for i, x in enumerate(xs):
+                    sums[i] += f * mp.cos(s * mp.mpf(x))
+            lo += width
+        return np.array([float(v / mp.pi) for v in sums])
+
+
+@pytest.mark.parametrize(
+    "alpha,c,r",
+    # c = 4 at alpha = 0.5 keeps the reference's cutoff at s ~ 130; at c = 1 it
+    # would be ~2,000, with ~35,000 incomplete-gamma calls
+    [(0.5, 4.0, 1.0), (1.0, 1.0, 1.0), (1.8, 1.0, 0.5)],
+)
+@pytest.mark.parametrize("t", [0.25, 1.0])
+def test_truncated_density_matches_mpmath(alpha, c, r, t):
+    # seven points from 0 out to where p falls below 1e-12 p(0)
+    spec = TruncatedStableSpec(d=1, alpha=alpha, c=c, r=r)
+    scan = np.linspace(0.0, 40.0, 1601)
+    p = truncated_density(spec, t, scan)
+    xs = np.linspace(0.0, scan[np.argmax(p < 1e-12 * p[0])], 7)
+    ref = _oracle_truncated(alpha, c, r, t, list(xs))
+    assert ref[-1] < 2e-12 * ref[0]
+    assert truncated_density(spec, t, xs) == pytest.approx(ref, rel=1e-10, abs=0.0)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from jsonschema import ValidationError
 
 from harnacklab import reports
-from harnacklab.density import truncated_density_estimate
 from harnacklab.harnack_lab import (
     INEQUALITY_IDS,
     default_ratio_grid,
@@ -98,10 +97,6 @@ def _real_reports() -> dict:
     """One small report per inequality id, as the verifiers build them."""
     free = OUSpec(A=np.zeros((1, 1)), driver=CAUCHY)
     drift = OUSpec(A=np.array([[0.5]]), driver=CAUCHY)
-    estimates = [
-        truncated_density_estimate(TSPEC, t, 10**4, seed=SeedSpec(402).substream(i))
-        for i, t in enumerate((0.5, 1.0))
-    ]
     ratio_grid = default_ratio_grid(1, 1.0, t_values=(0.5, 1.0), offsets=(0.0, 1.0), n_z=12)
     built = [
         verify_harnack(free, n=2000, seed=SeedSpec(1), validation=False),
@@ -110,8 +105,7 @@ def _real_reports() -> dict:
         verify_log_harnack(free, n=2000, seed=SeedSpec(1)),
         verify_ratio_lemma(CAUCHY, grid=ratio_grid, validation=False),
         verify_truncated_ratio(
-            TSPEC, (0.5, 1.0), estimates=estimates, offsets=(0.0, 1.0), z_count=9,
-            seed=SeedSpec(7),
+            TSPEC, (0.5, 1.0), offsets=(0.0, 1.0), z_count=9, seed=SeedSpec(7),
         ),
         young_suite(n_cases=20, seed=SeedSpec(5)),
         jensen_suite(n_cases=20, seed=SeedSpec(6)),

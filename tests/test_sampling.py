@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import cdf_interpolant, ks_statistic, ks_threshold
+from helpers import cdf_interpolant, ks_statistic, ks_threshold, small_jump_cf_error_bound
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
@@ -28,11 +28,10 @@ from harnacklab import (
     sample_rot_stable,
     sample_sym_stable_1d,
     sample_truncated_stable,
-    small_jump_cf_error_bound,
     symbol_radial,
 )
 from harnacklab import sampling
-from harnacklab.levy_core import compute_sigma, sphere_surface
+from harnacklab.levy_core import _truncated_series, compute_sigma, sphere_surface
 from harnacklab.sampling import CHUNK, _one_sided_stable
 
 
@@ -165,6 +164,19 @@ class TestRotStable:
         means, ses = empirical_cf(x, xis)
         target = np.exp(-t * symbol_radial(spec, radii))
         assert np.all(np.abs(means - target) < 3.0 * ses)
+
+    @pytest.mark.parametrize("d, alpha", [(1, 1.0), (1, 0.5), (2, 1.5), (3, 1.9)])
+    def test_standard_draw_matches_its_cf(self, d, alpha):
+        # the subordinator scale is analytic, not fitted, so this guards the
+        # transforms: 1e6 draws at a fixed seed, three probe frequencies, 3 SE
+        key = int(round(alpha * 10**9))
+        rng = np.random.default_rng(np.random.SeedSequence(0xA11CE5EED, spawn_key=(d, key)))
+        x = sampling._standard_rot_stable(d, alpha, 10**6, rng)
+        for radius in (0.4, 1.0, 2.2):
+            xi = np.zeros((1, d))
+            xi[0, 0] = radius
+            re, se = empirical_cf(x, xi)
+            assert abs(re[0] - math.exp(-(radius**alpha))) <= 3.0 * se[0]
 
     def test_validation(self):
         spec = StableSpec(d=1, alpha=1.0)
@@ -399,7 +411,7 @@ class TestSemigroupCutoff:
     def test_series_matches_the_symbol(self):
         for spec in (self.WORKLOAD, TruncatedStableSpec(d=2, alpha=1.2, c=1.0, r=1.0)):
             s = np.array([0.05, 1.0, 7.0, sampling.SERIES_REACH / spec.r])
-            coeffs = sampling._truncated_series(spec.d, spec.alpha)
+            coeffs = _truncated_series(spec.d, spec.alpha)
             series = sphere_surface(spec.d) * spec.r**-spec.alpha * np.polynomial.polynomial.polyval(
                 (spec.r * s) ** 2, coeffs
             )
@@ -415,7 +427,7 @@ class TestSemigroupCutoff:
         surf, reach = sphere_surface(d), sampling.SERIES_REACH
         v = np.array([50.0, 300.0, 3000.0])
         F = symbol_radial(spec, v / r) / (surf * r**-alpha)
-        F_reach = np.polynomial.polynomial.polyval(reach**2, sampling._truncated_series(d, alpha))
+        F_reach = np.polynomial.polynomial.polyval(reach**2, _truncated_series(d, alpha))
         assert np.all(F >= compute_sigma(d, alpha) / surf * v**alpha - 2.0 / alpha)
         assert np.all(F >= F_reach * (v / reach) ** alpha)
 
