@@ -535,9 +535,9 @@ def truncated_density(spec: TruncatedStableSpec, t: float, x):
     Chernoff bound p(0) e^(t kappa(eta) - eta |x|) underflows is 0 and is not
     integrated.  The rule depends on the call's points, so a value moves with
     the other points of its call at the level of rounding (about 1e-15).  A
-    t c r^(-alpha) that overflows a double raises OverflowError; a rule beyond
-    XI_NODES nodes, or an integral that lost its accuracy, raises
-    QuadratureError.
+    t c r^(-alpha), or a density, outside the range of a double raises
+    OverflowError; a rule beyond XI_NODES nodes, an |x| past the tilt table,
+    or an integral that lost its accuracy raises QuadratureError.
     """
     if spec.d != 1:
         raise NotImplementedError("the truncated density is implemented for d=1")
@@ -546,27 +546,40 @@ def truncated_density(spec: TruncatedStableSpec, t: float, x):
     if not (t > 0.0 and np.all(np.isfinite(y))):
         raise ValueError("time must be positive and points finite")
     alpha, r = spec.alpha, spec.r
-    ttau = t * 2.0 * spec.c * r**-alpha
-    if not math.isfinite(ttau):
-        raise OverflowError(f"t c r^(-alpha) overflows a double at t={t:g}, c={spec.c:g}, r={r:g}")
+    log_ttau = math.log(2.0 * spec.c) + math.log(t) - alpha * math.log(r)
+    if not -700.0 < log_ttau < 709.0:
+        raise OverflowError(f"t c r^(-alpha) leaves the range of a double at t={t:g}, c={spec.c:g}, r={r:g}")
+    # in units of r, u = |x| / r and b = xi r: p = q(u) / r, with t kappa(eta) =
+    # ttau G(a), a = eta r, and q(u) = (1/pi) int_0^inf Re exp(ttau G(a + ib) - (a + ib) u) db
+    ttau = math.exp(log_ttau)
+    with np.errstate(over="ignore"):
+        u = y / r
     poly, _, _, (a_tab, g_tab, g1_tab, root, cum), (gl_x, gl_w) = _exponent_rule(alpha)
-    # past reach, t psi(xi) >= t (c sigma xi^alpha - 2 c r^(-alpha) / alpha) >= CF_DROP
-    sigma_c = compute_sigma(1, alpha) * spec.c
-    reach = ((CF_DROP / t + 2.0 * spec.c * r**-alpha / alpha) / sigma_c) ** (1.0 / alpha)
-    # saddles from the table y(a) = t tau r G'(a), levels from s(a) = int sqrt(t tau G'') da
-    y_tab, s_tab = ttau * r * g1_tab, math.sqrt(ttau) * cum
-    a_star = np.interp(y, y_tab, a_tab)
-    bound = ttau * np.interp(a_star, a_tab, g_tab) - a_star / r * y  # >= its value at a_star
-    live = np.flatnonzero(bound + math.log(2.0 * reach / math.pi) > -746.0)
+    # past reach, t psi >= CF_DROP by one of two lower bounds on F(b) = t psi / ttau
+    # that grow with b: sigma b^alpha / 2 - 2 / alpha (the jumps past r move the stable
+    # symbol by at most that), and 2 b^2 min(1, pi / b)^(2 - alpha) / (pi^2 (2 - alpha))
+    # (1 - cos v >= 2 v^2 / pi^2 on |v| <= pi); summed in logs, as ttau may be far from 1
+    stable = np.logaddexp(math.log(CF_DROP) - log_ttau, math.log(2.0 / alpha))
+    stable = (stable + math.log(2.0 / compute_sigma(1, alpha))) / alpha
+    need = math.log(CF_DROP * (2.0 - alpha) / 2.0) - log_ttau
+    gauss = math.log(math.pi) + (0.5 * need if need <= 0.0 else need / alpha)
+    reach = math.exp(min(stable, gauss)) if min(stable, gauss) < 700.0 else math.inf
+    # saddles from the table u(a) = ttau G'(a), levels from s(a) = int sqrt(ttau G'') da
+    s_tab = math.sqrt(ttau) * cum
+    with np.errstate(over="ignore", invalid="ignore"):  # past a double: inf, or nan and not live
+        u_tab = np.minimum(ttau * g1_tab, np.finfo(float).max)
+        a_star = np.interp(u, u_tab, a_tab)
+        bound = ttau * np.interp(a_star, a_tab, g_tab) - a_star * u  # >= its value at a_star
+    live = np.flatnonzero(bound > -746.0 - math.log(2.0 * reach / math.pi))
     log_p = np.full(len(y), -np.inf)
-    if len(live) and y[live].max() > y_tab[-1]:
+    if len(live) and u[live].max() > u_tab[-1]:
         raise QuadratureError(f"|x|={y[live].max():g} lies past the truncated density's tilt table at t={t:g}")
-    level = np.rint(np.interp(y[live], y_tab, s_tab)).astype(int)
+    level = np.rint(np.interp(u[live], u_tab, s_tab)).astype(int)
     levels = np.unique(level)
     a_lev = np.interp(levels.astype(float), s_tab, a_tab)
     if len(live):
-        top = math.sqrt(ttau) * float(np.interp(a_lev[-1], a_tab, root)) * r  # sqrt(t kappa'') there
-        width = 5.0 * math.pi / (float(y[live].max()) + r)
+        top = math.sqrt(ttau) * float(np.interp(a_lev[-1], a_tab, root))  # sqrt(ttau G'') there
+        width = 5.0 * math.pi / (float(u[live].max()) + 1.0)
         edges = [0.0, min(0.5 / top, reach)]
         while edges[-1] < reach and len(edges) * 16 <= XI_NODES:
             edges.append(edges[-1] + min(edges[-1], width))
@@ -576,21 +589,23 @@ def truncated_density(spec: TruncatedStableSpec, t: float, x):
                 f"(alpha={alpha:g}, c={spec.c:g}, r={r:g}, max |x|={y[live].max():g})"
             )
         half = 0.5 * np.diff(edges)[:, None]
-        xi = (np.array(edges[:-1])[:, None] + half * (1.0 + gl_x)).ravel()
+        b_nodes = (np.array(edges[:-1])[:, None] + half * (1.0 + gl_x)).ravel()
         wts = (half * gl_w).ravel()
     for q, a in zip(levels, a_lev):
         g0 = float(poly(a * a))
-        z = ttau * (_exponent(alpha, a + 1j * r * xi) - g0)
+        z = ttau * (_exponent(alpha, a + 1j * b_nodes) - g0)
         mag = np.exp(z.real) * wts
         keep = mag > 0.0
-        mag, phase, nodes = mag[keep], z.imag[keep], xi[keep]
+        mag, phase, nodes = mag[keep], z.imag[keep], b_nodes[keep]
         idx = live[level == q]
         step = max(1, (1 << 22) // len(nodes))
         for part in (idx[lo : lo + step] for lo in range(0, len(idx), step)):
-            vals = np.cos(phase - np.multiply.outer(y[part], nodes)) @ mag
-            if np.any(vals <= 1e-6 * mag.sum()):  # cancelled to 1e-6 of its |integrand|
+            vals = np.cos(phase - np.multiply.outer(u[part], nodes)) @ mag
+            if not np.all(vals > 1e-6 * mag.sum()):  # cancelled to 1e-6 of its |integrand|
                 raise QuadratureError(f"the truncated density lost its accuracy at t={t:g}")
-            log_p[part] = ttau * g0 - a / r * y[part] + np.log(vals / math.pi)
+            log_p[part] = ttau * g0 - a * u[part] + np.log(vals / math.pi) - math.log(r)
+    if np.any(np.isnan(log_p) | (log_p > 709.0)):
+        raise OverflowError(f"the truncated density at t={t:g} leaves the range of a double")
     values = np.exp(log_p)
     return values.reshape(xv.shape) if xv.ndim else float(values[0])
 

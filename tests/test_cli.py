@@ -5,6 +5,7 @@ All invocations go through main(argv) in-process.  Exit code contract:
 (bad flags, malformed config, unknown ids), never argparse's default 2.
 """
 
+import itertools
 import json
 import math
 
@@ -572,3 +573,18 @@ class TestNonFiniteInputs:
         assert err.startswith("harnacklab: error: ") and err.count("\n") == 1, err
         assert fragment in err
         assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [0.01, 1.0, 1.99])
+    def test_truncated_density_at_the_ends_of_a_double(self, tmp_path, capsys, alpha):
+        # c, r and t at the smallest subnormal and at 1e300: each call answers
+        # or fails with one error line, with no warning on the way
+        cfg = tmp_path / "cfg.json"
+        for c, r, t in itertools.product((5e-324, 1e300), repeat=3):
+            cfg.write_text(json.dumps({"driver": "truncated_stable", "d": 1, "alpha": alpha, "c": c, "r": r}))
+            rc = main(["density", "--spec", str(cfg), "--t", repr(t), "--radii", "0,1"])
+            out, err = capsys.readouterr()
+            if rc == 0:
+                assert all(math.isfinite(v) for v in json.loads(out)["values"])
+            else:
+                assert rc == 1 and err.startswith("harnacklab: error: ") and err.count("\n") == 1, err

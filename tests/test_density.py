@@ -501,11 +501,14 @@ class TestTruncatedDensity:
         for bad_t, bad_x in ((0.0, 1.0), (-1.0, 1.0), (1.0, np.nan)):
             with pytest.raises(ValueError):
                 truncated_density(self.SPEC, bad_t, bad_x)
-        with pytest.raises(OverflowError):
-            truncated_density(TruncatedStableSpec(d=1, alpha=1.0, c=1e300, r=1e-300), 1.0, 0.0)
-        # alpha = 0.1 at t = 0.01: psi reaches 45 / t only past xi ~ 1e60
-        with pytest.raises(density.QuadratureError, match="xi-nodes"):
-            truncated_density(TruncatedStableSpec(d=1, alpha=0.1, c=1.0, r=1.0), 0.01, 1.0)
+        for c, r, t in ((1e300, 1e-300, 1.0), (1e-300, 1e300, 1e-300)):
+            with pytest.raises(OverflowError):
+                truncated_density(TruncatedStableSpec(d=1, alpha=1.0, c=c, r=r), t, 0.0)
+        # t psi reaches 45 only past xi ~ 1e60 (alpha = 0.1, t = 0.01), or past
+        # the largest double (alpha = 0.01, t = 1e-8)
+        for alpha, t in ((0.1, 0.01), (0.01, 1e-8)):
+            with pytest.raises(density.QuadratureError, match="xi-nodes"):
+                truncated_density(TruncatedStableSpec(d=1, alpha=alpha, c=1.0, r=1.0), t, 1.0)
 
 
 class TestTruncatedEstimate:
