@@ -471,8 +471,9 @@ def phi_envelope(d: int, alpha: float, t: float, radius) -> np.ndarray:
 # in the superexponential tail.
 
 # Tilts eta r stop at TILT_REACH, where the real series still holds to 1e-16.
-# The xi-rule ends where t psi(xi) >= CF_DROP (e^-45 ~ 3e-20 of the peak); a
-# call whose rule needs more than XI_NODES nodes raises QuadratureError.
+# A level's xi-rule ends where its integrand is below e^-CF_DROP (~3e-20 of
+# its peak); a level whose rule needs more than XI_NODES nodes raises
+# QuadratureError.
 TILT_REACH, CF_DROP, XI_NODES = 50.0, 45.0, 1 << 16
 
 
@@ -528,16 +529,20 @@ def truncated_density(spec: TruncatedStableSpec, t: float, x):
 
     ``x`` is a scalar or an array; the result has its shape.  Each point's
     saddle tilt is read from a table and rounded to whole saddle widths, so
-    kappa is evaluated once per level.  One Gauss-Legendre rule in xi serves
-    every point: 16-node panels that double in width from half the narrowest
-    saddle width up to 2.5 periods of the fastest oscillation (max |x| + r),
-    then stay that wide up to where t psi(xi) >= CF_DROP.  A point whose
-    Chernoff bound p(0) e^(t kappa(eta) - eta |x|) underflows is 0 and is not
-    integrated.  The rule depends on the call's points, so a value moves with
-    the other points of its call at the level of rounding (about 1e-15).  A
-    t c r^(-alpha), or a density, outside the range of a double raises
-    OverflowError; a rule beyond XI_NODES nodes, an |x| past the tilt table,
-    or an integral that lost its accuracy raises QuadratureError.
+    kappa is evaluated once per level.  Each level has its own Gauss-Legendre
+    rule in xi: 16-node panels that double in width from half its saddle width
+    up to 2.5 periods of its fastest oscillation (its largest |x| plus 5 r, as
+    the symbol's edge ripple e^(i xi r) carries harmonics), then stay that wide
+    up to where its integrand is below e^-CF_DROP.  A point whose Chernoff
+    bound p(0) e^(t kappa(eta) - eta |x|) underflows is 0 and is not
+    integrated.  A value depends on the other points of its call only through
+    its level's largest |x|, at the level of rounding (about 1e-15).  A t c
+    r^(-alpha), or a density, outside the range of a double raises
+    OverflowError; an |x| past the tilt table or an integral that lost its
+    accuracy raises QuadratureError, and so does a level whose rule needs more
+    than XI_NODES nodes: where t c r^(-alpha) and alpha are both small, e^(-t
+    psi) decays so slowly that the bulk needs frequencies far past that
+    (alpha = 0.1, c = r = 1, t = 0.25: xi r ~ 1e10).
     """
     if spec.d != 1:
         raise NotImplementedError("the truncated density is implemented for d=1")
@@ -574,30 +579,28 @@ def truncated_density(spec: TruncatedStableSpec, t: float, x):
     log_p = np.full(len(y), -np.inf)
     if len(live) and u[live].max() > u_tab[-1]:
         raise QuadratureError(f"|x|={y[live].max():g} lies past the truncated density's tilt table at t={t:g}")
-    level = np.rint(np.interp(u[live], u_tab, s_tab)).astype(int)
-    levels = np.unique(level)
-    a_lev = np.interp(levels.astype(float), s_tab, a_tab)
-    if len(live):
-        top = math.sqrt(ttau) * float(np.interp(a_lev[-1], a_tab, root))  # sqrt(ttau G'') there
-        width = 5.0 * math.pi / (float(u[live].max()) + 1.0)
-        edges = [0.0, min(0.5 / top, reach)]
-        while edges[-1] < reach and len(edges) * 16 <= XI_NODES:
+    levels, level = np.unique(np.rint(np.interp(u[live], u_tab, s_tab)), return_inverse=True)
+    for q, a in enumerate(np.interp(levels, s_tab, a_tab)):
+        idx, g0 = live[level == q], float(poly(a * a))
+        # the level's integrand is below e^-CF_DROP past end: Re G(a + ib) - G(a) <= 2 (cosh a
+        # - 1) / b - G(a), as (cosh au - 1) u^(-1-alpha) rises on [0, 1] (second mean value theorem)
+        excess = g0 - CF_DROP / ttau
+        end = min(reach, 4.0 * math.sinh(0.5 * a) ** 2 / excess) if excess > 0.0 else reach
+        width = 5.0 * math.pi / (float(u[idx].max()) + 5.0)
+        edges = [0.0, min(0.5 / (math.sqrt(ttau) * float(np.interp(a, a_tab, root))), end)]
+        while edges[-1] < end and len(edges) * 16 <= XI_NODES:
             edges.append(edges[-1] + min(edges[-1], width))
-        if not edges[-1] >= reach:
+        if not edges[-1] >= end:
             raise QuadratureError(
                 f"the truncated density at t={t:g} needs more than {XI_NODES} xi-nodes "
-                f"(alpha={alpha:g}, c={spec.c:g}, r={r:g}, max |x|={y[live].max():g})"
+                f"(alpha={alpha:g}, c={spec.c:g}, r={r:g}, |x|={y[idx].max():g})"
             )
         half = 0.5 * np.diff(edges)[:, None]
-        b_nodes = (np.array(edges[:-1])[:, None] + half * (1.0 + gl_x)).ravel()
-        wts = (half * gl_w).ravel()
-    for q, a in zip(levels, a_lev):
-        g0 = float(poly(a * a))
-        z = ttau * (_exponent(alpha, a + 1j * b_nodes) - g0)
-        mag = np.exp(z.real) * wts
+        nodes = (np.array(edges[:-1])[:, None] + half * (1.0 + gl_x)).ravel()
+        z = ttau * (_exponent(alpha, a + 1j * nodes) - g0)
+        mag = np.exp(z.real) * (half * gl_w).ravel()
         keep = mag > 0.0
-        mag, phase, nodes = mag[keep], z.imag[keep], b_nodes[keep]
-        idx = live[level == q]
+        mag, phase, nodes = mag[keep], z.imag[keep], nodes[keep]
         step = max(1, (1 << 22) // len(nodes))
         for part in (idx[lo : lo + step] for lo in range(0, len(idx), step)):
             vals = np.cos(phase - np.multiply.outer(u[part], nodes)) @ mag

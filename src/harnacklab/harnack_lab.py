@@ -981,9 +981,14 @@ def verify_truncated_ratio(
     if spec.d != 1:
         raise NotImplementedError("truncated ratio verification is implemented for d=1")
     t_grid = list(t_grid)
-    radii = max(3.0, 2.0 * spec.r) * (1.0 + np.arange(240) / 16.0)
-    p = truncated_density(spec, min(t_grid), np.append(0.0, radii))
-    below = np.flatnonzero(p[1:] <= TAIL_FLOOR * p[0])
+    # sixteen radii a call, so the rule of the last call is sized for the reach
+    # and not for radii far past it
+    floor = TAIL_FLOOR * truncated_density(spec, min(t_grid), 0.0)
+    for k in range(0, 240, 16):
+        radii = max(3.0, 2.0 * spec.r) * (1.0 + np.arange(k, k + 16) / 16.0)
+        below = np.flatnonzero(truncated_density(spec, min(t_grid), radii) <= floor)
+        if len(below):
+            break
     reach = float(radii[below[0] if len(below) else -1])
     if constants is None:
         fit = np.linspace(0.0, reach, FIT_POINTS)

@@ -212,11 +212,10 @@ def one_minus_sphere_cf(d: int, u):
 
 
 # ---------------------------------------------------------------------------
-# oscillatory integrals
+# kernel zeros
 #
-# Radial integrands here carry a J_{d/2-1} factor, so naive adaptive
-# quadrature stalls or silently misconverges; it gets a breakpoint at every
-# Bessel zero inside its interval.
+# Radial integrands here carry a J_{d/2-1} factor; between consecutive zeros of
+# it they are smooth, so a fixed Gauss rule per half-oscillation integrates them.
 
 _ZERO_CACHE: dict[float, np.ndarray] = {}
 _NEWTON_STEPS = 12
@@ -254,31 +253,6 @@ def bessel_zeros(nu: float, count: int) -> np.ndarray:
     return zeros[:count].copy()
 
 
-def _bulk_quad(f, lo: float, hi: float, d: int, epsrel: float = 1e-12) -> float:
-    """Adaptive integral of f on [lo, hi] with breakpoints at kernel zeros."""
-    nu = d / 2.0 - 1.0
-    pts = []
-    k = 8
-    while True:
-        z = bessel_zeros(nu, k)
-        inside = z[(z > lo) & (z < hi)]
-        if len(z) == 0 or z[-1] >= hi:
-            pts = list(inside)
-            break
-        k *= 2
-        if k > 4096:
-            pts = list(inside)
-            break
-    # quad spends one subinterval per breakpoint before it bisects any, so
-    # its limit grows with them (r |xi| past about 1,250 has over 400)
-    val, err = integrate.quad(
-        f, lo, hi, points=pts or None, limit=400 + len(pts), epsabs=0.0, epsrel=epsrel
-    )
-    if not math.isfinite(val):
-        raise QuadratureError(f"bulk quadrature diverged on [{lo}, {hi}]")
-    return val
-
-
 # ---------------------------------------------------------------------------
 # symbols
 
@@ -300,21 +274,6 @@ def compute_sigma(d: int, alpha: float) -> float:
     )
 
 
-def _incomplete_exponent(d: int, alpha: float, v: float) -> float:
-    """integral of u^(-1-alpha) (1 - sphere_cf(d, u)) du over [0, v]."""
-    if v <= 0.0:
-        return 0.0
-
-    def f(u):
-        return u ** (-1.0 - alpha) * one_minus_sphere_cf(d, u)
-
-    split = min(v, 2.0)
-    val, _ = integrate.quad(f, 0.0, split, limit=200, epsabs=0.0, epsrel=1e-11)
-    if v > split:
-        val += _bulk_quad(f, split, v, d, epsrel=1e-11)
-    return val
-
-
 def symbol_radial(spec: DriverSpec, s) -> np.ndarray:
     """Levy symbol evaluated at radius s = |xi| (symbols here are radial)."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
@@ -323,24 +282,32 @@ def symbol_radial(spec: DriverSpec, s) -> np.ndarray:
     if isinstance(spec, StableSpec):
         return compute_sigma(spec.d, spec.alpha) * spec.c * s**spec.alpha
     if isinstance(spec, TruncatedStableSpec):
-        surf = sphere_surface(spec.d)
-        out = np.empty_like(s)
-        for i, si in enumerate(s):
-            if si == 0.0:
-                out[i] = 0.0
-            else:
-                out[i] = (
-                    spec.c
-                    * surf
-                    * si**spec.alpha
-                    * _incomplete_exponent(spec.d, spec.alpha, spec.r * si)
-                )
-        return out
+        # psi(s) = c |S| s^alpha I(r s), I(v) = int_0^v u^(-1-alpha) (1 - sphere_cf(d, u)) du:
+        # the power series up to SERIES_HEAD, then 16-node Gauss panels between kernel zeros
+        d, a, v = spec.d, spec.alpha, spec.r * s
+        head = np.minimum(v, SERIES_HEAD)
+        total = head ** (2.0 - a) * np.polynomial.polynomial.polyval(head**2, _truncated_series(d, a)[1:])
+        far = v > SERIES_HEAD
+        if np.any(far):
+            zeros = bessel_zeros(d / 2.0 - 1.0, int(v.max() / math.pi) + 2)
+            edges = np.concatenate([[SERIES_HEAD], zeros[(zeros > SERIES_HEAD) & (zeros < v.max())]])
+            x, w = np.polynomial.legendre.leggauss(16)
+
+            def panels(lo, hi):
+                half = 0.5 * (hi - lo)[:, None]
+                u = lo[:, None] + half * (1.0 + x)
+                return (u ** (-1.0 - a) * one_minus_sphere_cf(d, u) * half) @ w
+
+            cum = np.concatenate([[0.0], np.cumsum(panels(edges[:-1], edges[1:]))])
+            j = np.searchsorted(edges, v[far], side="right") - 1
+            total[far] += cum[j] + panels(edges[j], v[far])
+        return spec.c * sphere_surface(d) * s**a * total
     raise TypeError(f"unknown driver spec {type(spec).__name__}")
 
 
-# Terms, in v^2, of the truncated symbol's power series.
-SERIES_TERMS = 60
+# Terms, in v^2, of the truncated symbol's power series, and the v = r |xi| up
+# to which symbol_radial sums it (its cancellation costs about 1e-13 there).
+SERIES_TERMS, SERIES_HEAD = 60, 8.0
 
 
 def _truncated_series(d: int, alpha: float) -> np.ndarray:
@@ -383,13 +350,9 @@ def compute_c0(op_norm: float, d: int) -> float:
     """
     if op_norm < 0.0:
         raise ValueError("operator norm must be nonnegative")
-    upper = math.exp(-op_norm)
-
-    def f(rho):
-        return one_minus_sphere_cf(d, rho) / rho
-
-    val, _ = integrate.quad(f, 0.0, upper, limit=200, epsabs=0.0, epsrel=1e-12)
-    return sphere_surface(d) * val
+    # the truncated symbol's series at alpha = 0, with r |xi| = e^(-op_norm) <= 1
+    series = np.polynomial.polynomial.polyval(math.exp(-2.0 * op_norm), _truncated_series(d, 0.0))
+    return sphere_surface(d) * float(series)
 
 
 # ---------------------------------------------------------------------------

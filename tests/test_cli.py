@@ -393,6 +393,28 @@ class TestVerifyCommand:
             assert f"{ineq}: PASS" in out
         assert "ratio_lemma" not in out
 
+    def test_truncated_ratio_at_alpha_half(self, tmp_path, capsys):
+        # radii past the reach (out to 48 r) no longer narrow the xi-panels of
+        # the bulk: the default grid is answered and the report written
+        spec = write_json(tmp_path, "half.json", {**TRUNC_CFG, "alpha": 0.5})
+        out = tmp_path / "rep"
+        rc = main(["verify", "--spec", spec, "--inequality", "truncated_ratio", "--out", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        assert "truncated_ratio: PASS" in capsys.readouterr().out
+        doc = json.loads((out / "report_truncated_ratio.json").read_text())
+        assert doc["excluded_nodes"] == 0 and doc["mc_meta"]["tail_fit"] == "ok"
+
+    def test_truncated_ratio_refuses_alpha_tenth(self, tmp_path, capsys):
+        # at alpha = 0.1, t = 0.25 the cf falls to e^-45 only past xi r ~ 1e10,
+        # beyond any xi-rule: one error line, exit 1, no report
+        spec = write_json(tmp_path, "tenth.json", {**TRUNC_CFG, "alpha": 0.1})
+        out = tmp_path / "rep"
+        rc = main(["verify", "--spec", spec, "--inequality", "truncated_ratio", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("harnacklab: error: ") and err.count("\n") == 1, err
+        assert "xi-nodes" in err and "alpha=0.1" in err
+        assert not out.exists()
+
     def test_failed_verification_exits_two(self, stable_cfg, tmp_path, capsys, monkeypatch):
         def fake_run(ineq, cfg, seed, overrides):
             return InequalityReport(

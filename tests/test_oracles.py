@@ -184,3 +184,13 @@ def test_truncated_density_matches_mpmath(alpha, c, r, t):
     ref = _oracle_truncated(alpha, c, r, t, list(xs))
     assert ref[-1] < 2e-12 * ref[0]
     assert truncated_density(spec, t, xs) == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+def test_truncated_density_point_alone_matches_mpmath():
+    # each point alone in its call, so its tilt level's xi-panels are sized by
+    # that point only; t c r^(-alpha) = 0.0025 leaves the edge ripple e^(i xi r)
+    # of the symbol, not the point, as the fastest oscillation
+    spec = TruncatedStableSpec(d=1, alpha=1.5, c=0.005, r=1.0)
+    xs = [0.1, 0.5, 1.0]
+    got = [truncated_density(spec, 0.25, x) for x in xs]
+    assert got == pytest.approx(_oracle_truncated(1.5, 0.005, 1.0, 0.25, xs), rel=1e-10, abs=0.0)

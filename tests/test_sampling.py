@@ -520,6 +520,17 @@ class TestCfErrorBound:
         with pytest.raises(TypeError):
             small_jump_cf_error_bound(StableSpec(d=1, alpha=1.0), 1.0, 0.1, 1.0)
 
+    @pytest.mark.parametrize("d, alpha, r, t", [(1, 1.8, 0.5, 0.1), (1, 0.3, 1.0, 1.0), (2, 1.2, 1.0, 0.5)])
+    def test_split_cutoff_puts_the_bound_at_its_budget(self, d, alpha, r, t):
+        # the sampler's cutoff is where this bound, times the measure's own cf,
+        # peaks at SPLIT_CF_ERROR over all frequencies
+        spec = TruncatedStableSpec(d=d, alpha=alpha, c=1.0, r=r)
+        eps = sampling._split_cutoff(spec, t)
+        assert eps < r
+        xi = np.geomspace(1e-2, 1e3, 4001) / r
+        worst = np.max(small_jump_cf_error_bound(spec, t, eps, xi) * np.exp(-t * symbol_radial(spec, xi)))
+        assert 0.999 * sampling.SPLIT_CF_ERROR <= worst <= sampling.SPLIT_CF_ERROR * (1.0 + 1e-9)
+
 
 class TestEmpiricalCf:
     def test_exact_on_point_mass(self):
