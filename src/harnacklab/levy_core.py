@@ -289,6 +289,8 @@ def symbol_radial(spec: DriverSpec, s) -> np.ndarray:
         total = head ** (2.0 - a) * np.polynomial.polynomial.polyval(head**2, _truncated_series(d, a)[1:])
         far = v > SERIES_HEAD
         if np.any(far):
+            if not v.max() <= SYMBOL_REACH:
+                raise QuadratureError(f"truncated symbol at r |xi| = {v.max():g} is past {SYMBOL_REACH:g}")
             zeros = bessel_zeros(d / 2.0 - 1.0, int(v.max() / math.pi) + 2)
             edges = np.concatenate([[SERIES_HEAD], zeros[(zeros > SERIES_HEAD) & (zeros < v.max())]])
             x, w = np.polynomial.legendre.leggauss(16)
@@ -306,8 +308,9 @@ def symbol_radial(spec: DriverSpec, s) -> np.ndarray:
 
 
 # Terms, in v^2, of the truncated symbol's power series, and the v = r |xi| up
-# to which symbol_radial sums it (its cancellation costs about 1e-13 there).
-SERIES_TERMS, SERIES_HEAD = 60, 8.0
+# to which symbol_radial sums it (its cancellation costs about 1e-13 there);
+# past SYMBOL_REACH (2^16 kernel half-oscillations) the symbol is refused.
+SERIES_TERMS, SERIES_HEAD, SYMBOL_REACH = 60, 8.0, 2.0e5
 
 
 def _truncated_series(d: int, alpha: float) -> np.ndarray:

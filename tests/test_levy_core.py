@@ -20,6 +20,7 @@ from scipy import integrate, special
 
 from harnacklab import (
     OUSpec,
+    QuadratureError,
     StableSpec,
     TruncatedStableSpec,
     compute_c0,
@@ -238,6 +239,13 @@ class TestSymbols:
         v = symbol_radial(trunc, s)
         assert v[0] == 0.0
         assert np.all(np.diff(v) > 0.0)
+
+    def test_truncated_symbol_refused_past_its_reach(self):
+        # past 2^16 kernel half-oscillations the panel rule would grow without
+        # bound: one QuadratureError instead
+        spec = TruncatedStableSpec(d=2, alpha=1.0, c=1.0, r=1.0)
+        with pytest.raises(QuadratureError, match="past"):
+            symbol_radial(spec, np.array([1.0, 3e5]))
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):

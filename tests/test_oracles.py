@@ -12,8 +12,9 @@ summed in 50-digit arithmetic (``helpers.bergstrom_density``).  The
 normalization sigma(d, alpha) comes from its closed form.  The truncated
 reference is the cosine transform (1/pi) int exp(-t psi(s)) cos(s x) ds in
 30-digit arithmetic, with psi from its incomplete-gamma closed form rather
-than the power series the package sums.  Nothing here uses harnacklab except
-the function under test and its spec argument.
+than the power series the package sums; the same closed form checks the d=1
+truncated symbol.  Nothing here uses harnacklab except the function under test
+and its spec argument.
 """
 
 import mpmath as mp
@@ -27,6 +28,7 @@ from harnacklab import (
     stable_cdf_1d,
     stable_density,
     stable_density_grid,
+    symbol_radial,
     truncated_density,
 )
 
@@ -194,3 +196,13 @@ def test_truncated_density_point_alone_matches_mpmath():
     xs = [0.1, 0.5, 1.0]
     got = [truncated_density(spec, 0.25, x) for x in xs]
     assert got == pytest.approx(_oracle_truncated(1.5, 0.005, 1.0, 0.25, xs), rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 1.5])
+def test_truncated_symbol_matches_mpmath(alpha):
+    # r |xi| from the series head out past the 2^16 kernel half-oscillations' reach
+    spec = TruncatedStableSpec(d=1, alpha=alpha, c=0.8, r=1.0)
+    s = np.array([0.5, 7.9, 8.1, 100.0, 3000.0, 1.5e5])
+    with mp.workdps(30):
+        ref = [float(_truncated_symbol_mp(mp.mpf(alpha), mp.mpf(0.8), mp.mpf(1), mp.mpf(v))) for v in s]
+    assert symbol_radial(spec, s) == pytest.approx(ref, rel=1e-12, abs=0.0)
