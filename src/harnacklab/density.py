@@ -531,9 +531,11 @@ def truncated_density(spec: TruncatedStableSpec, t: float, x):
     saddle tilt is read from a table and rounded to whole saddle widths, so
     kappa is evaluated once per level.  Each level has its own Gauss-Legendre
     rule in xi: 16-node panels that double in width from half its saddle width
-    up to 2.5 periods of its fastest oscillation (its largest |x| plus 5 r, as
-    the symbol's edge ripple e^(i xi r) carries harmonics), then stay that wide
-    up to where its integrand is below e^-CF_DROP.  A point whose Chernoff
+    up to 2.5 periods of its fastest oscillation, then stay that wide up to
+    where its integrand is below e^-CF_DROP.  That oscillation is its largest
+    |x| plus r, for the symbol's edge ripple e^(i xi r), plus up to 4 r for the
+    ripple's harmonics, which carry weight once t c r^(-alpha) cosh(eta r)
+    nears 1 (checked against panels four times finer).  A point whose Chernoff
     bound p(0) e^(t kappa(eta) - eta |x|) underflows is 0 and is not
     integrated.  A value depends on the other points of its call only through
     its level's largest |x|, at the level of rounding (about 1e-15).  A t c
@@ -582,11 +584,12 @@ def truncated_density(spec: TruncatedStableSpec, t: float, x):
     levels, level = np.unique(np.rint(np.interp(u[live], u_tab, s_tab)), return_inverse=True)
     for q, a in enumerate(np.interp(levels, s_tab, a_tab)):
         idx, g0 = live[level == q], float(poly(a * a))
-        # the level's integrand is below e^-CF_DROP past end: Re G(a + ib) - G(a) <= 2 (cosh a
-        # - 1) / b - G(a), as (cosh au - 1) u^(-1-alpha) rises on [0, 1] (second mean value theorem)
-        excess = g0 - CF_DROP / ttau
-        end = min(reach, 4.0 * math.sinh(0.5 * a) ** 2 / excess) if excess > 0.0 else reach
-        width = 5.0 * math.pi / (float(u[idx].max()) + 5.0)
+        # the level's integrand is below e^-CF_DROP past end: Re G(a + ib) - G(a) <= a^alpha G(3)
+        # + 2 (cosh a - 1) / b - G(a), as (cosh au - 1) u^(-1-alpha) rises on [3 / a, 1] (second
+        # mean value theorem there) and integrates to a^alpha G(3) on [0, 3 / a]
+        excess = g0 - a**alpha * float(poly(9.0)) - CF_DROP / ttau
+        end = min(reach, 4.0 * math.sinh(0.5 * a) ** 2 / excess) if a >= 3.0 and excess > 0.0 else reach
+        width = 5.0 * math.pi / (float(u[idx].max()) + 1.0 + 4.0 * min(1.0, ttau * math.cosh(a)))
         edges = [0.0, min(0.5 / (math.sqrt(ttau) * float(np.interp(a, a_tab, root))), end)]
         while edges[-1] < end and len(edges) * 16 <= XI_NODES:
             edges.append(edges[-1] + min(edges[-1], width))

@@ -482,7 +482,7 @@ class TestTruncatedDensity:
         assert p[-1, -1] < 1e-30 * p[0, 0]
         assert 2.0 * float(np.sum(p * half * weights)) == pytest.approx(1.0, abs=1e-10)
 
-    @pytest.mark.parametrize("alpha,c,r", [(0.5, 4.0, 1.0), (1.0, 1.0, 1.0), (1.8, 1.0, 0.5)])
+    @pytest.mark.parametrize("alpha,c,r", [(0.5, 4.0, 1.0), (1.0, 1.0, 1.0), (1.8, 1.0, 0.5), (1.99, 0.1, 1.0)])
     def test_chapman_kolmogorov_in_the_far_tail(self, alpha, c, r):
         # p_2t(x) = int p_t(y) p_t(x - y) dy, on 64-node Gauss panels of width
         # 0.25; out at |x| = 40 each tilt level's xi-range is cut short by its
