@@ -534,7 +534,7 @@ def truncated_density(spec: TruncatedStableSpec, t: float, x):
     up to 2.5 periods of its fastest oscillation, then stay that wide up to
     where its integrand is below e^-CF_DROP.  That oscillation is its largest
     |x| plus r, for the symbol's edge ripple e^(i xi r), plus up to 4 r for the
-    ripple's harmonics, which carry weight once t c r^(-alpha) cosh(eta r)
+    ripple's harmonics, which carry weight once 2 t c r^(-alpha) cosh(eta r)
     nears 1 (checked against panels four times finer).  A point whose Chernoff
     bound p(0) e^(t kappa(eta) - eta |x|) underflows is 0 and is not
     integrated.  A value depends on the other points of its call only through

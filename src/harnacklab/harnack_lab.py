@@ -976,7 +976,9 @@ def verify_truncated_ratio(
     fits to exact values on FIT_POINTS radii in [0, reach] per time, unless
     ``constants`` are given.  The nodes' z runs over [-z_max, z_max], z_max =
     reach - max(offsets) - 0.25 (at least 1).  A node is excluded only where
-    a density underflows to 0.
+    a density underflows to 0.  Where :func:`truncated_density` refuses the
+    driver (small alpha with small t c r^(-alpha)), its QuadratureError
+    propagates.
     """
     if spec.d != 1:
         raise NotImplementedError("truncated ratio verification is implemented for d=1")
