@@ -495,7 +495,8 @@ class TestSemigroupReportsPinned:
     before the per-point sample memo, so they pin both the sampled values and
     the arithmetic of every statistic; they were re-recorded once when sigma
     moved from quadrature to its closed form, which moved sigma(2, 1.5) by
-    3.3e-13 and with it the last bits of every sample."""
+    3.3e-13 and with it the last bits of every sample.  A d = 3 case with a
+    drift that is not conformal pins the jump-weighted noise."""
 
     SPEC = OUSpec(A=0.5 * np.eye(2), driver=StableSpec(d=2, alpha=1.5, c=1.0))
 
@@ -511,6 +512,16 @@ class TestSemigroupReportsPinned:
     def test_canonical_digest(self, verify, digest):
         report = verify(self.SPEC, n=2000, seed=SeedSpec(7), validation=True)
         assert hashlib.sha256(canonical_json(report.to_dict()).encode()).hexdigest() == digest
+
+    def test_canonical_digest_d3(self):
+        spec = OUSpec(
+            A=np.array([[0.5, 0.2, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.3]]),
+            driver=StableSpec(d=3, alpha=1.5, c=1.0),
+        )
+        report = verify_harnack(spec, n=2000, seed=SeedSpec(7), validation=True)
+        assert hashlib.sha256(canonical_json(report.to_dict()).encode()).hexdigest() == (
+            "0221173836bf574fd2ec199e3564afc3ba7b8c1f8ec2b32baeedb3bce7a7ed26"
+        )
 
 
 class TestVerifyLogHarnack:

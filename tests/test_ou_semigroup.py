@@ -337,6 +337,37 @@ class TestTestFunctions:
         assert exp_cap(math.e, 0.0, 1.0).tag.startswith("exp_cap(center=[0],scale=1,level=")
         assert ball_indicator([0.0], 1.0, offset=0.5).tag.endswith("+0.5")
 
+    # each family's value as a function of the squared distance to its centre
+    KINDS = {
+        "ball_indicator": (
+            lambda c: ball_indicator(c, 1.5, offset=0.25),
+            lambda dist2: 0.25 + (dist2 <= 1.5**2).astype(float),
+        ),
+        "gaussian_bump": (
+            lambda c: gaussian_bump(c, 0.8, offset=0.5),
+            lambda dist2: 0.5 + np.exp(-dist2 / (2.0 * 0.8**2)),
+        ),
+        "constant": (lambda c: constant(2.5), lambda dist2: np.full(dist2.shape, 2.5)),
+        "exp_cap": (
+            lambda c: exp_cap(20.0, c, 1.2),
+            lambda dist2: np.minimum(20.0, np.exp(math.log(20.0) * np.exp(-dist2 / (2.0 * 1.2**2)))),
+        ),
+    }
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 7])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_values_do_not_depend_on_the_point_layout(self, kind, d):
+        # the squared distance has the bits of numpy's row sums, which add
+        # fewer than 8 coordinates left to right, for C- and F-ordered points
+        make, from_dist2 = self.KINDS[kind]
+        rng = np.random.default_rng(100 + d)
+        pts = 1.5 * rng.standard_normal((4000, d))
+        center = rng.standard_normal(d)
+        f = make(center)
+        expected = from_dist2(np.sum((pts - center) ** 2, axis=1))
+        for layout in (pts, np.asfortranarray(pts)):
+            assert np.array_equal(f(layout), expected)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ParametricFunction("nope")
@@ -357,6 +388,21 @@ class TestSemigroupSampler:
         assert w1 is w2
         with pytest.raises(ValueError):
             w1[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "A", [[[0.0]], [[0.5, 0.0], [0.0, 0.5]], [[0.5, 0.2, 0.0], [0.0, -0.3, 0.0], [0.1, 0.0, 0.2]]],
+        ids=["d1", "d2-conformal", "d3-general"],
+    )
+    def test_noise_is_ou_noise_on_the_stream_of_t(self, A):
+        # the stream of time t comes from the bits of t; the cached array
+        # holds ou_noise's values and cannot be written
+        spec = stable_ou(A, d=len(A), alpha=1.5)
+        t, n, seed = 0.5, 500, SeedSpec(99)
+        w = SemigroupSampler(spec, n, seed).noise(t)
+        bits = int(np.float64(t).view(np.uint64))
+        assert np.array_equal(w, ou_noise(spec, t, n, seed.substream(bits >> 32, bits & 0xFFFFFFFF)))
+        assert w.shape == (n, spec.d)
+        assert not w.flags.writeable
 
     def test_noise_order_independent(self):
         spec = stable_ou([[-1.0]])
