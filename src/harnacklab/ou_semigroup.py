@@ -210,6 +210,10 @@ class TestFunction:
 
     exp_cap interpolates between 1 (far field) and the cap level, so it is
     both bounded and >= 1: the shape log-Harnack testing needs.
+
+    |x - center|^2 is summed one coordinate column at a time, left to right,
+    which for d < 8 has the bits of numpy's row sum in either memory layout;
+    a column of F-ordered points is contiguous.
     """
 
     kind: str
@@ -232,8 +236,10 @@ class TestFunction:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.kind == "constant":
             return np.full(pts.shape[0], self.value)
-        center = np.asarray(self.center, dtype=float)
-        dist2 = np.sum((pts - center[None, :]) ** 2, axis=1)
+        center = np.broadcast_to(np.asarray(self.center, dtype=float), pts.shape[1:])
+        dist2 = (pts[:, 0] - center[0]) ** 2
+        for j in range(1, pts.shape[1]):
+            dist2 += (pts[:, j] - center[j]) ** 2
         if self.kind == "ball_indicator":
             return self.offset + (dist2 <= self.scale**2).astype(float)
         bump = np.exp(-dist2 / (2.0 * self.scale**2))
@@ -340,6 +346,11 @@ class SemigroupSampler:
     correlated elsewhere.  The per-t noise stream is derived from the bit
     pattern of t, so results do not depend on evaluation order.  e^{tA} is
     likewise computed once per t.
+
+    The cached noise is a read-only copy of :func:`ou_noise`'s array in
+    Fortran order, so each coordinate is one contiguous column of n values;
+    :class:`TestFunction` reads it a column at a time, and its values do not
+    depend on the layout.
     """
 
     def __init__(self, spec: OUSpec, n: int, seed: SeedSpec) -> None:
@@ -357,7 +368,7 @@ class SemigroupSampler:
         if cached is None:
             bits = int(np.float64(key).view(np.uint64))
             stream = self.seed.substream(bits >> 32, bits & 0xFFFFFFFF)
-            cached = ou_noise(self.spec, key, self.n, stream)
+            cached = np.asfortranarray(ou_noise(self.spec, key, self.n, stream))
             cached.setflags(write=False)
             self._noise[key] = cached
         return cached

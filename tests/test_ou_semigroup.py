@@ -395,14 +395,15 @@ class TestSemigroupSampler:
     )
     def test_noise_is_ou_noise_on_the_stream_of_t(self, A):
         # the stream of time t comes from the bits of t; the cached array
-        # holds ou_noise's values and cannot be written
+        # holds ou_noise's values, one contiguous column per coordinate, and
+        # cannot be written
         spec = stable_ou(A, d=len(A), alpha=1.5)
         t, n, seed = 0.5, 500, SeedSpec(99)
         w = SemigroupSampler(spec, n, seed).noise(t)
         bits = int(np.float64(t).view(np.uint64))
         assert np.array_equal(w, ou_noise(spec, t, n, seed.substream(bits >> 32, bits & 0xFFFFFFFF)))
         assert w.shape == (n, spec.d)
-        assert not w.flags.writeable
+        assert w.flags.f_contiguous and not w.flags.writeable
 
     def test_noise_order_independent(self):
         spec = stable_ou([[-1.0]])
