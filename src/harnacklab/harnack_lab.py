@@ -562,7 +562,12 @@ def verify_ratio_lemma(
 
 
 class _Moments:
-    """One sample array and its moments, each computed on first use."""
+    """One sample array and its moments, each computed on first use.
+
+    Sums of products are numpy's pairwise sums, not BLAS dot products, which
+    OpenBLAS splits across threads on long arrays: the moments, and the
+    reports built on them, do not depend on the BLAS thread count.
+    """
 
     def __init__(self, v: np.ndarray) -> None:
         self.v = v
@@ -577,7 +582,7 @@ class _Moments:
 
     @cached_property
     def var(self) -> float:
-        return float(self.centered @ self.centered) / (self.v.size - 1)
+        return float(np.add.reduce(self.centered * self.centered)) / (self.v.size - 1)
 
     @cached_property
     def exact_mean(self) -> float:
@@ -592,7 +597,7 @@ class _Moments:
 
     @cached_property
     def std_err(self) -> float:
-        return float(self.v.std(ddof=1)) / math.sqrt(self.v.size)
+        return math.sqrt(self.var) / math.sqrt(self.v.size)
 
 
 class _PointSample(_Moments):
@@ -622,7 +627,7 @@ def _paired_stats(a: _Moments, b: _Moments) -> tuple[float, float, float, float,
     n = a.v.size
     if n < 2:
         return a.mean, b.mean, 0.0, 0.0, 0.0
-    return a.mean, b.mean, a.var, b.var, float(a.centered @ b.centered) / (n - 1)
+    return a.mean, b.mean, a.var, b.var, float(np.add.reduce(a.centered * b.centered)) / (n - 1)
 
 
 def _difference_slack(

@@ -8,15 +8,21 @@ Every tolerance below is the contractual one.  Monte Carlo tests use fixed
 master seeds; nothing is tuned per run.
 """
 
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import cdf_interpolant, ks_statistic, ks_threshold
 
+import harnacklab
 from harnacklab.cli import main as cli_main
 from harnacklab.density import (
     check_truncated_bounds,
@@ -371,3 +377,29 @@ def test_criterion_12_determinism(tmp_path):
     ok = same and elapsed < 60.0
     _line(12, ok, f"verify reruns with threads in {{1,4}} canonically identical "
                   f"for harnack_stable and ratio_lemma; {elapsed:.0f}s")
+
+
+def test_reports_do_not_depend_on_blas_threads(tmp_path):
+    # next to criterion 12: its threads are the CLI's --threads; these are
+    # BLAS's, which split a dot product over 10,000 elements across threads.
+    # d=2, alpha=1.5 with A = 0.5 I at n = 2e4 has arrays that long
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"driver": "stable", "d": 2, "alpha": 1.5, "c": 1.0, "A": [[0.5, 0.0], [0.0, 0.5]]}
+    ))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"n": 20000, "validation": False}))
+    src = str(Path(harnacklab.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "4"):
+        out = tmp_path / f"blas_{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-m", "harnacklab", "verify", "--spec", str(cfg), "--grid", str(grid),
+             "--inequality", "harnack_ou", "--seed", "1", "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        doc = json.loads((out / "report_harnack_ou.json").read_text())
+        digests.add(hashlib.sha256(canonical_json(doc).encode()).hexdigest())
+    assert len(digests) == 1

@@ -495,17 +495,20 @@ class TestSemigroupReportsPinned:
     before the per-point sample memo, so they pin both the sampled values and
     the arithmetic of every statistic; they were re-recorded once when sigma
     moved from quadrature to its closed form, which moved sigma(2, 1.5) by
-    3.3e-13 and with it the last bits of every sample.  A d = 3 case with a
-    drift that is not conformal pins the jump-weighted noise."""
+    3.3e-13 and with it the last bits of every sample, and once when the
+    variances and covariances moved from BLAS dot products to numpy's
+    pairwise sums, which moved the last bits of the per-node standard errors
+    (by at most 7.5e-15 relative; no fitted constant moved).  A d = 3 case
+    with a drift that is not conformal pins the jump-weighted noise."""
 
     SPEC = OUSpec(A=0.5 * np.eye(2), driver=StableSpec(d=2, alpha=1.5, c=1.0))
 
     @pytest.mark.parametrize(
         "verify, digest",
         [
-            (verify_harnack, "a49e5759e80dc8feb38b03d0d7bf6a98d5b95320bfbf6598076e03b04c186da8"),
-            (verify_p_harnack, "192fd15a596abfb47efc9e8cbc19b6c287300396481b56eec592cb159bc00050"),
-            (verify_log_harnack, "8600c00b16153c6f6d1b22fef6a8307e1d5866046badd4eaf49275c49c6fafde"),
+            (verify_harnack, "302f201775910077b16bcf454e6872564b1e6b59515180aeaac4d6ebf1548e4d"),
+            (verify_p_harnack, "7d11c18ebd7e62a6e02b8e19414fd9ceb604a1a195acabef8c03be43b8396e47"),
+            (verify_log_harnack, "e1ac7b9d8ecf541042f683ea0c53bed519bcea5122ed903abddf64b20569f89c"),
         ],
         ids=lambda v: getattr(v, "__name__", "digest"),
     )
@@ -520,7 +523,7 @@ class TestSemigroupReportsPinned:
         )
         report = verify_harnack(spec, n=2000, seed=SeedSpec(7), validation=True)
         assert hashlib.sha256(canonical_json(report.to_dict()).encode()).hexdigest() == (
-            "0221173836bf574fd2ec199e3564afc3ba7b8c1f8ec2b32baeedb3bce7a7ed26"
+            "0ae572945561a349aecaf8a9d5430b54c0a34f46111fdc0806dd19a6766d4c5e"
         )
 
 
