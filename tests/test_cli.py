@@ -492,7 +492,7 @@ class TestNumericalErrors:
         assert rc == 0, captured.err
         doc = json.loads(captured.out)
         assert doc["meta"]["method_counts"] == {"quadrature": 1}
-        assert doc["values"][0] == pytest.approx(bergstrom_density(alpha, radius), rel=1e-10)
+        assert doc["values"][0] == pytest.approx(bergstrom_density(alpha, radius), rel=1e-10, abs=0.0)
 
     def test_quadrature_error(self, stable_cfg, monkeypatch, capsys):
         def failed(*args, **kwargs):

@@ -178,13 +178,13 @@ class TestTailAsymptote:
         spec = StableSpec(d=1, alpha=0.5, c=1.0)
         g = stable_density_grid(spec, 1.0, [[1e6]])
         assert g.meta["method_counts"] == {"quadrature": 1}
-        assert g.values[0] == pytest.approx(bergstrom_density(0.5, 1e6), rel=1e-10)
+        assert g.values[0] == pytest.approx(bergstrom_density(0.5, 1e6), rel=1e-10, abs=0.0)
 
     def test_segment_exhaustion_near_origin_raises(self):
         # inside 4 (t b)^(1/alpha) the mixture rule has no budget to exhaust:
         # the density is answered and matches the series
         spec = StableSpec(d=1, alpha=0.5, c=1.0)
-        assert stable_density(spec, 1.0, 2.0) == pytest.approx(bergstrom_density(0.5, 2.0), rel=1e-10)
+        assert stable_density(spec, 1.0, 2.0) == pytest.approx(bergstrom_density(0.5, 2.0), rel=1e-10, abs=0.0)
         g = stable_density_grid(spec, 1.0, [[2.0]])
         assert g.meta["method_counts"] == {"quadrature": 1}
 
@@ -198,7 +198,7 @@ class TestTailAsymptote:
         g = stable_density_grid(spec, 1.0, _axis_points(1, radii))
         assert g.meta["method_counts"] == {"quadrature": 2}
         for r, p in zip(radii, g.values):
-            assert p == pytest.approx(bergstrom_density(0.5, r), rel=1e-10)
+            assert p == pytest.approx(bergstrom_density(0.5, r), rel=1e-10, abs=0.0)
 
 
 class TestCdf1d:
@@ -353,7 +353,7 @@ class TestBatchedInversion:
             tracemalloc.stop()
         assert g.meta["method_counts"] == {"quadrature": 3}
         for r, p in zip(radii, g.values):
-            assert p == pytest.approx(bergstrom_density(0.1, r, d=2), rel=1e-10)
+            assert p == pytest.approx(bergstrom_density(0.1, r, d=2), rel=1e-10, abs=0.0)
         assert peak < 1 << 20
 
 
