@@ -448,10 +448,12 @@ def _truncated_log_peak(spec: TruncatedStableSpec, t: float) -> float:
     values = log_quartic(grid)
     i = int(np.argmax(values))
     best = float(values[i])
-    if 0 < i < len(grid) - 1:
+    # the sup lies within a grid step of the best node, on either side; at
+    # the first node, where the rise ends, it lies past it
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    if lo < hi:
         found = optimize.minimize_scalar(
-            lambda x: -log_quartic(x), bounds=(grid[i - 1], grid[i + 1]), method="bounded",
-            options={"xatol": 1e-10},
+            lambda x: -log_quartic(x), bounds=(lo, hi), method="bounded", options={"xatol": 1e-10}
         )
         best = max(best, -float(found.fun))
     # with F >= growth v^alpha - offset, 4 log v - tau F falls past v^alpha =

@@ -532,6 +532,30 @@ class TestCfErrorBound:
         assert 0.999 * sampling.SPLIT_CF_ERROR <= worst <= sampling.SPLIT_CF_ERROR * (1.0 + 1e-9)
 
 
+    @pytest.mark.parametrize("t", [0.1, 1.0])
+    @pytest.mark.parametrize("alpha", [0.5, 1.2, 1.8])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["stable", "truncated"])
+    def test_split_cutoff_bounds_the_cf_error(self, kind, d, alpha, t):
+        # the package's cutoff against the bound its docstring states, with no
+        # helper in between: t |xi|^4 m4(eps) / (8 d (d + 2)) |phi_t(xi)| stays
+        # within SPLIT_CF_ERROR, m4(eps) = c |S| eps^(4 - alpha) / (4 - alpha);
+        # a stable cutoff puts the sup at the budget
+        if kind == "stable":
+            spec = StableSpec(d=d, alpha=alpha, c=1.0)
+        else:
+            spec = TruncatedStableSpec(d=d, alpha=alpha, c=1.0, r=0.5)
+        eps = sampling._split_cutoff(spec, t)
+        m4 = spec.c * sphere_surface(d) * eps ** (4.0 - alpha) / (4.0 - alpha)
+        xi = np.geomspace(1e-3, 1e5, 6001)
+        bound = t * xi**4 * m4 / (8.0 * d * (d + 2)) * np.exp(-t * symbol_radial(spec, xi))
+        i = int(np.argmax(bound))
+        assert 0 < i < len(xi) - 1
+        assert bound[i] <= sampling.SPLIT_CF_ERROR * (1.0 + 1e-9)
+        if kind == "stable":
+            assert bound[i] >= 0.999 * sampling.SPLIT_CF_ERROR
+
+
 class TestEmpiricalCf:
     def test_exact_on_point_mass(self):
         x = np.zeros((50, 2))
