@@ -610,3 +610,56 @@ class TestNonFiniteInputs:
                 assert all(math.isfinite(v) for v in json.loads(out)["values"])
             else:
                 assert rc == 1 and err.startswith("harnacklab: error: ") and err.count("\n") == 1, err
+
+
+def _is_sorted_indent2(text: str) -> bool:
+    """True when text is exactly json.dumps(sort_keys=True, indent=2) plus a newline."""
+    return text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+class TestIndentedJsonOutputs:
+    """Every indented JSON file or stdout document is sorted-key, indent-2 JSON."""
+
+    def test_density_stdout_and_file(self, stable_cfg, tmp_path, capsys):
+        argv = ["density", "--spec", stable_cfg, "--t", "1.0", "--radii", "0,0.5,3"]
+        assert main(argv) == 0
+        assert _is_sorted_indent2(capsys.readouterr().out)
+        out = tmp_path / "dens.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert _is_sorted_indent2(out.read_text())
+
+    def test_estimate_stdout_and_file(self, stable_cfg, tmp_path, capsys):
+        argv = ["estimate", "--spec", stable_cfg, "--t", "0.5", "--x", "0.25", "--n", "1000"]
+        assert main(argv) == 0
+        assert _is_sorted_indent2(capsys.readouterr().out)
+        out = tmp_path / "est.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert _is_sorted_indent2(out.read_text())
+
+    def test_sample_sidecar(self, trunc_cfg, tmp_path):
+        out = tmp_path / "dump.bin"
+        assert main(["sample", "--spec", trunc_cfg, "--t", "0.5", "--n", "50", "--out", str(out)]) == 0
+        assert _is_sorted_indent2((tmp_path / "dump.bin.json").read_text())
+
+    def test_violations_file(self, stable_cfg, tmp_path, capsys, monkeypatch):
+        def failing_run(ineq, cfg, seed, overrides):
+            return InequalityReport(
+                inequality_id="young",
+                claim="forced failure",
+                spec_doc={"driver": "none"},
+                grid_meta={},
+                per_node=[],
+                fitted_C=1.0,
+                validation_C=None,
+                excluded_nodes=0,
+                seed_doc=None,
+                mc_meta={"min_margin": -0.125, "dims": [1, 20], "note": "é\n"},
+                violations=[{"case": 3, "dim": 2, "margin": -1e-7}],
+            )
+
+        monkeypatch.setattr("harnacklab.cli._run_one", failing_run)
+        out_dir = tmp_path / "reports"
+        assert main(["verify", "--spec", stable_cfg, "--inequality", "young", "--out", str(out_dir)]) == 2
+        capsys.readouterr()
+        assert _is_sorted_indent2((out_dir / "violations_young.json").read_text())
+        assert _is_sorted_indent2((out_dir / "report_young.json").read_text())

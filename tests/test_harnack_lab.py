@@ -677,3 +677,32 @@ class TestFiniteMeasureSuites:
     def test_report_is_plain_json(self):
         report = jensen_suite(n_cases=20, seed=SeedSpec(12))
         json.dumps(report.to_dict())
+
+
+class TestFiniteMeasureAndTruncatedReportsPinned:
+    """sha256 of canonical_json for the 1,000-case Young and Jensen batteries
+    at seeds 1 and 2, and for truncated_ratio with its default grid and
+    validation on the d = 1, alpha = 1.8, c = 1, r = 0.5 driver.  They pin
+    every drawn case and margin of the batteries, and every density and
+    shape of the truncated-ratio nodes."""
+
+    @pytest.mark.parametrize(
+        "suite, seed, digest",
+        [
+            (young_suite, 1, "110b86a2d53892c7f577482ea08bce5854397649694e9a149521f1cd07ad7ec3"),
+            (young_suite, 2, "f9c9c00afd4bfd56fb2a14feaa6acf1f2144be8ef9fdf8b26c6bea271e9af5f4"),
+            (jensen_suite, 1, "603e3380796e4a9d0286f6752269975926f10b1937d08060eebd9ef208acb002"),
+            (jensen_suite, 2, "1e81160fcfe78a1c85f44feb189b3e1686dcfda34f9c603277054bb91ac25c06"),
+        ],
+        ids=lambda v: getattr(v, "__name__", str(v)[:8]),
+    )
+    def test_suite_digest(self, suite, seed, digest):
+        report = suite(n_cases=1000, seed=SeedSpec(seed))
+        assert hashlib.sha256(canonical_json(report.to_dict()).encode()).hexdigest() == digest
+
+    def test_truncated_ratio_digest(self):
+        spec = TruncatedStableSpec(d=1, alpha=1.8, c=1.0, r=0.5)
+        report = verify_truncated_ratio(spec, seed=SeedSpec(1))
+        assert hashlib.sha256(canonical_json(report.to_dict()).encode()).hexdigest() == (
+            "e47dadb7f2b328a65c3c60e199a6d1aad2ffedb7e35bc0da19be0de68334618b"
+        )
