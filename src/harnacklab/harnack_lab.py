@@ -952,7 +952,12 @@ def truncated_ratio_bound(
         raise ValueError("truncated ratio bound is stated for t in (0, 1]")
     x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
     m = max(2.0, float(np.linalg.norm(x - y)), float(np.linalg.norm(y - z)))
-    return c_mult * t ** (-spec.d / spec.alpha) * (m / t) ** (c_exp * m)
+    return _truncated_shapes(spec, t, [m], c_mult, c_exp)[0]
+
+
+def _truncated_shapes(spec, t, m_values, c_mult, c_exp) -> list[float]:
+    """truncated_ratio_bound at each m, in scalar float arithmetic (pow, not np.power)."""
+    return [c_mult * t ** (-spec.d / spec.alpha) * (m / t) ** (c_exp * m) for m in m_values]
 
 
 # truncated_ratio fits its tail envelopes on FIT_POINTS radii per time in
@@ -1005,21 +1010,27 @@ def verify_truncated_ratio(
     z_max = max(reach - max(offsets) - 0.25, 1.0)
 
     def run(z_values):
+        # one time slice at a time: exclusions, m = max(2, |x-y|, |y-z|) and
+        # ratios as arrays, the shapes in truncated_ratio_bound's arithmetic
         results, excluded = [], 0
         y = np.zeros(1)
+        z_nodes = [np.array([zr]) for zr in z_values.tolist()]
+        yz = np.sqrt(np.square(y[0] - z_values))
         for t in t_grid:
             p = truncated_density(spec, t, np.subtract.outer(np.append(offsets, 0.0), z_values))
+            py = p[-1]
             for i, off in enumerate(offsets):
                 x = np.array([off])
-                for px, py, zr in zip(p[i], p[-1], z_values):
-                    if px <= 0.0 or py <= 0.0:
-                        excluded += 1
-                        continue
-                    z = np.array([zr])
-                    shape = truncated_ratio_bound(spec, t, x, y, z, 1.0, c_exp)
-                    results.append(
-                        NodeResult(node=Node(t=t, x=x, y=y, z=z), lhs=px / py, rhs_shape=shape, slack=0.0)
-                    )
+                px = p[i]
+                kept = np.flatnonzero(~((px <= 0.0) | (py <= 0.0)))
+                excluded += len(z_values) - len(kept)
+                m = np.maximum(max(2.0, float(np.linalg.norm(x - y))), yz[kept])
+                shapes = _truncated_shapes(spec, t, m.tolist(), 1.0, c_exp)
+                ratios = (px[kept] / py[kept]).tolist()
+                results.extend(
+                    NodeResult(node=Node(t=t, x=x, y=y, z=z_nodes[j]), lhs=lhs, rhs_shape=shape, slack=0.0)
+                    for j, lhs, shape in zip(kept.tolist(), ratios, shapes)
+                )
         return results, excluded
 
     z_values = np.linspace(-z_max, z_max, z_count)
@@ -1069,6 +1080,10 @@ def verify_truncated_ratio(
 # finite-measure inequalities (Young, Jensen)
 
 
+# a finite-measure margin below minus this is a violation
+_MARGIN_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class CheckResult:
     """Outcome of a single finite-measure inequality evaluation."""
@@ -1077,7 +1092,7 @@ class CheckResult:
     margin: float
 
 
-def young_inequality_check(mu, g, h, tol: float = 1e-12) -> CheckResult:
+def young_inequality_check(mu, g, h, tol: float = _MARGIN_TOL) -> CheckResult:
     """Entropy Young inequality mu(g h) <= mu(g log g) + log mu(e^h).
 
     mu must be a probability vector and g a nonnegative density with
@@ -1085,60 +1100,104 @@ def young_inequality_check(mu, g, h, tol: float = 1e-12) -> CheckResult:
     non-finite total) is an error.  The convention 0 log 0 = 0 applies.
     margin = rhs - lhs, holds iff margin >= -tol.
     """
-    mu = np.asarray(mu, dtype=float)
-    g = np.asarray(g, dtype=float)
-    h = np.asarray(h, dtype=float)
-    if mu.shape != g.shape or mu.shape != h.shape:
-        raise ValueError("mu, g, h must share one shape")
+    mu, g, h = _one_row("mu, g, h", mu, g, h)
+    margin = float(_young_margins(mu, g, h)[0])
+    return CheckResult(holds=bool(margin >= -tol), margin=margin)
+
+
+def jensen_check(mu, f, tol: float = _MARGIN_TOL) -> CheckResult:
+    """Jensen inequality mu(log f) <= log mu(f) for strictly positive f."""
+    mu, f = _one_row("mu and f", mu, f)
+    margin = float(_jensen_margins(mu, f)[0])
+    return CheckResult(holds=bool(margin >= -tol), margin=margin)
+
+
+def _one_row(names: str, *vectors) -> list[np.ndarray]:
+    """Vectors of one shape as the single rows of (1, m) stacks."""
+    arrays = [np.asarray(v, dtype=float) for v in vectors]
+    if any(a.shape != arrays[0].shape for a in arrays):
+        raise ValueError(f"{names} must share one shape")
+    if arrays[0].ndim != 1:
+        raise ValueError(f"{names} must be one-dimensional")
+    return [a[None, :] for a in arrays]
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row pair of two (k, m) stacks.
+
+    matmul hands each row pair to the same length-m BLAS dot that a 1-d
+    ``a @ b`` uses, so every value is bit-identical to the one-row product.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _row_logs(values: np.ndarray) -> np.ndarray:
+    """math.log of each value, so the batch rounds as the scalar checks did."""
+    return np.array([math.log(v) for v in values.tolist()])
+
+
+def _probability_rows(mu: np.ndarray) -> np.ndarray:
+    """Each row of mu divided by its total, after the checks both inequalities share."""
     if np.any(mu < 0.0) or not np.all(np.isfinite(mu)):
         raise ValueError("mu must be a finite nonnegative vector")
-    total = float(mu.sum())
-    if not total > 0.0:
+    total = mu.sum(axis=1)
+    if not np.all(total > 0.0):
         raise ValueError("mu must have positive total mass")
-    mu = mu / total
+    return mu / total[:, None]
+
+
+def _young_margins(mu: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """young_inequality_check's margin for each row of the (k, m) stacks mu, g, h.
+
+    Any bad row raises the ValueError the one-row check raises for it.
+    """
+    mu = _probability_rows(mu)
     if np.any(g < 0.0) or not np.all(np.isfinite(g)):
         raise ValueError("g must be finite and nonnegative")
-    mean_g = float(mu @ g)
-    if not mean_g > 0.0:
+    mean_g = _row_dots(mu, g)
+    if not np.all(mean_g > 0.0):
         raise ValueError("g must have positive mean under mu")
-    g = g / mean_g
-    if abs(float(mu @ g) - 1.0) > 1e-12:
+    g = g / mean_g[:, None]
+    if np.any(np.abs(_row_dots(mu, g) - 1.0) > 1e-12):
         raise ValueError("density renormalization failed to reach mu(g) = 1")
     if not np.all(np.isfinite(h)):
         raise ValueError("h must be finite")
     with np.errstate(divide="ignore", invalid="ignore"):
         glogg = np.where(g > 0.0, g * np.log(np.where(g > 0.0, g, 1.0)), 0.0)
-    lhs = float(mu @ (g * h))
-    rhs = float(mu @ glogg) + math.log(float(mu @ np.exp(h)))
-    margin = rhs - lhs
-    return CheckResult(holds=bool(margin >= -tol), margin=margin)
+    lhs = _row_dots(mu, g * h)
+    rhs = _row_dots(mu, glogg) + _row_logs(_row_dots(mu, np.exp(h)))
+    return rhs - lhs
 
 
-def jensen_check(mu, f, tol: float = 1e-12) -> CheckResult:
-    """Jensen inequality mu(log f) <= log mu(f) for strictly positive f."""
-    mu = np.asarray(mu, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if mu.shape != f.shape:
-        raise ValueError("mu and f must share one shape")
-    if np.any(mu < 0.0) or not np.all(np.isfinite(mu)):
-        raise ValueError("mu must be a finite nonnegative vector")
-    total = float(mu.sum())
-    if not total > 0.0:
-        raise ValueError("mu must have positive total mass")
-    mu = mu / total
+def _jensen_margins(mu: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """jensen_check's margin for each row of the (k, m) stacks mu, f.
+
+    Any bad row raises the ValueError the one-row check raises for it.
+    """
+    mu = _probability_rows(mu)
     if np.any(f <= 0.0) or not np.all(np.isfinite(f)):
         raise ValueError("f must be finite and strictly positive")
-    margin = math.log(float(mu @ f)) - float(mu @ np.log(f))
-    return CheckResult(holds=bool(margin >= -tol), margin=margin)
+    return _row_logs(_row_dots(mu, f)) - _row_dots(mu, np.log(f))
+
+
+def _margins_by_dim(margins_of, cases: list[tuple]) -> list[float]:
+    """margins_of on the cases stacked by dimension, in case order."""
+    rows_of: dict[int, list[int]] = {}
+    for i, case in enumerate(cases):
+        rows_of.setdefault(len(case[0]), []).append(i)
+    margins = np.empty(len(cases))
+    for rows in rows_of.values():
+        stacks = [np.array([cases[i][j] for i in rows]) for j in range(len(cases[rows[0]]))]
+        margins[rows] = margins_of(*stacks)
+    return margins.tolist()
 
 
 def _finite_measure_suite(
     kind: str, n_cases: int, seed: SeedSpec, max_dim: int, exp_cap_level: float
 ) -> InequalityReport:
     rng = seed.rng()
-    results, violations = [], []
-    min_margin = math.inf
-    for i in range(n_cases):
+    cases = []
+    for _ in range(n_cases):
         m = int(rng.integers(1, max_dim + 1))
         mu = rng.dirichlet(np.ones(m))
         if kind == "young":
@@ -1148,21 +1207,24 @@ def _finite_measure_suite(
             while not float(mu @ g) > 0.0:
                 g = rng.exponential(1.0, m)
             h = rng.uniform(0.0, math.log(exp_cap_level), m)
-            check = young_inequality_check(mu, g, h)
+            cases.append((mu, g, h))
         else:
             f = np.exp(rng.normal(0.0, 2.0, m))
-            check = jensen_check(mu, f)
-        min_margin = min(min_margin, check.margin)
+            cases.append((mu, f))
+    margins = _margins_by_dim(_young_margins if kind == "young" else _jensen_margins, cases)
+    results, violations = [], []
+    for i, (case, margin) in enumerate(zip(cases, margins)):
+        m = len(case[0])
         res = NodeResult(
             node=Node(t=0.0, x=np.array([float(m)]), y=np.array([float(i)])),
-            lhs=-check.margin,
+            lhs=-margin,
             rhs_shape=1.0,
             slack=0.0,
-            extra={"dim": m, "margin": check.margin},
+            extra={"dim": m, "margin": margin},
         )
         results.append(res)
-        if not check.holds:
-            violations.append({"case": i, "dim": m, "margin": check.margin})
+        if not margin >= -_MARGIN_TOL:
+            violations.append({"case": i, "dim": m, "margin": margin})
     claim = (
         "mu(g h) <= mu(g log g) + log mu(e^h) for probability mu, density g, bounded h"
         if kind == "young"
@@ -1178,7 +1240,7 @@ def _finite_measure_suite(
         validation_C=None,
         excluded_nodes=0,
         seed_doc=_seed_doc(seed),
-        mc_meta={"min_margin": min_margin},
+        mc_meta={"min_margin": min(margins, default=math.inf)},
         violations=violations,
     )
 

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from harnacklab.density import BoundConstants
 from harnacklab.harnack_lab import (
     INEQUALITY_IDS,
+    _jensen_margins,
+    _young_margins,
     InequalityReport,
     Node,
     NodeResult,
@@ -589,6 +591,14 @@ class TestVerifyTruncatedRatio:
         assert [r.to_dict() for r in c.per_node] == [r.to_dict() for r in a.per_node]
         assert (c.fitted_C, c.validation_C) == (a.fitted_C, a.validation_C)
 
+    def test_shapes_are_the_scalar_bound(self):
+        report = verify_truncated_ratio(TSPEC, T_GRID, offsets=(0.0, 1.0, 3.0), z_count=9, validation=False)
+        c2 = report.mc_meta["C2"]
+        for r in report.per_node:
+            nd = r.node
+            assert r.rhs_shape == truncated_ratio_bound(TSPEC, nd.t, nd.x, nd.y, nd.z, 1.0, c2)
+            assert r.lhs > 0.0
+
 
 class TestYoungCheck:
     def test_trivial_equality(self):
@@ -648,6 +658,76 @@ class TestJensenCheck:
             jensen_check([0.5, 0.5], [0.0, 1.0])
         with pytest.raises(ValueError, match="mass"):
             jensen_check([0.0, 0.0], [1.0, 1.0])
+
+
+
+def _good_rows(rng, k, m):
+    """k rows of unnormalized weights with some zeros, densities with some
+    zeros, bounded exponents and lognormal positives, all valid."""
+    mu = rng.exponential(1.0, (k, m)) * (rng.random((k, m)) > 0.2)
+    mu[:, 0] += 0.25
+    g = rng.exponential(1.0, (k, m)) * (rng.random((k, m)) > 0.15)
+    g[:, 0] += 0.5
+    h = rng.uniform(-3.0, math.log(1e6), (k, m))
+    f = np.exp(rng.normal(0.0, 2.0, (k, m)))
+    return mu, g, h, f
+
+
+class TestBatchedMargins:
+    """The stacked margins the suites use equal the one-row checks bit for
+    bit, and a bad row raises the one-row check's own message."""
+
+    K = 25
+
+    @pytest.mark.parametrize("m", range(1, 21))
+    def test_rows_match_one_row_checks(self, m):
+        mu, g, h, f = _good_rows(np.random.default_rng(1000 + m), self.K, m)
+        young = [young_inequality_check(*row).margin for row in zip(mu, g, h)]
+        jensen = [jensen_check(*row).margin for row in zip(mu, f)]
+        assert _young_margins(mu, g, h).tobytes() == np.array(young).tobytes()
+        assert _jensen_margins(mu, f).tobytes() == np.array(jensen).tobytes()
+
+    @pytest.mark.parametrize(
+        "which, column, value",
+        [
+            ("mu", 1, -0.5),
+            ("mu", None, 0.0),
+            ("mu", 0, math.nan),
+            ("g", None, 0.0),
+            ("g", 2, -1.0),
+            ("g", 1, math.inf),
+            ("h", 0, math.inf),
+            ("h", 2, math.nan),
+            ("f", 1, 0.0),
+            ("f", 0, -2.0),
+            ("f", 2, math.inf),
+        ],
+    )
+    def test_bad_row_raises_the_one_row_message(self, which, column, value):
+        rows = dict(zip("mu g h f".split(), _good_rows(np.random.default_rng(7), self.K, 3)))
+        bad = rows[which][11]
+        if column is None:
+            bad[:] = value
+        else:
+            bad[column] = value
+        if which in ("mu", "g", "h"):
+            with pytest.raises(ValueError) as one_row:
+                young_inequality_check(rows["mu"][11], rows["g"][11], rows["h"][11])
+            with pytest.raises(ValueError) as batched:
+                _young_margins(rows["mu"], rows["g"], rows["h"])
+            assert str(batched.value) == str(one_row.value)
+        if which in ("mu", "f"):
+            with pytest.raises(ValueError) as one_row:
+                jensen_check(rows["mu"][11], rows["f"][11])
+            with pytest.raises(ValueError) as batched:
+                _jensen_margins(rows["mu"], rows["f"])
+            assert str(batched.value) == str(one_row.value)
+
+    def test_one_row_checks_take_vectors_only(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            young_inequality_check(0.5, 1.0, 0.0)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            jensen_check([[0.5, 0.5]], [[1.0, 2.0]])
 
 
 class TestFiniteMeasureSuites:
