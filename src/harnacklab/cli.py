@@ -40,6 +40,7 @@ from .harnack_lab import (
 from .levy_core import OUSpec, QuadratureError, StableSpec, TruncatedStableSpec, describe_spec
 from .ou_semigroup import ball_indicator, constant, estimate_Ptf, gaussian_bump
 from .reports import (
+    indented_json,
     timestamp,
     validate_config,
     validate_grid_override,
@@ -191,13 +192,13 @@ def _cmd_density(args) -> int:
         "version": __version__,
     }
     if args.out is None:
-        json.dump(doc, sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(indented_json(doc))
         return 0
     out = Path(args.out)
+    text = indented_json(doc) if args.format in ("json", "both") else None
     out.parent.mkdir(parents=True, exist_ok=True)
-    if args.format in ("json", "both"):
-        out.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    if text is not None:
+        out.write_text(text)
     if args.format in ("csv", "both"):
         with out.with_suffix(".csv").open("w", newline="") as fh:
             writer = csv.writer(fh)
@@ -252,12 +253,12 @@ def _cmd_estimate(args) -> int:
     doc["spec"] = describe_spec(ou)
     doc["created_at"] = timestamp()
     doc["version"] = __version__
+    text = indented_json(doc)
     if args.out is None:
-        json.dump(doc, sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(text)
     else:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        Path(args.out).write_text(text)
     return 0
 
 
@@ -377,16 +378,13 @@ def _cmd_verify(args) -> int:
             all_passed = False
             if out_dir is not None:
                 (out_dir / f"violations_{one}.json").write_text(
-                    json.dumps(
+                    indented_json(
                         {
                             "inequality_id": one,
                             "violations": doc["violations"],
                             "mc_meta": doc["mc_meta"],
-                        },
-                        sort_keys=True,
-                        indent=2,
+                        }
                     )
-                    + "\n"
                 )
     return 0 if all_passed else 2
 

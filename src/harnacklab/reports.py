@@ -23,6 +23,7 @@ from jsonschema import Draft202012Validator
 
 __all__ = [
     "canonical_json",
+    "indented_json",
     "load_schema",
     "validate_against",
     "validate_config",
@@ -44,7 +45,7 @@ def _plain(obj):
     if isinstance(obj, (float, np.floating)):
         v = float(obj)
         if not math.isfinite(v):
-            raise ValueError("non-finite value cannot be serialized to a report")
+            raise ValueError("non-finite value cannot be written as JSON")
         return v
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
@@ -69,6 +70,77 @@ def canonical_json(obj, exclude: tuple[str, ...] = ("created_at",)) -> str:
     if isinstance(plain, dict):
         plain = {k: v for k, v in plain.items() if k not in exclude}
     return json.dumps(plain, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+_FLOAT_TEXT = float.__repr__
+_INT_TEXT = int.__repr__
+_STR_TEXT = json.encoder.encode_basestring_ascii
+
+
+def _indented(doc) -> str:
+    """The text json.dumps gives for a _plain doc with sorted keys and indent 2.
+
+    Python's C encoder takes no indent, so json.dumps falls back to its
+    pure-Python encoder; this walks the dicts and lists itself and leaves
+    each scalar to the C routines that encoder calls.  NaN and infinity
+    raise ValueError rather than appear as non-standard tokens.
+    """
+    parts: list[str] = []
+    _put_indented(doc, "\n", parts.append)
+    return "".join(parts)
+
+
+def _put_indented(obj, newline: str, put) -> None:
+    tp = type(obj)
+    if tp is float:
+        if obj - obj != 0.0:
+            raise ValueError("non-finite value cannot be written as JSON")
+        put(_FLOAT_TEXT(obj))
+    elif tp is str:
+        put(_STR_TEXT(obj))
+    elif tp is dict:
+        if not obj:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            put(sep)
+            put(_STR_TEXT(key))
+            put(": ")
+            _put_indented(obj[key], inner, put)
+            sep = "," + inner
+        put(newline + "}")
+    elif tp is list:
+        if not obj:
+            put("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            put(sep)
+            _put_indented(item, inner, put)
+            sep = "," + inner
+        put(newline + "]")
+    elif tp is int:
+        put(_INT_TEXT(obj))
+    elif obj is True:
+        put("true")
+    elif obj is False:
+        put("false")
+    elif obj is None:
+        put("null")
+    else:
+        raise TypeError(f"Object of type {tp.__name__} is not JSON serializable")
+
+
+def indented_json(obj) -> str:
+    """Sorted-key JSON indented by 2, plus a newline: the text of every
+    indented JSON file the package writes.  NaN and infinity raise
+    ValueError."""
+    return _indented(_plain(obj)) + "\n"
 
 
 def timestamp() -> str:
@@ -273,7 +345,7 @@ def write_report(report: dict, out: Path | str, fmt: str = "json") -> list[Path]
     out.parent.mkdir(parents=True, exist_ok=True)
     written = []
     if fmt in ("json", "both"):
-        out.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        out.write_text(_indented(report) + "\n")
         written.append(out)
     if fmt in ("csv", "both"):
         csv_path = out.with_suffix(".csv")
@@ -300,13 +372,14 @@ def write_samples_dump(samples: np.ndarray, path: Path | str, sidecar: dict) -> 
     samples = np.ascontiguousarray(np.asarray(samples, dtype="<f8"))
     if samples.ndim != 2:
         raise ValueError("samples must be a 2-d array (n, d)")
+    meta = dict(sidecar)
+    meta["n"], meta["d"] = int(samples.shape[0]), int(samples.shape[1])
+    text = indented_json(meta)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     samples.tofile(path)
-    meta = dict(sidecar)
-    meta["n"], meta["d"] = int(samples.shape[0]), int(samples.shape[1])
     sidecar_path = path.with_suffix(path.suffix + ".json")
-    sidecar_path.write_text(json.dumps(_plain(meta), sort_keys=True, indent=2) + "\n")
+    sidecar_path.write_text(text)
     return path, sidecar_path
 
 

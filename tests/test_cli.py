@@ -663,3 +663,19 @@ class TestIndentedJsonOutputs:
         capsys.readouterr()
         assert _is_sorted_indent2((out_dir / "violations_young.json").read_text())
         assert _is_sorted_indent2((out_dir / "report_young.json").read_text())
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+    def test_non_finite_estimate_is_a_one_line_error(self, stable_cfg, tmp_path, capsys, monkeypatch, to_file):
+        class Infinite:
+            def to_dict(self):
+                return {"mean": math.inf, "std_err": 0.0}
+
+        monkeypatch.setattr(cli, "estimate_Ptf", lambda *args: Infinite())
+        out = tmp_path / "out" / "est.json"
+        argv = ["estimate", "--spec", stable_cfg, "--t", "0.5", "--x", "0.0"]
+        rc = main(argv + (["--out", str(out)] if to_file else []))
+        stdout, err = capsys.readouterr()
+        assert rc == 1
+        assert err == "harnacklab: error: non-finite value cannot be written as JSON\n"
+        assert stdout == ""
+        assert not (tmp_path / "out").exists()

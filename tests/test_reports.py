@@ -1,12 +1,14 @@
 """Report writing: the compiled schema check never passes what jsonschema
-rejects, and an invalid report raises jsonschema's own error and leaves no
-file behind."""
+rejects, an invalid report raises jsonschema's own error and leaves no file
+behind, and the indented writer gives json.dumps's bytes."""
 
 import copy
+import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from jsonschema import ValidationError
 
@@ -214,3 +216,53 @@ def test_check_never_passes_what_jsonschema_rejects(real_reports, data):
         parent[last] = data.draw(WRONG_VALUES)
     if _accepts(doc):
         validate_report(doc)
+
+
+# scalars json.dumps must agree with the writer on: -0.0, subnormals, the
+# shortest-repr switches at 1e16 and 1e-4, ints past 2^53, bool beside int,
+# non-ASCII text and control characters
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**53 - 2, max_value=2**80),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e-300, max_value=1e-300, allow_nan=False, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e-7, 1e-5, 9007199254740993.0, 1, True, 0, False]),
+    st.text(),
+    st.text(st.characters(max_codepoint=0x1F) | st.sampled_from(list('"\\/é€\U0001f600\u2028'))),
+)
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=4), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_TREES)
+@example({})
+@example([])
+@example({"a": {}, "b": [[], {}], "c": [True, 1, 1.0, False, 0, None]})
+@example({"\u00e9\n\x00": "\x1f\u2028", "": ["\\", "/"]})
+def test_indented_writer_is_json_dumps(tree):
+    expected = json.dumps(tree, sort_keys=True, indent=2)
+    assert reports._indented(tree) == expected
+    assert reports.indented_json(tree) == expected + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(JSON_TREES, st.sampled_from([math.nan, math.inf, -math.inf]), st.booleans())
+def test_indented_writer_refuses_non_finite_numbers(tree, bad, in_dict):
+    doc = {"tree": tree, "bad": bad} if in_dict else [tree, [bad]]
+    with pytest.raises(ValueError, match="non-finite"):
+        reports._indented(doc)
+    with pytest.raises(ValueError, match="non-finite"):
+        reports.indented_json(doc)
+
+
+def test_samples_dump_with_a_non_finite_sidecar_writes_nothing(tmp_path):
+    path = tmp_path / "dump" / "samples.bin"
+    with pytest.raises(ValueError, match="non-finite"):
+        reports.write_samples_dump(np.zeros((3, 1)), path, {"t": math.inf})
+    assert not (tmp_path / "dump").exists()
