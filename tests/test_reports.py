@@ -1,6 +1,7 @@
 """Report writing: the compiled schema check never passes what jsonschema
 rejects, an invalid report raises jsonschema's own error and leaves no file
-behind, and the indented writer gives json.dumps's bytes."""
+behind, the indented writer gives json.dumps's bytes, and every document the
+CLI writes is built from exact JSON types."""
 
 import copy
 import json
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from jsonschema import ValidationError
 
-from harnacklab import reports
+from harnacklab import cli, harnack_lab, reports
 from harnacklab.harnack_lab import (
     INEQUALITY_IDS,
     default_ratio_grid,
@@ -85,6 +86,19 @@ def test_non_finite_values_are_refused_and_nothing_is_written(tmp_path, value, s
     assert not out.exists() and not out.with_suffix(".csv").exists()
 
 
+@pytest.mark.parametrize(
+    "leaf", [np.int64(3), np.array([0.5, 1.0]), (0.5, 1.0)], ids=["int64", "ndarray", "tuple"]
+)
+@pytest.mark.parametrize("fmt", ["json", "csv", "both"])
+def test_leaves_that_are_not_json_are_refused_and_nothing_is_written(tmp_path, leaf, fmt):
+    doc = copy.deepcopy(YOUNG)
+    doc["mc_meta"]["extra"] = {"a": [leaf]}
+    out = tmp_path / "reports" / "young.json"
+    with pytest.raises(TypeError):
+        write_report(doc, out, fmt)
+    assert not out.parent.exists()
+
+
 def test_valid_report_is_written(tmp_path):
     out = tmp_path / "young.json"
     assert write_report(YOUNG, out, "both") == [out, out.with_suffix(".csv")]
@@ -118,6 +132,79 @@ def _real_reports() -> dict:
 @pytest.fixture(scope="module")
 def real_reports():
     return _real_reports()
+
+
+JSON_TYPES = (dict, list, str, int, float, bool, type(None))
+
+
+def _leaks(doc, path=()):
+    """(path, type name) of every key that is not a str and every value whose
+    type is not exactly a JSON type (np.float64, a float subclass, is one)."""
+    if type(doc) not in JSON_TYPES:
+        yield path, type(doc).__name__
+    elif type(doc) is dict:
+        for key, value in doc.items():
+            if type(key) is not str:
+                yield path + (key,), f"key {type(key).__name__}"
+            yield from _leaks(value, path + (key,))
+    elif type(doc) is list:
+        for i, value in enumerate(doc):
+            yield from _leaks(value, path + (i,))
+
+
+def _cli_documents(tmp_path, monkeypatch) -> list:
+    """Every document the CLI hands to a writer on one run of each command."""
+    seen = []
+
+    def keep(write):
+        def wrapper(doc, *args):
+            seen.append(doc)
+            return write(doc, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "indented_json", keep(reports.indented_json))
+    monkeypatch.setattr(cli, "write_report", keep(reports.write_report))
+    monkeypatch.setattr(reports, "indented_json", keep(reports.indented_json))
+    # no margin passes, so young writes a violations file beside its report
+    monkeypatch.setattr(harnack_lab, "_MARGIN_TOL", -math.inf)
+    specs = {
+        "stable": {"driver": "stable", "d": 1, "alpha": 1.0, "c": 1.0},
+        "trunc": {"driver": "truncated_stable", "d": 1, "alpha": 1.0, "c": 1.0, "r": 1.0},
+        "ou": {"driver": "stable", "d": 2, "alpha": 1.5, "c": 1.0, "A": [[0.5, 1.0], [0.0, -0.5]]},
+        "cases": {"n_cases": 20},
+    }
+    paths = {}
+    for name, doc in specs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    runs = [
+        (0, ["density", "--spec", paths["stable"], "--t", "0.5", "--radii", "0,1"]),
+        (0, ["density", "--spec", paths["trunc"], "--t", "0.5", "--x", "-1",
+             "--format", "both", "--out", tmp_path / "density.json"]),
+        (0, ["estimate", "--spec", paths["stable"], "--t", "0.5", "--x", "1", "--n", "1000"]),
+        (0, ["estimate", "--spec", paths["ou"], "--t", "0.5", "--x", "1,-1", "--n", "1000",
+             "--out", tmp_path / "estimate.json"]),
+        (0, ["sample", "--spec", paths["stable"], "--t", "0.5", "--n", "10",
+             "--out", tmp_path / "stable.bin"]),
+        (0, ["sample", "--spec", paths["trunc"], "--t", "0.5", "--n", "10",
+             "--out", tmp_path / "trunc.bin"]),
+        (2, ["verify", "--spec", paths["stable"], "--inequality", "young",
+             "--grid", paths["cases"], "--out", tmp_path / "verify"]),
+    ]
+    for rc, argv in runs:
+        assert cli.main([str(a) for a in argv]) == rc, argv
+    return seen
+
+
+def test_every_document_is_built_from_exact_json_types(real_reports, tmp_path, monkeypatch, capsys):
+    # a np.float64 value fails the compiled check of a typed report field and
+    # sends the write to jsonschema, so documents hold exact types only
+    documents = list(real_reports.values()) + _cli_documents(tmp_path, monkeypatch)
+    # two density, two estimate and two sidecar documents, a report and its violations
+    assert len(documents) == len(INEQUALITY_IDS) + 8
+    for i, doc in enumerate(documents):
+        assert list(_leaks(doc)) == [], i
 
 
 def _accepts(doc) -> bool:
