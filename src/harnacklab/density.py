@@ -408,12 +408,10 @@ def _log_radial_densities(spec: StableSpec, t: float, radii) -> np.ndarray:
     return logs
 
 
-def _radial_densities(spec: StableSpec, t: float, radii) -> tuple[np.ndarray, list[str]]:
-    """p_t at each of ``radii`` with its method tag: 'origin' for the closed form
-    at radius 0, 'quadrature' for the mixture integral."""
-    radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    values = np.exp(_log_radial_densities(spec, t, radii))
-    return values, ["origin" if r == 0.0 else "quadrature" for r in radii.tolist()]
+def _radial_densities(spec: StableSpec, t: float, radii) -> np.ndarray:
+    """p_t at each of ``radii``: the closed form at radius 0, the mixture
+    integral elsewhere."""
+    return np.exp(_log_radial_densities(spec, t, radii))
 
 
 def stable_density(spec: StableSpec, t: float, x) -> float:
@@ -428,8 +426,7 @@ def stable_density(spec: StableSpec, t: float, x) -> float:
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     if xv.size != spec.d:
         raise ValueError(f"x has {xv.size} coordinates, expected d={spec.d}")
-    values, _ = _radial_densities(spec, t, [float(np.linalg.norm(xv))])
-    return float(values[0])
+    return float(_radial_densities(spec, t, [float(np.linalg.norm(xv))])[0])
 
 
 def stable_cdf_1d(spec: StableSpec, t: float, x: float) -> float:
@@ -657,9 +654,12 @@ def stable_density_grid(spec: StableSpec, t: float, points: np.ndarray) -> Densi
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != spec.d:
         raise ValueError(f"x has {points.shape[1]} coordinates, expected d={spec.d}")
-    values, tags = _radial_densities(spec, t, np.linalg.norm(points, axis=1))
+    radii = np.linalg.norm(points, axis=1)
+    values = _radial_densities(spec, t, radii)
+    at_origin = int(np.count_nonzero(radii == 0.0))
+    counts = {"origin": at_origin, "quadrature": len(radii) - at_origin}
     meta = {
-        "method_counts": {tag: tags.count(tag) for tag in set(tags)},
+        "method_counts": {tag: count for tag, count in counts.items() if count},
         "clamped": int(np.count_nonzero(values == 0.0)),
     }
     return DensityGrid(t=t, points=points, values=values, meta=meta)
@@ -682,8 +682,7 @@ def _scaled_ratio_profile(spec: StableSpec, scaled_radii) -> np.ndarray:
     """p_1(x) / phi(1, |x|) at each |x| in ``scaled_radii``: by self-similarity this
     is the envelope ratio at every (t, x) with |x| = scaled_radius * t^(1/alpha)."""
     radii = np.atleast_1d(np.asarray(scaled_radii, dtype=float))
-    values, _ = _radial_densities(spec, 1.0, radii)
-    return values / phi_envelope(spec.d, spec.alpha, 1.0, radii)
+    return _radial_densities(spec, 1.0, radii) / phi_envelope(spec.d, spec.alpha, 1.0, radii)
 
 
 def _refine_extrema(
@@ -738,8 +737,7 @@ def estimate_bound_constants(
     max_scaled = 0.0
     for t in t_grid:
         max_scaled = max(max_scaled, float(radii.max()) / t ** (1.0 / spec.alpha))
-        values, _ = _radial_densities(spec, t, radii)
-        ratios = values / phi_envelope(spec.d, spec.alpha, t, radii)
+        ratios = _radial_densities(spec, t, radii) / phi_envelope(spec.d, spec.alpha, t, radii)
         bad = np.flatnonzero(~(np.isfinite(ratios) & (ratios > 0.0)))
         if len(bad):
             raise DensityEstimateError(

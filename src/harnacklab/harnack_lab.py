@@ -420,7 +420,7 @@ def _ratio_density_cache(
     cache = {}
     for t in sorted(by_t):
         radii = sorted(by_t[t])
-        values, _ = _radial_densities(spec, t, radii)
+        values = _radial_densities(spec, t, radii)
         cache.update(zip(((t, r) for r in radii), values.tolist()))
     return cache
 
@@ -454,11 +454,11 @@ def verify_ratio_lemma(
         if nd.z is None:
             raise ValueError("ratio lemma nodes need a z point")
 
-    max_scaled = max(
+    max_scaled = float(max(
         max(np.linalg.norm(nd.x - nd.z), np.linalg.norm(nd.y - nd.z))
         / nd.t ** (1.0 / spec.alpha)
         for nd in grid
-    )
+    ))
     if constants is None:
         probe = np.linspace(0.0, max(max_scaled, 1.0), 8)[1:]
         constants = estimate_bound_constants(

@@ -32,7 +32,7 @@ from .levy_core import (
 from .sampling import (
     SeedSpec,
     _compound_poisson_gaussian,
-    _jump_parts,
+    _jump_part,
     sample_increment,
     sample_rot_stable,
 )
@@ -165,19 +165,14 @@ def ou_noise(spec: OUSpec, t: float, n: int, seed: SeedSpec) -> np.ndarray:
     rng = seed.rng(0)
     sym = spec.A + spec.A.T  # 2aI when A is conformal
     conformal = isinstance(driver, StableSpec) and np.array_equal(sym, sym[0, 0] * np.eye(spec.d))
-    noise = np.zeros((n, spec.d))
     if conformal:
         rate = 0.5 * driver.alpha * sym[0, 0]
-        noise = sample_rot_stable(driver, t if rate == 0.0 else math.expm1(rate * t) / rate, n, rng)
-    parts = _jump_parts(driver, t, split_stable=not conformal)
-    if parts:
-        weigh = _jump_weigher(spec, t)
-        factor = _gramian_factor(spec.A, t)
-        for intensity, icdf, sd in parts:
-            noise = noise + _compound_poisson_gaussian(
-                rng, n, spec.d, t * intensity, icdf, sd * factor, weigh=weigh
-            )
-    return noise
+        return sample_rot_stable(driver, t if rate == 0.0 else math.expm1(rate * t) / rate, n, rng)
+    intensity, icdf, sd = _jump_part(driver, t)
+    factor = _gramian_factor(spec.A, t)
+    return _compound_poisson_gaussian(
+        rng, n, spec.d, t * intensity, icdf, sd * factor, weigh=_jump_weigher(spec, t)
+    )
 
 
 def _flow(spec: OUSpec, x, t: float) -> np.ndarray:
@@ -394,7 +389,7 @@ class SemigroupSampler:
             std_err=float(se),
             n=self.n,
             t=float(t),
-            x=tuple(np.asarray(x, dtype=float).reshape(self.spec.d)),
+            x=tuple(np.asarray(x, dtype=float).reshape(self.spec.d).tolist()),
             f_tag=getattr(f, "tag", repr(f)),
         )
 

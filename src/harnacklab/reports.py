@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import numbers
 from datetime import datetime, timezone
 from functools import cache
@@ -37,39 +36,22 @@ __all__ = [
 ]
 
 
-def _plain(obj):
-    """Recursively convert numpy scalars/arrays so json sees pure Python.
-
-    Floats, the most common leaves, are tested first (np.float64 is a float).
-    """
-    if isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        if not math.isfinite(v):
-            raise ValueError("non-finite value cannot be written as JSON")
-        return v
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+# the top-level key canonical_json leaves out: it differs between runs
+_VOLATILE_KEY = "created_at"
 
 
-def canonical_json(obj, exclude: tuple[str, ...] = ("created_at",)) -> str:
-    """Sorted-key compact JSON with volatile top-level keys removed.
+def canonical_json(obj) -> str:
+    """Sorted-key compact JSON without the ``created_at`` stamp.
 
     This is the string used for determinism comparisons; two runs agree iff
-    their canonical forms are equal.
+    their canonical forms are equal.  NaN and infinity raise ValueError.
     """
-    plain = _plain(obj)
-    if isinstance(plain, dict):
-        plain = {k: v for k, v in plain.items() if k not in exclude}
-    return json.dumps(plain, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    if isinstance(obj, dict):
+        obj = {k: v for k, v in obj.items() if k != _VOLATILE_KEY}
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError as exc:
+        raise ValueError("non-finite value cannot be written as JSON") from exc
 
 
 _FLOAT_TEXT = float.__repr__
@@ -78,12 +60,14 @@ _STR_TEXT = json.encoder.encode_basestring_ascii
 
 
 def _indented(doc) -> str:
-    """The text json.dumps gives for a _plain doc with sorted keys and indent 2.
+    """The text json.dumps gives for ``doc`` with sorted keys and indent 2.
 
     Python's C encoder takes no indent, so json.dumps falls back to its
     pure-Python encoder; this walks the dicts and lists itself and leaves
-    each scalar to the C routines that encoder calls.  NaN and infinity
-    raise ValueError rather than appear as non-standard tokens.
+    each scalar to the C routines that encoder calls.  As in json.dumps, a
+    float subclass (np.float64) is written as a float.  NaN and infinity
+    raise ValueError rather than appear as non-standard tokens; any other
+    value that is not JSON, a tuple or np.int64 say, raises TypeError.
     """
     parts: list[str] = []
     _put_indented(doc, "\n", parts.append)
@@ -132,6 +116,8 @@ def _put_indented(obj, newline: str, put) -> None:
         put("false")
     elif obj is None:
         put("null")
+    elif isinstance(obj, float):
+        _put_indented(float(obj), newline, put)
     else:
         raise TypeError(f"Object of type {tp.__name__} is not JSON serializable")
 
@@ -139,8 +125,8 @@ def _put_indented(obj, newline: str, put) -> None:
 def indented_json(obj) -> str:
     """Sorted-key JSON indented by 2, plus a newline: the text of every
     indented JSON file the package writes.  NaN and infinity raise
-    ValueError."""
-    return _indented(_plain(obj)) + "\n"
+    ValueError, any other value that is not JSON TypeError."""
+    return _indented(obj) + "\n"
 
 
 def timestamp() -> str:
@@ -159,12 +145,7 @@ def load_schema(name: str) -> dict:
 
 def validate_against(instance: dict, schema_name: str) -> None:
     """Raise jsonschema.ValidationError listing the first schema failure."""
-    _validate_plain(_plain(instance), schema_name)
-
-
-def _validate_plain(plain: dict, schema_name: str) -> None:
-    """validate_against for a document _plain has already converted."""
-    Draft202012Validator(load_schema(schema_name)).validate(plain)
+    Draft202012Validator(load_schema(schema_name)).validate(instance)
 
 
 # Keywords the compiled check understands; anything else in a schema is
@@ -334,18 +315,20 @@ def write_report(report: dict, out: Path | str, fmt: str = "json") -> list[Path]
     paths written.  The report is checked against report.schema.json by a
     predicate compiled from the schema once per process; only when that
     rejects does jsonschema validate it, so an invalid report raises
-    jsonschema's own ValidationError and nothing is written.
+    jsonschema's own ValidationError.  The JSON text is built before anything
+    is written, so a value it refuses (see :func:`indented_json`) leaves no
+    file either, whatever the format.
     """
     if fmt not in ("json", "csv", "both"):
         raise ValueError(f"format must be json, csv or both, got {fmt!r}")
-    report = _plain(report)
     if not _schema_check("report")(report):
-        _validate_plain(report, "report")
+        validate_against(report, "report")
+    text = _indented(report) + "\n"
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     written = []
     if fmt in ("json", "both"):
-        out.write_text(_indented(report) + "\n")
+        out.write_text(text)
         written.append(out)
     if fmt in ("csv", "both"):
         csv_path = out.with_suffix(".csv")

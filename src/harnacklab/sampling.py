@@ -469,23 +469,20 @@ def _truncated_log_peak(spec: TruncatedStableSpec, t: float) -> float:
     return max(best, min(tails)) - 4.0 * math.log(spec.r)
 
 
-def _jump_parts(driver, t: float, split_stable: bool = False) -> list:
-    """The compound-Poisson parts of ``driver`` at horizon t: (jump intensity,
+def _jump_part(driver, t: float) -> tuple:
+    """The compound-Poisson part of ``driver`` at horizon t: (jump intensity,
     radius inverse CDF, small-jump sd per coordinate), the intensity and the
-    Gaussian's variance per unit time.
+    Gaussian's variance per unit time, cut at :func:`_split_cutoff` (a few
+    jumps per sample, none once the cutoff reaches a truncated driver's r).
 
-    A truncated driver is one part, cut at :func:`_split_cutoff` (a few jumps
-    per sample, none once the cutoff reaches r).  A stable driver is left
-    out, for the caller to draw exactly, unless ``split_stable`` makes it a
-    part too, cut at :func:`_split_cutoff`.
+    A stable driver is cut as a truncated measure of infinite radius; callers
+    that can draw it exactly do so instead.
     """
     if isinstance(driver, StableSpec):
-        if not split_stable:
-            return []
         whole = TruncatedStableSpec(driver.d, driver.alpha, driver.c, math.inf)
-        return [_truncated_part(whole, _split_cutoff(driver, t))]
+        return _truncated_part(whole, _split_cutoff(driver, t))
     if isinstance(driver, TruncatedStableSpec):
-        return [_truncated_part(driver, _split_cutoff(driver, t))]
+        return _truncated_part(driver, _split_cutoff(driver, t))
     raise TypeError(f"unsupported driver {type(driver).__name__}")
 
 
@@ -498,7 +495,7 @@ def sample_increment(
     """Time-t increment of a stable or truncated driver, as the semigroup reads it.
 
     A stable driver is drawn exactly.  A truncated driver is its
-    :func:`_jump_parts` part: compound-Poisson jumps plus a small-jump
+    :func:`_jump_part`: compound-Poisson jumps plus a small-jump
     Gaussian, cut at :func:`_split_cutoff`, so its characteristic function
     stays within SPLIT_CF_ERROR, which bounds P_t f for smooth bounded f,
     with a few jumps per sample.  Its tails are not those of the law once the
@@ -509,11 +506,10 @@ def sample_increment(
         raise ValueError("time must be positive")
     if n < 1:
         raise ValueError("n must be at least 1")
-    parts = _jump_parts(driver, t)
     rng = _as_rng(seed)
-    if not parts:
+    if isinstance(driver, StableSpec):
         return sample_rot_stable(driver, t, n, rng)
-    [(intensity, icdf, sd)] = parts
+    intensity, icdf, sd = _jump_part(driver, t)
     return _compound_poisson_gaussian(rng, n, driver.d, t * intensity, icdf, sd * math.sqrt(t))
 
 

@@ -30,7 +30,7 @@ from harnacklab import (
 from harnacklab.ou_semigroup import TestFunction as ParametricFunction
 from harnacklab.levy_core import compute_sigma, sphere_surface
 from harnacklab.ou_semigroup import _gramian_factor, _jump_weigher
-from harnacklab.sampling import SPLIT_CF_ERROR, _jump_parts, _split_cutoff
+from harnacklab.sampling import SPLIT_CF_ERROR, _jump_part, _split_cutoff
 
 
 def stable_ou(A, d=1, alpha=1.0, c=1.0):
@@ -277,7 +277,7 @@ class TestExactNoise:
         driver = StableSpec(d=3, alpha=1.9)
         spec = OUSpec(A=A, driver=driver)
         t, n = 1.0, 10**5
-        [(intensity, _, _)] = _jump_parts(driver, t, split_stable=True)
+        intensity, _, _ = _jump_part(driver, t)
         assert t * intensity < 5.0
         xis = np.array([[0.1, 0.0, 0.0], [0.1, -0.1, 0.1], [0.0, 0.1, 0.15]])
         means, ses = empirical_cf(ou_noise(spec, t, n, SeedSpec(75)), xis)

@@ -126,7 +126,7 @@ def _real_reports() -> dict:
         young_suite(n_cases=20, seed=SeedSpec(5)),
         jensen_suite(n_cases=20, seed=SeedSpec(6)),
     ]
-    return {r.inequality_id: reports._plain(r.to_dict()) for r in built}
+    return {r.inequality_id: r.to_dict() for r in built}
 
 
 @pytest.fixture(scope="module")
@@ -332,6 +332,7 @@ JSON_TREES = st.recursive(
 @example([])
 @example({"a": {}, "b": [[], {}], "c": [True, 1, 1.0, False, 0, None]})
 @example({"\u00e9\n\x00": "\x1f\u2028", "": ["\\", "/"]})
+@example({"a": [np.float64(0.1), np.float64(-0.0)], "b": np.float64(1e16)})
 def test_indented_writer_is_json_dumps(tree):
     expected = json.dumps(tree, sort_keys=True, indent=2)
     assert reports._indented(tree) == expected

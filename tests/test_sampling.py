@@ -436,7 +436,7 @@ class TestSemigroupCutoff:
         # the Gaussian: variance t c |S| r^(2-alpha) / (2-alpha), no jumps
         spec, t, n = self.WORKLOAD, 5.0, 4 * 10**4
         assert sampling._split_cutoff(spec, t) == spec.r
-        [(intensity, _, sd)] = sampling._jump_parts(spec, t)
+        intensity, _, sd = sampling._jump_part(spec, t)
         assert intensity == 0.0
         var = 2.0 * spec.r**0.2 / 0.2
         assert sd**2 == pytest.approx(var, rel=1e-14)
@@ -457,7 +457,7 @@ class TestSemigroupCutoff:
 
     def test_few_jumps_per_sample(self):
         for t in np.geomspace(0.1, 2.0, 25):
-            [(intensity, _, _)] = sampling._jump_parts(self.WORKLOAD, t)
+            intensity, _, _ = sampling._jump_part(self.WORKLOAD, t)
             assert t * intensity <= 6.0, t
 
     @pytest.mark.parametrize("d, r", [(1, 1e-3), (2, 1.0), (3, 1e3)])
@@ -469,7 +469,7 @@ class TestSemigroupCutoff:
         t = 100.0
         eps = sampling._split_cutoff(spec, t)
         assert 0.0 < eps <= r
-        [(intensity, _, _)] = sampling._jump_parts(spec, t)
+        intensity, _, _ = sampling._jump_part(spec, t)
         assert t * intensity < 200.0
 
     def test_density_sampler_keeps_its_cutoff(self):
