@@ -566,7 +566,9 @@ class _Moments:
 
     Sums of products are numpy's pairwise sums, not BLAS dot products, which
     OpenBLAS splits across threads on long arrays: the moments, and the
-    reports built on them, do not depend on the BLAS thread count.
+    reports built on them, do not depend on the BLAS thread count.  The mean
+    is ``np.add.reduce(v) / n``, the bits of ``ndarray.mean`` without its
+    Python wrapper.
     """
 
     def __init__(self, v: np.ndarray) -> None:
@@ -574,7 +576,7 @@ class _Moments:
 
     @cached_property
     def mean(self) -> float:
-        return float(self.v.mean())
+        return float(np.add.reduce(self.v)) / self.v.size
 
     @cached_property
     def centered(self) -> np.ndarray:
@@ -604,22 +606,58 @@ class _PointSample(_Moments):
     """f at the n endpoints from one point, with its p-th powers and its log.
 
     Each transform is derived once per point, however many nodes and
-    statistics use it.
+    statistics use it.  A sample that holds one or two distinct values, bit
+    for bit (a constant f, a ball indicator), is transformed on those levels
+    only and mapped back: ``np.full`` for one level, ``np.where`` on the mask
+    of the second level for two.  The levels go through the very expression
+    the whole array would (``levels**p``, ``np.log(levels)``), so the result
+    has the bits of ``v**p`` and ``np.log(v)``; any other sample is
+    transformed whole.  Values are compared bit for bit, so +0.0 and -0.0
+    are two values; a third value among the first 64 rules levels out
+    before any pass over the whole sample.
     """
 
     def __init__(self, v: np.ndarray) -> None:
         super().__init__(v)
         self._powers: dict[float, _Moments] = {}
 
+    @cached_property
+    def _levels(self) -> tuple[np.ndarray, np.ndarray | None] | None:
+        """(levels, mask of levels[1] or None for one level), or None."""
+        bits = self.v.view(np.int64)
+        head = bits[:64]
+        rest = head[head != head[0]]
+        if rest.size and (rest != rest[0]).any():
+            return None  # three values among the first 64
+        first = bits == bits[0]
+        n_first = int(np.count_nonzero(first))
+        if n_first == bits.size:
+            return self.v[:1], None
+        i = int(np.argmin(first))  # the first value unlike v[0]
+        second = bits == bits[i]
+        if n_first + int(np.count_nonzero(second)) != bits.size:
+            return None
+        return self.v[[0, i]], second
+
+    def _transform(self, op: Callable[[np.ndarray], np.ndarray]) -> _Moments:
+        found = self._levels
+        if found is None:
+            return _Moments(op(self.v))
+        levels, second = found
+        out = op(levels)
+        if second is None:
+            return _Moments(np.full(self.v.shape, out[0]))
+        return _Moments(np.where(second, out[1], out[0]))
+
     def power(self, p: float) -> _Moments:
         m = self._powers.get(p)
         if m is None:
-            m = self._powers[p] = _Moments(self.v**p)
+            m = self._powers[p] = self._transform(lambda v: v**p)
         return m
 
     @cached_property
     def log(self) -> _Moments:
-        return _Moments(np.log(self.v))
+        return self._transform(np.log)
 
 
 def _paired_stats(a: _Moments, b: _Moments) -> tuple[float, float, float, float, float]:

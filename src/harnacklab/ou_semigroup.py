@@ -208,7 +208,10 @@ class TestFunction:
 
     |x - center|^2 is summed one coordinate column at a time, left to right,
     which for d < 8 has the bits of numpy's row sum in either memory layout;
-    a column of F-ordered points is contiguous.
+    a column of F-ordered points is contiguous.  The squares, the bump and the
+    cap are computed in place in at most two n-length buffers, which changes
+    no bit: squaring is one multiply, -|x-c|^2 / s is written |x-c|^2 / (-s),
+    and a zero offset is not added (0.0 + v == v for every v >= +0.0).
     """
 
     kind: str
@@ -232,15 +235,26 @@ class TestFunction:
         if self.kind == "constant":
             return np.full(pts.shape[0], self.value)
         center = np.broadcast_to(np.asarray(self.center, dtype=float), pts.shape[1:])
-        dist2 = (pts[:, 0] - center[0]) ** 2
-        for j in range(1, pts.shape[1]):
-            dist2 += (pts[:, j] - center[j]) ** 2
+        dist2 = pts[:, 0] - center[0]
+        np.multiply(dist2, dist2, out=dist2)
+        if pts.shape[1] > 1:
+            sq = np.empty_like(dist2)
+            for j in range(1, pts.shape[1]):
+                np.subtract(pts[:, j], center[j], out=sq)
+                np.multiply(sq, sq, out=sq)
+                dist2 += sq
         if self.kind == "ball_indicator":
-            return self.offset + (dist2 <= self.scale**2).astype(float)
-        bump = np.exp(-dist2 / (2.0 * self.scale**2))
-        if self.kind == "gaussian_bump":
-            return self.offset + bump
-        return np.minimum(self.value, np.exp(math.log(self.value) * bump))
+            out = (dist2 <= self.scale**2).astype(float)
+        else:
+            out = np.divide(dist2, -(2.0 * self.scale**2), out=dist2)
+            np.exp(out, out=out)
+            if self.kind == "exp_cap":
+                out *= math.log(self.value)
+                np.exp(out, out=out)
+                return np.minimum(out, self.value, out=out)
+        if self.offset:
+            out += self.offset
+        return out
 
     @property
     def bound(self) -> float:

@@ -44,14 +44,16 @@ def canonical_json(obj) -> str:
     """Sorted-key compact JSON without the ``created_at`` stamp.
 
     This is the string used for determinism comparisons; two runs agree iff
-    their canonical forms are equal.  NaN and infinity raise ValueError.
+    their canonical forms are equal.  The document first goes through the
+    writer's walk, so it refuses what ``indented_json`` refuses: NaN and
+    infinity raise ValueError, and a tuple, a non-``str`` key or any other
+    value that is not JSON raises TypeError, where json.dumps alone would
+    write a tuple as a list and a key 3 as "3".
     """
     if isinstance(obj, dict):
         obj = {k: v for k, v in obj.items() if k != _VOLATILE_KEY}
-    try:
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    except ValueError as exc:
-        raise ValueError("non-finite value cannot be written as JSON") from exc
+    _indented(obj)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 _FLOAT_TEXT = float.__repr__

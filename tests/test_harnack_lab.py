@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from harnacklab.density import BoundConstants
 from harnacklab.harnack_lab import (
     INEQUALITY_IDS,
+    _PointSample,
     _jensen_margins,
     _young_margins,
     InequalityReport,
@@ -489,6 +490,82 @@ class TestVerifyPHarnack:
         five = peak((0.1, 0.25, 0.5, 1.0, 2.0))
         noise_bytes = n * 1 * 8  # one (n, d) float64 noise array, d = 1
         assert five - one <= 1.5 * 4 * noise_bytes
+
+
+POWERS = (1.5, 2.0, 4.0, 1.0 + 1e-6)
+
+
+def same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestPointSampleLevels:
+    """A sample of one or two distinct values is transformed on its levels and
+    mapped back; every power and the log keep the bits of ``v**p`` and
+    ``np.log(v)``, and any other sample is transformed whole."""
+
+    @staticmethod
+    def check(v: np.ndarray, levels: int | None) -> None:
+        sample = _PointSample(v)
+        found = sample._levels
+        if levels is None:
+            assert found is None
+        else:
+            assert found is not None and found[0].size == levels
+        # log(0) and powers of huge levels warn on both sides alike
+        with np.errstate(divide="ignore", over="ignore"):
+            assert same_bytes(sample.log.v, np.log(v))
+            for p in POWERS:
+                assert same_bytes(sample.power(p).v, v**p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(level=st.floats(min_value=0.0, max_value=1e300), n=st.integers(1, 200))
+    def test_one_level(self, level, n):
+        self.check(np.full(n, level), 1)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.5, 1.5)])
+    @pytest.mark.parametrize("n", [2, 17, 20000])
+    def test_indicator_levels(self, lo, hi, n):
+        top = np.random.default_rng(n).random(n) < 0.3
+        top[0], top[-1] = True, False
+        self.check(np.where(top, hi, lo), 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        a=st.floats(min_value=5e-324, max_value=1e300),
+        b=st.floats(min_value=5e-324, max_value=1e300),
+        mask=st.lists(st.booleans(), min_size=1, max_size=300),
+    )
+    def test_arbitrary_positive_pairs(self, a, b, mask):
+        top = np.array(mask)
+        v = np.where(top, a, b)
+        self.check(v, 1 if a == b or top.all() or not top.any() else 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(
+            st.floats(min_value=0.0, max_value=1e300), min_size=3, max_size=300
+        ).filter(lambda xs: len(set(xs)) > 2)
+    )
+    def test_many_levels(self, values):
+        self.check(np.array(values), None)
+
+    def test_signed_zeros_are_two_levels(self):
+        # +0.0 and -0.0 compare equal but are two values, bit for bit
+        self.check(np.array([0.0, -0.0, 0.0]), 2)
+        self.check(np.array([0.0, -0.0, 1.0, 1.0]), None)
+
+    @pytest.mark.parametrize("at", [0, 63, 64, 19999])
+    def test_a_third_value_anywhere_rules_levels_out(self, at):
+        v = np.where(np.random.default_rng(at).random(20000) < 0.5, 1.5, 0.5)
+        v[at] = 2.5
+        self.check(v, None)
+        self.check(np.exp(-np.random.default_rng(3).random(20000)), None)
+
+    def test_indicator_samples_take_the_level_path(self):
+        sampler = SemigroupSampler(OU_DRIFT, 20000, SeedSpec(41))
+        for f, levels in ((ball_indicator([0.0], 1.0, offset=0.5), 2), (constant(1.5), 1)):
+            self.check(sampler.values(f, np.array([0.25]), 0.5), levels)
 
 
 class TestSemigroupReportsPinned:

@@ -368,6 +368,38 @@ class TestTestFunctions:
         for layout in (pts, np.asfortranarray(pts)):
             assert np.array_equal(f(layout), expected)
 
+    @staticmethod
+    def written_out(f, points):
+        """The values as computed before the in-place buffers, step by step."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if f.kind == "constant":
+            return np.full(pts.shape[0], f.value)
+        center = np.broadcast_to(np.asarray(f.center, dtype=float), pts.shape[1:])
+        dist2 = (pts[:, 0] - center[0]) ** 2
+        for j in range(1, pts.shape[1]):
+            dist2 += (pts[:, j] - center[j]) ** 2
+        if f.kind == "ball_indicator":
+            return f.offset + (dist2 <= f.scale**2).astype(float)
+        bump = np.exp(-dist2 / (2.0 * f.scale**2))
+        if f.kind == "gaussian_bump":
+            return f.offset + bump
+        return np.minimum(f.value, np.exp(math.log(f.value) * bump))
+
+    @pytest.mark.parametrize("offset", [0.0, 0.75])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["ball_indicator", "gaussian_bump", "constant", "exp_cap"])
+    def test_values_have_the_bits_of_the_written_out_expressions(self, kind, d, offset):
+        rng = np.random.default_rng(200 + d)
+        center = tuple(rng.standard_normal(d).tolist())
+        f = ParametricFunction(kind, center=center, scale=0.9, value=7.5, offset=offset)
+        pts = 1.5 * rng.standard_normal((5000, d)) + np.array(center)
+        pts[:3] = np.array(center)  # at the centre: distance +0.0, bump 1, cap at its level
+        pts[3] = np.array(center) + np.eye(d)[0] * 0.9  # on the ball's boundary
+        for layout in (pts, np.asfortranarray(pts), pts[0]):
+            got, expected = f(layout), self.written_out(f, layout)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ParametricFunction("nope")

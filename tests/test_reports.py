@@ -99,6 +99,26 @@ def test_leaves_that_are_not_json_are_refused_and_nothing_is_written(tmp_path, l
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"a": (1, 2)}, {"b": {3: 4}}, {"c": [{None: 0.5}]}, {"d": {1.5: 1}}, {"e": [np.int64(3)]},
+     {"f": np.array([0.5])}],
+    ids=["tuple", "int_key", "none_key", "float_key", "int64", "ndarray"],
+)
+def test_canonical_json_refuses_what_the_writer_refuses(bad):
+    with pytest.raises(TypeError):
+        reports.indented_json(bad)
+    with pytest.raises(TypeError):
+        reports.canonical_json(bad)
+    with pytest.raises(TypeError):
+        reports.canonical_json({**YOUNG, "mc_meta": {**YOUNG["mc_meta"], "extra": bad}})
+
+
+def test_canonical_json_keeps_the_compact_json_dumps_form():
+    doc = {"created_at": "now", "b": [1, 2.5, np.float64(0.1), True, None], "a": {"x": "é"}}
+    assert reports.canonical_json(doc) == '{"a":{"x":"\\u00e9"},"b":[1,2.5,0.1,true,null]}'
+
+
 def test_valid_report_is_written(tmp_path):
     out = tmp_path / "young.json"
     assert write_report(YOUNG, out, "both") == [out, out.with_suffix(".csv")]
