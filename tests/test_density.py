@@ -300,6 +300,21 @@ class TestEnvelope:
             assert bc.c1_hat * phi <= p * (1.0 + 1e-9)
             assert p <= bc.c2_hat * phi * (1.0 + 1e-9)
 
+    @pytest.mark.parametrize(
+        "d, alpha, radii, t_grid, c1, c2",
+        [
+            (1, 1.0, np.linspace(0.0, 6.0, 13)[1:], [0.5, 1.0], 0.0919996591504084, 0.9463928728259733),
+            (2, 1.5, np.linspace(0.0, 40.0, 8)[1:], [1.0], 0.008652513015089637, 1.7777110742855027),
+            # certified to scaled radius 0.55: the bulk piece alone
+            (3, 0.8, np.linspace(0.0, 0.5, 6)[1:], [1.0, 2.0], 2.2278881910232467e-05, 2.2365968101294513e-05),
+        ],
+        ids=["d1-cauchy", "d2-alpha1.5", "d3-alpha0.8-bulk"],
+    )
+    def test_refined_constants_pinned(self, d, alpha, radii, t_grid, c1, c2):
+        spec = StableSpec(d=d, alpha=alpha, c=1.0)
+        bc = estimate_bound_constants(spec, t_grid, _axis_points(d, radii), refine=True)
+        assert (bc.c1_hat, bc.c2_hat) == (c1, c2)
+
     def test_empty_grid_rejected(self):
         spec = StableSpec(d=1, alpha=1.0)
         with pytest.raises(ValueError):

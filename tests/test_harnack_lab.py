@@ -389,6 +389,29 @@ class TestVerifyRatioLemma:
         assert one.violations == [] and two.violations == []
 
 
+class TestRatioLemmaReportsPinned:
+    """sha256 of canonical_json for verify_ratio_lemma with constants fitted by
+    the verifier itself: the benchmark's quadrature config (d = 2, alpha =
+    1.5, t in {0.25, 1}, offsets {0, 1, 4}, n_z = 10, validation off) and the
+    d = 1 Cauchy process on its default grid with validation.  They pin every
+    density, case, bound and shape of the nodes and the refined envelope
+    constants."""
+
+    def test_quadrature_config_digest(self):
+        spec = StableSpec(d=2, alpha=1.5, c=1.0)
+        grid = default_ratio_grid(2, 1.5, t_values=[0.25, 1.0], offsets=[0.0, 1.0, 4.0], n_z=10)
+        report = verify_ratio_lemma(spec, grid=grid, validation=False)
+        assert hashlib.sha256(canonical_json(report.to_dict()).encode()).hexdigest() == (
+            "1bf193e647b65526b91ad4f2cba0bf24c50fc1f155b12c7f6f330367593bc6e2"
+        )
+
+    def test_cauchy_default_grid_with_validation_digest(self):
+        report = verify_ratio_lemma(CAUCHY, validation=True)
+        assert hashlib.sha256(canonical_json(report.to_dict()).encode()).hexdigest() == (
+            "031df15e6af2a69896aa4f61c70a54153eef39c22e7f23e381d90df5b77f68e8"
+        )
+
+
 class TestVerifyHarnack:
     def test_pure_stable_run(self):
         report = verify_harnack(OU_FREE, n=20000, seed=SeedSpec(31))
