@@ -173,7 +173,9 @@ class _LogTable:
         out = np.empty(y.shape)
         low, high = y < self.lo, y > self.hi
         mid = ~(low | high)
-        out[low], out[high], out[mid] = self.below(y[low]), self.above(y[high]), self.spline(y[mid])
+        for part, f in ((low, self.below), (high, self.above), (mid, self.spline)):
+            if part.any():
+                out[part] = f(y[part])
         return out
 
 
@@ -693,6 +695,8 @@ def _refine_extrema(
     ``g`` maps an array of points (or one point) to an array of values; the
     scan evaluates it once on all points.  A log-spaced scan keeps resolution near lo when
     hi/lo is large; the profile varies on a multiplicative scale there.
+    :func:`estimate_bound_constants` scans only the envelope's tail piece with
+    it, which can have an interior extremum; the bulk piece is monotone.
     """
     xs = np.geomspace(lo, hi, n_scan) if log else np.linspace(lo, hi, n_scan)
     vals = np.asarray(g(xs), dtype=float)
@@ -726,7 +730,11 @@ def estimate_bound_constants(
     profile (the ratio depends on |x|/t^(1/alpha) alone) by 1-d minimization
     up to 1.1x the largest scaled radius seen, and the constants get a 1e-7
     relative widening; the result then certifies every node in that scaled
-    range up to quadrature error, not just the grid.
+    range up to quadrature error, not just the grid.  On the bulk piece,
+    scaled radius at most 1, the envelope is 1 and the profile is p_1, which
+    a Gaussian scale mixture makes radially nonincreasing, so its extrema are
+    its values at the piece's two ends; only the tail piece is scanned and
+    refined.
     """
     t_grid = list(t_grid)
     x_grid = np.atleast_2d(np.asarray(x_grid, dtype=float))
@@ -754,9 +762,10 @@ def estimate_bound_constants(
     if refine:
         hi = 1.1 * max_scaled
         g = lambda s: _scaled_ratio_profile(spec, s)
-        # the envelope has a kink at scaled radius 1; treat the pieces separately
-        lo_min, lo_max = _refine_extrema(g, 0.0, min(1.0, hi))
-        c1, c2 = min(c1, lo_min), max(c2, lo_max)
+        # the envelope has a kink at scaled radius 1; treat the pieces separately:
+        # the bulk piece is p_1, nonincreasing, so its extrema are at its ends
+        ends = g([0.0, min(1.0, hi)])
+        c1, c2 = min(c1, float(ends[1])), max(c2, float(ends[0]))
         if hi > 1.0:
             hi_min, hi_max = _refine_extrema(g, 1.0, hi, log=True)
             c1, c2 = min(c1, hi_min), max(c2, hi_max)

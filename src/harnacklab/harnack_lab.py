@@ -366,10 +366,15 @@ def classify_case(
     constants: BoundConstants | None = None,
 ) -> RatioCase:
     x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
-    d = x.size
+    dyz, dxy = float(np.linalg.norm(y - z)), float(np.linalg.norm(x - y))
+    return _classify(t, dyz, dxy, alpha, x.size, constants)
+
+
+def _classify(
+    t: float, dyz: float, dxy: float, alpha: float, d: int, constants: BoundConstants | None
+) -> RatioCase:
+    """:func:`classify_case` from the distances |y - z| and |x - y|."""
     t_scale = t ** (1.0 / alpha)
-    dyz = float(np.linalg.norm(y - z))
-    dxy = float(np.linalg.norm(x - y))
     if dyz <= t_scale:
         tag, factor = "overlap", 1.0
     elif dyz >= 2.0 * max(t_scale, dxy):
@@ -397,6 +402,11 @@ def lemma_ratio_bound(
     bound holds for every z once the envelope holds at the radii involved.
     """
     dxy = float(np.linalg.norm(np.asarray(x, float) - np.asarray(y, float)))
+    return _global_bound(t, dxy, alpha, d, c1, c2)
+
+
+def _global_bound(t: float, dxy: float, alpha: float, d: int, c1: float, c2: float) -> float:
+    """:func:`lemma_ratio_bound` from the distance |x - y|."""
     return (
         2.0 ** (alpha + d)
         * (c2 / c1)
@@ -404,8 +414,25 @@ def lemma_ratio_bound(
     )
 
 
+def _node_distances(nodes: Sequence[Node]) -> list[tuple[float, float, float]]:
+    """(|x - z|, |y - z|, |x - y|) of each node, one norm each."""
+    return [
+        (
+            float(np.linalg.norm(nd.x - nd.z)),
+            float(np.linalg.norm(nd.y - nd.z)),
+            float(np.linalg.norm(nd.x - nd.y)),
+        )
+        for nd in nodes
+    ]
+
+
+def _scaled_radii(nodes: Sequence[Node], dists, alpha: float) -> list[float]:
+    """max(|x - z|, |y - z|) / t^(1/alpha) of each node."""
+    return [max(rx, ry) / nd.t ** (1.0 / alpha) for nd, (rx, ry, _) in zip(nodes, dists)]
+
+
 def _ratio_density_cache(
-    spec: StableSpec, nodes: Sequence[Node]
+    spec: StableSpec, nodes: Sequence[Node], dists
 ) -> dict[tuple[float, float], float]:
     """Evaluate p_t at every distinct (t, radius) the nodes need.
 
@@ -414,9 +441,8 @@ def _ratio_density_cache(
     Keys are rounded to 1e-12 to merge radii that differ only by float noise.
     """
     by_t: dict[float, set[float]] = {}
-    for nd in nodes:
-        for point in (nd.x, nd.y):
-            by_t.setdefault(nd.t, set()).add(round(float(np.linalg.norm(point - nd.z)), 12))
+    for nd, (rx, ry, _) in zip(nodes, dists):
+        by_t.setdefault(nd.t, set()).update((round(rx, 12), round(ry, 12)))
     cache = {}
     for t in sorted(by_t):
         radii = sorted(by_t[t])
@@ -454,11 +480,8 @@ def verify_ratio_lemma(
         if nd.z is None:
             raise ValueError("ratio lemma nodes need a z point")
 
-    max_scaled = float(max(
-        max(np.linalg.norm(nd.x - nd.z), np.linalg.norm(nd.y - nd.z))
-        / nd.t ** (1.0 / spec.alpha)
-        for nd in grid
-    ))
+    dists = _node_distances(grid)
+    max_scaled = max(_scaled_radii(grid, dists, spec.alpha))
     if constants is None:
         probe = np.linspace(0.0, max(max_scaled, 1.0), 8)[1:]
         constants = estimate_bound_constants(
@@ -471,26 +494,20 @@ def verify_ratio_lemma(
             f"but the grid reaches {max_scaled:.3g}"
         )
 
-    def run(nodes: Sequence[Node]):
-        cache = _ratio_density_cache(spec, nodes)
+    def run(nodes: Sequence[Node], dists):
+        cache = _ratio_density_cache(spec, nodes, dists)
         results, violations, case_counts = [], [], {}
         excluded = 0
-        for nd in nodes:
-            rx = float(np.linalg.norm(nd.x - nd.z))
-            ry = float(np.linalg.norm(nd.y - nd.z))
+        for nd, (rx, ry, dxy) in zip(nodes, dists):
             px, py = _lookup(cache, nd.t, rx), _lookup(cache, nd.t, ry)
             if py < underflow:
                 excluded += 1
                 continue
             ratio = px / py
-            case = classify_case(nd.t, nd.x, nd.y, nd.z, spec.alpha, constants)
-            glob = lemma_ratio_bound(
-                nd.t, nd.x, nd.y, spec.alpha, spec.d, constants.c1_hat, constants.c2_hat
-            )
+            case = _classify(nd.t, ry, dxy, spec.alpha, spec.d, constants)
+            glob = _global_bound(nd.t, dxy, spec.alpha, spec.d, constants.c1_hat, constants.c2_hat)
             case_counts[case.tag] = case_counts.get(case.tag, 0) + 1
-            shape = harnack_shape(
-                float(np.linalg.norm(nd.x - nd.y)), nd.t, spec.alpha, spec.d, "raw"
-            )
+            shape = harnack_shape(dxy, nd.t, spec.alpha, spec.d, "raw")
             res = NodeResult(
                 node=nd,
                 lhs=ratio,
@@ -505,26 +522,15 @@ def verify_ratio_lemma(
                 violations.append({**res.to_dict(), "kind": "global_bound"})
         return results, violations, case_counts, excluded
 
-    results, violations, case_counts, excluded = run(grid)
+    results, violations, case_counts, excluded = run(grid, dists)
     fitted = _fit_from_results(results)
 
     validation_C = None
     if validation:
         vgrid = validation_ratio_grid(spec.d, spec.alpha)
-        vmax = max(
-            max(np.linalg.norm(nd.x - nd.z), np.linalg.norm(nd.y - nd.z))
-            / nd.t ** (1.0 / spec.alpha)
-            for nd in vgrid
-        )
-        if vmax > certified:
-            vgrid = [
-                nd
-                for nd in vgrid
-                if max(np.linalg.norm(nd.x - nd.z), np.linalg.norm(nd.y - nd.z))
-                / nd.t ** (1.0 / spec.alpha)
-                <= certified
-            ]
-        vres, vviol, _, vexcl = run(vgrid)
+        vdists = _node_distances(vgrid)
+        kept = [i for i, s in enumerate(_scaled_radii(vgrid, vdists, spec.alpha)) if s <= certified]
+        vres, vviol, _, vexcl = run([vgrid[i] for i in kept], [vdists[i] for i in kept])
         violations.extend(vviol)
         validation_C = _fit_from_results(vres)
         excluded += vexcl

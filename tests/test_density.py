@@ -372,6 +372,73 @@ class TestBatchedInversion:
         assert peak < 1 << 20
 
 
+BULK_SPECS = [(d, alpha) for d in (1, 2, 3, 5) for alpha in (0.3, 0.5, 0.8, 1.0, 1.2, 1.5, 1.8, 1.95)]
+
+
+class TestBulkPieceFromItsEnds:
+    """On scaled radius s <= 1 the envelope phi(1, s) is 1, so the envelope
+    ratio there is p_1(s), which is radially nonincreasing: its extrema are its
+    values at the two ends.  estimate_bound_constants takes them from there
+    instead of a dense scan of the piece."""
+
+    @pytest.mark.parametrize("d, alpha", BULK_SPECS)
+    def test_ends_equal_the_dense_scan(self, d, alpha):
+        spec = StableSpec(d=d, alpha=alpha, c=1.0)
+        g = lambda s: density._scaled_ratio_profile(spec, s)
+        for hi in (0.4, 1.0, 11.09, 50.0):
+            top = min(1.0, hi)
+            ends = g([0.0, top])
+            assert (float(ends[1]), float(ends[0])) == density._refine_extrema(g, 0.0, top)
+
+    @pytest.mark.parametrize("d, alpha", BULK_SPECS)
+    def test_density_does_not_increase_on_the_bulk(self, d, alpha):
+        values = density._radial_densities(StableSpec(d=d, alpha=alpha, c=1.0), 1.0, np.linspace(0.0, 1.0, 241))
+        assert np.all(np.diff(values) <= 0.0)
+
+
+def _log_table_every_part(table, y) -> np.ndarray:
+    """A mixture table evaluated with all three parts called on every input."""
+    y = np.asarray(y, dtype=float)
+    out = np.empty(y.shape)
+    low, high = y < table.lo, y > table.hi
+    mid = ~(low | high)
+    out[low], out[high], out[mid] = table.below(y[low]), table.above(y[high]), table.spline(y[mid])
+    return out
+
+
+class TestLogTableParts:
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            lambda: density._density_rule(1, 1.0),
+            lambda: density._density_rule(2, 1.5),
+            lambda: density._cdf_rule(0.8),
+            lambda: density._cdf_rule(1.5),
+        ],
+        ids=["J-d1-alpha1", "J-d2-alpha1.5", "C-alpha0.8", "C-alpha1.5"],
+    )
+    def test_bytes_equal_every_part_evaluated(self, rule):
+        table = rule().table
+        lo, hi = table.lo, table.hi
+        inside = np.linspace(lo, hi, 35)
+        inputs = [
+            np.linspace(lo - 20.0, lo - 1e-3, 11),
+            np.linspace(hi + 1e-3, hi + 20.0, 11),
+            inside,
+            np.concatenate([[lo - 3.0, hi + 3.0], inside, [lo, hi]]).reshape(3, 13),
+            np.empty(0),
+            np.empty((0, 4)),
+            np.float64(0.5 * (lo + hi)),
+            np.float64(lo - 2.0),
+            np.float64(hi + 2.0),
+            0.5 * (lo + hi),
+        ]
+        for y in inputs:
+            got, want = table(y), _log_table_every_part(table, y)
+            assert got.shape == want.shape == np.shape(y)
+            assert got.tobytes() == want.tobytes()
+
+
 class TestBox:
     """Every (d, alpha, t) of the box d <= 5, alpha in [0.1, 1.99], t in [1e-4, 1e4]
     and every radius from 1e-3 to 1e6 length scales gets a quadrature value.

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harnacklab.density import BoundConstants
+from harnacklab.density import BoundConstants, stable_density
 from harnacklab.harnack_lab import (
     INEQUALITY_IDS,
     _PointSample,
@@ -377,6 +377,21 @@ class TestVerifyRatioLemma:
         env = report.mc_meta["envelope"]
         assert 0.0 < env["c1"] <= env["c2"]
 
+    def test_validation_grid_cut_to_the_certified_range(self):
+        # validation nodes past the certified range are not run: under a high
+        # underflow floor the validation run excludes exactly its in-range
+        # nodes whose p_t(y - z) lies below the floor
+        certified, floor = 40.0, 1e-3
+        consts = BoundConstants(c1_hat=0.05, c2_hat=5.0, grid_meta={"certified_scaled_radius": certified})
+        vgrid = validation_ratio_grid(1, 1.0)
+        below = [stable_density(CAUCHY, nd.t, nd.y - nd.z) < floor for nd in vgrid]
+        in_range = [float(max(abs(nd.x - nd.z)[0], abs(nd.y - nd.z)[0])) / nd.t <= certified for nd in vgrid]
+        expected = sum(b and kept for b, kept in zip(below, in_range))
+        assert 0 < expected < sum(below)
+        kw = dict(grid=SMALL_RATIO_GRID, constants=consts, underflow=floor)
+        with_validation = verify_ratio_lemma(CAUCHY, validation=True, **kw).excluded_nodes
+        assert with_validation - verify_ratio_lemma(CAUCHY, validation=False, **kw).excluded_nodes == expected
+
     def test_threads_do_not_change_results(self):
         consts = BoundConstants(
             c1_hat=0.05, c2_hat=5.0, grid_meta={"certified_scaled_radius": 1e9}
@@ -391,9 +406,11 @@ class TestVerifyRatioLemma:
 
 class TestRatioLemmaReportsPinned:
     """sha256 of canonical_json for verify_ratio_lemma with constants fitted by
-    the verifier itself: the benchmark's quadrature config (d = 2, alpha =
-    1.5, t in {0.25, 1}, offsets {0, 1, 4}, n_z = 10, validation off) and the
-    d = 1 Cauchy process on its default grid with validation.  They pin every
+    the verifier itself, for three runs: the benchmark's quadrature config
+    (d = 2, alpha = 1.5, t in {0.25, 1}, offsets {0, 1, 4}, n_z = 10,
+    validation off); the d = 1 Cauchy process on its default grid with
+    validation; and a small d = 2 grid whose validation grid is cut to its
+    certified range.  They pin every
     density, case, bound and shape of the nodes and the refined envelope
     constants."""
 
@@ -409,6 +426,15 @@ class TestRatioLemmaReportsPinned:
         report = verify_ratio_lemma(CAUCHY, validation=True)
         assert hashlib.sha256(canonical_json(report.to_dict()).encode()).hexdigest() == (
             "031df15e6af2a69896aa4f61c70a54153eef39c22e7f23e381d90df5b77f68e8"
+        )
+
+    def test_small_grid_with_validation_digest(self):
+        # the validation grid reaches past this small grid's certified range
+        spec = StableSpec(d=2, alpha=1.5, c=1.0)
+        grid = default_ratio_grid(2, 1.5, t_values=(0.5, 1.0), offsets=(0.0, 1.0), n_z=12)
+        report = verify_ratio_lemma(spec, grid=grid, validation=True)
+        assert hashlib.sha256(canonical_json(report.to_dict()).encode()).hexdigest() == (
+            "25479d50a7fb6ad531e9d7490c5e42d104c131ab4f751cb4568ff230c12fb8c2"
         )
 
 
