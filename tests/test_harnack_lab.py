@@ -410,9 +410,8 @@ class TestRatioLemmaReportsPinned:
     (d = 2, alpha = 1.5, t in {0.25, 1}, offsets {0, 1, 4}, n_z = 10,
     validation off); the d = 1 Cauchy process on its default grid with
     validation; and a small d = 2 grid whose validation grid is cut to its
-    certified range.  They pin every
-    density, case, bound and shape of the nodes and the refined envelope
-    constants."""
+    certified range.  They pin every density, case, bound and shape of the
+    nodes and the refined envelope constants."""
 
     def test_quadrature_config_digest(self):
         spec = StableSpec(d=2, alpha=1.5, c=1.0)
