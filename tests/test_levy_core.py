@@ -247,6 +247,17 @@ class TestSymbols:
         with pytest.raises(QuadratureError, match="past"):
             symbol_radial(spec, np.array([1.0, 3e5]))
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.8])
+    def test_truncated_symbol_independent_of_its_batch(self, d, alpha):
+        # each value alone equals, bit for bit, the same frequency in a batch
+        # that reaches 1.5e5
+        spec = TruncatedStableSpec(d=d, alpha=alpha, c=0.8, r=1.0)
+        s = np.array([0.5, 7.9, 8.1, 100.0, 3000.0])
+        batch = symbol_radial(spec, np.append(s, 1.5e5))
+        for k, v in enumerate(s):
+            assert symbol_radial(spec, v)[0] == batch[k]
+
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             symbol_radial(StableSpec(d=1, alpha=1.0), np.array([-1.0]))

@@ -13,8 +13,10 @@ normalization sigma(d, alpha) comes from its closed form.  The truncated
 reference is the cosine transform (1/pi) int exp(-t psi(s)) cos(s x) ds in
 30-digit arithmetic, with psi from its incomplete-gamma closed form rather
 than the power series the package sums; the same closed form checks the d=1
-truncated symbol.  Nothing here uses harnacklab except the function under test
-and its spec argument.
+truncated symbol.  In d = 2 and 3 the truncated symbol's reference sums its
+series on [0, 1] in 60-digit arithmetic and integrates the rest with
+Gauss-Legendre ``mp.quad`` on panels split every pi.  Nothing here uses
+harnacklab except the function under test and its spec argument.
 """
 
 import mpmath as mp
@@ -206,3 +208,37 @@ def test_truncated_symbol_matches_mpmath(alpha):
     with mp.workdps(30):
         ref = [float(_truncated_symbol_mp(mp.mpf(alpha), mp.mpf(0.8), mp.mpf(1), mp.mpf(v))) for v in s]
     assert symbol_radial(spec, s) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def _truncated_symbol_radial_mp(d: int, alpha: float, c: float, s: float) -> float:
+    """psi(s) = c |S| s^a int_0^s u^(-1-a) (1 - E cos(u theta_1)) du at r = 1.
+
+    On [0, 1] the integral is the series sum over k >= 1 of (-1)^(k+1) /
+    (4^k k! (d/2)_k (2k - a)), which avoids quadrature at the u^(1-a) endpoint;
+    past 1 the integrand is smooth and mp.quad takes it on panels split every pi.
+    """
+    with mp.workdps(60):
+        a, half = mp.mpf(alpha), mp.mpf(d) / 2
+        head = mp.fsum(
+            (-1) ** (k + 1) / (4**k * mp.factorial(k) * mp.rf(half, k) * (2 * k - a))
+            for k in range(1, 41)
+        )
+    with mp.workdps(20):
+        nu, v = half - 1, mp.mpf(s)
+
+        def kernel(u):
+            cf = mp.sin(u) / u if d == 3 else mp.gamma(half) * (2 / u) ** nu * mp.besselj(nu, u)
+            return u ** (-1 - a) * (1 - cf)
+
+        edges = [mp.mpf(1)] + [k * mp.pi for k in range(1, int(v / mp.pi) + 1)] + [v]
+        body = mp.quad(kernel, edges, method="gauss-legendre")
+        surface = 2 * mp.pi**half / mp.gamma(half)
+        return float(mp.mpf(c) * surface * v**a * (head + body))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.8])
+@pytest.mark.parametrize("d, radii", [(2, (8.1, 100.0, 300.0)), (3, (8.1, 100.0, 1000.0))])
+def test_truncated_symbol_matches_mpmath_in_higher_dimensions(d, radii, alpha):
+    spec = TruncatedStableSpec(d=d, alpha=alpha, c=0.8, r=1.0)
+    ref = [_truncated_symbol_radial_mp(d, alpha, 0.8, v) for v in radii]
+    assert symbol_radial(spec, np.array(radii)) == pytest.approx(ref, rel=1e-12, abs=0.0)
