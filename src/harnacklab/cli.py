@@ -18,6 +18,7 @@ import csv
 import json
 import math
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -114,7 +115,9 @@ def _parse_vector(text: str, d: int, flag: str) -> np.ndarray:
     return vec
 
 
+@cache
 def _build_parser() -> _Parser:
+    # built once per process: parse_args leaves the parser unchanged
     parser = _Parser(prog="harnacklab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"harnacklab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

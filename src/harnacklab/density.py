@@ -784,7 +784,6 @@ def kde_1d(
     bandwidth="auto",
     lo: float | None = None,
     hi: float | None = None,
-    max_bins: int = 1 << 15,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
     """Binned Gaussian KDE: (centers, density, se, bandwidth, bin width).
 
@@ -812,7 +811,7 @@ def kde_1d(
         lo = float(x.min()) - 3.0 * h
     if hi is None:
         hi = float(x.max()) + 3.0 * h
-    n_bins = int(min(max_bins, max(512, math.ceil((hi - lo) / (h / 4.0)))))
+    n_bins = int(min(1 << 15, max(512, math.ceil((hi - lo) / (h / 4.0)))))
     counts, edges = np.histogram(x, bins=n_bins, range=(lo, hi))
     step = edges[1] - edges[0]
     dropped = 1.0 - counts.sum() / n
@@ -827,28 +826,27 @@ def truncated_density_estimate(
     spec: TruncatedStableSpec,
     t: float,
     n: int,
-    bandwidth="auto",
     seed: SeedSpec | None = None,
-    epsilon: float | None = None,
 ) -> DensityGrid:
     """KDE of the truncated-stable time-t density from n Monte Carlo samples.
 
-    The grid spans the central bulk and at least |x| <= max(3, 2r); total
-    estimated mass must come out as 1 within 2e-2 or the estimate is
-    rejected.
+    The samples use the sampler's default small-jump cutoff and the KDE its
+    "auto" bandwidth.  The grid spans the central bulk and at least
+    |x| <= max(3, 2r); total estimated mass must come out as 1 within 2e-2 or
+    the estimate is rejected.
     """
     if n < 10**4:
         raise ValueError("density estimation needs n >= 1e4 samples")
     if seed is None:
         seed = SeedSpec(0)
-    samples = sample_truncated_stable(spec, t, epsilon, n, seed)
+    samples = sample_truncated_stable(spec, t, None, n, seed)
     if spec.d != 1:
         raise NotImplementedError("KDE estimation is implemented for d=1")
     x = samples[:, 0]
     # provisional bandwidth fixes the grid reach before the real pass
-    _, _, _, h0, _ = kde_1d(x[: min(n, 10**5)], bandwidth)
+    _, _, _, h0, _ = kde_1d(x[: min(n, 10**5)])
     reach = max(3.0, 2.0 * spec.r, float(np.quantile(np.abs(x), 1.0 - 1e-4)) + 6.0 * h0)
-    centers, density, se, h, dropped = kde_1d(x, bandwidth, lo=-reach, hi=reach)
+    centers, density, se, h, dropped = kde_1d(x, lo=-reach, hi=reach)
     step = centers[1] - centers[0]
     mass = float(density.sum() * step) + max(dropped, 0.0)
     if not 0.98 <= mass <= 1.02:
@@ -864,7 +862,6 @@ def truncated_density_estimate(
             "n": n,
             "dropped_fraction": float(max(dropped, 0.0)),
             "mass": mass,
-            "epsilon": epsilon,
         },
     )
 

@@ -39,7 +39,6 @@ from .density import (
     check_truncated_bounds,
     estimate_bound_constants,
     truncated_density,
-    TruncatedBoundConstants,
 )
 from .density import stable_density  # noqa: F401  (kept importable as harnack_lab.stable_density)
 from .levy_core import (
@@ -455,13 +454,16 @@ def _lookup(cache: dict, t: float, radius: float) -> float:
     return cache[(t, round(float(radius), 12))]
 
 
+# relative tolerance of the ratio-lemma bounds, absorbing quadrature noise
+RATIO_REL_SLACK = 1e-6
+
+
 def verify_ratio_lemma(
     spec: StableSpec,
     grid: Sequence[Node] | None = None,
     constants: BoundConstants | None = None,
     *,
     validation: bool = True,
-    rel_slack: float = 1e-6,
     underflow: float = 1e-300,
     seed: SeedSpec | None = None,
 ) -> InequalityReport:
@@ -469,9 +471,9 @@ def verify_ratio_lemma(
 
     Fits (or receives) envelope constants certified on the whole scaled
     range the grid touches, then verifies p_t(x-z)/p_t(y-z) against the
-    per-case and global bounds with a relative tolerance absorbing
-    quadrature noise.  Zero violations is the pass condition; the fitted
-    constant reported is the empirical max of ratio / comparison shape.
+    per-case and global bounds with relative tolerance RATIO_REL_SLACK.
+    Zero violations is the pass condition; the fitted constant reported is
+    the empirical max of ratio / comparison shape.
     """
     grid = list(default_ratio_grid(spec.d, spec.alpha) if grid is None else grid)
     if not grid:
@@ -516,9 +518,9 @@ def verify_ratio_lemma(
                 extra={"case": case.tag, "case_bound": case.bound, "global_bound": glob},
             )
             results.append(res)
-            if ratio > case.bound * (1.0 + rel_slack):
+            if ratio > case.bound * (1.0 + RATIO_REL_SLACK):
                 violations.append({**res.to_dict(), "kind": "case_bound"})
-            if ratio > glob * (1.0 + rel_slack):
+            if ratio > glob * (1.0 + RATIO_REL_SLACK):
                 violations.append({**res.to_dict(), "kind": "global_bound"})
         return results, violations, case_counts, excluded
 
@@ -556,7 +558,7 @@ def verify_ratio_lemma(
         mc_meta={
             "lemma_constant": lemma_constant,
             "envelope": {"c1": constants.c1_hat, "c2": constants.c2_hat},
-            "rel_slack": rel_slack,
+            "rel_slack": RATIO_REL_SLACK,
             "stability_ok": True if validation_C is None else bool(not violations),
         },
         violations=violations,
@@ -1016,7 +1018,6 @@ def verify_truncated_ratio(
     t_grid: Sequence[float] = (0.25, 0.5, 1.0),
     *,
     seed: SeedSpec | None = None,
-    constants: TruncatedBoundConstants | None = None,
     offsets: Sequence[float] = (0.0, 0.5, 1.0, 2.0),
     z_count: int = 41,
     validation: bool = True,
@@ -1027,12 +1028,11 @@ def verify_truncated_ratio(
     the report is a function of (spec, grid) alone; ``seed`` is recorded in
     it and changes no value.  The exponent constant C2 = c4 + c6 is the sum
     of the upper and lower tail rates that :func:`check_truncated_bounds`
-    fits to exact values on FIT_POINTS radii in [0, reach] per time, unless
-    ``constants`` are given.  The nodes' z runs over [-z_max, z_max], z_max =
-    reach - max(offsets) - 0.25 (at least 1).  A node is excluded only where
-    a density underflows to 0.  Where :func:`truncated_density` refuses the
-    driver (small alpha with small t c r^(-alpha)), its QuadratureError
-    propagates.
+    fits to exact values on FIT_POINTS radii in [0, reach] per time.  The
+    nodes' z runs over [-z_max, z_max], z_max = reach - max(offsets) - 0.25
+    (at least 1).  A node is excluded only where a density underflows to 0.
+    Where :func:`truncated_density` refuses the driver (small alpha with
+    small t c r^(-alpha)), its QuadratureError propagates.
     """
     if spec.d != 1:
         raise NotImplementedError("truncated ratio verification is implemented for d=1")
@@ -1046,10 +1046,9 @@ def verify_truncated_ratio(
         if len(below):
             break
     reach = float(radii[below[0] if len(below) else -1])
-    if constants is None:
-        fit = np.linspace(0.0, reach, FIT_POINTS)
-        grids = [DensityGrid(t, fit[:, None], truncated_density(spec, t, fit)) for t in t_grid]
-        constants = check_truncated_bounds(spec, t_grid, grids)
+    fit = np.linspace(0.0, reach, FIT_POINTS)
+    grids = [DensityGrid(t, fit[:, None], truncated_density(spec, t, fit)) for t in t_grid]
+    constants = check_truncated_bounds(spec, t_grid, grids)
     c_exp = max(constants.c4 + constants.c6, 0.1)
     z_max = max(reach - max(offsets) - 0.25, 1.0)
 
@@ -1136,24 +1135,24 @@ class CheckResult:
     margin: float
 
 
-def young_inequality_check(mu, g, h, tol: float = _MARGIN_TOL) -> CheckResult:
+def young_inequality_check(mu, g, h) -> CheckResult:
     """Entropy Young inequality mu(g h) <= mu(g log g) + log mu(e^h).
 
     mu must be a probability vector and g a nonnegative density with
     mu(g) = 1; both are renormalized, and renormalization failure (zero or
     non-finite total) is an error.  The convention 0 log 0 = 0 applies.
-    margin = rhs - lhs, holds iff margin >= -tol.
+    margin = rhs - lhs, holds iff margin >= -_MARGIN_TOL.
     """
     mu, g, h = _one_row("mu, g, h", mu, g, h)
     margin = float(_young_margins(mu, g, h)[0])
-    return CheckResult(holds=bool(margin >= -tol), margin=margin)
+    return CheckResult(holds=bool(margin >= -_MARGIN_TOL), margin=margin)
 
 
-def jensen_check(mu, f, tol: float = _MARGIN_TOL) -> CheckResult:
+def jensen_check(mu, f) -> CheckResult:
     """Jensen inequality mu(log f) <= log mu(f) for strictly positive f."""
     mu, f = _one_row("mu and f", mu, f)
     margin = float(_jensen_margins(mu, f)[0])
-    return CheckResult(holds=bool(margin >= -tol), margin=margin)
+    return CheckResult(holds=bool(margin >= -_MARGIN_TOL), margin=margin)
 
 
 def _one_row(names: str, *vectors) -> list[np.ndarray]:
@@ -1237,7 +1236,7 @@ def _margins_by_dim(margins_of, cases: list[tuple]) -> list[float]:
 
 
 def _finite_measure_suite(
-    kind: str, n_cases: int, seed: SeedSpec, max_dim: int, exp_cap_level: float
+    kind: str, n_cases: int, seed: SeedSpec, max_dim: int
 ) -> InequalityReport:
     rng = seed.rng()
     cases = []
@@ -1250,7 +1249,7 @@ def _finite_measure_suite(
             g = g * (rng.random(m) > 0.15)
             while not float(mu @ g) > 0.0:
                 g = rng.exponential(1.0, m)
-            h = rng.uniform(0.0, math.log(exp_cap_level), m)
+            h = rng.uniform(0.0, math.log(1e6), m)
             cases.append((mu, g, h))
         else:
             f = np.exp(rng.normal(0.0, 2.0, m))
@@ -1293,20 +1292,18 @@ def young_suite(
     n_cases: int = 1000,
     seed: SeedSpec | None = None,
     max_dim: int = 20,
-    exp_cap_level: float = 1e6,
 ) -> InequalityReport:
     """Randomized battery for the entropy Young inequality.
 
     Dirichlet weights, exponential densities with occasional exact zeros,
-    and uniformly bounded exponents (capped at log of exp_cap_level so that
-    e^h never overflows).  Any margin below -1e-12 is recorded as a
-    violation.
+    and uniformly bounded exponents (h in [0, log 1e6], so e^h never
+    overflows).  Any margin below -1e-12 is recorded as a violation.
     """
-    return _finite_measure_suite("young", n_cases, seed or SeedSpec(0), max_dim, exp_cap_level)
+    return _finite_measure_suite("young", n_cases, seed or SeedSpec(0), max_dim)
 
 
 def jensen_suite(
     n_cases: int = 1000, seed: SeedSpec | None = None, max_dim: int = 20
 ) -> InequalityReport:
     """Randomized battery for Jensen's inequality on finite measures."""
-    return _finite_measure_suite("jensen", n_cases, seed or SeedSpec(0), max_dim, 1e6)
+    return _finite_measure_suite("jensen", n_cases, seed or SeedSpec(0), max_dim)

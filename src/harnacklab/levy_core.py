@@ -31,7 +31,6 @@ __all__ = [
     "one_minus_cos",
     "sphere_cf",
     "one_minus_sphere_cf",
-    "bessel_zeros",
     "compute_sigma",
     "symbol",
     "symbol_radial",
@@ -212,48 +211,6 @@ def one_minus_sphere_cf(d: int, u):
 
 
 # ---------------------------------------------------------------------------
-# kernel zeros
-#
-# Radial integrands here carry a J_{d/2-1} factor; between consecutive zeros of
-# it they are smooth, so a fixed Gauss rule per half-oscillation integrates them.
-
-_ZERO_CACHE: dict[float, np.ndarray] = {}
-_NEWTON_STEPS = 12
-
-
-def bessel_zeros(nu: float, count: int) -> np.ndarray:
-    """First ``count`` positive zeros of J_nu, for any real order nu > -1.
-
-    McMahon's expansion seeds every missing zero at once and vectorised
-    Newton steps (J_nu' = (nu/x) J_nu - J_{nu+1}) refine the whole array; the
-    half-integer orders that odd dimensions produce are exact cases of the
-    expansion.  Raises QuadratureError if the refinement does not settle on
-    strictly increasing zeros.
-    """
-    key = float(nu)
-    zeros = _ZERO_CACHE.get(key, np.empty(0))
-    if len(zeros) < count:
-        mu = 4.0 * nu * nu
-        beta = (np.arange(len(zeros) + 1, count + 1) + 0.5 * nu - 0.25) * math.pi
-        x = beta - (mu - 1.0) / (8.0 * beta) - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (
-            3.0 * (8.0 * beta) ** 3
-        )
-        for _ in range(_NEWTON_STEPS):
-            j = special.jv(nu, x)
-            step = j / (nu / x * j - special.jv(nu + 1.0, x))
-            x -= step
-            if np.all(np.abs(step) <= 1e-15 * x):
-                break
-        else:
-            raise QuadratureError(f"Newton refinement of the zeros of J_{nu} did not converge")
-        zeros = np.concatenate([zeros, x])
-        if not (zeros[0] > 0.0 and np.all(np.diff(zeros) > 0.0)):
-            raise QuadratureError(f"zeros of J_{nu} are not strictly increasing")
-        _ZERO_CACHE[key] = zeros
-    return zeros[:count].copy()
-
-
-# ---------------------------------------------------------------------------
 # symbols
 
 
@@ -283,7 +240,8 @@ def symbol_radial(spec: DriverSpec, s) -> np.ndarray:
         return compute_sigma(spec.d, spec.alpha) * spec.c * s**spec.alpha
     if isinstance(spec, TruncatedStableSpec):
         # psi(s) = c |S| s^alpha I(r s), I(v) = int_0^v u^(-1-alpha) (1 - sphere_cf(d, u)) du:
-        # the power series up to SERIES_HEAD, then 16-node Gauss panels between kernel zeros
+        # the power series up to SERIES_HEAD, then 16-node Gauss panels every pi.  The
+        # integrand is entire and nonnegative, so the panel edges need sit at no zeros.
         d, a, v = spec.d, spec.alpha, spec.r * s
         head = np.minimum(v, SERIES_HEAD)
         total = head ** (2.0 - a) * np.polynomial.polynomial.polyval(head**2, _truncated_series(d, a)[1:])
@@ -291,8 +249,7 @@ def symbol_radial(spec: DriverSpec, s) -> np.ndarray:
         if np.any(far):
             if not v.max() <= SYMBOL_REACH:
                 raise QuadratureError(f"truncated symbol at r |xi| = {v.max():g} is past {SYMBOL_REACH:g}")
-            zeros = bessel_zeros(d / 2.0 - 1.0, int(v.max() / math.pi) + 2)
-            edges = np.concatenate([[SERIES_HEAD], zeros[(zeros > SERIES_HEAD) & (zeros < v.max())]])
+            edges = np.arange(SERIES_HEAD, v.max(), math.pi)
             x, w = np.polynomial.legendre.leggauss(16)
 
             def panels(lo, hi):
@@ -309,7 +266,7 @@ def symbol_radial(spec: DriverSpec, s) -> np.ndarray:
 
 # Terms, in v^2, of the truncated symbol's power series, and the v = r |xi| up
 # to which symbol_radial sums it (its cancellation costs about 1e-13 there);
-# past SYMBOL_REACH (2^16 kernel half-oscillations) the symbol is refused.
+# past SYMBOL_REACH (about 2^16 pi-wide panels) the symbol is refused.
 SERIES_TERMS, SERIES_HEAD, SYMBOL_REACH = 60, 8.0, 2.0e5
 
 

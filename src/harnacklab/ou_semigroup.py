@@ -460,13 +460,13 @@ class FactorizationReport:
         }
 
 
-def _default_probes(d: int, count: int = 10) -> np.ndarray:
-    radii = np.geomspace(1.0, 8.0, count)
-    probes = np.zeros((count, d))
+def _default_probes(d: int) -> np.ndarray:
+    radii = np.geomspace(1.0, 8.0, 10)
+    probes = np.zeros((10, d))
     if d == 1:
-        probes[:, 0] = radii * np.where(np.arange(count) % 2 == 0, 1.0, -1.0)
+        probes[:, 0] = radii * np.where(np.arange(10) % 2 == 0, 1.0, -1.0)
     else:
-        angles = 2.0 * math.pi * np.arange(count) / count
+        angles = 2.0 * math.pi * np.arange(10) / 10
         probes[:, 0] = radii * np.cos(angles)
         probes[:, 1] = radii * np.sin(angles)
     return probes
@@ -476,9 +476,8 @@ def factorization_check(
     spec: OUSpec,
     t: float,
     probe_xis: np.ndarray | None = None,
-    tol: float = 1e-8,
 ) -> FactorizationReport:
-    """Check |pi_hat_t(xi)| <= 1 + tol at each probe frequency.
+    """Check |pi_hat_t(xi)| <= 1 + 1e-8 at each probe frequency.
 
     The subtracted component is the rotationally invariant stable symbol with
     coefficient c0(||A||) * c, where c0 integrates (1 - cos z_1)|z|^(-d) over
@@ -507,7 +506,7 @@ def factorization_check(
         stable_factor=np.array(sf),
         pi_hat=pi,
         max_excess=max_excess,
-        passed=bool(max_excess <= tol),
+        passed=bool(max_excess <= 1e-8),
         c0=c0,
         op_norm=spec.op_norm,
     )

@@ -68,6 +68,37 @@ class TestParsing:
     def test_missing_required_flag(self, stable_cfg):
         assert main(["density", "--spec", stable_cfg]) == 1
 
+    def test_parser_built_once_serves_each_call(self, stable_cfg, tmp_path, capsys):
+        # a bad flag, then density, then verify in one process, each against
+        # the same call made first, on a freshly built parser
+        grid = write_json(tmp_path, "grid.json", {"n_cases": 20})
+        calls = [
+            ["density", "--spec", stable_cfg, "--t", "1.0", "--bogus"],
+            ["density", "--spec", stable_cfg, "--t", "1.0", "--radii", "0,1"],
+            ["verify", "--spec", stable_cfg, "--inequality", "young", "--grid", grid],
+        ]
+
+        def run(argv):
+            rc = main(argv)
+            out, err = capsys.readouterr()
+            if out.startswith("{"):
+                out = json.loads(out)
+                out.pop("created_at")
+            return rc, out, err
+
+        first = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            first.append(run(argv))
+        cli._build_parser.cache_clear()
+        in_turn = [run(argv) for argv in calls]
+        assert cli._build_parser.cache_info().misses == 1
+        assert in_turn == first
+        assert [rc for rc, _, _ in in_turn] == [1, 0, 0]
+        assert in_turn[0][2].startswith("harnacklab: error: unrecognized arguments: --bogus")
+        assert in_turn[0][2].count("\n") == 1
+        assert in_turn[1][1]["values"] and in_turn[2][1].startswith("young: PASS")
+
 
 class TestConfigLoading:
     def test_missing_config_file(self, capsys):

@@ -615,7 +615,7 @@ class TestTruncatedEstimate:
         assert 0.98 <= g.meta["mass"] <= 1.02
         assert grid_mass(g) == pytest.approx(1.0, abs=0.02)
         assert g.t == 0.5
-        for key in ("se", "bandwidth", "bin_width", "n", "dropped_fraction", "epsilon"):
+        for key in ("se", "bandwidth", "bin_width", "n", "dropped_fraction"):
             assert key in g.meta
         # symmetric law: compare the two sides of the KDE loosely
         mid = grid_interp(g, np.array([0.6, -0.6]))

@@ -31,7 +31,6 @@ from harnacklab import (
     time_integrated_symbol,
 )
 from harnacklab.levy_core import (
-    bessel_zeros,
     one_minus_cos,
     one_minus_sphere_cf,
     sphere_cf,
@@ -151,33 +150,6 @@ class TestGeometry:
         for d in (1, 2, 4):
             assert np.allclose(one_minus_sphere_cf(d, u), 1.0 - sphere_cf(d, u), atol=1e-13)
 
-    def test_bessel_zeros_half_integer(self):
-        # J_(1/2) is proportional to sin, so its zeros are exactly k pi
-        z = bessel_zeros(0.5, 8)
-        assert np.allclose(z, np.pi * np.arange(1, 9), rtol=0, atol=1e-11)
-
-    def test_bessel_zeros_j0(self):
-        z = bessel_zeros(0.0, 3)
-        ref = [2.404825557695773, 5.520078110286311, 8.653727912911013]
-        assert np.allclose(z, ref, rtol=0, atol=1e-11)
-
-    def test_bessel_zeros_cache_consistent(self):
-        first = bessel_zeros(1.5, 5).copy()
-        again = bessel_zeros(1.5, 12)
-        assert np.array_equal(first, again[:5])
-        assert np.all(np.diff(again) > 0.0)
-
-    @pytest.mark.parametrize("nu", [0.0, 1.0])
-    def test_bessel_zeros_match_scipy(self, nu):
-        ref = special.jn_zeros(int(nu), 3000)
-        assert np.allclose(bessel_zeros(nu, 3000), ref, rtol=1e-13, atol=0)
-
-    @pytest.mark.parametrize("nu, offset", [(0.5, 0.0), (-0.5, 0.5)])
-    def test_bessel_zeros_half_integer_closed_forms(self, nu, offset):
-        # J_(1/2) ~ sin(x)/sqrt(x) and J_(-1/2) ~ cos(x)/sqrt(x)
-        k = np.arange(1, 5001)
-        assert np.allclose(bessel_zeros(nu, 5000), (k - offset) * np.pi, rtol=1e-13, atol=0)
-
 
 class TestSymbols:
     def test_stable_closed_form(self):
@@ -226,9 +198,9 @@ class TestSymbols:
 
     @pytest.mark.parametrize("d, v", [(1, 3e3), (2, 3e3), (3, 3e3), (1, 1e4)])
     def test_truncated_symbol_at_far_frequency(self, d, v):
-        # past r |xi| of about 1,250 the bulk integral has over 400 kernel
-        # zeros as breakpoints; far out the symbol is the stable one less the
-        # mass of the jumps past r, c |S| r^(-alpha) / alpha
+        # past r |xi| of about 1,250 the bulk integral takes over 400 pi-wide
+        # panels; far out the symbol is the stable one less the mass of the
+        # jumps past r, c |S| r^(-alpha) / alpha
         spec = TruncatedStableSpec(d=d, alpha=1.0, c=1.0, r=1.0)
         far = compute_sigma(d, 1.0) * v - sphere_surface(d)
         assert symbol_radial(spec, v)[0] == pytest.approx(far, rel=1e-6)
@@ -241,7 +213,7 @@ class TestSymbols:
         assert np.all(np.diff(v) > 0.0)
 
     def test_truncated_symbol_refused_past_its_reach(self):
-        # past 2^16 kernel half-oscillations the panel rule would grow without
+        # past about 2^16 pi-wide panels the panel rule would grow without
         # bound: one QuadratureError instead
         spec = TruncatedStableSpec(d=2, alpha=1.0, c=1.0, r=1.0)
         with pytest.raises(QuadratureError, match="past"):
