@@ -65,7 +65,6 @@ from .ou_semigroup import (
     sample_ou,
 )
 from .harnack_lab import (
-    CheckResult,
     InequalityReport,
     INEQUALITY_IDS,
     Node,
@@ -76,7 +75,6 @@ from .harnack_lab import (
     default_ratio_grid,
     fit_constant,
     harnack_shape,
-    jensen_check,
     jensen_suite,
     lemma_ratio_bound,
     truncated_ratio_bound,
@@ -85,7 +83,6 @@ from .harnack_lab import (
     verify_p_harnack,
     verify_ratio_lemma,
     verify_truncated_ratio,
-    young_inequality_check,
     young_suite,
 )
 from .reports import (

@@ -212,6 +212,8 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.out is None:
+        raise CLIError("sample requires --out (binary dump path)")
     cfg = _load_config(args.spec)
     spec = _driver_from_config(cfg)
     seed = SeedSpec(args.seed)
@@ -219,8 +221,6 @@ def _cmd_sample(args) -> int:
         samples = sample_rot_stable(spec, args.t, args.n, seed)
     else:
         samples = sample_truncated_stable(spec, args.t, args.epsilon, args.n, seed)
-    if args.out is None:
-        raise CLIError("sample requires --out (binary dump path)")
     write_samples_dump(
         samples,
         args.out,
@@ -405,10 +405,8 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         raise CLIError(f"unknown command {args.command!r}")
-    except CLIError as exc:
-        print(f"harnacklab: error: {exc}", file=sys.stderr)
-        return 1
     except (
+        CLIError,
         ValueError,
         OverflowError,
         ValidationError,

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,7 +63,6 @@ __all__ = [
     "NodeResult",
     "InequalityReport",
     "RatioCase",
-    "CheckResult",
     "INEQUALITY_IDS",
     "STABILITY_THRESHOLD",
     "fit_constant",
@@ -81,8 +81,6 @@ __all__ = [
     "verify_p_harnack",
     "verify_log_harnack",
     "verify_truncated_ratio",
-    "young_inequality_check",
-    "jensen_check",
     "young_suite",
     "jensen_suite",
 ]
@@ -353,26 +351,13 @@ class RatioCase:
     """
 
     tag: str
-    bound: float | None = None
+    bound: float
 
 
 def classify_case(
-    t: float,
-    x: np.ndarray,
-    y: np.ndarray,
-    z: np.ndarray,
-    alpha: float,
-    constants: BoundConstants | None = None,
+    t: float, dyz: float, dxy: float, alpha: float, d: int, constants: BoundConstants
 ) -> RatioCase:
-    x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
-    dyz, dxy = float(np.linalg.norm(y - z)), float(np.linalg.norm(x - y))
-    return _classify(t, dyz, dxy, alpha, x.size, constants)
-
-
-def _classify(
-    t: float, dyz: float, dxy: float, alpha: float, d: int, constants: BoundConstants | None
-) -> RatioCase:
-    """:func:`classify_case` from the distances |y - z| and |x - y|."""
+    """The regime of a node, and its factor times c2/c1, from |y - z| and |x - y|."""
     t_scale = t ** (1.0 / alpha)
     if dyz <= t_scale:
         tag, factor = "overlap", 1.0
@@ -380,32 +365,15 @@ def _classify(
         tag, factor = "far_field", 2.0 ** (alpha + d)
     else:
         tag, factor = "transition", (dyz / t_scale) ** (d + alpha)
-    bound = None
-    if constants is not None:
-        bound = factor * constants.c2_hat / constants.c1_hat
-    return RatioCase(tag=tag, bound=bound)
+    return RatioCase(tag=tag, bound=factor * constants.c2_hat / constants.c1_hat)
 
 
-def lemma_ratio_bound(
-    t: float,
-    x: np.ndarray,
-    y: np.ndarray,
-    alpha: float,
-    d: int,
-    c1: float,
-    c2: float,
-) -> float:
+def lemma_ratio_bound(t: float, dxy: float, alpha: float, d: int, c1: float, c2: float) -> float:
     """Global bound 2^(alpha+d) (c2/c1) (1 + |x-y| / t^(1/alpha))^(d+alpha).
 
     c1, c2 are the two-sided envelope constants (c1 lower, c2 upper); the
     bound holds for every z once the envelope holds at the radii involved.
     """
-    dxy = float(np.linalg.norm(np.asarray(x, float) - np.asarray(y, float)))
-    return _global_bound(t, dxy, alpha, d, c1, c2)
-
-
-def _global_bound(t: float, dxy: float, alpha: float, d: int, c1: float, c2: float) -> float:
-    """:func:`lemma_ratio_bound` from the distance |x - y|."""
     return (
         2.0 ** (alpha + d)
         * (c2 / c1)
@@ -506,8 +474,8 @@ def verify_ratio_lemma(
                 excluded += 1
                 continue
             ratio = px / py
-            case = _classify(nd.t, ry, dxy, spec.alpha, spec.d, constants)
-            glob = _global_bound(nd.t, dxy, spec.alpha, spec.d, constants.c1_hat, constants.c2_hat)
+            case = classify_case(nd.t, ry, dxy, spec.alpha, spec.d, constants)
+            glob = lemma_ratio_bound(nd.t, dxy, spec.alpha, spec.d, constants.c1_hat, constants.c2_hat)
             case_counts[case.tag] = case_counts.get(case.tag, 0) + 1
             shape = harnack_shape(dxy, nd.t, spec.alpha, spec.d, "raw")
             res = NodeResult(
@@ -735,36 +703,37 @@ def _verify_semigroup(
     P_t f is sampled on shared noise (seed substream 1, and substream 2 for
     the validation grid) once per distinct (f, t, point), and its powers,
     log and moments once per point, then handed to every statistic at every
-    node that has the point as x or y.  Nodes come f-outer with each t
-    contiguous on the shipped grids, so only the current (f, t) block of
-    points is kept; a grid that revisits a t recomputes its points.  Results
-    are kept per statistic and concatenated in statistic order.
-    ``meta(results)`` adds the verifier's own entries to ``mc_meta`` after
-    both grids have run.
+    node that has the point as x or y.  The grid is walked one run of
+    consecutive nodes with equal t at a time, every function within a run,
+    so the sampler holds one time's noise and the walk one (f, t) block of
+    points; a grid that revisits a t redraws its noise and recomputes its
+    points.  Results are kept per (statistic, function) in node order and
+    concatenated statistic-outer, function-inner.  ``meta(results)`` adds
+    the verifier's own entries to ``mc_meta`` after both grids have run.
     """
     seed = SeedSpec(0) if seed is None else seed
     grid = list(default_comparison_grid(spec.d) if grid is None else grid)
 
     def run(nodes, substream):
         sampler = SemigroupSampler(spec, n, seed.substream(substream))
-        per_stat: list[list[NodeResult]] = [[] for _ in statistics]
+        per_stat = [[[] for _ in f_set] for _ in statistics]
         excluded = 0
-        for f in f_set:
-            block_t, block = None, {}
-            for nd in nodes:
-                if nd.t != block_t:
-                    block_t, block = nd.t, {}
-                for out, stat in zip(per_stat, statistics):
-                    # no name holds a sample past its block, so the next
-                    # time's noise draw, where the peak is, sees one block
-                    res = stat(
-                        f, nd, *(_block_sample(block, sampler, f, p, nd.t) for p in (nd.x, nd.y))
-                    )
-                    if res is None:
-                        excluded += 1
-                    else:
-                        out.append(res)
-        return [r for out in per_stat for r in out], excluded
+        for _, same_t in groupby(nodes, key=lambda nd: nd.t):
+            same_t = list(same_t)
+            for i, f in enumerate(f_set):
+                # no name holds a sample past its block, so the next
+                # time's noise draw, where the peak is, sees one block
+                block = {}
+                for nd in same_t:
+                    for per_f, stat in zip(per_stat, statistics):
+                        res = stat(
+                            f, nd, *(_block_sample(block, sampler, f, p, nd.t) for p in (nd.x, nd.y))
+                        )
+                        if res is None:
+                            excluded += 1
+                        else:
+                            per_f[i].append(res)
+        return [r for per_f in per_stat for out in per_f for r in out], excluded
 
     results, excluded = run(grid, 1)
     if not results:
@@ -980,30 +949,15 @@ def verify_log_harnack(
 
 
 def truncated_ratio_bound(
-    spec: TruncatedStableSpec,
-    t: float,
-    x: np.ndarray,
-    y: np.ndarray,
-    z: np.ndarray,
-    c_mult: float,
-    c_exp: float,
+    spec: TruncatedStableSpec, t: float, m: float, c_mult: float, c_exp: float
 ) -> float:
-    """C1 t^(-d/alpha) (m/t)^(C2 m) with m = max(2, |x-y|, |y-z|).
+    """C1 t^(-d/alpha) (m/t)^(C2 m) at the scale m (max(2, |x-y|, |y-z|) for a node).
 
     The superpolynomial shape reflects the exponential-type tail of the
     truncated density: ratios can grow like a power of m with exponent
     itself proportional to m, never faster.
     """
-    if not 0.0 < t <= 1.0:
-        raise ValueError("truncated ratio bound is stated for t in (0, 1]")
-    x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
-    m = max(2.0, float(np.linalg.norm(x - y)), float(np.linalg.norm(y - z)))
-    return _truncated_shapes(spec, t, [m], c_mult, c_exp)[0]
-
-
-def _truncated_shapes(spec, t, m_values, c_mult, c_exp) -> list[float]:
-    """truncated_ratio_bound at each m, in scalar float arithmetic (pow, not np.power)."""
-    return [c_mult * t ** (-spec.d / spec.alpha) * (m / t) ** (c_exp * m) for m in m_values]
+    return c_mult * t ** (-spec.d / spec.alpha) * (m / t) ** (c_exp * m)
 
 
 # truncated_ratio fits its tail envelopes on FIT_POINTS radii per time in
@@ -1054,7 +1008,7 @@ def verify_truncated_ratio(
 
     def run(z_values):
         # one time slice at a time: exclusions, m = max(2, |x-y|, |y-z|) and
-        # ratios as arrays, the shapes in truncated_ratio_bound's arithmetic
+        # ratios as arrays, then truncated_ratio_bound at each kept node
         results, excluded = [], 0
         y = np.zeros(1)
         z_nodes = [np.array([zr]) for zr in z_values.tolist()]
@@ -1068,7 +1022,7 @@ def verify_truncated_ratio(
                 kept = np.flatnonzero(~((px <= 0.0) | (py <= 0.0)))
                 excluded += len(z_values) - len(kept)
                 m = np.maximum(max(2.0, float(np.linalg.norm(x - y))), yz[kept])
-                shapes = _truncated_shapes(spec, t, m.tolist(), 1.0, c_exp)
+                shapes = [truncated_ratio_bound(spec, t, mk, 1.0, c_exp) for mk in m.tolist()]
                 ratios = (px[kept] / py[kept]).tolist()
                 results.extend(
                     NodeResult(node=Node(t=t, x=x, y=y, z=z_nodes[j]), lhs=lhs, rhs_shape=shape, slack=0.0)
@@ -1127,44 +1081,6 @@ def verify_truncated_ratio(
 _MARGIN_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of a single finite-measure inequality evaluation."""
-
-    holds: bool
-    margin: float
-
-
-def young_inequality_check(mu, g, h) -> CheckResult:
-    """Entropy Young inequality mu(g h) <= mu(g log g) + log mu(e^h).
-
-    mu must be a probability vector and g a nonnegative density with
-    mu(g) = 1; both are renormalized, and renormalization failure (zero or
-    non-finite total) is an error.  The convention 0 log 0 = 0 applies.
-    margin = rhs - lhs, holds iff margin >= -_MARGIN_TOL.
-    """
-    mu, g, h = _one_row("mu, g, h", mu, g, h)
-    margin = float(_young_margins(mu, g, h)[0])
-    return CheckResult(holds=bool(margin >= -_MARGIN_TOL), margin=margin)
-
-
-def jensen_check(mu, f) -> CheckResult:
-    """Jensen inequality mu(log f) <= log mu(f) for strictly positive f."""
-    mu, f = _one_row("mu and f", mu, f)
-    margin = float(_jensen_margins(mu, f)[0])
-    return CheckResult(holds=bool(margin >= -_MARGIN_TOL), margin=margin)
-
-
-def _one_row(names: str, *vectors) -> list[np.ndarray]:
-    """Vectors of one shape as the single rows of (1, m) stacks."""
-    arrays = [np.asarray(v, dtype=float) for v in vectors]
-    if any(a.shape != arrays[0].shape for a in arrays):
-        raise ValueError(f"{names} must share one shape")
-    if arrays[0].ndim != 1:
-        raise ValueError(f"{names} must be one-dimensional")
-    return [a[None, :] for a in arrays]
-
-
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The dot product of each row pair of two (k, m) stacks.
 
@@ -1175,7 +1091,7 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _row_logs(values: np.ndarray) -> np.ndarray:
-    """math.log of each value, so the batch rounds as the scalar checks did."""
+    """math.log of each value, rounded as the scalar log rounds it."""
     return np.array([math.log(v) for v in values.tolist()])
 
 
@@ -1190,9 +1106,14 @@ def _probability_rows(mu: np.ndarray) -> np.ndarray:
 
 
 def _young_margins(mu: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """young_inequality_check's margin for each row of the (k, m) stacks mu, g, h.
+    """Entropy Young inequality mu(g h) <= mu(g log g) + log mu(e^h), row by row.
 
-    Any bad row raises the ValueError the one-row check raises for it.
+    Returns rhs - lhs for each row of the (k, m) stacks mu, g, h; a margin
+    below -_MARGIN_TOL is a violation.  Each row of mu is renormalized to a
+    probability vector and each row of g to a density with mu(g) = 1, and a
+    zero or non-finite total is an error.  The convention 0 log 0 = 0
+    applies.  Each margin has the bits of its row stacked alone, and a stack
+    with one bad row raises the ValueError that row raises alone.
     """
     mu = _probability_rows(mu)
     if np.any(g < 0.0) or not np.all(np.isfinite(g)):
@@ -1213,9 +1134,10 @@ def _young_margins(mu: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def _jensen_margins(mu: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """jensen_check's margin for each row of the (k, m) stacks mu, f.
+    """Jensen inequality mu(log f) <= log mu(f) for strictly positive f, row by row.
 
-    Any bad row raises the ValueError the one-row check raises for it.
+    Returns log mu(f) - mu(log f) for each row of the (k, m) stacks mu, f,
+    with mu renormalized, rows and errors as in :func:`_young_margins`.
     """
     mu = _probability_rows(mu)
     if np.any(f <= 0.0) or not np.all(np.isfinite(f)):

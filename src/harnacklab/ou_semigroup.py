@@ -8,8 +8,8 @@ under a drift A + A^T = 2aI is one stable draw at an effective time, and
 every other part is compound-Poisson jumps at uniform times with matrix
 weights plus a small-jump Gaussian with the exact OU covariance.
 
-The estimator class keeps one noise array per time and reuses it for every
-starting point (common random numbers).  That makes the Harnack-type
+The estimator class holds the current time's noise array and reuses it for
+every starting point (common random numbers).  That makes the Harnack-type
 comparisons below exact at x = y and strongly variance-reduced elsewhere,
 which is what lets fitted constants behave like constants instead of noise.
 """
@@ -287,14 +287,6 @@ class TestFunction:
             base += f"+{self.offset:g}"
         return base
 
-    def shifted(self, delta) -> "TestFunction":
-        """x -> f(x + delta): the center moves by -delta."""
-        if self.kind == "constant":
-            return self
-        delta = np.asarray(delta, dtype=float).reshape(len(self.center))
-        new_center = tuple(np.asarray(self.center) - delta)
-        return TestFunction(self.kind, new_center, self.scale, self.value, self.offset)
-
 
 def _center_tuple(center, d: int | None) -> tuple[float, ...]:
     arr = np.atleast_1d(np.asarray(center, dtype=float))
@@ -346,7 +338,7 @@ class SemigroupEstimate:
 
 
 class SemigroupSampler:
-    """P_t f(x) estimator sharing one noise array per time across all x.
+    """P_t f(x) estimator sharing the current time's noise array across all x.
 
     P_t f(x) = E f(e^{tA} x + W_t) with W_t the stochastic convolution from
     zero, so W_t is independent of x and can be drawn once.  Every estimate
@@ -354,12 +346,15 @@ class SemigroupSampler:
     comparisons between starting points are exact at x = y and tightly
     correlated elsewhere.  The per-t noise stream is derived from the bit
     pattern of t, so results do not depend on evaluation order.  e^{tA} is
-    likewise computed once per t.
+    computed once per t.
 
-    The cached noise is a read-only copy of :func:`ou_noise`'s array in
-    Fortran order, so each coordinate is one contiguous column of n values;
-    :class:`TestFunction` reads it a column at a time, and its values do not
-    depend on the layout.
+    The sampler holds the current time's noise only: a call at another time
+    drops it before drawing that time's, so memory does not grow with the
+    number of times, and a time asked for again is drawn again, with the
+    same values.  The held noise is a read-only copy of :func:`ou_noise`'s
+    array in Fortran order, so each coordinate is one contiguous column of
+    n values; :class:`TestFunction` reads it a column at a time, and its
+    values do not depend on the layout.
     """
 
     def __init__(self, spec: OUSpec, n: int, seed: SeedSpec) -> None:
@@ -368,19 +363,20 @@ class SemigroupSampler:
         self.spec = spec
         self.n = n
         self.seed = seed
-        self._noise: dict[float, np.ndarray] = {}
+        self._noise: tuple[float, np.ndarray] | None = None
         self._flow: dict[float, np.ndarray] = {}
 
     def noise(self, t: float) -> np.ndarray:
         key = float(t)
-        cached = self._noise.get(key)
-        if cached is None:
-            bits = int(np.float64(key).view(np.uint64))
-            stream = self.seed.substream(bits >> 32, bits & 0xFFFFFFFF)
-            cached = np.asfortranarray(ou_noise(self.spec, key, self.n, stream))
-            cached.setflags(write=False)
-            self._noise[key] = cached
-        return cached
+        if self._noise is not None and self._noise[0] == key:
+            return self._noise[1]
+        self._noise = None
+        bits = int(np.float64(key).view(np.uint64))
+        stream = self.seed.substream(bits >> 32, bits & 0xFFFFFFFF)
+        held = np.asfortranarray(ou_noise(self.spec, key, self.n, stream))
+        held.setflags(write=False)
+        self._noise = (key, held)
+        return held
 
     def endpoints(self, x, t: float) -> np.ndarray:
         x = np.asarray(x, dtype=float).reshape(self.spec.d)

@@ -305,9 +305,8 @@ def _compound_poisson_gaussian(
     rate: float,
     icdf: Callable[[np.ndarray], np.ndarray],
     gaussian: float | np.ndarray,
-    return_counts: bool = False,
     weigh: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-):
+) -> np.ndarray:
     """n compound-Poisson sums (Poisson ``rate`` per sample) plus a Gaussian.
 
     ``gaussian`` is the Gaussian's standard deviation per coordinate, or a
@@ -323,23 +322,18 @@ def _compound_poisson_gaussian(
         )
     size = CHUNK if rate * CHUNK <= MAX_CHUNK_JUMPS else int(MAX_CHUNK_JUMPS // rate)
     out = np.empty((n, d))
-    counts = np.empty(n, dtype=np.int64) if return_counts else None
     for start in range(0, n, size):
         stop = min(n, start + size)
         m = stop - start
         if rate > 0.0:
-            sums, cnt = _compound_poisson_chunk(rng, m, rate, icdf, d, weigh)
+            sums = _compound_poisson_chunk(rng, m, rate, icdf, d, weigh)[0]
         else:
-            sums, cnt = np.zeros((m, d)), np.zeros(m, dtype=np.int64)
+            sums = np.zeros((m, d))
         if np.ndim(gaussian) == 2:
             sums += rng.standard_normal((m, d)) @ gaussian.T
         elif gaussian > 0.0:
             sums += gaussian * rng.standard_normal((m, d))
         out[start:stop] = sums
-        if return_counts:
-            counts[start:stop] = cnt
-    if return_counts:
-        return out, counts
     return out
 
 
@@ -364,14 +358,12 @@ def sample_truncated_stable(
     epsilon: float | None,
     n: int,
     seed: Union[SeedSpec, np.random.Generator],
-    return_counts: bool = False,
 ) -> np.ndarray:
     """(n, d) increments of the truncated stable process at time t.
 
     Compound Poisson over jumps with radius in (epsilon, r] plus a Gaussian
     with the small-jump variance.  ``epsilon=None`` selects the default
-    cutoff.  With ``return_counts`` the per-sample Poisson jump counts come
-    back too (useful for diagnostics).
+    cutoff.
     """
     if t <= 0.0:
         raise ValueError("time must be positive")
@@ -381,7 +373,7 @@ def sample_truncated_stable(
         epsilon = default_small_jump_cutoff(spec, t)
     intensity, icdf, sd = _truncated_part(spec, epsilon)
     return _compound_poisson_gaussian(
-        _as_rng(seed), n, spec.d, t * intensity, icdf, sd * math.sqrt(t), return_counts
+        _as_rng(seed), n, spec.d, t * intensity, icdf, sd * math.sqrt(t)
     )
 
 

@@ -188,6 +188,19 @@ class TestSampleCommand:
         assert rc == 1
         assert "--out" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cfg_name", ["stable_cfg", "trunc_cfg"])
+    def test_missing_out_refused_before_drawing(self, cfg_name, request, monkeypatch, capsys):
+        drawn = []
+        monkeypatch.setattr(cli, "sample_rot_stable", lambda *a: drawn.append(a))
+        monkeypatch.setattr(cli, "sample_truncated_stable", lambda *a: drawn.append(a))
+        cfg = request.getfixturevalue(cfg_name)
+        rc = main(["sample", "--spec", cfg, "--t", "1.0", "--n", "20000000"])
+        assert rc == 1
+        assert drawn == []
+        assert capsys.readouterr().err.strip() == (
+            "harnacklab: error: sample requires --out (binary dump path)"
+        )
+
     def test_stable_dump_round_trip(self, stable_cfg, tmp_path):
         out = tmp_path / "dump.bin"
         rc = main([

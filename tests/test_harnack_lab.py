@@ -30,7 +30,6 @@ from harnacklab.harnack_lab import (
     default_test_functions,
     fit_constant,
     harnack_shape,
-    jensen_check,
     jensen_suite,
     lemma_ratio_bound,
     log_harnack_cost,
@@ -43,7 +42,6 @@ from harnacklab.harnack_lab import (
     verify_p_harnack,
     verify_ratio_lemma,
     verify_truncated_ratio,
-    young_inequality_check,
     young_suite,
 )
 from harnacklab.levy_core import OUSpec, StableSpec, TruncatedStableSpec
@@ -151,86 +149,66 @@ class TestLogHarnackCost:
 
 
 class TestClassifyCase:
-    """Regime assignment for the three-case density ratio analysis."""
+    """Regime assignment for the three-case density ratio analysis, from the
+    distances |y - z| and |x - y|."""
+
+    CONSTS = BoundConstants(c1_hat=1.0, c2_hat=1.0, grid_meta={})
 
     def test_overlap(self):
-        case = classify_case(1.0, np.array([0.0]), np.array([0.0]), np.array([0.5]), 1.0)
+        case = classify_case(1.0, 0.5, 0.0, 1.0, 1, self.CONSTS)
         assert case.tag == "overlap"
-        assert case.bound is None
 
     def test_overlap_boundary_inclusive(self):
-        case = classify_case(1.0, np.array([3.0]), np.array([0.0]), np.array([1.0]), 1.0)
+        case = classify_case(1.0, 1.0, 3.0, 1.0, 1, self.CONSTS)
         assert case.tag == "overlap"
 
     def test_far_field_and_boundary(self):
-        case = classify_case(1.0, np.array([0.0]), np.array([0.0]), np.array([2.0]), 1.0)
+        case = classify_case(1.0, 2.0, 0.0, 1.0, 1, self.CONSTS)
         assert case.tag == "far_field"
         # boundary |y-z| = 2 max(t_scale, |x-y|) still counts as far field
-        case = classify_case(1.0, np.array([1.5]), np.array([0.0]), np.array([3.0]), 1.0)
+        case = classify_case(1.0, 3.0, 1.5, 1.0, 1, self.CONSTS)
         assert case.tag == "far_field"
 
     def test_transition(self):
-        case = classify_case(1.0, np.array([3.0]), np.array([0.0]), np.array([2.0]), 1.0)
+        case = classify_case(1.0, 2.0, 3.0, 1.0, 1, self.CONSTS)
         assert case.tag == "transition"
 
     def test_factors_via_constants(self):
         consts = BoundConstants(c1_hat=0.5, c2_hat=2.0, grid_meta={})
-        args = (np.array([0.0]), np.array([0.0]))
-        overlap = classify_case(1.0, *args, np.array([0.5]), 1.0, consts)
-        far = classify_case(1.0, *args, np.array([4.0]), 1.0, consts)
+        overlap = classify_case(1.0, 0.5, 0.0, 1.0, 1, consts)
+        far = classify_case(1.0, 4.0, 0.0, 1.0, 1, consts)
         assert overlap.bound == pytest.approx(4.0)  # factor 1 * c2/c1
         assert far.bound == pytest.approx(2.0 ** 2 * 4.0)
-        trans = classify_case(
-            1.0, np.array([3.0]), np.array([0.0]), np.array([2.0]), 1.0, consts
-        )
+        trans = classify_case(1.0, 2.0, 3.0, 1.0, 1, consts)
         assert trans.bound == pytest.approx(2.0 ** 2 * 4.0)  # (dyz/t_scale)^(d+alpha)
 
     def test_two_dimensional_points(self):
-        case = classify_case(
-            1.0, np.zeros(2), np.zeros(2), np.array([0.0, 3.0]), 1.0
-        )
+        case = classify_case(1.0, 3.0, 0.0, 1.0, 2, self.CONSTS)
         assert case.tag == "far_field"
+        assert case.bound == pytest.approx(2.0 ** 3)
 
 
 class TestLemmaRatioBound:
     def test_coincident_points(self):
-        assert lemma_ratio_bound(1.0, [0.0], [0.0], 1.0, 1, 1.0, 1.0) == 4.0
+        assert lemma_ratio_bound(1.0, 0.0, 1.0, 1, 1.0, 1.0) == 4.0
 
     def test_formula(self):
-        got = lemma_ratio_bound(1.0, [1.0], [0.0], 1.0, 1, 0.5, 2.0)
+        got = lemma_ratio_bound(1.0, 1.0, 1.0, 1, 0.5, 2.0)
         assert got == pytest.approx(4.0 * 4.0 * 4.0)
 
     def test_grows_with_separation(self):
-        near = lemma_ratio_bound(0.5, [0.5], [0.0], 1.5, 1, 1.0, 2.0)
-        far = lemma_ratio_bound(0.5, [3.0], [0.0], 1.5, 1, 1.0, 2.0)
+        near = lemma_ratio_bound(0.5, 0.5, 1.5, 1, 1.0, 2.0)
+        far = lemma_ratio_bound(0.5, 3.0, 1.5, 1, 1.0, 2.0)
         assert far > near
 
 
 class TestTruncatedRatioBoundShape:
     def test_minimum_scale_value(self):
-        got = truncated_ratio_bound(
-            TSPEC, 1.0, np.zeros(1), np.zeros(1), np.zeros(1), 1.5, 0.5
-        )
-        assert got == pytest.approx(1.5 * 2.0)  # m clamps at 2
-
-    def test_m_clamp_makes_small_separations_equal(self):
-        a = truncated_ratio_bound(TSPEC, 0.5, np.zeros(1), np.zeros(1), np.array([1.0]), 1.0, 0.4)
-        b = truncated_ratio_bound(TSPEC, 0.5, np.zeros(1), np.zeros(1), np.array([0.5]), 1.0, 0.4)
-        assert a == b
+        assert truncated_ratio_bound(TSPEC, 1.0, 2.0, 1.5, 0.5) == pytest.approx(1.5 * 2.0)
 
     def test_superpolynomial_growth_in_separation(self):
-        vals = [
-            truncated_ratio_bound(TSPEC, 0.5, np.zeros(1), np.zeros(1), np.array([zr]), 1.0, 0.4)
-            for zr in (2.0, 3.0, 5.0)
-        ]
+        vals = [truncated_ratio_bound(TSPEC, 0.5, m, 1.0, 0.4) for m in (2.0, 3.0, 5.0)]
         assert vals[0] < vals[1] < vals[2]
-
-    def test_time_window(self):
-        for bad_t in (0.0, 1.0001, -1.0):
-            with pytest.raises(ValueError, match="\\(0, 1\\]"):
-                truncated_ratio_bound(
-                    TSPEC, bad_t, np.zeros(1), np.zeros(1), np.zeros(1), 1.0, 0.4
-                )
 
 
 class TestGrids:
@@ -539,6 +517,31 @@ class TestVerifyPHarnack:
         noise_bytes = n * 1 * 8  # one (n, d) float64 noise array, d = 1
         assert five - one <= 1.5 * 4 * noise_bytes
 
+    def test_noise_held_for_one_time(self):
+        # the sampler drops a time's noise before drawing the next, so forty
+        # times peak within one noise array of five
+        n = 10**5
+        f_set = [ball_indicator([0.0], 1.0)]
+
+        def peak(count):
+            grid = default_comparison_grid(
+                1, t_values=np.linspace(0.1, 2.0, count).tolist(), offsets=(0.0, 1.0)
+            )
+            tracemalloc.start()
+            try:
+                verify_p_harnack(
+                    OU_FREE, f_set=f_set, grid=grid, n=n, seed=SeedSpec(39), validation=False
+                )
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(5)  # warm-up: first-use allocations outside the verifier
+        five = peak(5)
+        forty = peak(40)
+        noise_bytes = n * 1 * 8  # one (n, d) float64 noise array, d = 1
+        assert forty - five < noise_bytes
+
 
 POWERS = (1.5, 2.0, 4.0, 1.0 + 1e-6)
 
@@ -717,73 +720,82 @@ class TestVerifyTruncatedRatio:
         assert (c.fitted_C, c.validation_C) == (a.fitted_C, a.validation_C)
 
     def test_shapes_are_the_scalar_bound(self):
+        # m = max(2, |x-y|, |y-z|): nodes closer than 2 share the clamped scale
         report = verify_truncated_ratio(TSPEC, T_GRID, offsets=(0.0, 1.0, 3.0), z_count=9, validation=False)
         c2 = report.mc_meta["C2"]
+        clamped = set()
         for r in report.per_node:
             nd = r.node
-            assert r.rhs_shape == truncated_ratio_bound(TSPEC, nd.t, nd.x, nd.y, nd.z, 1.0, c2)
+            m = max(2.0, abs(nd.x[0] - nd.y[0]), abs(nd.y[0] - nd.z[0]))
+            assert r.rhs_shape == truncated_ratio_bound(TSPEC, nd.t, m, 1.0, c2)
             assert r.lhs > 0.0
+            if m == 2.0:
+                clamped.add((nd.t, r.rhs_shape))
+        assert len(clamped) == len(T_GRID)
+
+    @pytest.mark.parametrize(
+        "t, message",
+        [(1.5, "fitted on t in \\(0, 1\\]"), (0.0, "time must be positive")],
+    )
+    def test_time_window(self, t, message):
+        with pytest.raises(ValueError, match=message):
+            verify_truncated_ratio(TSPEC, (t,), offsets=(0.0, 1.0), z_count=5, validation=False)
+
+
+def young_margin(mu, g, h) -> float:
+    """The Young margin of one case, checked as the one row of (1, m) stacks."""
+    return float(_young_margins(*(np.array([v], dtype=float) for v in (mu, g, h)))[0])
+
+
+def jensen_margin(mu, f) -> float:
+    """The Jensen margin of one case, checked as the one row of (1, m) stacks."""
+    return float(_jensen_margins(*(np.array([v], dtype=float) for v in (mu, f)))[0])
 
 
 class TestYoungCheck:
     def test_trivial_equality(self):
-        res = young_inequality_check([0.5, 0.5], [1.0, 1.0], [0.0, 0.0])
-        assert res.holds
-        assert res.margin == pytest.approx(0.0, abs=1e-15)
+        assert young_margin([0.5, 0.5], [1.0, 1.0], [0.0, 0.0]) == pytest.approx(0.0, abs=1e-15)
 
     def test_optimizer_saturates(self):
         # g proportional to e^h is the equality case
         mu = np.array([0.5, 0.5])
         h = np.array([math.log(2.0), 0.0])
         g = np.exp(h) / 1.5
-        res = young_inequality_check(mu, g, h)
-        assert res.holds
-        assert abs(res.margin) < 1e-14
+        assert abs(young_margin(mu, g, h)) < 1e-14
 
     def test_zero_log_zero_convention(self):
-        res = young_inequality_check([0.5, 0.5], [2.0, 0.0], [0.0, 0.0])
-        assert res.holds
-        assert res.margin == pytest.approx(math.log(2.0))
+        assert young_margin([0.5, 0.5], [2.0, 0.0], [0.0, 0.0]) == pytest.approx(math.log(2.0))
 
     def test_renormalization(self):
-        raw = young_inequality_check([2.0, 2.0], [4.0, 0.0], [0.1, 0.3])
-        normed = young_inequality_check([0.5, 0.5], [2.0, 0.0], [0.1, 0.3])
-        assert raw.margin == pytest.approx(normed.margin, rel=1e-12)
+        raw = young_margin([2.0, 2.0], [4.0, 0.0], [0.1, 0.3])
+        normed = young_margin([0.5, 0.5], [2.0, 0.0], [0.1, 0.3])
+        assert raw == pytest.approx(normed, rel=1e-12)
 
     def test_input_validation(self):
-        with pytest.raises(ValueError, match="shape"):
-            young_inequality_check([1.0], [1.0, 1.0], [0.0, 0.0])
         with pytest.raises(ValueError, match="nonnegative"):
-            young_inequality_check([-0.5, 1.5], [1.0, 1.0], [0.0, 0.0])
+            young_margin([-0.5, 1.5], [1.0, 1.0], [0.0, 0.0])
         with pytest.raises(ValueError, match="mass"):
-            young_inequality_check([0.0, 0.0], [1.0, 1.0], [0.0, 0.0])
+            young_margin([0.0, 0.0], [1.0, 1.0], [0.0, 0.0])
         with pytest.raises(ValueError, match="nonnegative"):
-            young_inequality_check([0.5, 0.5], [-1.0, 3.0], [0.0, 0.0])
+            young_margin([0.5, 0.5], [-1.0, 3.0], [0.0, 0.0])
         with pytest.raises(ValueError, match="positive mean"):
-            young_inequality_check([0.5, 0.5], [0.0, 0.0], [0.0, 0.0])
+            young_margin([0.5, 0.5], [0.0, 0.0], [0.0, 0.0])
         with pytest.raises(ValueError, match="finite"):
-            young_inequality_check([0.5, 0.5], [1.0, 1.0], [math.inf, 0.0])
+            young_margin([0.5, 0.5], [1.0, 1.0], [math.inf, 0.0])
 
 
 class TestJensenCheck:
     def test_equality_for_constants(self):
-        res = jensen_check([0.3, 0.7], [2.5, 2.5])
-        assert res.holds
-        assert res.margin == 0.0
+        assert jensen_margin([0.3, 0.7], [2.5, 2.5]) == 0.0
 
     def test_strict_gap(self):
-        res = jensen_check([0.5, 0.5], [1.0, 4.0])
-        assert res.holds
-        assert res.margin == pytest.approx(math.log(1.25))
+        assert jensen_margin([0.5, 0.5], [1.0, 4.0]) == pytest.approx(math.log(1.25))
 
     def test_input_validation(self):
-        with pytest.raises(ValueError, match="shape"):
-            jensen_check([1.0], [1.0, 1.0])
         with pytest.raises(ValueError, match="positive"):
-            jensen_check([0.5, 0.5], [0.0, 1.0])
+            jensen_margin([0.5, 0.5], [0.0, 1.0])
         with pytest.raises(ValueError, match="mass"):
-            jensen_check([0.0, 0.0], [1.0, 1.0])
-
+            jensen_margin([0.0, 0.0], [1.0, 1.0])
 
 
 def _good_rows(rng, k, m):
@@ -799,16 +811,16 @@ def _good_rows(rng, k, m):
 
 
 class TestBatchedMargins:
-    """The stacked margins the suites use equal the one-row checks bit for
-    bit, and a bad row raises the one-row check's own message."""
+    """Each row of a stack has the margin of that row stacked alone, bit for
+    bit, and a bad row raises its own message."""
 
     K = 25
 
     @pytest.mark.parametrize("m", range(1, 21))
-    def test_rows_match_one_row_checks(self, m):
+    def test_rows_match_rows_stacked_alone(self, m):
         mu, g, h, f = _good_rows(np.random.default_rng(1000 + m), self.K, m)
-        young = [young_inequality_check(*row).margin for row in zip(mu, g, h)]
-        jensen = [jensen_check(*row).margin for row in zip(mu, f)]
+        young = [young_margin(*row) for row in zip(mu, g, h)]
+        jensen = [jensen_margin(*row) for row in zip(mu, f)]
         assert _young_margins(mu, g, h).tobytes() == np.array(young).tobytes()
         assert _jensen_margins(mu, f).tobytes() == np.array(jensen).tobytes()
 
@@ -828,7 +840,7 @@ class TestBatchedMargins:
             ("f", 2, math.inf),
         ],
     )
-    def test_bad_row_raises_the_one_row_message(self, which, column, value):
+    def test_bad_row_raises_its_own_message(self, which, column, value):
         rows = dict(zip("mu g h f".split(), _good_rows(np.random.default_rng(7), self.K, 3)))
         bad = rows[which][11]
         if column is None:
@@ -837,22 +849,16 @@ class TestBatchedMargins:
             bad[column] = value
         if which in ("mu", "g", "h"):
             with pytest.raises(ValueError) as one_row:
-                young_inequality_check(rows["mu"][11], rows["g"][11], rows["h"][11])
+                young_margin(rows["mu"][11], rows["g"][11], rows["h"][11])
             with pytest.raises(ValueError) as batched:
                 _young_margins(rows["mu"], rows["g"], rows["h"])
             assert str(batched.value) == str(one_row.value)
         if which in ("mu", "f"):
             with pytest.raises(ValueError) as one_row:
-                jensen_check(rows["mu"][11], rows["f"][11])
+                jensen_margin(rows["mu"][11], rows["f"][11])
             with pytest.raises(ValueError) as batched:
                 _jensen_margins(rows["mu"], rows["f"])
             assert str(batched.value) == str(one_row.value)
-
-    def test_one_row_checks_take_vectors_only(self):
-        with pytest.raises(ValueError, match="one-dimensional"):
-            young_inequality_check(0.5, 1.0, 0.0)
-        with pytest.raises(ValueError, match="one-dimensional"):
-            jensen_check([[0.5, 0.5]], [[1.0, 2.0]])
 
 
 class TestFiniteMeasureSuites:

@@ -307,7 +307,6 @@ class TestTestFunctions:
         pts = np.random.default_rng(0).normal(size=(7, 3))
         assert np.all(f(pts) == 2.5)
         assert f.bound == 2.5 and f.min_value == 2.5 and f.geq_one
-        assert f.shifted([1.0]) is f
 
     def test_exp_cap_range_and_endpoints(self):
         level = 100.0
@@ -321,10 +320,11 @@ class TestTestFunctions:
         assert f.geq_one and f.min_value == 1.0 and f.bound == level
 
     def test_shifted(self):
+        # x -> f(x + v) is the same family with its center moved by -v
         f = ball_indicator([0.0], 1.0)
-        g = f.shifted([2.0])
-        x = np.array([[0.5]])
-        assert g(x)[0] == f(x + 2.0)[0]
+        g = ball_indicator(np.array([0.0]) - 2.0, 1.0)
+        x = np.array([[0.5], [-1.5], [-3.5]])
+        assert np.array_equal(g(x), f(x + 2.0))
         assert g.center == (-2.0,)
 
     def test_center_broadcast(self):
@@ -457,7 +457,11 @@ class TestSemigroupSampler:
         spec = stable_ou([[0.5, 0.2], [0.0, -0.3]], d=2)
         s = SemigroupSampler(spec, 100, SeedSpec(98))
         noise = {t: s.noise(t) for t in (0.5, 1.0)}
-        calls.clear()  # drawing the noise weighs jumps with exponentials of its own
+        # the sampler holds one time's noise, so 0.5 after 1.0 is drawn again;
+        # that draw weighs jumps with exponentials of its own, so serve it
+        # the array already drawn and count only the flow's exponentials
+        monkeypatch.setattr("harnacklab.ou_semigroup.ou_noise", lambda spec, t, n, seed: noise[t])
+        calls.clear()
         for t in (0.5, 1.0, 0.5):
             for x in ([0.0, 0.0], [1.0, -2.0]):
                 expected = (matrix_exp(spec.A, t) @ np.asarray(x))[None, :] + noise[t]
@@ -477,11 +481,12 @@ class TestSemigroupSampler:
         s = SemigroupSampler(spec, 3000, SeedSpec(94))
         f = gaussian_bump(0.0, 1.0)
         v = np.array([1.7])
-        a = s.estimate(f.shifted(v), [0.0], 1.0)
+        shifted = gaussian_bump(np.array([0.0]) - v, 1.0)
+        a = s.estimate(shifted, [0.0], 1.0)
         b = s.estimate(f, v, 1.0)
         assert a.mean == b.mean
         assert a.std_err == b.std_err
-        c = s.estimate(f.shifted(v), [0.3], 1.0)
+        c = s.estimate(shifted, [0.3], 1.0)
         d = s.estimate(f, np.array([0.3]) + v, 1.0)
         assert c.mean == pytest.approx(d.mean, rel=1e-12)
 

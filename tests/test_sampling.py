@@ -273,15 +273,6 @@ class TestTruncatedSampler:
             ) + small_jump_cf_error_bound(self.SPEC, t, 0.04, xi)
             assert abs(ma[i] - mb[i]) < slack
 
-    def test_return_counts(self):
-        t = 1.0
-        x, counts = sample_truncated_stable(self.SPEC, t, 0.5, 300, SeedSpec(47), True)
-        assert x.shape == (300, 1)
-        assert counts.shape == (300,)
-        assert counts.dtype == np.int64
-        # Poisson(2): mean within 3 sd of estimator
-        assert abs(counts.mean() - 2.0) < 3.0 * math.sqrt(2.0 / 300.0)
-
     def test_jump_budget_refuses_before_allocating(self):
         # r = 1e-3 at t = 1 cuts at 1e-4: about 4.1e7 jumps per sample, so ten
         # samples would need about 4e8 jumps in one chunk
@@ -298,8 +289,20 @@ class TestTruncatedSampler:
         rate = make_jump_decomposition(spec, 0.9).poisson_intensity
         size = int(1000 // rate)
         assert size < CHUNK
-        x, counts = sample_truncated_stable(spec, 1.0, 0.9, 3 * size + 7, SeedSpec(50), True)
+        chunks = []
+        draw_chunk = sampling._compound_poisson_chunk
+
+        def recorded(rng, m, *args):
+            sums, counts = draw_chunk(rng, m, *args)
+            chunks.append(counts)
+            return sums, counts
+
+        monkeypatch.setattr(sampling, "_compound_poisson_chunk", recorded)
+        x = sample_truncated_stable(spec, 1.0, 0.9, 3 * size + 7, SeedSpec(50))
+        monkeypatch.setattr(sampling, "_compound_poisson_chunk", draw_chunk)
         assert x.shape == (3 * size + 7, 1)
+        assert [len(c) for c in chunks] == [size, size, size, 7]
+        counts = np.concatenate(chunks)
         assert abs(counts.mean() - rate) < 4.0 * math.sqrt(rate / len(counts))
         first = sample_truncated_stable(spec, 1.0, 0.9, size, SeedSpec(50))
         assert np.array_equal(x[:size], first)
