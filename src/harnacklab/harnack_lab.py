@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import groupby
 from typing import Callable, Sequence
 
@@ -537,22 +537,38 @@ def verify_ratio_lemma(
 # semigroup Harnack verifiers
 
 
-class _Moments:
-    """One sample array and its moments, each computed on first use.
+@lru_cache(maxsize=1024)
+def _level_sum(bits: bytes, n: int) -> float:
+    """``np.add.reduce`` of n copies of one value, keyed by its bits, not by
+    equality, which would merge 0.0 and -0.0."""
+    return float(np.add.reduce(np.full(n, np.frombuffer(bits)[0])))
 
-    Sums of products are numpy's pairwise sums, not BLAS dot products, which
-    OpenBLAS splits across threads on long arrays: the moments, and the
-    reports built on them, do not depend on the BLAS thread count.  The mean
-    is ``np.add.reduce(v) / n``, the bits of ``ndarray.mean`` without its
-    Python wrapper.
+
+def _sum(v: np.ndarray, n: int) -> float:
+    """Pairwise sum of n values: those of v, or n copies of v's one value."""
+    return float(np.add.reduce(v)) if v.size == n else _level_sum(v.tobytes(), n)
+
+
+class _Moments:
+    """A sample of n values and its moments, each computed on first use.
+
+    ``v`` holds the n values, or, for a sample whose n values are one value
+    bit for bit, that value alone: its moments then come from scalars, and
+    numpy broadcasting pairs it with an n-value sample.  Either way the bits
+    are those of the full array.  Sums of products are numpy's pairwise
+    sums, not BLAS dot products, which OpenBLAS splits across threads on
+    long arrays: the moments, and the reports built on them, do not depend
+    on the BLAS thread count.  The mean is ``np.add.reduce(v) / n``, the bits
+    of ``ndarray.mean`` without its Python wrapper.
     """
 
-    def __init__(self, v: np.ndarray) -> None:
+    def __init__(self, v: np.ndarray, n: int | None = None) -> None:
         self.v = v
+        self.n = v.size if n is None else n
 
     @cached_property
     def mean(self) -> float:
-        return float(np.add.reduce(self.v)) / self.v.size
+        return _sum(self.v, self.n) / self.n
 
     @cached_property
     def centered(self) -> np.ndarray:
@@ -560,7 +576,7 @@ class _Moments:
 
     @cached_property
     def var(self) -> float:
-        return float(np.add.reduce(self.centered * self.centered)) / (self.v.size - 1)
+        return _sum(self.centered * self.centered, self.n) / (self.n - 1)
 
     @cached_property
     def exact_mean(self) -> float:
@@ -575,7 +591,7 @@ class _Moments:
 
     @cached_property
     def std_err(self) -> float:
-        return math.sqrt(self.var) / math.sqrt(self.v.size)
+        return math.sqrt(self.var) / math.sqrt(self.n)
 
 
 class _PointSample(_Moments):
@@ -584,17 +600,20 @@ class _PointSample(_Moments):
     Each transform is derived once per point, however many nodes and
     statistics use it.  A sample that holds one or two distinct values, bit
     for bit (a constant f, a ball indicator), is transformed on those levels
-    only and mapped back: ``np.full`` for one level, ``np.where`` on the mask
-    of the second level for two.  The levels go through the very expression
-    the whole array would (``levels**p``, ``np.log(levels)``), so the result
-    has the bits of ``v**p`` and ``np.log(v)``; any other sample is
+    only and mapped back: a one-level sample stays one value, and two levels
+    go through ``np.where`` on the mask of the second.  A flat sample is
+    held as its one value once its levels are found.  The levels go through
+    the very expression the whole array would (``levels**p``,
+    ``np.log(levels)``), so the result has the bits of ``v**p`` and
+    ``np.log(v)``; a transform that maps every level to itself (an
+    indicator's powers) returns the sample itself, and any other sample is
     transformed whole.  Values are compared bit for bit, so +0.0 and -0.0
     are two values; a third value among the first 64 rules levels out
     before any pass over the whole sample.
     """
 
-    def __init__(self, v: np.ndarray) -> None:
-        super().__init__(v)
+    def __init__(self, v: np.ndarray, n: int | None = None) -> None:
+        super().__init__(v, n)
         self._powers: dict[float, _Moments] = {}
 
     @cached_property
@@ -608,7 +627,8 @@ class _PointSample(_Moments):
         first = bits == bits[0]
         n_first = int(np.count_nonzero(first))
         if n_first == bits.size:
-            return self.v[:1], None
+            self.v = self.v[:1].copy()
+            return self.v, None
         i = int(np.argmin(first))  # the first value unlike v[0]
         second = bits == bits[i]
         if n_first + int(np.count_nonzero(second)) != bits.size:
@@ -621,14 +641,18 @@ class _PointSample(_Moments):
             return _Moments(op(self.v))
         levels, second = found
         out = op(levels)
+        if out.tobytes() == levels.tobytes():
+            return self
         if second is None:
-            return _Moments(np.full(self.v.shape, out[0]))
+            return _Moments(out, self.n)
         return _Moments(np.where(second, out[1], out[0]))
 
     def power(self, p: float) -> _Moments:
         m = self._powers.get(p)
         if m is None:
-            m = self._powers[p] = self._transform(lambda v: v**p)
+            m = self._transform(lambda v: v**p)
+            if m is not self:  # holding itself would keep the block alive until a GC pass
+                self._powers[p] = m
         return m
 
     @cached_property
@@ -637,11 +661,11 @@ class _PointSample(_Moments):
 
 
 def _paired_stats(a: _Moments, b: _Moments) -> tuple[float, float, float, float, float]:
-    """Means, variances and covariance of two paired sample arrays."""
-    n = a.v.size
+    """Means, variances and covariance of two paired samples."""
+    n = a.n
     if n < 2:
         return a.mean, b.mean, 0.0, 0.0, 0.0
-    return a.mean, b.mean, a.var, b.var, float(np.add.reduce(a.centered * b.centered)) / (n - 1)
+    return a.mean, b.mean, a.var, b.var, _sum(a.centered * b.centered, n) / (n - 1)
 
 
 def _difference_slack(
@@ -660,9 +684,9 @@ def _stability(fitted: float, validation: float | None) -> bool | None:
     return validation <= (1.0 + STABILITY_THRESHOLD) * fitted
 
 
-# (f, node, f at the n endpoints from x, f at the n endpoints from y) -> the
-# node's result, or None when the node is excluded
-Statistic = Callable[[TestFunction, Node, _PointSample, _PointSample], NodeResult | None]
+# (f, node, the node's shape, f at the n endpoints from x, f at the n
+# endpoints from y) -> the node's result, or None when the node is excluded
+Statistic = Callable[[TestFunction, Node, float, _PointSample, _PointSample], NodeResult | None]
 
 
 def _fits_by(results: Sequence[NodeResult], key: str) -> dict:
@@ -674,13 +698,21 @@ def _fits_by(results: Sequence[NodeResult], key: str) -> dict:
 
 
 def _block_sample(
-    block: dict, sampler: SemigroupSampler, f: TestFunction, point, t: float
+    block: dict, dist2: dict, sampler: SemigroupSampler, f: TestFunction, point, t: float
 ) -> _PointSample:
-    """f at the endpoints from point at time t, looked up in or added to the block."""
+    """f at the endpoints from point at time t, looked up in or added to the
+    block; a constant f is its one value, with no endpoints."""
     key = np.asarray(point, dtype=float).tobytes()
     got = block.get(key)
     if got is None:
-        got = block[key] = _PointSample(sampler.values(f, point, t))
+        if f.kind == "constant":
+            got = _PointSample(np.array([f.value], dtype=float), sampler.n)
+        else:
+            d2 = dist2.get((key, f.center))
+            if d2 is None:
+                d2 = dist2[key, f.center] = sampler.values(f.dist2, point, t)
+            got = _PointSample(f.radial(d2))
+        block[key] = got
     return got
 
 
@@ -690,6 +722,7 @@ def _verify_semigroup(
     spec: OUSpec,
     f_set: Sequence[TestFunction],
     grid: Sequence[Node] | None,
+    shape: Callable[[float, float], float],
     statistics: Sequence[Statistic],
     meta: Callable[[list[NodeResult]], dict],
     *,
@@ -703,13 +736,15 @@ def _verify_semigroup(
     P_t f is sampled on shared noise (seed substream 1, and substream 2 for
     the validation grid) once per distinct (f, t, point), and its powers,
     log and moments once per point, then handed to every statistic at every
-    node that has the point as x or y.  The grid is walked one run of
-    consecutive nodes with equal t at a time, every function within a run,
-    so the sampler holds one time's noise and the walk one (f, t) block of
-    points; a grid that revisits a t redraws its noise and recomputes its
-    points.  Results are kept per (statistic, function) in node order and
-    concatenated statistic-outer, function-inner.  ``meta(results)`` adds
-    the verifier's own entries to ``mc_meta`` after both grids have run.
+    node that has the point as x or y, with the node's ``shape(|x - y|, t)``,
+    computed once per node.  The grid is walked one run of consecutive nodes
+    with equal t at a time, every function within a run, so the sampler
+    holds one time's noise and the walk one (f, t) block of points plus the
+    time's squared distances |X - c|^2, one per (point, centre) and shared
+    by every f with that centre; a grid that revisits a t redraws its noise
+    and recomputes its points.  Results are kept per (statistic, function)
+    in node order and concatenated statistic-outer, function-inner.
+    ``meta(results)`` adds the verifier's own entries to ``mc_meta``.
     """
     seed = SeedSpec(0) if seed is None else seed
     grid = list(default_comparison_grid(spec.d) if grid is None else grid)
@@ -719,16 +754,17 @@ def _verify_semigroup(
         per_stat = [[[] for _ in f_set] for _ in statistics]
         excluded = 0
         for _, same_t in groupby(nodes, key=lambda nd: nd.t):
-            same_t = list(same_t)
+            same_t = [(nd, shape(float(np.linalg.norm(nd.x - nd.y)), nd.t)) for nd in same_t]
+            dist2 = {}
             for i, f in enumerate(f_set):
-                # no name holds a sample past its block, so the next
-                # time's noise draw, where the peak is, sees one block
+                # no name holds a sample past its block, or a distance past
+                # its time, so the next time's noise draw, where the peak
+                # is, sees one block
                 block = {}
-                for nd in same_t:
+                for nd, nd_shape in same_t:
+                    sx, sy = (_block_sample(block, dist2, sampler, f, p, nd.t) for p in (nd.x, nd.y))
                     for per_f, stat in zip(per_stat, statistics):
-                        res = stat(
-                            f, nd, *(_block_sample(block, sampler, f, p, nd.t) for p in (nd.x, nd.y))
-                        )
+                        res = stat(f, nd, nd_shape, sx, sy)
                         if res is None:
                             excluded += 1
                         else:
@@ -796,12 +832,11 @@ def verify_harnack(
     time_scale = _time_scale(spec, time_scale)
     f_set = default_test_functions(d) if f_set is None else list(f_set)
 
-    def statistic(f, nd, sx, sy):
+    def statistic(f, nd, shape, sx, sy):
         mx, my, varx, vary, cov = _paired_stats(sx, sy)
         se_y = math.sqrt(vary / n)
         if my <= 3.0 * se_y:
             return None
-        shape = harnack_shape(float(np.linalg.norm(nd.x - nd.y)), nd.t, alpha, d, time_scale)
         rhs_shape = my * shape
         coeff = (mx / rhs_shape) * shape  # provisional C-hat times shape
         return NodeResult(
@@ -817,7 +852,7 @@ def verify_harnack(
         "harnack_stable" if time_scale == "raw" else "harnack_ou",
         f"P_t f(x) <= C (1 + |x-y|/{t_word}^(1/alpha))^(d+alpha) P_t f(y) "
         "for bounded nonnegative f",
-        spec, f_set, grid, [statistic],
+        spec, f_set, grid, lambda dxy, t: harnack_shape(dxy, t, alpha, d, time_scale), [statistic],
         lambda results: {"time_scale": time_scale, "per_f_fitted": _fits_by(results, "f")},
         n=n, seed=seed, validation=validation,
     )
@@ -851,7 +886,7 @@ def verify_p_harnack(
     jensen_failures = 0
 
     def power_statistic(p):
-        def statistic(f, nd, sx, sy):
+        def statistic(f, nd, base, sx, sy):
             nonlocal jensen_failures
             mx, myp, varx, varyp, cov = _paired_stats(sx, sy.power(p))
             if myp <= 3.0 * math.sqrt(varyp / n):
@@ -859,9 +894,6 @@ def verify_p_harnack(
             sxp = sx.power(p)
             if sx.exact_mean**p > sxp.exact_mean + 3.0 * sxp.std_err:
                 jensen_failures += 1
-            base = harnack_shape(
-                float(np.linalg.norm(nd.x - nd.y)), nd.t, alpha, d, time_scale
-            ) ** (1.0 / (d + alpha))
             shape_p = base ** (p * (d + alpha))
             lhs = mx**p
             rhs_shape = myp * shape_p
@@ -881,7 +913,9 @@ def verify_p_harnack(
         "p_harnack",
         f"(P_t f(x))^p <= C (1 + |x-y|/{t_word}^(1/alpha))^(p(d+alpha)) P_t f^p(y) "
         "for bounded nonnegative f and p > 1",
-        spec, f_set, grid, [power_statistic(p) for p in p_list],
+        spec, f_set, grid,
+        lambda dxy, t: harnack_shape(dxy, t, alpha, d, time_scale) ** (1.0 / (d + alpha)),
+        [power_statistic(p) for p in p_list],
         lambda results: {
             "time_scale": time_scale,
             "per_p_fitted": _fits_by(results, "p"),
@@ -919,14 +953,14 @@ def verify_log_harnack(
         if not f.geq_one:
             raise ValueError(f"log-Harnack needs f >= 1, got {f.tag}")
 
-    def statistic(f, nd, sx, sy):
+    def statistic(f, nd, cost, sx, sy):
         _, _, varl, vary, cov = _paired_stats(sx.log, sy)
         ml, my = sx.log.exact_mean, sy.exact_mean
         var = varl + vary / my**2 - 2.0 * cov / my
         return NodeResult(
             node=nd,
             lhs=ml - math.log(my),
-            rhs_shape=log_harnack_cost(float(np.linalg.norm(nd.x - nd.y)), nd.t),
+            rhs_shape=cost,
             slack=3.0 * math.sqrt(max(var, 0.0) / n),
             extra={"f": f.tag, "log_mean_rhs": math.log(my)},
         )
@@ -939,7 +973,7 @@ def verify_log_harnack(
         "log_harnack",
         "P_t(log f)(x) <= log P_t f(y) + C (1 + |x-y|) log((2 + |x-y|)/(t ∧ 1)) "
         "for f >= 1",
-        spec, f_set, grid, [statistic], meta,
+        spec, f_set, grid, log_harnack_cost, [statistic], meta,
         n=n, seed=seed, validation=validation,
     )
 

@@ -206,12 +206,14 @@ class TestFunction:
     exp_cap interpolates between 1 (far field) and the cap level, so it is
     both bounded and >= 1: the shape log-Harnack testing needs.
 
-    |x - center|^2 is summed one coordinate column at a time, left to right,
-    which for d < 8 has the bits of numpy's row sum in either memory layout;
-    a column of F-ordered points is contiguous.  The squares, the bump and the
-    cap are computed in place in at most two n-length buffers, which changes
-    no bit: squaring is one multiply, -|x-c|^2 / s is written |x-c|^2 / (-s),
-    and a zero offset is not added (0.0 + v == v for every v >= +0.0).
+    f(x) is ``radial(dist2(x))``, and ``radial`` does not write to
+    |x - center|^2, so one array serves every f with that center.  It is
+    summed one coordinate column at a time, left to right, which for d < 8
+    has the bits of numpy's row sum in either memory layout; a column of
+    F-ordered points is contiguous.  The squares, the bump and the cap are
+    computed in place in at most two n-length buffers, which changes no bit:
+    squaring is one multiply, -|x-c|^2 / s is written |x-c|^2 / (-s), and a
+    zero offset is not added (0.0 + v == v for every v >= +0.0).
     """
 
     kind: str
@@ -231,9 +233,11 @@ class TestFunction:
             raise ValueError("exp_cap level must be >= 1")
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
+        return self.radial(self.dist2(points))
+
+    def dist2(self, points: np.ndarray) -> np.ndarray:
+        """|x - center|^2 of each point."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.kind == "constant":
-            return np.full(pts.shape[0], self.value)
         center = np.broadcast_to(np.asarray(self.center, dtype=float), pts.shape[1:])
         dist2 = pts[:, 0] - center[0]
         np.multiply(dist2, dist2, out=dist2)
@@ -243,10 +247,16 @@ class TestFunction:
                 np.subtract(pts[:, j], center[j], out=sq)
                 np.multiply(sq, sq, out=sq)
                 dist2 += sq
+        return dist2
+
+    def radial(self, dist2: np.ndarray) -> np.ndarray:
+        """f at the points whose :meth:`dist2` is given."""
+        if self.kind == "constant":
+            return np.full(dist2.shape[0], self.value)
         if self.kind == "ball_indicator":
             out = (dist2 <= self.scale**2).astype(float)
         else:
-            out = np.divide(dist2, -(2.0 * self.scale**2), out=dist2)
+            out = np.divide(dist2, -(2.0 * self.scale**2))
             np.exp(out, out=out)
             if self.kind == "exp_cap":
                 out *= math.log(self.value)

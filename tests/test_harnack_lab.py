@@ -5,6 +5,7 @@ structure, exact behavior at degenerate nodes (x = y under shared noise), and
 error paths; the statistically demanding runs live in the acceptance suite.
 """
 
+import gc
 import hashlib
 import json
 import math
@@ -18,7 +19,9 @@ from hypothesis import strategies as st
 from harnacklab.density import BoundConstants, stable_density
 from harnacklab.harnack_lab import (
     INEQUALITY_IDS,
+    _Moments,
     _PointSample,
+    _paired_stats,
     _jensen_margins,
     _young_margins,
     InequalityReport,
@@ -45,7 +48,7 @@ from harnacklab.harnack_lab import (
     young_suite,
 )
 from harnacklab.levy_core import OUSpec, StableSpec, TruncatedStableSpec
-from harnacklab.ou_semigroup import SemigroupSampler, ball_indicator, constant
+from harnacklab.ou_semigroup import SemigroupSampler, ball_indicator, constant, gaussian_bump
 from harnacklab.reports import canonical_json, validate_report
 from harnacklab.sampling import SeedSpec
 
@@ -476,23 +479,36 @@ class TestVerifyPHarnack:
         assert report.grid_meta["p_list"] == [2.0, 4.0]
         assert report.passed
 
-    def test_samples_each_node_once_for_all_powers(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "f_set, expected_calls",
+        [
+            ([constant(2.0)], 0),
+            ([ball_indicator([0.0], 1.0), gaussian_bump([0.0], 1.0, offset=0.5), constant(2.0)], 2),
+        ],
+        ids=["constant", "three_functions"],
+    )
+    def test_samples_each_node_once_for_all_powers(self, monkeypatch, f_set, expected_calls):
         calls = []
-        values = SemigroupSampler.values
+        endpoints = SemigroupSampler.endpoints
 
-        def counted(self, f, x, t):
-            calls.append(t)
-            return values(self, f, x, t)
+        def counted(self, x, t):
+            calls.append((t, np.asarray(x, dtype=float).tobytes()))
+            return endpoints(self, x, t)
 
-        monkeypatch.setattr(SemigroupSampler, "values", counted)
+        monkeypatch.setattr(SemigroupSampler, "endpoints", counted)
         grid = [node(0.5, [0.0], [0.0]), node(0.5, [1.0], [0.0])]
         report = verify_p_harnack(
-            OU_FREE, f_set=[constant(2.0)], grid=grid, p_list=(1.5, 2.0, 4.0),
+            OU_FREE, f_set=f_set, grid=grid, p_list=(1.5, 2.0, 4.0),
             n=2000, seed=SeedSpec(37), validation=False,
         )
-        # one call per distinct (t, point), not per node side or per power
-        assert len(calls) == 2
-        assert [r.extra["p"] for r in report.per_node] == [1.5, 1.5, 2.0, 2.0, 4.0, 4.0]
+        # endpoints once per distinct (t, point) across the f_set, not per
+        # function, node side or power, and none for a constant
+        assert len(calls) == len(set(calls)) == expected_calls
+        per_f = [1.5, 1.5, 2.0, 2.0, 4.0, 4.0]
+        assert [r.extra["p"] for r in report.per_node] == sorted(per_f * len(f_set))
+        assert [r.extra["f"] for r in report.per_node[:2 * len(f_set)]] == [
+            f.tag for f in f_set for _ in range(2)
+        ]
 
     def test_memo_holds_one_time_block(self):
         # five times instead of one may add their four noise arrays to the
@@ -517,10 +533,9 @@ class TestVerifyPHarnack:
         noise_bytes = n * 1 * 8  # one (n, d) float64 noise array, d = 1
         assert five - one <= 1.5 * 4 * noise_bytes
 
-    def test_noise_held_for_one_time(self):
-        # the sampler drops a time's noise before drawing the next, so forty
-        # times peak within one noise array of five
-        n = 10**5
+    @staticmethod
+    def forty_times_over_five(n: int) -> int:
+        """Peak traced bytes of a 40-time p_harnack run less a 5-time run's."""
         f_set = [ball_indicator([0.0], 1.0)]
 
         def peak(count):
@@ -538,9 +553,26 @@ class TestVerifyPHarnack:
 
         peak(5)  # warm-up: first-use allocations outside the verifier
         five = peak(5)
-        forty = peak(40)
+        return peak(40) - five
+
+    def test_noise_held_for_one_time(self):
+        # the sampler drops a time's noise before drawing the next, so forty
+        # times peak within one noise array of five
+        n = 10**5
         noise_bytes = n * 1 * 8  # one (n, d) float64 noise array, d = 1
-        assert forty - five < noise_bytes
+        assert self.forty_times_over_five(n) < noise_bytes
+
+    def test_blocks_freed_without_the_cycle_collector(self):
+        # a block's samples hold no reference cycle, so reference counting
+        # alone frees them with their block
+        n = 10**5
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert self.forty_times_over_five(n) < n * 1 * 8
+        finally:
+            if enabled:
+                gc.enable()
 
 
 POWERS = (1.5, 2.0, 4.0, 1.0 + 1e-6)
@@ -548,6 +580,15 @@ POWERS = (1.5, 2.0, 4.0, 1.0 + 1e-6)
 
 def same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def sample_values(m: _Moments) -> np.ndarray:
+    """The n values of a sample, also of one held as its one value."""
+    return np.broadcast_to(m.v, (m.n,))
+
+
+def same_float(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
 class TestPointSampleLevels:
@@ -565,9 +606,11 @@ class TestPointSampleLevels:
             assert found is not None and found[0].size == levels
         # log(0) and powers of huge levels warn on both sides alike
         with np.errstate(divide="ignore", over="ignore"):
-            assert same_bytes(sample.log.v, np.log(v))
+            assert same_bytes(sample_values(sample.log), np.log(v))
             for p in POWERS:
-                assert same_bytes(sample.power(p).v, v**p)
+                assert same_bytes(sample_values(sample.power(p)), v**p)
+        if levels == 1:  # held as its one value from here on, and so are its transforms
+            assert sample.v.size == sample.log.v.size == sample.power(2.0).v.size == 1
 
     @settings(max_examples=60, deadline=None)
     @given(level=st.floats(min_value=0.0, max_value=1e300), n=st.integers(1, 200))
@@ -613,10 +656,43 @@ class TestPointSampleLevels:
         self.check(v, None)
         self.check(np.exp(-np.random.default_rng(3).random(20000)), None)
 
+    @pytest.mark.parametrize("top", [0.0, 1.0])
+    def test_powers_that_fix_every_level_return_the_sample(self, top):
+        v = np.where(np.random.default_rng(5).random(2000) < 0.3, top, 0.0)
+        sample = _PointSample(v)
+        for p in POWERS:
+            assert sample.power(p) is sample
+        # not held in its own table, which would be a reference cycle
+        assert sample._powers == {}
+
     def test_indicator_samples_take_the_level_path(self):
         sampler = SemigroupSampler(OU_DRIFT, 20000, SeedSpec(41))
         for f, levels in ((ball_indicator([0.0], 1.0, offset=0.5), 2), (constant(1.5), 1)):
             self.check(sampler.values(f, np.array([0.25]), 0.5), levels)
+
+
+class TestOneLevelMoments:
+    """A sample held as its one value has the moments of the n-value array,
+    bit for bit, alone and paired with either kind of sample.  The sizes
+    cross numpy's pairwise-sum blocks of 8 and 128 values."""
+
+    VALUES = (0.0, -0.0, 5e-324, 1.0 / 3.0, 1.5, 2.0, 1e308)
+
+    @pytest.mark.parametrize("n", [2, 7, 8, 9, 127, 128, 129, 2000, 20000, 100003])
+    def test_moments_match_the_array(self, n):
+        spread = np.random.default_rng(n).random(n)
+        # 1e308 overflows the sums, on both sides alike
+        with np.errstate(over="ignore", invalid="ignore"):
+            for v in self.VALUES:
+                one, full = _Moments(np.array([v]), n), _Moments(np.full(n, v))
+                for name in ("mean", "var", "exact_mean", "std_err"):
+                    assert same_float(getattr(one, name), getattr(full, name)), (v, name)
+                pairs = [(one, _Moments(spread)), (_Moments(spread), one)]
+                for w in self.VALUES:
+                    pairs += [(one, _Moments(np.array([w]), n)), (_Moments(np.full(n, w)), one)]
+                for a, b in pairs:
+                    expected = _paired_stats(*(_Moments(sample_values(m).copy()) for m in (a, b)))
+                    assert all(map(same_float, _paired_stats(a, b), expected)), (v, a.v[0], b.v[0])
 
 
 class TestSemigroupReportsPinned:

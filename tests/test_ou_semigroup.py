@@ -386,7 +386,7 @@ class TestTestFunctions:
         return np.minimum(f.value, np.exp(math.log(f.value) * bump))
 
     @pytest.mark.parametrize("offset", [0.0, 0.75])
-    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("d", range(1, 8))
     @pytest.mark.parametrize("kind", ["ball_indicator", "gaussian_bump", "constant", "exp_cap"])
     def test_values_have_the_bits_of_the_written_out_expressions(self, kind, d, offset):
         rng = np.random.default_rng(200 + d)
@@ -396,9 +396,15 @@ class TestTestFunctions:
         pts[:3] = np.array(center)  # at the centre: distance +0.0, bump 1, cap at its level
         pts[3] = np.array(center) + np.eye(d)[0] * 0.9  # on the ball's boundary
         for layout in (pts, np.asfortranarray(pts), pts[0]):
-            got, expected = f(layout), self.written_out(f, layout)
-            assert got.dtype == expected.dtype and got.shape == expected.shape
-            assert got.tobytes() == expected.tobytes()
+            expected = self.written_out(f, layout)
+            dist2 = f.dist2(layout)
+            kept = dist2.copy()
+            # radial leaves the squared distances as they are, so one array
+            # serves every function with this centre, this one twice
+            for got in (f(layout), f.radial(dist2), f.radial(dist2)):
+                assert got.dtype == expected.dtype and got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+            assert dist2.tobytes() == kept.tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):
