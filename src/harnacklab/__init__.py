@@ -51,12 +51,10 @@ from .density import (
 )
 from .ou_semigroup import (
     FactorizationReport,
-    SemigroupEstimate,
     SemigroupSampler,
     TestFunction,
     ball_indicator,
     constant,
-    estimate_Ptf,
     exp_cap,
     factorization_check,
     gaussian_bump,

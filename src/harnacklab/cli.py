@@ -39,7 +39,7 @@ from .harnack_lab import (
     young_suite,
 )
 from .levy_core import OUSpec, QuadratureError, StableSpec, TruncatedStableSpec, describe_spec
-from .ou_semigroup import ball_indicator, constant, estimate_Ptf, gaussian_bump
+from .ou_semigroup import SemigroupSampler, ball_indicator, constant, gaussian_bump
 from .reports import (
     indented_json,
     timestamp,
@@ -250,12 +250,21 @@ def _cmd_estimate(args) -> int:
         f = gaussian_bump(center, args.f_scale)
     else:
         f = constant(args.f_value)
-    est = estimate_Ptf(ou, f, x, args.t, args.n, SeedSpec(args.seed))
-    doc = est.to_dict()
-    doc["seed"] = {"master_seed": args.seed, "stream_id": 0}
-    doc["spec"] = describe_spec(ou)
-    doc["created_at"] = timestamp()
-    doc["version"] = __version__
+    if args.n < 10**3:
+        raise CLIError("semigroup estimation needs n >= 1e3")
+    sample = SemigroupSampler(ou, args.n, SeedSpec(args.seed)).sample(f, x, args.t)
+    doc = {
+        "t": args.t,
+        "x": x.tolist(),
+        "f_tag": f.tag,
+        "mean": sample.mean,
+        "std_err": sample.std_err,
+        "n": args.n,
+        "seed": {"master_seed": args.seed, "stream_id": 0},
+        "spec": describe_spec(ou),
+        "created_at": timestamp(),
+        "version": __version__,
+    }
     text = indented_json(doc)
     if args.out is None:
         sys.stdout.write(text)
@@ -273,67 +282,45 @@ def _applicable_ids(cfg: dict) -> list[str]:
     return ["log_harnack", "truncated_ratio", "young", "jensen"]
 
 
+def _picked(overrides: dict, *keys: str) -> dict:
+    """The entries of overrides under keys, for the ones it sets."""
+    return {key: overrides[key] for key in keys if key in overrides}
+
+
 def _run_one(ineq: str, cfg: dict, seed: SeedSpec, overrides: dict):
     driver = _driver_from_config(cfg)
     ou = _ou_from_config(cfg)
     has_drift = np.any(ou.A != 0.0)
-    n = overrides.get("n", 10**5)
     validation = overrides.get("validation", True)
-    t_values = overrides.get("t_values")
-    offsets = overrides.get("offsets")
-
-    def comparison_grid():
-        kw = {}
-        if t_values:
-            kw["t_values"] = t_values
-        if offsets:
-            kw["offsets"] = offsets
-        return default_comparison_grid(ou.d, **kw) if kw else None
+    grid_kw = _picked(overrides, "t_values", "offsets")
+    monte_carlo = {"n": overrides.get("n", 10**5), "seed": seed, "validation": validation}
+    comparison_grid = default_comparison_grid(ou.d, **grid_kw) if grid_kw else None
 
     if ineq in ("harnack_stable", "harnack_ou"):
         if ineq == "harnack_stable" and has_drift:
             raise CLIError("harnack_stable needs a zero drift matrix; use harnack_ou")
-        return verify_harnack(
-            ou,
-            grid=comparison_grid(),
-            n=n,
-            seed=seed,
-            time_scale="raw" if ineq == "harnack_stable" else "capped",
-            validation=validation,
-        )
+        time_scale = "raw" if ineq == "harnack_stable" else "capped"
+        return verify_harnack(ou, grid=comparison_grid, time_scale=time_scale, **monte_carlo)
     if ineq == "p_harnack":
-        kw = {}
-        if "p_list" in overrides:
-            kw["p_list"] = overrides["p_list"]
         return verify_p_harnack(
-            ou, grid=comparison_grid(), n=n, seed=seed, validation=validation, **kw
+            ou, grid=comparison_grid, **_picked(overrides, "p_list"), **monte_carlo
         )
     if ineq == "log_harnack":
-        return verify_log_harnack(
-            ou, grid=comparison_grid(), n=n, seed=seed, validation=validation
-        )
+        return verify_log_harnack(ou, grid=comparison_grid, **monte_carlo)
     if ineq == "ratio_lemma":
         if not isinstance(driver, StableSpec):
             raise CLIError("ratio_lemma applies to the stable driver")
-        kw = {}
-        if t_values:
-            kw["t_values"] = t_values
-        if offsets:
-            kw["offsets"] = offsets
-        if "n_z" in overrides:
-            kw["n_z"] = overrides["n_z"]
+        kw = {**grid_kw, **_picked(overrides, "n_z")}
         grid = default_ratio_grid(driver.d, driver.alpha, **kw) if kw else None
         return verify_ratio_lemma(driver, grid=grid, seed=seed, validation=validation)
     if ineq == "truncated_ratio":
         if not isinstance(driver, TruncatedStableSpec):
             raise CLIError("truncated_ratio applies to the truncated_stable driver")
-        kw = {}
-        if t_values:
-            kw["t_grid"] = tuple(t_values)
-        if offsets:
-            kw["offsets"] = tuple(offsets)
-        if "z_count" in overrides:
-            kw["z_count"] = overrides["z_count"]
+        kw = _picked(overrides, "z_count")
+        if "t_values" in grid_kw:
+            kw["t_grid"] = tuple(grid_kw["t_values"])
+        if "offsets" in grid_kw:
+            kw["offsets"] = tuple(grid_kw["offsets"])
         return verify_truncated_ratio(driver, seed=seed, validation=validation, **kw)
     if ineq == "young":
         return young_suite(n_cases=overrides.get("n_cases", 1000), seed=seed)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
 from itertools import groupby
 from typing import Callable, Sequence
 
@@ -52,6 +51,9 @@ from .sampling import SeedSpec
 from .ou_semigroup import (
     SemigroupSampler,
     TestFunction,
+    _Moments,
+    _PointSample,
+    _sum,
     ball_indicator,
     constant,
     exp_cap,
@@ -537,129 +539,6 @@ def verify_ratio_lemma(
 # semigroup Harnack verifiers
 
 
-@lru_cache(maxsize=1024)
-def _level_sum(bits: bytes, n: int) -> float:
-    """``np.add.reduce`` of n copies of one value, keyed by its bits, not by
-    equality, which would merge 0.0 and -0.0."""
-    return float(np.add.reduce(np.full(n, np.frombuffer(bits)[0])))
-
-
-def _sum(v: np.ndarray, n: int) -> float:
-    """Pairwise sum of n values: those of v, or n copies of v's one value."""
-    return float(np.add.reduce(v)) if v.size == n else _level_sum(v.tobytes(), n)
-
-
-class _Moments:
-    """A sample of n values and its moments, each computed on first use.
-
-    ``v`` holds the n values, or, for a sample whose n values are one value
-    bit for bit, that value alone: its moments then come from scalars, and
-    numpy broadcasting pairs it with an n-value sample.  Either way the bits
-    are those of the full array.  Sums of products are numpy's pairwise
-    sums, not BLAS dot products, which OpenBLAS splits across threads on
-    long arrays: the moments, and the reports built on them, do not depend
-    on the BLAS thread count.  The mean is ``np.add.reduce(v) / n``, the bits
-    of ``ndarray.mean`` without its Python wrapper.
-    """
-
-    def __init__(self, v: np.ndarray, n: int | None = None) -> None:
-        self.v = v
-        self.n = v.size if n is None else n
-
-    @cached_property
-    def mean(self) -> float:
-        return _sum(self.v, self.n) / self.n
-
-    @cached_property
-    def centered(self) -> np.ndarray:
-        return self.v - self.mean
-
-    @cached_property
-    def var(self) -> float:
-        return _sum(self.centered * self.centered, self.n) / (self.n - 1)
-
-    @cached_property
-    def exact_mean(self) -> float:
-        """Mean that is exact for constant arrays.
-
-        np.mean of n identical values can be off by an ulp (the sum rounds),
-        which matters only where an inequality holds with equality; returning
-        the common value keeps those degenerate nodes exactly on the boundary.
-        """
-        lo, hi = float(self.v.min()), float(self.v.max())
-        return lo if lo == hi else self.mean
-
-    @cached_property
-    def std_err(self) -> float:
-        return math.sqrt(self.var) / math.sqrt(self.n)
-
-
-class _PointSample(_Moments):
-    """f at the n endpoints from one point, with its p-th powers and its log.
-
-    Each transform is derived once per point, however many nodes and
-    statistics use it.  A sample that holds one or two distinct values, bit
-    for bit (a constant f, a ball indicator), is transformed on those levels
-    only and mapped back: a one-level sample stays one value, and two levels
-    go through ``np.where`` on the mask of the second.  A flat sample is
-    held as its one value once its levels are found.  The levels go through
-    the very expression the whole array would (``levels**p``,
-    ``np.log(levels)``), so the result has the bits of ``v**p`` and
-    ``np.log(v)``; a transform that maps every level to itself (an
-    indicator's powers) returns the sample itself, and any other sample is
-    transformed whole.  Values are compared bit for bit, so +0.0 and -0.0
-    are two values; a third value among the first 64 rules levels out
-    before any pass over the whole sample.
-    """
-
-    def __init__(self, v: np.ndarray, n: int | None = None) -> None:
-        super().__init__(v, n)
-        self._powers: dict[float, _Moments] = {}
-
-    @cached_property
-    def _levels(self) -> tuple[np.ndarray, np.ndarray | None] | None:
-        """(levels, mask of levels[1] or None for one level), or None."""
-        bits = self.v.view(np.int64)
-        head = bits[:64]
-        rest = head[head != head[0]]
-        if rest.size and (rest != rest[0]).any():
-            return None  # three values among the first 64
-        first = bits == bits[0]
-        n_first = int(np.count_nonzero(first))
-        if n_first == bits.size:
-            self.v = self.v[:1].copy()
-            return self.v, None
-        i = int(np.argmin(first))  # the first value unlike v[0]
-        second = bits == bits[i]
-        if n_first + int(np.count_nonzero(second)) != bits.size:
-            return None
-        return self.v[[0, i]], second
-
-    def _transform(self, op: Callable[[np.ndarray], np.ndarray]) -> _Moments:
-        found = self._levels
-        if found is None:
-            return _Moments(op(self.v))
-        levels, second = found
-        out = op(levels)
-        if out.tobytes() == levels.tobytes():
-            return self
-        if second is None:
-            return _Moments(out, self.n)
-        return _Moments(np.where(second, out[1], out[0]))
-
-    def power(self, p: float) -> _Moments:
-        m = self._powers.get(p)
-        if m is None:
-            m = self._transform(lambda v: v**p)
-            if m is not self:  # holding itself would keep the block alive until a GC pass
-                self._powers[p] = m
-        return m
-
-    @cached_property
-    def log(self) -> _Moments:
-        return self._transform(np.log)
-
-
 def _paired_stats(a: _Moments, b: _Moments) -> tuple[float, float, float, float, float]:
     """Means, variances and covariance of two paired samples."""
     n = a.n
@@ -697,25 +576,6 @@ def _fits_by(results: Sequence[NodeResult], key: str) -> dict:
     return {str(k): _fit_from_results(rs) for k, rs in groups.items()}
 
 
-def _block_sample(
-    block: dict, dist2: dict, sampler: SemigroupSampler, f: TestFunction, point, t: float
-) -> _PointSample:
-    """f at the endpoints from point at time t, looked up in or added to the
-    block; a constant f is its one value, with no endpoints."""
-    key = np.asarray(point, dtype=float).tobytes()
-    got = block.get(key)
-    if got is None:
-        if f.kind == "constant":
-            got = _PointSample(np.array([f.value], dtype=float), sampler.n)
-        else:
-            d2 = dist2.get((key, f.center))
-            if d2 is None:
-                d2 = dist2[key, f.center] = sampler.values(f.dist2, point, t)
-            got = _PointSample(f.radial(d2))
-        block[key] = got
-    return got
-
-
 def _verify_semigroup(
     inequality_id: str,
     claim: str,
@@ -733,17 +593,17 @@ def _verify_semigroup(
 ) -> InequalityReport:
     """Run, fit, validate and report one semigroup inequality.
 
-    P_t f is sampled on shared noise (seed substream 1, and substream 2 for
-    the validation grid) once per distinct (f, t, point), and its powers,
-    log and moments once per point, then handed to every statistic at every
-    node that has the point as x or y, with the node's ``shape(|x - y|, t)``,
-    computed once per node.  The grid is walked one run of consecutive nodes
-    with equal t at a time, every function within a run, so the sampler
-    holds one time's noise and the walk one (f, t) block of points plus the
-    time's squared distances |X - c|^2, one per (point, centre) and shared
-    by every f with that centre; a grid that revisits a t redraws its noise
-    and recomputes its points.  Results are kept per (statistic, function)
-    in node order and concatenated statistic-outer, function-inner.
+    P_t f is read from :meth:`SemigroupSampler.sample` on shared noise (seed
+    substream 1, and substream 2 for the validation grid), which computes
+    each distinct (f, t, point) once, and its powers, log and moments once,
+    then handed to every statistic at every node that has the point as x or
+    y, with the node's ``shape(|x - y|, t)``, computed once per node.  The
+    grid is walked one run of consecutive nodes with equal t at a time,
+    every function within a run, which is the order the sampler's state
+    serves: it holds one time's noise and distances and one (f, t)'s
+    samples, so a grid that revisits a t redraws its noise and recomputes
+    its points.  Results are kept per (statistic, function) in node order
+    and concatenated statistic-outer, function-inner.
     ``meta(results)`` adds the verifier's own entries to ``mc_meta``.
     """
     seed = SeedSpec(0) if seed is None else seed
@@ -755,14 +615,9 @@ def _verify_semigroup(
         excluded = 0
         for _, same_t in groupby(nodes, key=lambda nd: nd.t):
             same_t = [(nd, shape(float(np.linalg.norm(nd.x - nd.y)), nd.t)) for nd in same_t]
-            dist2 = {}
             for i, f in enumerate(f_set):
-                # no name holds a sample past its block, or a distance past
-                # its time, so the next time's noise draw, where the peak
-                # is, sees one block
-                block = {}
                 for nd, nd_shape in same_t:
-                    sx, sy = (_block_sample(block, dist2, sampler, f, p, nd.t) for p in (nd.x, nd.y))
+                    sx, sy = sampler.sample(f, nd.x, nd.t), sampler.sample(f, nd.y, nd.t)
                     for per_f, stat in zip(per_stat, statistics):
                         res = stat(f, nd, nd_shape, sx, sy)
                         if res is None:

@@ -8,16 +8,20 @@ under a drift A + A^T = 2aI is one stable draw at an effective time, and
 every other part is compound-Poisson jumps at uniform times with matrix
 weights plus a small-jump Gaussian with the exact OU covariance.
 
-The estimator class holds the current time's noise array and reuses it for
-every starting point (common random numbers).  That makes the Harnack-type
-comparisons below exact at x = y and strongly variance-reduced elsewhere,
-which is what lets fitted constants behave like constants instead of noise.
+:class:`SemigroupSampler` is the one estimator of P_t f(x): it holds the
+current time's noise array and reuses it for every starting point (common
+random numbers).  That makes the Harnack-type comparisons exact at x = y and
+strongly variance-reduced elsewhere, which is what lets fitted constants
+behave like constants instead of noise.  Each of its samples carries its
+moments (:class:`_Moments`), the mean and standard error that both the CLI's
+``estimate`` and the inequality verifiers read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,13 +43,11 @@ from .sampling import (
 
 __all__ = [
     "TestFunction",
-    "SemigroupEstimate",
     "SemigroupSampler",
     "FactorizationReport",
     "matrix_exp",
     "sample_ou",
     "ou_noise",
-    "estimate_Ptf",
     "factorization_check",
     "ball_indicator",
     "gaussian_bump",
@@ -236,17 +238,19 @@ class TestFunction:
         return self.radial(self.dist2(points))
 
     def dist2(self, points: np.ndarray) -> np.ndarray:
-        """|x - center|^2 of each point."""
+        """|x - center|^2 of each point; +inf where it leaves the double
+        range, which every f maps to its far-field value."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         center = np.broadcast_to(np.asarray(self.center, dtype=float), pts.shape[1:])
-        dist2 = pts[:, 0] - center[0]
-        np.multiply(dist2, dist2, out=dist2)
-        if pts.shape[1] > 1:
-            sq = np.empty_like(dist2)
-            for j in range(1, pts.shape[1]):
-                np.subtract(pts[:, j], center[j], out=sq)
-                np.multiply(sq, sq, out=sq)
-                dist2 += sq
+        with np.errstate(over="ignore"):
+            dist2 = pts[:, 0] - center[0]
+            np.multiply(dist2, dist2, out=dist2)
+            if pts.shape[1] > 1:
+                sq = np.empty_like(dist2)
+                for j in range(1, pts.shape[1]):
+                    np.subtract(pts[:, j], center[j], out=sq)
+                    np.multiply(sq, sq, out=sq)
+                    dist2 += sq
         return dist2
 
     def radial(self, dist2: np.ndarray) -> np.ndarray:
@@ -325,46 +329,156 @@ def exp_cap(level: float, center=0.0, width: float = 1.0, d: int | None = None) 
 # semigroup estimation
 
 
-@dataclass(frozen=True)
-class SemigroupEstimate:
-    """Monte Carlo value of P_t f(x) with its standard error."""
+@lru_cache(maxsize=1024)
+def _level_sum(bits: bytes, n: int) -> float:
+    """``np.add.reduce`` of n copies of one value, keyed by its bits, not by
+    equality, which would merge 0.0 and -0.0."""
+    return float(np.add.reduce(np.full(n, np.frombuffer(bits)[0])))
 
-    mean: float
-    std_err: float
-    n: int
-    t: float
-    x: tuple[float, ...]
-    f_tag: str
 
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "x": list(self.x),
-            "f_tag": self.f_tag,
-            "mean": self.mean,
-            "std_err": self.std_err,
-            "n": self.n,
-        }
+def _sum(v: np.ndarray, n: int) -> float:
+    """Pairwise sum of n values: those of v, or n copies of v's one value."""
+    return float(np.add.reduce(v)) if v.size == n else _level_sum(v.tobytes(), n)
+
+
+class _Moments:
+    """A sample of n values and its moments, each computed on first use.
+
+    ``v`` holds the n values, or, for a sample whose n values are one value
+    bit for bit, that value alone: its moments then come from scalars, and
+    numpy broadcasting pairs it with an n-value sample.  Either way the bits
+    are those of the full array.  Sums of products are numpy's pairwise
+    sums, not BLAS dot products, which OpenBLAS splits across threads on
+    long arrays: the moments, and the reports built on them, do not depend
+    on the BLAS thread count.  The mean is ``np.add.reduce(v) / n``, the bits
+    of ``ndarray.mean`` without its Python wrapper.
+    """
+
+    def __init__(self, v: np.ndarray, n: int | None = None) -> None:
+        self.v = v
+        self.n = v.size if n is None else n
+
+    @cached_property
+    def mean(self) -> float:
+        return _sum(self.v, self.n) / self.n
+
+    @cached_property
+    def centered(self) -> np.ndarray:
+        return self.v - self.mean
+
+    @cached_property
+    def var(self) -> float:
+        return _sum(self.centered * self.centered, self.n) / (self.n - 1)
+
+    @cached_property
+    def exact_mean(self) -> float:
+        """Mean that is exact for constant arrays.
+
+        np.mean of n identical values can be off by an ulp (the sum rounds),
+        which matters only where an inequality holds with equality; returning
+        the common value keeps those degenerate nodes exactly on the boundary.
+        """
+        lo, hi = float(self.v.min()), float(self.v.max())
+        return lo if lo == hi else self.mean
+
+    @cached_property
+    def std_err(self) -> float:
+        return math.sqrt(self.var) / math.sqrt(self.n)
+
+
+class _PointSample(_Moments):
+    """f at the n endpoints from one point, with its p-th powers and its log.
+
+    Each transform is derived once per point, however many nodes and
+    statistics use it.  A sample that holds one or two distinct values, bit
+    for bit (a constant f, a ball indicator), is transformed on those levels
+    only and mapped back: a one-level sample stays one value, and two levels
+    go through ``np.where`` on the mask of the second.  A flat sample is
+    held as its one value once its levels are found.  The levels go through
+    the very expression the whole array would (``levels**p``,
+    ``np.log(levels)``), so the result has the bits of ``v**p`` and
+    ``np.log(v)``; a transform that maps every level to itself (an
+    indicator's powers) returns the sample itself, and any other sample is
+    transformed whole.  Values are compared bit for bit, so +0.0 and -0.0
+    are two values; a third value among the first 64 rules levels out
+    before any pass over the whole sample.
+    """
+
+    def __init__(self, v: np.ndarray, n: int | None = None) -> None:
+        super().__init__(v, n)
+        self._powers: dict[float, _Moments] = {}
+
+    @cached_property
+    def _levels(self) -> tuple[np.ndarray, np.ndarray | None] | None:
+        """(levels, mask of levels[1] or None for one level), or None."""
+        bits = self.v.view(np.int64)
+        head = bits[:64]
+        rest = head[head != head[0]]
+        if rest.size and (rest != rest[0]).any():
+            return None  # three values among the first 64
+        first = bits == bits[0]
+        n_first = int(np.count_nonzero(first))
+        if n_first == bits.size:
+            self.v = self.v[:1].copy()
+            return self.v, None
+        i = int(np.argmin(first))  # the first value unlike v[0]
+        second = bits == bits[i]
+        if n_first + int(np.count_nonzero(second)) != bits.size:
+            return None
+        return self.v[[0, i]], second
+
+    def _transform(self, op: Callable[[np.ndarray], np.ndarray]) -> _Moments:
+        found = self._levels
+        if found is None:
+            return _Moments(op(self.v))
+        levels, second = found
+        out = op(levels)
+        if out.tobytes() == levels.tobytes():
+            return self
+        if second is None:
+            return _Moments(out, self.n)
+        return _Moments(np.where(second, out[1], out[0]))
+
+    def power(self, p: float) -> _Moments:
+        m = self._powers.get(p)
+        if m is None:
+            m = self._transform(lambda v: v**p)
+            if m is not self:  # holding itself would keep the block alive until a GC pass
+                self._powers[p] = m
+        return m
+
+    @cached_property
+    def log(self) -> _Moments:
+        return self._transform(np.log)
 
 
 class SemigroupSampler:
-    """P_t f(x) estimator sharing the current time's noise array across all x.
+    """The estimator of P_t f(x): f at n endpoints on the current time's noise.
 
     P_t f(x) = E f(e^{tA} x + W_t) with W_t the stochastic convolution from
-    zero, so W_t is independent of x and can be drawn once.  Every estimate
+    zero, so W_t is independent of x and can be drawn once.  Every sample
     at the same t then uses literally the same W_t (common random numbers):
     comparisons between starting points are exact at x = y and tightly
     correlated elsewhere.  The per-t noise stream is derived from the bit
     pattern of t, so results do not depend on evaluation order.  e^{tA} is
     computed once per t.
 
+    :meth:`sample` returns f at the endpoints from x as a
+    :class:`_PointSample`, whose moments are the estimate and its standard
+    error.  The sampler keeps what it reads off one time's noise: the
+    squared distances |X - c|^2 of each (point, centre), shared by every f
+    with that centre, and the samples of the last (f, t) asked for, so each
+    (f, t, point) is computed once while a caller walks a time's functions
+    in turn.  A constant f is held as its one value and draws no noise.
+
     The sampler holds the current time's noise only: a call at another time
-    drops it before drawing that time's, so memory does not grow with the
-    number of times, and a time asked for again is drawn again, with the
-    same values.  The held noise is a read-only copy of :func:`ou_noise`'s
-    array in Fortran order, so each coordinate is one contiguous column of
-    n values; :class:`TestFunction` reads it a column at a time, and its
-    values do not depend on the layout.
+    drops it, with the distances and samples read off it, before drawing
+    that time's, so memory does not grow with the number of times, and a
+    time asked for again is drawn again, with the same values.  The held
+    noise is a read-only copy of :func:`ou_noise`'s array in Fortran order,
+    so each coordinate is one contiguous column of n values;
+    :class:`TestFunction` reads it a column at a time, and its values do not
+    depend on the layout.
     """
 
     def __init__(self, spec: OUSpec, n: int, seed: SeedSpec) -> None:
@@ -375,12 +489,19 @@ class SemigroupSampler:
         self.seed = seed
         self._noise: tuple[float, np.ndarray] | None = None
         self._flow: dict[float, np.ndarray] = {}
+        # read off the held noise: |X - c|^2 per (t, point, centre), and the
+        # samples of one (f, t) per point
+        self._dist2: dict[tuple[float, bytes, tuple[float, ...]], np.ndarray] = {}
+        self._samples: tuple[tuple, dict[bytes, _PointSample]] = ((), {})
 
     def noise(self, t: float) -> np.ndarray:
         key = float(t)
         if self._noise is not None and self._noise[0] == key:
             return self._noise[1]
+        # the draw is where memory peaks, so nothing of the last time is held through it
         self._noise = None
+        self._dist2.clear()
+        self._samples[1].clear()
         bits = int(np.float64(key).view(np.uint64))
         stream = self.seed.substream(bits >> 32, bits & 0xFFFFFFFF)
         held = np.asfortranarray(ou_noise(self.spec, key, self.n, stream))
@@ -401,31 +522,28 @@ class SemigroupSampler:
     def values(self, f: Callable[[np.ndarray], np.ndarray], x, t: float) -> np.ndarray:
         return np.asarray(f(self.endpoints(x, t)), dtype=float)
 
-    def estimate(self, f: TestFunction, x, t: float) -> SemigroupEstimate:
-        vals = self.values(f, x, t)
-        se = vals.std(ddof=1) / math.sqrt(self.n) if self.n > 1 else 0.0
-        return SemigroupEstimate(
-            mean=float(vals.mean()),
-            std_err=float(se),
-            n=self.n,
-            t=float(t),
-            x=tuple(np.asarray(x, dtype=float).reshape(self.spec.d).tolist()),
-            f_tag=getattr(f, "tag", repr(f)),
-        )
-
-
-def estimate_Ptf(
-    spec: OUSpec,
-    f: TestFunction,
-    x,
-    t: float,
-    n: int,
-    seed: SeedSpec,
-) -> SemigroupEstimate:
-    """One-shot Monte Carlo estimate of P_t f(x)."""
-    if n < 10**3:
-        raise ValueError("semigroup estimation needs n >= 1e3")
-    return SemigroupSampler(spec, n, seed).estimate(f, x, t)
+    def sample(self, f: TestFunction, x, t: float) -> _PointSample:
+        """f at the n endpoints from x at time t, the same object while (f, t)
+        is the last pair asked for."""
+        if not 0.0 < t < math.inf:
+            raise ValueError(f"time must be positive and finite, got {t}")
+        x = np.asarray(x, dtype=float).reshape(self.spec.d)
+        t = float(t)
+        if self._samples[0] != (f, t):
+            self._samples = ((f, t), {})
+        point = x.tobytes()
+        got = self._samples[1].get(point)
+        if got is None:
+            if f.kind == "constant":
+                got = _PointSample(np.array([f.value], dtype=float), self.n)
+            else:
+                key = (t, point, f.center)
+                dist2 = self._dist2.get(key)
+                if dist2 is None:
+                    dist2 = self._dist2[key] = self.values(f.dist2, x, t)
+                got = _PointSample(f.radial(dist2))
+            self._samples[1][point] = got
+        return got
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ All invocations go through main(argv) in-process.  Exit code contract:
 (bad flags, malformed config, unknown ids), never argparse's default 2.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -18,7 +19,7 @@ from harnacklab.cli import main
 from harnacklab.density import DensityEstimateError, stable_density_grid, truncated_density
 from harnacklab.harnack_lab import InequalityReport
 from harnacklab.levy_core import OUSpec, QuadratureError, StableSpec, TruncatedStableSpec
-from harnacklab.ou_semigroup import ball_indicator, estimate_Ptf
+from harnacklab.ou_semigroup import SemigroupSampler, ball_indicator
 from harnacklab.reports import canonical_json, read_samples_dump, validate_report
 from harnacklab.sampling import (
     SeedSpec,
@@ -253,12 +254,11 @@ class TestEstimateCommand:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         ou = OUSpec(A=np.zeros((1, 1)), driver=StableSpec(d=1, alpha=1.0, c=1.0))
-        est = estimate_Ptf(
-            ou, ball_indicator(np.zeros(1), 1.5), np.array([1.0]), 0.5, 2000, SeedSpec(5)
-        )
-        assert doc["mean"] == est.mean
-        assert doc["std_err"] == est.std_err
-        assert doc["f_tag"] == est.f_tag
+        f = ball_indicator(np.zeros(1), 1.5)
+        sample = SemigroupSampler(ou, 2000, SeedSpec(5)).sample(f, np.array([1.0]), 0.5)
+        assert doc["mean"] == sample.mean
+        assert doc["std_err"] == sample.std_err
+        assert doc["f_tag"] == f.tag
         assert doc["x"] == [1.0]
 
     def test_constant_function_has_zero_error(self, stable_cfg, capsys):
@@ -312,6 +312,80 @@ class TestEstimateCommand:
         assert rc == 0
         doc = json.loads(out.read_text())
         assert set(doc) >= {"mean", "std_err", "n", "t", "x", "f_tag", "seed", "spec"}
+
+    def test_estimate_fields(self, stable_cfg, capsys):
+        rc = main([
+            "estimate", "--spec", stable_cfg, "--t", "0.5", "--x", "1.0",
+            "--n", "2000", "--seed", "96",
+        ])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["t"] == 0.5
+        assert doc["x"] == [1.0]
+        assert doc["n"] == 2000
+        assert doc["f_tag"] == "ball_indicator(center=[0],scale=1)"
+        assert 0.0 <= doc["mean"] <= 1.0
+
+    def test_refuses_small_n(self, stable_cfg, capsys):
+        rc = main([
+            "estimate", "--spec", stable_cfg, "--t", "1.0", "--x", "0.0", "--n", "999", "--f", "const",
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "harnacklab: error: semigroup estimation needs n >= 1e3\n"
+
+
+class TestEstimatePinned:
+    """sha256 of canonical_json of the ``estimate`` document (so without
+    ``created_at``) at t = 0.5, n = 2e4, seed 3, on a conformal and a
+    non-conformal d = 2 drift and the truncated d = 1 driver, and the times
+    ``estimate`` refuses, for a function that needs the noise and one that
+    does not."""
+
+    CONFIGS = {
+        "drift": ({"driver": "stable", "d": 2, "alpha": 1.5, "c": 1.0, "A": [[0.5, 0.0], [0.0, 0.5]]},
+                  "0.5,-0.25"),
+        "skew": ({"driver": "stable", "d": 2, "alpha": 1.5, "c": 1.0, "A": [[0.5, 1.0], [0.0, -0.5]]},
+                 "0.5,-0.25"),
+        "truncated": ({"driver": "truncated_stable", "d": 1, "alpha": 1.8, "c": 1.0, "r": 0.5}, "0.5"),
+    }
+
+    def run(self, tmp_path, config, f, t):
+        doc, x = self.CONFIGS[config]
+        cfg = write_json(tmp_path, f"{config}.json", doc)
+        return main([
+            "estimate", "--spec", cfg, "--t", t, "--x", x, "--f", f, "--f-value", "0.3",
+            "--n", "20000", "--seed", "3",
+        ])
+
+    @pytest.mark.parametrize(
+        "config, f, digest",
+        [
+            ("drift", "ball", "8c8c75314ca253d51150165f6cfe3f924ddd246b43f7cd6b93347d02b393777e"),
+            ("drift", "bump", "7508fd53e4878bf105957e3145961f4c7fe380a676af971543e26ba156e3a7a9"),
+            ("drift", "const", "b9498e5e5c338a9c6008559c1b003c6a5e630ab5229b175cfec416caddd02c87"),
+            ("skew", "ball", "2aa4da63f298cb59501993bda8fa026578d836217623e227758f18722be4e5f4"),
+            ("skew", "bump", "6316dd613a07b5b9df069898a2bdf638f8fc4b6fe597c97511730c5889d90fc8"),
+            ("skew", "const", "c746016bb7453a83a6499d7f0bdcd3af315469d9d780911360aa204b2951113c"),
+            ("truncated", "ball", "b0a616f0028f73a2c435f7b63e5a898da4781459ef527f8cee36ac49eca22476"),
+            ("truncated", "bump", "df52215eb5c367a23bb7d91c63c9e2fce42ff9a6a0761d317811ef14f38f138f"),
+            ("truncated", "const", "34cf091b3e7000940ba2e53bcd5eeb4db431557ed041d87ae038320f0a1d0afb"),
+        ],
+    )
+    def test_document_digest(self, tmp_path, capsys, config, f, digest):
+        assert self.run(tmp_path, config, f, "0.5") == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert hashlib.sha256(canonical_json(doc).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    @pytest.mark.parametrize("f", ["const", "ball"])
+    @pytest.mark.parametrize("t", ["0", "-1", "nan", "inf"])
+    def test_refused_times(self, tmp_path, capsys, config, f, t):
+        assert self.run(tmp_path, config, f, t) == 1
+        out, err = capsys.readouterr()
+        errors = [line for line in err.splitlines() if line.startswith("harnacklab: error: ")]
+        assert out == "" and len(errors) == 1, err
+        if t in ("0", "-1"):
+            assert "time must be positive" in errors[0]
 
 
 FAST_OVERRIDE = {
@@ -483,6 +557,16 @@ class TestVerifyCommand:
         assert "young: FAIL" in capsys.readouterr().out
         viol = json.loads((out_dir / "violations_young.json").read_text())
         assert viol["violations"] == [{"case": 0, "margin": -1.0}]
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_time_verifies_without_warnings(self, stable_cfg, tmp_path, capsys):
+        # every |X - c|^2 at t = 1e300 overflows to +inf, the far field of f
+        grid = write_json(
+            tmp_path, "grid.json", {"t_values": [1e300], "offsets": [0, 1], "n": 2000, "validation": False}
+        )
+        rc = main(["verify", "--spec", stable_cfg, "--inequality", "harnack_stable", "--grid", grid])
+        out, err = capsys.readouterr()
+        assert rc == 0 and err == "" and out.startswith("harnack_stable: PASS")
 
     def test_rerun_is_deterministic(self, stable_cfg, tmp_path, capsys):
         grid = write_json(tmp_path, "grid.json", FAST_OVERRIDE)
@@ -711,10 +795,10 @@ class TestIndentedJsonOutputs:
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
     def test_non_finite_estimate_is_a_one_line_error(self, stable_cfg, tmp_path, capsys, monkeypatch, to_file):
         class Infinite:
-            def to_dict(self):
-                return {"mean": math.inf, "std_err": 0.0}
+            mean = math.inf
+            std_err = 0.0
 
-        monkeypatch.setattr(cli, "estimate_Ptf", lambda *args: Infinite())
+        monkeypatch.setattr(SemigroupSampler, "sample", lambda *args: Infinite())
         out = tmp_path / "out" / "est.json"
         argv = ["estimate", "--spec", stable_cfg, "--t", "0.5", "--x", "0.0"]
         rc = main(argv + (["--out", str(out)] if to_file else []))

@@ -1,6 +1,8 @@
 """Endpoint simulation, semigroup estimation, and the factorization probe."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from harnacklab import (
     compute_c0,
     constant,
     empirical_cf,
-    estimate_Ptf,
     exp_cap,
     factorization_check,
     gaussian_bump,
@@ -475,10 +476,10 @@ class TestSemigroupSampler:
         assert calls == [0.5, 1.0]
 
     def test_unit_function_exact(self):
-        spec = stable_ou([[0.0]])
-        est = SemigroupSampler(spec, 2000, SeedSpec(93)).estimate(constant(1.0), [3.0], 0.5)
-        assert est.mean == 1.0
-        assert est.std_err == 0.0
+        s = SemigroupSampler(stable_ou([[0.0]]), 2000, SeedSpec(93))
+        sample = s.sample(constant(1.0), [3.0], 0.5)
+        assert sample.mean == 1.0
+        assert sample.std_err == 0.0
 
     def test_translation_covariance(self):
         # common random numbers make P_t f(. + v)(x) and P_t f(x + v) agree
@@ -488,36 +489,98 @@ class TestSemigroupSampler:
         f = gaussian_bump(0.0, 1.0)
         v = np.array([1.7])
         shifted = gaussian_bump(np.array([0.0]) - v, 1.0)
-        a = s.estimate(shifted, [0.0], 1.0)
-        b = s.estimate(f, v, 1.0)
+        a = s.sample(shifted, [0.0], 1.0)
+        b = s.sample(f, v, 1.0)
         assert a.mean == b.mean
         assert a.std_err == b.std_err
-        c = s.estimate(shifted, [0.3], 1.0)
-        d = s.estimate(f, np.array([0.3]) + v, 1.0)
+        c = s.sample(shifted, [0.3], 1.0)
+        d = s.sample(f, np.array([0.3]) + v, 1.0)
         assert c.mean == pytest.approx(d.mean, rel=1e-12)
 
     def test_cauchy_ball_closed_form(self):
         # A = 0, alpha = 1, c = 1/pi: P_t 1_[-1,1](0) = 2 arctan(1/t) / pi
         spec = stable_ou([[0.0]], alpha=1.0, c=1.0 / math.pi)
-        est = estimate_Ptf(spec, ball_indicator([0.0], 1.0), [0.0], 1.0, 10**5, SeedSpec(95))
-        assert abs(est.mean - 0.5) < 4.0 * est.std_err
-
-    def test_estimate_fields(self):
-        spec = stable_ou([[0.0]])
-        est = estimate_Ptf(spec, ball_indicator([0.0], 1.0), [1.0], 0.5, 2000, SeedSpec(96))
-        d = est.to_dict()
-        assert d["t"] == 0.5
-        assert d["x"] == [1.0]
-        assert d["n"] == 2000
-        assert d["f_tag"] == "ball_indicator(center=[0],scale=1)"
-        assert 0.0 <= d["mean"] <= 1.0
+        s = SemigroupSampler(spec, 10**5, SeedSpec(95))
+        sample = s.sample(ball_indicator([0.0], 1.0), [0.0], 1.0)
+        assert abs(sample.mean - 0.5) < 4.0 * sample.std_err
 
     def test_validation(self):
         spec = stable_ou([[0.0]])
         with pytest.raises(ValueError):
             SemigroupSampler(spec, 0, SeedSpec(0))
-        with pytest.raises(ValueError):
-            estimate_Ptf(spec, constant(1.0), [0.0], 1.0, 999, SeedSpec(0))
+        s = SemigroupSampler(spec, 100, SeedSpec(0))
+        for f in (constant(1.0), ball_indicator([0.0], 1.0)):
+            for t in (0.0, -1.0, math.nan, math.inf):
+                with pytest.raises(ValueError, match="time must be positive"):
+                    s.sample(f, [0.0], t)
+            with pytest.raises(ValueError):
+                s.sample(f, [0.0, 0.0], 0.5)
+
+    def test_one_sample_per_point_and_one_distance_per_centre(self, monkeypatch):
+        calls = []
+        values = SemigroupSampler.values
+
+        def counted(self, f, x, t):
+            calls.append(t)
+            return values(self, f, x, t)
+
+        monkeypatch.setattr(SemigroupSampler, "values", counted)
+        s = SemigroupSampler(stable_ou([[0.5]]), 1000, SeedSpec(100))
+        ball, bump = ball_indicator([0.0], 1.0), gaussian_bump([0.0], 2.0)
+        first = s.sample(ball, [0.5], 0.5)
+        assert s.sample(ball, np.array([0.5]), 0.5) is first
+        assert np.array_equal(first.v, ball(s.endpoints([0.5], 0.5)))
+        # a second function with the same centre reads the same distances
+        assert np.array_equal(s.sample(bump, [0.5], 0.5).v, bump(s.endpoints([0.5], 0.5)))
+        assert calls == [0.5]
+        s.sample(gaussian_bump([1.0], 2.0), [0.5], 0.5)
+        s.sample(constant(2.0), [0.5], 0.5)
+        assert calls == [0.5, 0.5]
+
+    def test_a_time_is_freed_before_the_next_draw(self, monkeypatch):
+        # no sample or squared distance read off one time's noise is alive
+        # when the next time's noise is drawn, by reference counting alone
+        spec = stable_ou([[0.5, 0.2], [0.0, -0.3]], d=2)
+        rng = np.random.default_rng(101)
+        tracked = []
+
+        def stub(spec, t, n, seed):
+            assert all(ref() is None for ref in tracked)
+            return rng.standard_normal((n, 2))
+
+        values = SemigroupSampler.values
+
+        def traced(self, f, x, t):
+            out = values(self, f, x, t)
+            tracked.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr("harnacklab.ou_semigroup.ou_noise", stub)
+        monkeypatch.setattr(SemigroupSampler, "values", traced)
+        f_set = [
+            ball_indicator([0.0, 0.0], 1.0, offset=1.0),
+            gaussian_bump([0.0, 0.0], 1.0, offset=1.0),
+            constant(2.0),
+            exp_cap(3.0, [1.0, 0.0]),
+        ]
+        s = SemigroupSampler(spec, 1000, SeedSpec(102))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for t in (0.5, 1.0, 0.5, 2.0):
+                for f in f_set:
+                    for x in ([0.0, 0.0], [1.0, -1.0]):
+                        sample = s.sample(f, x, t)
+                        _ = sample.power(2.0).var + sample.log.var
+                        tracked += [weakref.ref(sample), weakref.ref(sample.v)]
+                        del sample
+            # a draw asked for directly, not through sample, frees them too
+            tracked.append(weakref.ref(s.sample(f_set[0], [0.0, 0.0], 3.0)))
+            s.noise(4.0)
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(tracked) == 4 * (3 * 2 * 2 + 2 * 4) + 2
 
     def test_truncated_driver_endpoint_moments(self):
         driver = TruncatedStableSpec(d=1, alpha=1.0, c=1.0, r=1.0)
@@ -528,6 +591,24 @@ class TestSemigroupSampler:
         fourth = 3.0 * target**2 + t * 2.0 / 3.0
         se = math.sqrt((fourth - target**2) / n)
         assert abs(np.var(w) - target) < 3.0 * se
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "f",
+    [
+        ball_indicator([0.0], 1.0, offset=0.5),
+        gaussian_bump([0.0], 1.0, offset=0.25),
+        constant(2.0),
+        exp_cap(3.0),
+    ],
+    ids=lambda f: f.kind,
+)
+def test_huge_time_is_the_far_field_without_warnings(f):
+    # at t = 1e300 every |X - c|^2 leaves the double range: each f reads its
+    # far-field value there, and nothing warns on the way
+    sample = SemigroupSampler(stable_ou([[0.0]]), 2000, SeedSpec(103)).sample(f, [0.0], 1e300)
+    assert sample.mean == f.min_value
 
 
 class TestFactorization:
