@@ -279,7 +279,9 @@ def _applicable_ids(cfg: dict) -> list[str]:
     if cfg["driver"] == "stable":
         harnack = "harnack_ou" if has_drift else "harnack_stable"
         return [harnack, "p_harnack", "ratio_lemma", "log_harnack", "young", "jensen"]
-    return ["log_harnack", "truncated_ratio", "young", "jensen"]
+    # truncated_ratio reads the exact density, which exists for d=1 only
+    ratio = ["truncated_ratio"] if cfg["d"] == 1 else []
+    return ["log_harnack", *ratio, "young", "jensen"]
 
 
 def _picked(overrides: dict, *keys: str) -> dict:

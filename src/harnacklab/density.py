@@ -687,10 +687,12 @@ def _scaled_ratio_profile(spec: StableSpec, scaled_radii) -> np.ndarray:
     return _radial_densities(spec, 1.0, radii) / phi_envelope(spec.d, spec.alpha, 1.0, radii)
 
 
-def _refine_extrema(
-    g, lo: float, hi: float, n_scan: int = 241, log: bool = False
-) -> tuple[float, float]:
-    """(min, max) of g on [lo, hi] by dense scan plus local refinement.
+# points of _refine_extrema's scan
+REFINE_SCAN = 241
+
+
+def _refine_extrema(g, lo: float, hi: float, log: bool = False) -> tuple[float, float]:
+    """(min, max) of g on [lo, hi] by a REFINE_SCAN-point scan plus local refinement.
 
     ``g`` maps an array of points (or one point) to an array of values; the
     scan evaluates it once on all points.  A log-spaced scan keeps resolution near lo when
@@ -698,12 +700,12 @@ def _refine_extrema(
     :func:`estimate_bound_constants` scans only the envelope's tail piece with
     it, which can have an interior extremum; the bulk piece is monotone.
     """
-    xs = np.geomspace(lo, hi, n_scan) if log else np.linspace(lo, hi, n_scan)
+    xs = np.geomspace(lo, hi, REFINE_SCAN) if log else np.linspace(lo, hi, REFINE_SCAN)
     vals = np.asarray(g(xs), dtype=float)
     gmin, gmax = float(vals.min()), float(vals.max())
     for sign in (1.0, -1.0):
         v = sign * vals
-        for i in range(1, n_scan - 1):
+        for i in range(1, REFINE_SCAN - 1):
             if v[i] <= v[i - 1] and v[i] <= v[i + 1]:
                 res: OptimizeResult = minimize_scalar(
                     lambda x: sign * float(g(x)[0]),
@@ -717,20 +719,17 @@ def _refine_extrema(
 
 
 def estimate_bound_constants(
-    spec: StableSpec,
-    t_grid: Sequence[float],
-    x_grid: np.ndarray,
-    refine: bool = False,
+    spec: StableSpec, t_grid: Sequence[float], x_grid: np.ndarray
 ) -> BoundConstants:
-    """Fit the two-sided envelope constants as grid extrema of p / phi.
+    """Fit the two-sided envelope constants as extrema of p / phi.
 
-    Plain mode takes min/max over the (t, x) product grid, matching the
-    uniform-bound character of the constants (no regression).  With
-    ``refine`` the extrema are additionally located on the scaled-radius
-    profile (the ratio depends on |x|/t^(1/alpha) alone) by 1-d minimization
-    up to 1.1x the largest scaled radius seen, and the constants get a 1e-7
-    relative widening; the result then certifies every node in that scaled
-    range up to quadrature error, not just the grid.  On the bulk piece,
+    The extrema are taken over the (t, x) product grid, matching the
+    uniform-bound character of the constants (no regression), and are also
+    located on the scaled-radius profile (the ratio depends on
+    |x|/t^(1/alpha) alone) by 1-d minimization up to 1.1x the largest scaled
+    radius seen; the constants get a 1e-7 relative widening, so they certify
+    every node in that scaled range (``certified_scaled_radius`` in their
+    grid_meta) up to quadrature error, not just the grid.  On the bulk piece,
     scaled radius at most 1, the envelope is 1 and the profile is p_1, which
     a Gaussian scale mixture makes radially nonincreasing, so its extrema are
     its values at the piece's two ends; only the tail piece is scanned and
@@ -757,21 +756,19 @@ def estimate_bound_constants(
         "t_grid": t_grid,
         "n_x": len(x_grid),
         "max_scaled_radius": max_scaled,
-        "refined": bool(refine),
     }
-    if refine:
-        hi = 1.1 * max_scaled
-        g = lambda s: _scaled_ratio_profile(spec, s)
-        # the envelope has a kink at scaled radius 1; treat the pieces separately:
-        # the bulk piece is p_1, nonincreasing, so its extrema are at its ends
-        ends = g([0.0, min(1.0, hi)])
-        c1, c2 = min(c1, float(ends[1])), max(c2, float(ends[0]))
-        if hi > 1.0:
-            hi_min, hi_max = _refine_extrema(g, 1.0, hi, log=True)
-            c1, c2 = min(c1, hi_min), max(c2, hi_max)
-        c1 *= 1.0 - 1e-7
-        c2 *= 1.0 + 1e-7
-        meta["certified_scaled_radius"] = hi
+    hi = 1.1 * max_scaled
+    g = lambda s: _scaled_ratio_profile(spec, s)
+    # the envelope has a kink at scaled radius 1; treat the pieces separately:
+    # the bulk piece is p_1, nonincreasing, so its extrema are at its ends
+    ends = g([0.0, min(1.0, hi)])
+    c1, c2 = min(c1, float(ends[1])), max(c2, float(ends[0]))
+    if hi > 1.0:
+        hi_min, hi_max = _refine_extrema(g, 1.0, hi, log=True)
+        c1, c2 = min(c1, hi_min), max(c2, hi_max)
+    c1 *= 1.0 - 1e-7
+    c2 *= 1.0 + 1e-7
+    meta["certified_scaled_radius"] = hi
     return BoundConstants(c1_hat=c1, c2_hat=c2, grid_meta=meta)
 
 

@@ -6,8 +6,11 @@ for semigroups), and fits the smallest constant C that makes the inequality
 hold on the grid after subtracting statistical slack.  A disjoint validation
 grid then re-fits the constant; a verification only counts as stable when the
 validation constant does not inflate by more than 25 % (STABILITY_THRESHOLD).
-The three semigroup verifiers share one driver, which samples both sides on
-shared noise and hands them to a per-node statistic.  Fitting,
+Every verifier of a fitted constant (ratio_lemma, truncated_ratio and the
+three semigroup verifiers) hands its node runner to one skeleton, which runs
+the default nodes, refuses a run that keeps none, fits, runs and re-fits the
+validation nodes, and builds the report; the semigroup runner samples both
+sides on shared noise and hands them to a per-node statistic.  Fitting,
 not testing: the inequalities are existential in C, so the lab's job is to
 exhibit a finite C and show it does not drift, never to hard-code one.
 
@@ -26,6 +29,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Callable, Sequence
@@ -223,6 +227,63 @@ def _fit_from_results(results: Sequence[NodeResult]) -> float:
         [r.lhs for r in results],
         [r.rhs_shape for r in results],
         [r.slack for r in results],
+    )
+
+
+def _stability(fitted: float, validation: float | None) -> bool | None:
+    if validation is None:
+        return None
+    if fitted == 0.0:
+        return validation <= STABILITY_THRESHOLD
+    return validation <= (1.0 + STABILITY_THRESHOLD) * fitted
+
+
+def _stability_meta(fitted: float, validation: float | None) -> dict:
+    """The mc_meta entries that judge a validation constant against STABILITY_THRESHOLD."""
+    return {"stability_threshold": STABILITY_THRESHOLD, "stability_ok": _stability(fitted, validation)}
+
+
+def _fitted_report(
+    inequality_id: str,
+    claim: str,
+    spec,
+    grid_meta: dict,
+    run: Callable[[object, int], tuple[list[NodeResult], int, list[dict]]],
+    nodes,
+    validation_nodes,
+    seed: SeedSpec | None,
+    mc_meta: Callable[[float, float | None, list[dict], list[NodeResult]], dict],
+    why_excluded: str,
+) -> InequalityReport:
+    """Run, fit, validate and report one inequality with a fitted constant.
+
+    ``run(nodes, substream)`` returns (kept results, excluded count,
+    violations); substream 1 serves the default nodes and 2 the validation
+    nodes (``None`` when validation is off), and a deterministic run ignores
+    it.  A default run that keeps no node raises ValueError saying
+    ``why_excluded``.  The validation run's exclusions and violations add to
+    the default run's; its re-fit is validation_C, None when it keeps no
+    node.  ``mc_meta(fitted_C, validation_C, violations, default results)``
+    builds the report's mc_meta.
+    """
+    results, excluded, violations = run(nodes, 1)
+    if not results:
+        raise ValueError(f"all nodes excluded: {why_excluded}")
+    fitted = _fit_from_results(results)
+
+    validation_C = None
+    if validation_nodes is not None:
+        vres, vexcl, vviol = run(validation_nodes, 2)
+        excluded += vexcl
+        violations = violations + vviol
+        if vres:
+            validation_C = _fit_from_results(vres)
+
+    return InequalityReport(
+        inequality_id=inequality_id, claim=claim, spec_doc=describe_spec(spec), grid_meta=grid_meta,
+        per_node=results, fitted_C=fitted, validation_C=validation_C, excluded_nodes=excluded,
+        seed_doc=_seed_doc(seed), mc_meta=mc_meta(fitted, validation_C, violations, results),
+        violations=violations,
     )
 
 
@@ -426,6 +487,8 @@ def _lookup(cache: dict, t: float, radius: float) -> float:
 
 # relative tolerance of the ratio-lemma bounds, absorbing quadrature noise
 RATIO_REL_SLACK = 1e-6
+# a node whose p_t(y - z) lies below this is excluded
+RATIO_UNDERFLOW = 1e-300
 
 
 def verify_ratio_lemma(
@@ -434,7 +497,6 @@ def verify_ratio_lemma(
     constants: BoundConstants | None = None,
     *,
     validation: bool = True,
-    underflow: float = 1e-300,
     seed: SeedSpec | None = None,
 ) -> InequalityReport:
     """Check the three-case density ratio bounds node by node.
@@ -443,7 +505,8 @@ def verify_ratio_lemma(
     range the grid touches, then verifies p_t(x-z)/p_t(y-z) against the
     per-case and global bounds with relative tolerance RATIO_REL_SLACK.
     Zero violations is the pass condition; the fitted constant reported is
-    the empirical max of ratio / comparison shape.
+    the empirical max of ratio / comparison shape.  The validation grid is
+    cut to the certified range.
     """
     grid = list(default_ratio_grid(spec.d, spec.alpha) if grid is None else grid)
     if not grid:
@@ -457,7 +520,7 @@ def verify_ratio_lemma(
     if constants is None:
         probe = np.linspace(0.0, max(max_scaled, 1.0), 8)[1:]
         constants = estimate_bound_constants(
-            spec, [1.0], probe[:, None] * _axis_vector(spec.d, 1.0, 0)[None, :], refine=True
+            spec, [1.0], probe[:, None] * _axis_vector(spec.d, 1.0, 0)[None, :]
         )
     certified = constants.grid_meta.get("certified_scaled_radius", 0.0)
     if certified < max_scaled:
@@ -466,19 +529,19 @@ def verify_ratio_lemma(
             f"but the grid reaches {max_scaled:.3g}"
         )
 
-    def run(nodes: Sequence[Node], dists):
+    def run(nodes, _substream):
+        nodes, dists = nodes
         cache = _ratio_density_cache(spec, nodes, dists)
-        results, violations, case_counts = [], [], {}
+        results, violations = [], []
         excluded = 0
         for nd, (rx, ry, dxy) in zip(nodes, dists):
             px, py = _lookup(cache, nd.t, rx), _lookup(cache, nd.t, ry)
-            if py < underflow:
+            if py < RATIO_UNDERFLOW:
                 excluded += 1
                 continue
             ratio = px / py
             case = classify_case(nd.t, ry, dxy, spec.alpha, spec.d, constants)
             glob = lemma_ratio_bound(nd.t, dxy, spec.alpha, spec.d, constants.c1_hat, constants.c2_hat)
-            case_counts[case.tag] = case_counts.get(case.tag, 0) + 1
             shape = harnack_shape(dxy, nd.t, spec.alpha, spec.d, "raw")
             res = NodeResult(
                 node=nd,
@@ -492,47 +555,32 @@ def verify_ratio_lemma(
                 violations.append({**res.to_dict(), "kind": "case_bound"})
             if ratio > glob * (1.0 + RATIO_REL_SLACK):
                 violations.append({**res.to_dict(), "kind": "global_bound"})
-        return results, violations, case_counts, excluded
+        return results, excluded, violations
 
-    results, violations, case_counts, excluded = run(grid, dists)
-    fitted = _fit_from_results(results)
-
-    validation_C = None
+    validation_nodes = None
     if validation:
         vgrid = validation_ratio_grid(spec.d, spec.alpha)
         vdists = _node_distances(vgrid)
         kept = [i for i, s in enumerate(_scaled_radii(vgrid, vdists, spec.alpha)) if s <= certified]
-        vres, vviol, _, vexcl = run([vgrid[i] for i in kept], [vdists[i] for i in kept])
-        violations.extend(vviol)
-        validation_C = _fit_from_results(vres)
-        excluded += vexcl
+        validation_nodes = ([vgrid[i] for i in kept], [vdists[i] for i in kept])
 
     lemma_constant = 2.0 ** (spec.alpha + spec.d) * constants.c2_hat / constants.c1_hat
-    return InequalityReport(
-        inequality_id="ratio_lemma",
-        claim=(
-            "p_t(x-z)/p_t(y-z) obeys the three-regime case bounds and the global bound "
-            "2^(alpha+d)(c2/c1)(1+|x-y|/t^(1/alpha))^(d+alpha)"
-        ),
-        spec_doc=describe_spec(spec),
-        grid_meta={
-            "nodes": len(grid),
-            "case_counts": case_counts,
-            "max_scaled_radius": max_scaled,
-        },
-        per_node=results,
-        fitted_C=fitted,
-        validation_C=validation_C,
-        excluded_nodes=excluded,
-        seed_doc=_seed_doc(seed),
-        mc_meta={
+    report = _fitted_report(
+        "ratio_lemma",
+        "p_t(x-z)/p_t(y-z) obeys the three-regime case bounds and the global bound "
+        "2^(alpha+d)(c2/c1)(1+|x-y|/t^(1/alpha))^(d+alpha)",
+        spec, {"nodes": len(grid), "max_scaled_radius": max_scaled},
+        run, (grid, dists), validation_nodes, seed,
+        lambda fitted, validation_C, violations, _: {
             "lemma_constant": lemma_constant,
             "envelope": {"c1": constants.c1_hat, "c2": constants.c2_hat},
             "rel_slack": RATIO_REL_SLACK,
             "stability_ok": True if validation_C is None else bool(not violations),
         },
-        violations=violations,
+        "p_t(y - z) underflows below RATIO_UNDERFLOW",
     )
+    report.grid_meta["case_counts"] = dict(Counter(r.extra["case"] for r in report.per_node))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -553,14 +601,6 @@ def _difference_slack(
     """3 SE of grad_l * L - coeff_r * R via the delta method on paired samples."""
     var = grad_l**2 * var_l + coeff_r**2 * var_r - 2.0 * grad_l * coeff_r * cov
     return 3.0 * math.sqrt(max(var, 0.0) / n)
-
-
-def _stability(fitted: float, validation: float | None) -> bool | None:
-    if validation is None:
-        return None
-    if fitted == 0.0:
-        return validation <= STABILITY_THRESHOLD
-    return validation <= (1.0 + STABILITY_THRESHOLD) * fitted
 
 
 # (f, node, the node's shape, f at the n endpoints from x, f at the n
@@ -591,7 +631,7 @@ def _verify_semigroup(
     validation: bool,
     grid_meta: dict | None = None,
 ) -> InequalityReport:
-    """Run, fit, validate and report one semigroup inequality.
+    """Run one semigroup inequality through :func:`_fitted_report`.
 
     P_t f is read from :meth:`SemigroupSampler.sample` on shared noise (seed
     substream 1, and substream 2 for the validation grid), which computes
@@ -624,37 +664,16 @@ def _verify_semigroup(
                             excluded += 1
                         else:
                             per_f[i].append(res)
-        return [r for per_f in per_stat for out in per_f for r in out], excluded
+        return [r for per_f in per_stat for out in per_f for r in out], excluded, []
 
-    results, excluded = run(grid, 1)
-    if not results:
-        raise ValueError("all nodes excluded: semigroup means not significantly positive")
-    fitted = _fit_from_results(results)
-
-    validation_C = None
-    if validation:
-        vres, vexcl = run(validation_comparison_grid(spec.d), 2)
-        excluded += vexcl
-        if vres:
-            validation_C = _fit_from_results(vres)
-
-    return InequalityReport(
-        inequality_id=inequality_id,
-        claim=claim,
-        spec_doc=describe_spec(spec),
-        grid_meta={"nodes": len(grid), "functions": [f.tag for f in f_set], **(grid_meta or {})},
-        per_node=results,
-        fitted_C=fitted,
-        validation_C=validation_C,
-        excluded_nodes=excluded,
-        seed_doc=_seed_doc(seed),
-        mc_meta={
-            "n": n,
-            **meta(results),
-            "stability_threshold": STABILITY_THRESHOLD,
-            "stability_ok": _stability(fitted, validation_C),
+    return _fitted_report(
+        inequality_id, claim, spec,
+        {"nodes": len(grid), "functions": [f.tag for f in f_set], **(grid_meta or {})},
+        run, grid, validation_comparison_grid(spec.d) if validation else None, seed,
+        lambda fitted, validation_C, _, results: {
+            "n": n, **meta(results), **_stability_meta(fitted, validation_C)
         },
-        violations=[],
+        "semigroup means not significantly positive",
     )
 
 
@@ -721,7 +740,6 @@ def verify_p_harnack(
     *,
     n: int = 10**5,
     seed: SeedSpec | None = None,
-    time_scale: str | None = None,
     validation: bool = True,
 ) -> InequalityReport:
     """Fit C in (P_t f(x))^p <= C (1 + |x-y|/t_eff^(1/alpha))^(p(d+alpha)) P_t f^p(y).
@@ -730,13 +748,14 @@ def verify_p_harnack(
     run at p close to 1 must reproduce the plain fitted constant; that
     continuity is part of the acceptance battery.  Every node, validation
     nodes included, also gets an empirical Jensen sanity check
-    (mean f)^p <= mean f^p + 3 SE.
+    (mean f)^p <= mean f^p + 3 SE.  t_eff is t when A = 0 and t ∧ 1
+    otherwise, as in :func:`verify_harnack`'s default.
     """
     for p in p_list:
         if p <= 1.0:
             raise ValueError(f"power must exceed 1, got {p}")
     alpha, d = spec.driver.alpha, spec.d
-    time_scale = _time_scale(spec, time_scale)
+    time_scale = _time_scale(spec, None)
     f_set = default_test_functions(d) if f_set is None else list(f_set)
     jensen_failures = 0
 
@@ -873,9 +892,10 @@ def verify_truncated_ratio(
     of the upper and lower tail rates that :func:`check_truncated_bounds`
     fits to exact values on FIT_POINTS radii in [0, reach] per time.  The
     nodes' z runs over [-z_max, z_max], z_max = reach - max(offsets) - 0.25
-    (at least 1).  A node is excluded only where a density underflows to 0.
-    Where :func:`truncated_density` refuses the driver (small alpha with
-    small t c r^(-alpha)), its QuadratureError propagates.
+    (at least 1); the validation nodes' z are the midpoints of that ladder.
+    A node is excluded only where a density underflows to 0.  Where
+    :func:`truncated_density` refuses the driver (small alpha with small
+    t c r^(-alpha)), its QuadratureError propagates.
     """
     if spec.d != 1:
         raise NotImplementedError("truncated ratio verification is implemented for d=1")
@@ -895,7 +915,7 @@ def verify_truncated_ratio(
     c_exp = max(constants.c4 + constants.c6, 0.1)
     z_max = max(reach - max(offsets) - 0.25, 1.0)
 
-    def run(z_values):
+    def run(z_values, _substream):
         # one time slice at a time: exclusions, m = max(2, |x-y|, |y-z|) and
         # ratios as arrays, then truncated_ratio_bound at each kept node
         results, excluded = [], 0
@@ -917,48 +937,23 @@ def verify_truncated_ratio(
                     NodeResult(node=Node(t=t, x=x, y=y, z=z_nodes[j]), lhs=lhs, rhs_shape=shape, slack=0.0)
                     for j, lhs, shape in zip(kept.tolist(), ratios, shapes)
                 )
-        return results, excluded
+        return results, excluded, []
 
     z_values = np.linspace(-z_max, z_max, z_count)
-    results, excluded = run(z_values)
-    if not results:
-        raise ValueError("all truncated-ratio nodes excluded: the densities underflow")
-    fitted = _fit_from_results(results)
-
-    validation_C = None
-    if validation:
-        half_step = (z_values[1] - z_values[0]) / 2.0 if z_count > 1 else 0.1
-        vres, vexcl = run(z_values[:-1] + half_step)
-        excluded += vexcl
-        if vres:
-            validation_C = _fit_from_results(vres)
-
-    return InequalityReport(
-        inequality_id="truncated_ratio",
-        claim=(
-            "p_t(x-z)/p_t(y-z) <= C1 t^(-d/alpha) (m/t)^(C2 m), "
-            "m = max(2, |x-y|, |y-z|), for truncated stable noise on t in (0,1]"
-        ),
-        spec_doc=describe_spec(spec),
-        grid_meta={
-            "t_grid": t_grid,
-            "offsets": list(offsets),
-            "z_count": z_count,
-            "z_max": z_max,
-            "reach": reach,
-        },
-        per_node=results,
-        fitted_C=fitted,
-        validation_C=validation_C,
-        excluded_nodes=excluded,
-        seed_doc=_seed_doc(seed),
-        mc_meta={
+    half_step = (z_values[1] - z_values[0]) / 2.0 if z_count > 1 else 0.1
+    return _fitted_report(
+        "truncated_ratio",
+        "p_t(x-z)/p_t(y-z) <= C1 t^(-d/alpha) (m/t)^(C2 m), "
+        "m = max(2, |x-y|, |y-z|), for truncated stable noise on t in (0,1]",
+        spec,
+        {"t_grid": t_grid, "offsets": list(offsets), "z_count": z_count, "z_max": z_max, "reach": reach},
+        run, z_values, z_values[:-1] + half_step if validation else None, seed,
+        lambda fitted, validation_C, _, __: {
             "C2": c_exp,
             "tail_fit": constants.grid_meta.get("tail_fit"),
-            "stability_threshold": STABILITY_THRESHOLD,
-            "stability_ok": _stability(fitted, validation_C),
+            **_stability_meta(fitted, validation_C),
         },
-        violations=[],
+        "the densities underflow",
     )
 
 
@@ -1046,13 +1041,15 @@ def _margins_by_dim(margins_of, cases: list[tuple]) -> list[float]:
     return margins.tolist()
 
 
-def _finite_measure_suite(
-    kind: str, n_cases: int, seed: SeedSpec, max_dim: int
-) -> InequalityReport:
+# the Young and Jensen batteries draw each case's dimension from 1..SUITE_MAX_DIM
+SUITE_MAX_DIM = 20
+
+
+def _finite_measure_suite(kind: str, n_cases: int, seed: SeedSpec) -> InequalityReport:
     rng = seed.rng()
     cases = []
     for _ in range(n_cases):
-        m = int(rng.integers(1, max_dim + 1))
+        m = int(rng.integers(1, SUITE_MAX_DIM + 1))
         mu = rng.dirichlet(np.ones(m))
         if kind == "young":
             g = rng.exponential(1.0, m)
@@ -1088,7 +1085,7 @@ def _finite_measure_suite(
         inequality_id=kind,
         claim=claim,
         spec_doc={"driver": "none", "kind": "finite_measure"},
-        grid_meta={"n_cases": n_cases, "max_dim": max_dim},
+        grid_meta={"n_cases": n_cases, "max_dim": SUITE_MAX_DIM},
         per_node=results,
         fitted_C=1.0,
         validation_C=None,
@@ -1099,22 +1096,16 @@ def _finite_measure_suite(
     )
 
 
-def young_suite(
-    n_cases: int = 1000,
-    seed: SeedSpec | None = None,
-    max_dim: int = 20,
-) -> InequalityReport:
+def young_suite(n_cases: int = 1000, seed: SeedSpec | None = None) -> InequalityReport:
     """Randomized battery for the entropy Young inequality.
 
     Dirichlet weights, exponential densities with occasional exact zeros,
     and uniformly bounded exponents (h in [0, log 1e6], so e^h never
     overflows).  Any margin below -1e-12 is recorded as a violation.
     """
-    return _finite_measure_suite("young", n_cases, seed or SeedSpec(0), max_dim)
+    return _finite_measure_suite("young", n_cases, seed or SeedSpec(0))
 
 
-def jensen_suite(
-    n_cases: int = 1000, seed: SeedSpec | None = None, max_dim: int = 20
-) -> InequalityReport:
+def jensen_suite(n_cases: int = 1000, seed: SeedSpec | None = None) -> InequalityReport:
     """Randomized battery for Jensen's inequality on finite measures."""
-    return _finite_measure_suite("jensen", n_cases, seed or SeedSpec(0), max_dim)
+    return _finite_measure_suite("jensen", n_cases, seed or SeedSpec(0))

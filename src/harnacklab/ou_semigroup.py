@@ -67,18 +67,21 @@ WEIGH_SLICE = 1 << 14
 def matrix_exp(A: np.ndarray, t: float = 1.0) -> np.ndarray:
     """e^{tA} by scaling-and-squaring Pade (scipy.linalg.expm).
 
-    Raises OverflowError when the result leaves the double range, which is
-    the only failure mode for finite square input.
+    Raises ValueError for a non-finite t or matrix entry, and OverflowError
+    when the result leaves the double range, which is the only failure mode
+    for finite square input.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix has non-finite entries")
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
     with np.errstate(over="ignore", invalid="ignore"):
         out = expm(t * A)
     if not np.all(np.isfinite(out)):
-        raise OverflowError(f"matrix exponential overflowed for ||tA|| = {np.linalg.norm(t * A, 2):.3g}")
+        raise OverflowError(f"matrix exponential overflowed for ||tA|| = {abs(t) * float(np.linalg.norm(A, 2)):.3g}")
     return out
 
 

@@ -127,7 +127,7 @@ def test_criterion_03_two_sided_bound():
     for d, alpha in ((1, 0.5), (1, 1.0), (2, 1.0)):
         spec = StableSpec(d=d, alpha=alpha, c=1.0)
         train = np.linspace(0.0, 22.0, 12)[1:, None] * np.eye(d)[:1]
-        consts = estimate_bound_constants(spec, [1.0], train, refine=True)
+        consts = estimate_bound_constants(spec, [1.0], train)
         for t in (0.1, 0.37, 0.8, 1.4, 2.0):
             for s in (0.05, 0.15, 0.45, 1.3, 2.7, 5.5, 9.5, 14.5, 19.9):
                 x = np.zeros(d)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from helpers import bergstrom_density
 
-from harnacklab import cli
+from harnacklab import cli, harnack_lab
 from harnacklab.cli import main
 from harnacklab.density import DensityEstimateError, stable_density_grid, truncated_density
 from harnacklab.harnack_lab import InequalityReport
@@ -511,6 +511,22 @@ class TestVerifyCommand:
             assert f"{ineq}: PASS" in out
         assert "ratio_lemma" not in out
 
+    def test_verify_all_truncated_d2_runs_what_applies(self, tmp_path, capsys):
+        # truncated_ratio reads the exact density, which is d=1 only, so 'all'
+        # leaves it out at d=2; named explicitly it is refused in one line
+        spec = write_json(tmp_path, "trunc2.json", {**TRUNC_CFG, "d": 2, "alpha": 1.5})
+        grid = write_json(tmp_path, "grid.json", {"n": 2000, "validation": False})
+        out = tmp_path / "rep"
+        rc = main(["verify", "--spec", spec, "--inequality", "all", "--grid", grid, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        ids = ["log_harnack", "young", "jensen"]
+        assert [line.split(":")[0] for line in captured.out.splitlines()] == ids
+        assert sorted(p.name for p in out.iterdir()) == sorted(f"report_{i}.json" for i in ids)
+        rc = main(["verify", "--spec", spec, "--inequality", "truncated_ratio", "--grid", grid])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1 and "implemented for d=1" in err, err
+
     def test_truncated_ratio_at_alpha_half(self, tmp_path, capsys):
         # radii past the reach (out to 48 r) no longer narrow the xi-panels of
         # the bulk: the default grid is answered and the report written
@@ -672,6 +688,55 @@ class TestNumericalErrors:
         monkeypatch.setattr(cli, "stable_density_grid", clamped)
         rc = main(["density", "--spec", stable_cfg, "--t", "1", "--radii", "1,2,3"])
         self._assert_one_line_error(rc, capsys, "clamped to zero")
+
+
+def _underflow_everywhere(monkeypatch):
+    monkeypatch.setattr(harnack_lab, "RATIO_UNDERFLOW", math.inf)
+
+
+def _zero_ratio_densities(monkeypatch):
+    # the run reads one (offsets, z) array of densities per time; zero those,
+    # and leave the reach and the tail fit their values
+    real = harnack_lab.truncated_density
+
+    def zeroed(spec, t, x):
+        values = real(spec, t, x)
+        return np.zeros_like(values) if np.ndim(x) == 2 else values
+
+    monkeypatch.setattr(harnack_lab, "truncated_density", zeroed)
+
+
+def _far_ball_only(monkeypatch):
+    # a Cauchy walk essentially never reaches a ball at 1e6, so every P_t f(y)
+    # is 0 and no node is significantly positive
+    far_ball = ball_indicator(np.full(1, 1e6), 0.01)
+    monkeypatch.setattr(harnack_lab, "default_test_functions", lambda d: [far_ball])
+
+
+class TestAllNodesExcluded:
+    """A verify run that excludes every default node exits 1 with one line
+    saying why.  log_harnack is not among them: it excludes no node."""
+
+    @pytest.mark.parametrize(
+        "ineq, cfg, force, fragment",
+        [
+            ("ratio_lemma", STABLE_CFG, _underflow_everywhere, "underflows"),
+            ("truncated_ratio", TRUNC_CFG, _zero_ratio_densities, "the densities underflow"),
+            ("harnack_stable", STABLE_CFG, _far_ball_only, "not significantly positive"),
+            ("p_harnack", STABLE_CFG, _far_ball_only, "not significantly positive"),
+        ],
+        ids=["ratio_lemma", "truncated_ratio", "harnack_stable", "p_harnack"],
+    )
+    def test_one_line_with_the_reason(self, tmp_path, capsys, monkeypatch, ineq, cfg, force, fragment):
+        force(monkeypatch)
+        spec = write_json(tmp_path, "cfg.json", cfg)
+        grid = write_json(tmp_path, "grid.json", {**FAST_OVERRIDE, "z_count": 7})
+        out = tmp_path / "rep"
+        rc = main(["verify", "--spec", spec, "--inequality", ineq, "--grid", grid, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1, err
+        assert err.startswith("harnacklab: error: all nodes excluded: ") and fragment in err
+        assert not out.exists()
 
 
 class TestNonFiniteInputs:

@@ -287,7 +287,7 @@ class TestEnvelope:
     def test_refined_constants_certify_off_grid_nodes(self):
         spec = StableSpec(d=1, alpha=1.5, c=1.0)
         train = np.linspace(0.0, 8.0, 9)[1:, None]
-        bc = estimate_bound_constants(spec, [1.0], train, refine=True)
+        bc = estimate_bound_constants(spec, [1.0], train)
         hi = bc.grid_meta["certified_scaled_radius"]
         assert hi == pytest.approx(1.1 * bc.grid_meta["max_scaled_radius"])
         rng = np.random.default_rng(3)
@@ -312,7 +312,7 @@ class TestEnvelope:
     )
     def test_refined_constants_pinned(self, d, alpha, radii, t_grid, c1, c2):
         spec = StableSpec(d=d, alpha=alpha, c=1.0)
-        bc = estimate_bound_constants(spec, t_grid, _axis_points(d, radii), refine=True)
+        bc = estimate_bound_constants(spec, t_grid, _axis_points(d, radii))
         assert (bc.c1_hat, bc.c2_hat) == (c1, c2)
 
     def test_empty_grid_rejected(self):

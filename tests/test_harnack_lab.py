@@ -16,9 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harnacklab import harnack_lab
 from harnacklab.density import BoundConstants, stable_density
 from harnacklab.harnack_lab import (
     INEQUALITY_IDS,
+    SUITE_MAX_DIM,
     _Moments,
     _PointSample,
     _paired_stats,
@@ -358,22 +360,30 @@ class TestVerifyRatioLemma:
         env = report.mc_meta["envelope"]
         assert 0.0 < env["c1"] <= env["c2"]
 
-    def test_validation_grid_cut_to_the_certified_range(self):
+    def test_validation_grid_cut_to_the_certified_range(self, monkeypatch):
         # validation nodes past the certified range are not run: under a high
         # underflow floor the validation run excludes exactly its in-range
         # nodes whose p_t(y - z) lies below the floor
         certified, floor = 40.0, 1e-3
+        monkeypatch.setattr(harnack_lab, "RATIO_UNDERFLOW", floor)
         consts = BoundConstants(c1_hat=0.05, c2_hat=5.0, grid_meta={"certified_scaled_radius": certified})
         vgrid = validation_ratio_grid(1, 1.0)
         below = [stable_density(CAUCHY, nd.t, nd.y - nd.z) < floor for nd in vgrid]
         in_range = [float(max(abs(nd.x - nd.z)[0], abs(nd.y - nd.z)[0])) / nd.t <= certified for nd in vgrid]
         expected = sum(b and kept for b, kept in zip(below, in_range))
         assert 0 < expected < sum(below)
-        kw = dict(grid=SMALL_RATIO_GRID, constants=consts, underflow=floor)
+        kw = dict(grid=SMALL_RATIO_GRID, constants=consts)
         with_validation = verify_ratio_lemma(CAUCHY, validation=True, **kw).excluded_nodes
         assert with_validation - verify_ratio_lemma(CAUCHY, validation=False, **kw).excluded_nodes == expected
 
-    def test_threads_do_not_change_results(self):
+    def test_validation_keeping_no_node_has_no_constant(self):
+        # every validation node lies past scaled radius 0.06, so none is run
+        consts = BoundConstants(c1_hat=0.05, c2_hat=5.0, grid_meta={"certified_scaled_radius": 0.06})
+        report = verify_ratio_lemma(CAUCHY, grid=[node(1.0, [0.05], [0.0], [0.0])], constants=consts)
+        assert report.validation_C is None
+        assert report.mc_meta["stability_ok"] is True and report.passed
+
+    def test_identical_runs_agree(self):
         consts = BoundConstants(
             c1_hat=0.05, c2_hat=5.0, grid_meta={"certified_scaled_radius": 1e9}
         )
@@ -416,6 +426,86 @@ class TestRatioLemmaReportsPinned:
         assert hashlib.sha256(canonical_json(report.to_dict()).encode()).hexdigest() == (
             "25479d50a7fb6ad531e9d7490c5e42d104c131ab4f751cb4568ff230c12fb8c2"
         )
+
+
+SEMIGROUP_GRID = [node(0.5, [0.0], [0.0]), node(0.5, [1.0], [0.0]), node(1.0, [0.0], [1.0])]
+# a Cauchy walk essentially never reaches it: every node excludes it
+FAR_BALL = ball_indicator(np.array([1e6]), 0.01)
+FITTED_RUNS = {
+    "ratio_lemma": lambda validation, f_set: verify_ratio_lemma(
+        CAUCHY, grid=SMALL_RATIO_GRID, validation=validation
+    ),
+    "truncated_ratio": lambda validation, f_set: verify_truncated_ratio(
+        TSPEC, T_GRID, offsets=(0.0, 1.0), z_count=9, validation=validation
+    ),
+    "harnack_stable": lambda validation, f_set: verify_harnack(
+        OU_FREE, f_set, SEMIGROUP_GRID, n=2000, seed=SeedSpec(3), validation=validation
+    ),
+    "p_harnack": lambda validation, f_set: verify_p_harnack(
+        OU_FREE, f_set, SEMIGROUP_GRID, n=2000, seed=SeedSpec(3), validation=validation
+    ),
+    "log_harnack": lambda validation, f_set: verify_log_harnack(
+        OU_FREE, None, SEMIGROUP_GRID, n=2000, seed=SeedSpec(3), validation=validation
+    ),
+}
+
+
+class TestFittedReportSkeleton:
+    """What every verifier of a fitted constant gets from the one skeleton
+    that runs, fits, validates and reports it."""
+
+    @pytest.mark.parametrize("ineq", list(FITTED_RUNS))
+    def test_validation_off(self, ineq):
+        report = FITTED_RUNS[ineq](False, None)
+        assert report.validation_C is None
+        # ratio_lemma's rule is "no violations", which holds without validation
+        assert report.mc_meta["stability_ok"] is (True if ineq == "ratio_lemma" else None)
+        assert ("stability_threshold" in report.mc_meta) is (ineq != "ratio_lemma")
+
+    @pytest.mark.parametrize("ineq", list(FITTED_RUNS))
+    def test_validation_on(self, ineq):
+        report = FITTED_RUNS[ineq](True, None)
+        assert math.isfinite(report.validation_C)
+        if ineq == "ratio_lemma":
+            assert report.mc_meta["stability_ok"] is (not report.violations)
+        else:
+            assert report.mc_meta["stability_ok"] is harnack_lab._stability(
+                report.fitted_C, report.validation_C
+            )
+
+    @pytest.mark.parametrize("ineq", ["ratio_lemma", "truncated_ratio", "harnack_stable", "p_harnack"])
+    def test_validation_exclusions_add_into_excluded_nodes(self, monkeypatch, ineq):
+        # log_harnack excludes no node, so it has none to add
+        f_set = None
+        if ineq == "ratio_lemma":
+            monkeypatch.setattr(harnack_lab, "RATIO_UNDERFLOW", 5e-3)
+        elif ineq == "truncated_ratio":
+            real = harnack_lab.truncated_density
+
+            def far_zero(spec, t, x):
+                # the nodes' densities are one 2-d array per time; zero those past 2
+                values = real(spec, t, x)
+                return np.where(np.abs(x) > 2.0, 0.0, values) if np.ndim(x) == 2 else values
+
+            monkeypatch.setattr(harnack_lab, "truncated_density", far_zero)
+        else:
+            f_set = default_test_functions(1) + [FAR_BALL]
+        excluded = {}
+        skeleton = harnack_lab._fitted_report
+
+        def counting_skeleton(inequality_id, claim, spec, grid_meta, run, *rest):
+            def counted(nodes, substream):
+                out = run(nodes, substream)
+                excluded[substream] = out[1]
+                return out
+
+            return skeleton(inequality_id, claim, spec, grid_meta, counted, *rest)
+
+        monkeypatch.setattr(harnack_lab, "_fitted_report", counting_skeleton)
+        report = FITTED_RUNS[ineq](True, f_set)
+        assert excluded[2] > 0
+        assert report.excluded_nodes == excluded[1] + excluded[2]
+        assert math.isfinite(report.validation_C)
 
 
 class TestVerifyHarnack:
@@ -939,18 +1029,19 @@ class TestBatchedMargins:
 
 class TestFiniteMeasureSuites:
     def test_young_suite(self):
-        report = young_suite(n_cases=150, seed=SeedSpec(5), max_dim=6)
+        report = young_suite(n_cases=150, seed=SeedSpec(5))
         assert report.inequality_id == "young"
         assert report.violations == []
         assert report.passed
         assert report.fitted_C == 1.0
         assert len(report.per_node) == 150
         assert report.mc_meta["min_margin"] >= -1e-12
-        assert report.grid_meta == {"n_cases": 150, "max_dim": 6}
+        assert report.grid_meta == {"n_cases": 150, "max_dim": SUITE_MAX_DIM}
+        assert {r.extra["dim"] for r in report.per_node} <= set(range(1, SUITE_MAX_DIM + 1))
         validate_report(report.to_dict())
 
     def test_jensen_suite(self):
-        report = jensen_suite(n_cases=150, seed=SeedSpec(6), max_dim=6)
+        report = jensen_suite(n_cases=150, seed=SeedSpec(6))
         assert report.inequality_id == "jensen"
         assert report.violations == []
         assert report.passed

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -60,6 +61,25 @@ class TestMatrixExp:
             matrix_exp(np.array([[np.inf]]))
         with np.errstate(over="ignore"), pytest.raises(OverflowError):
             matrix_exp(np.array([[710.0]]), 1.0)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_non_finite_time_is_one_clean_error(self, t):
+        # refused before expm, so neither a RuntimeWarning nor scipy's
+        # LinAlgError reaches the caller
+        spec = stable_ou(0.5 * np.eye(2), d=2, alpha=1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="time must be finite"):
+                matrix_exp(spec.A, t)
+            with pytest.raises(ValueError, match="time must be finite"):
+                sample_ou(spec, [0.0, 0.0], t, 10, SeedSpec(1))
+
+    def test_overflow_message_does_not_warn(self):
+        # ||tA|| itself overflows a double: the message says inf, quietly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="= inf"):
+                matrix_exp(np.array([[1e10]]), 1e300)
 
 
 class TestSampleOU:
