@@ -112,6 +112,8 @@ def _parse_vector(text: str, d: int, flag: str) -> np.ndarray:
         raise CLIError(f"{flag} expects comma-separated floats, got {text!r}") from exc
     if vec.size != d:
         raise CLIError(f"{flag} must have {d} components, got {vec.size}")
+    if not np.all(np.isfinite(vec)):
+        raise CLIError(f"{flag} must be finite, got {text!r}")
     return vec
 
 

@@ -378,7 +378,7 @@ def _cdf_rule(alpha: float) -> _MixtureRule:
 
 def _log_tb(spec: StableSpec, t: float) -> float:
     """log(t b), b = sigma(d, alpha) c; a t b that overflows a double raises OverflowError."""
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError("time must be positive")
     tb = t * compute_sigma(spec.d, spec.alpha) * spec.c
     if not math.isfinite(tb):

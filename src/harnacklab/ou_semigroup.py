@@ -127,12 +127,13 @@ def _gramian_factor(A: np.ndarray, t: float) -> np.ndarray:
     """
     d = len(A)
     k = max(0, math.ceil(math.log2(t * np.linalg.norm(A, 2))))
-    F = matrix_exp(np.block([[-A, np.eye(d)], [np.zeros((d, d)), A.T]]), t / 2**k)
+    F = matrix_exp(np.block([[-A, np.eye(d)], [np.zeros((d, d)), A.T]]), math.ldexp(t, -k))
     flow = F[d:, d:].T
     gram = flow @ F[:d, d:]
-    for _ in range(k):
-        gram = gram + flow @ gram @ flow.T
-        flow = flow @ flow
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(k):
+            gram = gram + flow @ gram @ flow.T
+            flow = flow @ flow
     if not np.all(np.isfinite(gram)):
         raise OverflowError(f"OU noise covariance overflowed for ||tA|| = {t * np.linalg.norm(A, 2):.3g}")
     return np.linalg.cholesky(0.5 * (gram + gram.T))
@@ -160,7 +161,7 @@ def ou_noise(spec: OUSpec, t: float, n: int, seed: SeedSpec) -> np.ndarray:
     bounds what it reads; density estimates, which read tails, draw through
     ``sample_truncated_stable`` instead.
     """
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError("time must be positive")
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -173,8 +174,8 @@ def ou_noise(spec: OUSpec, t: float, n: int, seed: SeedSpec) -> np.ndarray:
     if conformal:
         rate = 0.5 * driver.alpha * sym[0, 0]
         return sample_rot_stable(driver, t if rate == 0.0 else math.expm1(rate * t) / rate, n, rng)
+    factor = _gramian_factor(spec.A, t)  # refuses an overflowing t before the cutoff's powers do
     intensity, icdf, sd = _jump_part(driver, t)
-    factor = _gramian_factor(spec.A, t)
     return _compound_poisson_gaussian(
         rng, n, spec.d, t * intensity, icdf, sd * factor, weigh=_jump_weigher(spec, t)
     )
@@ -230,6 +231,8 @@ class TestFunction:
     def __post_init__(self) -> None:
         if self.kind not in ("ball_indicator", "gaussian_bump", "constant", "exp_cap"):
             raise ValueError(f"unknown test function kind {self.kind!r}")
+        if not all(map(math.isfinite, (*self.center, self.scale, self.value, self.offset))):
+            raise ValueError("test function center, scale, value and offset must be finite")
         if self.kind != "constant" and self.scale <= 0.0:
             raise ValueError("scale must be positive")
         if self.offset < 0.0 or self.value < 0.0:

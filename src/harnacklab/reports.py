@@ -61,7 +61,7 @@ _INT_TEXT = int.__repr__
 _STR_TEXT = json.encoder.encode_basestring_ascii
 
 
-def _indented(doc) -> str:
+def _indented(doc, node: _Node | None = None) -> str:
     """The text json.dumps gives for ``doc`` with sorted keys and indent 2.
 
     Python's C encoder takes no indent, so json.dumps falls back to its
@@ -70,13 +70,16 @@ def _indented(doc) -> str:
     float subclass (np.float64) is written as a float.  NaN and infinity
     raise ValueError rather than appear as non-standard tokens; any other
     value that is not JSON, a tuple or np.int64 say, raises TypeError.
+    With a schema node, a value its node refuses raises ``_Refused`` unwritten.
     """
     parts: list[str] = []
-    _put_indented(doc, "\n", parts.append)
+    _put_indented(doc, "\n", parts.append, node)
     return "".join(parts)
 
 
-def _put_indented(obj, newline: str, put) -> None:
+def _put_indented(obj, newline: str, put, node: _Node | None = None) -> None:
+    if node is not None:
+        node.check(obj)
     tp = type(obj)
     if tp is float:
         if obj - obj != 0.0:
@@ -88,6 +91,7 @@ def _put_indented(obj, newline: str, put) -> None:
         if not obj:
             put("{}")
             return
+        props = {} if node is None else node.properties
         inner = newline + "  "
         sep = "{" + inner
         for key in sorted(obj):
@@ -96,18 +100,19 @@ def _put_indented(obj, newline: str, put) -> None:
             put(sep)
             put(_STR_TEXT(key))
             put(": ")
-            _put_indented(obj[key], inner, put)
+            _put_indented(obj[key], inner, put, props.get(key))
             sep = "," + inner
         put(newline + "}")
     elif tp is list:
         if not obj:
             put("[]")
             return
+        items = None if node is None else node.items
         inner = newline + "  "
         sep = "[" + inner
         for item in obj:
             put(sep)
-            _put_indented(item, inner, put)
+            _put_indented(item, inner, put, items)
             sep = "," + inner
         put(newline + "]")
     elif tp is int:
@@ -150,8 +155,8 @@ def validate_against(instance: dict, schema_name: str) -> None:
     Draft202012Validator(load_schema(schema_name)).validate(instance)
 
 
-# Keywords the compiled check understands; anything else in a schema is
-# refused when it is compiled, so a schema edit cannot slip past it.
+# Keywords a schema node understands; reading a schema with any other keyword
+# raises, so a schema edit cannot slip past the writer's check.
 _KEYWORDS = frozenset({
     "$schema", "$id", "title",
     "type", "enum", "properties", "required", "items", "minimum", "additionalProperties",
@@ -165,96 +170,63 @@ _TYPES = {
     "boolean": (bool,),
     "null": (type(None),),
     "number": (int, float),
+    "integer": (int,),  # and an integral float, see _Node.check
 }
 
 
-def _type_check(names):
-    names = [names] if isinstance(names, str) else list(names)
-    exact = frozenset(tp for name in names if name != "integer" for tp in _TYPES[name])
-    if "integer" not in names:
-        return lambda v: type(v) in exact
-    return lambda v: type(v) in exact or type(v) is int or (type(v) is float and v.is_integer())
+class _Refused(Exception):
+    """A value its schema node refuses: only a cue to ask jsonschema."""
 
 
-def _enum_check(members):
-    # same type and equal, so True never matches 1 and [True] never [1]
-    scalars = [m for m in members if not isinstance(m, (list, dict))]
-    return lambda v: any(type(v) is type(m) and v == m for m in scalars)
+class _Node:
+    """One subschema, read once: what the writer's walk checks a value against.
 
-
-def _minimum_check(bound):
-    def check(v):
-        if isinstance(v, bool) or not isinstance(v, numbers.Number):
-            return True  # jsonschema applies minimum to numbers only
-        return type(v) in (int, float) and v >= bound
-
-    return check
-
-
-def _compile_schema(schema: dict):
-    """A predicate that accepts only instances ``schema`` accepts.
-
-    It covers ``type``, ``enum``, ``properties``, ``required``, ``items``,
-    ``minimum``, ``additionalProperties: true`` and the annotations, with
-    Draft 2020-12 meaning, and raises ValueError on any other keyword.  It
-    may reject what jsonschema would accept (a subclass of dict or float,
-    say), never the reverse, so a rejection is only a cue to ask jsonschema.
+    It holds ``type`` (as exact Python types), ``enum``, ``minimum``,
+    ``required``, ``properties`` (name to node) and ``items`` (a node), with
+    Draft 2020-12 meaning, and reading any other keyword raises ValueError.
+    Its check may refuse what jsonschema accepts (a float subclass, say),
+    never the reverse.
     """
-    if not isinstance(schema, dict):
-        raise ValueError(f"cannot compile the schema {schema!r}")
-    unknown = set(schema) - _KEYWORDS
-    if unknown:
-        raise ValueError(f"cannot compile schema keywords {sorted(unknown)}")
-    if schema.get("additionalProperties", True) is not True:
-        raise ValueError("cannot compile additionalProperties other than true")
-    checks = []
-    if "type" in schema:
-        checks.append(_type_check(schema["type"]))
-    if "enum" in schema:
-        checks.append(_enum_check(schema["enum"]))
-    if "minimum" in schema:
-        checks.append(_minimum_check(schema["minimum"]))
-    if "required" in schema:
-        required = frozenset(schema["required"])
-        checks.append(lambda v: not isinstance(v, dict) or v.keys() >= required)
-    if "properties" in schema:
-        props = tuple((k, _compile_schema(sub)) for k, sub in schema["properties"].items())
-        checks.append(_properties_check(props))
-    if "items" in schema:
-        item = _compile_schema(schema["items"])
-        checks.append(lambda v: not isinstance(v, list) or all(map(item, v)))
-    if not checks:
-        return lambda v: True
-    if len(checks) == 1:
-        return checks[0]
-    return _all_of(tuple(checks))
 
+    def __init__(self, schema: dict):
+        if not isinstance(schema, dict):
+            raise ValueError(f"cannot read the schema {schema!r}")
+        unknown = set(schema) - _KEYWORDS
+        if unknown:
+            raise ValueError(f"cannot read schema keywords {sorted(unknown)}")
+        if schema.get("additionalProperties", True) is not True:
+            raise ValueError("cannot read additionalProperties other than true")
+        names = schema.get("type")
+        names = [names] if isinstance(names, str) else names
+        self.types = None if names is None else frozenset(tp for name in names for tp in _TYPES[name])
+        self.integer = names is not None and "integer" in names
+        enum = schema.get("enum")
+        self.enum = None if enum is None else tuple(m for m in enum if not isinstance(m, (list, dict)))
+        self.minimum = schema.get("minimum")
+        self.required = frozenset(schema.get("required", ()))
+        self.properties = {key: _Node(sub) for key, sub in schema.get("properties", {}).items()}
+        self.items = _Node(schema["items"]) if "items" in schema else None
 
-def _properties_check(props):
-    def check(v):
-        if isinstance(v, dict):
-            for key, ok in props:
-                if key in v and not ok(v[key]):
-                    return False
-        return True
-
-    return check
-
-
-def _all_of(checks):
-    def check(v):
-        for ok in checks:
-            if not ok(v):
-                return False
-        return True
-
-    return check
+    def check(self, v) -> None:
+        tp = type(v)
+        if self.types is not None and tp not in self.types:
+            if not (self.integer and tp is float and v.is_integer()):
+                raise _Refused
+        # scalar members only, matched by type and value, so True never matches 1
+        if self.enum is not None and not any(tp is type(m) and v == m for m in self.enum):
+            raise _Refused
+        # jsonschema applies minimum to numbers only
+        if self.minimum is not None and tp is not bool and isinstance(v, numbers.Number):
+            if not (tp in (int, float) and v >= self.minimum):
+                raise _Refused
+        if self.required and isinstance(v, dict) and not v.keys() >= self.required:
+            raise _Refused
 
 
 @cache
-def _schema_check(schema_name: str):
-    """The compiled predicate of a published schema, built on first use."""
-    return _compile_schema(load_schema(schema_name))
+def _schema_node(schema_name: str) -> _Node:
+    """The root node of a published schema, read on first use."""
+    return _Node(load_schema(schema_name))
 
 
 def validate_config(config: dict) -> None:
@@ -314,18 +286,20 @@ def write_report(report: dict, out: Path | str, fmt: str = "json") -> list[Path]
     """Write a validated report as pretty JSON and/or flattened CSV.
 
     ``out`` is the JSON path; the CSV sibling swaps the suffix.  Returns the
-    paths written.  The report is checked against report.schema.json by a
-    predicate compiled from the schema once per process; only when that
-    rejects does jsonschema validate it, so an invalid report raises
+    paths written.  One walk builds the JSON text and checks each value
+    against its node of report.schema.json as it writes it; only when a node
+    refuses does jsonschema validate the report, so an invalid report raises
     jsonschema's own ValidationError.  The JSON text is built before anything
-    is written, so a value it refuses (see :func:`indented_json`) leaves no
-    file either, whatever the format.
+    is written, so an invalid report or a value the writer refuses (see
+    :func:`indented_json`) leaves no file either, whatever the format.
     """
     if fmt not in ("json", "csv", "both"):
         raise ValueError(f"format must be json, csv or both, got {fmt!r}")
-    if not _schema_check("report")(report):
+    try:
+        text = _indented(report, _schema_node("report")) + "\n"
+    except _Refused:
         validate_against(report, "report")
-    text = _indented(report) + "\n"
+        text = _indented(report) + "\n"
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     written = []

@@ -186,7 +186,7 @@ def sample_rot_stable(
     |xi|^alpha), so the standard draw is scaled by (t sigma c)^(1/alpha).
     A t sigma c that overflows a double raises OverflowError.
     """
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError("time must be positive")
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -223,7 +223,7 @@ def default_small_jump_cutoff(spec: TruncatedStableSpec, t: float) -> float:
     step, so the density tails the kernel density estimates read stay those
     of the jumps.  The semigroup's draws cut at :func:`_split_cutoff` instead.
     """
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError("time must be positive")
     return min(spec.r / 10.0, t ** (1.0 / spec.alpha) / 10.0)
 
@@ -365,7 +365,7 @@ def sample_truncated_stable(
     with the small-jump variance.  ``epsilon=None`` selects the default
     cutoff.
     """
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError("time must be positive")
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -494,7 +494,7 @@ def sample_increment(
     cutoff nears r, so density estimates draw through
     :func:`sample_truncated_stable` instead.
     """
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError("time must be positive")
     if n < 1:
         raise ValueError("n must be at least 1")

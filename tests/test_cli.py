@@ -748,6 +748,7 @@ class TestNonFiniteInputs:
 
     OVERFLOW_CFG = '{"driver": "stable", "d": 1, "alpha": 1.0, "c": 1e308}'
     STABLE_CFG_TEXT = '{"driver": "stable", "d": 1, "alpha": 1.0, "c": 1.0}'
+    ESTIMATE = ["estimate", "--t", "1", "--x", "0", "--n", "1000"]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -768,10 +769,20 @@ class TestNonFiniteInputs:
              "grid.json holds the non-finite number -Infinity"),
             (STABLE_CFG_TEXT, None, ["density", "--t", "1", "--radii", "nan"],
              "radii must be finite and nonnegative"),
+            (STABLE_CFG_TEXT, None, ESTIMATE + ["--f", "ball", "--f-scale", "nan"], "must be finite"),
+            (STABLE_CFG_TEXT, None, ESTIMATE + ["--f", "ball", "--f-center", "nan"],
+             "--f-center must be finite"),
+            (STABLE_CFG_TEXT, None, ["estimate", "--t", "1", "--x", "nan", "--n", "1000"],
+             "--x must be finite"),
+            (STABLE_CFG_TEXT, None, ESTIMATE + ["--f", "const", "--f-value", "nan"], "must be finite"),
+            ('{"driver": "truncated_stable", "d": 1, "alpha": 1.5, "c": 1.0, "r": 1.0}', None,
+             ["sample", "--t", "nan", "--n", "10"], "time must be positive"),
+            (STABLE_CFG_TEXT, None, ["density", "--t", "nan", "--radii", "1"], "time must be positive"),
         ],
         ids=[
             "sample-overflow", "density-overflow", "config-nan", "config-infinity",
-            "grid-nan", "grid-minus-infinity", "radius-nan",
+            "grid-nan", "grid-minus-infinity", "radius-nan", "f-scale-nan", "f-center-nan",
+            "x-nan", "f-value-nan", "sample-time-nan", "density-time-nan",
         ],
     )
     def test_one_line_error_and_no_output(self, tmp_path, capsys, config, grid, command, fragment):

@@ -212,6 +212,16 @@ class TestExactNoise:
         w = ou_noise(spec, 2.0, 1000, SeedSpec(76))
         assert np.all(np.isfinite(w)) and np.std(w) < 1.0
 
+    @pytest.mark.parametrize("t", [1e5, 1e300, 1e308])
+    def test_non_conformal_overflow_is_one_clean_error(self, t):
+        # the Gramian's doubling loop overflows quietly, and it runs before the
+        # split cutoff, whose float powers overflow with a bare errno message
+        spec = stable_ou([[0.5, 1.0], [0.0, -0.5]], d=2, alpha=1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="OU noise covariance overflowed"):
+                ou_noise(spec, t, 10, SeedSpec(1))
+
     @pytest.mark.parametrize("d, alpha, t, c", [(2, 1.5, 0.7, 1.0), (3, 1.9, 1.0, 2.0), (5, 1.2, 0.4, 1.0)])
     def test_split_cutoff_meets_its_cf_error(self, d, alpha, t, c):
         # at A = 0 the small-jump Gaussian changes the cf exponent by

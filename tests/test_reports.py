@@ -1,4 +1,4 @@
-"""Report writing: the compiled schema check never passes what jsonschema
+"""Report writing: the writer's schema check never passes what jsonschema
 rejects, an invalid report raises jsonschema's own error and leaves no file
 behind, the indented writer gives json.dumps's bytes, and every document the
 CLI writes is built from exact JSON types."""
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from jsonschema import ValidationError
+from jsonschema import Draft202012Validator, ValidationError
 
 from harnacklab import cli, harnack_lab, reports
 from harnacklab.harnack_lab import (
@@ -125,6 +125,17 @@ def test_valid_report_is_written(tmp_path):
     assert out.read_text().startswith("{")
 
 
+def test_report_the_check_refuses_but_jsonschema_accepts_is_written(tmp_path):
+    # np.float64 is no exact float, so the writer's check refuses it and
+    # jsonschema, which accepts it, decides
+    exact, subclass = copy.deepcopy(YOUNG), copy.deepcopy(YOUNG)
+    exact["fitted_C"], subclass["fitted_C"] = 0.75, np.float64(0.75)
+    assert not _accepts(subclass)
+    write_report(exact, tmp_path / "exact.json")
+    write_report(subclass, tmp_path / "subclass.json")
+    assert (tmp_path / "subclass.json").read_bytes() == (tmp_path / "exact.json").read_bytes()
+
+
 CAUCHY = StableSpec(d=1, alpha=1.0, c=1.0)
 TSPEC = TruncatedStableSpec(d=1, alpha=1.0, c=1.0, r=1.0)
 
@@ -218,7 +229,7 @@ def _cli_documents(tmp_path, monkeypatch) -> list:
 
 
 def test_every_document_is_built_from_exact_json_types(real_reports, tmp_path, monkeypatch, capsys):
-    # a np.float64 value fails the compiled check of a typed report field and
+    # a np.float64 value fails the writer's check of a typed report field and
     # sends the write to jsonschema, so documents hold exact types only
     documents = list(real_reports.values()) + _cli_documents(tmp_path, monkeypatch)
     # two density, two estimate and two sidecar documents, a report and its violations
@@ -228,7 +239,11 @@ def test_every_document_is_built_from_exact_json_types(real_reports, tmp_path, m
 
 
 def _accepts(doc) -> bool:
-    return reports._schema_check("report")(doc)
+    try:
+        reports._put_indented(doc, "\n", lambda text: None, reports._schema_node("report"))
+    except reports._Refused:
+        return False
+    return True
 
 
 def test_check_accepts_every_inequality_report(real_reports):
@@ -277,14 +292,40 @@ def test_compile_refuses_unknown_keywords(where):
         sub = sub[key]
     sub["pattern"] = "^h"
     with pytest.raises(ValueError, match="pattern"):
-        reports._compile_schema(schema)
+        reports._Node(schema)
 
 
 def test_compile_refuses_closed_objects():
     schema = load_schema("report")
     schema["additionalProperties"] = False
     with pytest.raises(ValueError, match="additionalProperties"):
-        reports._compile_schema(schema)
+        reports._Node(schema)
+
+
+@pytest.mark.parametrize(
+    "schema, value, accepted",
+    [
+        ({"enum": [1, "a"]}, True, False),  # a bool never matches an int member
+        ({"enum": [1, "a"]}, 1.0, False),  # nor a float, which jsonschema would accept
+        ({"enum": [1, "a"]}, "a", True),
+        ({"enum": [[1]]}, [1], False),  # container members never match
+        ({"type": "integer"}, 2.0, True),
+        ({"type": "integer"}, 2.5, False),
+        ({"minimum": 0}, "text", True),  # minimum applies to numbers only
+        ({"minimum": 0}, True, True),
+        ({"minimum": 0}, np.float64(1.0), False),  # and to exact ones here
+        ({"required": ["a"]}, [], True),
+        ({"required": ["a"]}, {"b": 1}, False),
+    ],
+)
+def test_node_checks_one_value_with_exact_types(schema, value, accepted):
+    try:
+        reports._Node(schema).check(value)
+    except reports._Refused:
+        assert not accepted
+    else:
+        assert accepted
+        Draft202012Validator(schema).validate(value)
 
 
 def _paths(doc, prefix=()):
