@@ -217,6 +217,8 @@ def _cmd_sample(args) -> int:
     if args.out is None:
         raise CLIError("sample requires --out (binary dump path)")
     cfg = _load_config(args.spec)
+    if _has_drift(cfg):
+        raise CLIError("sample draws the driver's increments, but the config sets a nonzero drift A")
     spec = _driver_from_config(cfg)
     seed = SeedSpec(args.seed)
     if isinstance(spec, StableSpec):
@@ -254,13 +256,13 @@ def _cmd_estimate(args) -> int:
         f = constant(args.f_value)
     if args.n < 10**3:
         raise CLIError("semigroup estimation needs n >= 1e3")
-    sample = SemigroupSampler(ou, args.n, SeedSpec(args.seed)).sample(f, x, args.t)
+    estimate = SemigroupSampler(ou, args.n, SeedSpec(args.seed)).estimate(f, x, args.t)
     doc = {
         "t": args.t,
         "x": x.tolist(),
         "f_tag": f.tag,
-        "mean": sample.mean,
-        "std_err": sample.std_err,
+        "mean": estimate.mean,
+        "std_err": estimate.std_err,
         "n": args.n,
         "seed": {"master_seed": args.seed, "stream_id": 0},
         "spec": describe_spec(ou),
@@ -276,10 +278,13 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
+def _has_drift(cfg: dict) -> bool:
+    return "A" in cfg and bool(np.any(np.asarray(cfg["A"], dtype=float) != 0.0))
+
+
 def _applicable_ids(cfg: dict) -> list[str]:
-    has_drift = "A" in cfg and np.any(np.asarray(cfg["A"], dtype=float) != 0.0)
     if cfg["driver"] == "stable":
-        harnack = "harnack_ou" if has_drift else "harnack_stable"
+        harnack = "harnack_ou" if _has_drift(cfg) else "harnack_stable"
         return [harnack, "p_harnack", "ratio_lemma", "log_harnack", "young", "jensen"]
     # truncated_ratio reads the exact density, which exists for d=1 only
     ratio = ["truncated_ratio"] if cfg["d"] == 1 else []

@@ -53,11 +53,9 @@ from .levy_core import (
 )
 from .sampling import SeedSpec
 from .ou_semigroup import (
+    Moments,
     SemigroupSampler,
     TestFunction,
-    _Moments,
-    _PointSample,
-    _sum,
     ball_indicator,
     constant,
     exp_cap,
@@ -587,14 +585,6 @@ def verify_ratio_lemma(
 # semigroup Harnack verifiers
 
 
-def _paired_stats(a: _Moments, b: _Moments) -> tuple[float, float, float, float, float]:
-    """Means, variances and covariance of two paired samples."""
-    n = a.n
-    if n < 2:
-        return a.mean, b.mean, 0.0, 0.0, 0.0
-    return a.mean, b.mean, a.var, b.var, _sum(a.centered * b.centered, n) / (n - 1)
-
-
 def _difference_slack(
     grad_l: float, var_l: float, coeff_r: float, var_r: float, cov: float, n: int
 ) -> float:
@@ -603,9 +593,24 @@ def _difference_slack(
     return 3.0 * math.sqrt(max(var, 0.0) / n)
 
 
-# (f, node, the node's shape, f at the n endpoints from x, f at the n
-# endpoints from y) -> the node's result, or None when the node is excluded
-Statistic = Callable[[TestFunction, Node, float, _PointSample, _PointSample], NodeResult | None]
+@dataclass(frozen=True)
+class Statistic:
+    """A per-node statistic of a semigroup verifier and the covariance it reads.
+
+    ``run(f, node, shape, at_x, at_y, cov)`` gets the node's shape, the
+    :class:`Moments` of f and of each transform at the node's x and y
+    (``at_x[None]`` is f's own, ``at_x[p]`` its p-th power's and
+    ``at_x["log"]`` its log's, for the transforms any statistic of the run
+    names) and cov, the covariance of transform ``x_of`` of f at x with
+    ``y_of`` at y; it returns the node's result, or None when the node is
+    excluded.
+    """
+
+    x_of: float | str | None
+    y_of: float | str | None
+    run: Callable[
+        [TestFunction, Node, float, dict[object, Moments], dict[object, Moments], float], NodeResult | None
+    ]
 
 
 def _fits_by(results: Sequence[NodeResult], key: str) -> dict:
@@ -633,33 +638,45 @@ def _verify_semigroup(
 ) -> InequalityReport:
     """Run one semigroup inequality through :func:`_fitted_report`.
 
-    P_t f is read from :meth:`SemigroupSampler.sample` on shared noise (seed
-    substream 1, and substream 2 for the validation grid), which computes
-    each distinct (f, t, point) once, and its powers, log and moments once,
-    then handed to every statistic at every node that has the point as x or
-    y, with the node's ``shape(|x - y|, t)``, computed once per node.  The
-    grid is walked one run of consecutive nodes with equal t at a time,
-    every function within a run, which is the order the sampler's state
-    serves: it holds one time's noise and distances and one (f, t)'s
-    samples, so a grid that revisits a t redraws its noise and recomputes
-    its points.  Results are kept per (statistic, function) in node order
-    and concatenated statistic-outer, function-inner.
+    P_t f is read from :meth:`SemigroupSampler.moments` on shared noise (seed
+    substream 1, and substream 2 for the validation grid).  The grid is
+    walked one run of consecutive nodes with equal t at a time: the run's
+    distinct points and the (x, y) pairs its statistics read are collected
+    once, and the sampler is asked once per function for every point's
+    moments, of f and of each transform the statistics name, and the
+    covariance of each pair, all floats.  Each statistic then gets the
+    floats of its node, with the node's ``shape(|x - y|, t)``, computed once
+    per node.  The sampler reuses its (points x n) blocks from time to time,
+    and holds one time's noise, so a grid that revisits a t redraws its
+    noise.  Results are kept per (statistic, function) in node order and
+    concatenated statistic-outer, function-inner.
     ``meta(results)`` adds the verifier's own entries to ``mc_meta``.
     """
     seed = SeedSpec(0) if seed is None else seed
     grid = list(default_comparison_grid(spec.d) if grid is None else grid)
+    transforms = list(dict.fromkeys(a for s in statistics for a in (s.x_of, s.y_of) if a is not None))
 
     def run(nodes, substream):
         sampler = SemigroupSampler(spec, n, seed.substream(substream))
         per_stat = [[[] for _ in f_set] for _ in statistics]
         excluded = 0
-        for _, same_t in groupby(nodes, key=lambda nd: nd.t):
-            same_t = [(nd, shape(float(np.linalg.norm(nd.x - nd.y)), nd.t)) for nd in same_t]
+        for t, same_t in groupby(nodes, key=lambda nd: nd.t):
+            same_t = list(same_t)
+            ends = [[np.asarray(x, dtype=float).reshape(spec.d) for x in (nd.x, nd.y)] for nd in same_t]
+            rows: dict[bytes, int] = {}  # the run's distinct points, by their bytes
+            sides = [tuple(rows.setdefault(x.tobytes(), len(rows)) for x in xy) for xy in ends]
+            points = np.frombuffer(b"".join(rows), dtype=float).reshape(len(rows), spec.d)
+            pairs: dict[tuple, int] = {}
+            reads = [
+                [pairs.setdefault((ix, s.x_of, iy, s.y_of), len(pairs)) for s in statistics]
+                for ix, iy in sides
+            ]
+            shapes = [shape(float(np.linalg.norm(nd.x - nd.y)), nd.t) for nd in same_t]
             for i, f in enumerate(f_set):
-                for nd, nd_shape in same_t:
-                    sx, sy = sampler.sample(f, nd.x, nd.t), sampler.sample(f, nd.y, nd.t)
-                    for per_f, stat in zip(per_stat, statistics):
-                        res = stat(f, nd, nd_shape, sx, sy)
+                at, covs = sampler.moments(f, points, t, transforms, list(pairs))
+                for nd, nd_shape, (ix, iy), ks in zip(same_t, shapes, sides, reads):
+                    for per_f, stat, k in zip(per_stat, statistics, ks):
+                        res = stat.run(f, nd, nd_shape, at[ix], at[iy], covs[k])
                         if res is None:
                             excluded += 1
                         else:
@@ -706,19 +723,19 @@ def verify_harnack(
     time_scale = _time_scale(spec, time_scale)
     f_set = default_test_functions(d) if f_set is None else list(f_set)
 
-    def statistic(f, nd, shape, sx, sy):
-        mx, my, varx, vary, cov = _paired_stats(sx, sy)
-        se_y = math.sqrt(vary / n)
-        if my <= 3.0 * se_y:
+    def statistic(f, nd, shape, at_x, at_y, cov):
+        x, y = at_x[None], at_y[None]
+        se_y = math.sqrt(y.var / n)
+        if y.mean <= 3.0 * se_y:
             return None
-        rhs_shape = my * shape
-        coeff = (mx / rhs_shape) * shape  # provisional C-hat times shape
+        rhs_shape = y.mean * shape
+        coeff = (x.mean / rhs_shape) * shape  # provisional C-hat times shape
         return NodeResult(
             node=nd,
-            lhs=mx,
+            lhs=x.mean,
             rhs_shape=rhs_shape,
-            slack=_difference_slack(1.0, varx, coeff, vary, cov, n),
-            extra={"f": f.tag, "se_lhs": math.sqrt(varx / n), "se_rhs": se_y},
+            slack=_difference_slack(1.0, x.var, coeff, y.var, cov, n),
+            extra={"f": f.tag, "se_lhs": math.sqrt(x.var / n), "se_rhs": se_y},
         )
 
     t_word = "t" if time_scale == "raw" else "min(t,1)"
@@ -726,7 +743,8 @@ def verify_harnack(
         "harnack_stable" if time_scale == "raw" else "harnack_ou",
         f"P_t f(x) <= C (1 + |x-y|/{t_word}^(1/alpha))^(d+alpha) P_t f(y) "
         "for bounded nonnegative f",
-        spec, f_set, grid, lambda dxy, t: harnack_shape(dxy, t, alpha, d, time_scale), [statistic],
+        spec, f_set, grid, lambda dxy, t: harnack_shape(dxy, t, alpha, d, time_scale),
+        [Statistic(None, None, statistic)],
         lambda results: {"time_scale": time_scale, "per_f_fitted": _fits_by(results, "f")},
         n=n, seed=seed, validation=validation,
     )
@@ -760,27 +778,26 @@ def verify_p_harnack(
     jensen_failures = 0
 
     def power_statistic(p):
-        def statistic(f, nd, base, sx, sy):
+        def statistic(f, nd, base, at_x, at_y, cov):
             nonlocal jensen_failures
-            mx, myp, varx, varyp, cov = _paired_stats(sx, sy.power(p))
-            if myp <= 3.0 * math.sqrt(varyp / n):
+            x, xp, yp = at_x[None], at_x[p], at_y[p]
+            if yp.mean <= 3.0 * math.sqrt(yp.var / n):
                 return None
-            sxp = sx.power(p)
-            if sx.exact_mean**p > sxp.exact_mean + 3.0 * sxp.std_err:
+            if x.exact_mean**p > xp.exact_mean + 3.0 * xp.std_err:
                 jensen_failures += 1
             shape_p = base ** (p * (d + alpha))
-            lhs = mx**p
-            rhs_shape = myp * shape_p
+            lhs = x.mean**p
+            rhs_shape = yp.mean * shape_p
             coeff = (lhs / rhs_shape) * shape_p
             return NodeResult(
                 node=nd,
                 lhs=lhs,
                 rhs_shape=rhs_shape,
-                slack=_difference_slack(p * mx ** (p - 1.0), varx, coeff, varyp, cov, n),
+                slack=_difference_slack(p * x.mean ** (p - 1.0), x.var, coeff, yp.var, cov, n),
                 extra={"f": f.tag, "p": p},
             )
 
-        return statistic
+        return Statistic(None, p, statistic)
 
     t_word = "t" if time_scale == "raw" else "min(t,1)"
     return _verify_semigroup(
@@ -827,10 +844,10 @@ def verify_log_harnack(
         if not f.geq_one:
             raise ValueError(f"log-Harnack needs f >= 1, got {f.tag}")
 
-    def statistic(f, nd, cost, sx, sy):
-        _, _, varl, vary, cov = _paired_stats(sx.log, sy)
-        ml, my = sx.log.exact_mean, sy.exact_mean
-        var = varl + vary / my**2 - 2.0 * cov / my
+    def statistic(f, nd, cost, at_x, at_y, cov):
+        log_x, y = at_x["log"], at_y[None]
+        ml, my = log_x.exact_mean, y.exact_mean
+        var = log_x.var + y.var / my**2 - 2.0 * cov / my
         return NodeResult(
             node=nd,
             lhs=ml - math.log(my),
@@ -847,7 +864,7 @@ def verify_log_harnack(
         "log_harnack",
         "P_t(log f)(x) <= log P_t f(y) + C (1 + |x-y|) log((2 + |x-y|)/(t ∧ 1)) "
         "for f >= 1",
-        spec, f_set, grid, log_harnack_cost, [statistic], meta,
+        spec, f_set, grid, log_harnack_cost, [Statistic("log", None, statistic)], meta,
         n=n, seed=seed, validation=validation,
     )
 

@@ -12,17 +12,19 @@ weights plus a small-jump Gaussian with the exact OU covariance.
 current time's noise array and reuses it for every starting point (common
 random numbers).  That makes the Harnack-type comparisons exact at x = y and
 strongly variance-reduced elsewhere, which is what lets fitted constants
-behave like constants instead of noise.  Each of its samples carries its
-moments (:class:`_Moments`), the mean and standard error that both the CLI's
-``estimate`` and the inequality verifiers read.
+behave like constants instead of noise.  It answers one (t, f) for all of a
+time's points at once, as floats (:class:`Moments`, and covariances of
+pairs of points), from (points x n) blocks it allocates at its first time
+and reuses at every later one; the CLI's ``estimate`` asks it for one point
+and the inequality verifiers for each time's points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Callable, Sequence
+from functools import lru_cache
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -44,6 +46,7 @@ from .sampling import (
 __all__ = [
     "TestFunction",
     "SemigroupSampler",
+    "Moments",
     "FactorizationReport",
     "matrix_exp",
     "sample_ou",
@@ -174,6 +177,10 @@ def ou_noise(spec: OUSpec, t: float, n: int, seed: SeedSpec) -> np.ndarray:
     if conformal:
         rate = 0.5 * driver.alpha * sym[0, 0]
         return sample_rot_stable(driver, t if rate == 0.0 else math.expm1(rate * t) / rate, n, rng)
+    if not math.isfinite(float(t) * spec.op_norm):  # in Python floats, which overflow without a warning
+        raise OverflowError(
+            f"OU noise needs a finite t ||A||, got t = {float(t):g} and ||A|| = {spec.op_norm:g}"
+        )
     factor = _gramian_factor(spec.A, t)  # refuses an overflowing t before the cutoff's powers do
     intensity, icdf, sd = _jump_part(driver, t)
     return _compound_poisson_gaussian(
@@ -217,9 +224,10 @@ class TestFunction:
     summed one coordinate column at a time, left to right, which for d < 8
     has the bits of numpy's row sum in either memory layout; a column of
     F-ordered points is contiguous.  The squares, the bump and the cap are
-    computed in place in at most two n-length buffers, which changes no bit:
-    squaring is one multiply, -|x-c|^2 / s is written |x-c|^2 / (-s), and a
-    zero offset is not added (0.0 + v == v for every v >= +0.0).
+    computed in place, in a fresh buffer or the one ``radial`` is given
+    (the sampler's block of f values), which changes no bit: squaring is one
+    multiply, -|x-c|^2 / s is written |x-c|^2 / (-s), and a zero offset is
+    not added (0.0 + v == v for every v >= +0.0).
     """
 
     kind: str
@@ -259,14 +267,18 @@ class TestFunction:
                     dist2 += sq
         return dist2
 
-    def radial(self, dist2: np.ndarray) -> np.ndarray:
-        """f at the points whose :meth:`dist2` is given."""
+    def radial(self, dist2: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """f at the points whose :meth:`dist2` is given, in out (of dist2's
+        shape, not dist2 itself) when given."""
+        if out is None:
+            out = np.empty(dist2.shape)
         if self.kind == "constant":
-            return np.full(dist2.shape[0], self.value)
+            out.fill(self.value)
+            return out
         if self.kind == "ball_indicator":
-            out = (dist2 <= self.scale**2).astype(float)
+            np.less_equal(dist2, self.scale**2, out=out)
         else:
-            out = np.divide(dist2, -(2.0 * self.scale**2))
+            np.divide(dist2, -(2.0 * self.scale**2), out=out)
             np.exp(out, out=out)
             if self.kind == "exp_cap":
                 out *= math.log(self.value)
@@ -335,6 +347,22 @@ def exp_cap(level: float, center=0.0, width: float = 1.0, d: int | None = None) 
 # semigroup estimation
 
 
+class Moments(NamedTuple):
+    """Mean, variance, exact mean and standard error of n sampled values.
+
+    The mean is ``np.add.reduce(v) / n`` and the variance the pairwise sum
+    of the centred squares over n - 1 (0.0 at n = 1).  ``exact_mean`` is the
+    common value when the n values are one value, else the mean: the sum of
+    n equal values can be off by an ulp, which matters only where an
+    inequality holds with equality.
+    """
+
+    mean: float
+    var: float
+    exact_mean: float
+    std_err: float
+
+
 @lru_cache(maxsize=1024)
 def _level_sum(bits: bytes, n: int) -> float:
     """``np.add.reduce`` of n copies of one value, keyed by its bits, not by
@@ -342,149 +370,82 @@ def _level_sum(bits: bytes, n: int) -> float:
     return float(np.add.reduce(np.full(n, np.frombuffer(bits)[0])))
 
 
-def _sum(v: np.ndarray, n: int) -> float:
-    """Pairwise sum of n values: those of v, or n copies of v's one value."""
-    return float(np.add.reduce(v)) if v.size == n else _level_sum(v.tobytes(), n)
+def _copies_sum(v: float, n: int) -> float:
+    return _level_sum(np.float64(v).tobytes(), n)
 
 
-class _Moments:
-    """A sample of n values and its moments, each computed on first use.
+def _transform(v: np.ndarray, a: float | str, out: np.ndarray) -> np.ndarray:
+    """``np.log(v)`` for a = "log", else ``v ** a``, written to out.
 
-    ``v`` holds the n values, or, for a sample whose n values are one value
-    bit for bit, that value alone: its moments then come from scalars, and
-    numpy broadcasting pairs it with an n-value sample.  Either way the bits
-    are those of the full array.  Sums of products are numpy's pairwise
-    sums, not BLAS dot products, which OpenBLAS splits across threads on
-    long arrays: the moments, and the reports built on them, do not depend
-    on the BLAS thread count.  The mean is ``np.add.reduce(v) / n``, the bits
-    of ``ndarray.mean`` without its Python wrapper.
+    The power is the in-place operator on a copy, which takes the fast paths
+    (``v ** 2`` is a square) that ``v ** a`` takes, so out has its bits.
     """
-
-    def __init__(self, v: np.ndarray, n: int | None = None) -> None:
-        self.v = v
-        self.n = v.size if n is None else n
-
-    @cached_property
-    def mean(self) -> float:
-        return _sum(self.v, self.n) / self.n
-
-    @cached_property
-    def centered(self) -> np.ndarray:
-        return self.v - self.mean
-
-    @cached_property
-    def var(self) -> float:
-        return _sum(self.centered * self.centered, self.n) / (self.n - 1)
-
-    @cached_property
-    def exact_mean(self) -> float:
-        """Mean that is exact for constant arrays.
-
-        np.mean of n identical values can be off by an ulp (the sum rounds),
-        which matters only where an inequality holds with equality; returning
-        the common value keeps those degenerate nodes exactly on the boundary.
-        """
-        lo, hi = float(self.v.min()), float(self.v.max())
-        return lo if lo == hi else self.mean
-
-    @cached_property
-    def std_err(self) -> float:
-        return math.sqrt(self.var) / math.sqrt(self.n)
+    if a == "log":
+        return np.log(v, out=out)
+    np.copyto(out, v)
+    out **= a
+    return out
 
 
-class _PointSample(_Moments):
-    """f at the n endpoints from one point, with its p-th powers and its log.
+@lru_cache(maxsize=None)
+def _fixes_indicator(a: float | str) -> bool:
+    """Whether transform a maps 0.0 and 1.0 to themselves, bit for bit, as
+    every positive power does."""
+    levels = np.array([0.0, 1.0])
+    with np.errstate(divide="ignore"):
+        return _transform(levels, a, np.empty(2)).tobytes() == levels.tobytes()
 
-    Each transform is derived once per point, however many nodes and
-    statistics use it.  A sample that holds one or two distinct values, bit
-    for bit (a constant f, a ball indicator), is transformed on those levels
-    only and mapped back: a one-level sample stays one value, and two levels
-    go through ``np.where`` on the mask of the second.  A flat sample is
-    held as its one value once its levels are found.  The levels go through
-    the very expression the whole array would (``levels**p``,
-    ``np.log(levels)``), so the result has the bits of ``v**p`` and
-    ``np.log(v)``; a transform that maps every level to itself (an
-    indicator's powers) returns the sample itself, and any other sample is
-    transformed whole.  Values are compared bit for bit, so +0.0 and -0.0
-    are two values; a third value among the first 64 rules levels out
-    before any pass over the whole sample.
-    """
 
-    def __init__(self, v: np.ndarray, n: int | None = None) -> None:
-        super().__init__(v, n)
-        self._powers: dict[float, _Moments] = {}
+def _moments(total: float, lo: float, hi: float, squares: float | None, n: int) -> Moments:
+    """From the sum, the extremes and the sum of centred squares (None at n = 1)."""
+    mean = total / n
+    var = squares / (n - 1) if n > 1 else 0.0
+    return Moments(mean, var, lo if lo == hi else mean, math.sqrt(var) / math.sqrt(n))
 
-    @cached_property
-    def _levels(self) -> tuple[np.ndarray, np.ndarray | None] | None:
-        """(levels, mask of levels[1] or None for one level), or None."""
-        bits = self.v.view(np.int64)
-        head = bits[:64]
-        rest = head[head != head[0]]
-        if rest.size and (rest != rest[0]).any():
-            return None  # three values among the first 64
-        first = bits == bits[0]
-        n_first = int(np.count_nonzero(first))
-        if n_first == bits.size:
-            self.v = self.v[:1].copy()
-            return self.v, None
-        i = int(np.argmin(first))  # the first value unlike v[0]
-        second = bits == bits[i]
-        if n_first + int(np.count_nonzero(second)) != bits.size:
-            return None
-        return self.v[[0, i]], second
 
-    def _transform(self, op: Callable[[np.ndarray], np.ndarray]) -> _Moments:
-        found = self._levels
-        if found is None:
-            return _Moments(op(self.v))
-        levels, second = found
-        out = op(levels)
-        if out.tobytes() == levels.tobytes():
-            return self
-        if second is None:
-            return _Moments(out, self.n)
-        return _Moments(np.where(second, out[1], out[0]))
-
-    def power(self, p: float) -> _Moments:
-        m = self._powers.get(p)
-        if m is None:
-            m = self._transform(lambda v: v**p)
-            if m is not self:  # holding itself would keep the block alive until a GC pass
-                self._powers[p] = m
-        return m
-
-    @cached_property
-    def log(self) -> _Moments:
-        return self._transform(np.log)
+def _time(t) -> float:
+    t = float(t)
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"time must be positive and finite, got {t}")
+    return t
 
 
 class SemigroupSampler:
     """The estimator of P_t f(x): f at n endpoints on the current time's noise.
 
     P_t f(x) = E f(e^{tA} x + W_t) with W_t the stochastic convolution from
-    zero, so W_t is independent of x and can be drawn once.  Every sample
-    at the same t then uses literally the same W_t (common random numbers):
+    zero, so W_t is independent of x and can be drawn once.  Every point at
+    the same t then uses literally the same W_t (common random numbers):
     comparisons between starting points are exact at x = y and tightly
     correlated elsewhere.  The per-t noise stream is derived from the bit
     pattern of t, so results do not depend on evaluation order.  e^{tA} is
-    computed once per t.
+    computed once per t, and never when A = 0.
 
-    :meth:`sample` returns f at the endpoints from x as a
-    :class:`_PointSample`, whose moments are the estimate and its standard
-    error.  The sampler keeps what it reads off one time's noise: the
-    squared distances |X - c|^2 of each (point, centre), shared by every f
-    with that centre, and the samples of the last (f, t) asked for, so each
-    (f, t, point) is computed once while a caller walks a time's functions
-    in turn.  A constant f is held as its one value and draws no noise.
+    :meth:`moments` answers one (t, f) for all of a time's points in one
+    call and returns floats only: each point's :class:`Moments` of f and of
+    each transform asked for (a power p, or "log"), and the covariance of
+    each pair of (point, transform) asked for.  The n-length arrays behind
+    them live in buffers the sampler owns: a (points x n) block of |X - c|^2,
+    a (transforms x points x n) block of f and its transforms, which is
+    centred in place, and one n-length row that takes each centred square
+    and each pair's product in turn and is summed while it is in cache.  Each
+    is a view of one flat buffer per role, allocated at the first time and
+    reused at every later one, and grown only when a time has more points or
+    transforms than any before, so a walk over many times allocates its
+    buffers once.  The |X - c|^2 block remembers which (t, points, centre)
+    it holds, so functions that share a centre compute it once per time;
+    :meth:`values` reads f off it into the rows it is given.  No array the
+    sampler may overwrite ever leaves it.  A ball indicator
+    without offset takes 0 and 1 only, which every positive power fixes, so
+    its powers are read off its own rows.  A constant f draws no noise: its
+    moments come from scalars, with the bits of the full array's.
 
     The sampler holds the current time's noise only: a call at another time
-    drops it, with the distances and samples read off it, before drawing
-    that time's, so memory does not grow with the number of times, and a
-    time asked for again is drawn again, with the same values.  The held
-    noise is a read-only copy of :func:`ou_noise`'s array in Fortran order,
-    so each coordinate is one contiguous column of n values;
-    :class:`TestFunction` reads it a column at a time, and its values do not
-    depend on the layout.
+    drops it before drawing that time's, so memory holds one time's noise
+    and blocks and does not grow with the number of times; a time asked for
+    again is drawn again, with the same values.  The held noise is a
+    read-only copy of :func:`ou_noise`'s array in Fortran order, so each
+    coordinate is one contiguous column of n values.
     """
 
     def __init__(self, spec: OUSpec, n: int, seed: SeedSpec) -> None:
@@ -495,19 +456,17 @@ class SemigroupSampler:
         self.seed = seed
         self._noise: tuple[float, np.ndarray] | None = None
         self._flow: dict[float, np.ndarray] = {}
-        # read off the held noise: |X - c|^2 per (t, point, centre), and the
-        # samples of one (f, t) per point
-        self._dist2: dict[tuple[float, bytes, tuple[float, ...]], np.ndarray] = {}
-        self._samples: tuple[tuple, dict[bytes, _PointSample]] = ((), {})
+        # one flat float64 buffer per block role, and what the |X - c|^2 block holds
+        self._work: dict[str, np.ndarray] = {}
+        self._dist2_of: tuple | None = None
 
     def noise(self, t: float) -> np.ndarray:
         key = float(t)
         if self._noise is not None and self._noise[0] == key:
             return self._noise[1]
-        # the draw is where memory peaks, so nothing of the last time is held through it
+        # the draw is where memory peaks, so no noise of the last time is held through it
         self._noise = None
-        self._dist2.clear()
-        self._samples[1].clear()
+        self._dist2_of = None
         bits = int(np.float64(key).view(np.uint64))
         stream = self.seed.substream(bits >> 32, bits & 0xFFFFFFFF)
         held = np.asfortranarray(ou_noise(self.spec, key, self.n, stream))
@@ -515,41 +474,139 @@ class SemigroupSampler:
         self._noise = (key, held)
         return held
 
+    def _flowed(self, x: np.ndarray, t: float) -> np.ndarray:
+        """e^{tA} x; x itself when A = 0."""
+        if self.spec.op_norm == 0.0:
+            return x
+        key = float(t)
+        flow = self._flow.get(key)
+        if flow is None:
+            flow = self._flow[key] = matrix_exp(self.spec.A, key)
+        return flow @ x
+
     def endpoints(self, x, t: float) -> np.ndarray:
         x = np.asarray(x, dtype=float).reshape(self.spec.d)
-        if self.spec.op_norm != 0.0:
-            key = float(t)
-            flow = self._flow.get(key)
-            if flow is None:
-                flow = self._flow[key] = matrix_exp(self.spec.A, key)
-            x = flow @ x
-        return x[None, :] + self.noise(t)
+        return self._flowed(x, t)[None, :] + self.noise(t)
 
-    def values(self, f: Callable[[np.ndarray], np.ndarray], x, t: float) -> np.ndarray:
-        return np.asarray(f(self.endpoints(x, t)), dtype=float)
+    def values(self, f: TestFunction, points, t: float, out: np.ndarray | None = None) -> np.ndarray:
+        """f at the n endpoints from each of the (P, d) points at time t, one
+        row per point, written to out when given: ``f(endpoints(x, t))`` of
+        each point, bit for bit."""
+        t, points = _time(t), self._points(points)
+        if out is None:
+            out = np.empty((len(points), self.n))
+        return f.radial(self._dist2(f.center, points, t, scratch=out), out=out)
 
-    def sample(self, f: TestFunction, x, t: float) -> _PointSample:
-        """f at the n endpoints from x at time t, the same object while (f, t)
-        is the last pair asked for."""
-        if not 0.0 < t < math.inf:
-            raise ValueError(f"time must be positive and finite, got {t}")
+    def _points(self, points) -> np.ndarray:
+        points = np.ascontiguousarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.spec.d:
+            raise ValueError(f"points must have shape (P, {self.spec.d}), got {points.shape}")
+        return points
+
+    def _block(self, role: str, shape: tuple[int, ...]) -> np.ndarray:
+        """A C-contiguous view of the role's buffer, grown only when too small."""
+        size = math.prod(shape)
+        buf = self._work.get(role)
+        if buf is None or buf.size < size:
+            self._work.pop(role, None)
+            buf = self._work[role] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+    def _dist2(
+        self, center: tuple[float, ...], points: np.ndarray, t: float, scratch: np.ndarray
+    ) -> np.ndarray:
+        """|e^{tA} x + W_t - c|^2 of each point, one row each.
+
+        Each element is summed over coordinates left to right from the
+        written-out expression, so a row has the bits of
+        ``TestFunction.dist2(endpoints(x, t))``; subtracting a zero centre
+        coordinate is skipped, which changes no square.
+        """
+        out = self._block("dist2", (len(points), self.n))
+        key = (t, center, points.tobytes())  # a block grown for more points has a new key
+        if self._dist2_of == key:
+            return out
+        noise = self.noise(t)
+        flowed = np.array([self._flowed(x, t) for x in points]).reshape(points.shape)
+        center = np.broadcast_to(np.asarray(center, dtype=float), (self.spec.d,))
+        with np.errstate(over="ignore"):
+            for j in range(self.spec.d):
+                part = out if j == 0 else scratch
+                np.add(flowed[:, j, None], noise[:, j], out=part)
+                if center[j]:
+                    part -= center[j]
+                np.multiply(part, part, out=part)
+                if j:
+                    out += part
+        self._dist2_of = key
+        return out
+
+    def moments(
+        self,
+        f: TestFunction,
+        points,
+        t: float,
+        transforms: Sequence[float | str] = (),
+        pairs: Sequence[tuple] = (),
+    ) -> tuple[list[dict], list[float]]:
+        """f at the n endpoints from each of the (P, d) points at time t.
+
+        Returns (at, covs): ``at[i][None]`` is the :class:`Moments` of f at
+        point i and ``at[i][a]`` that of transform a (a power, or "log"),
+        for every a in transforms; ``covs[k]`` is the covariance of pair k,
+        (i, a, j, b), transform a at point i against b at point j (None is f
+        itself), the pairwise sum of the products of the centred values over
+        n - 1 (0.0 at n = 1).  Every sum is ``np.add.reduce`` along one
+        contiguous row, which has the bits of the sum of a 1-D array.
+        """
+        t, points = _time(t), self._points(points)
+        if f.kind == "constant":
+            return self._level_moments(f.value, (None, *transforms), len(points), pairs)
+        n = self.n
+        # the rows of a transform that fixes every value of f are f's own
+        indicator = f.kind == "ball_indicator" and not f.offset
+        same = [a for a in transforms if indicator and _fixes_indicator(a)]
+        computed = [a for a in transforms if a not in same]
+        row = {None: 0, **{a: k for k, a in enumerate(computed, 1)}, **dict.fromkeys(same, 0)}
+        block = self._block("values", (1 + len(computed), len(points), n))
+        self.values(f, points, t, out=block[0])
+        for a, out in zip(computed, block[1:]):
+            _transform(block[0], a, out)
+        totals = np.add.reduce(block, axis=-1)
+        lo, hi = np.minimum.reduce(block, axis=-1).tolist(), np.maximum.reduce(block, axis=-1).tolist()
+        block -= (totals / n)[..., None]
+        totals = totals.tolist()
+        # sums of products of centred rows: each row's squares, then each pair's
+        sums = dict.fromkeys((i, k, i, k) for k in range(len(block)) for i in range(len(points)))
+        sums.update(dict.fromkeys((i, row[a], j, row[b]) for i, a, j, b in pairs))
+        if n > 1:
+            product = self._block("product", (n,))
+            for i, a, j, b in sums:
+                np.multiply(block[a, i], block[b, j], out=product)
+                sums[i, a, j, b] = float(np.add.reduce(product))
+        at = [
+            {a: _moments(totals[k][i], lo[k][i], hi[k][i], sums[i, k, i, k], n) for a, k in row.items()}
+            for i in range(len(points))
+        ]
+        return at, [sums[i, row[a], j, row[b]] / (n - 1) if n > 1 else 0.0 for i, a, j, b in pairs]
+
+    def _level_moments(self, value: float, keys, count: int, pairs: Sequence[tuple]):
+        """:meth:`moments` of a constant f, from scalars: n copies of each value."""
+        n = self.n
+        levels, centred = {}, {}
+        for a in keys:
+            v = float(value if a is None else _transform(np.array([value], dtype=float), a, np.empty(1))[0])
+            total = _copies_sum(v, n)
+            c = v - total / n
+            levels[a] = _moments(total, v, v, _copies_sum(c * c, n), n)
+            centred[a] = c
+        covs = [_copies_sum(centred[a] * centred[b], n) / (n - 1) if n > 1 else 0.0 for _, a, _, b in pairs]
+        return [dict(levels) for _ in range(count)], covs
+
+    def estimate(self, f: TestFunction, x, t: float) -> Moments:
+        """P_t f(x), with its standard error: :meth:`moments` at one point."""
         x = np.asarray(x, dtype=float).reshape(self.spec.d)
-        t = float(t)
-        if self._samples[0] != (f, t):
-            self._samples = ((f, t), {})
-        point = x.tobytes()
-        got = self._samples[1].get(point)
-        if got is None:
-            if f.kind == "constant":
-                got = _PointSample(np.array([f.value], dtype=float), self.n)
-            else:
-                key = (t, point, f.center)
-                dist2 = self._dist2.get(key)
-                if dist2 is None:
-                    dist2 = self._dist2[key] = self.values(f.dist2, x, t)
-                got = _PointSample(f.radial(dist2))
-            self._samples[1][point] = got
-        return got
+        return self.moments(f, x[None, :], t)[0][0][None]
 
 
 # ---------------------------------------------------------------------------

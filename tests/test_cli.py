@@ -202,6 +202,27 @@ class TestSampleCommand:
             "harnacklab: error: sample requires --out (binary dump path)"
         )
 
+    @pytest.mark.parametrize(
+        "A", [[[0.5, 1.0], [0.0, -0.5]], [[0.0, 0.0], [0.0, -1e-300]]], ids=["drift", "tiny"]
+    )
+    def test_refuses_a_drift(self, tmp_path, capsys, monkeypatch, A):
+        # the dump holds driver increments, which are not the OU endpoints
+        drawn = []
+        monkeypatch.setattr(cli, "sample_rot_stable", lambda *a: drawn.append(a))
+        cfg = write_json(tmp_path, "ou.json", {"driver": "stable", "d": 2, "alpha": 1.5, "A": A})
+        out = tmp_path / "dump.bin"
+        rc = main(["sample", "--spec", cfg, "--t", "1e5", "--n", "10", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and drawn == []
+        assert err.startswith("harnacklab: error: ") and err.count("\n") == 1 and "drift A" in err
+        assert not out.exists() and not (tmp_path / "dump.bin.json").exists()
+
+    def test_zero_drift_is_sampled(self, tmp_path):
+        cfg = write_json(tmp_path, "ou.json", {"driver": "stable", "d": 1, "alpha": 1.0, "A": [[0.0]]})
+        out = tmp_path / "dump.bin"
+        assert main(["sample", "--spec", cfg, "--t", "0.5", "--n", "10", "--out", str(out)]) == 0
+        assert read_samples_dump(out)[0].shape == (10, 1)
+
     def test_stable_dump_round_trip(self, stable_cfg, tmp_path):
         out = tmp_path / "dump.bin"
         rc = main([
@@ -255,9 +276,9 @@ class TestEstimateCommand:
         doc = json.loads(capsys.readouterr().out)
         ou = OUSpec(A=np.zeros((1, 1)), driver=StableSpec(d=1, alpha=1.0, c=1.0))
         f = ball_indicator(np.zeros(1), 1.5)
-        sample = SemigroupSampler(ou, 2000, SeedSpec(5)).sample(f, np.array([1.0]), 0.5)
-        assert doc["mean"] == sample.mean
-        assert doc["std_err"] == sample.std_err
+        estimate = SemigroupSampler(ou, 2000, SeedSpec(5)).estimate(f, np.array([1.0]), 0.5)
+        assert doc["mean"] == estimate.mean
+        assert doc["std_err"] == estimate.std_err
         assert doc["f_tag"] == f.tag
         assert doc["x"] == [1.0]
 
@@ -874,7 +895,7 @@ class TestIndentedJsonOutputs:
             mean = math.inf
             std_err = 0.0
 
-        monkeypatch.setattr(SemigroupSampler, "sample", lambda *args: Infinite())
+        monkeypatch.setattr(SemigroupSampler, "estimate", lambda *args: Infinite())
         out = tmp_path / "out" / "est.json"
         argv = ["estimate", "--spec", stable_cfg, "--t", "0.5", "--x", "0.0"]
         rc = main(argv + (["--out", str(out)] if to_file else []))

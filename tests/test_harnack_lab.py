@@ -21,9 +21,6 @@ from harnacklab.density import BoundConstants, stable_density
 from harnacklab.harnack_lab import (
     INEQUALITY_IDS,
     SUITE_MAX_DIM,
-    _Moments,
-    _PointSample,
-    _paired_stats,
     _jensen_margins,
     _young_margins,
     InequalityReport,
@@ -570,35 +567,63 @@ class TestVerifyPHarnack:
         assert report.passed
 
     @pytest.mark.parametrize(
-        "f_set, expected_calls",
+        "f_set, expected_draws",
         [
             ([constant(2.0)], 0),
-            ([ball_indicator([0.0], 1.0), gaussian_bump([0.0], 1.0, offset=0.5), constant(2.0)], 2),
+            ([ball_indicator([0.0], 1.0), gaussian_bump([0.0], 1.0, offset=0.5), constant(2.0)], 1),
         ],
         ids=["constant", "three_functions"],
     )
-    def test_samples_each_node_once_for_all_powers(self, monkeypatch, f_set, expected_calls):
-        calls = []
-        endpoints = SemigroupSampler.endpoints
+    def test_samples_each_node_once_for_all_powers(self, monkeypatch, f_set, expected_draws):
+        calls, draws = [], []
+        moments, noise = SemigroupSampler.moments, SemigroupSampler.noise
 
-        def counted(self, x, t):
-            calls.append((t, np.asarray(x, dtype=float).tobytes()))
-            return endpoints(self, x, t)
+        def counted(self, f, points, t, transforms=(), pairs=()):
+            calls.append((f, t, len(points), tuple(transforms), len(pairs)))
+            return moments(self, f, points, t, transforms, pairs)
 
-        monkeypatch.setattr(SemigroupSampler, "endpoints", counted)
+        def drawn(self, t):
+            if self._noise is None or self._noise[0] != t:
+                draws.append(t)
+            return noise(self, t)
+
+        monkeypatch.setattr(SemigroupSampler, "moments", counted)
+        monkeypatch.setattr(SemigroupSampler, "noise", drawn)
         grid = [node(0.5, [0.0], [0.0]), node(0.5, [1.0], [0.0])]
         report = verify_p_harnack(
             OU_FREE, f_set=f_set, grid=grid, p_list=(1.5, 2.0, 4.0),
             n=2000, seed=SeedSpec(37), validation=False,
         )
-        # endpoints once per distinct (t, point) across the f_set, not per
-        # function, node side or power, and none for a constant
-        assert len(calls) == len(set(calls)) == expected_calls
+        # one call per (t, f) for both points, all powers and every node's
+        # pair (x, y^p), one draw per time, and none for a constant
+        assert calls == [(f, 0.5, 2, (1.5, 2.0, 4.0), 6) for f in f_set]
+        assert len(draws) == expected_draws
         per_f = [1.5, 1.5, 2.0, 2.0, 4.0, 4.0]
         assert [r.extra["p"] for r in report.per_node] == sorted(per_f * len(f_set))
         assert [r.extra["f"] for r in report.per_node[:2 * len(f_set)]] == [
             f.tag for f in f_set for _ in range(2)
         ]
+
+    def test_walk_reuses_the_sampler_buffers(self, monkeypatch):
+        # after its first time, the default grid's other times allocate no
+        # new buffer: every workspace array stays the same object
+        seen = {}
+        moments = SemigroupSampler.moments
+
+        def watched(self, f, points, t, transforms=(), pairs=()):
+            out = moments(self, f, points, t, transforms, pairs)
+            seen.setdefault(self, {})[t] = dict(self._work)  # keys hold each sampler alive
+            return out
+
+        monkeypatch.setattr(SemigroupSampler, "moments", watched)
+        verify_p_harnack(OU_DRIFT, n=2000, seed=SeedSpec(40))
+        assert len(seen) == 2  # the default and the validation run
+        for by_time in seen.values():
+            first, *later = by_time.values()
+            assert first and len(later) >= 3
+            for work in later:
+                assert work.keys() == first.keys()
+                assert all(work[role] is first[role] for role in first)
 
     def test_memo_holds_one_time_block(self):
         # five times instead of one may add their four noise arrays to the
@@ -663,126 +688,6 @@ class TestVerifyPHarnack:
         finally:
             if enabled:
                 gc.enable()
-
-
-POWERS = (1.5, 2.0, 4.0, 1.0 + 1e-6)
-
-
-def same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def sample_values(m: _Moments) -> np.ndarray:
-    """The n values of a sample, also of one held as its one value."""
-    return np.broadcast_to(m.v, (m.n,))
-
-
-def same_float(a: float, b: float) -> bool:
-    return np.float64(a).tobytes() == np.float64(b).tobytes()
-
-
-class TestPointSampleLevels:
-    """A sample of one or two distinct values is transformed on its levels and
-    mapped back; every power and the log keep the bits of ``v**p`` and
-    ``np.log(v)``, and any other sample is transformed whole."""
-
-    @staticmethod
-    def check(v: np.ndarray, levels: int | None) -> None:
-        sample = _PointSample(v)
-        found = sample._levels
-        if levels is None:
-            assert found is None
-        else:
-            assert found is not None and found[0].size == levels
-        # log(0) and powers of huge levels warn on both sides alike
-        with np.errstate(divide="ignore", over="ignore"):
-            assert same_bytes(sample_values(sample.log), np.log(v))
-            for p in POWERS:
-                assert same_bytes(sample_values(sample.power(p)), v**p)
-        if levels == 1:  # held as its one value from here on, and so are its transforms
-            assert sample.v.size == sample.log.v.size == sample.power(2.0).v.size == 1
-
-    @settings(max_examples=60, deadline=None)
-    @given(level=st.floats(min_value=0.0, max_value=1e300), n=st.integers(1, 200))
-    def test_one_level(self, level, n):
-        self.check(np.full(n, level), 1)
-
-    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.5, 1.5)])
-    @pytest.mark.parametrize("n", [2, 17, 20000])
-    def test_indicator_levels(self, lo, hi, n):
-        top = np.random.default_rng(n).random(n) < 0.3
-        top[0], top[-1] = True, False
-        self.check(np.where(top, hi, lo), 2)
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        a=st.floats(min_value=5e-324, max_value=1e300),
-        b=st.floats(min_value=5e-324, max_value=1e300),
-        mask=st.lists(st.booleans(), min_size=1, max_size=300),
-    )
-    def test_arbitrary_positive_pairs(self, a, b, mask):
-        top = np.array(mask)
-        v = np.where(top, a, b)
-        self.check(v, 1 if a == b or top.all() or not top.any() else 2)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        values=st.lists(
-            st.floats(min_value=0.0, max_value=1e300), min_size=3, max_size=300
-        ).filter(lambda xs: len(set(xs)) > 2)
-    )
-    def test_many_levels(self, values):
-        self.check(np.array(values), None)
-
-    def test_signed_zeros_are_two_levels(self):
-        # +0.0 and -0.0 compare equal but are two values, bit for bit
-        self.check(np.array([0.0, -0.0, 0.0]), 2)
-        self.check(np.array([0.0, -0.0, 1.0, 1.0]), None)
-
-    @pytest.mark.parametrize("at", [0, 63, 64, 19999])
-    def test_a_third_value_anywhere_rules_levels_out(self, at):
-        v = np.where(np.random.default_rng(at).random(20000) < 0.5, 1.5, 0.5)
-        v[at] = 2.5
-        self.check(v, None)
-        self.check(np.exp(-np.random.default_rng(3).random(20000)), None)
-
-    @pytest.mark.parametrize("top", [0.0, 1.0])
-    def test_powers_that_fix_every_level_return_the_sample(self, top):
-        v = np.where(np.random.default_rng(5).random(2000) < 0.3, top, 0.0)
-        sample = _PointSample(v)
-        for p in POWERS:
-            assert sample.power(p) is sample
-        # not held in its own table, which would be a reference cycle
-        assert sample._powers == {}
-
-    def test_indicator_samples_take_the_level_path(self):
-        sampler = SemigroupSampler(OU_DRIFT, 20000, SeedSpec(41))
-        for f, levels in ((ball_indicator([0.0], 1.0, offset=0.5), 2), (constant(1.5), 1)):
-            self.check(sampler.values(f, np.array([0.25]), 0.5), levels)
-
-
-class TestOneLevelMoments:
-    """A sample held as its one value has the moments of the n-value array,
-    bit for bit, alone and paired with either kind of sample.  The sizes
-    cross numpy's pairwise-sum blocks of 8 and 128 values."""
-
-    VALUES = (0.0, -0.0, 5e-324, 1.0 / 3.0, 1.5, 2.0, 1e308)
-
-    @pytest.mark.parametrize("n", [2, 7, 8, 9, 127, 128, 129, 2000, 20000, 100003])
-    def test_moments_match_the_array(self, n):
-        spread = np.random.default_rng(n).random(n)
-        # 1e308 overflows the sums, on both sides alike
-        with np.errstate(over="ignore", invalid="ignore"):
-            for v in self.VALUES:
-                one, full = _Moments(np.array([v]), n), _Moments(np.full(n, v))
-                for name in ("mean", "var", "exact_mean", "std_err"):
-                    assert same_float(getattr(one, name), getattr(full, name)), (v, name)
-                pairs = [(one, _Moments(spread)), (_Moments(spread), one)]
-                for w in self.VALUES:
-                    pairs += [(one, _Moments(np.array([w]), n)), (_Moments(np.full(n, w)), one)]
-                for a, b in pairs:
-                    expected = _paired_stats(*(_Moments(sample_values(m).copy()) for m in (a, b)))
-                    assert all(map(same_float, _paired_stats(a, b), expected)), (v, a.v[0], b.v[0])
 
 
 class TestSemigroupReportsPinned:

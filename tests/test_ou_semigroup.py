@@ -222,6 +222,15 @@ class TestExactNoise:
             with pytest.raises(OverflowError, match="OU noise covariance overflowed"):
                 ou_noise(spec, t, 10, SeedSpec(1))
 
+    @pytest.mark.parametrize("t", [math.inf, 1.7e308, np.float64(1.7e308)], ids=["inf", "1.7e308", "np1.7e308"])
+    def test_non_finite_time_times_norm_is_one_clean_error(self, t):
+        # t ||A|| = inf would reach the log2 of the Gramian's doubling count
+        spec = stable_ou([[0.5, 1.0], [0.0, -0.5]], d=2, alpha=1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=r"OU noise needs a finite t \|\|A\|\|"):
+                ou_noise(spec, t, 10, SeedSpec(1))
+
     @pytest.mark.parametrize("d, alpha, t, c", [(2, 1.5, 0.7, 1.0), (3, 1.9, 1.0, 2.0), (5, 1.2, 0.4, 1.0)])
     def test_split_cutoff_meets_its_cf_error(self, d, alpha, t, c):
         # at A = 0 the small-jump Gaussian changes the cf exponent by
@@ -507,9 +516,9 @@ class TestSemigroupSampler:
 
     def test_unit_function_exact(self):
         s = SemigroupSampler(stable_ou([[0.0]]), 2000, SeedSpec(93))
-        sample = s.sample(constant(1.0), [3.0], 0.5)
-        assert sample.mean == 1.0
-        assert sample.std_err == 0.0
+        estimate = s.estimate(constant(1.0), [3.0], 0.5)
+        assert estimate.mean == 1.0
+        assert estimate.std_err == 0.0
 
     def test_translation_covariance(self):
         # common random numbers make P_t f(. + v)(x) and P_t f(x + v) agree
@@ -519,20 +528,20 @@ class TestSemigroupSampler:
         f = gaussian_bump(0.0, 1.0)
         v = np.array([1.7])
         shifted = gaussian_bump(np.array([0.0]) - v, 1.0)
-        a = s.sample(shifted, [0.0], 1.0)
-        b = s.sample(f, v, 1.0)
+        a = s.estimate(shifted, [0.0], 1.0)
+        b = s.estimate(f, v, 1.0)
         assert a.mean == b.mean
         assert a.std_err == b.std_err
-        c = s.sample(shifted, [0.3], 1.0)
-        d = s.sample(f, np.array([0.3]) + v, 1.0)
+        c = s.estimate(shifted, [0.3], 1.0)
+        d = s.estimate(f, np.array([0.3]) + v, 1.0)
         assert c.mean == pytest.approx(d.mean, rel=1e-12)
 
     def test_cauchy_ball_closed_form(self):
         # A = 0, alpha = 1, c = 1/pi: P_t 1_[-1,1](0) = 2 arctan(1/t) / pi
         spec = stable_ou([[0.0]], alpha=1.0, c=1.0 / math.pi)
         s = SemigroupSampler(spec, 10**5, SeedSpec(95))
-        sample = s.sample(ball_indicator([0.0], 1.0), [0.0], 1.0)
-        assert abs(sample.mean - 0.5) < 4.0 * sample.std_err
+        estimate = s.estimate(ball_indicator([0.0], 1.0), [0.0], 1.0)
+        assert abs(estimate.mean - 0.5) < 4.0 * estimate.std_err
 
     def test_validation(self):
         spec = stable_ou([[0.0]])
@@ -542,34 +551,42 @@ class TestSemigroupSampler:
         for f in (constant(1.0), ball_indicator([0.0], 1.0)):
             for t in (0.0, -1.0, math.nan, math.inf):
                 with pytest.raises(ValueError, match="time must be positive"):
-                    s.sample(f, [0.0], t)
+                    s.estimate(f, [0.0], t)
+                with pytest.raises(ValueError, match="time must be positive"):
+                    s.moments(f, [[0.0], [1.0]], t)
             with pytest.raises(ValueError):
-                s.sample(f, [0.0, 0.0], 0.5)
+                s.estimate(f, [0.0, 0.0], 0.5)
+            with pytest.raises(ValueError, match="points must have shape"):
+                s.moments(f, [0.0, 1.0], 0.5)
 
-    def test_one_sample_per_point_and_one_distance_per_centre(self, monkeypatch):
+    def test_one_distance_block_per_centre(self, monkeypatch):
+        # functions that share a centre read one |X - c|^2 block per time,
+        # which reads the noise; a constant reads none and draws no noise
         calls = []
-        values = SemigroupSampler.values
+        noise = SemigroupSampler.noise
 
-        def counted(self, f, x, t):
+        def counted(self, t):
             calls.append(t)
-            return values(self, f, x, t)
+            return noise(self, t)
 
-        monkeypatch.setattr(SemigroupSampler, "values", counted)
+        monkeypatch.setattr(SemigroupSampler, "noise", counted)
         s = SemigroupSampler(stable_ou([[0.5]]), 1000, SeedSpec(100))
+        points = np.array([[0.5], [-1.0]])
+        s.moments(constant(2.0), points, 0.5, (2.0,), [(0, None, 1, 2.0)])
+        assert calls == []
         ball, bump = ball_indicator([0.0], 1.0), gaussian_bump([0.0], 2.0)
-        first = s.sample(ball, [0.5], 0.5)
-        assert s.sample(ball, np.array([0.5]), 0.5) is first
-        assert np.array_equal(first.v, ball(s.endpoints([0.5], 0.5)))
-        # a second function with the same centre reads the same distances
-        assert np.array_equal(s.sample(bump, [0.5], 0.5).v, bump(s.endpoints([0.5], 0.5)))
+        blocks = [s.values(ball, points, 0.5), s.values(bump, points, 0.5)]
+        s.moments(ball, points, 0.5, (2.0,))
         assert calls == [0.5]
-        s.sample(gaussian_bump([1.0], 2.0), [0.5], 0.5)
-        s.sample(constant(2.0), [0.5], 0.5)
+        s.moments(gaussian_bump([1.0], 2.0), points, 0.5)
         assert calls == [0.5, 0.5]
+        for f, block in zip((ball, bump), blocks):
+            for x, row in zip(points, block):
+                assert row.tobytes() == f(s.endpoints(x, 0.5)).tobytes()
 
     def test_a_time_is_freed_before_the_next_draw(self, monkeypatch):
-        # no sample or squared distance read off one time's noise is alive
-        # when the next time's noise is drawn, by reference counting alone
+        # no noise of an earlier time is alive when the next time's noise is
+        # drawn, by reference counting alone, and the walk reuses its buffers
         spec = stable_ou([[0.5, 0.2], [0.0, -0.3]], d=2)
         rng = np.random.default_rng(101)
         tracked = []
@@ -578,39 +595,32 @@ class TestSemigroupSampler:
             assert all(ref() is None for ref in tracked)
             return rng.standard_normal((n, 2))
 
-        values = SemigroupSampler.values
-
-        def traced(self, f, x, t):
-            out = values(self, f, x, t)
-            tracked.append(weakref.ref(out))
-            return out
-
         monkeypatch.setattr("harnacklab.ou_semigroup.ou_noise", stub)
-        monkeypatch.setattr(SemigroupSampler, "values", traced)
         f_set = [
             ball_indicator([0.0, 0.0], 1.0, offset=1.0),
             gaussian_bump([0.0, 0.0], 1.0, offset=1.0),
             constant(2.0),
             exp_cap(3.0, [1.0, 0.0]),
         ]
+        points = np.array([[0.0, 0.0], [1.0, -1.0]])
+        pairs = [(0, 2.0, 1, None), (1, "log", 0, 2.0)]
         s = SemigroupSampler(spec, 1000, SeedSpec(102))
+        work = {}
         enabled = gc.isenabled()
         gc.disable()
         try:
             for t in (0.5, 1.0, 0.5, 2.0):
                 for f in f_set:
-                    for x in ([0.0, 0.0], [1.0, -1.0]):
-                        sample = s.sample(f, x, t)
-                        _ = sample.power(2.0).var + sample.log.var
-                        tracked += [weakref.ref(sample), weakref.ref(sample.v)]
-                        del sample
-            # a draw asked for directly, not through sample, frees them too
-            tracked.append(weakref.ref(s.sample(f_set[0], [0.0, 0.0], 3.0)))
+                    s.moments(f, points, t, (2.0, "log"), pairs)
+                tracked.append(weakref.ref(s.noise(t)))
+                work = work or dict(s._work)
+            # a draw asked for directly frees the last time's noise too
             s.noise(4.0)
         finally:
             if enabled:
                 gc.enable()
-        assert len(tracked) == 4 * (3 * 2 * 2 + 2 * 4) + 2
+        assert len(tracked) == 4
+        assert s._work.keys() == work.keys() and all(s._work[k] is v for k, v in work.items())
 
     def test_truncated_driver_endpoint_moments(self):
         driver = TruncatedStableSpec(d=1, alpha=1.0, c=1.0, r=1.0)
@@ -621,6 +631,115 @@ class TestSemigroupSampler:
         fourth = 3.0 * target**2 + t * 2.0 / 3.0
         se = math.sqrt((fourth - target**2) / n)
         assert abs(np.var(w) - target) < 3.0 * se
+
+
+def reference_moments(sampler, f, points, t, transforms, pairs):
+    """:meth:`SemigroupSampler.moments` in plain numpy, one point at a time:
+    f on fresh endpoints, ``v ** a`` and ``np.log(v)``, and each moment
+    written out on its own n-length arrays."""
+    n = sampler.n
+    rows = {}
+    for i, x in enumerate(points):
+        v = f(sampler.endpoints(x, t))
+        rows[i, None] = v
+        for a in transforms:
+            rows[i, a] = np.log(v) if a == "log" else v**a
+    centred = {key: v - v.mean() for key, v in rows.items()}
+
+    def moments(key):
+        v, c = rows[key], centred[key]
+        mean = float(v.mean())
+        var = float(np.add.reduce(c * c)) / (n - 1)
+        return mean, var, float(v[0]) if v.min() == v.max() else mean, math.sqrt(var) / math.sqrt(n)
+
+    at = [{a: moments((i, a)) for a in (None, *transforms)} for i in range(len(points))]
+    covs = [float(np.add.reduce(centred[i, a] * centred[j, b])) / (n - 1) for i, a, j, b in pairs]
+    return at, covs
+
+
+def float_bits(values) -> list[str]:
+    """float.hex of each value, nested lists and dicts flattened in order."""
+    if isinstance(values, dict):
+        return [h for key in values for h in float_bits(values[key])]
+    if isinstance(values, (list, tuple)):
+        return [h for v in values for h in float_bits(v)]
+    return [float(values).hex()]
+
+
+class TestBlockMoments:
+    """The sampler's block moments have the bits of a plain per-point numpy
+    computation, for every f family, the powers and the log, d = 1..3, an odd
+    n, and times with different numbers of points."""
+
+    SPECS = {
+        1: stable_ou([[0.0]], alpha=1.2),
+        2: stable_ou([[0.5, 0.0], [0.0, 0.5]], d=2, alpha=1.5),
+        3: stable_ou([[0.5, 0.2, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.3]], d=3, alpha=1.5),
+    }
+    FAMILIES = {
+        "ball": lambda c: ball_indicator(c, 1.2),
+        "ball_offset": lambda c: ball_indicator(c, 1.2, offset=1.0),
+        "bump": lambda c: gaussian_bump(c, 0.8),
+        "exp_cap": lambda c: exp_cap(5.0, c, 1.1),
+        "constant": lambda c: constant(2.5),
+    }
+    # (time, number of points): the walk's blocks grow, shrink and grow again
+    TIMES = ((0.3, 3), (4.0, 5), (0.7, 2), (1.1, 4))
+
+    @pytest.mark.parametrize("n", [129, 2001])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bits_match_the_per_point_reference(self, family, d, n):
+        rng = np.random.default_rng(300 + d)
+        f = self.FAMILIES[family](tuple(rng.standard_normal(d).tolist()))
+        transforms = (1.5, 2.0, 4.0, 2, 1.0 + 1e-6, *(("log",) if f.geq_one else ()))
+        sampler = SemigroupSampler(self.SPECS[d], n, SeedSpec(310 + d))
+        kept = []
+        for t, count in self.TIMES:
+            points = 1.5 * rng.standard_normal((count, d))
+            points[-1] = points[0]  # a repeated point, as x = y nodes have
+            keys = (None, *transforms)
+            pairs = [
+                (int(rng.integers(count)), keys[k % len(keys)], int(rng.integers(count)), keys[(3 * k) % len(keys)])
+                for k in range(12)
+            ]
+            got = sampler.moments(f, points, t, transforms, pairs)
+            # log(0), and powers of the far field's zeros, warn on both sides alike
+            with np.errstate(divide="ignore", invalid="ignore"):
+                expected = reference_moments(sampler, f, points, t, transforms, pairs)
+            assert float_bits(got) == float_bits(expected)
+            kept.append((got, float_bits(got)))
+        # floats returned at one time are not views the later times overwrite
+        for got, bits in kept:
+            assert float_bits(got) == bits
+
+    def test_estimate_is_the_one_point_walk(self):
+        spec = self.SPECS[2]
+        for f in (ball_indicator([0.5, 0.0], 1.0), gaussian_bump([0.0, 0.0], 1.0), constant(2.0)):
+            a = SemigroupSampler(spec, 3001, SeedSpec(320)).estimate(f, [0.25, -0.5], 0.5)
+            at, _ = SemigroupSampler(spec, 3001, SeedSpec(320)).moments(f, [[1.0, 1.0], [0.25, -0.5]], 0.5)
+            assert float_bits(a) == float_bits(at[1][None])
+
+    def test_one_sample_has_no_spread(self):
+        at, covs = SemigroupSampler(self.SPECS[1], 1, SeedSpec(321)).moments(
+            gaussian_bump([0.0], 1.0), [[0.0], [0.5]], 0.5, (2.0,), [(0, None, 1, 2.0)]
+        )
+        assert all(m.var == m.std_err == 0.0 for point in at for m in point.values())
+        assert covs == [0.0]
+
+    @pytest.mark.parametrize("n", [2, 7, 8, 9, 127, 128, 129, 2000, 20001])
+    def test_a_constant_has_the_moments_of_n_copies(self, n):
+        # its moments come from scalars, with the bits of the n-value arrays;
+        # the sizes cross numpy's pairwise-sum blocks of 8 and 128 values
+        sampler = SemigroupSampler(self.SPECS[1], n, SeedSpec(322))
+        points = np.array([[0.0], [2.0]])
+        pairs = [(0, None, 1, None), (0, 1.5, 1, 2.0), (1, 4.0, 0, None)]
+        for value in (0.0, -0.0, 5e-324, 1.0 / 3.0, 1.5, 2.0, 1e308):
+            # 1e308 overflows its powers and sums, on both sides alike
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = sampler.moments(constant(value), points, 1.0, (1.5, 2.0, 4.0), pairs)
+                expected = reference_moments(sampler, constant(value), points, 1.0, (1.5, 2.0, 4.0), pairs)
+            assert float_bits(got) == float_bits(expected), value
 
 
 @pytest.mark.filterwarnings("error")
@@ -637,8 +756,8 @@ class TestSemigroupSampler:
 def test_huge_time_is_the_far_field_without_warnings(f):
     # at t = 1e300 every |X - c|^2 leaves the double range: each f reads its
     # far-field value there, and nothing warns on the way
-    sample = SemigroupSampler(stable_ou([[0.0]]), 2000, SeedSpec(103)).sample(f, [0.0], 1e300)
-    assert sample.mean == f.min_value
+    estimate = SemigroupSampler(stable_ou([[0.0]]), 2000, SeedSpec(103)).estimate(f, [0.0], 1e300)
+    assert estimate.mean == f.min_value
 
 
 class TestFactorization:
