@@ -39,7 +39,6 @@ from .density import (
     TruncatedBoundConstants,
     check_truncated_bounds,
     estimate_bound_constants,
-    grid_interp,
     kde_1d,
     phi_envelope,
     stable_cdf_1d,

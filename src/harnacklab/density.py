@@ -71,7 +71,6 @@ __all__ = [
     "truncated_density_estimate",
     "check_truncated_bounds",
     "tail_convexity_profile",
-    "grid_interp",
 ]
 
 # A series past a table end takes over where its first omitted term is below
@@ -863,15 +862,6 @@ def truncated_density_estimate(
     )
 
 
-def grid_interp(grid: DensityGrid, points) -> np.ndarray:
-    """Linear interpolation of a 1-d DensityGrid; zero outside its range."""
-    if grid.d != 1:
-        raise ValueError("interpolation implemented for d=1 grids")
-    xs = grid.points[:, 0]
-    pts = np.asarray(points, dtype=float).ravel()
-    return np.interp(pts, xs, grid.values, left=0.0, right=0.0)
-
-
 # ---------------------------------------------------------------------------
 # truncated-bound constants
 
@@ -1038,15 +1028,17 @@ def tail_convexity_profile(
     the exponential-type tail (the (t/|x|)^(k|x|) shape); a polynomial tail
     would make g decreasing.
     """
+    if grid.d != 1:
+        raise ValueError("interpolation implemented for d=1 grids")
     radii = np.asarray(radii, dtype=float)
-    p_plus = grid_interp(grid, radii)
-    p_minus = grid_interp(grid, -radii)
+    xs = grid.points[:, 0]
+    p_plus = np.interp(radii, xs, grid.values, left=0.0, right=0.0)
+    p_minus = np.interp(-radii, xs, grid.values, left=0.0, right=0.0)
     p = 0.5 * (p_plus + p_minus)
     if np.any(p <= 0.0):
         raise DensityEstimateError("KDE vanishes at a convexity probe radius")
     se_arr = grid.meta.get("se")
     if se_arr is not None:
-        xs = grid.points[:, 0]
         se = 0.5 * (
             np.interp(radii, xs, se_arr) + np.interp(-radii, xs, se_arr)
         ) / math.sqrt(2.0)

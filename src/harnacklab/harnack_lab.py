@@ -246,7 +246,7 @@ def _fitted_report(
     claim: str,
     spec,
     grid_meta: dict,
-    run: Callable[[object, int], tuple[list[NodeResult], int, list[dict]]],
+    run: Callable[[object], tuple[list[NodeResult], int, list[dict]]],
     nodes,
     validation_nodes,
     seed: SeedSpec | None,
@@ -255,23 +255,24 @@ def _fitted_report(
 ) -> InequalityReport:
     """Run, fit, validate and report one inequality with a fitted constant.
 
-    ``run(nodes, substream)`` returns (kept results, excluded count,
-    violations); substream 1 serves the default nodes and 2 the validation
-    nodes (``None`` when validation is off), and a deterministic run ignores
-    it.  A default run that keeps no node raises ValueError saying
+    ``run(nodes)`` returns (kept results, excluded count, violations) for
+    the default nodes and then for the validation nodes (``None`` when
+    validation is off); whatever a run needs besides its nodes, such as the
+    seed substream a Monte Carlo run draws from, comes with its nodes.  A
+    default run that keeps no node raises ValueError saying
     ``why_excluded``.  The validation run's exclusions and violations add to
     the default run's; its re-fit is validation_C, None when it keeps no
     node.  ``mc_meta(fitted_C, validation_C, violations, default results)``
     builds the report's mc_meta.
     """
-    results, excluded, violations = run(nodes, 1)
+    results, excluded, violations = run(nodes)
     if not results:
         raise ValueError(f"all nodes excluded: {why_excluded}")
     fitted = _fit_from_results(results)
 
     validation_C = None
     if validation_nodes is not None:
-        vres, vexcl, vviol = run(validation_nodes, 2)
+        vres, vexcl, vviol = run(validation_nodes)
         excluded += vexcl
         violations = violations + vviol
         if vres:
@@ -296,12 +297,16 @@ def harnack_shape(
 
     time_scale 'raw' uses t itself (the scale-sharp form for pure stable
     noise); 'capped' uses t ∧ 1 (the drift-robust form, which is what a
-    nonzero drift matrix supports for large times).
+    nonzero drift matrix supports for large times).  A factor beyond the
+    double range raises OverflowError naming t and the distance.
     """
     if time_scale not in ("raw", "capped"):
         raise ValueError("time_scale must be 'raw' or 'capped'")
     t_eff = t if time_scale == "raw" else min(t, 1.0)
-    return (1.0 + distance / t_eff ** (1.0 / alpha)) ** (d + alpha)
+    try:
+        return (1.0 + distance / t_eff ** (1.0 / alpha)) ** (d + alpha)
+    except ArithmeticError:  # the power overflows, or t_eff^(1/alpha) underflows to 0
+        raise OverflowError(f"the Harnack shape overflows a double at t = {t:g}, |x - y| = {distance:g}") from None
 
 
 def _axis_vector(d: int, radius: float, axis: int) -> np.ndarray:
@@ -442,21 +447,25 @@ def lemma_ratio_bound(t: float, dxy: float, alpha: float, d: int, c1: float, c2:
     )
 
 
-def _node_distances(nodes: Sequence[Node]) -> list[tuple[float, float, float]]:
-    """(|x - z|, |y - z|, |x - y|) of each node, one norm each."""
-    return [
-        (
-            float(np.linalg.norm(nd.x - nd.z)),
-            float(np.linalg.norm(nd.y - nd.z)),
-            float(np.linalg.norm(nd.x - nd.y)),
-        )
-        for nd in nodes
-    ]
+def _node_distances(nodes: Sequence[Node], pairs: Sequence[str]) -> list[tuple]:
+    """|a - b| of each node for each pair "ab" of its points, one norm each; a
+    node with a distance whose square overflows a double raises OverflowError."""
+    with np.errstate(over="ignore"):
+        dists = [tuple(float(np.linalg.norm(getattr(nd, a) - getattr(nd, b))) for a, b in pairs) for nd in nodes]
+    for nd, ds in zip(nodes, dists):
+        if math.inf in ds:
+            raise OverflowError(f"the node {_node_tag(nd)} has a distance whose square overflows a double")
+    return dists
+
+
+def _node_tag(nd: Node) -> str:
+    z = "" if nd.z is None else f", z = {nd.z.tolist()}"
+    return f"at t = {nd.t:g} with x = {nd.x.tolist()}, y = {nd.y.tolist()}{z}"
 
 
 def _scaled_radii(nodes: Sequence[Node], dists, alpha: float) -> list[float]:
-    """max(|x - z|, |y - z|) / t^(1/alpha) of each node."""
-    return [max(rx, ry) / nd.t ** (1.0 / alpha) for nd, (rx, ry, _) in zip(nodes, dists)]
+    """max(|x - z|, |y - z|) / t^(1/alpha) of each node, inf where t^(1/alpha) underflows to 0."""
+    return [max(rx, ry) / s if (s := nd.t ** (1 / alpha)) else math.inf for nd, (rx, ry, _) in zip(nodes, dists)]
 
 
 def _ratio_density_cache(
@@ -477,10 +486,6 @@ def _ratio_density_cache(
         values = _radial_densities(spec, t, radii)
         cache.update(zip(((t, r) for r in radii), values.tolist()))
     return cache
-
-
-def _lookup(cache: dict, t: float, radius: float) -> float:
-    return cache[(t, round(float(radius), 12))]
 
 
 # relative tolerance of the ratio-lemma bounds, absorbing quadrature noise
@@ -513,9 +518,17 @@ def verify_ratio_lemma(
         if nd.z is None:
             raise ValueError("ratio lemma nodes need a z point")
 
-    dists = _node_distances(grid)
-    max_scaled = max(_scaled_radii(grid, dists, spec.alpha))
+    dists = _node_distances(grid, ("xz", "yz", "xy"))
+    scaled = _scaled_radii(grid, dists, spec.alpha)
+    max_scaled = max(scaled)
     if constants is None:
+        # the fit reads the norm and the envelope r^-(d+alpha) of points out to 1.1x the scaled reach
+        reach = 1.1 * max(max_scaled, 1.0)
+        if not (reach * reach < math.inf and reach ** -(spec.d + spec.alpha) > 0.0):
+            raise OverflowError(
+                f"the node {_node_tag(grid[scaled.index(max_scaled)])} lies {max_scaled:g} time "
+                "scales t^(1/alpha) out, where the density envelope leaves the double range"
+            )
         probe = np.linspace(0.0, max(max_scaled, 1.0), 8)[1:]
         constants = estimate_bound_constants(
             spec, [1.0], probe[:, None] * _axis_vector(spec.d, 1.0, 0)[None, :]
@@ -527,13 +540,13 @@ def verify_ratio_lemma(
             f"but the grid reaches {max_scaled:.3g}"
         )
 
-    def run(nodes, _substream):
+    def run(nodes):
         nodes, dists = nodes
         cache = _ratio_density_cache(spec, nodes, dists)
         results, violations = [], []
         excluded = 0
         for nd, (rx, ry, dxy) in zip(nodes, dists):
-            px, py = _lookup(cache, nd.t, rx), _lookup(cache, nd.t, ry)
+            px, py = cache[nd.t, round(rx, 12)], cache[nd.t, round(ry, 12)]
             if py < RATIO_UNDERFLOW:
                 excluded += 1
                 continue
@@ -558,7 +571,7 @@ def verify_ratio_lemma(
     validation_nodes = None
     if validation:
         vgrid = validation_ratio_grid(spec.d, spec.alpha)
-        vdists = _node_distances(vgrid)
+        vdists = _node_distances(vgrid, ("xz", "yz", "xy"))
         kept = [i for i, s in enumerate(_scaled_radii(vgrid, vdists, spec.alpha)) if s <= certified]
         validation_nodes = ([vgrid[i] for i in kept], [vdists[i] for i in kept])
 
@@ -638,8 +651,9 @@ def _verify_semigroup(
 ) -> InequalityReport:
     """Run one semigroup inequality through :func:`_fitted_report`.
 
-    P_t f is read from :meth:`SemigroupSampler.moments` on shared noise (seed
-    substream 1, and substream 2 for the validation grid).  The grid is
+    P_t f is read from :meth:`SemigroupSampler.moments` on shared noise: the
+    runner is handed (grid, 1) and (validation grid, 2), each grid with the
+    seed substream its sampler draws from.  The grid is
     walked one run of consecutive nodes with equal t at a time: the run's
     distinct points and the (x, y) pairs its statistics read are collected
     once, and the sampler is asked once per function for every point's
@@ -656,7 +670,8 @@ def _verify_semigroup(
     grid = list(default_comparison_grid(spec.d) if grid is None else grid)
     transforms = list(dict.fromkeys(a for s in statistics for a in (s.x_of, s.y_of) if a is not None))
 
-    def run(nodes, substream):
+    def run(nodes):
+        nodes, substream = nodes
         sampler = SemigroupSampler(spec, n, seed.substream(substream))
         per_stat = [[[] for _ in f_set] for _ in statistics]
         excluded = 0
@@ -671,7 +686,7 @@ def _verify_semigroup(
                 [pairs.setdefault((ix, s.x_of, iy, s.y_of), len(pairs)) for s in statistics]
                 for ix, iy in sides
             ]
-            shapes = [shape(float(np.linalg.norm(nd.x - nd.y)), nd.t) for nd in same_t]
+            shapes = [shape(dxy, nd.t) for nd, (dxy,) in zip(same_t, _node_distances(same_t, ("xy",)))]
             for i, f in enumerate(f_set):
                 at, covs = sampler.moments(f, points, t, transforms, list(pairs))
                 for nd, nd_shape, (ix, iy), ks in zip(same_t, shapes, sides, reads):
@@ -686,7 +701,7 @@ def _verify_semigroup(
     return _fitted_report(
         inequality_id, claim, spec,
         {"nodes": len(grid), "functions": [f.tag for f in f_set], **(grid_meta or {})},
-        run, grid, validation_comparison_grid(spec.d) if validation else None, seed,
+        run, (grid, 1), (validation_comparison_grid(spec.d), 2) if validation else None, seed,
         lambda fitted, validation_C, _, results: {
             "n": n, **meta(results), **_stability_meta(fitted, validation_C)
         },
@@ -785,7 +800,10 @@ def verify_p_harnack(
                 return None
             if x.exact_mean**p > xp.exact_mean + 3.0 * xp.std_err:
                 jensen_failures += 1
-            shape_p = base ** (p * (d + alpha))
+            try:
+                shape_p = base ** (p * (d + alpha))
+            except OverflowError:
+                raise OverflowError(f"the p-Harnack shape overflows a double {_node_tag(nd)}, p = {p:g}") from None
             lhs = x.mean**p
             rhs_shape = yp.mean * shape_p
             coeff = (lhs / rhs_shape) * shape_p
@@ -932,7 +950,7 @@ def verify_truncated_ratio(
     c_exp = max(constants.c4 + constants.c6, 0.1)
     z_max = max(reach - max(offsets) - 0.25, 1.0)
 
-    def run(z_values, _substream):
+    def run(z_values):
         # one time slice at a time: exclusions, m = max(2, |x-y|, |y-z|) and
         # ratios as arrays, then truncated_ratio_bound at each kept node
         results, excluded = [], 0

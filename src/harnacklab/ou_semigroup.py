@@ -9,14 +9,15 @@ every other part is compound-Poisson jumps at uniform times with matrix
 weights plus a small-jump Gaussian with the exact OU covariance.
 
 :class:`SemigroupSampler` is the one estimator of P_t f(x): it holds the
-current time's noise array and reuses it for every starting point (common
-random numbers).  That makes the Harnack-type comparisons exact at x = y and
-strongly variance-reduced elsewhere, which is what lets fitted constants
-behave like constants instead of noise.  It answers one (t, f) for all of a
-time's points at once, as floats (:class:`Moments`, and covariances of
-pairs of points), from (points x n) blocks it allocates at its first time
-and reuses at every later one; the CLI's ``estimate`` asks it for one point
-and the inequality verifiers for each time's points.
+current time's noise and flow e^{tA} (from ``_flow``, the one place that
+forms it) and reuses them for every starting point (common random numbers).
+That makes the Harnack-type comparisons exact at x = y and strongly
+variance-reduced elsewhere, which is what lets fitted constants behave like
+constants instead of noise.  It answers one (t, f) for all of a time's
+points at once, as floats (:class:`Moments`, and covariances of pairs of
+points), from (points x n) blocks it allocates at its first time and reuses
+at every later one; the CLI's ``estimate`` asks it for one point and the
+inequality verifiers for each time's points.
 """
 
 from __future__ import annotations
@@ -176,7 +177,13 @@ def ou_noise(spec: OUSpec, t: float, n: int, seed: SeedSpec) -> np.ndarray:
     conformal = isinstance(driver, StableSpec) and np.array_equal(sym, sym[0, 0] * np.eye(spec.d))
     if conformal:
         rate = 0.5 * driver.alpha * sym[0, 0]
-        return sample_rot_stable(driver, t if rate == 0.0 else math.expm1(rate * t) / rate, n, rng)
+        try:  # expm1 raises past e^709.78, and passes an infinite rate * t through
+            tau = t if rate == 0.0 else math.expm1(rate * t) / rate
+        except OverflowError:
+            tau = math.inf
+        if tau == math.inf:
+            raise OverflowError(f"OU noise needs a finite effective time, got t = {float(t):g}, alpha a = {rate:g}")
+        return sample_rot_stable(driver, tau, n, rng)
     if not math.isfinite(float(t) * spec.op_norm):  # in Python floats, which overflow without a warning
         raise OverflowError(
             f"OU noise needs a finite t ||A||, got t = {float(t):g} and ||A|| = {spec.op_norm:g}"
@@ -188,10 +195,9 @@ def ou_noise(spec: OUSpec, t: float, n: int, seed: SeedSpec) -> np.ndarray:
     )
 
 
-def _flow(spec: OUSpec, x, t: float) -> np.ndarray:
-    """e^{tA} x; x itself when A = 0, without a matrix exponential."""
-    x = np.asarray(x, dtype=float).reshape(spec.d)
-    return x if spec.op_norm == 0.0 else matrix_exp(spec.A, t) @ x
+def _flow(spec: OUSpec, t: float) -> np.ndarray | None:
+    """e^{tA}, or None when A = 0, where no matrix exponential is formed."""
+    return None if spec.op_norm == 0.0 else matrix_exp(spec.A, t)
 
 
 def sample_ou(spec: OUSpec, x0, t: float, n: int, seed: SeedSpec) -> np.ndarray:
@@ -200,7 +206,8 @@ def sample_ou(spec: OUSpec, x0, t: float, n: int, seed: SeedSpec) -> np.ndarray:
     Exact in law: there is no time grid.  The output is a pure function of
     (spec, x0, t, n, seed).
     """
-    return _flow(spec, x0, t) + ou_noise(spec, t, n, seed)
+    x0, flow = np.asarray(x0, dtype=float).reshape(spec.d), _flow(spec, t)
+    return (x0 if flow is None else flow @ x0) + ou_noise(spec, t, n, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +294,6 @@ class TestFunction:
         if self.offset:
             out += self.offset
         return out
-
-    @property
-    def bound(self) -> float:
-        if self.kind == "constant":
-            return self.value
-        if self.kind == "exp_cap":
-            return self.value
-        return self.offset + 1.0
 
     @property
     def min_value(self) -> float:
@@ -387,15 +386,6 @@ def _transform(v: np.ndarray, a: float | str, out: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _fixes_indicator(a: float | str) -> bool:
-    """Whether transform a maps 0.0 and 1.0 to themselves, bit for bit, as
-    every positive power does."""
-    levels = np.array([0.0, 1.0])
-    with np.errstate(divide="ignore"):
-        return _transform(levels, a, np.empty(2)).tobytes() == levels.tobytes()
-
-
 def _moments(total: float, lo: float, hi: float, squares: float | None, n: int) -> Moments:
     """From the sum, the extremes and the sum of centred squares (None at n = 1)."""
     mean = total / n
@@ -419,7 +409,7 @@ class SemigroupSampler:
     comparisons between starting points are exact at x = y and tightly
     correlated elsewhere.  The per-t noise stream is derived from the bit
     pattern of t, so results do not depend on evaluation order.  e^{tA} is
-    computed once per t, and never when A = 0.
+    computed once per draw, with the noise, and never when A = 0.
 
     :meth:`moments` answers one (t, f) for all of a time's points in one
     call and returns floats only: each point's :class:`Moments` of f and of
@@ -436,16 +426,18 @@ class SemigroupSampler:
     it holds, so functions that share a centre compute it once per time;
     :meth:`values` reads f off it into the rows it is given.  No array the
     sampler may overwrite ever leaves it.  A ball indicator
-    without offset takes 0 and 1 only, which every positive power fixes, so
-    its powers are read off its own rows.  A constant f draws no noise: its
-    moments come from scalars, with the bits of the full array's.
+    without offset takes +0.0 and 1.0 only, which every positive power maps
+    to themselves, so its positive powers are read off its own rows.  A
+    constant f draws no noise: its moments come from scalars, with the bits
+    of the full array's.
 
-    The sampler holds the current time's noise only: a call at another time
-    drops it before drawing that time's, so memory holds one time's noise
-    and blocks and does not grow with the number of times; a time asked for
-    again is drawn again, with the same values.  The held noise is a
-    read-only copy of :func:`ou_noise`'s array in Fortran order, so each
-    coordinate is one contiguous column of n values.
+    The sampler holds the current time only, as (t, noise, e^{tA}): a call
+    at another time drops it before drawing that time's, so memory holds one
+    time's noise, flow and blocks and does not grow with the number of
+    times; a time asked for again is drawn again, with the same values, and
+    its flow is computed again with it.  The held noise is a read-only copy
+    of :func:`ou_noise`'s array in Fortran order, so each coordinate is one
+    contiguous column of n values.
     """
 
     def __init__(self, spec: OUSpec, n: int, seed: SeedSpec) -> None:
@@ -454,8 +446,8 @@ class SemigroupSampler:
         self.spec = spec
         self.n = n
         self.seed = seed
-        self._noise: tuple[float, np.ndarray] | None = None
-        self._flow: dict[float, np.ndarray] = {}
+        # the held time: (t, its noise, e^{tA} or None when A = 0)
+        self._noise: tuple[float, np.ndarray, np.ndarray | None] | None = None
         # one flat float64 buffer per block role, and what the |X - c|^2 block holds
         self._work: dict[str, np.ndarray] = {}
         self._dist2_of: tuple | None = None
@@ -471,22 +463,13 @@ class SemigroupSampler:
         stream = self.seed.substream(bits >> 32, bits & 0xFFFFFFFF)
         held = np.asfortranarray(ou_noise(self.spec, key, self.n, stream))
         held.setflags(write=False)
-        self._noise = (key, held)
+        self._noise = (key, held, _flow(self.spec, key))
         return held
-
-    def _flowed(self, x: np.ndarray, t: float) -> np.ndarray:
-        """e^{tA} x; x itself when A = 0."""
-        if self.spec.op_norm == 0.0:
-            return x
-        key = float(t)
-        flow = self._flow.get(key)
-        if flow is None:
-            flow = self._flow[key] = matrix_exp(self.spec.A, key)
-        return flow @ x
 
     def endpoints(self, x, t: float) -> np.ndarray:
         x = np.asarray(x, dtype=float).reshape(self.spec.d)
-        return self._flowed(x, t)[None, :] + self.noise(t)
+        noise, flow = self.noise(t), self._noise[2]
+        return (x if flow is None else flow @ x)[None, :] + noise
 
     def values(self, f: TestFunction, points, t: float, out: np.ndarray | None = None) -> np.ndarray:
         """f at the n endpoints from each of the (P, d) points at time t, one
@@ -526,8 +509,8 @@ class SemigroupSampler:
         key = (t, center, points.tobytes())  # a block grown for more points has a new key
         if self._dist2_of == key:
             return out
-        noise = self.noise(t)
-        flowed = np.array([self._flowed(x, t) for x in points]).reshape(points.shape)
+        noise, flow = self.noise(t), self._noise[2]
+        flowed = points if flow is None else np.array([flow @ x for x in points]).reshape(points.shape)
         center = np.broadcast_to(np.asarray(center, dtype=float), (self.spec.d,))
         with np.errstate(over="ignore"):
             for j in range(self.spec.d):
@@ -564,8 +547,9 @@ class SemigroupSampler:
             return self._level_moments(f.value, (None, *transforms), len(points), pairs)
         n = self.n
         # the rows of a transform that fixes every value of f are f's own
+        # (+0.0 ** p is +0.0 and 1.0 ** p is 1.0 for every p > 0, by IEEE pow)
         indicator = f.kind == "ball_indicator" and not f.offset
-        same = [a for a in transforms if indicator and _fixes_indicator(a)]
+        same = [a for a in transforms if indicator and a != "log" and a > 0]
         computed = [a for a in transforms if a not in same]
         row = {None: 0, **{a: k for k, a in enumerate(computed, 1)}, **dict.fromkeys(same, 0)}
         block = self._block("values", (1 + len(computed), len(points), n))
@@ -633,21 +617,19 @@ class FactorizationReport:
     c0: float
     op_norm: float
 
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "probes": self.probes.tolist(),
-            "mu_hat": self.mu_hat.tolist(),
-            "stable_factor": self.stable_factor.tolist(),
-            "pi_hat": self.pi_hat.tolist(),
-            "max_excess": self.max_excess,
-            "passed": self.passed,
-            "c0": self.c0,
-            "op_norm": self.op_norm,
-        }
 
+def factorization_check(spec: OUSpec, t: float) -> FactorizationReport:
+    """Check |pi_hat_t(xi)| <= 1 + 1e-8 at each probe frequency.
 
-def _default_probes(d: int) -> np.ndarray:
+    The subtracted component is the rotationally invariant stable symbol with
+    coefficient c0(||A||) * c, where c0 integrates (1 - cos z_1)|z|^(-d) over
+    the ball of radius e^{-||A||}.  The argument behind the subtraction needs
+    |xi| >= 1, so the probes live on radii in [1, 8].
+    """
+    if not 0.0 < t <= 1.0:
+        raise ValueError("factorization check is defined for t in (0, 1]")
+    c, alpha = spec.driver.c, spec.driver.alpha
+    d = spec.d
     radii = np.geomspace(1.0, 8.0, 10)
     probes = np.zeros((10, d))
     if d == 1:
@@ -656,26 +638,6 @@ def _default_probes(d: int) -> np.ndarray:
         angles = 2.0 * math.pi * np.arange(10) / 10
         probes[:, 0] = radii * np.cos(angles)
         probes[:, 1] = radii * np.sin(angles)
-    return probes
-
-
-def factorization_check(
-    spec: OUSpec,
-    t: float,
-    probe_xis: np.ndarray | None = None,
-) -> FactorizationReport:
-    """Check |pi_hat_t(xi)| <= 1 + 1e-8 at each probe frequency.
-
-    The subtracted component is the rotationally invariant stable symbol with
-    coefficient c0(||A||) * c, where c0 integrates (1 - cos z_1)|z|^(-d) over
-    the ball of radius e^{-||A||}.  The argument behind the subtraction needs
-    |xi| >= 1, so the default probes live on radii in [1, 8].
-    """
-    if not 0.0 < t <= 1.0:
-        raise ValueError("factorization check is defined for t in (0, 1]")
-    c, alpha = spec.driver.c, spec.driver.alpha
-    d = spec.d
-    probes = _default_probes(d) if probe_xis is None else np.atleast_2d(np.asarray(probe_xis, float))
     c0 = compute_c0(spec.op_norm, d)
     mu, sf, pi = [], [], []
     for xi in probes:

@@ -837,6 +837,55 @@ class TestNonFiniteInputs:
                 assert rc == 1 and err.startswith("harnacklab: error: ") and err.count("\n") == 1, err
 
 
+OU_MC_CFG = {"driver": "stable", "d": 2, "alpha": 1.5, "c": 1.0, "A": [[0.5, 0.0], [0.0, 0.5]]}
+STABLE_2D_CFG = {"driver": "stable", "d": 2, "alpha": 1.5, "c": 1.0}
+TRUNC_MC_CFG = {"driver": "truncated_stable", "d": 1, "alpha": 1.8, "c": 1.0, "r": 0.5}
+HUGE_T = {"n": 1000, "t_values": [1e300], "offsets": [0, 1], "validation": False}
+TINY_T = {"n": 1000, "t_values": [1e-300], "offsets": [0, 1], "validation": False}
+FAR = {"n": 1000, "t_values": [1.0], "offsets": [0, 1e300], "validation": False}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "cfg, grid, command, fragment",
+    [
+        (OU_MC_CFG, None, ["estimate", "--t", "1e300", "--x", "0,0", "--f", "ball", "--n", "1000"], "t = 1e+300"),
+        (OU_MC_CFG, HUGE_T, ["verify", "--inequality", "harnack_ou"], "t = 1e+300"),
+        (OU_MC_CFG, TINY_T, ["verify", "--inequality", "harnack_ou"], "t = 1e-300"),
+        (OU_MC_CFG, TINY_T, ["verify", "--inequality", "p_harnack"], "t = 1e-300"),
+        (STABLE_CFG, TINY_T, ["verify", "--inequality", "harnack_stable"], "t = 1e-300"),
+        (OU_MC_CFG, FAR, ["verify", "--inequality", "harnack_ou"], "x = [0.0, 1e+300]"),
+        (TRUNC_MC_CFG, FAR, ["verify", "--inequality", "log_harnack"], "x = [1e+300]"),
+        (STABLE_2D_CFG, FAR, ["verify", "--inequality", "ratio_lemma"], "x = [0.0, 1e+300]"),
+        (STABLE_2D_CFG, {"t_values": [1e-300], "offsets": [0], "n_z": 1, "validation": False},
+         ["verify", "--inequality", "ratio_lemma"], "t = 1e-300"),
+        # t^(1/alpha) underflows to 0 here
+        ({"driver": "stable", "d": 1, "alpha": 0.5, "c": 1.0},
+         {"t_values": [1e-300], "offsets": [0], "n_z": 1, "validation": False},
+         ["verify", "--inequality", "ratio_lemma"], "t = 1e-300"),
+        (OU_MC_CFG, {**FAR, "offsets": [0, 1e80]}, ["verify", "--inequality", "p_harnack"], "x = [0.0, 1e+80]"),
+    ],
+    ids=[
+        "estimate-huge-t", "harnack_ou-huge-t", "harnack_ou-tiny-t", "p_harnack-tiny-t",
+        "harnack_stable-tiny-t", "harnack_ou-far", "log_harnack-far", "ratio_lemma-far",
+        "ratio_lemma-tiny-t", "ratio_lemma-underflowing-scale", "p_harnack-far",
+    ],
+)
+def test_out_of_range_input_is_one_worded_line(tmp_path, capsys, cfg, grid, command, fragment):
+    # each input leaves the double range inside the lab, not in the schema:
+    # it is refused in one line that names the t or offset at fault, with
+    # no warning (warnings are errors here, numpy's included) and no output
+    argv = command + ["--spec", write_json(tmp_path, "cfg.json", cfg), "--out", str(tmp_path / "out")]
+    if grid is not None:
+        argv += ["--grid", write_json(tmp_path, "grid.json", grid)]
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err.startswith("harnacklab: error: ") and err.count("\n") == 1, err
+    assert fragment in err and "range error" not in err and "(34," not in err, err
+    assert not (tmp_path / "out").exists()
+
+
 def _is_sorted_indent2(text: str) -> bool:
     """True when text is exactly json.dumps(sort_keys=True, indent=2) plus a newline."""
     return text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"

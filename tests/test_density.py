@@ -21,7 +21,6 @@ from harnacklab import (
     TruncatedStableSpec,
     check_truncated_bounds,
     estimate_bound_constants,
-    grid_interp,
     kde_1d,
     phi_envelope,
     stable_cdf_1d,
@@ -504,16 +503,12 @@ class TestDensityGrid:
         assert g1.meta["method_counts"] == g3.meta["method_counts"]
         assert sum(g1.meta["method_counts"].values()) == 25
 
-    def test_grid_interp_and_mass(self):
+    def test_grid_mass(self):
         pts = np.linspace(-1.0, 1.0, 201)
         vals = np.maximum(1.0 - np.abs(pts), 0.0)  # triangle density, mass 1
         g = DensityGrid(t=1.0, points=pts[:, None], values=vals)
         assert grid_mass(g) == pytest.approx(1.0, rel=1e-12)
-        assert np.allclose(grid_interp(g, pts), vals)
-        assert grid_interp(g, np.array([-5.0, 5.0])).tolist() == [0.0, 0.0]
         g2 = DensityGrid(t=1.0, points=np.zeros((2, 2)), values=np.ones(2))
-        with pytest.raises(ValueError):
-            grid_interp(g2, [0.0])
         with pytest.raises(ValueError):
             grid_mass(g2)
 
@@ -618,7 +613,7 @@ class TestTruncatedEstimate:
         for key in ("se", "bandwidth", "bin_width", "n", "dropped_fraction"):
             assert key in g.meta
         # symmetric law: compare the two sides of the KDE loosely
-        mid = grid_interp(g, np.array([0.6, -0.6]))
+        mid = np.interp([0.6, -0.6], g.points[:, 0], g.values)
         assert mid[0] == pytest.approx(mid[1], rel=0.15)
 
     def test_sample_floor(self):
@@ -715,4 +710,9 @@ class TestConvexityProfile:
         pts = np.linspace(-1.0, 1.0, 101)
         g = DensityGrid(t=0.5, points=pts[:, None], values=np.ones(101))
         with pytest.raises(DensityEstimateError):
+            tail_convexity_profile(g)
+
+    def test_refuses_a_grid_beyond_d1(self):
+        g = DensityGrid(t=0.5, points=np.zeros((2, 2)), values=np.ones(2))
+        with pytest.raises(ValueError, match="d=1"):
             tail_convexity_profile(g)

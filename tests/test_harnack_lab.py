@@ -487,21 +487,23 @@ class TestFittedReportSkeleton:
             monkeypatch.setattr(harnack_lab, "truncated_density", far_zero)
         else:
             f_set = default_test_functions(1) + [FAR_BALL]
-        excluded = {}
+        excluded = []
         skeleton = harnack_lab._fitted_report
 
         def counting_skeleton(inequality_id, claim, spec, grid_meta, run, *rest):
-            def counted(nodes, substream):
-                out = run(nodes, substream)
-                excluded[substream] = out[1]
+            def counted(*args):
+                assert len(args) == 1  # the skeleton hands a run its nodes alone
+                out = run(*args)
+                excluded.append(out[1])
                 return out
 
             return skeleton(inequality_id, claim, spec, grid_meta, counted, *rest)
 
         monkeypatch.setattr(harnack_lab, "_fitted_report", counting_skeleton)
         report = FITTED_RUNS[ineq](True, f_set)
-        assert excluded[2] > 0
-        assert report.excluded_nodes == excluded[1] + excluded[2]
+        # the default run, then the validation run
+        assert len(excluded) == 2 and excluded[1] > 0
+        assert report.excluded_nodes == sum(excluded)
         assert math.isfinite(report.validation_C)
 
 

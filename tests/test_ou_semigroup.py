@@ -29,6 +29,7 @@ from harnacklab import (
     symbol_radial,
     time_integrated_symbol,
 )
+from harnacklab import ou_semigroup
 from harnacklab.ou_semigroup import TestFunction as ParametricFunction
 from harnacklab.levy_core import compute_sigma, sphere_surface
 from harnacklab.ou_semigroup import _gramian_factor, _jump_weigher
@@ -332,7 +333,6 @@ class TestTestFunctions:
         f = ball_indicator([1.0, 0.0], 0.5, offset=0.25)
         pts = np.array([[1.0, 0.0], [1.0, 0.5], [1.0, 0.51], [-2.0, 0.0]])
         assert f(pts).tolist() == [1.25, 1.25, 0.25, 0.25]
-        assert f.bound == 1.25
         assert f.min_value == 0.25
         assert not f.geq_one
 
@@ -340,13 +340,12 @@ class TestTestFunctions:
         f = gaussian_bump(0.0, 2.0)
         assert f(np.array([[0.0]]))[0] == 1.0
         assert f(np.array([[2.0]]))[0] == pytest.approx(math.exp(-0.5))
-        assert f.bound == 1.0
 
     def test_constant(self):
         f = constant(2.5)
         pts = np.random.default_rng(0).normal(size=(7, 3))
         assert np.all(f(pts) == 2.5)
-        assert f.bound == 2.5 and f.min_value == 2.5 and f.geq_one
+        assert f.min_value == 2.5 and f.geq_one
 
     def test_exp_cap_range_and_endpoints(self):
         level = 100.0
@@ -357,7 +356,7 @@ class TestTestFunctions:
         assert np.all(vals <= level)
         assert f(np.array([[0.0]]))[0] == pytest.approx(level)
         assert f(np.array([[50.0]]))[0] == pytest.approx(1.0, abs=1e-12)
-        assert f.geq_one and f.min_value == 1.0 and f.bound == level
+        assert f.geq_one and f.min_value == 1.0
 
     def test_shifted(self):
         # x -> f(x + v) is the same family with its center moved by -v
@@ -492,7 +491,7 @@ class TestSemigroupSampler:
         assert np.array_equal(a05, b05)
         assert np.array_equal(a10, b10)
 
-    def test_flow_computed_once_per_time(self, monkeypatch):
+    def test_flow_computed_once_per_draw(self, monkeypatch):
         calls = []
 
         def counted(A, t=1.0):
@@ -503,16 +502,45 @@ class TestSemigroupSampler:
         spec = stable_ou([[0.5, 0.2], [0.0, -0.3]], d=2)
         s = SemigroupSampler(spec, 100, SeedSpec(98))
         noise = {t: s.noise(t) for t in (0.5, 1.0)}
-        # the sampler holds one time's noise, so 0.5 after 1.0 is drawn again;
-        # that draw weighs jumps with exponentials of its own, so serve it
-        # the array already drawn and count only the flow's exponentials
+        # the sampler holds one time's noise and flow, so 0.5 after 1.0 is
+        # drawn again and its flow formed again; that draw weighs jumps with
+        # exponentials of its own, so serve it the array already drawn and
+        # count only the flow's exponentials
         monkeypatch.setattr("harnacklab.ou_semigroup.ou_noise", lambda spec, t, n, seed: noise[t])
         calls.clear()
         for t in (0.5, 1.0, 0.5):
             for x in ([0.0, 0.0], [1.0, -2.0]):
                 expected = (matrix_exp(spec.A, t) @ np.asarray(x))[None, :] + noise[t]
                 assert np.array_equal(s.endpoints(x, t), expected)
-        assert calls == [0.5, 1.0]
+        assert calls == [0.5, 1.0, 0.5]
+        # with A = 0 the flow is the identity, and no exponential is formed
+        free = SemigroupSampler(stable_ou([[0.0, 0.0], [0.0, 0.0]], d=2), 100, SeedSpec(98))
+        assert np.array_equal(free.endpoints([1.0, -2.0], 0.5), np.array([[1.0, -2.0]]) + free.noise(0.5))
+        assert calls == [0.5, 1.0, 0.5]
+
+    def test_a_walk_over_many_times_holds_one_flow(self, monkeypatch):
+        # each time's e^{tA} is dropped with its noise: after 40 times the
+        # sampler holds the last one only, by reference counting alone
+        flows = []
+
+        def tracked(A, t=1.0):
+            flows.append(weakref.ref(out := matrix_exp(A, t)))
+            return out
+
+        monkeypatch.setattr("harnacklab.ou_semigroup.matrix_exp", tracked)
+        s = SemigroupSampler(stable_ou([[0.5, 0.0], [0.0, 0.5]], d=2, alpha=1.5), 50, SeedSpec(104))
+        f, points = gaussian_bump([0.0, 0.0], 1.0), np.array([[0.0, 0.0], [1.0, 0.0]])
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for t in np.linspace(0.1, 4.0, 40):
+                s.moments(f, points, t, (2.0,))
+            alive = [ref() for ref in flows if ref() is not None]
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(flows) == 40
+        assert len(alive) == 1 and alive[0] is s._noise[2]
 
     def test_unit_function_exact(self):
         s = SemigroupSampler(stable_ou([[0.0]]), 2000, SeedSpec(93))
@@ -720,6 +748,32 @@ class TestBlockMoments:
             at, _ = SemigroupSampler(spec, 3001, SeedSpec(320)).moments(f, [[1.0, 1.0], [0.25, -0.5]], 0.5)
             assert float_bits(a) == float_bits(at[1][None])
 
+    def test_indicator_powers_are_its_own_row(self, monkeypatch):
+        # an offset-free indicator takes +0.0 and 1.0, which every power
+        # p > 0 maps to themselves: its powers 1.5, 2 and 4 are read off its
+        # own row, and the powers -1 and 0.0 and the log, which move 0.0 or
+        # 1.0, are computed, each with the bits of v ** a and np.log(v)
+        computed = []
+        transform = ou_semigroup._transform
+
+        def counted(v, a, out):
+            computed.append(a)
+            return transform(v, a, out)
+
+        monkeypatch.setattr(ou_semigroup, "_transform", counted)
+        sampler = SemigroupSampler(self.SPECS[2], 2001, SeedSpec(323))
+        f = ball_indicator([0.3, -0.2], 1.2)
+        points = np.array([[0.0, 0.0], [1.5, 0.5], [0.0, 0.0]])
+        transforms = (1.5, 2.0, 4, -1.0, 0.0, "log")
+        pairs = [(0, 1.5, 1, -1.0), (1, 0.0, 2, "log"), (2, 4, 0, None), (0, 2.0, 1, 1.5)]
+        # 0 ** -1 and log 0 divide by zero, and centring their infinities is invalid
+        with np.errstate(divide="ignore", invalid="ignore"):
+            at, covs = sampler.moments(f, points, 0.5, transforms, pairs)
+            expected = reference_moments(sampler, f, points, 0.5, transforms, pairs)
+        assert computed == [-1.0, 0.0, "log"]
+        in_order = [{a: point[a] for a in (None, *transforms)} for point in at]
+        assert float_bits((in_order, covs)) == float_bits(expected)
+
     def test_one_sample_has_no_spread(self):
         at, covs = SemigroupSampler(self.SPECS[1], 1, SeedSpec(321)).moments(
             gaussian_bump([0.0], 1.0), [[0.0], [0.5]], 0.5, (2.0,), [(0, None, 1, 2.0)]
@@ -783,16 +837,6 @@ class TestFactorization:
         assert rep.passed
         assert rep.c0 == pytest.approx(compute_c0(0.5, 1), rel=1e-12)
         assert rep.op_norm == 0.5
-
-    def test_custom_probes_and_to_dict(self):
-        spec = stable_ou([[0.0]], alpha=1.5)
-        rep = factorization_check(spec, 0.25, probe_xis=np.array([[1.0], [2.0]]))
-        assert rep.probes.shape == (2, 1)
-        doc = rep.to_dict()
-        for key in ("t", "probes", "mu_hat", "stable_factor", "pi_hat",
-                    "max_excess", "passed", "c0", "op_norm"):
-            assert key in doc
-        assert isinstance(doc["pi_hat"], list)
 
     def test_time_domain(self):
         spec = stable_ou([[0.0]])
