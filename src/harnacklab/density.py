@@ -42,9 +42,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy import special
-from scipy.ndimage import gaussian_filter1d
-from scipy.optimize import OptimizeResult, linprog, minimize_scalar
 
 from .levy_core import (
     QuadratureError,
@@ -157,7 +154,6 @@ class _LogTable:
     uniform grid of ``step`` between the reaches of two end series, the series outside."""
 
     def __init__(self, log_values, below: _EndSeries, above: _EndSeries, step: float):
-        # imported here, where a table is first built: it adds ~40 ms to importing the package
         from scipy.interpolate import make_interp_spline
 
         self.below, self.above, self.lo, self.hi = below, above, below.reach, above.reach
@@ -216,6 +212,8 @@ def _log_trapezoid(log_integrand, params: np.ndarray) -> np.ndarray:
 
 def _log_j_table(d: int, alpha: float) -> _LogTable:
     """log J(e^y) with J(rho) = int_0^inf v^(m + d/2 - 1) exp(-v^m - rho v) dv."""
+    from scipy import special
+
     _, m, _ = _kanter_exponents(alpha)
     h, n = d / 2.0, np.arange(SERIES_TERMS + 1)
     sign = (-1.0) ** n
@@ -242,6 +240,8 @@ def _log_j_table(d: int, alpha: float) -> _LogTable:
 
 def _log_c_table(alpha: float) -> _LogTable:
     """log C(e^y) with C(q) = E Phi(-q sqrt(W/2)), W = E^(1/m), E standard exponential."""
+    from scipy import special
+
     _, m, _ = _kanter_exponents(alpha)
     n = np.arange(SERIES_TERMS)
     # q -> 0: 1/2 - K(q), K(q) = sum (-1)^n q^(2n+1) E (W/2)^(n+1/2) / (sqrt(2 pi) 2^n n! (2n+1))
@@ -481,6 +481,8 @@ def _exponent_rule(alpha: float) -> tuple:
     u^(1-alpha) du; the saddle table: a = eta r on [0, TILT_REACH], G, G', sqrt(G'')
     and the running integral of sqrt(G'') there; 16-node Gauss-Legendre nodes and
     weights for the xi-panels)."""
+    from scipy import special
+
     poly = np.polynomial.Polynomial(np.abs(_truncated_series(1, alpha)))
     x, w = special.roots_jacobi(64, 0.0, 1.0 - alpha)
     a = np.linspace(0.0, TILT_REACH, 2001)
@@ -699,6 +701,8 @@ def _refine_extrema(g, lo: float, hi: float, log: bool = False) -> tuple[float, 
     :func:`estimate_bound_constants` scans only the envelope's tail piece with
     it, which can have an interior extremum; the bulk piece is monotone.
     """
+    from scipy.optimize import minimize_scalar
+
     xs = np.geomspace(lo, hi, REFINE_SCAN) if log else np.linspace(lo, hi, REFINE_SCAN)
     vals = np.asarray(g(xs), dtype=float)
     gmin, gmax = float(vals.min()), float(vals.max())
@@ -706,7 +710,7 @@ def _refine_extrema(g, lo: float, hi: float, log: bool = False) -> tuple[float, 
         v = sign * vals
         for i in range(1, REFINE_SCAN - 1):
             if v[i] <= v[i - 1] and v[i] <= v[i + 1]:
-                res: OptimizeResult = minimize_scalar(
+                res = minimize_scalar(
                     lambda x: sign * float(g(x)[0]),
                     bounds=(xs[i - 1], xs[i + 1]),
                     method="bounded",
@@ -738,12 +742,18 @@ def estimate_bound_constants(
     x_grid = np.atleast_2d(np.asarray(x_grid, dtype=float))
     if not t_grid or len(x_grid) == 0:
         raise ValueError("t_grid and x_grid must be nonempty")
-    radii = np.linalg.norm(x_grid, axis=1)
+    with np.errstate(over="ignore"):
+        radii = np.linalg.norm(x_grid, axis=1)
+    far = np.flatnonzero(radii == math.inf)
+    if len(far):
+        raise DensityEstimateError(f"x={x_grid[far[0]].tolist()} has a norm whose square overflows a double")
     c1, c2 = math.inf, -math.inf
     max_scaled = 0.0
     for t in t_grid:
         max_scaled = max(max_scaled, float(radii.max()) / t ** (1.0 / spec.alpha))
-        ratios = _radial_densities(spec, t, radii) / phi_envelope(spec.d, spec.alpha, t, radii)
+        dens, phi = _radial_densities(spec, t, radii), phi_envelope(spec.d, spec.alpha, t, radii)
+        with np.errstate(divide="ignore", invalid="ignore"):  # both underflow to 0 far out: refused below
+            ratios = dens / phi
         bad = np.flatnonzero(~(np.isfinite(ratios) & (ratios > 0.0)))
         if len(bad):
             raise DensityEstimateError(
@@ -788,6 +798,8 @@ def kde_1d(
     tails that are the whole point here.  Counts are binned once and smoothed
     by an FFT-free Gaussian filter, so the cost is independent of n.
     """
+    from scipy.ndimage import gaussian_filter1d
+
     x = np.asarray(samples, dtype=float).ravel()
     n = len(x)
     if n < 2:
@@ -906,6 +918,8 @@ def _fit_tail_envelope(u: np.ndarray, logp: np.ndarray, side: str) -> tuple[floa
     side "upper": smallest total gap with log C + k u >= logp;
     side "lower": with log C + k u <= logp.  Returns (C, k).
     """
+    from scipy.optimize import linprog
+
     m = len(u)
     if side == "upper":
         # minimize sum(L + k u - logp) s.t. L + k u >= logp, k >= 0

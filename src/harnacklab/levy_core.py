@@ -18,8 +18,6 @@ from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from scipy import integrate, special
-from scipy.linalg import expm
 
 __all__ = [
     "StableSpec",
@@ -174,6 +172,8 @@ def sphere_cf(d: int, u):
     u = np.asarray(u, dtype=float)
     if d == 1:
         return np.cos(u)
+    import scipy.special
+
     shape = u.shape
     u = np.atleast_1d(u)
     nu = d / 2.0 - 1.0
@@ -181,9 +181,9 @@ def sphere_cf(d: int, u):
     big = np.abs(u) > 1e-6
     ub = u[big]
     if d == 2:
-        out[big] = special.j0(ub)  # agrees with jv(0, .) to ~2e-15, about 5x faster
+        out[big] = scipy.special.j0(ub)  # agrees with jv(0, .) to ~2e-15, about 5x faster
     else:
-        out[big] = math.gamma(d / 2.0) * (2.0 / ub) ** nu * special.jv(nu, ub)
+        out[big] = math.gamma(d / 2.0) * (2.0 / ub) ** nu * scipy.special.jv(nu, ub)
     # series 1 - u^2/(2d) + u^4/(8 d (d+2)) below the switch point
     us = u[~big]
     out[~big] = 1.0 - us * us / (2.0 * d) + us**4 / (8.0 * d * (d + 2.0))
@@ -330,10 +330,13 @@ def time_integrated_symbol(spec: OUSpec, xi, t: float) -> float:
     xi = np.asarray(xi, dtype=float).reshape(spec.d)
     if t == 0.0:
         return 0.0
+    from scipy.integrate import quad
+    from scipy.linalg import expm
+
     At = np.ascontiguousarray(spec.A.T)
 
     def f(s):
         return float(symbol(spec.driver, expm(s * At) @ xi))
 
-    val, _ = integrate.quad(f, 0.0, t, limit=200, epsabs=0.0, epsrel=1e-11)
+    val, _ = quad(f, 0.0, t, limit=200, epsabs=0.0, epsrel=1e-11)
     return val

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy import optimize
 
 from .levy_core import (
     StableSpec,
@@ -426,6 +425,8 @@ def _truncated_log_peak(spec: TruncatedStableSpec, t: float) -> float:
       over [0, v], grows with v, so F(v) >= F(V) (v / V)^alpha.  This one
       keeps small alpha at long times from a vacuous sup.
     """
+    from scipy import optimize
+
     d, a = spec.d, spec.alpha
     surf = sphere_surface(d)
     tau = t * spec.c * surf * spec.r**-a

@@ -9,11 +9,16 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import bergstrom_density
 
+import harnacklab
 from harnacklab import cli, harnack_lab
 from harnacklab.cli import main
 from harnacklab.density import DensityEstimateError, stable_density_grid, truncated_density
@@ -99,6 +104,53 @@ class TestParsing:
         assert in_turn[0][2].startswith("harnacklab: error: unrecognized arguments: --bogus")
         assert in_turn[0][2].count("\n") == 1
         assert in_turn[1][1]["values"] and in_turn[2][1].startswith("young: PASS")
+
+
+# the scipy submodules a harnacklab command may import, each where it is called
+SCIPY_SUBMODULES = ("special", "optimize", "linalg", "integrate", "ndimage", "interpolate")
+
+
+def _scipy_loaded_after(tmp_path, code: str) -> list[str]:
+    """The SCIPY_SUBMODULES a fresh interpreter holds once it has run ``code``
+    in ``tmp_path``; ``code`` imports harnacklab from where this process did."""
+    probe = code + (
+        "\nimport json, sys"
+        f"\nprint(json.dumps([m for m in {SCIPY_SUBMODULES!r} if 'scipy.' + m in sys.modules]))"
+    )
+    src = str(Path(harnacklab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestColdImport:
+    """scipy is imported by the function that calls it, so a command loads
+    only the submodules its own work needs."""
+
+    def test_parser_and_config_check_load_no_scipy_submodule(self, tmp_path):
+        code = (
+            "import harnacklab.cli\n"
+            "from harnacklab import cli, reports\n"
+            "reports.validate_config({'driver': 'stable', 'd': 2, 'alpha': 1.5})\n"
+            "try:\n    cli.main(['--version'])\nexcept SystemExit as exc:\n    assert exc.code == 0\n"
+        )
+        assert _scipy_loaded_after(tmp_path, code) == []
+
+    def test_diagonal_drift_verify_loads_no_linalg(self, tmp_path):
+        spec = write_json(tmp_path, "ou.json", {**STABLE_CFG, "d": 2, "alpha": 1.5, "A": [[0.5, 0.0], [0.0, 0.5]]})
+        grid = write_json(tmp_path, "grid.json", {"n": 1000})
+        argv = ["verify", "--spec", spec, "--inequality", "harnack_ou", "--grid", grid, "--out", "out"]
+        code = f"from harnacklab import cli\nassert cli.main({argv!r}) == 0"
+        assert "linalg" not in _scipy_loaded_after(tmp_path, code)
+
+    def test_density_loads_special(self, tmp_path):
+        spec = write_json(tmp_path, "stable.json", STABLE_CFG)
+        argv = ["density", "--spec", spec, "--t", "1.0", "--radii", "0,1"]
+        code = f"from harnacklab import cli\nassert cli.main({argv!r}) == 0"
+        assert "special" in _scipy_loaded_after(tmp_path, code)
 
 
 class TestConfigLoading:

@@ -8,6 +8,8 @@ form, so none of them route through the package quadrature being tested.
 """
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -320,6 +322,15 @@ class TestEnvelope:
             estimate_bound_constants(spec, [], np.array([[1.0]]))
         with pytest.raises(ValueError):
             estimate_bound_constants(spec, [1.0], np.zeros((0, 1)))
+
+    @pytest.mark.parametrize("far", [1e200, 1e100])
+    def test_far_point_is_one_worded_error(self, far):
+        # |x|^2 overflows at 1e200; at 1e100 density and envelope both underflow to 0
+        spec = StableSpec(d=2, alpha=1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DensityEstimateError, match=re.escape(f"x=[{far!r}, 0.0]")):
+                estimate_bound_constants(spec, [1.0], np.array([[far, 0.0]]))
 
 
 def _axis_points(d: int, radii) -> np.ndarray:

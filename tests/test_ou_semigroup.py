@@ -8,6 +8,7 @@ import weakref
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.linalg import expm
 
 from harnacklab import (
     OUSpec,
@@ -30,6 +31,7 @@ from harnacklab import (
     time_integrated_symbol,
 )
 from harnacklab import ou_semigroup
+from harnacklab.harnack_lab import default_comparison_grid, validation_comparison_grid
 from harnacklab.ou_semigroup import TestFunction as ParametricFunction
 from harnacklab.levy_core import compute_sigma, sphere_surface
 from harnacklab.ou_semigroup import _gramian_factor, _jump_weigher
@@ -81,6 +83,46 @@ class TestMatrixExp:
             warnings.simplefilter("error")
             with pytest.raises(OverflowError, match="= inf"):
                 matrix_exp(np.array([[1e10]]), 1e300)
+
+    # ou-mc's drift 0.5 I at the nine times of its default and validation grids
+    OU_MC_TIMES = sorted({nd.t for nd in default_comparison_grid(2) + validation_comparison_grid(2)})
+
+    @pytest.mark.parametrize(
+        "A, times",
+        [
+            ([[0.5]], [0.3, -2.0]),
+            ([[-1.5]], [1.0]),
+            (np.diag([0.5, 0.5]), OU_MC_TIMES),
+            (np.diag([0.5, -1.0, 0.0]), [0.7, -0.7]),
+            (np.diag([-0.25, 1.0, 2.0, -3.0]), [1.3]),
+            (np.diag([1e-3, -1e-3, 5.0, 0.0, -7.5]), [2.0]),
+            ([[0.5, -0.0], [-0.0, -0.5]], [1.0, -1.0]),
+            ([[-2.0, 0.0, -0.0], [-0.0, 0.0, 0.0], [0.0, -0.0, 3.0]], [0.5, -0.5]),
+        ],
+    )
+    def test_diagonal_input_gives_expm_bits(self, A, times):
+        A = np.asarray(A, dtype=float)
+        for t in times:
+            assert matrix_exp(A, t).tobytes() == expm(t * A).tobytes()
+
+    def test_diagonal_overflow_raises_the_same_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=r"overflowed for \|\|tA\|\| = 750$"):
+                matrix_exp(0.5 * np.eye(2), 1500.0)
+
+    @pytest.mark.parametrize(
+        "A",
+        [
+            0.5 * np.eye(2) + np.array([[0.0, 1.0], [-1.0, 0.0]]),
+            -0.25 * np.eye(3) + np.array([[0.0, 2.0, -1.0], [-2.0, 0.0, 0.5], [1.0, -0.5, 0.0]]),
+            [[0.5, 1.0], [0.0, -0.5]],
+        ],
+    )
+    def test_other_input_is_expm(self, A):
+        A = np.asarray(A, dtype=float)
+        for t in (0.1, 1.0, -2.0):
+            assert matrix_exp(A, t).tobytes() == expm(t * A).tobytes()
 
 
 class TestSampleOU:
