@@ -10,12 +10,12 @@ Import rule: no module imports scipy at module scope.  Each function that
 calls scipy imports the submodule it needs in its own body, where a call
 sits in a hot scalar loop as ``import scipy.special``, which costs less per
 call than ``from scipy import special``.  So importing the package,
-building the CLI parser and checking a config load numpy and jsonschema
-only, and a command pays at cold start for the scipy it runs and no more.
-On a 2-core x86-64 host a fresh process importing numpy and jsonschema
-takes about 0.2 s; scipy.special adds about 0.22 s, linalg 0.24 s, ndimage
-0.28 s, optimize and integrate about 0.5 s each (they load linalg and
-special), and interpolate 0.28 s on top of special.
+building the CLI parser and checking a config load numpy only, and a
+command pays at cold start for the scipy it runs and no more.  On a 2-core
+x86-64 host a fresh process importing numpy takes about 0.13 s; scipy.special
+adds about 0.22 s, linalg 0.24 s, ndimage 0.28 s, optimize and integrate
+about 0.5 s each (they load linalg and special), and interpolate 0.28 s on
+top of special.
 """
 
 __version__ = "0.1.0"

@@ -22,7 +22,6 @@ from functools import cache
 from pathlib import Path
 
 import numpy as np
-from jsonschema import ValidationError
 
 from . import __version__
 from .density import DensityEstimateError, DensityGrid, stable_density_grid, truncated_density
@@ -63,9 +62,9 @@ class _Parser(argparse.ArgumentParser):
         raise CLIError(message)
 
 
-def _read_json(path: str, what: str):
-    """The JSON document in ``path``, refusing the NaN and infinite numbers
-    that Python's json module would accept."""
+def _read_json(path: str, what: str, validate) -> dict:
+    """The JSON document in ``path`` as ``validate`` hands it on, refusing
+    the NaN and infinite numbers that Python's json module would accept."""
 
     def finite(literal: str) -> float:
         value = float(literal)
@@ -73,21 +72,14 @@ def _read_json(path: str, what: str):
             raise CLIError(f"{what} {path} holds the non-finite number {literal}")
         return value
 
-    return json.loads(Path(path).read_text(), parse_float=finite, parse_constant=finite)
-
-
-def _load_config(path: str) -> dict:
     try:
-        cfg = _read_json(path, "config")
+        doc = json.loads(Path(path).read_text(), parse_float=finite, parse_constant=finite)
     except OSError as exc:
-        raise CLIError(f"cannot read config {path}: {exc}") from exc
+        raise CLIError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise CLIError(f"config {path} is not valid JSON: {exc}") from exc
-    try:
-        validate_config(cfg)
-    except ValidationError as exc:
-        raise CLIError(f"config {path} violates the config schema: {exc.message}") from exc
-    return cfg
+        raise CLIError(f"{what} {path} is not valid JSON: {exc}") from exc
+    validate(doc)
+    return doc
 
 
 def _driver_from_config(cfg: dict):
@@ -169,7 +161,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_density(args) -> int:
-    cfg = _load_config(args.spec)
+    cfg = _read_json(args.spec, "config", validate_config)
     spec = _driver_from_config(cfg)
     points = []
     for text in args.x or []:
@@ -216,7 +208,7 @@ def _cmd_density(args) -> int:
 def _cmd_sample(args) -> int:
     if args.out is None:
         raise CLIError("sample requires --out (binary dump path)")
-    cfg = _load_config(args.spec)
+    cfg = _read_json(args.spec, "config", validate_config)
     if _has_drift(cfg):
         raise CLIError("sample draws the driver's increments, but the config sets a nonzero drift A")
     spec = _driver_from_config(cfg)
@@ -240,7 +232,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    cfg = _load_config(args.spec)
+    cfg = _read_json(args.spec, "config", validate_config)
     ou = _ou_from_config(cfg)
     x = _parse_vector(args.x, ou.d, "--x")
     center = _parse_vector(
@@ -339,23 +331,14 @@ def _run_one(ineq: str, cfg: dict, seed: SeedSpec, overrides: dict):
 
 
 def _cmd_verify(args) -> int:
-    cfg = _load_config(args.spec)
+    cfg = _read_json(args.spec, "config", validate_config)
     ineq = args.inequality
     valid = INEQUALITY_IDS + ("all",)
     if ineq not in valid:
         raise CLIError(
             f"unknown inequality id {ineq!r}; valid ids: {', '.join(INEQUALITY_IDS)} or 'all'"
         )
-    overrides: dict = {}
-    if args.grid:
-        try:
-            overrides = _read_json(args.grid, "grid override")
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CLIError(f"cannot read grid override {args.grid}: {exc}") from exc
-        try:
-            validate_grid_override(overrides)
-        except ValidationError as exc:
-            raise CLIError(f"grid override violates its schema: {exc.message}") from exc
+    overrides = _read_json(args.grid, "grid override", validate_grid_override) if args.grid else {}
 
     ids = _applicable_ids(cfg) if ineq == "all" else [ineq]
     # write_report creates the directory with the first report, so a run that
@@ -405,7 +388,6 @@ def main(argv=None) -> int:
         CLIError,
         ValueError,
         OverflowError,
-        ValidationError,
         OSError,
         NotImplementedError,
         QuadratureError,

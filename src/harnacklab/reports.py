@@ -12,19 +12,20 @@ from __future__ import annotations
 import csv
 import json
 import numbers
+import operator
+import reprlib
 from datetime import datetime, timezone
 from functools import cache
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 __all__ = [
     "canonical_json",
     "indented_json",
     "load_schema",
-    "validate_against",
+    "SchemaError",
     "validate_config",
     "validate_report",
     "validate_grid_override",
@@ -70,7 +71,7 @@ def _indented(doc, node: _Node | None = None) -> str:
     float subclass (np.float64) is written as a float.  NaN and infinity
     raise ValueError rather than appear as non-standard tokens; any other
     value that is not JSON, a tuple or np.int64 say, raises TypeError.
-    With a schema node, a value its node refuses raises ``_Refused`` unwritten.
+    With a schema node, a value its node refuses raises SchemaError unwritten.
     """
     parts: list[str] = []
     _put_indented(doc, "\n", parts.append, node)
@@ -100,7 +101,11 @@ def _put_indented(obj, newline: str, put, node: _Node | None = None) -> None:
             put(sep)
             put(_STR_TEXT(key))
             put(": ")
-            _put_indented(obj[key], inner, put, props.get(key))
+            try:
+                _put_indented(obj[key], inner, put, props.get(key))
+            except SchemaError as exc:
+                exc.path = (key, *exc.path)
+                raise
             sep = "," + inner
         put(newline + "}")
     elif tp is list:
@@ -110,9 +115,13 @@ def _put_indented(obj, newline: str, put, node: _Node | None = None) -> None:
         items = None if node is None else node.items
         inner = newline + "  "
         sep = "[" + inner
-        for item in obj:
+        for i, item in enumerate(obj):
             put(sep)
-            _put_indented(item, inner, put, items)
+            try:
+                _put_indented(item, inner, put, items)
+            except SchemaError as exc:
+                exc.path = (i, *exc.path)
+                raise
             sep = "," + inner
         put(newline + "]")
     elif tp is int:
@@ -150,95 +159,140 @@ def load_schema(name: str) -> dict:
     return json.loads(path.read_text())
 
 
-def validate_against(instance: dict, schema_name: str) -> None:
-    """Raise jsonschema.ValidationError listing the first schema failure."""
-    Draft202012Validator(load_schema(schema_name)).validate(instance)
-
-
 # Keywords a schema node understands; reading a schema with any other keyword
-# raises, so a schema edit cannot slip past the writer's check.
+# raises, so a schema edit cannot slip past the check.
 _KEYWORDS = frozenset({
-    "$schema", "$id", "title",
-    "type", "enum", "properties", "required", "items", "minimum", "additionalProperties",
+    "$schema", "$id", "title", "description", "type", "enum", "properties", "required",
+    "additionalProperties", "items", "minItems", "minimum", "exclusiveMinimum", "exclusiveMaximum",
 })
-# exact Python types per JSON type: a subclass is refused, which is stricter
-# than jsonschema and costs only the fallback
+# the Python classes of each JSON type (a bool is no number): a value whose
+# exact type is one of them passes at once, any other is checked by isinstance
 _TYPES = {
     "object": (dict,),
     "array": (list,),
     "string": (str,),
     "boolean": (bool,),
     "null": (type(None),),
-    "number": (int, float),
+    "number": (int, float, numbers.Number),
     "integer": (int,),  # and an integral float, see _Node.check
 }
+# the relation by which a number breaks each bound, so NaN breaks none
+_BOUNDS = {"minimum": operator.lt, "exclusiveMinimum": operator.le, "exclusiveMaximum": operator.ge}
 
 
-class _Refused(Exception):
-    """A value its schema node refuses: only a cue to ask jsonschema."""
+class SchemaError(ValueError):
+    """A value a published schema refuses, raised as SchemaError(schema,
+    keyword, reason): ``path`` holds its keys and list indices in the
+    document, ``keyword`` the schema keyword it fails."""
+
+    path = ()
+    keyword = property(lambda self: self.args[1])
+
+    def __str__(self) -> str:
+        schema, keyword, reason = self.args
+        where = "".join(f"[{key}]" if type(key) is int else f".{key}" for key in self.path)
+        return f"{schema} schema: {where.lstrip('.') or 'the document'} fails {keyword}: {reason}"
 
 
 class _Node:
-    """One subschema, read once: what the writer's walk checks a value against.
-
-    It holds ``type`` (as exact Python types), ``enum``, ``minimum``,
-    ``required``, ``properties`` (name to node) and ``items`` (a node), with
-    Draft 2020-12 meaning, and reading any other keyword raises ValueError.
-    Its check may refuse what jsonschema accepts (a float subclass, say),
-    never the reverse.
+    """One subschema of the published schema ``name``, read once: what the
+    writer's walk and ``validate`` check values against, with Draft 2020-12
+    meaning.  Reading a keyword outside ``_KEYWORDS``, an enum member that
+    is an array or object, or an additionalProperties schema raises ValueError.
     """
 
-    def __init__(self, schema: dict):
+    def __init__(self, schema: dict, name: str):
         if not isinstance(schema, dict):
             raise ValueError(f"cannot read the schema {schema!r}")
         unknown = set(schema) - _KEYWORDS
         if unknown:
             raise ValueError(f"cannot read schema keywords {sorted(unknown)}")
-        if schema.get("additionalProperties", True) is not True:
-            raise ValueError("cannot read additionalProperties other than true")
+        if type(schema.get("additionalProperties", True)) is not bool:
+            raise ValueError("cannot read additionalProperties other than true or false")
+        if any(isinstance(m, (list, dict)) for m in schema.get("enum", ())):
+            raise ValueError("cannot read enum members that are arrays or objects")
+        self.name = name
         names = schema.get("type")
-        names = [names] if isinstance(names, str) else names
-        self.types = None if names is None else frozenset(tp for name in names for tp in _TYPES[name])
-        self.integer = names is not None and "integer" in names
-        enum = schema.get("enum")
-        self.enum = None if enum is None else tuple(m for m in enum if not isinstance(m, (list, dict)))
-        self.minimum = schema.get("minimum")
-        self.required = frozenset(schema.get("required", ()))
-        self.properties = {key: _Node(sub) for key, sub in schema.get("properties", {}).items()}
-        self.items = _Node(schema["items"]) if "items" in schema else None
+        self.names = [names] if isinstance(names, str) else names
+        self.classes = None if names is None else tuple(tp for n in self.names for tp in _TYPES[n])
+        self.types = None if names is None else frozenset(self.classes)
+        # takes an integral float, which validate hands on as its int
+        self.integer = names is not None and "integer" in self.names and "number" not in self.names
+        self.enum = schema.get("enum")
+        self.bounds = [(kw, _BOUNDS[kw], schema[kw]) for kw in _BOUNDS if kw in schema]
+        self.required = schema.get("required", ())
+        self.closed = schema.get("additionalProperties") is False
+        self.properties = {key: _Node(sub, name) for key, sub in schema.get("properties", {}).items()}
+        self.items = _Node(schema["items"], name) if "items" in schema else None
+        self.min_items = schema.get("minItems", 0)
 
     def check(self, v) -> None:
+        """Raise SchemaError if ``v`` fails this node's own keywords."""
         tp = type(v)
-        if self.types is not None and tp not in self.types:
-            if not (self.integer and tp is float and v.is_integer()):
-                raise _Refused
-        # scalar members only, matched by type and value, so True never matches 1
-        if self.enum is not None and not any(tp is type(m) and v == m for m in self.enum):
-            raise _Refused
-        # jsonschema applies minimum to numbers only
-        if self.minimum is not None and tp is not bool and isinstance(v, numbers.Number):
-            if not (tp in (int, float) and v >= self.minimum):
-                raise _Refused
-        if self.required and isinstance(v, dict) and not v.keys() >= self.required:
-            raise _Refused
+        if self.types is not None and tp not in self.types and not (
+            tp is not bool and isinstance(v, self.classes)
+            or self.integer and isinstance(v, float) and v.is_integer()
+        ):
+            raise SchemaError(self.name, "type", f"{reprlib.repr(v)} is not of type {' or '.join(self.names)}")
+        # a bool member matches only itself, and 1 and 1.0 match each other
+        if self.enum is not None and not any(
+            v is m or not (isinstance(v, bool) or isinstance(m, bool)) and v == m for m in self.enum
+        ):
+            raise SchemaError(self.name, "enum", f"{reprlib.repr(v)} is not one of {self.enum!r}")
+        if self.bounds and tp is not bool and isinstance(v, numbers.Number):
+            for keyword, breaks, bound in self.bounds:
+                if breaks(v, bound):
+                    raise SchemaError(self.name, keyword, f"{v!r} is past the bound {bound!r}")
+        if (self.required or self.closed) and isinstance(v, dict):
+            for key in self.required:
+                if key not in v:
+                    raise SchemaError(self.name, "required", f"{key!r} is missing")
+            if self.closed and not v.keys() <= self.properties.keys():
+                extra = ", ".join(sorted(map(repr, v.keys() - self.properties.keys())))
+                raise SchemaError(self.name, "additionalProperties", f"{extra} not allowed")
+        elif self.min_items and isinstance(v, list) and len(v) < self.min_items:
+            raise SchemaError(self.name, "minItems", f"{reprlib.repr(v)} has fewer than {self.min_items} items")
+
+    def validate(self, v):
+        """Check ``v`` and all it holds; return it with each integral float
+        at an integer node (itself or inside it, in place) as its int."""
+        self.check(v)
+        if self.integer and isinstance(v, float):
+            return int(v)
+        if isinstance(v, dict):
+            below = [(key, node) for key, node in self.properties.items() if key in v]
+        elif isinstance(v, list) and self.items is not None:
+            below = [(i, self.items) for i in range(len(v))]
+        else:
+            return v
+        for key, node in below:
+            try:
+                v[key] = node.validate(v[key])
+            except SchemaError as exc:
+                exc.path = (key, *exc.path)
+                raise
+        return v
 
 
 @cache
 def _schema_node(schema_name: str) -> _Node:
     """The root node of a published schema, read on first use."""
-    return _Node(load_schema(schema_name))
+    return _Node(load_schema(schema_name), schema_name)
 
 
+# Each raises SchemaError where its document fails its schema, and hands the
+# lab ints: an integral float at an integer field ("n": 2000.0) becomes its
+# int in place.
 def validate_config(config: dict) -> None:
-    validate_against(config, "config")
+    _schema_node("config").validate(config)
 
 
 def validate_report(report: dict) -> None:
-    validate_against(report, "report")
+    _schema_node("report").validate(report)
 
 
 def validate_grid_override(grid: dict) -> None:
-    validate_against(grid, "grid")
+    _schema_node("grid").validate(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -287,19 +341,15 @@ def write_report(report: dict, out: Path | str, fmt: str = "json") -> list[Path]
 
     ``out`` is the JSON path; the CSV sibling swaps the suffix.  Returns the
     paths written.  One walk builds the JSON text and checks each value
-    against its node of report.schema.json as it writes it; only when a node
-    refuses does jsonschema validate the report, so an invalid report raises
-    jsonschema's own ValidationError.  The JSON text is built before anything
-    is written, so an invalid report or a value the writer refuses (see
-    :func:`indented_json`) leaves no file either, whatever the format.
+    against its node of report.schema.json as it writes it, so an invalid
+    report raises SchemaError naming the first value, in sorted-key order,
+    that fails.  The JSON text is built before anything is written, so an
+    invalid report or a value the writer refuses (see :func:`indented_json`)
+    leaves no file either, whatever the format.
     """
     if fmt not in ("json", "csv", "both"):
         raise ValueError(f"format must be json, csv or both, got {fmt!r}")
-    try:
-        text = _indented(report, _schema_node("report")) + "\n"
-    except _Refused:
-        validate_against(report, "report")
-        text = _indented(report) + "\n"
+    text = _indented(report, _schema_node("report")) + "\n"
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     written = []

@@ -111,12 +111,16 @@ SCIPY_SUBMODULES = ("special", "optimize", "linalg", "integrate", "ndimage", "in
 
 
 def _scipy_loaded_after(tmp_path, code: str) -> list[str]:
-    """The SCIPY_SUBMODULES a fresh interpreter holds once it has run ``code``
-    in ``tmp_path``; ``code`` imports harnacklab from where this process did."""
-    probe = code + (
-        "\nimport json, sys"
-        f"\nprint(json.dumps([m for m in {SCIPY_SUBMODULES!r} if 'scipy.' + m in sys.modules]))"
-    )
+    """The SCIPY_SUBMODULES a fresh interpreter holds once it has run ``code``."""
+    names = [f"scipy.{m}" for m in SCIPY_SUBMODULES]
+    return [name.removeprefix("scipy.") for name in _loaded_after(tmp_path, code, names)]
+
+
+def _loaded_after(tmp_path, code: str, names: list[str]) -> list[str]:
+    """The modules among ``names`` a fresh interpreter holds once it has run
+    ``code`` in ``tmp_path``; ``code`` imports harnacklab from where this
+    process did."""
+    probe = code + f"\nimport json, sys\nprint(json.dumps([m for m in {names!r} if m in sys.modules]))"
     src = str(Path(harnacklab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
@@ -146,6 +150,20 @@ class TestColdImport:
         code = f"from harnacklab import cli\nassert cli.main({argv!r}) == 0"
         assert "linalg" not in _scipy_loaded_after(tmp_path, code)
 
+    def test_config_check_and_young_report_load_no_jsonschema(self, tmp_path):
+        # jsonschema is a test dependency only: the package checks schemas itself
+        spec = write_json(tmp_path, "stable.json", STABLE_CFG)
+        grid = write_json(tmp_path, "grid.json", {"n_cases": 20})
+        argv = ["verify", "--spec", spec, "--inequality", "young", "--grid", grid, "--out", "out"]
+        code = (
+            "import harnacklab.cli\n"
+            "from harnacklab import cli, reports\n"
+            "reports.validate_config({'driver': 'stable', 'd': 2, 'alpha': 1.5})\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "import pathlib\nassert pathlib.Path('out/report_young.json').is_file()"
+        )
+        assert _loaded_after(tmp_path, code, ["jsonschema"]) == []
+
     def test_density_loads_special(self, tmp_path):
         spec = write_json(tmp_path, "stable.json", STABLE_CFG)
         argv = ["density", "--spec", spec, "--t", "1.0", "--radii", "0,1"]
@@ -170,7 +188,9 @@ class TestConfigLoading:
         bad = write_json(tmp_path, "bad.json", {"driver": "stable", "d": 1, "alpha": 3.0})
         rc = main(["density", "--spec", bad, "--t", "1", "--radii", "0"])
         assert rc == 1
-        assert "schema" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("harnacklab: error: ") and err.count("\n") == 1, err
+        assert "schema" in err and "alpha" in err and "exclusiveMaximum" in err, err
 
     def test_unknown_config_key_rejected(self, tmp_path):
         bad = write_json(
@@ -513,7 +533,40 @@ class TestVerifyCommand:
             "verify", "--spec", stable_cfg, "--inequality", "young", "--grid", grid,
         ])
         assert rc == 1
-        assert "schema" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("harnacklab: error: ") and err.count("\n") == 1, err
+        assert "schema" in err and "bogus_key" in err, err
+
+    @pytest.mark.parametrize(
+        "inequality, config, grid, field",
+        [
+            ("harnack_stable", STABLE_CFG,
+             {"n": 2000.0, "t_values": [0.5], "offsets": [0.0, 1.0], "validation": False}, "n"),
+            ("young", STABLE_CFG, {"n_cases": 5.0}, "n_cases"),
+            ("jensen", STABLE_CFG, {"n_cases": 5.0}, "n_cases"),
+            ("ratio_lemma", STABLE_CFG,
+             {"t_values": [1.0], "offsets": [0.0, 1.0], "n_z": 4.0, "validation": False}, "n_z"),
+            ("truncated_ratio", TRUNC_CFG,
+             {"t_values": [0.5, 1.0], "offsets": [0.0, 1.0], "z_count": 5.0, "validation": False}, "z_count"),
+            ("harnack_stable", {**STABLE_CFG, "d": 2.0, "alpha": 1.5},
+             {"n": 2000, "t_values": [0.5], "offsets": [0.0, 1.0], "validation": False}, "d"),
+        ],
+        ids=["n", "n_cases-young", "n_cases-jensen", "n_z", "z_count", "d"],
+    )
+    def test_integral_float_field_runs_as_its_int(self, tmp_path, capsys, inequality, config, grid, field):
+        # the schema counts 2000.0 as an integer, and the check hands the lab 2000
+        runs = []
+        for name, cast in (("float", float), ("int", int)):
+            cfg, grd = ({**doc, field: cast(doc[field])} if field in doc else doc for doc in (config, grid))
+            out = tmp_path / name
+            rc = main([
+                "verify", "--spec", write_json(tmp_path, f"cfg_{name}.json", cfg), "--inequality", inequality,
+                "--grid", write_json(tmp_path, f"grid_{name}.json", grd), "--out", str(out),
+            ])
+            report = json.loads((out / f"report_{inequality}.json").read_text())
+            runs.append((rc, capsys.readouterr(), canonical_json(report)))
+        assert type((config if field in config else grid)[field]) is float
+        assert runs[0] == runs[1]
 
     def test_missing_grid_override(self, stable_cfg):
         rc = main([

@@ -1,7 +1,9 @@
-"""Report writing: the writer's schema check never passes what jsonschema
-rejects, an invalid report raises jsonschema's own error and leaves no file
-behind, the indented writer gives json.dumps's bytes, and every document the
-CLI writes is built from exact JSON types."""
+"""Schema checks and report writing: the package's schema check accepts a
+config, grid override or report exactly when jsonschema (the oracle, a test
+dependency only) does, an invalid report raises SchemaError at one of the
+paths jsonschema reports and leaves no file behind, the indented writer gives
+json.dumps's bytes, and every document the CLI writes is built from exact
+JSON types."""
 
 import copy
 import json
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from jsonschema import Draft202012Validator, ValidationError
+from jsonschema import Draft202012Validator
 
 from harnacklab import cli, harnack_lab, reports
 from harnacklab.harnack_lab import (
@@ -26,10 +28,19 @@ from harnacklab.harnack_lab import (
     young_suite,
 )
 from harnacklab.levy_core import OUSpec, StableSpec, TruncatedStableSpec
-from harnacklab.reports import load_schema, validate_report, write_report
+from harnacklab.reports import (
+    SchemaError,
+    load_schema,
+    validate_config,
+    validate_grid_override,
+    validate_report,
+    write_report,
+)
 from harnacklab.sampling import SeedSpec
 
 YOUNG = young_suite(n_cases=4, seed=SeedSpec(5)).to_dict()
+# jsonschema, the oracle each schema check is held to
+ORACLES = {name: Draft202012Validator(load_schema(name)) for name in ("config", "grid", "report")}
 
 
 def _without_lhs(doc):
@@ -61,14 +72,20 @@ REJECTED = {
 def test_invalid_report_raises_the_schema_error_and_writes_nothing(tmp_path, mutate, fmt):
     doc = copy.deepcopy(YOUNG)
     mutate(doc)
-    with pytest.raises(ValidationError) as expected:
-        validate_report(doc)
+    # each (path, keyword) jsonschema finds wrong
+    expected = {
+        (tuple(e.absolute_path), e.validator) for e in ORACLES["report"].iter_errors(doc)
+    }
+    assert expected
     out = tmp_path / "reports" / "young.json"
-    with pytest.raises(ValidationError) as raised:
+    with pytest.raises(SchemaError) as raised:
         write_report(doc, out, fmt)
-    assert raised.value.message == expected.value.message
-    assert list(raised.value.absolute_path) == list(expected.value.absolute_path)
+    assert (raised.value.path, raised.value.keyword) in expected
+    assert raised.value.keyword in str(raised.value)
     assert not out.exists() and not out.with_suffix(".csv").exists()
+    with pytest.raises(SchemaError) as validated:
+        validate_report(doc)
+    assert (validated.value.path, validated.value.keyword) in expected
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=str)
@@ -125,12 +142,12 @@ def test_valid_report_is_written(tmp_path):
     assert out.read_text().startswith("{")
 
 
-def test_report_the_check_refuses_but_jsonschema_accepts_is_written(tmp_path):
-    # np.float64 is no exact float, so the writer's check refuses it and
-    # jsonschema, which accepts it, decides
+def test_float64_field_is_written_with_the_exact_floats_bytes(tmp_path):
+    # a float subclass is a number, as in jsonschema, and is written as its float
     exact, subclass = copy.deepcopy(YOUNG), copy.deepcopy(YOUNG)
-    exact["fitted_C"], subclass["fitted_C"] = 0.75, np.float64(0.75)
-    assert not _accepts(subclass)
+    exact["fitted_C"], subclass["fitted_C"] = 0.1, np.float64(0.1)
+    subclass["per_node"][0]["x"] = [np.float64(v) for v in subclass["per_node"][0]["x"]]
+    assert _accepts(subclass, "report")
     write_report(exact, tmp_path / "exact.json")
     write_report(subclass, tmp_path / "subclass.json")
     assert (tmp_path / "subclass.json").read_bytes() == (tmp_path / "exact.json").read_bytes()
@@ -229,8 +246,8 @@ def _cli_documents(tmp_path, monkeypatch) -> list:
 
 
 def test_every_document_is_built_from_exact_json_types(real_reports, tmp_path, monkeypatch, capsys):
-    # a np.float64 value fails the writer's check of a typed report field and
-    # sends the write to jsonschema, so documents hold exact types only
+    # the writer converts nothing, so the code that builds a document emits
+    # JSON values (a float subclass is the one value it writes as another)
     documents = list(real_reports.values()) + _cli_documents(tmp_path, monkeypatch)
     # two density, two estimate and two sidecar documents, a report and its violations
     assert len(documents) == len(INEQUALITY_IDS) + 8
@@ -238,19 +255,29 @@ def test_every_document_is_built_from_exact_json_types(real_reports, tmp_path, m
         assert list(_leaks(doc)) == [], i
 
 
-def _accepts(doc) -> bool:
-    try:
-        reports._put_indented(doc, "\n", lambda text: None, reports._schema_node("report"))
-    except reports._Refused:
-        return False
-    return True
+def _accepts(doc, name) -> bool:
+    """Whether the schema ``name``'s walk accepts ``doc`` (left unchanged);
+    for a report, the writer's walk must give the same verdict."""
+    verdicts = set()
+    walks = [lambda: reports._schema_node(name).validate(copy.deepcopy(doc))]
+    if name == "report":
+        walks.append(lambda: reports._put_indented(doc, "\n", lambda text: None, reports._schema_node(name)))
+    for walk in walks:
+        try:
+            walk()
+        except SchemaError:
+            verdicts.add(False)
+        else:
+            verdicts.add(True)
+    assert len(verdicts) == 1, doc
+    return verdicts.pop()
 
 
 def test_check_accepts_every_inequality_report(real_reports):
     assert set(real_reports) == set(INEQUALITY_IDS)
     for doc in real_reports.values():
         validate_report(doc)
-        assert _accepts(doc), doc["inequality_id"]
+        assert _accepts(doc, "report"), doc["inequality_id"]
 
 
 @pytest.mark.parametrize(
@@ -274,12 +301,8 @@ def test_check_accepts_every_inequality_report(real_reports):
 def test_check_agrees_with_jsonschema_on_edge_values(field, value, valid):
     doc = copy.deepcopy(YOUNG)
     doc[field] = value
-    assert _accepts(doc) is valid
-    if valid:
-        validate_report(doc)
-    else:
-        with pytest.raises(ValidationError):
-            validate_report(doc)
+    assert _accepts(doc, "report") is valid
+    assert ORACLES["report"].is_valid(doc) is valid
 
 
 @pytest.mark.parametrize(
@@ -292,40 +315,74 @@ def test_compile_refuses_unknown_keywords(where):
         sub = sub[key]
     sub["pattern"] = "^h"
     with pytest.raises(ValueError, match="pattern"):
-        reports._Node(schema)
+        reports._Node(schema, "report")
 
 
-def test_compile_refuses_closed_objects():
+@pytest.mark.parametrize(
+    "schema",
+    [{"additionalProperties": {"type": "number"}}, {"enum": [[1], "a"]}, {"enum": [{"a": 1}]}],
+    ids=["additional_properties_schema", "array_member", "object_member"],
+)
+def test_compile_refuses_forms_it_cannot_read(schema):
+    with pytest.raises(ValueError, match="cannot read"):
+        reports._Node(schema, "test")
+
+
+def test_closed_object_refuses_an_unknown_key(tmp_path):
     schema = load_schema("report")
     schema["additionalProperties"] = False
-    with pytest.raises(ValueError, match="additionalProperties"):
-        reports._Node(schema)
+    node = reports._Node(schema, "report")
+    node.validate(copy.deepcopy(YOUNG))
+    doc = {**copy.deepcopy(YOUNG), "unknown": 1}
+    with pytest.raises(SchemaError) as raised:
+        node.validate(doc)
+    assert (raised.value.path, raised.value.keyword) == ((), "additionalProperties")
+    assert "'unknown' not allowed" in str(raised.value)
+    assert not Draft202012Validator(schema).is_valid(doc)
 
 
 @pytest.mark.parametrize(
     "schema, value, accepted",
     [
         ({"enum": [1, "a"]}, True, False),  # a bool never matches an int member
-        ({"enum": [1, "a"]}, 1.0, False),  # nor a float, which jsonschema would accept
+        ({"enum": [1, "a"]}, 1.0, True),  # but an equal float does
+        ({"enum": [True]}, 1, False),
         ({"enum": [1, "a"]}, "a", True),
-        ({"enum": [[1]]}, [1], False),  # container members never match
         ({"type": "integer"}, 2.0, True),
         ({"type": "integer"}, 2.5, False),
+        ({"type": "integer"}, True, False),
+        ({"type": "integer"}, np.int64(2), False),  # an integer is a Python int
+        ({"type": "number"}, np.float64(0.5), True),  # a float subclass is a number
+        ({"type": "number"}, np.int64(2), True),  # as any numbers.Number is
+        ({"type": "number"}, False, False),
+        ({"type": "object"}, [], False),
+        ({"type": ["number", "null"]}, None, True),
         ({"minimum": 0}, "text", True),  # minimum applies to numbers only
         ({"minimum": 0}, True, True),
-        ({"minimum": 0}, np.float64(1.0), False),  # and to exact ones here
+        ({"minimum": 0}, np.float64(-1.0), False),  # float subclasses included
+        ({"minimum": 0}, np.float64(1.0), True),
+        ({"minimum": 0}, math.nan, True),  # NaN breaks no bound
+        ({"exclusiveMinimum": 0}, 0.0, False),
+        ({"exclusiveMinimum": 0}, 5e-324, True),
+        ({"exclusiveMaximum": 2}, 2, False),
+        ({"exclusiveMaximum": 2}, 1.9999999999999998, True),
+        ({"minItems": 1}, [], False),
+        ({"minItems": 1}, {}, True),  # minItems applies to arrays only
         ({"required": ["a"]}, [], True),
         ({"required": ["a"]}, {"b": 1}, False),
+        ({"additionalProperties": False, "properties": {"a": {}}}, {"a": 1}, True),
+        ({"additionalProperties": False, "properties": {"a": {}}}, {"a": 1, "b": 2}, False),
+        ({"additionalProperties": False}, "text", True),  # and to objects only
     ],
 )
-def test_node_checks_one_value_with_exact_types(schema, value, accepted):
+def test_node_checks_one_value_as_jsonschema_does(schema, value, accepted):
     try:
-        reports._Node(schema).check(value)
-    except reports._Refused:
+        reports._Node(schema, "test").check(value)
+    except SchemaError:
         assert not accepted
     else:
         assert accepted
-        Draft202012Validator(schema).validate(value)
+    assert Draft202012Validator(schema).is_valid(value) is accepted
 
 
 def _paths(doc, prefix=()):
@@ -341,29 +398,74 @@ WRONG_VALUES = st.one_of(
     st.booleans(),
     st.integers(-3, 3),
     st.floats(-3.0, 3.0),
+    # the schemas' bounds, integral floats among them, and the smallest step past 0
+    st.sampled_from([0, 0.0, -0.0, 1, 1.0, 2, 2.0, 5e-324, 2000.0]),
     st.text(max_size=3),
-    st.sampled_from(list(INEQUALITY_IDS)),
-    st.lists(st.one_of(st.none(), st.integers(), st.text(max_size=2)), max_size=2),
-    st.dictionaries(st.sampled_from(["t", "lhs", "master_seed"]), st.integers(), max_size=2),
+    st.sampled_from(list(INEQUALITY_IDS) + ["stable", "truncated_stable"]),
+    st.lists(st.one_of(st.none(), st.integers(), st.floats(-3.0, 3.0), st.text(max_size=2)), max_size=2),
+    st.dictionaries(st.sampled_from(["t", "lhs", "master_seed", "driver"]), st.integers(), max_size=2),
 )
+# keys a mutation may add to an object: ones the schemas name and ones they do not
+NEW_KEYS = st.sampled_from(["bogus", "t", "lhs", "alpha", "n", "A", "master_seed"])
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_check_never_passes_what_jsonschema_rejects(real_reports, data):
-    inequality = data.draw(st.sampled_from(sorted(real_reports)))
-    doc = copy.deepcopy(real_reports[inequality])
-    doc["per_node"] = doc["per_node"][:3]
+def _mutate(data, doc) -> None:
+    """Replace or delete the value at one drawn path of doc, or add a key
+    beside it."""
     *head, last = data.draw(st.sampled_from(list(_paths(doc))))
     parent = doc
     for key in head:
         parent = parent[key]
-    if isinstance(parent, dict) and data.draw(st.booleans()):
+    how = data.draw(st.sampled_from(["replace", "delete", "add"]))
+    if isinstance(parent, dict) and how == "delete":
         del parent[last]
+    elif isinstance(parent, dict) and how == "add":
+        parent[data.draw(NEW_KEYS)] = data.draw(WRONG_VALUES)
     else:
         parent[last] = data.draw(WRONG_VALUES)
-    if _accepts(doc):
-        validate_report(doc)
+
+
+CONFIGS = [
+    {"driver": "stable", "d": 1, "alpha": 1.0, "c": 1.0},
+    {"driver": "truncated_stable", "d": 1, "alpha": 1.8, "c": 1.0, "r": 0.5},
+    {"driver": "stable", "d": 2, "alpha": 1.5, "c": 1.0, "A": [[0.5, 0.0], [0.0, 0.5]]},
+]
+GRIDS = [
+    {"t_values": [0.5, 1.0], "offsets": [0.0, 1.0], "n_z": 4, "z_count": 5, "n": 2000,
+     "p_list": [1.5, 2.0], "n_cases": 20, "validation": False},
+    {"n": 2000, "t_values": [1.0]},
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_check_agrees_with_jsonschema_on_reports(real_reports, data):
+    inequality = data.draw(st.sampled_from(sorted(real_reports)))
+    doc = copy.deepcopy(real_reports[inequality])
+    doc["per_node"] = doc["per_node"][:3]
+    _mutate(data, doc)
+    assert _accepts(doc, "report") is ORACLES["report"].is_valid(doc)
+
+
+@pytest.mark.parametrize("name, valid", [("config", CONFIGS), ("grid", GRIDS)], ids=["config", "grid"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_check_agrees_with_jsonschema_on_configs_and_grids(name, valid, data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(valid)))
+    _mutate(data, doc)
+    assert _accepts(doc, name) is ORACLES[name].is_valid(doc)
+
+
+def test_integral_floats_at_integer_fields_become_ints():
+    grid = {"n": 2000.0, "n_z": 4.0, "z_count": 5.0, "n_cases": 5.0, "t_values": [1.0], "offsets": [0.0, 2.0]}
+    validate_grid_override(grid)
+    assert [type(grid[key]) for key in ("n", "n_z", "z_count", "n_cases")] == [int] * 4
+    assert grid == {"n": 2000, "n_z": 4, "z_count": 5, "n_cases": 5, "t_values": [1.0], "offsets": [0.0, 2.0]}
+    assert [type(v) for v in grid["t_values"] + grid["offsets"]] == [float] * 3
+    config = {"driver": "stable", "d": 2.0, "alpha": 1.0, "c": 2.0, "A": [[1.0, 0.0], [0.0, 1.0]]}
+    validate_config(config)
+    assert type(config["d"]) is int and config["d"] == 2
+    assert type(config["c"]) is float and type(config["A"][0][0]) is float
 
 
 # scalars json.dumps must agree with the writer on: -0.0, subnormals, the
