@@ -427,7 +427,19 @@ def stable_density(spec: StableSpec, t: float, x) -> float:
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     if xv.size != spec.d:
         raise ValueError(f"x has {xv.size} coordinates, expected d={spec.d}")
-    return float(_radial_densities(spec, t, [float(np.linalg.norm(xv))])[0])
+    with np.errstate(over="ignore"):
+        radius = np.linalg.norm(xv)
+    return float(_radial_densities(spec, t, _finite_norms(xv[None, :], radius[None]))[0])
+
+
+def _finite_norms(points: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """radii, the norms of points taken under errstate(over="ignore"), once
+    no point has a norm whose square overflows a double; the first that
+    does is refused in one line that names it."""
+    far = np.flatnonzero(radii == math.inf)
+    if len(far):
+        raise DensityEstimateError(f"x={points[far[0]].tolist()} has a norm whose square overflows a double")
+    return radii
 
 
 def stable_cdf_1d(spec: StableSpec, t: float, x: float) -> float:
@@ -657,7 +669,8 @@ def stable_density_grid(spec: StableSpec, t: float, points: np.ndarray) -> Densi
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != spec.d:
         raise ValueError(f"x has {points.shape[1]} coordinates, expected d={spec.d}")
-    radii = np.linalg.norm(points, axis=1)
+    with np.errstate(over="ignore"):
+        radii = _finite_norms(points, np.linalg.norm(points, axis=1))
     values = _radial_densities(spec, t, radii)
     at_origin = int(np.count_nonzero(radii == 0.0))
     counts = {"origin": at_origin, "quadrature": len(radii) - at_origin}
@@ -743,10 +756,7 @@ def estimate_bound_constants(
     if not t_grid or len(x_grid) == 0:
         raise ValueError("t_grid and x_grid must be nonempty")
     with np.errstate(over="ignore"):
-        radii = np.linalg.norm(x_grid, axis=1)
-    far = np.flatnonzero(radii == math.inf)
-    if len(far):
-        raise DensityEstimateError(f"x={x_grid[far[0]].tolist()} has a norm whose square overflows a double")
+        radii = _finite_norms(x_grid, np.linalg.norm(x_grid, axis=1))
     c1, c2 = math.inf, -math.inf
     max_scaled = 0.0
     for t in t_grid:
@@ -787,13 +797,12 @@ def estimate_bound_constants(
 
 def kde_1d(
     samples: np.ndarray,
-    bandwidth="auto",
     lo: float | None = None,
     hi: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
-    """Binned Gaussian KDE: (centers, density, se, bandwidth, bin width).
+    """Binned Gaussian KDE: (centers, density, se, bandwidth, dropped fraction).
 
-    Bandwidth "auto" is Silverman's rule evaluated on the central 98% of the
+    The bandwidth is Silverman's rule evaluated on the central 98% of the
     sample; a global rule on the full sample would be wrecked by the heavy
     tails that are the whole point here.  Counts are binned once and smoothed
     by an FFT-free Gaussian filter, so the cost is independent of n.
@@ -804,17 +813,12 @@ def kde_1d(
     n = len(x)
     if n < 2:
         raise ValueError("need at least 2 samples")
-    if bandwidth == "auto":
-        q01, q25, q75, q99 = np.quantile(x, [0.01, 0.25, 0.75, 0.99])
-        core = x[(x >= q01) & (x <= q99)]
-        spread = min(core.std(), (q75 - q25) / 1.349)
-        if spread <= 0.0:
-            spread = max(core.std(), 1e-12)
-        h = 0.9 * spread * n ** (-0.2)
-    else:
-        h = float(bandwidth)
-    if h <= 0.0:
-        raise ValueError("bandwidth must be positive")
+    q01, q25, q75, q99 = np.quantile(x, [0.01, 0.25, 0.75, 0.99])
+    core = x[(x >= q01) & (x <= q99)]
+    spread = min(core.std(), (q75 - q25) / 1.349)
+    if spread <= 0.0:
+        spread = max(core.std(), 1e-12)
+    h = 0.9 * spread * n ** (-0.2)
     if lo is None:
         lo = float(x.min()) - 3.0 * h
     if hi is None:
@@ -839,7 +843,7 @@ def truncated_density_estimate(
     """KDE of the truncated-stable time-t density from n Monte Carlo samples.
 
     The samples use the sampler's default small-jump cutoff and the KDE its
-    "auto" bandwidth.  The grid spans the central bulk and at least
+    Silverman bandwidth.  The grid spans the central bulk and at least
     |x| <= max(3, 2r); total estimated mass must come out as 1 within 2e-2 or
     the estimate is rejected.
     """

@@ -529,10 +529,8 @@ def verify_ratio_lemma(
                 f"the node {_node_tag(grid[scaled.index(max_scaled)])} lies {max_scaled:g} time "
                 "scales t^(1/alpha) out, where the density envelope leaves the double range"
             )
-        probe = np.linspace(0.0, max(max_scaled, 1.0), 8)[1:]
-        constants = estimate_bound_constants(
-            spec, [1.0], probe[:, None] * _axis_vector(spec.d, 1.0, 0)[None, :]
-        )
+        probe = _axis_vector(spec.d, max(max_scaled, 1.0), 0)
+        constants = estimate_bound_constants(spec, [1.0], probe[None, :])
     certified = constants.grid_meta.get("certified_scaled_radius", 0.0)
     if certified < max_scaled:
         raise ValueError(
@@ -660,9 +658,9 @@ def _verify_semigroup(
     moments, of f and of each transform the statistics name, and the
     covariance of each pair, all floats.  Each statistic then gets the
     floats of its node, with the node's ``shape(|x - y|, t)``, computed once
-    per node.  The sampler reuses its (points x n) blocks from time to time,
-    and holds one time's noise, so a grid that revisits a t redraws its
-    noise.  Results are kept per (statistic, function) in node order and
+    per node.  The sampler reuses its (points x n) blocks from time to time
+    and keeps no noise between calls, so a grid that revisits a t redraws
+    its noise.  Results are kept per (statistic, function) in node order and
     concatenated statistic-outer, function-inner.
     ``meta(results)`` adds the verifier's own entries to ``mc_meta``.
     """

@@ -8,16 +8,16 @@ under a drift A + A^T = 2aI is one stable draw at an effective time, and
 every other part is compound-Poisson jumps at uniform times with matrix
 weights plus a small-jump Gaussian with the exact OU covariance.
 
-:class:`SemigroupSampler` is the one estimator of P_t f(x): it holds the
-current time's noise and flow e^{tA} (from ``_flow``, the one place that
-forms it) and reuses them for every starting point (common random numbers).
-That makes the Harnack-type comparisons exact at x = y and strongly
-variance-reduced elsewhere, which is what lets fitted constants behave like
-constants instead of noise.  It answers one (t, f) for all of a time's
-points at once, as floats (:class:`Moments`, and covariances of pairs of
-points), from (points x n) blocks it allocates at its first time and reuses
-at every later one; the CLI's ``estimate`` asks it for one point and the
-inequality verifiers for each time's points.
+:class:`SemigroupSampler` is the one estimator of P_t f(x): each time's
+noise is drawn from a stream of its own and serves every starting point
+(common random numbers), with the flow e^{tA} from ``_flow``, the one place
+that forms it.  That makes the Harnack-type comparisons exact at x = y and
+strongly variance-reduced elsewhere, which is what lets fitted constants
+behave like constants instead of noise.  It answers one (t, f) for all of a
+time's points at once, as floats (:class:`Moments`, and covariances of pairs
+of points), from (points x n) blocks it allocates at its first time and
+reuses at every later one; the CLI's ``estimate`` asks it for one point and
+the inequality verifiers for each time's points.
 """
 
 from __future__ import annotations
@@ -225,13 +225,14 @@ def sample_ou(spec: OUSpec, x0, t: float, n: int, seed: SeedSpec) -> np.ndarray:
 class TestFunction:
     """Bounded nonnegative test function, one of four parametric families.
 
-    kind 'ball_indicator': offset + 1{|x - center| <= scale}
-    kind 'gaussian_bump' : offset + exp(-|x - center|^2 / (2 scale^2))
+    kind 'ball_indicator': 1{|x - center| <= scale}
+    kind 'gaussian_bump' : exp(-|x - center|^2 / (2 scale^2))
     kind 'constant'      : value
     kind 'exp_cap'       : min(value, exp(log(value) * gaussian bump)), value >= 1
 
     exp_cap interpolates between 1 (far field) and the cap level, so it is
-    both bounded and >= 1: the shape log-Harnack testing needs.
+    both bounded and >= 1: the shape log-Harnack testing needs.  A scale
+    for which 2 scale^2 is 0 or leaves the double range is refused.
 
     f(x) is ``radial(dist2(x))``, and ``radial`` does not write to
     |x - center|^2, so one array serves every f with that center.  It is
@@ -240,24 +241,24 @@ class TestFunction:
     F-ordered points is contiguous.  The squares, the bump and the cap are
     computed in place, in a fresh buffer or the one ``radial`` is given
     (the sampler's block of f values), which changes no bit: squaring is one
-    multiply, -|x-c|^2 / s is written |x-c|^2 / (-s), and a zero offset is
-    not added (0.0 + v == v for every v >= +0.0).
+    multiply, and -|x-c|^2 / s is written |x-c|^2 / (-s).
     """
 
     kind: str
     center: tuple[float, ...] = (0.0,)
     scale: float = 1.0
     value: float = 1.0
-    offset: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kind not in ("ball_indicator", "gaussian_bump", "constant", "exp_cap"):
             raise ValueError(f"unknown test function kind {self.kind!r}")
-        if not all(map(math.isfinite, (*self.center, self.scale, self.value, self.offset))):
-            raise ValueError("test function center, scale, value and offset must be finite")
-        if self.kind != "constant" and self.scale <= 0.0:
-            raise ValueError("scale must be positive")
-        if self.offset < 0.0 or self.value < 0.0:
+        if not all(map(math.isfinite, (*self.center, self.scale, self.value))):
+            raise ValueError("test function center, scale and value must be finite")
+        # the bump divides by 2 scale^2, formed in Python floats, which overflow without a warning
+        twice_square = 2.0 * float(self.scale) * float(self.scale)
+        if self.kind != "constant" and not (self.scale > 0.0 and 0.0 < twice_square < math.inf):
+            raise ValueError(f"scale must be positive with 2 scale^2 in the double range, got {self.scale:g}")
+        if self.value < 0.0:
             raise ValueError("test functions must be nonnegative")
         if self.kind == "exp_cap" and self.value < 1.0:
             raise ValueError("exp_cap level must be >= 1")
@@ -288,27 +289,22 @@ class TestFunction:
             out = np.empty(dist2.shape)
         if self.kind == "constant":
             out.fill(self.value)
-            return out
-        if self.kind == "ball_indicator":
+        elif self.kind == "ball_indicator":
             np.less_equal(dist2, self.scale**2, out=out)
         else:
-            np.divide(dist2, -(2.0 * self.scale**2), out=out)
+            # a quotient past the double range is -inf, where exp gives the bump's 0
+            with np.errstate(over="ignore"):
+                np.divide(dist2, -(2.0 * self.scale**2), out=out)
             np.exp(out, out=out)
             if self.kind == "exp_cap":
                 out *= math.log(self.value)
                 np.exp(out, out=out)
-                return np.minimum(out, self.value, out=out)
-        if self.offset:
-            out += self.offset
+                np.minimum(out, self.value, out=out)
         return out
 
     @property
     def min_value(self) -> float:
-        if self.kind == "constant":
-            return self.value
-        if self.kind == "exp_cap":
-            return 1.0
-        return self.offset
+        return {"constant": self.value, "exp_cap": 1.0}.get(self.kind, 0.0)
 
     @property
     def geq_one(self) -> bool:
@@ -319,34 +315,28 @@ class TestFunction:
         if self.kind == "constant":
             return f"constant({self.value:g})"
         c = ",".join(f"{v:g}" for v in self.center)
-        base = f"{self.kind}(center=[{c}],scale={self.scale:g}"
-        base += f",level={self.value:g})" if self.kind == "exp_cap" else ")"
-        if self.offset:
-            base += f"+{self.offset:g}"
-        return base
+        level = f",level={self.value:g}" if self.kind == "exp_cap" else ""
+        return f"{self.kind}(center=[{c}],scale={self.scale:g}{level})"
 
 
-def _center_tuple(center, d: int | None) -> tuple[float, ...]:
-    arr = np.atleast_1d(np.asarray(center, dtype=float))
-    if d is not None and arr.size == 1 and d > 1:
-        arr = np.full(d, float(arr[0]))
-    return tuple(float(v) for v in arr)
+def _center(center) -> tuple[float, ...]:
+    return tuple(np.atleast_1d(np.asarray(center, dtype=float)).tolist())
 
 
-def ball_indicator(center, radius: float, offset: float = 0.0, d: int | None = None) -> TestFunction:
-    return TestFunction("ball_indicator", _center_tuple(center, d), radius, 1.0, offset)
+def ball_indicator(center, radius: float) -> TestFunction:
+    return TestFunction("ball_indicator", _center(center), radius)
 
 
-def gaussian_bump(center, width: float, offset: float = 0.0, d: int | None = None) -> TestFunction:
-    return TestFunction("gaussian_bump", _center_tuple(center, d), width, 1.0, offset)
+def gaussian_bump(center, width: float) -> TestFunction:
+    return TestFunction("gaussian_bump", _center(center), width)
 
 
 def constant(value: float) -> TestFunction:
-    return TestFunction("constant", (0.0,), 1.0, value, 0.0)
+    return TestFunction("constant", value=value)
 
 
-def exp_cap(level: float, center=0.0, width: float = 1.0, d: int | None = None) -> TestFunction:
-    return TestFunction("exp_cap", _center_tuple(center, d), width, level, 0.0)
+def exp_cap(level: float, center=0.0, width: float = 1.0) -> TestFunction:
+    return TestFunction("exp_cap", _center(center), width, level)
 
 
 # ---------------------------------------------------------------------------
@@ -408,15 +398,16 @@ def _time(t) -> float:
 
 
 class SemigroupSampler:
-    """The estimator of P_t f(x): f at n endpoints on the current time's noise.
+    """The estimator of P_t f(x): f at n endpoints on one draw of a time's noise.
 
     P_t f(x) = E f(e^{tA} x + W_t) with W_t the stochastic convolution from
-    zero, so W_t is independent of x and can be drawn once.  Every point at
-    the same t then uses literally the same W_t (common random numbers):
-    comparisons between starting points are exact at x = y and tightly
-    correlated elsewhere.  The per-t noise stream is derived from the bit
-    pattern of t, so results do not depend on evaluation order.  e^{tA} is
-    computed once per draw, with the noise, and never when A = 0.
+    zero, so W_t is independent of x and can be drawn once per time.  Every
+    point at the same t then uses literally the same W_t (common random
+    numbers): comparisons between starting points are exact at x = y and
+    tightly correlated elsewhere.  The per-t noise stream is derived from the
+    bit pattern of t, so results do not depend on evaluation order, and a
+    row of a block has the bits of f at :func:`sample_ou` from its point on
+    that stream.
 
     :meth:`moments` answers one (t, f) for all of a time's points in one
     call and returns floats only: each point's :class:`Moments` of f and of
@@ -430,21 +421,14 @@ class SemigroupSampler:
     reused at every later one, and grown only when a time has more points or
     transforms than any before, so a walk over many times allocates its
     buffers once.  The |X - c|^2 block remembers which (t, points, centre)
-    it holds, so functions that share a centre compute it once per time;
-    :meth:`values` reads f off it into the rows it is given.  No array the
-    sampler may overwrite ever leaves it.  A ball indicator
-    without offset takes +0.0 and 1.0 only, which every positive power maps
-    to themselves, so its positive powers are read off its own rows.  A
-    constant f draws no noise: its moments come from scalars, with the bits
-    of the full array's.
-
-    The sampler holds the current time only, as (t, noise, e^{tA}): a call
-    at another time drops it before drawing that time's, so memory holds one
-    time's noise, flow and blocks and does not grow with the number of
-    times; a time asked for again is drawn again, with the same values, and
-    its flow is computed again with it.  The held noise is a read-only copy
-    of :func:`ou_noise`'s array in Fortran order, so each coordinate is one
-    contiguous column of n values.
+    it holds, so functions that share a centre draw the noise and form the
+    flow once per time; :meth:`values` reads f off it into the rows it is
+    given.  The noise and the flow are dropped once the block is formed, so
+    the sampler's only state is its buffers and that tag, and no array it
+    may overwrite ever leaves it.  A ball indicator takes +0.0 and 1.0 only,
+    which every positive power maps to themselves, so its positive powers
+    are read off its own rows.  A constant f draws no noise: its moments
+    come from scalars, with the bits of the full array's.
     """
 
     def __init__(self, spec: OUSpec, n: int, seed: SeedSpec) -> None:
@@ -453,35 +437,21 @@ class SemigroupSampler:
         self.spec = spec
         self.n = n
         self.seed = seed
-        # the held time: (t, its noise, e^{tA} or None when A = 0)
-        self._noise: tuple[float, np.ndarray, np.ndarray | None] | None = None
         # one flat float64 buffer per block role, and what the |X - c|^2 block holds
         self._work: dict[str, np.ndarray] = {}
         self._dist2_of: tuple | None = None
 
     def noise(self, t: float) -> np.ndarray:
-        key = float(t)
-        if self._noise is not None and self._noise[0] == key:
-            return self._noise[1]
-        # the draw is where memory peaks, so no noise of the last time is held through it
-        self._noise = None
-        self._dist2_of = None
-        bits = int(np.float64(key).view(np.uint64))
+        """(n, d) draws of W_t on the stream of t's bits, in Fortran order,
+        so each coordinate is one contiguous column of n values."""
+        t = float(t)
+        bits = int(np.float64(t).view(np.uint64))
         stream = self.seed.substream(bits >> 32, bits & 0xFFFFFFFF)
-        held = np.asfortranarray(ou_noise(self.spec, key, self.n, stream))
-        held.setflags(write=False)
-        self._noise = (key, held, _flow(self.spec, key))
-        return held
-
-    def endpoints(self, x, t: float) -> np.ndarray:
-        x = np.asarray(x, dtype=float).reshape(self.spec.d)
-        noise, flow = self.noise(t), self._noise[2]
-        return (x if flow is None else flow @ x)[None, :] + noise
+        return np.asfortranarray(ou_noise(self.spec, t, self.n, stream))
 
     def values(self, f: TestFunction, points, t: float, out: np.ndarray | None = None) -> np.ndarray:
         """f at the n endpoints from each of the (P, d) points at time t, one
-        row per point, written to out when given: ``f(endpoints(x, t))`` of
-        each point, bit for bit."""
+        row per point, written to out when given."""
         t, points = _time(t), self._points(points)
         if out is None:
             out = np.empty((len(points), self.n))
@@ -509,14 +479,15 @@ class SemigroupSampler:
 
         Each element is summed over coordinates left to right from the
         written-out expression, so a row has the bits of
-        ``TestFunction.dist2(endpoints(x, t))``; subtracting a zero centre
-        coordinate is skipped, which changes no square.
+        ``TestFunction.dist2`` of the point's :func:`sample_ou` endpoints;
+        subtracting a zero centre coordinate is skipped, which changes no
+        square.
         """
         out = self._block("dist2", (len(points), self.n))
         key = (t, center, points.tobytes())  # a block grown for more points has a new key
         if self._dist2_of == key:
             return out
-        noise, flow = self.noise(t), self._noise[2]
+        noise, flow = self.noise(t), _flow(self.spec, t)
         flowed = points if flow is None else np.array([flow @ x for x in points]).reshape(points.shape)
         center = np.broadcast_to(np.asarray(center, dtype=float), (self.spec.d,))
         with np.errstate(over="ignore"):
@@ -555,7 +526,7 @@ class SemigroupSampler:
         n = self.n
         # the rows of a transform that fixes every value of f are f's own
         # (+0.0 ** p is +0.0 and 1.0 ** p is 1.0 for every p > 0, by IEEE pow)
-        indicator = f.kind == "ball_indicator" and not f.offset
+        indicator = f.kind == "ball_indicator"
         same = [a for a in transforms if indicator and a != "log" and a > 0]
         computed = [a for a in transforms if a not in same]
         row = {None: 0, **{a: k for k, a in enumerate(computed, 1)}, **dict.fromkeys(same, 0)}

@@ -969,17 +969,24 @@ FAR = {"n": 1000, "t_values": [1.0], "offsets": [0, 1e300], "validation": False}
          {"t_values": [1e-300], "offsets": [0], "n_z": 1, "validation": False},
          ["verify", "--inequality", "ratio_lemma"], "t = 1e-300"),
         (OU_MC_CFG, {**FAR, "offsets": [0, 1e80]}, ["verify", "--inequality", "p_harnack"], "x = [0.0, 1e+80]"),
+        (STABLE_CFG, None, ["estimate", "--t", "1", "--x", "0", "--f", "ball", "--f-scale", "1.5e154", "--n", "1000"],
+         "got 1.5e+154"),
+        (STABLE_CFG, None, ["estimate", "--t", "1", "--x", "0", "--f", "bump", "--f-scale", "1e-200", "--n", "1000"],
+         "got 1e-200"),
+        (STABLE_CFG, None, ["density", "--t", "1", "--x", "1e160"], "x=[1e+160]"),
     ],
     ids=[
         "estimate-huge-t", "harnack_ou-huge-t", "harnack_ou-tiny-t", "p_harnack-tiny-t",
         "harnack_stable-tiny-t", "harnack_ou-far", "log_harnack-far", "ratio_lemma-far",
         "ratio_lemma-tiny-t", "ratio_lemma-underflowing-scale", "p_harnack-far",
+        "estimate-huge-scale", "estimate-tiny-scale", "density-far",
     ],
 )
 def test_out_of_range_input_is_one_worded_line(tmp_path, capsys, cfg, grid, command, fragment):
     # each input leaves the double range inside the lab, not in the schema:
-    # it is refused in one line that names the t or offset at fault, with
-    # no warning (warnings are errors here, numpy's included) and no output
+    # it is refused in one line that names the t, offset, scale or point at
+    # fault, with no warning (warnings are errors here, numpy's included) and
+    # no output
     argv = command + ["--spec", write_json(tmp_path, "cfg.json", cfg), "--out", str(tmp_path / "out")]
     if grid is not None:
         argv += ["--grid", write_json(tmp_path, "grid.json", grid)]
@@ -989,6 +996,18 @@ def test_out_of_range_input_is_one_worded_line(tmp_path, capsys, cfg, grid, comm
     assert err.startswith("harnacklab: error: ") and err.count("\n") == 1, err
     assert fragment in err and "range error" not in err and "(34," not in err, err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_bump_at_a_subnormal_scale_runs_without_warnings(tmp_path, capsys):
+    # 2 scale^2 is subnormal at 1e-160: the bump's quotient overflows to
+    # -inf off the centre, where the bump is 0, and nothing warns
+    out = tmp_path / "est.json"
+    argv = ["estimate", "--spec", write_json(tmp_path, "cfg.json", STABLE_CFG), "--t", "1", "--x", "0",
+            "--f", "bump", "--f-scale", "1e-160", "--n", "1000", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text())["mean"] == 0.0
 
 
 def _is_sorted_indent2(text: str) -> bool:

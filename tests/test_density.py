@@ -333,6 +333,17 @@ class TestEnvelope:
                 estimate_bound_constants(spec, [1.0], np.array([[far, 0.0]]))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", [[1e160], [1e200, 0.0], [3.0, 1e160]])
+def test_a_point_whose_norm_overflows_is_refused_by_name(x):
+    # |x|^2 leaves the double range: one error that names the point, no warning
+    spec = StableSpec(d=len(x), alpha=1.5)
+    with pytest.raises(DensityEstimateError, match=re.escape(f"x={x!r} has a norm whose square overflows")):
+        stable_density(spec, 1.0, x)
+    with pytest.raises(DensityEstimateError, match=re.escape(f"x={x!r} has a norm whose square overflows")):
+        stable_density_grid(spec, 1.0, np.array([np.zeros(len(x)), x]))
+
+
 def _axis_points(d: int, radii) -> np.ndarray:
     points = np.zeros((len(radii), d))
     points[:, 0] = radii
@@ -537,18 +548,15 @@ class TestKde:
         assert np.all(se >= 0.0)
         assert np.any(se > 0.0)
 
-    def test_manual_bandwidth_and_range(self):
+    def test_range(self):
         x = np.random.default_rng(16).standard_normal(5000)
-        centers, density, _, h, dropped = kde_1d(x, bandwidth=0.25, lo=-2.0, hi=2.0)
-        assert h == 0.25
+        centers, density, _, h, dropped = kde_1d(x, lo=-2.0, hi=2.0)
         assert centers[0] > -2.0 and centers[-1] < 2.0
         assert dropped > 0.0  # mass beyond +-2 exists and is reported
 
     def test_validation(self):
         with pytest.raises(ValueError):
             kde_1d(np.array([1.0]))
-        with pytest.raises(ValueError):
-            kde_1d(np.ones(100), bandwidth=0.0)
 
 
 class TestTruncatedDensity:

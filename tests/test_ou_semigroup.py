@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import warnings
 import weakref
 
@@ -40,6 +41,14 @@ from harnacklab.sampling import SPLIT_CF_ERROR, _jump_part, _split_cutoff
 
 def stable_ou(A, d=1, alpha=1.0, c=1.0):
     return OUSpec(A=np.asarray(A, dtype=float), driver=StableSpec(d=d, alpha=alpha, c=c))
+
+
+def endpoints(sampler, x, t):
+    """The n endpoints from x at time t on the sampler's stream of t, which
+    its blocks read: :func:`sample_ou` with the substream of t's bits."""
+    bits = int(np.float64(t).view(np.uint64))
+    stream = sampler.seed.substream(bits >> 32, bits & 0xFFFFFFFF)
+    return sample_ou(sampler.spec, x, t, sampler.n, stream)
 
 
 class TestMatrixExp:
@@ -372,10 +381,10 @@ class TestExactNoise:
 
 class TestTestFunctions:
     def test_ball_indicator_values(self):
-        f = ball_indicator([1.0, 0.0], 0.5, offset=0.25)
+        f = ball_indicator([1.0, 0.0], 0.5)
         pts = np.array([[1.0, 0.0], [1.0, 0.5], [1.0, 0.51], [-2.0, 0.0]])
-        assert f(pts).tolist() == [1.25, 1.25, 0.25, 0.25]
-        assert f.min_value == 0.25
+        assert f(pts).tolist() == [1.0, 1.0, 0.0, 0.0]
+        assert f.min_value == 0.0
         assert not f.geq_one
 
     def test_gaussian_bump_values(self):
@@ -408,25 +417,20 @@ class TestTestFunctions:
         assert np.array_equal(g(x), f(x + 2.0))
         assert g.center == (-2.0,)
 
-    def test_center_broadcast(self):
-        f = ball_indicator(0.0, 1.0, d=3)
-        assert f.center == (0.0, 0.0, 0.0)
-
     def test_tags(self):
         assert constant(2.0).tag == "constant(2)"
         assert ball_indicator([0.0], 1.0).tag == "ball_indicator(center=[0],scale=1)"
         assert exp_cap(math.e, 0.0, 1.0).tag.startswith("exp_cap(center=[0],scale=1,level=")
-        assert ball_indicator([0.0], 1.0, offset=0.5).tag.endswith("+0.5")
 
     # each family's value as a function of the squared distance to its centre
     KINDS = {
         "ball_indicator": (
-            lambda c: ball_indicator(c, 1.5, offset=0.25),
-            lambda dist2: 0.25 + (dist2 <= 1.5**2).astype(float),
+            lambda c: ball_indicator(c, 1.5),
+            lambda dist2: (dist2 <= 1.5**2).astype(float),
         ),
         "gaussian_bump": (
-            lambda c: gaussian_bump(c, 0.8, offset=0.5),
-            lambda dist2: 0.5 + np.exp(-dist2 / (2.0 * 0.8**2)),
+            lambda c: gaussian_bump(c, 0.8),
+            lambda dist2: np.exp(-dist2 / (2.0 * 0.8**2)),
         ),
         "constant": (lambda c: constant(2.5), lambda dist2: np.full(dist2.shape, 2.5)),
         "exp_cap": (
@@ -460,19 +464,18 @@ class TestTestFunctions:
         for j in range(1, pts.shape[1]):
             dist2 += (pts[:, j] - center[j]) ** 2
         if f.kind == "ball_indicator":
-            return f.offset + (dist2 <= f.scale**2).astype(float)
+            return (dist2 <= f.scale**2).astype(float)
         bump = np.exp(-dist2 / (2.0 * f.scale**2))
         if f.kind == "gaussian_bump":
-            return f.offset + bump
+            return bump
         return np.minimum(f.value, np.exp(math.log(f.value) * bump))
 
-    @pytest.mark.parametrize("offset", [0.0, 0.75])
     @pytest.mark.parametrize("d", range(1, 8))
     @pytest.mark.parametrize("kind", ["ball_indicator", "gaussian_bump", "constant", "exp_cap"])
-    def test_values_have_the_bits_of_the_written_out_expressions(self, kind, d, offset):
+    def test_values_have_the_bits_of_the_written_out_expressions(self, kind, d):
         rng = np.random.default_rng(200 + d)
         center = tuple(rng.standard_normal(d).tolist())
-        f = ParametricFunction(kind, center=center, scale=0.9, value=7.5, offset=offset)
+        f = ParametricFunction(kind, center=center, scale=0.9, value=7.5)
         pts = 1.5 * rng.standard_normal((5000, d)) + np.array(center)
         pts[:3] = np.array(center)  # at the centre: distance +0.0, bump 1, cap at its level
         pts[3] = np.array(center) + np.eye(d)[0] * 0.9  # on the ball's boundary
@@ -493,36 +496,44 @@ class TestTestFunctions:
         with pytest.raises(ValueError):
             ball_indicator([0.0], 0.0)
         with pytest.raises(ValueError):
-            ball_indicator([0.0], 1.0, offset=-0.1)
-        with pytest.raises(ValueError):
             exp_cap(0.5)
+
+    @pytest.mark.parametrize("scale", [1.5e154, 1e154, 1e200, 1e-162, 1e-200, 5e-324])
+    @pytest.mark.parametrize(
+        "make", [ball_indicator, gaussian_bump, lambda c, s: exp_cap(2.0, c, s)], ids=["ball", "bump", "cap"]
+    )
+    def test_a_scale_whose_square_leaves_the_double_range_is_refused(self, make, scale):
+        # 2 scale^2 overflows from about 9.5e153 and is 0 below about 1.1e-162
+        with pytest.raises(ValueError, match=re.escape(f"got {scale:g}") + "$"):
+            make([0.0], scale)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-160, 9e153])
+    def test_an_extreme_bump_is_its_limit_without_warnings(self, scale):
+        # 2 scale^2 is a subnormal or near the top of the double range: the
+        # quotient overflows to -inf off the centre, where exp gives 0
+        pts = np.array([[0.0], [1e-170], [1e-150], [1.0], [1e150], [1e200]])
+        for f in (gaussian_bump([0.0], scale), exp_cap(3.0, [0.0], scale)):
+            values = f(pts)
+            assert np.all(np.isfinite(values)) and values[0] == f.value
+            assert values[-1] == f.min_value
 
 
 class TestSemigroupSampler:
-    def test_noise_cached_and_read_only(self):
-        spec = stable_ou([[0.0]])
-        s = SemigroupSampler(spec, 100, SeedSpec(91))
-        w1 = s.noise(0.5)
-        w2 = s.noise(0.5)
-        assert w1 is w2
-        with pytest.raises(ValueError):
-            w1[0, 0] = 1.0
-
     @pytest.mark.parametrize(
         "A", [[[0.0]], [[0.5, 0.0], [0.0, 0.5]], [[0.5, 0.2, 0.0], [0.0, -0.3, 0.0], [0.1, 0.0, 0.2]]],
         ids=["d1", "d2-conformal", "d3-general"],
     )
     def test_noise_is_ou_noise_on_the_stream_of_t(self, A):
-        # the stream of time t comes from the bits of t; the cached array
-        # holds ou_noise's values, one contiguous column per coordinate, and
-        # cannot be written
+        # the stream of time t comes from the bits of t; the draw holds
+        # ou_noise's values, one contiguous column per coordinate
         spec = stable_ou(A, d=len(A), alpha=1.5)
         t, n, seed = 0.5, 500, SeedSpec(99)
         w = SemigroupSampler(spec, n, seed).noise(t)
         bits = int(np.float64(t).view(np.uint64))
         assert np.array_equal(w, ou_noise(spec, t, n, seed.substream(bits >> 32, bits & 0xFFFFFFFF)))
         assert w.shape == (n, spec.d)
-        assert w.flags.f_contiguous and not w.flags.writeable
+        assert w.flags.f_contiguous
 
     def test_noise_order_independent(self):
         spec = stable_ou([[-1.0]])
@@ -533,56 +544,66 @@ class TestSemigroupSampler:
         assert np.array_equal(a05, b05)
         assert np.array_equal(a10, b10)
 
-    def test_flow_computed_once_per_draw(self, monkeypatch):
-        calls = []
+    def test_a_walk_draws_once_per_grid_and_time(self, monkeypatch):
+        # functions that share a centre read one |X - c|^2 block per (grid,
+        # time): one ou_noise draw and one flow each, and a time asked for
+        # again after another is drawn again
+        draws, flows = [], []
 
-        def counted(A, t=1.0):
-            calls.append(t)
+        def drawn(spec, t, n, seed):
+            draws.append(t)
+            return ou_noise(spec, t, n, seed)
+
+        def formed(A, t=1.0):
+            flows.append(t)
             return matrix_exp(A, t)
 
-        monkeypatch.setattr("harnacklab.ou_semigroup.matrix_exp", counted)
-        spec = stable_ou([[0.5, 0.2], [0.0, -0.3]], d=2)
-        s = SemigroupSampler(spec, 100, SeedSpec(98))
-        noise = {t: s.noise(t) for t in (0.5, 1.0)}
-        # the sampler holds one time's noise and flow, so 0.5 after 1.0 is
-        # drawn again and its flow formed again; that draw weighs jumps with
-        # exponentials of its own, so serve it the array already drawn and
-        # count only the flow's exponentials
-        monkeypatch.setattr("harnacklab.ou_semigroup.ou_noise", lambda spec, t, n, seed: noise[t])
-        calls.clear()
-        for t in (0.5, 1.0, 0.5):
-            for x in ([0.0, 0.0], [1.0, -2.0]):
-                expected = (matrix_exp(spec.A, t) @ np.asarray(x))[None, :] + noise[t]
-                assert np.array_equal(s.endpoints(x, t), expected)
-        assert calls == [0.5, 1.0, 0.5]
+        monkeypatch.setattr("harnacklab.ou_semigroup.ou_noise", drawn)
+        monkeypatch.setattr("harnacklab.ou_semigroup.matrix_exp", formed)
+        # a conformal drift: the draw itself forms no matrix exponential
+        s = SemigroupSampler(stable_ou([[0.5, 0.2], [-0.2, 0.5]], d=2, alpha=1.5), 500, SeedSpec(104))
+        f_set = [ball_indicator([0.5, 0.0], 1.0), gaussian_bump([0.5, 0.0], 2.0), exp_cap(3.0, [0.5, 0.0])]
+        grids = [np.array([[0.0, 0.0], [1.0, -1.0]]), np.array([[2.0, 0.0]])]
+        walk = [(t, points) for t in (0.5, 1.0, 0.5) for points in grids]
+        for t, points in walk:
+            for f in f_set:
+                s.moments(f, points, t, (2.0,), [(0, None, 0, 2.0)])
+        assert draws == flows == [t for t, _ in walk]
         # with A = 0 the flow is the identity, and no exponential is formed
-        free = SemigroupSampler(stable_ou([[0.0, 0.0], [0.0, 0.0]], d=2), 100, SeedSpec(98))
-        assert np.array_equal(free.endpoints([1.0, -2.0], 0.5), np.array([[1.0, -2.0]]) + free.noise(0.5))
-        assert calls == [0.5, 1.0, 0.5]
+        free = SemigroupSampler(stable_ou(np.zeros((2, 2)), d=2, alpha=1.5), 500, SeedSpec(104))
+        free.moments(f_set[0], grids[0], 0.5)
+        assert len(draws) == len(walk) + 1 and len(flows) == len(walk)
 
-    def test_a_walk_over_many_times_holds_one_flow(self, monkeypatch):
-        # each time's e^{tA} is dropped with its noise: after 40 times the
-        # sampler holds the last one only, by reference counting alone
-        flows = []
+    def test_no_noise_outlives_a_moments_call(self, monkeypatch):
+        # the noise and the flow of a time are dropped once its block is
+        # formed: after each call no array ou_noise, the sampler's noise or
+        # matrix_exp returned is alive, by reference counting alone
+        tracked = []
 
-        def tracked(A, t=1.0):
-            flows.append(weakref.ref(out := matrix_exp(A, t)))
-            return out
+        def track(make):
+            def made(*args, **kwargs):
+                out = make(*args, **kwargs)
+                tracked.append(weakref.ref(out))
+                return out
 
-        monkeypatch.setattr("harnacklab.ou_semigroup.matrix_exp", tracked)
-        s = SemigroupSampler(stable_ou([[0.5, 0.0], [0.0, 0.5]], d=2, alpha=1.5), 50, SeedSpec(104))
-        f, points = gaussian_bump([0.0, 0.0], 1.0), np.array([[0.0, 0.0], [1.0, 0.0]])
+            return made
+
+        monkeypatch.setattr("harnacklab.ou_semigroup.ou_noise", track(ou_noise))
+        monkeypatch.setattr("harnacklab.ou_semigroup.matrix_exp", track(matrix_exp))
+        monkeypatch.setattr(SemigroupSampler, "noise", track(SemigroupSampler.noise))
+        s = SemigroupSampler(stable_ou([[0.5, 0.0], [0.0, 0.5]], d=2, alpha=1.5), 50, SeedSpec(105))
+        points = np.array([[0.0, 0.0], [1.0, 0.0]])
         enabled = gc.isenabled()
         gc.disable()
         try:
-            for t in np.linspace(0.1, 4.0, 40):
-                s.moments(f, points, t, (2.0,))
-            alive = [ref() for ref in flows if ref() is not None]
+            for t in np.linspace(0.1, 4.0, 10):
+                for f in (gaussian_bump([0.0, 0.0], 1.0), ball_indicator([1.0, 0.0], 1.0)):
+                    s.moments(f, points, t, (2.0,))
+                    assert tracked and all(ref() is None for ref in tracked)
         finally:
             if enabled:
                 gc.enable()
-        assert len(flows) == 40
-        assert len(alive) == 1 and alive[0] is s._noise[2]
+        assert len(tracked) == 3 * 20
 
     def test_unit_function_exact(self):
         s = SemigroupSampler(stable_ou([[0.0]]), 2000, SeedSpec(93))
@@ -652,7 +673,7 @@ class TestSemigroupSampler:
         assert calls == [0.5, 0.5]
         for f, block in zip((ball, bump), blocks):
             for x, row in zip(points, block):
-                assert row.tobytes() == f(s.endpoints(x, 0.5)).tobytes()
+                assert row.tobytes() == f(endpoints(s, x, 0.5)).tobytes()
 
     def test_a_time_is_freed_before_the_next_draw(self, monkeypatch):
         # no noise of an earlier time is alive when the next time's noise is
@@ -663,17 +684,19 @@ class TestSemigroupSampler:
 
         def stub(spec, t, n, seed):
             assert all(ref() is None for ref in tracked)
-            return rng.standard_normal((n, 2))
+            out = np.asfortranarray(rng.standard_normal((n, 2)))  # the sampler's own layout: no copy
+            tracked.append(weakref.ref(out))
+            return out
 
         monkeypatch.setattr("harnacklab.ou_semigroup.ou_noise", stub)
         f_set = [
-            ball_indicator([0.0, 0.0], 1.0, offset=1.0),
-            gaussian_bump([0.0, 0.0], 1.0, offset=1.0),
+            ball_indicator([0.0, 0.0], 1.0),
+            gaussian_bump([0.0, 0.0], 1.0),
             constant(2.0),
             exp_cap(3.0, [1.0, 0.0]),
         ]
         points = np.array([[0.0, 0.0], [1.0, -1.0]])
-        pairs = [(0, 2.0, 1, None), (1, "log", 0, 2.0)]
+        pairs = [(0, 2.0, 1, None), (1, 0.5, 0, 2.0)]
         s = SemigroupSampler(spec, 1000, SeedSpec(102))
         work = {}
         enabled = gc.isenabled()
@@ -681,15 +704,12 @@ class TestSemigroupSampler:
         try:
             for t in (0.5, 1.0, 0.5, 2.0):
                 for f in f_set:
-                    s.moments(f, points, t, (2.0, "log"), pairs)
-                tracked.append(weakref.ref(s.noise(t)))
+                    s.moments(f, points, t, (2.0, 0.5), pairs)
                 work = work or dict(s._work)
-            # a draw asked for directly frees the last time's noise too
-            s.noise(4.0)
         finally:
             if enabled:
                 gc.enable()
-        assert len(tracked) == 4
+        assert len(tracked) == 4 * 2  # one draw per time for each of the two centres
         assert s._work.keys() == work.keys() and all(s._work[k] is v for k, v in work.items())
 
     def test_truncated_driver_endpoint_moments(self):
@@ -710,7 +730,7 @@ def reference_moments(sampler, f, points, t, transforms, pairs):
     n = sampler.n
     rows = {}
     for i, x in enumerate(points):
-        v = f(sampler.endpoints(x, t))
+        v = f(endpoints(sampler, x, t))
         rows[i, None] = v
         for a in transforms:
             rows[i, a] = np.log(v) if a == "log" else v**a
@@ -748,7 +768,6 @@ class TestBlockMoments:
     }
     FAMILIES = {
         "ball": lambda c: ball_indicator(c, 1.2),
-        "ball_offset": lambda c: ball_indicator(c, 1.2, offset=1.0),
         "bump": lambda c: gaussian_bump(c, 0.8),
         "exp_cap": lambda c: exp_cap(5.0, c, 1.1),
         "constant": lambda c: constant(2.5),
@@ -791,7 +810,7 @@ class TestBlockMoments:
             assert float_bits(a) == float_bits(at[1][None])
 
     def test_indicator_powers_are_its_own_row(self, monkeypatch):
-        # an offset-free indicator takes +0.0 and 1.0, which every power
+        # an indicator takes +0.0 and 1.0, which every power
         # p > 0 maps to themselves: its powers 1.5, 2 and 4 are read off its
         # own row, and the powers -1 and 0.0 and the log, which move 0.0 or
         # 1.0, are computed, each with the bits of v ** a and np.log(v)
@@ -842,8 +861,8 @@ class TestBlockMoments:
 @pytest.mark.parametrize(
     "f",
     [
-        ball_indicator([0.0], 1.0, offset=0.5),
-        gaussian_bump([0.0], 1.0, offset=0.25),
+        ball_indicator([0.0], 1.0),
+        gaussian_bump([0.0], 1.0),
         constant(2.0),
         exp_cap(3.0),
     ],
