@@ -771,6 +771,10 @@ class TestBlockMoments:
         "bump": lambda c: gaussian_bump(c, 0.8),
         "exp_cap": lambda c: exp_cap(5.0, c, 1.1),
         "constant": lambda c: constant(2.5),
+        # most endpoints fall where the bump underflows to +0.0 or a subnormal
+        "narrow_bump": lambda c: gaussian_bump(c, 0.05),
+        # a level far above 1: values and their log span many orders
+        "high_cap": lambda c: exp_cap(1e6, c, 0.3),
     }
     # (time, number of points): the walk's blocks grow, shrink and grow again
     TIMES = ((0.3, 3), (4.0, 5), (0.7, 2), (1.1, 4))
