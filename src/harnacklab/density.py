@@ -48,6 +48,7 @@ from .levy_core import (
     StableSpec,
     TruncatedStableSpec,
     _truncated_series,
+    bounded_minimum,
     compute_sigma,
     sphere_surface,
 )
@@ -487,22 +488,66 @@ def phi_envelope(d: int, alpha: float, t: float, radius) -> np.ndarray:
 TILT_REACH, CF_DROP, XI_NODES = 50.0, 45.0, 1 << 16
 
 
+def _gauss_jacobi_head(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes v and weights of the n-point Gauss rule for int_0^1 f(v) v^a (1 - v)^b
+    dv, accurate to about 4e-15 relative in the nodes and weights of its lower half.
+
+    Golub-Welsch (Golub & Welsch 1969) on the weight |s|^(2a+1) (1 - s^2)^b of
+    [-1, 1], whose 2n-point rule has v = s^2 at its positive nodes s and half
+    the weights there.  That weight is even, so its Jacobi matrix has a zero
+    diagonal and off-diagonals sqrt(g_k), k = 1, 2, ..., with g_k = (m+a+1)
+    (m+a+b+1) / ((k+a+b)(k+a+b+1)) at odd k = 2m+1 and m (m+b) / ((k+a+b)
+    (k+a+b+1)) at even k = 2m.  Its three-term recurrence, s p_k = sqrt(g_k+1)
+    p_k+1 + sqrt(g_k) p_k-1, has no shift of s to round, so small nodes keep
+    their relative precision.  Each eigenvalue from np.linalg.eigvalsh takes
+    one Newton step on that orthonormal recurrence, and each weight is the
+    Christoffel number 1 / sum_k p_k(s)^2 at the polished node.
+    """
+    k = np.arange(1.0, 2 * n + 1.0)
+    m = np.floor(0.5 * k)
+    g = np.where(k % 2 == 1, (m + a + 1.0) * (m + a + b + 1.0), m * (m + b)) / ((k + a + b) * (k + a + b + 1.0))
+    off = np.sqrt(g)
+    mass = math.exp(math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
+
+    def walk(s):
+        """(p_2n(s) / p_2n'(s), sum of p_k(s)^2 over k < 2n)"""
+        p_prev, p = np.zeros_like(s), np.full_like(s, 1.0 / math.sqrt(mass))
+        dp_prev, dp, total = np.zeros_like(s), np.zeros_like(s), np.zeros_like(s)
+        for j in range(2 * n):
+            total += p * p
+            below = off[j - 1] if j else 0.0
+            p_prev, p = p, (s * p - below * p_prev) / off[j]
+            dp_prev, dp = dp, (p_prev + s * dp - below * dp_prev) / off[j]
+        return p / dp, total
+
+    s = np.linalg.eigvalsh(np.diag(off[:-1], -1))[n:]
+    s = s - walk(s)[0]
+    return s * s, 2.0 / walk(s)[1]
+
+
 @lru_cache(maxsize=32)
 def _exponent_rule(alpha: float) -> tuple:
     """(G as a polynomial in w^2; Gauss-Jacobi nodes u and weights for int_0^1 f(u)
     u^(1-alpha) du; the saddle table: a = eta r on [0, TILT_REACH], G, G', sqrt(G'')
     and the running integral of sqrt(G'') there; 16-node Gauss-Legendre nodes and
-    weights for the xi-panels)."""
-    from scipy import special
+    weights for the xi-panels).
 
+    The 64-node rule takes its 32 nodes nearest 0 from
+    :func:`_gauss_jacobi_head` in u and its 32 nearest 1 from it in 1 - u,
+    so each keeps its precision at its own end: about 4e-15 relative per
+    weight, where scipy.special.roots_jacobi is 8e-10 off at alpha = 1.99.
+    """
     poly = np.polynomial.Polynomial(np.abs(_truncated_series(1, alpha)))
-    x, w = special.roots_jacobi(64, 0.0, 1.0 - alpha)
+    head, head_w = _gauss_jacobi_head(64, 1.0 - alpha, 0.0)
+    foot, foot_w = _gauss_jacobi_head(64, 0.0, 1.0 - alpha)
+    u = np.concatenate([head[:32], 1.0 - foot[31::-1]])
+    w = np.concatenate([head_w[:32], foot_w[31::-1]])
     a = np.linspace(0.0, TILT_REACH, 2001)
     d1, d2 = poly.deriv()(a * a), poly.deriv(2)(a * a)
     root = np.sqrt(2.0 * d1 + 4.0 * a * a * d2)
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (root[1:] + root[:-1]) * np.diff(a))])
     table = (a, poly(a * a), 2.0 * a * d1, root, cum)
-    return poly, 0.5 * (1.0 + x), w * 2.0 ** (alpha - 2.0), table, np.polynomial.legendre.leggauss(16)
+    return poly, u, w, table, np.polynomial.legendre.leggauss(16)
 
 
 def _exponent(alpha: float, w: np.ndarray) -> np.ndarray:
@@ -709,13 +754,14 @@ def _refine_extrema(g, lo: float, hi: float, log: bool = False) -> tuple[float, 
     """(min, max) of g on [lo, hi] by a REFINE_SCAN-point scan plus local refinement.
 
     ``g`` maps an array of points (or one point) to an array of values; the
-    scan evaluates it once on all points.  A log-spaced scan keeps resolution near lo when
-    hi/lo is large; the profile varies on a multiplicative scale there.
+    scan evaluates it once on all points, and each interior local extremum
+    of the scan is refined between its two neighbours by
+    :func:`~harnacklab.levy_core.bounded_minimum` (bounded Brent, no scipy).
+    A log-spaced scan keeps resolution near lo when hi/lo is large; the
+    profile varies on a multiplicative scale there.
     :func:`estimate_bound_constants` scans only the envelope's tail piece with
     it, which can have an interior extremum; the bulk piece is monotone.
     """
-    from scipy.optimize import minimize_scalar
-
     xs = np.geomspace(lo, hi, REFINE_SCAN) if log else np.linspace(lo, hi, REFINE_SCAN)
     vals = np.asarray(g(xs), dtype=float)
     gmin, gmax = float(vals.min()), float(vals.max())
@@ -723,13 +769,9 @@ def _refine_extrema(g, lo: float, hi: float, log: bool = False) -> tuple[float, 
         v = sign * vals
         for i in range(1, REFINE_SCAN - 1):
             if v[i] <= v[i - 1] and v[i] <= v[i + 1]:
-                res = minimize_scalar(
-                    lambda x: sign * float(g(x)[0]),
-                    bounds=(xs[i - 1], xs[i + 1]),
-                    method="bounded",
-                    options={"xatol": 1e-9 * max(1.0, hi)},
+                val = sign * bounded_minimum(
+                    lambda x: sign * float(g(x)[0]), xs[i - 1], xs[i + 1], 1e-9 * max(1.0, hi)
                 )
-                val = sign * float(res.fun)
                 gmin, gmax = min(gmin, val), max(gmax, val)
     return gmin, gmax
 
@@ -917,36 +959,42 @@ def _reliable_mask(grid: DensityGrid) -> np.ndarray:
 
 
 def _fit_tail_envelope(u: np.ndarray, logp: np.ndarray, side: str) -> tuple[float, float]:
-    """LP fit of log C + k*u against logp (u = |x| log(t/|x|) < 0).
+    """LP fit of log C + k*u against logp (u = |x| log(t/|x|) < 0), in closed form.
 
     side "upper": smallest total gap with log C + k u >= logp;
-    side "lower": with log C + k u <= logp.  Returns (C, k).
-    """
-    from scipy.optimize import linprog
+    side "lower": with log C + k u <= logp; k >= 0 on both.  Returns (C, k).
 
-    m = len(u)
-    if side == "upper":
-        # minimize sum(L + k u - logp) s.t. L + k u >= logp, k >= 0
-        res = linprog(
-            c=[m, float(u.sum())],
-            A_ub=np.column_stack([-np.ones(m), -u]),
-            b_ub=-logp,
-            bounds=[(None, None), (0.0, None)],
-            method="highs",
-        )
-    else:
-        # maximize sum(L + k u) s.t. L + k u <= logp, k >= 0
-        res = linprog(
-            c=[-m, -float(u.sum())],
-            A_ub=np.column_stack([np.ones(m), u]),
-            b_ub=logp,
-            bounds=[(None, None), (0.0, None)],
-            method="highs",
-        )
-    if not res.success:
-        raise DensityEstimateError(f"tail envelope LP failed: {res.message}")
-    log_c, k = res.x
-    return math.exp(log_c), float(k)
+    The total gap is m times the line's height at u_bar = mean(u), less a
+    constant, so the optimum is the line supporting the upper convex hull of
+    the points (u, logp) at u_bar (the lower hull for "lower"): the slope of
+    the hull edge over u_bar, or k = 0 where that slope is negative, with log
+    C the least (greatest) intercept that keeps every point on its side.
+    Where several k are optimal (u_bar at a hull vertex, or all u equal) the
+    least one is returned.  The lower fit is the upper fit of the points
+    reflected through the origin, which keeps k and negates log C.
+    """
+    sign = 1.0 if side == "upper" else -1.0
+    x, y = sign * u, sign * logp
+    order = np.lexsort((y, x))
+    xs, ys = x[order], y[order]
+    top = np.append(xs[1:] != xs[:-1], True)  # the highest point at each x
+    hull = []  # upper hull left to right (Andrew's monotone chain)
+    for px, py in zip(xs[top].tolist(), ys[top].tolist()):
+        while len(hull) > 1 and (hull[-1][0] - hull[-2][0]) * (py - hull[-2][1]) >= (
+            hull[-1][1] - hull[-2][1]
+        ) * (px - hull[-2][0]):
+            hull.pop()
+        hull.append((px, py))
+    k = 0.0
+    if len(hull) > 1:
+        # the edge [x_j, x_j+1) that holds x_bar: at a vertex, the edge right
+        # of it, whose slope is the least optimal k (in u, the lower fit's
+        # edge left of it)
+        hx = [px for px, _ in hull]
+        j = min(max(int(np.searchsorted(hx, x.mean(), side="right")) - 1, 0), len(hull) - 2)
+        (x0, y0), (x1, y1) = hull[j], hull[j + 1]
+        k = max((y1 - y0) / (x1 - x0), 0.0)
+    return math.exp(sign * float(np.max(y - k * x))), k
 
 
 def check_truncated_bounds(

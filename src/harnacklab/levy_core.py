@@ -34,6 +34,7 @@ __all__ = [
     "symbol_radial",
     "compute_c0",
     "time_integrated_symbol",
+    "bounded_minimum",
 ]
 
 
@@ -340,3 +341,57 @@ def time_integrated_symbol(spec: OUSpec, xi, t: float) -> float:
 
     val, _ = quad(f, 0.0, t, limit=200, epsabs=0.0, epsrel=1e-11)
     return val
+
+
+# ---------------------------------------------------------------------------
+# bounded scalar minimization
+
+
+def bounded_minimum(func, lo: float, hi: float, xatol: float) -> float:
+    """The least value of ``func`` that Brent's golden-section and parabolic
+    search (Brent 1973) finds on [lo, hi], stopped once x is known to xatol
+    or after 500 evaluations.
+
+    A step-for-step port of scipy.optimize.minimize_scalar(method="bounded"),
+    so it returns that method's ``fun`` bit for bit without loading
+    scipy.optimize.
+    """
+    sqrt_eps, golden_mean = math.sqrt(2.2e-16), 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    xf = nfc = fulc = a + golden_mean * (b - a)
+    fx = fnfc = ffulc = func(xf)
+    rat = e = 0.0
+    num = 1
+    xm, tol1 = 0.5 * (a + b), sqrt_eps * abs(xf) + xatol / 3.0
+    while abs(xf - xm) > 2.0 * tol1 - 0.5 * (b - a) and num < 500:
+        golden = True
+        if abs(e) > tol1:  # try the parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            p, q = (-p if q > 0.0 else p), abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden, rat = False, p / q
+                x = xf + rat
+                if x - a < 2.0 * tol1 or b - x < 2.0 * tol1:
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        step = max(abs(rat), tol1)
+        x = xf + step if rat >= 0.0 else xf - step
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm, tol1 = 0.5 * (a + b), sqrt_eps * abs(xf) + xatol / 3.0
+    return fx

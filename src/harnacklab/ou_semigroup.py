@@ -553,22 +553,34 @@ class SemigroupSampler:
         return at, [sums[i, row[a], j, row[b]] / (n - 1) if n > 1 else 0.0 for i, a, j, b in pairs]
 
     def _level_moments(self, value: float, keys, count: int, pairs: Sequence[tuple]):
-        """:meth:`moments` of a constant f, from scalars: n copies of each value."""
+        """:meth:`moments` of a constant f, from scalars: n copies of each value.
+
+        The sums keep the bits of the n-value arrays' sums, an overflow to inf
+        included, and warn of no overflow.
+        """
         n = self.n
         levels, centred = {}, {}
-        for a in keys:
-            v = float(value if a is None else _transform(np.array([value], dtype=float), a, np.empty(1))[0])
-            total = _copies_sum(v, n)
-            c = v - total / n
-            levels[a] = _moments(total, v, v, _copies_sum(c * c, n), n)
-            centred[a] = c
-        covs = [_copies_sum(centred[a] * centred[b], n) / (n - 1) if n > 1 else 0.0 for _, a, _, b in pairs]
+        with np.errstate(over="ignore"):
+            for a in keys:
+                v = float(value if a is None else _transform(np.array([value], dtype=float), a, np.empty(1))[0])
+                total = _copies_sum(v, n)
+                c = v - total / n
+                levels[a] = _moments(total, v, v, _copies_sum(c * c, n), n)
+                centred[a] = c
+            covs = [_copies_sum(centred[a] * centred[b], n) / (n - 1) if n > 1 else 0.0 for _, a, _, b in pairs]
         return [dict(levels) for _ in range(count)], covs
 
     def estimate(self, f: TestFunction, x, t: float) -> Moments:
-        """P_t f(x), with its standard error: :meth:`moments` at one point."""
+        """P_t f(x), with its standard error: :meth:`moments` at one point.
+
+        Raises ValueError, naming f and n, where the moments leave the double
+        range: a constant near the largest double overflows its n-fold sums.
+        """
         x = np.asarray(x, dtype=float).reshape(self.spec.d)
-        return self.moments(f, x[None, :], t)[0][0][None]
+        at = self.moments(f, x[None, :], t)[0][0][None]
+        if not (math.isfinite(at.mean) and math.isfinite(at.std_err)):
+            raise ValueError(f"{f.tag} over n = {self.n} samples: its moments leave the double range")
+        return at
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from .levy_core import (
     StableSpec,
     TruncatedStableSpec,
     _truncated_series,
+    bounded_minimum,
     compute_sigma,
     sphere_surface,
 )
@@ -416,7 +417,8 @@ def _truncated_log_peak(spec: TruncatedStableSpec, t: float) -> float:
     - 4 log r (see :func:`_truncated_series`).  It rises while v^2 < 4 d (2 -
     alpha) / tau, because psi'(s) <= s c |S| r^(2-alpha) / (d (2 - alpha)),
     so the sup over v <= SERIES_REACH is sought from there on a log grid and
-    refined by bounded Brent.  Beyond V = SERIES_REACH two lower bounds hold,
+    refined by :func:`~harnacklab.levy_core.bounded_minimum` (bounded Brent,
+    no scipy).  Beyond V = SERIES_REACH two lower bounds hold,
     and the smaller of their sups bounds the rest:
 
     - the jumps past r change the stable symbol by at most 2 c |S| r^(-alpha)
@@ -425,8 +427,6 @@ def _truncated_log_peak(spec: TruncatedStableSpec, t: float) -> float:
       over [0, v], grows with v, so F(v) >= F(V) (v / V)^alpha.  This one
       keeps small alpha at long times from a vacuous sup.
     """
-    from scipy import optimize
-
     d, a = spec.d, spec.alpha
     surf = sphere_surface(d)
     tau = t * spec.c * surf * spec.r**-a
@@ -445,10 +445,7 @@ def _truncated_log_peak(spec: TruncatedStableSpec, t: float) -> float:
     # the first node, where the rise ends, it lies past it
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
     if lo < hi:
-        found = optimize.minimize_scalar(
-            lambda x: -log_quartic(x), bounds=(lo, hi), method="bounded", options={"xatol": 1e-10}
-        )
-        best = max(best, -float(found.fun))
+        best = max(best, -float(bounded_minimum(lambda x: -log_quartic(x), lo, hi, 1e-10)))
     # with F >= growth v^alpha - offset, 4 log v - tau F falls past v^alpha =
     # 4 / (alpha tau growth): its bound there, or at the reach if later,
     # bounds the rest

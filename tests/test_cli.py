@@ -164,6 +164,20 @@ class TestColdImport:
         )
         assert _loaded_after(tmp_path, code, ["jsonschema"]) == []
 
+    def test_truncated_verify_all_loads_no_scipy_submodule(self, tmp_path):
+        # bounded Brent, the tail LP and the Gauss-Jacobi rule are numpy code
+        spec = write_json(tmp_path, "trunc.json", dict(TRUNC_CFG, alpha=1.8, r=0.5))
+        grid = write_json(tmp_path, "grid.json", {"n": 2000})
+        argv = ["verify", "--spec", spec, "--inequality", "all", "--grid", grid, "--out", "out"]
+        code = f"from harnacklab import cli\nassert cli.main({argv!r}) == 0"
+        assert _scipy_loaded_after(tmp_path, code) == []
+
+    def test_truncated_density_loads_no_scipy_submodule(self, tmp_path):
+        spec = write_json(tmp_path, "trunc.json", TRUNC_CFG)
+        argv = ["density", "--spec", spec, "--t", "0.5", "--radii", "0,1,3"]
+        code = f"from harnacklab import cli\nassert cli.main({argv!r}) == 0"
+        assert _scipy_loaded_after(tmp_path, code) == []
+
     def test_density_loads_special(self, tmp_path):
         spec = write_json(tmp_path, "stable.json", STABLE_CFG)
         argv = ["density", "--spec", spec, "--t", "1.0", "--radii", "0,1"]
@@ -974,19 +988,22 @@ FAR = {"n": 1000, "t_values": [1.0], "offsets": [0, 1e300], "validation": False}
         (STABLE_CFG, None, ["estimate", "--t", "1", "--x", "0", "--f", "bump", "--f-scale", "1e-200", "--n", "1000"],
          "got 1e-200"),
         (STABLE_CFG, None, ["density", "--t", "1", "--x", "1e160"], "x=[1e+160]"),
+        # the n-fold sum of a constant overflows
+        (STABLE_CFG, None, ["estimate", "--t", "1", "--x", "0", "--f", "const", "--f-value", "1e308", "--n", "1000"],
+         "constant(1e+308) over n = 1000"),
     ],
     ids=[
         "estimate-huge-t", "harnack_ou-huge-t", "harnack_ou-tiny-t", "p_harnack-tiny-t",
         "harnack_stable-tiny-t", "harnack_ou-far", "log_harnack-far", "ratio_lemma-far",
         "ratio_lemma-tiny-t", "ratio_lemma-underflowing-scale", "p_harnack-far",
-        "estimate-huge-scale", "estimate-tiny-scale", "density-far",
+        "estimate-huge-scale", "estimate-tiny-scale", "density-far", "estimate-huge-constant",
     ],
 )
 def test_out_of_range_input_is_one_worded_line(tmp_path, capsys, cfg, grid, command, fragment):
     # each input leaves the double range inside the lab, not in the schema:
-    # it is refused in one line that names the t, offset, scale or point at
-    # fault, with no warning (warnings are errors here, numpy's included) and
-    # no output
+    # it is refused in one line that names the t, offset, scale, point or
+    # constant at fault, with no warning (warnings are errors here, numpy's
+    # included) and no output
     argv = command + ["--spec", write_json(tmp_path, "cfg.json", cfg), "--out", str(tmp_path / "out")]
     if grid is not None:
         argv += ["--grid", write_json(tmp_path, "grid.json", grid)]

@@ -707,6 +707,77 @@ class TestTailEnvelopeFit:
         assert np.all(math.log(cu) + ku * u >= logp - 1e-9)
         assert np.all(math.log(cl) + kl * u <= logp + 1e-9)
 
+    @staticmethod
+    def _assert_solves_the_lp(u, logp, side):
+        """The closed form against HiGHS on the LP it replaces: feasible to
+        1e-12 and an objective within 1e-12 relative of HiGHS's."""
+        from scipy.optimize import linprog
+
+        m, s = len(u), 1.0 if side == "upper" else -1.0
+        # upper: min sum(L + k u - logp), L + k u >= logp; lower: max sum(L + k u), L + k u <= logp
+        res = linprog(
+            c=[s * m, s * float(u.sum())],
+            A_ub=-s * np.column_stack([np.ones(m), u]),
+            b_ub=-s * logp,
+            bounds=[(None, None), (0.0, None)],
+            method="highs",
+        )
+        assert res.success, res.message
+        c, k = _fit_tail_envelope(u, logp, side)
+        log_c = math.log(c)
+        assert k >= 0.0
+        assert np.all(s * (log_c + k * u - logp) >= -1e-12)
+        gap, highs_gap = (s * float(np.sum(a + b * u - logp)) for a, b in ((log_c, k), tuple(res.x)))
+        assert gap == pytest.approx(highs_gap, rel=1e-12, abs=1e-12 * float(np.sum(np.abs(logp))))
+        return log_c, k
+
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_lps_match_highs(self, seed, side):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(3, 400))
+        u = -rng.uniform(0.01, 10.0, m)
+        logp = rng.uniform(-2.0, 2.0) * u + rng.normal(0.0, 10.0 ** rng.uniform(-3, 1), m)
+        self._assert_solves_the_lp(u, logp, side)
+
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    @pytest.mark.parametrize(
+        "u, logp",
+        [
+            # logp falls with u: every supporting line has k < 0, so k = 0
+            (-np.array([1.0, 2.0, 3.0, 4.0]), np.array([-3.0, -1.0, 0.5, 2.0])),
+            # tied u values
+            (-np.array([1.0, 1.0, 2.0, 2.0, 3.0, 3.0]), np.array([0.1, -0.4, -1.0, -1.7, -2.2, -2.9])),
+            # every u tied: every k is optimal
+            (-np.full(4, 2.5), np.array([-1.0, -2.0, -0.5, -3.0])),
+            # two points, and collinear points
+            (-np.array([1.5, 4.0]), np.array([-0.7, -2.9])),
+            (-np.linspace(0.5, 6.0, 12), 0.25 - 0.9 * np.linspace(0.5, 6.0, 12)),
+        ],
+        ids=["k-zero", "tied-u", "all-tied", "two-points", "collinear"],
+    )
+    def test_edge_cases_match_highs(self, u, logp, side):
+        self._assert_solves_the_lp(u, logp, side)
+
+    @pytest.mark.parametrize(
+        "side, logp, least_k",
+        [
+            # upper hull edges of slope 2 and 0.5 meet at u_bar = -2: k in [0.5, 2]
+            ("upper", np.array([-3.0, -1.0, -0.5]), 0.5),
+            # lower hull edges of slope 0.5 and 1.5 meet there: k in [0.5, 1.5]
+            ("lower", np.array([-2.0, -1.5, 0.0]), 0.5),
+            # upper edges of slope 1 and -1: k in [0, 1]
+            ("upper", np.array([0.0, 1.0, 0.0]), 0.0),
+        ],
+    )
+    def test_a_tie_at_a_hull_vertex_takes_the_least_k(self, side, logp, least_k):
+        u = -np.array([3.0, 2.0, 1.0])
+        assert u.mean() == -2.0
+        log_c, k = self._assert_solves_the_lp(u, logp, side)
+        assert k == least_k
+        # the line passes through the vertex
+        assert log_c == pytest.approx(logp[1] + 2.0 * least_k, abs=1e-15)
+
 
 class TestConvexityProfile:
     def _grid(self, f):

@@ -988,5 +988,5 @@ class TestFiniteMeasureAndTruncatedReportsPinned:
         spec = TruncatedStableSpec(d=1, alpha=1.8, c=1.0, r=0.5)
         report = verify_truncated_ratio(spec, seed=SeedSpec(1))
         assert hashlib.sha256(canonical_json(report.to_dict()).encode()).hexdigest() == (
-            "e47dadb7f2b328a65c3c60e199a6d1aad2ffedb7e35bc0da19be0de68334618b"
+            "3761244a71aed4c657b1e231bc7b0d00ba7f8f21529529ef107b0d08bd479e05"
         )

@@ -14,9 +14,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 from helpers import compute_mu_hat
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special
+from scipy import integrate, optimize, special
 
 from harnacklab import (
     OUSpec,
@@ -31,6 +31,7 @@ from harnacklab import (
     time_integrated_symbol,
 )
 from harnacklab.levy_core import (
+    bounded_minimum,
     one_minus_cos,
     one_minus_sphere_cf,
     sphere_cf,
@@ -317,3 +318,29 @@ class TestSpecs:
         assert doc["op_norm"] == pytest.approx(0.5)
         with pytest.raises(TypeError):
             describe_spec("not a spec")
+
+
+class TestBoundedMinimum:
+    """levy_core.bounded_minimum is scipy's bounded Brent loop, step for step."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        coeffs=st.lists(st.floats(-5.0, 5.0), min_size=5, max_size=5),
+        lo=st.floats(-20.0, 20.0),
+        width=st.floats(0.0, 30.0),
+        log_xatol=st.floats(-12.0, 0.0),
+    )
+    def test_matches_scipy_bit_for_bit(self, coeffs, lo, width, log_xatol):
+        a, b, c, w, phase = coeffs
+
+        def func(x):
+            # float(x): scipy hands numpy scalars, the port Python floats
+            x = float(x)
+            return a * math.sin(w * x + phase) + b * x * x + c * math.exp(-x * x)
+
+        hi, xatol = lo + width, 10.0**log_xatol
+        ref = optimize.minimize_scalar(func, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+        assert bounded_minimum(func, lo, hi, xatol) == ref.fun
+
+    def test_finds_an_interior_minimum(self):
+        assert bounded_minimum(lambda x: (x - 0.3) ** 2 + 1.0, -1.0, 2.0, 1e-10) == pytest.approx(1.0, abs=1e-15)

@@ -15,8 +15,10 @@ reference is the cosine transform (1/pi) int exp(-t psi(s)) cos(s x) ds in
 than the power series the package sums; the same closed form checks the d=1
 truncated symbol.  In d = 2 and 3 the truncated symbol's reference sums its
 series on [0, 1] in 60-digit arithmetic and integrates the rest with
-Gauss-Legendre ``mp.quad`` on panels split every pi.  Nothing here uses
-harnacklab except the function under test and its spec argument.
+Gauss-Legendre ``mp.quad`` on panels split every pi.  The Gauss-Jacobi rule
+behind the truncated exponent is checked against Golub-Welsch in 40-digit
+arithmetic.  Nothing here uses harnacklab except the function under test and
+its spec argument.
 """
 
 import mpmath as mp
@@ -188,6 +190,55 @@ def test_truncated_density_matches_mpmath(alpha, c, r, t):
     ref = _oracle_truncated(alpha, c, r, t, list(xs))
     assert ref[-1] < 2e-12 * ref[0]
     assert truncated_density(spec, t, xs) == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+def _gauss_jacobi_mp(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss rule for int_0^1 f(u) u^beta du by Golub-Welsch in
+    40-digit arithmetic, sorted by node.
+
+    The nodes are the eigenvalues (mp.eigsy) of the Jacobi matrix of the
+    shifted Jacobi polynomials on [0, 1], and each weight is mu_0 q_0^2, q the
+    unit eigenvector at that node.  The eigenvector comes from its own
+    three-term recurrence at the eigenvalue, v_0 = 1, so q_0^2 = 1 / sum v_k^2;
+    a full mp.eigsy takes about 6 s a matrix here, its eigenvalues alone 0.7 s.
+    """
+    with mp.workdps(40):
+        b = mp.mpf(beta)
+        diag = [(b + 1) / (b + 2)] + [
+            mp.mpf(1) / 2 + b**2 / (2 * (2 * k + b) * (2 * k + b + 2)) for k in range(1, n)
+        ]
+        off = [k * (k + b) / ((2 * k + b) * mp.sqrt((2 * k + b) ** 2 - 1)) for k in range(1, n)]
+        jacobi = mp.diag(diag)
+        for k in range(n - 1):
+            jacobi[k, k + 1] = jacobi[k + 1, k] = off[k]
+        nodes = sorted(mp.eigsy(jacobi, eigvals_only=True))
+        weights = []
+        for x in nodes:
+            v = [mp.mpf(1), (x - diag[0]) / off[0]]
+            for k in range(1, n - 1):
+                v.append(((x - diag[k]) * v[k] - off[k - 1] * v[k - 1]) / off[k])
+            weights.append(1 / ((b + 1) * mp.fsum(e * e for e in v)))
+        return np.array([float(x) for x in nodes]), np.array([float(w) for w in weights])
+
+
+@pytest.mark.parametrize("alpha", [0.1, 1.0, 1.8, 1.99])
+def test_truncated_exponent_rule_matches_mpmath(alpha):
+    # the 64-node rule for int_0^1 f(u) u^(1-alpha) du behind the truncated
+    # exponent G at mid-range |w|
+    from harnacklab.density import _exponent_rule
+    from scipy import special
+
+    _, nodes, weights, _, _ = _exponent_rule(alpha)
+    ref_nodes, ref_weights = _gauss_jacobi_mp(64, 1.0 - alpha)
+    assert np.max(np.abs(nodes - ref_nodes)) <= 1e-15
+    assert np.max(np.abs(weights / ref_weights - 1.0)) <= 1e-13
+    # the rule this one replaced, scipy.special.roots_jacobi, is off by up to
+    # 2e-12 relative per weight at alpha = 0.1, 1e-12 at 1.0, 7e-12 at 1.8
+    # and 8e-10 at 1.99 (scipy 1.17.1); that it agrees to 1e-8 checks the
+    # reference itself
+    x, w = special.roots_jacobi(64, 0.0, 1.0 - alpha)
+    assert np.max(np.abs(0.5 * (1.0 + x) - ref_nodes)) <= 1e-15
+    assert np.max(np.abs(w * 2.0 ** (alpha - 2.0) / ref_weights - 1.0)) <= 1e-8
 
 
 def test_truncated_density_point_alone_matches_mpmath():
