@@ -750,19 +750,19 @@ def _scaled_ratio_profile(spec: StableSpec, scaled_radii) -> np.ndarray:
 REFINE_SCAN = 241
 
 
-def _refine_extrema(g, lo: float, hi: float, log: bool = False) -> tuple[float, float]:
-    """(min, max) of g on [lo, hi] by a REFINE_SCAN-point scan plus local refinement.
+def _refine_extrema(g, lo: float, hi: float) -> tuple[float, float]:
+    """(min, max) of g on [lo, hi], lo > 0, by a log-spaced scan plus local refinement.
 
     ``g`` maps an array of points (or one point) to an array of values; the
-    scan evaluates it once on all points, and each interior local extremum
-    of the scan is refined between its two neighbours by
+    scan evaluates it once on all REFINE_SCAN points, and each interior local
+    extremum of the scan is refined between its two neighbours by
     :func:`~harnacklab.levy_core.bounded_minimum` (bounded Brent, no scipy).
-    A log-spaced scan keeps resolution near lo when hi/lo is large; the
+    The log spacing keeps resolution near lo when hi/lo is large; the
     profile varies on a multiplicative scale there.
     :func:`estimate_bound_constants` scans only the envelope's tail piece with
     it, which can have an interior extremum; the bulk piece is monotone.
     """
-    xs = np.geomspace(lo, hi, REFINE_SCAN) if log else np.linspace(lo, hi, REFINE_SCAN)
+    xs = np.geomspace(lo, hi, REFINE_SCAN)
     vals = np.asarray(g(xs), dtype=float)
     gmin, gmax = float(vals.min()), float(vals.max())
     for sign in (1.0, -1.0):
@@ -825,7 +825,7 @@ def estimate_bound_constants(
     ends = g([0.0, min(1.0, hi)])
     c1, c2 = min(c1, float(ends[1])), max(c2, float(ends[0]))
     if hi > 1.0:
-        hi_min, hi_max = _refine_extrema(g, 1.0, hi, log=True)
+        hi_min, hi_max = _refine_extrema(g, 1.0, hi)
         c1, c2 = min(c1, hi_min), max(c2, hi_max)
     c1 *= 1.0 - 1e-7
     c2 *= 1.0 + 1e-7

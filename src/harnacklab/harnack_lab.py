@@ -796,7 +796,7 @@ def verify_p_harnack(
             x, xp, yp = at_x[None], at_x[p], at_y[p]
             if yp.mean <= 3.0 * math.sqrt(yp.var / n):
                 return None
-            if x.exact_mean**p > xp.exact_mean + 3.0 * xp.std_err:
+            if x.mean**p > xp.mean + 3.0 * xp.std_err:
                 jensen_failures += 1
             try:
                 shape_p = base ** (p * (d + alpha))
@@ -862,7 +862,7 @@ def verify_log_harnack(
 
     def statistic(f, nd, cost, at_x, at_y, cov):
         log_x, y = at_x["log"], at_y[None]
-        ml, my = log_x.exact_mean, y.exact_mean
+        ml, my = log_x.mean, y.mean
         var = log_x.var + y.var / my**2 - 2.0 * cov / my
         return NodeResult(
             node=nd,

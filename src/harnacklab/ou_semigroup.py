@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -344,30 +343,19 @@ def exp_cap(level: float, center=0.0, width: float = 1.0) -> TestFunction:
 
 
 class Moments(NamedTuple):
-    """Mean, variance, exact mean and standard error of n sampled values.
+    """Mean, variance and standard error of n sampled values.
 
-    The mean is ``np.add.reduce(v) / n`` and the variance the pairwise sum
-    of the centred squares over n - 1 (0.0 at n = 1).  ``exact_mean`` is the
-    common value when the n values are one value, else the mean: the sum of
-    n equal values can be off by an ulp, which matters only where an
-    inequality holds with equality.
+    When the n values are one value (min == max), the mean is that value and
+    the variance 0, as they are exactly: the Harnack-type inequalities hold
+    with equality at x = y, where a sum of n equal values, off by an ulp,
+    would move a fitted constant.  Otherwise the mean is
+    ``np.add.reduce(v) / n`` and the variance the pairwise sum of the
+    centred squares over n - 1 (0.0 at n = 1).
     """
 
     mean: float
     var: float
-    exact_mean: float
     std_err: float
-
-
-@lru_cache(maxsize=1024)
-def _level_sum(bits: bytes, n: int) -> float:
-    """``np.add.reduce`` of n copies of one value, keyed by its bits, not by
-    equality, which would merge 0.0 and -0.0."""
-    return float(np.add.reduce(np.full(n, np.frombuffer(bits)[0])))
-
-
-def _copies_sum(v: float, n: int) -> float:
-    return _level_sum(np.float64(v).tobytes(), n)
 
 
 def _transform(v: np.ndarray, a: float | str, out: np.ndarray) -> np.ndarray:
@@ -383,11 +371,10 @@ def _transform(v: np.ndarray, a: float | str, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _moments(total: float, lo: float, hi: float, squares: float | None, n: int) -> Moments:
-    """From the sum, the extremes and the sum of centred squares (None at n = 1)."""
-    mean = total / n
+def _moments(mean: float, squares: float | None, n: int) -> Moments:
+    """From the mean and the sum of centred squares (None at n = 1)."""
     var = squares / (n - 1) if n > 1 else 0.0
-    return Moments(mean, var, lo if lo == hi else mean, math.sqrt(var) / math.sqrt(n))
+    return Moments(mean, var, math.sqrt(var) / math.sqrt(n))
 
 
 def _time(t) -> float:
@@ -427,8 +414,8 @@ class SemigroupSampler:
     the sampler's only state is its buffers and that tag, and no array it
     may overwrite ever leaves it.  A ball indicator takes +0.0 and 1.0 only,
     which every positive power maps to themselves, so its positive powers
-    are read off its own rows.  A constant f draws no noise: its moments
-    come from scalars, with the bits of the full array's.
+    are read off its own rows.  A constant f draws no noise: it is one
+    value, whose moments (see :class:`Moments`) come from that value alone.
     """
 
     def __init__(self, spec: OUSpec, n: int, seed: SeedSpec) -> None:
@@ -517,8 +504,9 @@ class SemigroupSampler:
         for every a in transforms; ``covs[k]`` is the covariance of pair k,
         (i, a, j, b), transform a at point i against b at point j (None is f
         itself), the pairwise sum of the products of the centred values over
-        n - 1 (0.0 at n = 1).  Every sum is ``np.add.reduce`` along one
-        contiguous row, which has the bits of the sum of a 1-D array.
+        n - 1 (0.0 at n = 1).  A one-valued row centres to exact zeros; every
+        sum is ``np.add.reduce`` along one contiguous row, which has the bits
+        of the sum of a 1-D array, and one past the double range reads inf.
         """
         t, points = _time(t), self._points(points)
         if f.kind == "constant":
@@ -534,47 +522,43 @@ class SemigroupSampler:
         self.values(f, points, t, out=block[0])
         for a, out in zip(computed, block[1:]):
             _transform(block[0], a, out)
-        totals = np.add.reduce(block, axis=-1)
-        lo, hi = np.minimum.reduce(block, axis=-1).tolist(), np.maximum.reduce(block, axis=-1).tolist()
-        block -= (totals / n)[..., None]
-        totals = totals.tolist()
-        # sums of products of centred rows: each row's squares, then each pair's
-        sums = dict.fromkeys((i, k, i, k) for k in range(len(block)) for i in range(len(points)))
-        sums.update(dict.fromkeys((i, row[a], j, row[b]) for i, a, j, b in pairs))
-        if n > 1:
-            product = self._block("product", (n,))
-            for i, a, j, b in sums:
-                np.multiply(block[a, i], block[b, j], out=product)
-                sums[i, a, j, b] = float(np.add.reduce(product))
+        lo = np.minimum.reduce(block, axis=-1)
+        one = lo == np.maximum.reduce(block, axis=-1)
+        # sums and products past the double range read inf, which estimate refuses
+        with np.errstate(over="ignore"):
+            means = np.where(one, lo, np.add.reduce(block, axis=-1) / n)
+            # a one-valued row centres to exact zeros, an infinite one too (inf - inf is NaN)
+            block -= np.where(one, 0.0, means)[..., None]
+            block[one] = 0.0
+            means = means.tolist()
+            # sums of products of centred rows: each row's squares, then each pair's
+            sums = dict.fromkeys((i, k, i, k) for k in range(len(block)) for i in range(len(points)))
+            sums.update(dict.fromkeys((i, row[a], j, row[b]) for i, a, j, b in pairs))
+            if n > 1:
+                product = self._block("product", (n,))
+                for i, a, j, b in sums:
+                    np.multiply(block[a, i], block[b, j], out=product)
+                    sums[i, a, j, b] = float(np.add.reduce(product))
         at = [
-            {a: _moments(totals[k][i], lo[k][i], hi[k][i], sums[i, k, i, k], n) for a, k in row.items()}
+            {a: _moments(means[k][i], sums[i, k, i, k], n) for a, k in row.items()}
             for i in range(len(points))
         ]
         return at, [sums[i, row[a], j, row[b]] / (n - 1) if n > 1 else 0.0 for i, a, j, b in pairs]
 
     def _level_moments(self, value: float, keys, count: int, pairs: Sequence[tuple]):
-        """:meth:`moments` of a constant f, from scalars: n copies of each value.
-
-        The sums keep the bits of the n-value arrays' sums, an overflow to inf
-        included, and warn of no overflow.
-        """
-        n = self.n
-        levels, centred = {}, {}
+        """:meth:`moments` of a constant f: each transform of its value, with
+        variance and covariances 0.0; a power past the double range is inf,
+        without a warning."""
+        v = np.array([value], dtype=float)
         with np.errstate(over="ignore"):
-            for a in keys:
-                v = float(value if a is None else _transform(np.array([value], dtype=float), a, np.empty(1))[0])
-                total = _copies_sum(v, n)
-                c = v - total / n
-                levels[a] = _moments(total, v, v, _copies_sum(c * c, n), n)
-                centred[a] = c
-            covs = [_copies_sum(centred[a] * centred[b], n) / (n - 1) if n > 1 else 0.0 for _, a, _, b in pairs]
-        return [dict(levels) for _ in range(count)], covs
+            levels = {a: float((v if a is None else _transform(v, a, np.empty(1)))[0]) for a in keys}
+        return [{a: Moments(m, 0.0, 0.0) for a, m in levels.items()} for _ in range(count)], [0.0] * len(pairs)
 
     def estimate(self, f: TestFunction, x, t: float) -> Moments:
         """P_t f(x), with its standard error: :meth:`moments` at one point.
 
         Raises ValueError, naming f and n, where the moments leave the double
-        range: a constant near the largest double overflows its n-fold sums.
+        range: the sum of n values, or of their centred squares, overflows.
         """
         x = np.asarray(x, dtype=float).reshape(self.spec.d)
         at = self.moments(f, x[None, :], t)[0][0][None]

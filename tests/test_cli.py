@@ -988,15 +988,12 @@ FAR = {"n": 1000, "t_values": [1.0], "offsets": [0, 1e300], "validation": False}
         (STABLE_CFG, None, ["estimate", "--t", "1", "--x", "0", "--f", "bump", "--f-scale", "1e-200", "--n", "1000"],
          "got 1e-200"),
         (STABLE_CFG, None, ["density", "--t", "1", "--x", "1e160"], "x=[1e+160]"),
-        # the n-fold sum of a constant overflows
-        (STABLE_CFG, None, ["estimate", "--t", "1", "--x", "0", "--f", "const", "--f-value", "1e308", "--n", "1000"],
-         "constant(1e+308) over n = 1000"),
     ],
     ids=[
         "estimate-huge-t", "harnack_ou-huge-t", "harnack_ou-tiny-t", "p_harnack-tiny-t",
         "harnack_stable-tiny-t", "harnack_ou-far", "log_harnack-far", "ratio_lemma-far",
         "ratio_lemma-tiny-t", "ratio_lemma-underflowing-scale", "p_harnack-far",
-        "estimate-huge-scale", "estimate-tiny-scale", "density-far", "estimate-huge-constant",
+        "estimate-huge-scale", "estimate-tiny-scale", "density-far",
     ],
 )
 def test_out_of_range_input_is_one_worded_line(tmp_path, capsys, cfg, grid, command, fragment):
@@ -1025,6 +1022,18 @@ def test_a_bump_at_a_subnormal_scale_runs_without_warnings(tmp_path, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().err == ""
     assert json.loads(out.read_text())["mean"] == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_constant_near_the_largest_double_is_exact(tmp_path, capsys):
+    # P_t f = 1e308 with no spread, and no warning on the way
+    out = tmp_path / "est.json"
+    argv = ["estimate", "--spec", write_json(tmp_path, "cfg.json", STABLE_CFG), "--t", "1", "--x", "0",
+            "--f", "const", "--f-value", "1e308", "--n", "1000", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    doc = json.loads(out.read_text())
+    assert (doc["mean"], doc["std_err"]) == (1e308, 0.0)
 
 
 def _is_sorted_indent2(text: str) -> bool:

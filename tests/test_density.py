@@ -34,7 +34,7 @@ from harnacklab import (
 )
 from harnacklab import density
 from harnacklab.density import _fit_tail_envelope
-from harnacklab.levy_core import sphere_surface
+from harnacklab.levy_core import bounded_minimum, sphere_surface
 
 
 def sigma_closed_form(d: int, alpha: float) -> float:
@@ -393,6 +393,24 @@ class TestBatchedInversion:
         assert peak < 1 << 20
 
 
+def dense_scan_extrema(g, lo: float, hi: float) -> tuple[float, float]:
+    """(min, max) of g on [lo, hi] by a linear scan of REFINE_SCAN points, each
+    interior local extremum of the scan refined between its two neighbours by
+    bounded Brent."""
+    xs = np.linspace(lo, hi, density.REFINE_SCAN)
+    vals = np.asarray(g(xs), dtype=float)
+    gmin, gmax = float(vals.min()), float(vals.max())
+    for sign in (1.0, -1.0):
+        v = sign * vals
+        for i in range(1, len(xs) - 1):
+            if v[i] <= v[i - 1] and v[i] <= v[i + 1]:
+                val = sign * bounded_minimum(
+                    lambda x: sign * float(g(x)[0]), xs[i - 1], xs[i + 1], 1e-9 * max(1.0, hi)
+                )
+                gmin, gmax = min(gmin, val), max(gmax, val)
+    return gmin, gmax
+
+
 BULK_SPECS = [(d, alpha) for d in (1, 2, 3, 5) for alpha in (0.3, 0.5, 0.8, 1.0, 1.2, 1.5, 1.8, 1.95)]
 
 
@@ -409,7 +427,7 @@ class TestBulkPieceFromItsEnds:
         for hi in (0.4, 1.0, 11.09, 50.0):
             top = min(1.0, hi)
             ends = g([0.0, top])
-            assert (float(ends[1]), float(ends[0])) == density._refine_extrema(g, 0.0, top)
+            assert (float(ends[1]), float(ends[0])) == dense_scan_extrema(g, 0.0, top)
 
     @pytest.mark.parametrize("d, alpha", BULK_SPECS)
     def test_density_does_not_increase_on_the_bulk(self, d, alpha):

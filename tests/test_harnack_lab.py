@@ -700,8 +700,12 @@ class TestSemigroupReportsPinned:
     3.3e-13 and with it the last bits of every sample, and once when the
     variances and covariances moved from BLAS dot products to numpy's
     pairwise sums, which moved the last bits of the per-node standard errors
-    (by at most 7.5e-15 relative; no fitted constant moved).  A d = 3 case
-    with a drift that is not conformal pins the jump-weighted noise."""
+    (by at most 7.5e-15 relative; no fitted constant moved).  The p- and
+    log-Harnack digests were re-recorded once more when a one-valued sample
+    got its value as mean and variance 0, which moved the slack, rhs_shape
+    and ratio of constant-f nodes and the last bits of the p-Harnack
+    validation constant (no fitted constant moved).  A d = 3 case with a
+    drift that is not conformal pins the jump-weighted noise."""
 
     SPEC = OUSpec(A=0.5 * np.eye(2), driver=StableSpec(d=2, alpha=1.5, c=1.0))
 
@@ -709,8 +713,8 @@ class TestSemigroupReportsPinned:
         "verify, digest",
         [
             (verify_harnack, "302f201775910077b16bcf454e6872564b1e6b59515180aeaac4d6ebf1548e4d"),
-            (verify_p_harnack, "7d11c18ebd7e62a6e02b8e19414fd9ceb604a1a195acabef8c03be43b8396e47"),
-            (verify_log_harnack, "e1ac7b9d8ecf541042f683ea0c53bed519bcea5122ed903abddf64b20569f89c"),
+            (verify_p_harnack, "0eb8e0ac9b3b1d3a5c37849effaba020e6001f64717d49386347b1136657c018"),
+            (verify_log_harnack, "0514f2f0fe9cc799f67f580cb469e6009f7d1e8b90a7791e9c7d919fd9dd2ad8"),
         ],
         ids=lambda v: getattr(v, "__name__", "digest"),
     )
@@ -727,6 +731,20 @@ class TestSemigroupReportsPinned:
         assert hashlib.sha256(canonical_json(report.to_dict()).encode()).hexdigest() == (
             "0ae572945561a349aecaf8a9d5430b54c0a34f46111fdc0806dd19a6766d4c5e"
         )
+
+
+class TestConstantsAreExact:
+    """A constant f makes every side of the p- and log-Harnack inequalities
+    that constant at x = y: its nodes there fit exactly 1, with no slack."""
+
+    def test_p_harnack_fits_one_at_every_power(self):
+        report = verify_p_harnack(OU_FREE, n=2000, seed=SeedSpec(7))
+        assert report.mc_meta["per_p_fitted"] == {"1.5": 1.0, "2.0": 1.0, "4.0": 1.0}
+
+    def test_log_harnack_constants_have_no_slack(self):
+        report = verify_log_harnack(OU_FREE, n=2000, seed=SeedSpec(7))
+        slacks = [r.slack for r in report.per_node if r.extra["f"].startswith("constant(")]
+        assert slacks and slacks == [0.0] * len(slacks)
 
 
 class TestVerifyLogHarnack:

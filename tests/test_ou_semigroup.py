@@ -726,7 +726,8 @@ class TestSemigroupSampler:
 def reference_moments(sampler, f, points, t, transforms, pairs):
     """:meth:`SemigroupSampler.moments` in plain numpy, one point at a time:
     f on fresh endpoints, ``v ** a`` and ``np.log(v)``, and each moment
-    written out on its own n-length arrays."""
+    written out on its own n-length arrays.  A one-valued array has its
+    value as mean and centres to zeros."""
     n = sampler.n
     rows = {}
     for i, x in enumerate(points):
@@ -734,13 +735,14 @@ def reference_moments(sampler, f, points, t, transforms, pairs):
         rows[i, None] = v
         for a in transforms:
             rows[i, a] = np.log(v) if a == "log" else v**a
-    centred = {key: v - v.mean() for key, v in rows.items()}
+    one = {key: v.min() == v.max() for key, v in rows.items()}
+    means = {key: float(v[0]) if one[key] else float(v.mean()) for key, v in rows.items()}
+    centred = {key: np.zeros(n) if one[key] else v - v.mean() for key, v in rows.items()}
 
     def moments(key):
-        v, c = rows[key], centred[key]
-        mean = float(v.mean())
+        c = centred[key]
         var = float(np.add.reduce(c * c)) / (n - 1)
-        return mean, var, float(v[0]) if v.min() == v.max() else mean, math.sqrt(var) / math.sqrt(n)
+        return means[key], var, math.sqrt(var) / math.sqrt(n)
 
     at = [{a: moments((i, a)) for a in (None, *transforms)} for i in range(len(points))]
     covs = [float(np.add.reduce(centred[i, a] * centred[j, b])) / (n - 1) for i, a, j, b in pairs]
@@ -847,18 +849,47 @@ class TestBlockMoments:
         assert covs == [0.0]
 
     @pytest.mark.parametrize("n", [2, 7, 8, 9, 127, 128, 129, 2000, 20001])
-    def test_a_constant_has_the_moments_of_n_copies(self, n):
-        # its moments come from scalars, with the bits of the n-value arrays;
-        # the sizes cross numpy's pairwise-sum blocks of 8 and 128 values
+    def test_a_constant_has_exact_moments(self, n):
+        # mean f^a, variance 0 and covariances 0, whatever n; the sizes cross
+        # numpy's pairwise-sum blocks of 8 and 128 values, whose sums of n
+        # copies of 1/3 or 1e305 are off by ulps
         sampler = SemigroupSampler(self.SPECS[1], n, SeedSpec(322))
         points = np.array([[0.0], [2.0]])
         pairs = [(0, None, 1, None), (0, 1.5, 1, 2.0), (1, 4.0, 0, None)]
-        for value in (0.0, -0.0, 5e-324, 1.0 / 3.0, 1.5, 2.0, 1e308):
-            # 1e308 overflows its powers and sums, on both sides alike
-            with np.errstate(over="ignore", invalid="ignore"):
-                got = sampler.moments(constant(value), points, 1.0, (1.5, 2.0, 4.0), pairs)
-                expected = reference_moments(sampler, constant(value), points, 1.0, (1.5, 2.0, 4.0), pairs)
-            assert float_bits(got) == float_bits(expected), value
+        for value in (0.0, -0.0, 5e-324, 1.0 / 3.0, 1.5, 2.0, 1e305, 1e308):
+            # the powers of 1e308 overflow to inf, with variance 0
+            with np.errstate(over="ignore"):
+                powers = {a: np.float64(value) ** a for a in (1.5, 2.0, 4.0)}
+                at, covs = sampler.moments(constant(value), points, 1.0, (1.5, 2.0, 4.0), pairs)
+            for point in at:
+                assert float_bits(point) == float_bits([(value, 0.0, 0.0), *((p, 0.0, 0.0) for p in powers.values())])
+            assert float_bits(covs) == float_bits([0.0] * len(pairs))
+
+    def test_a_one_valued_row_has_the_moments_of_its_constant(self):
+        # a ball of radius 1e6 is 1.0 at every endpoint, and one of radius 1
+        # 1e12 away is 0.0, whose power -1 is inf and log -inf: the block path
+        # gives each such row the moments the constant path gives its value
+        sampler = SemigroupSampler(self.SPECS[1], 2001, SeedSpec(324))
+        points = np.array([[0.0], [0.5]])
+        transforms = (1.5, 2.0, 4.0, -1.0, "log")
+        pairs = [(0, None, 1, None), (0, 1.5, 1, "log"), (1, -1.0, 0, 2.0)]
+        for f, value in ((ball_indicator([0.0], 1e6), 1.0), (ball_indicator([1e12], 1.0), 0.0)):
+            with np.errstate(divide="ignore"):
+                got, got_covs = sampler.moments(f, points, 1.0, transforms, pairs)
+                expected, covs = sampler.moments(constant(value), points, 1.0, transforms, pairs)
+            in_order = [{a: point[a] for a in (None, *transforms)} for point in got]
+            assert float_bits((in_order, got_covs)) == float_bits((expected, covs)), f.tag
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("level", [1e308, 1e200])
+def test_an_overflowing_sum_is_refused_without_a_warning(level):
+    # exp_cap's values near 1e308 sum past the double range, and the centred
+    # squares of values near 1e200 do: estimate refuses in one ValueError, and
+    # numpy warns of no overflow on the way
+    sampler = SemigroupSampler(stable_ou([[0.0]]), 1000, SeedSpec(106))
+    with pytest.raises(ValueError, match=re.escape(f"level={level:g}) over n = 1000 samples")):
+        sampler.estimate(exp_cap(level, 0.0, 1.0), [0.0], 0.01)
 
 
 @pytest.mark.filterwarnings("error")
