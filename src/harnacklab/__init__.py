@@ -17,15 +17,16 @@ adds about 0.22 s, linalg 0.24 s, ndimage 0.28 s, optimize and integrate
 about 0.5 s each (they load linalg and special), and interpolate 0.28 s on
 top of special.
 
-Which commands load what: a truncated driver's ``verify``, ``density``,
-``sample`` and ``estimate`` load no scipy submodule (bounded Brent, the
-tail LP and the Gauss-Jacobi rule are numpy code), nor do the Monte Carlo
-checks and ``estimate`` of a stable driver with a diagonal drift.  A
-stable density, so ``density`` on a stable driver and every
-check that evaluates p_t, loads special and interpolate, which brings
-optimize, linalg and sparse with it; a non-diagonal drift loads linalg
-(``matrix_exp``); ``kde_1d`` loads ndimage and ``time_integrated_symbol``
-integrate and linalg.
+Which commands load what: the stable density path loads no scipy submodule
+(the mixture tables' spline, series coefficients and log Phi are numpy
+code), so neither does ``density`` on a stable driver, ``stable_cdf_1d`` or
+any check that evaluates p_t; a truncated driver's ``verify``, ``density``,
+``sample`` and ``estimate`` load none either (bounded Brent, the tail LP and
+the Gauss-Jacobi rule are numpy code), nor do the Monte Carlo checks and
+``estimate`` of a stable driver with a diagonal drift.  What still loads
+scipy: ``sphere_cf``'s Bessel functions, which truncated symbols in d >= 2
+take from special; ``matrix_exp`` on a non-diagonal drift (linalg);
+``kde_1d`` (ndimage); and ``time_integrated_symbol`` (integrate and linalg).
 """
 
 __version__ = "0.1.0"

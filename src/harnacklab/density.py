@@ -150,19 +150,120 @@ class _EndSeries:
         return self.lead + self.slope * y + np.log1p(np.polynomial.polynomial.polyval(w, self.poly))
 
 
+def _not_a_knot(n: int) -> np.ndarray:
+    """The knots of the degree-7 not-a-knot spline through nodes 0, 1, ..., n - 1
+    (as scipy's make_interp_spline(k=7) sets them): node 0 and node n - 1 eight
+    times each, and nodes 4 to n - 5 once."""
+    return np.concatenate([np.zeros(8), np.arange(4.0, n - 4), np.full(8, n - 1.0)])
+
+
+def _bspline_values(knots: np.ndarray, ell: np.ndarray, u: np.ndarray):
+    """de Boor's BSPLVB, vectorized over points: for degree j = 0, ..., 7 it yields
+    the values at u of the j + 1 degree-j B-splines that are nonzero on the knot
+    interval [knots[ell], knots[ell + 1]) holding u, an array (len(u), j + 1)."""
+    h = np.ones((len(u), 1))
+    yield h
+    for j in range(1, 8):
+        r = ell[:, None] + np.arange(1, j + 1)
+        right, left = knots[r], knots[r - j]
+        w = h / (right - left)
+        h = np.zeros((len(u), j + 1))
+        h[:, 1:] = w * (u[:, None] - left)
+        h[:, :-1] += w * (right - u[:, None])
+        yield h
+
+
+def _solve_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with A x = b, A stored as ab[i, j - i + 7] with seven bands either side.
+
+    Gaussian elimination without pivoting, which is stable for a totally
+    positive matrix such as a B-spline collocation matrix (de Boor and Pinkus,
+    1977); the factors keep A's bands, so memory is O(n) and no n x n array is
+    formed.
+    """
+    n, width = ab.shape
+    a = np.zeros((n + 7) * width)  # zero rows past the end keep every slice in range
+    a[: n * width] = ab.ravel()
+    x = np.zeros(n + 7)
+    x[:n] = b
+    s = np.arange(1, 8)
+    below = s * width + 7 - s  # A[i + s, i], offset from A[i, i - 7]
+    rows = below[:, None] + np.arange(8)  # A[i + s, i + q], q = 0, ..., 7
+    for i in range(n):
+        o = i * width
+        factor = a[o + below] / a[o + 7]
+        a[o + rows] -= factor[:, None] * a[o + 7 : o + width]
+        x[i + 1 : i + 8] -= factor * x[i]
+    for i in range(n - 1, -1, -1):
+        o = i * width
+        x[i] = (x[i] - a[o + 8 : o + width] @ x[i + 1 : i + 8]) / a[o + 7]
+    return x[:n]
+
+
+def _spline_coefficients(values: np.ndarray) -> np.ndarray:
+    """B-spline coefficients of the degree-7 not-a-knot spline through ``values``
+    at nodes 0, 1, ..., n - 1: the ``c`` of scipy's make_interp_spline(k=7) on
+    those nodes, from a banded solve of the collocation system."""
+    n = len(values)
+    knots, i = _not_a_knot(n), np.arange(n)
+    ell = np.clip(i + 4, 7, n - 1)  # node i lies in [knots[ell], knots[ell + 1])
+    *_, basis = _bspline_values(knots, ell, i.astype(float))
+    ab = np.zeros((n, 15))
+    ab[i[:, None], (ell - i)[:, None] + np.arange(8)] = basis  # column ell - 7 + r
+    return _solve_banded(ab, values)
+
+
+def _power_form(coef: np.ndarray) -> np.ndarray:
+    """Taylor coefficients f^(p)(j + 4) / p!, p = 0, ..., 7, of the spline with
+    B-spline coefficients ``coef`` on the n - 9 unit cells [j + 4, j + 5) between
+    nodes 4 and n - 5: an array (n - 9, 8).
+
+    Derivative p is the degree-(7 - p) spline on the same knots whose
+    coefficients are the p-th scaled differences of ``coef`` (de Boor's
+    derivative formula), read at each cell's left end from the degree-(7 - p)
+    values that BSPLVB yields on the way to degree 7.
+    """
+    n = len(coef)
+    knots = _not_a_knot(n)
+    diffs = [coef]
+    for p in range(1, 8):
+        prev, deg = diffs[-1], 8 - p
+        d = np.zeros(n)
+        d[p:] = deg * (prev[p:] - prev[p - 1 : -1]) / (knots[p + deg : n + deg] - knots[p:n])
+        diffs.append(d)
+    ell = np.arange(8, n - 1)
+    out = np.empty((len(ell), 8))
+    for j, h in enumerate(_bspline_values(knots, ell, ell - 4.0)):
+        p = 7 - j
+        out[:, p] = (diffs[p][ell[:, None] - j + np.arange(j + 1)] * h).sum(axis=1) / math.factorial(p)
+    return out
+
+
 class _LogTable:
     """log f on y = log rho or log q: a degree-7 spline through ``log_values`` on a
-    uniform grid of ``step`` between the reaches of two end series, the series outside."""
+    uniform grid of ``step`` between the reaches of two end series, the series outside.
+
+    The spline is scipy's make_interp_spline(k=7) through the same nodes; it is
+    held in power form on the grid's cells from ``lo`` to ``hi`` and read by
+    Horner's rule.
+    """
 
     def __init__(self, log_values, below: _EndSeries, above: _EndSeries, step: float):
-        from scipy.interpolate import make_interp_spline
-
         self.below, self.above, self.lo, self.hi = below, above, below.reach, above.reach
         n = math.ceil((self.hi - self.lo) / step) + 9
         if n > TABLE_POINTS:
             raise QuadratureError(f"a mixture table needs {n} points (cap {TABLE_POINTS}): alpha is too close to 0")
         y = self.lo - 4.0 * step + step * np.arange(n)
-        self.spline = make_interp_spline(y, log_values(y), k=7)
+        self.step, self.left = step, y[4 : n - 5]
+        self.power = _power_form(_spline_coefficients(log_values(y)))
+
+    def spline(self, y: np.ndarray) -> np.ndarray:
+        cell = np.clip(np.floor((y - self.lo) / self.step), 0, len(self.left) - 1).astype(np.intp)
+        s, coef = (y - self.left[cell]) / self.step, self.power[cell]
+        out = coef[:, 7]
+        for p in range(6, -1, -1):
+            out = out * s + coef[:, p]
+        return out
 
     def __call__(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -211,18 +312,41 @@ def _log_trapezoid(log_integrand, params: np.ndarray) -> np.ndarray:
     return out
 
 
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+# log Phi(-w) takes its asymptotic series from here on, where erfc(w / sqrt 2) is
+# still 1e-197 and the series' first omitted term 34459425 w^-18 is below 1e-19
+NDTR_SERIES_FROM = 30.0
+_MILLS_SERIES = [(-1.0) ** j * math.prod(range(1, 2 * j, 2)) for j in range(8, -1, -1)]  # (-1)^j (2j - 1)!!, j = 8, ..., 0
+
+
+def _log_normal_tail(w: np.ndarray) -> np.ndarray:
+    """log Phi(-w), scipy's log_ndtr(-w), for w >= 0 elementwise: log(erfc(w / sqrt 2) / 2)
+    below NDTR_SERIES_FROM, and past it -w^2/2 - log(w sqrt(2 pi)) + log sum_j (-1)^j
+    (2j - 1)!! w^(-2j), which holds until w^2 overflows near w = 1.3e154."""
+    out = np.empty(w.shape)
+    near = w < NDTR_SERIES_FROM
+    if near.any():
+        out[near] = np.log(_erfc(w[near] / math.sqrt(2.0)).astype(float) / 2.0)
+    if not near.all():
+        far = w[~near]
+        z, series = 1.0 / (far * far), 0.0
+        for coef in _MILLS_SERIES:
+            series = series * z + coef
+        out[~near] = np.log(series) - 0.5 * far * far - np.log(far * math.sqrt(2.0 * math.pi))
+    return out
+
+
 def _log_j_table(d: int, alpha: float) -> _LogTable:
     """log J(e^y) with J(rho) = int_0^inf v^(m + d/2 - 1) exp(-v^m - rho v) dv."""
-    from scipy import special
-
     _, m, _ = _kanter_exponents(alpha)
     h, n = d / 2.0, np.arange(SERIES_TERMS + 1)
     sign = (-1.0) ** n
     # rho -> 0: (1/m) sum (-rho)^n Gamma(1 + (h + n)/m) / n!
-    lg = special.gammaln(1.0 + (h + n) / m) - special.gammaln(n + 1.0) - math.log(m)
+    lg = _lgamma(1.0 + (h + n) / m) - _lgamma(n + 1.0) - math.log(m)
     below = _EndSeries(lg, n.astype(float), sign, lower=True)
     # rho -> inf: sum (-1)^n Gamma(m + h + n m) / n! rho^(-(m + h + n m))
-    lg = special.gammaln(m + h + n * m) - special.gammaln(n + 1.0)
+    lg = _lgamma(m + h + n * m) - _lgamma(n + 1.0)
     above = _EndSeries(lg, -(m + h + n * m), sign, lower=False)
     # integrate in s = log v (m <= 1) or s = log v^m (m > 1), so that both
     # exponentials in s have rates p1, p2 at most 1
@@ -241,26 +365,24 @@ def _log_j_table(d: int, alpha: float) -> _LogTable:
 
 def _log_c_table(alpha: float) -> _LogTable:
     """log C(e^y) with C(q) = E Phi(-q sqrt(W/2)), W = E^(1/m), E standard exponential."""
-    from scipy import special
-
     _, m, _ = _kanter_exponents(alpha)
     n = np.arange(SERIES_TERMS)
     # q -> 0: 1/2 - K(q), K(q) = sum (-1)^n q^(2n+1) E (W/2)^(n+1/2) / (sqrt(2 pi) 2^n n! (2n+1))
     j = 2.0 * n + 1.0
-    lg = special.gammaln(1.0 + j / (2.0 * m)) - (j / 2.0 + n) * math.log(2.0) - special.gammaln(n + 1.0)
+    lg = _lgamma(1.0 + j / (2.0 * m)) - (j / 2.0 + n) * math.log(2.0) - _lgamma(n + 1.0)
     lg -= np.log(j) + 0.5 * math.log(2.0 * math.pi)
     below = _EndSeries(
         np.append(-math.log(2.0), lg), np.append(0.0, j), np.append(1.0, -((-1.0) ** n)), lower=True
     )
     # q -> inf: sum_{n >= 1} (-1)^(n+1) (4/q^2)^(n m) Gamma(n m + 1/2) / (2 sqrt(pi) n!)
     n = n + 1.0
-    lg = n * m * math.log(4.0) + special.gammaln(n * m + 0.5) - special.gammaln(n + 1.0)
+    lg = n * m * math.log(4.0) + _lgamma(n * m + 0.5) - _lgamma(n + 1.0)
     above = _EndSeries(lg - math.log(2.0 * math.sqrt(math.pi)), -2.0 * m * n, (-1.0) ** (n + 1), lower=False)
     if m >= 1.0:
         # s = log E: C = int exp(s - e^s) Phi(-q e^(s/(2m)) / sqrt 2) ds
         def log_integrand(s, y):
             w = np.exp(np.minimum(y + s / (2.0 * m), 300.0)) / math.sqrt(2.0)
-            return s - np.exp(np.minimum(s, 700.0)) + special.log_ndtr(-w)
+            return s - np.exp(np.minimum(s, 700.0)) + _log_normal_tail(w)
     else:
         # s = log z, z = q sqrt(W/2): C = int z phi(z) (1 - exp(-(sqrt 2 z/q)^(2m))) ds
         def log_integrand(s, y):

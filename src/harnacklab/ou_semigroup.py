@@ -362,11 +362,18 @@ def _transform(v: np.ndarray, a: float | str, out: np.ndarray) -> np.ndarray:
     """``np.log(v)`` for a = "log", else ``v ** a``, written to out.
 
     The power is the in-place operator on a copy, which takes the fast paths
-    (``v ** 2`` is a square) that ``v ** a`` takes, so out has its bits.
+    (``v ** 2`` is a square) that ``v ** a`` takes, so out has its bits.  For
+    a > 0 other than 2, a positive value below 2^(-1100/a) is set to +0.0
+    first: its power lies 25 binades below half the smallest subnormal, so it
+    rounds to +0.0 as the power of +0.0 does, and pow's slow path for an
+    underflowing result (75-250 ns a value, against 25 ns at +0.0) is never
+    taken.
     """
     if a == "log":
         return np.log(v, out=out)
     np.copyto(out, v)
+    if a > 0.0 and a != 2:
+        out[(out > 0.0) & (out < 2.0 ** (-1100.0 / a))] = 0.0
     out **= a
     return out
 

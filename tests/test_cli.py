@@ -178,11 +178,22 @@ class TestColdImport:
         code = f"from harnacklab import cli\nassert cli.main({argv!r}) == 0"
         assert _scipy_loaded_after(tmp_path, code) == []
 
-    def test_density_loads_special(self, tmp_path):
-        spec = write_json(tmp_path, "stable.json", STABLE_CFG)
-        argv = ["density", "--spec", spec, "--t", "1.0", "--radii", "0,1"]
+    def test_stable_density_and_verify_load_no_scipy_submodule(self, tmp_path):
+        # the mixture tables' spline, series and log Phi are numpy code
+        cauchy = write_json(tmp_path, "stable.json", STABLE_CFG)
+        argv = ["density", "--spec", cauchy, "--t", "1.0", "--radii", "0,1"]
         code = f"from harnacklab import cli\nassert cli.main({argv!r}) == 0"
-        assert "special" in _scipy_loaded_after(tmp_path, code)
+        assert _scipy_loaded_after(tmp_path, code) == []
+        spec = write_json(tmp_path, "d2.json", {**STABLE_CFG, "d": 2, "alpha": 1.5})
+        grid = write_json(tmp_path, "grid.json", {"t_values": [1.0], "offsets": [0.0, 1.0], "n_z": 4})
+        argv = ["verify", "--spec", spec, "--inequality", "ratio_lemma", "--grid", grid, "--out", "out"]
+        code = f"from harnacklab import cli\nassert cli.main({argv!r}) == 0"
+        assert _scipy_loaded_after(tmp_path, code) == []
+        code = (
+            "from harnacklab import StableSpec, stable_cdf_1d\n"
+            "assert 0.5 < stable_cdf_1d(StableSpec(d=1, alpha=1.2, c=1.0), 1.0, 3.0) < 1.0"
+        )
+        assert _scipy_loaded_after(tmp_path, code) == []
 
 
 class TestConfigLoading:

@@ -9,6 +9,7 @@ form, so none of them route through the package quadrature being tested.
 
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -304,8 +305,8 @@ class TestEnvelope:
     @pytest.mark.parametrize(
         "d, alpha, radii, t_grid, c1, c2",
         [
-            (1, 1.0, np.linspace(0.0, 6.0, 13)[1:], [0.5, 1.0], 0.0919996591504084, 0.9463928728259733),
-            (2, 1.5, np.linspace(0.0, 40.0, 8)[1:], [1.0], 0.008652513015089637, 1.7777110742855027),
+            (1, 1.0, np.linspace(0.0, 6.0, 13)[1:], [0.5, 1.0], 0.09199965915040842, 0.9463928728259742),
+            (2, 1.5, np.linspace(0.0, 40.0, 8)[1:], [1.0], 0.008652513015089637, 1.7777110742855025),
             # certified to scaled radius 0.55: the bulk piece alone
             (3, 0.8, np.linspace(0.0, 0.5, 6)[1:], [1.0, 2.0], 2.2278881910232467e-05, 2.2365968101294513e-05),
         ],
@@ -476,6 +477,20 @@ class TestLogTableParts:
             got, want = table(y), _log_table_every_part(table, y)
             assert got.shape == want.shape == np.shape(y)
             assert got.tobytes() == want.tobytes()
+
+    def test_a_wide_table_is_built_without_a_square_matrix(self):
+        # alpha = 0.05 takes a table of 6,268 nodes, whose n x n collocation
+        # matrix alone would hold 314 MB; the banded solve and the power form
+        # take O(n) memory, so the build peaks at its trapezoid chunks
+        tracemalloc.start()
+        try:
+            table = density._log_j_table(1, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        nodes = len(table.left) + 9
+        assert nodes > 6000
+        assert peak < 16e6 < 8.0 * nodes**2
 
 
 class TestBox:

@@ -406,13 +406,13 @@ class TestRatioLemmaReportsPinned:
         grid = default_ratio_grid(2, 1.5, t_values=[0.25, 1.0], offsets=[0.0, 1.0, 4.0], n_z=10)
         report = verify_ratio_lemma(spec, grid=grid, validation=False)
         assert hashlib.sha256(canonical_json(report.to_dict()).encode()).hexdigest() == (
-            "1bf193e647b65526b91ad4f2cba0bf24c50fc1f155b12c7f6f330367593bc6e2"
+            "0a25bed681ec2bcb41570a81c8b75ba867e4769613704a4a7a0d474b1e35b2c6"
         )
 
     def test_cauchy_default_grid_with_validation_digest(self):
         report = verify_ratio_lemma(CAUCHY, validation=True)
         assert hashlib.sha256(canonical_json(report.to_dict()).encode()).hexdigest() == (
-            "031df15e6af2a69896aa4f61c70a54153eef39c22e7f23e381d90df5b77f68e8"
+            "70e53bbc76e5c7acc962aeeea93b0886ca8869dbd8ac6c3e5392f37150277782"
         )
 
     def test_small_grid_with_validation_digest(self):
@@ -421,7 +421,7 @@ class TestRatioLemmaReportsPinned:
         grid = default_ratio_grid(2, 1.5, t_values=(0.5, 1.0), offsets=(0.0, 1.0), n_z=12)
         report = verify_ratio_lemma(spec, grid=grid, validation=True)
         assert hashlib.sha256(canonical_json(report.to_dict()).encode()).hexdigest() == (
-            "25479d50a7fb6ad531e9d7490c5e42d104c131ab4f751cb4568ff230c12fb8c2"
+            "14ad61b876226c6256b14397ad0d34c0bef082ea29d96ec9088defffac91ffba"
         )
 
 

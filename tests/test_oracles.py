@@ -17,8 +17,10 @@ truncated symbol.  In d = 2 and 3 the truncated symbol's reference sums its
 series on [0, 1] in 60-digit arithmetic and integrates the rest with
 Gauss-Legendre ``mp.quad`` on panels split every pi.  The Gauss-Jacobi rule
 behind the truncated exponent is checked against Golub-Welsch in 40-digit
-arithmetic.  Nothing here uses harnacklab except the function under test and
-its spec argument.
+arithmetic.  The numpy log Phi(-w) behind the CDF table is checked against
+mpmath's ncdf, and the spline through each mixture table against scipy's
+make_interp_spline(k=7), which the package no longer calls.  Nothing here uses
+harnacklab except the function under test and its spec argument.
 """
 
 import mpmath as mp
@@ -293,3 +295,64 @@ def test_truncated_symbol_matches_mpmath_in_higher_dimensions(d, radii, alpha):
     spec = TruncatedStableSpec(d=d, alpha=alpha, c=0.8, r=1.0)
     ref = [_truncated_symbol_radial_mp(d, alpha, 0.8, v) for v in radii]
     assert symbol_radial(spec, np.array(radii)) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_log_normal_tail_matches_mpmath():
+    # log Phi(x) for -1e130 <= x <= 0, the range the CDF table's integrand
+    # reaches, on both sides of the switch to the asymptotic series
+    from harnacklab.density import NDTR_SERIES_FROM, _log_normal_tail
+
+    switch = NDTR_SERIES_FROM
+    w = np.concatenate(
+        [
+            [0.0, 5e-324, 1e-300, 1e-8, 0.5, 1.0],
+            np.linspace(0.0, 45.0, 451),
+            np.nextafter(switch, 0.0) - np.arange(4) * 1e-13,
+            switch + np.arange(4) * 1e-13,
+            np.geomspace(45.0, 1e130, 120),
+        ]
+    )
+    with mp.workdps(40):
+        ref = np.array([float(mp.log(mp.ncdf(-mp.mpf(v)))) for v in w])
+    assert np.max(np.abs(_log_normal_tail(w) / ref - 1.0)) <= 1e-14
+
+
+def _table_spline(monkeypatch, build):
+    """The nodes, values and B-spline coefficients of the spline of the table
+    ``build()`` makes, and the table."""
+    from harnacklab import density
+
+    seen, solve = [], density._spline_coefficients
+
+    def recorded(values):
+        seen.append((values, solve(values)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(density, "_spline_coefficients", recorded)
+    table = build()
+    values, coef = seen[0]
+    return table.lo - 4.0 * table.step + table.step * np.arange(len(values)), values, coef, table
+
+
+# every density table (d, alpha) and CDF table (alpha) that the acceptance
+# criteria and the benchmark build, alpha = 1.2 and d = 3, alpha = 0.8 from the
+# unit tests, and the widest table here (alpha = 0.1)
+@pytest.mark.parametrize(
+    "kind,args",
+    [("density", (d, a)) for d, a in ((1, 0.5), (1, 1.0), (1, 1.2), (1, 1.5), (2, 1.0), (2, 1.5), (3, 0.8), (1, 0.1))]
+    + [("cdf", (a,)) for a in (0.5, 1.0, 1.2, 1.5)],
+)
+def test_table_spline_matches_make_interp_spline(monkeypatch, kind, args):
+    from scipy.interpolate import make_interp_spline
+
+    from harnacklab.density import _log_c_table, _log_j_table
+
+    build = (lambda: _log_j_table(*args)) if kind == "density" else (lambda: _log_c_table(*args))
+    y, values, coef, table = _table_spline(monkeypatch, build)
+    ref = make_interp_spline(y, values, k=7)
+    # a log f crosses 0 where f crosses 1, so coefficients and values are
+    # measured against the table's largest
+    scale = np.max(np.abs(ref.c))
+    assert np.max(np.abs(coef - ref.c)) <= 1e-13 * scale
+    u = np.linspace(table.lo, table.hi, 4001)
+    assert np.max(np.abs(table(u) - ref(u))) <= 1e-13 * scale

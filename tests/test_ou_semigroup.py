@@ -881,6 +881,27 @@ class TestBlockMoments:
             assert float_bits((in_order, got_covs)) == float_bits((expected, covs)), f.tag
 
 
+@pytest.mark.parametrize("a", [1.5, 4.0, 1.0 + 1e-6, 3.0, 300.0, 2, 2.0, 0.5, 0.0, -1.0])
+def test_transform_power_has_the_bits_of_v_to_the_a(a):
+    # _transform sets a positive value below 2^(-1100/a) to +0.0 before the
+    # power; the narrow bump's values at normal points, most of them +0.0 or
+    # subnormal, and values a few ulps either side of that threshold, of the
+    # threshold's square root and of 2^(-1075/a), where a power starts to
+    # round to the smallest subnormal, all keep the bits of v ** a
+    rng = np.random.default_rng(330)
+    bump = gaussian_bump((0.3, -0.2), 0.05)(1.5 * rng.standard_normal((4001, 2)))
+    edges = [2.0 ** (-e / a) for e in (1100.0, 550.0, 1075.0, 1074.0) if a > 0.0]
+    near = [np.nextafter(x, sign * np.inf, dtype=float) for x in edges for sign in (-1, 1)]
+    near += [np.nextafter(np.nextafter(x, 0.0), 0.0) for x in edges] + edges
+    special = [0.0, -0.0, 5e-324, 1e-320, 1.0, -1e-300, np.nan, np.inf]
+    v = np.concatenate([bump, near, special])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        got = ou_semigroup._transform(v, a, np.empty(len(v)))
+        assert got.tobytes() == (v**a).tobytes()
+    # over a third of the bump's values are positive and set to +0.0 before a 4th power
+    assert np.mean((bump > 0.0) & (bump < 2.0 ** (-1100.0 / 4.0))) > 0.3
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("level", [1e308, 1e200])
 def test_an_overflowing_sum_is_refused_without_a_warning(level):
