@@ -6,27 +6,13 @@ their increments reproducibly, and empirically verifies Harnack-type
 inequalities (power Harnack, log-Harnack, density ratio bounds) while
 fitting the existential constants those inequalities only assert to exist.
 
-Import rule: no module imports scipy at module scope.  Each function that
-calls scipy imports the submodule it needs in its own body, where a call
-sits in a hot scalar loop as ``import scipy.special``, which costs less per
-call than ``from scipy import special``.  So importing the package,
-building the CLI parser and checking a config load numpy only, and a
-command pays at cold start for the scipy it runs and no more.  On a 2-core
-x86-64 host a fresh process importing numpy takes about 0.13 s; scipy.special
-adds about 0.22 s, linalg 0.24 s, ndimage 0.28 s, optimize and integrate
-about 0.5 s each (they load linalg and special), and interpolate 0.28 s on
-top of special.
-
-Which commands load what: the stable density path loads no scipy submodule
-(the mixture tables' spline, series coefficients and log Phi are numpy
-code), so neither does ``density`` on a stable driver, ``stable_cdf_1d`` or
-any check that evaluates p_t; a truncated driver's ``verify``, ``density``,
-``sample`` and ``estimate`` load none either (bounded Brent, the tail LP and
-the Gauss-Jacobi rule are numpy code), nor do the Monte Carlo checks and
-``estimate`` of a stable driver with a diagonal drift.  What still loads
-scipy: ``sphere_cf``'s Bessel functions, which truncated symbols in d >= 2
-take from special; ``matrix_exp`` on a non-diagonal drift (linalg);
-``kde_1d`` (ndimage); and ``time_integrated_symbol`` (integrate and linalg).
+Import rule: one function imports scipy, in its own body:
+``levy_core.sphere_cf`` imports ``scipy.special`` for J_nu at d >= 2.
+No CLI command reaches it, so importing the package and running any command
+load numpy alone: the stable density tables, bounded Brent, the tail LP,
+the Gauss-Jacobi rule, the matrix exponential, Psi_t and the KDE's filter
+are numpy code.  On a 2-core x86-64 host a fresh process importing numpy
+takes about 0.13 s, and scipy.special would add about 0.22 s.
 """
 
 __version__ = "0.1.0"

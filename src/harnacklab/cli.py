@@ -214,6 +214,8 @@ def _cmd_sample(args) -> int:
     spec = _driver_from_config(cfg)
     seed = SeedSpec(args.seed)
     if isinstance(spec, StableSpec):
+        if args.epsilon is not None:
+            raise CLIError("--epsilon is the small-jump cutoff of a truncated driver; the exact stable sampler has none")
         samples = sample_rot_stable(spec, args.t, args.n, seed)
     else:
         samples = sample_truncated_stable(spec, args.t, args.epsilon, args.n, seed)
@@ -235,11 +237,7 @@ def _cmd_estimate(args) -> int:
     cfg = _read_json(args.spec, "config", validate_config)
     ou = _ou_from_config(cfg)
     x = _parse_vector(args.x, ou.d, "--x")
-    center = _parse_vector(
-        args.f_center if "," in args.f_center else ",".join([args.f_center] * ou.d),
-        ou.d,
-        "--f-center",
-    )
+    center = _parse_vector(args.f_center if "," in args.f_center else ",".join([args.f_center] * ou.d), ou.d, "--f-center")
     if args.f == "ball":
         f = ball_indicator(center, args.f_scale)
     elif args.f == "bump":
@@ -359,15 +357,8 @@ def _cmd_verify(args) -> int:
         if not report.passed:
             all_passed = False
             if out_dir is not None:
-                (out_dir / f"violations_{one}.json").write_text(
-                    indented_json(
-                        {
-                            "inequality_id": one,
-                            "violations": doc["violations"],
-                            "mc_meta": doc["mc_meta"],
-                        }
-                    )
-                )
+                violations = {"inequality_id": one, "violations": doc["violations"], "mc_meta": doc["mc_meta"]}
+                (out_dir / f"violations_{one}.json").write_text(indented_json(violations))
     return 0 if all_passed else 2
 
 
@@ -375,24 +366,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "density":
-            return _cmd_density(args)
-        if args.command == "sample":
-            return _cmd_sample(args)
-        if args.command == "estimate":
-            return _cmd_estimate(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        raise CLIError(f"unknown command {args.command!r}")
-    except (
-        CLIError,
-        ValueError,
-        OverflowError,
-        OSError,
-        NotImplementedError,
-        QuadratureError,
-        DensityEstimateError,
-    ) as exc:
+        run = {"density": _cmd_density, "sample": _cmd_sample, "estimate": _cmd_estimate, "verify": _cmd_verify}
+        return run[args.command](args)
+    except (CLIError, ValueError, OverflowError, OSError, NotImplementedError, QuadratureError, DensityEstimateError) as exc:
         print(f"harnacklab: error: {exc}", file=sys.stderr)
         return 1
 

@@ -959,6 +959,16 @@ def estimate_bound_constants(
 # KDE for the truncated process
 
 
+def _gaussian_filter(values: np.ndarray, sigma: float) -> np.ndarray:
+    """values convolved with the normalised weights exp(-k^2 / 2 sigma^2),
+    |k| <= int(8 sigma + 0.5), zero past the ends: the rule of scipy's
+    ``gaussian_filter1d(mode="constant", truncate=8.0)``, whatever the
+    kernel's length against the values'."""
+    radius = int(8.0 * sigma + 0.5)
+    kernel = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
+    return np.convolve(values, kernel / kernel.sum())[radius : radius + len(values)]
+
+
 def kde_1d(
     samples: np.ndarray,
     lo: float | None = None,
@@ -969,10 +979,8 @@ def kde_1d(
     The bandwidth is Silverman's rule evaluated on the central 98% of the
     sample; a global rule on the full sample would be wrecked by the heavy
     tails that are the whole point here.  Counts are binned once and smoothed
-    by an FFT-free Gaussian filter, so the cost is independent of n.
+    by :func:`_gaussian_filter`, so the cost is independent of n.
     """
-    from scipy.ndimage import gaussian_filter1d
-
     x = np.asarray(samples, dtype=float).ravel()
     n = len(x)
     if n < 2:
@@ -991,8 +999,7 @@ def kde_1d(
     counts, edges = np.histogram(x, bins=n_bins, range=(lo, hi))
     step = edges[1] - edges[0]
     dropped = 1.0 - counts.sum() / n
-    smoothed = gaussian_filter1d(counts.astype(float), sigma=h / step, mode="constant", truncate=8.0)
-    density = smoothed / (n * step)
+    density = _gaussian_filter(counts.astype(float), h / step) / (n * step)
     centers = 0.5 * (edges[:-1] + edges[1:])
     se = np.sqrt(np.maximum(density, 0.0) / (n * h * 2.0 * math.sqrt(math.pi)))
     return centers, density, se, h, float(dropped)

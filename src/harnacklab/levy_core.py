@@ -13,7 +13,7 @@ nonnegative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Union
 
@@ -34,6 +34,7 @@ __all__ = [
     "symbol_radial",
     "compute_c0",
     "time_integrated_symbol",
+    "matrix_exp",
     "bounded_minimum",
 ]
 
@@ -78,12 +79,7 @@ class TruncatedStableSpec:
     r: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.d, (int, np.integer)) and self.d >= 1):
-            raise ValueError(f"dimension must be a positive integer, got {self.d!r}")
-        if not 0.0 < self.alpha < 2.0:
-            raise ValueError(f"stability index must lie in (0, 2), got {self.alpha}")
-        if not self.c > 0.0:
-            raise ValueError(f"intensity must be positive, got {self.c}")
+        StableSpec.__post_init__(self)
         if not self.r > 0.0:
             raise ValueError(f"truncation radius must be positive, got {self.r}")
 
@@ -93,16 +89,9 @@ DriverSpec = Union[StableSpec, TruncatedStableSpec]
 
 def describe_spec(spec) -> dict:
     """JSON-friendly description of any spec object, for report headers."""
-    if isinstance(spec, StableSpec):
-        return {"driver": "stable", "d": spec.d, "alpha": spec.alpha, "c": spec.c}
-    if isinstance(spec, TruncatedStableSpec):
-        return {
-            "driver": "truncated_stable",
-            "d": spec.d,
-            "alpha": spec.alpha,
-            "c": spec.c,
-            "r": spec.r,
-        }
+    if isinstance(spec, (StableSpec, TruncatedStableSpec)):
+        kind = "stable" if isinstance(spec, StableSpec) else "truncated_stable"
+        return {"driver": kind, **{f.name: getattr(spec, f.name) for f in fields(spec)}}
     if isinstance(spec, OUSpec):
         doc = describe_spec(spec.driver)
         doc["A"] = np.asarray(spec.A).tolist()
@@ -128,9 +117,7 @@ class OUSpec:
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"drift matrix must be square, got shape {A.shape}")
         if A.shape[0] != self.driver.d:
-            raise ValueError(
-                f"drift matrix is {A.shape[0]}x{A.shape[0]} but driver has d={self.driver.d}"
-            )
+            raise ValueError(f"drift matrix is {A.shape[0]}x{A.shape[0]} but driver has d={self.driver.d}")
         if not np.all(np.isfinite(A)):
             raise ValueError("drift matrix has non-finite entries")
         A.setflags(write=False)
@@ -295,9 +282,7 @@ def symbol(spec: DriverSpec, xi) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     if xi.shape[-1] != spec.d:
         raise ValueError(f"xi has last axis {xi.shape[-1]}, expected d={spec.d}")
-    radius = np.linalg.norm(np.atleast_2d(xi), axis=-1)
-    vals = symbol_radial(spec, radius.ravel()).reshape(radius.shape)
-    return vals.reshape(xi.shape[:-1])
+    return symbol_radial(spec, np.linalg.norm(xi, axis=-1).ravel()).reshape(xi.shape[:-1])
 
 
 @lru_cache(maxsize=None)
@@ -319,28 +304,116 @@ def compute_c0(op_norm: float, d: int) -> float:
 # ---------------------------------------------------------------------------
 # Ornstein-Uhlenbeck characteristic functions
 
+# Gauss-Legendre nodes per panel of the Psi_t rule, the most nodes in s it
+# takes for one xi, and about the most (xi, node) pairs it holds at once.
+PSI_NODES, PSI_NODE_CAP, PSI_BLOCK = 24, 1 << 16, 1 << 20
 
-def time_integrated_symbol(spec: OUSpec, xi, t: float) -> float:
-    """integral of psi(e^(s A^T) xi) ds over [0, t].
 
-    The time-t marginal of the OU process started at x has characteristic
-    function exp(i <xi, e^(tA) x>) * exp(-time_integrated_symbol(xi, t)).
+def time_integrated_symbol(spec: OUSpec, xi, t: float):
+    """Psi_t(xi) = integral of psi(e^(s A^T) xi) ds over [0, t], by a fixed rule.
+
+    The OU marginal from x has characteristic function exp(i <xi, e^(tA) x>
+    - Psi_t(xi)).  ``xi`` of shape (..., d) gives one value per vector, each
+    with the bits of its own call.  [0, t] is cut into equal panels of ||A||
+    width at most 1/2, PSI_NODES Gauss-Legendre nodes each; a truncated
+    driver's psi wiggles with period about pi in r |xi|, so each panel is
+    also cut, per xi, into ceil(V / pi) equal parts, V the variation of
+    r |e^(s A^T) xi| read at the panel's ends and nodes.  :func:`symbol`
+    takes the vectors in blocks of about PSI_BLOCK.  Raises ValueError for a
+    negative or non-finite t, OverflowError where e^(sA) leaves the double
+    range, QuadratureError past PSI_NODE_CAP nodes.
     """
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
-    xi = np.asarray(xi, dtype=float).reshape(spec.d)
-    if t == 0.0:
-        return 0.0
-    from scipy.integrate import quad
-    from scipy.linalg import expm
+    t = float(t)
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time must be nonnegative and finite, got {t}")
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape[-1:] != (spec.d,):
+        raise ValueError(f"xi must have last axis d={spec.d}, got shape {xi.shape}")
+    flat = xi.reshape(-1, spec.d)
 
-    At = np.ascontiguousarray(spec.A.T)
+    def images(flows, rows):  # e^(s A^T) xi, shape (len(rows), len(flows), d), summed in a fixed order
+        return sum(flows[:, :, j] * flat[rows, j][:, None, None] for j in range(spec.d))
 
-    def f(s):
-        return float(symbol(spec.driver, expm(s * At) @ xi))
+    def blocks(rows, flows):
+        return np.array_split(rows, 1 + len(rows) * len(flows) // PSI_BLOCK)
 
-    val, _ = quad(f, 0.0, t, limit=200, epsabs=0.0, epsrel=1e-11)
-    return val
+    def refuse_past_cap(nodes):
+        if nodes > PSI_NODE_CAP:
+            raise QuadratureError(f"Psi_t needs {nodes:.3g} nodes in s, past the cap of {PSI_NODE_CAP}")
+
+    refuse_past_cap(2.0 * spec.op_norm * t * PSI_NODES)
+    edges = np.linspace(0.0, t, 1 + max(1, math.ceil(2.0 * spec.op_norm * t)))
+    x, w = np.polynomial.legendre.leggauss(PSI_NODES)
+    cuts = np.ones((len(flat), len(edges) - 1), dtype=int)
+    if isinstance(spec.driver, TruncatedStableSpec):
+        ends = matrix_exp(spec.A.T, (edges[:-1, None] + 0.5 * np.diff(edges)[:, None] * (1.0 + np.r_[-1.0, x, 1.0])).ravel())
+        for rows in blocks(np.arange(len(flat)), ends):
+            reach = spec.driver.r * np.linalg.norm(images(ends, rows), axis=-1).reshape(len(rows), len(edges) - 1, -1)
+            cuts[rows] = np.maximum(1, np.ceil(np.abs(np.diff(reach, axis=-1)).sum(axis=-1) / math.pi))
+    refuse_past_cap(PSI_NODES * cuts.sum(axis=1).max(initial=0))
+    out = np.zeros(len(flat))
+    patterns, which = np.unique(cuts, axis=0, return_inverse=True)
+    for k, cut in enumerate(patterns):
+        lo = np.concatenate([np.linspace(a, b, c, endpoint=False) for a, b, c in zip(edges, edges[1:], cut)])
+        half = 0.5 * np.diff(np.append(lo, t))
+        flows = matrix_exp(spec.A.T, (lo[:, None] + half[:, None] * (1.0 + x)).ravel())
+        for rows in blocks(np.flatnonzero(which.ravel() == k), flows):
+            out[rows] = (symbol(spec.driver, images(flows, rows)) * (half[:, None] * w).ravel()).sum(axis=-1)
+    return out.reshape(xi.shape[:-1])[()]
+
+
+# ---------------------------------------------------------------------------
+# the matrix exponential
+
+# Taylor terms of e^X at ||X||_1 < 1: the first one left out is below 1/19!,
+# under half an ulp of e^X >= e^(-1) I.
+EXPM_TERMS = 18
+
+
+def taylor_expm(A: np.ndarray, h, cols: np.ndarray, terms: int) -> np.ndarray:
+    """e^(hA) cols by Horner's form cols + hA (cols + hA/2 (cols + ...)) of its
+    degree-``terms`` Taylor polynomial, h broadcasting against cols (a time per
+    column or per stacked matrix), cols unwritten.  What is left out is below
+    (h ||A||)^(terms+1) / (terms+1)! e^(h ||A||)."""
+    acc = cols
+    for j in range(terms, 0, -1):
+        acc = (A / j) @ acc
+        acc *= h
+        acc += cols
+    return acc
+
+
+def matrix_exp(A: np.ndarray, t=1.0) -> np.ndarray:
+    """e^(tA), stacked over the shape of t.
+
+    A diagonal A gives diag(e^(t A_ii)), the rule and bits of scipy's expm on
+    diagonal input.  Otherwise :func:`taylor_expm` to EXPM_TERMS terms at
+    h = t / 2^k, the first with ||hA||_1 < 1, is squared k times.  Raises
+    ValueError for a non-finite t or matrix entry, and OverflowError when the
+    result leaves the double range, the only failure mode for finite square
+    input.
+    """
+    A, t = np.asarray(A, dtype=float), np.asarray(t, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix has non-finite entries")
+    if not np.all(np.isfinite(t)):
+        raise ValueError(f"time must be finite, got {t}")
+    d, times = len(A), t.reshape(-1, 1, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.count_nonzero(A) == np.count_nonzero(np.diagonal(A)):
+            out = np.exp(times * np.diagonal(A)) * np.eye(d)  # an inf makes NaNs off the diagonal
+        else:
+            k = np.maximum(np.frexp(np.abs(times) * np.abs(A).sum(axis=0).max())[1], 0)
+            out = taylor_expm(A, np.ldexp(times, -k), np.broadcast_to(np.eye(d), (len(times), d, d)), EXPM_TERMS)
+            for j in range(k.max(initial=0)):
+                square = k[:, 0, 0] > j
+                out[square] = out[square] @ out[square]
+    if not np.all(np.isfinite(out)):
+        norm = float(np.abs(t).max(initial=0.0)) * float(np.linalg.norm(A, 2))
+        raise OverflowError(f"matrix exponential overflowed for ||tA|| = {norm:.3g}")
+    return out.reshape(t.shape + (d, d))
 
 
 # ---------------------------------------------------------------------------

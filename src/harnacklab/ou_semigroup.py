@@ -28,12 +28,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .levy_core import (
-    OUSpec,
-    StableSpec,
-    compute_c0,
-    time_integrated_symbol,
-)
+from .levy_core import OUSpec, StableSpec, compute_c0, matrix_exp, taylor_expm, time_integrated_symbol
 from .sampling import (
     SeedSpec,
     _compound_poisson_gaussian,
@@ -66,41 +61,13 @@ TAYLOR_TERMS = 8
 WEIGH_SLICE = 1 << 14
 
 
-def matrix_exp(A: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """e^{tA} by scaling-and-squaring Pade (scipy.linalg.expm).
-
-    A diagonal tA has e^{tA} = diag(e^{diagonal}), the rule expm itself applies
-    to diagonal input, so it is formed here with the same bits and a diagonal
-    drift never imports scipy.linalg (about 0.24 s).  Raises ValueError for a
-    non-finite t or matrix entry, and OverflowError when the result leaves
-    the double range, which is the only failure mode for finite square input.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix has non-finite entries")
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        tA = t * A
-        if np.count_nonzero(tA) == np.count_nonzero(np.diagonal(tA)):
-            out = np.diag(np.exp(np.diagonal(tA)))
-        else:
-            from scipy.linalg import expm
-
-            out = expm(tA)
-    if not np.all(np.isfinite(out)):
-        raise OverflowError(f"matrix exponential overflowed for ||tA|| = {abs(t) * float(np.linalg.norm(A, 2)):.3g}")
-    return out
-
-
 def _jump_weigher(spec: OUSpec, t: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """weigh(u, jumps): row i of jumps times e^{u_i t A}, for u in [0, 1).
+    """weigh(u, jumps): row i of jumps becomes e^{u_i t A} times it, for u in [0, 1).
 
     [0, t] is cut into equal buckets; the weight is :func:`matrix_exp` at the
-    start of the jump's bucket times the Taylor series of e^{hA} for the time
-    h past that start, evaluated on whole coordinate arrays.
+    start of the jump's bucket times e^{hA} for the time h past that start,
+    by :func:`taylor_expm` on whole coordinate arrays, TAYLOR_TERMS terms at
+    h ||A|| <= 1/16.
     """
     A = spec.A
     buckets = max(1, math.ceil(BUCKETS_PER_UNIT * spec.op_norm * t))
@@ -114,11 +81,7 @@ def _jump_weigher(spec: OUSpec, t: float) -> Callable[[np.ndarray, np.ndarray], 
             k = np.minimum(pos.astype(np.intp), buckets - 1)
             h = (pos - k) * width
             cols = jumps[part].T
-            acc = cols  # Horner: J + (hA/1)(J + (hA/2)(J + ...))
-            for j in range(TAYLOR_TERMS, 0, -1):
-                acc = (A / j) @ acc
-                acc *= h
-                acc += cols
+            acc = taylor_expm(A, h, cols, TAYLOR_TERMS)
             cols[:] = np.einsum("mij,jm->im", starts[k], acc)
         return jumps
 
@@ -620,20 +583,15 @@ def factorization_check(spec: OUSpec, t: float) -> FactorizationReport:
         probes[:, 0] = radii * np.cos(angles)
         probes[:, 1] = radii * np.sin(angles)
     c0 = compute_c0(spec.op_norm, d)
-    mu, sf, pi = [], [], []
-    for xi in probes:
-        integral = time_integrated_symbol(spec, xi, t)
-        stable_exp = t * c0 * c * float(np.linalg.norm(xi)) ** alpha
-        mu.append(math.exp(-integral))
-        sf.append(math.exp(-stable_exp))
-        pi.append(math.exp(stable_exp - integral))
-    pi = np.array(pi)
+    integral = time_integrated_symbol(spec, probes, t)
+    stable_exp = t * c0 * c * radii**alpha
+    pi = np.exp(stable_exp - integral)
     max_excess = float(np.max(pi - 1.0))
     return FactorizationReport(
         t=t,
         probes=probes,
-        mu_hat=np.array(mu),
-        stable_factor=np.array(sf),
+        mu_hat=np.exp(-integral),
+        stable_factor=np.exp(-stable_exp),
         pi_hat=pi,
         max_excess=max_excess,
         passed=bool(max_excess <= 1e-8),

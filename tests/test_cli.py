@@ -131,8 +131,8 @@ def _loaded_after(tmp_path, code: str, names: list[str]) -> list[str]:
 
 
 class TestColdImport:
-    """scipy is imported by the function that calls it, so a command loads
-    only the submodules its own work needs."""
+    """scipy is imported by the one function that calls it, which no command
+    reaches, so no command loads a scipy submodule."""
 
     def test_parser_and_config_check_load_no_scipy_submodule(self, tmp_path):
         code = (
@@ -148,7 +148,18 @@ class TestColdImport:
         grid = write_json(tmp_path, "grid.json", {"n": 1000})
         argv = ["verify", "--spec", spec, "--inequality", "harnack_ou", "--grid", grid, "--out", "out"]
         code = f"from harnacklab import cli\nassert cli.main({argv!r}) == 0"
-        assert "linalg" not in _scipy_loaded_after(tmp_path, code)
+        assert _scipy_loaded_after(tmp_path, code) == []
+
+    def test_skew_drift_verify_and_estimate_load_no_scipy_submodule(self, tmp_path):
+        # e^{tA} off the diagonal is the numpy Taylor kernel, squared
+        spec = write_json(tmp_path, "skew.json", {**STABLE_CFG, "d": 2, "alpha": 1.5, "A": [[0.5, 1.0], [0.0, -0.5]]})
+        grid = write_json(tmp_path, "grid.json", {"n": 1000})
+        for argv in (
+            ["verify", "--spec", spec, "--inequality", "all", "--grid", grid, "--out", "out"],
+            ["estimate", "--spec", spec, "--t", "0.5", "--x", "0.5,-0.25", "--n", "1000", "--out", "est.json"],
+        ):
+            code = f"from harnacklab import cli\nassert cli.main({argv!r}) == 0"
+            assert _scipy_loaded_after(tmp_path, code) == [], argv[0]
 
     def test_config_check_and_young_report_load_no_jsonschema(self, tmp_path):
         # jsonschema is a test dependency only: the package checks schemas itself
@@ -312,6 +323,18 @@ class TestSampleCommand:
         err = capsys.readouterr().err
         assert rc == 1 and drawn == []
         assert err.startswith("harnacklab: error: ") and err.count("\n") == 1 and "drift A" in err
+        assert not out.exists() and not (tmp_path / "dump.bin.json").exists()
+
+    def test_refuses_epsilon_for_a_stable_driver(self, tmp_path, capsys, monkeypatch):
+        # the exact stable sampler has no small-jump cutoff to set
+        drawn = []
+        monkeypatch.setattr(cli, "sample_rot_stable", lambda *a: drawn.append(a))
+        cfg = write_json(tmp_path, "cauchy.json", {"driver": "stable", "d": 1, "alpha": 1.0, "c": 1.0})
+        out = tmp_path / "dump.bin"
+        rc = main(["sample", "--spec", cfg, "--t", "1", "--n", "5", "--epsilon", "0.1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and drawn == []
+        assert err.startswith("harnacklab: error: ") and err.count("\n") == 1 and "--epsilon" in err
         assert not out.exists() and not (tmp_path / "dump.bin.json").exists()
 
     def test_zero_drift_is_sampled(self, tmp_path):

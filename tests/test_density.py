@@ -591,6 +591,18 @@ class TestKde:
         with pytest.raises(ValueError):
             kde_1d(np.array([1.0]))
 
+    @pytest.mark.parametrize("sigma, size", [(0.7, 512), (4.2, 512), (300.0, 512), (4.2, 20)])
+    def test_filter_matches_ndimage(self, sigma, size):
+        # the numpy filter against scipy's, which the test extra provides as an
+        # oracle; sigma = 300 and 20 bins at 4.2 give a kernel longer than the bins
+        from scipy.ndimage import gaussian_filter1d
+
+        counts = np.random.default_rng(17).poisson(50.0, size).astype(float)
+        want = gaussian_filter1d(counts, sigma, mode="constant", truncate=8.0)
+        got = density._gaussian_filter(counts, sigma)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
 
 class TestTruncatedDensity:
     SPEC = TruncatedStableSpec(d=1, alpha=1.0, c=1.0, r=1.0)

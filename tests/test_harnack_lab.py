@@ -729,7 +729,7 @@ class TestSemigroupReportsPinned:
         )
         report = verify_harnack(spec, n=2000, seed=SeedSpec(7), validation=True)
         assert hashlib.sha256(canonical_json(report.to_dict()).encode()).hexdigest() == (
-            "0ae572945561a349aecaf8a9d5430b54c0a34f46111fdc0806dd19a6766d4c5e"
+            "828f7ecc9d6394b049df84971ed05d8c09eb63d8a52ea40562f6c59c8f824bb9"
         )
 
 

@@ -9,6 +9,8 @@ is the oracle for it.
 """
 
 import math
+import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -30,6 +32,7 @@ from harnacklab import (
     symbol_radial,
     time_integrated_symbol,
 )
+from harnacklab import levy_core
 from harnacklab.levy_core import (
     bounded_minimum,
     one_minus_cos,
@@ -263,6 +266,110 @@ class TestOUCharacteristics:
         assert time_integrated_symbol(spec, np.array([1.0]), 0.0) == 0.0
         with pytest.raises(ValueError):
             time_integrated_symbol(spec, np.array([1.0]), -0.5)
+
+
+def quad_exponent(spec, xi, t):
+    """Psi_t(xi) by adaptive quad over scipy's expm, sharing no code with the rule."""
+    from scipy.linalg import expm
+
+    f = lambda s: float(symbol(spec.driver, expm(s * spec.A.T) @ xi))  # noqa: E731
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        return integrate.quad(f, 0.0, t, limit=500, epsabs=0.0, epsrel=1e-13)[0]
+
+
+class TestTimeIntegratedSymbolRule:
+    """The fixed Gauss-Legendre rule in s against oracles that share no code with it."""
+
+    @pytest.mark.parametrize("a", [-400.0, -1.0, 0.0, 0.5, 20.0])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_conformal_closed_form(self, a, d):
+        # A = aI plus a skew part: |e^(s A^T) xi| = e^(as) |xi|, so
+        # Psi_t = psi(xi) (e^(alpha a t) - 1) / (alpha a), t psi(xi) at a = 0
+        A = a * np.eye(d) + (np.array([[0.0, 1.3], [-1.3, 0.0]]) if d == 2 else 0.0)
+        xi = np.array([0.7, -0.4][:d])
+        for alpha in (1.5, 0.5):
+            spec = OUSpec(A=A, driver=StableSpec(d=d, alpha=alpha))
+            psi = float(symbol(spec.driver, xi))
+            for t in (0.01, 0.5, 1.0, 2.0):
+                want = t * psi if a == 0.0 else psi * math.expm1(alpha * a * t) / (alpha * a)
+                assert time_integrated_symbol(spec, xi, t) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("A", [
+        [[0.5, 1.0], [0.0, -0.5]],
+        [[0.5, 0.0], [0.0, 0.5]],
+        [[-400.0, 0.0], [0.0, -400.0]],
+        [[-400.0, 3.0], [0.0, -1.0]],
+        [[0.0, 1.0], [-1.0, 0.0]],
+    ])
+    def test_matches_adaptive_quadrature(self, A):
+        drivers = [StableSpec(2, 1.5), StableSpec(2, 0.5), TruncatedStableSpec(2, 1.5, 1.0, 1.0)]
+        for driver in drivers:
+            spec = OUSpec(A=np.array(A), driver=driver)
+            for t in (0.01, 0.5, 1.0):
+                for xi in (np.array([0.7, -0.4]), np.array([3.0, 1.0])):
+                    want = quad_exponent(spec, xi, t)
+                    assert time_integrated_symbol(spec, xi, t) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_elliptic_drift_over_many_periods(self):
+        # |e^(s A^T) xi| oscillates without decaying, so every panel of the
+        # rule must be narrow in ||A|| s, not only those near the ends
+        spec = OUSpec(A=np.array([[0.0, 1.0], [-4.0, 0.0]]), driver=StableSpec(2, 1.5))
+        xi = np.array([0.7, -0.4])
+        assert time_integrated_symbol(spec, xi, 50.0) == pytest.approx(quad_exponent(spec, xi, 50.0), rel=1e-12)
+
+    def test_doubled_nodes_agree(self, monkeypatch):
+        spec = OUSpec(A=np.array([[0.5, 1.0], [0.0, -0.5]]), driver=TruncatedStableSpec(2, 0.7, 1.0, 0.3))
+        xis = np.array([[3.0, 1.0], [30.0, -20.0]])
+        got = time_integrated_symbol(spec, xis, 2.0)
+        monkeypatch.setattr(levy_core, "PSI_NODES", 48)
+        assert np.allclose(got, time_integrated_symbol(spec, xis, 2.0), rtol=1e-12, atol=0.0)
+
+    def test_node_cap_is_one_error(self):
+        # r |e^(sA) xi| reaches 2e4 here: about 1.6e5 nodes would be needed
+        spec = OUSpec(A=20.0 * np.eye(2), driver=TruncatedStableSpec(2, 0.7, 1.0, 0.3))
+        with pytest.raises(QuadratureError, match=r"past the cap of 65536$"):
+            time_integrated_symbol(spec, np.array([3.0, 1.0]), 0.5)
+
+    @pytest.mark.parametrize("driver", [StableSpec(2, 1.5), TruncatedStableSpec(2, 1.5, 1.0, 1.0)])
+    def test_vectors_have_the_bits_of_scalar_calls(self, driver):
+        spec = OUSpec(A=np.array([[0.5, 1.0], [0.0, -0.5]]), driver=driver)
+        xis = np.random.default_rng(5).normal(scale=8.0, size=(3, 4, 2))
+        got = time_integrated_symbol(spec, xis, 0.7)
+        assert got.shape == (3, 4)
+        for idx in np.ndindex(3, 4):
+            assert got[idx] == time_integrated_symbol(spec, xis[idx], 0.7)
+
+    def test_many_vectors_on_a_wide_rule_are_blocked(self):
+        # 200 xi at 19,200 nodes each: held all at once, their images and
+        # symbol temporaries peak at about 186 MB
+        spec = OUSpec(A=-400.0 * np.eye(2) + np.array([[0.0, 1.3], [-1.3, 0.0]]), driver=StableSpec(2, 1.5))
+        xis = np.random.default_rng(1).normal(size=(200, 2))
+        tracemalloc.start()
+        try:
+            got = time_integrated_symbol(spec, xis, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+        assert got[7] == time_integrated_symbol(spec, xis[7], 1.0)
+
+    def test_refusals_raise_without_warnings(self):
+        spec = OUSpec(A=np.array([[0.5, 1.0], [0.0, -0.5]]), driver=StableSpec(2, 1.5))
+        xi = np.array([0.7, -0.4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (-1.0, math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match="nonnegative and finite"):
+                    time_integrated_symbol(spec, xi, t)
+            for t in (2000.0, 1e300):
+                with pytest.raises(QuadratureError, match="past the cap"):
+                    time_integrated_symbol(spec, xi, t)
+            # e^(750 s) leaves the double range inside the cap
+            with pytest.raises(OverflowError, match="overflowed"):
+                time_integrated_symbol(OUSpec(A=np.array([[750.0]]), driver=StableSpec(1, 1.5)), xi[:1], 1.0)
+            with pytest.raises(ValueError, match="last axis"):
+                time_integrated_symbol(spec, np.ones(3), 1.0)
 
 
 class TestSpecs:

@@ -6,6 +6,7 @@ import re
 import warnings
 import weakref
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -34,9 +35,15 @@ from harnacklab import (
 from harnacklab import ou_semigroup
 from harnacklab.harnack_lab import default_comparison_grid, validation_comparison_grid
 from harnacklab.ou_semigroup import TestFunction as ParametricFunction
-from harnacklab.levy_core import compute_sigma, sphere_surface
+from harnacklab.levy_core import compute_sigma, sphere_surface, taylor_expm
 from harnacklab.ou_semigroup import _gramian_factor, _jump_weigher
 from harnacklab.sampling import SPLIT_CF_ERROR, _jump_part, _split_cutoff
+
+
+def mp_expm(A, t):
+    """e^{tA} by mpmath at 40 digits, rounded to doubles."""
+    with mpmath.workdps(40):
+        return np.array((mpmath.expm(mpmath.matrix(A.tolist()) * t)).tolist(), dtype=float)
 
 
 def stable_ou(A, d=1, alpha=1.0, c=1.0):
@@ -129,9 +136,26 @@ class TestMatrixExp:
         ],
     )
     def test_other_input_is_expm(self, A):
+        # scaling and squaring of the Taylor kernel, against mpmath at 40 digits
         A = np.asarray(A, dtype=float)
         for t in (0.1, 1.0, -2.0):
-            assert matrix_exp(A, t).tobytes() == expm(t * A).tobytes()
+            want = mp_expm(A, t)
+            assert np.abs(matrix_exp(A, t) - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_strongly_contracting_triangular_drift(self):
+        # e^{-400 t} next to e^{-t}, through up to ten squarings
+        A = np.array([[-400.0, 3.0], [0.0, -1.0]])
+        for t in (0.01, 0.5, 1.0, 2.0):
+            want = mp_expm(A, t)
+            assert np.abs(matrix_exp(A, t) - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_kernel_is_the_taylor_polynomial(self):
+        # e^{hA} cols to degree 3, term by term, with one h per column
+        A = np.array([[0.5, 1.0], [-2.0, 0.25]])
+        cols, h = np.array([[1.0, -0.5], [2.0, 3.0]]), np.array([0.1, -0.3])
+        want = sum(np.stack([np.linalg.matrix_power(hi * A, k) @ c for hi, c in zip(h, cols.T)], axis=1)
+                   / math.factorial(k) for k in range(4))
+        assert np.allclose(taylor_expm(A, h, cols.copy(), 3), want, rtol=1e-15, atol=1e-15)
 
 
 class TestSampleOU:
