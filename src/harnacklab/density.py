@@ -85,6 +85,9 @@ TABLE_POINTS = 1 << 16
 TRAPEZOID_NODES = 1 << 27
 # Windows leave out what lies PEAK_DROP below an integrand's peak (e^-45 ~ 3e-20).
 PEAK_DROP = 45.0
+# A density call hands the mixture rule its radii RADII_BLOCK at a time, which
+# bounds the panel terms it holds (about 22 kB a radius at d=2, alpha=1.5).
+RADII_BLOCK = 1024
 # phi-panels: 8 Gauss-Legendre nodes each, one curvature scale of the
 # tabulated integrand wide in log rho (or log q).
 _GL = np.polynomial.legendre.leggauss(8)
@@ -528,7 +531,10 @@ def _log_radial_densities(spec: StableSpec, t: float, radii) -> np.ndarray:
         _, m, k = _kanter_exponents(alpha)
         c = 2.0 * np.log(r) - math.log(4.0) - k * log_tb / m
         log_const = math.log(m / math.pi) - 0.5 * d * math.log(4.0 * math.pi)
-        logs[~at_origin] = log_const + _density_rule(d, alpha).log_integrals(log_tb, c)
+        # a radius's panel terms depend on its panel indices alone, so blocks keep the bits
+        rule = _density_rule(d, alpha)
+        blocks = [rule.log_integrals(log_tb, c[lo : lo + RADII_BLOCK]) for lo in range(0, len(c), RADII_BLOCK)]
+        logs[~at_origin] = log_const + np.concatenate(blocks)
     return logs
 
 
@@ -688,7 +694,9 @@ def _exponent(alpha: float, w: np.ndarray) -> np.ndarray:
     mid = (size > 8.0) & ~far
     out[size <= 8.0] = poly(w[size <= 8.0] ** 2)
     h = np.sinh(0.5 * np.multiply.outer(w[mid], u))
-    out[mid] = (2.0 * h * h / u**2) @ weights
+    # summed row by row, not by a BLAS matmul, whose rounding of a row depends on its place in
+    # the call: G at a node is then the same whatever other nodes share its call
+    out[mid] = (2.0 * h * h / u**2 * weights).sum(axis=1)
     wf, tail = w[far], 0.0
     for z in (wf, -wf):
         term = total = np.ones_like(z)
@@ -761,12 +769,33 @@ def truncated_density(spec: TruncatedStableSpec, t: float, x):
     if len(live) and u[live].max() > u_tab[-1]:
         raise QuadratureError(f"|x|={y[live].max():g} lies past the truncated density's tilt table at t={t:g}")
     levels, level = np.unique(np.rint(np.interp(u[live], u_tab, s_tab)), return_inverse=True)
-    for q, a in enumerate(np.interp(levels, s_tab, a_tab)):
-        idx, g0 = live[level == q], float(poly(a * a))
+    a_level = np.interp(levels, s_tab, a_tab)
+    g0_level, g3 = poly(a_level * a_level), float(poly(9.0))
+
+    def integrate(batch):
+        """Each level's integral from one _exponent call on all the batch's nodes."""
+        g = _exponent(alpha, np.concatenate([a + 1j * nodes for _, a, _, _, nodes in batch]))
+        ends = np.cumsum([len(nodes) for *_, nodes in batch[:-1]])
+        for (idx, a, g0, weights, nodes), g_level in zip(batch, np.split(g, ends)):
+            z = ttau * (g_level - g0)
+            mag = np.exp(z.real) * weights
+            keep = mag > 0.0
+            mag, phase, nodes = mag[keep], z.imag[keep], nodes[keep]
+            step = max(1, (1 << 22) // len(nodes))
+            for part in (idx[lo : lo + step] for lo in range(0, len(idx), step)):
+                vals = np.cos(phase - np.multiply.outer(u[part], nodes)) @ mag
+                if not np.all(vals > 1e-6 * mag.sum()):  # cancelled to 1e-6 of its |integrand|
+                    raise QuadratureError(f"the truncated density lost its accuracy at t={t:g}")
+                log_p[part] = ttau * g0 - a * u[part] + np.log(vals / math.pi) - math.log(r)
+
+    # the levels' xi-rules go to _exponent together, at most XI_NODES nodes a call
+    batch, size = [], 0
+    for q, a in enumerate(a_level):
+        idx, g0 = live[level == q], float(g0_level[q])
         # the level's integrand is below e^-CF_DROP past end: Re G(a + ib) - G(a) <= a^alpha G(3)
         # + 2 (cosh a - 1) / b - G(a), as (cosh au - 1) u^(-1-alpha) rises on [3 / a, 1] (second
         # mean value theorem there) and integrates to a^alpha G(3) on [0, 3 / a]
-        excess = g0 - a**alpha * float(poly(9.0)) - CF_DROP / ttau
+        excess = g0 - a**alpha * g3 - CF_DROP / ttau
         end = min(reach, 4.0 * math.sinh(0.5 * a) ** 2 / excess) if a >= 3.0 and excess > 0.0 else reach
         width = 5.0 * math.pi / (float(u[idx].max()) + 1.0 + 4.0 * min(1.0, ttau * math.cosh(a)))
         edges = [0.0, min(0.5 / (math.sqrt(ttau) * float(np.interp(a, a_tab, root))), end)]
@@ -779,16 +808,13 @@ def truncated_density(spec: TruncatedStableSpec, t: float, x):
             )
         half = 0.5 * np.diff(edges)[:, None]
         nodes = (np.array(edges[:-1])[:, None] + half * (1.0 + gl_x)).ravel()
-        z = ttau * (_exponent(alpha, a + 1j * nodes) - g0)
-        mag = np.exp(z.real) * (half * gl_w).ravel()
-        keep = mag > 0.0
-        mag, phase, nodes = mag[keep], z.imag[keep], nodes[keep]
-        step = max(1, (1 << 22) // len(nodes))
-        for part in (idx[lo : lo + step] for lo in range(0, len(idx), step)):
-            vals = np.cos(phase - np.multiply.outer(u[part], nodes)) @ mag
-            if not np.all(vals > 1e-6 * mag.sum()):  # cancelled to 1e-6 of its |integrand|
-                raise QuadratureError(f"the truncated density lost its accuracy at t={t:g}")
-            log_p[part] = ttau * g0 - a * u[part] + np.log(vals / math.pi) - math.log(r)
+        if size + len(nodes) > XI_NODES:
+            integrate(batch)
+            batch, size = [], 0
+        batch.append((idx, a, g0, (half * gl_w).ravel(), nodes))
+        size += len(nodes)
+    if batch:
+        integrate(batch)
     if np.any(np.isnan(log_p) | (log_p > 709.0)):
         raise OverflowError(f"the truncated density at t={t:g} leaves the range of a double")
     values = np.exp(log_p)

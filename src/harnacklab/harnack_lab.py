@@ -1078,29 +1078,32 @@ def _margins_by_dim(margins_of, cases: list[tuple]) -> list[float]:
 SUITE_MAX_DIM = 20
 
 
+def _battery_case(rng: np.random.Generator, kind: str, m: int) -> tuple:
+    """One Young (mu, g, h) or Jensen (mu, f) case of dimension m, drawn as dirichlet(ones(m)),
+    exponential(1, m) and uniform(0, log 1e6, m) draw it, bit for bit, without their call cost."""
+    e = rng.standard_exponential(2 * m if kind == "young" else m)
+    # numpy's Dirichlet at all-ones alpha: exponentials times the reciprocal of their sequential sum
+    mu = e[:m] * (1.0 / e[:m].cumsum()[-1])
+    if kind != "young":
+        return mu, np.exp(rng.normal(0.0, 2.0, m))
+    # a sprinkling of exact zeros exercises the 0 log 0 convention
+    g = e[m:] * (rng.random(m) > 0.15)
+    while not float(mu @ g) > 0.0:
+        g = rng.standard_exponential(m)
+    return mu, g, math.log(1e6) * rng.random(m)
+
+
 def _finite_measure_suite(kind: str, n_cases: int, seed: SeedSpec) -> InequalityReport:
     rng = seed.rng()
-    cases = []
-    for _ in range(n_cases):
-        m = int(rng.integers(1, SUITE_MAX_DIM + 1))
-        mu = rng.dirichlet(np.ones(m))
-        if kind == "young":
-            g = rng.exponential(1.0, m)
-            # a sprinkling of exact zeros exercises the 0 log 0 convention
-            g = g * (rng.random(m) > 0.15)
-            while not float(mu @ g) > 0.0:
-                g = rng.exponential(1.0, m)
-            h = rng.uniform(0.0, math.log(1e6), m)
-            cases.append((mu, g, h))
-        else:
-            f = np.exp(rng.normal(0.0, 2.0, m))
-            cases.append((mu, f))
+    cases = [_battery_case(rng, kind, int(rng.integers(1, SUITE_MAX_DIM + 1))) for _ in range(n_cases)]
     margins = _margins_by_dim(_young_margins if kind == "young" else _jensen_margins, cases)
     results, violations = [], []
+    # each node's x (its dimension) and y (its case index) are rows of one array
+    points = np.array([(float(len(case[0])), float(i)) for i, case in enumerate(cases)])[:, :, None]
     for i, (case, margin) in enumerate(zip(cases, margins)):
         m = len(case[0])
         res = NodeResult(
-            node=Node(t=0.0, x=np.array([float(m)]), y=np.array([float(i)])),
+            node=Node(t=0.0, x=points[i, 0], y=points[i, 1]),
             lhs=-margin,
             rhs_shape=1.0,
             slack=0.0,

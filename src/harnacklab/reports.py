@@ -78,7 +78,12 @@ def _indented(doc, node: _Node | None = None) -> str:
     return "".join(parts)
 
 
-def _put_indented(obj, newline: str, put, node: _Node | None = None) -> None:
+def _put_indented(obj, newline: str, put, node: _Node | None = None, layouts: dict | None = None) -> None:
+    """Check ``obj`` against ``node`` and put its text.  ``layouts`` holds, for
+    one document, each dict shape's layout: its sorted keys, each with the text
+    before its value (False for a key that is not a str) and its schema node."""
+    if layouts is None:
+        layouts = {}
     if node is not None:
         node.check(obj)
     tp = type(obj)
@@ -92,21 +97,39 @@ def _put_indented(obj, newline: str, put, node: _Node | None = None) -> None:
         if not obj:
             put("{}")
             return
-        props = {} if node is None else node.properties
         inner = newline + "  "
-        sep = "{" + inner
-        for key in sorted(obj):
-            if type(key) is not str:
+        shape = (tuple(obj), tuple(map(type, obj)), newline, node)
+        layout = layouts.get(shape)
+        if layout is None:
+            props = {} if node is None else node.properties
+            seps = ["{" + inner] + ["," + inner] * (len(obj) - 1)
+            layout = layouts[shape] = [
+                (key, type(key) is str and sep + _STR_TEXT(key) + ": ", props.get(key))
+                for key, sep in zip(sorted(obj), seps)
+            ]
+        for key, prefix, child in layout:
+            if not prefix:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            put(sep)
-            put(_STR_TEXT(key))
-            put(": ")
+            put(prefix)
+            value = obj[key]
+            # a finite float, or a list of them, that its node lets through unread
+            if type(value) is float:
+                if (child is None or child.float_leaf) and value - value == 0.0:
+                    put(_FLOAT_TEXT(value))
+                    continue
+            elif type(value) is list and value and (child is None or child.float_vector):
+                try:
+                    text = ("," + inner + "  ").join(map(_FLOAT_TEXT, value))
+                except TypeError:  # an item that is not a float
+                    text = "n"
+                if "n" not in text:  # a float's repr holds an "n" only as inf or nan
+                    put("[" + inner + "  " + text + inner + "]")
+                    continue
             try:
-                _put_indented(obj[key], inner, put, props.get(key))
+                _put_indented(value, inner, put, child, layouts)
             except SchemaError as exc:
                 exc.path = (key, *exc.path)
                 raise
-            sep = "," + inner
         put(newline + "}")
     elif tp is list:
         if not obj:
@@ -118,7 +141,7 @@ def _put_indented(obj, newline: str, put, node: _Node | None = None) -> None:
         for i, item in enumerate(obj):
             put(sep)
             try:
-                _put_indented(item, inner, put, items)
+                _put_indented(item, inner, put, items, layouts)
             except SchemaError as exc:
                 exc.path = (i, *exc.path)
                 raise
@@ -225,6 +248,10 @@ class _Node:
         self.properties = {key: _Node(sub, name) for key, sub in schema.get("properties", {}).items()}
         self.items = _Node(schema["items"], name) if "items" in schema else None
         self.min_items = schema.get("minItems", 0)
+        # check() passes every finite float, and every list of finite floats, unread
+        self.float_leaf = (self.types is None or float in self.types) and self.enum is None and not self.bounds
+        vectors = (self.types is None or list in self.types) and self.enum is None and not self.min_items
+        self.float_vector = vectors and (self.items is None or self.items.float_leaf)
 
     def check(self, v) -> None:
         """Raise SchemaError if ``v`` fails this node's own keywords."""

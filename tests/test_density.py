@@ -8,9 +8,13 @@ form, so none of them route through the package quadrature being tested.
 """
 
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,7 @@ from harnacklab import (
     truncated_density,
     truncated_density_estimate,
 )
+import harnacklab
 from harnacklab import density
 from harnacklab.density import _fit_tail_envelope
 from harnacklab.levy_core import bounded_minimum, sphere_surface
@@ -365,6 +370,34 @@ class TestBatchedInversion:
         assert np.array_equal(shuffled, single[order])
         assert np.array_equal(stable_density_grid(spec, t, _axis_points(d, radii[::3])).values, single[::3])
 
+    def test_radii_blocks_keep_the_bits(self, monkeypatch):
+        spec = StableSpec(d=2, alpha=1.5, c=1.0)
+        radii = np.concatenate([[0.0], np.geomspace(1e-3, 1e4, 300)])
+        assert len(radii) <= density.RADII_BLOCK
+        one_block = density._log_radial_densities(spec, 0.5, radii)
+        monkeypatch.setattr(density, "RADII_BLOCK", 7)
+        assert density._log_radial_densities(spec, 0.5, radii).tobytes() == one_block.tobytes()
+
+    def test_radii_blocks_bound_the_memory(self, tmp_path):
+        # 10,000 radii at d=2, alpha=1.5 grew the peak RSS by 222 MB when the
+        # rule held every radius's panel terms at once; in blocks, by 23 MB
+        code = (
+            "import resource, numpy as np\n"
+            "from harnacklab import density, StableSpec\n"
+            "spec = StableSpec(d=2, alpha=1.5, c=1.0)\n"
+            "density._log_radial_densities(spec, 1.0, np.array([0.5, 1.0]))\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "density._log_radial_densities(spec, 1.0, np.logspace(-2.0, 3.0, 10000))\n"
+            "print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024.0)\n"
+        )
+        src = str(Path(harnacklab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 64.0
+
     def test_grid_meta_counts_methods_and_clamps(self):
         spec = StableSpec(d=1, alpha=0.5, c=1.0)
         radii = [0.0, 0.5, 30.0, 1e6, 3e6]
@@ -645,6 +678,51 @@ class TestTruncatedDensity:
         # alone, its tilt level's rule may differ: the same value to rounding
         assert truncated_density(self.SPEC, 0.5, 2.5) == pytest.approx(p[1, 0], rel=1e-13, abs=0.0)
         assert isinstance(truncated_density(self.SPEC, 0.5, 2.5), float)
+
+    @pytest.mark.parametrize(
+        "alpha,r,t,hexes",
+        [
+            (1.8, 0.5, 0.5, ["0x1.163d34801c7a2p-4", "0x1.87de7dcaaa938p-3", "0x1.850efc801fbc8p-3",
+                             "0x1.5d3e60855d5cfp-3", "0x1.ee844a918feeap-4", "0x1.f1ffaeff2f990p-6",
+                             "0x1.089a3556184d4p-13"]),
+            (1.8, 0.5, 2.0, ["0x1.2e6c64e1317efp-4", "0x1.87ad7e0c6ce5dp-4", "0x1.86f9919da0600p-4",
+                             "0x1.7c9526da15b08p-4", "0x1.5d2605859762fp-4", "0x1.eea6c2290d1bep-5",
+                             "0x1.f272aa6c91140p-7"]),
+            (1.5, 1.0, 0.5, ["0x1.e058c0a962e0ap-6", "0x1.249214e1c7783p-2", "0x1.1fcbe4406df95p-2",
+                             "0x1.c23fe31d20c6fp-3", "0x1.a03d62bf1450ap-4", "0x1.6bf3deb43864ep-8",
+                             "0x1.2cfd9822a80a3p-22"]),
+            (1.5, 1.0, 2.0, ["0x1.48517b5433f3fp-4", "0x1.21c615a127f95p-3", "0x1.20a136faba8dfp-3",
+                             "0x1.10018391d9421p-3", "0x1.c20b57e5844c0p-4", "0x1.a6db4057a7a6ap-5",
+                             "0x1.59373d8dbf691p-9"]),
+        ],
+    )
+    def test_values_of_many_levels_pinned(self, alpha, r, t, hexes):
+        # the truncated-mc driver and alpha = 1.5 with c = r = 1; each call
+        # spans three to five tilt levels
+        spec = TruncatedStableSpec(d=1, alpha=alpha, c=1.0, r=r)
+        p = truncated_density(spec, t, np.array([-3.0, 0.0, 0.25, 1.0, 2.0, 4.0, 8.0]))
+        assert [v.hex() for v in p.tolist()] == hexes
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.8, 1.99])
+    def test_exponent_is_computed_node_by_node(self, alpha):
+        # the levels' nodes share one _exponent call, so G at a node must not
+        # depend on the other nodes of the call: in the series, the
+        # Gauss-Jacobi rule and the far asymptote alike
+        rng = np.random.default_rng(11)
+        reached = np.zeros(3, dtype=bool)  # series, rule, asymptote
+        for _ in range(20):
+            n = int(rng.integers(2, 400))
+            w = np.geomspace(0.01, 120.0, n)[rng.permutation(n)] * np.exp(0.5j * math.pi * rng.random(n))
+            size = np.abs(w)
+            far = (size >= 48.0) & (size - w.real >= 40.0)
+            reached |= [np.any(size <= 8.0), np.any((size > 8.0) & ~far), np.any(far)]
+            whole = density._exponent(alpha, w)
+            cuts = np.sort(rng.choice(np.arange(1, n), size=min(n - 1, 12), replace=False))
+            parts = np.concatenate([density._exponent(alpha, part) for part in np.split(w, cuts)])
+            assert parts.tobytes() == whole.tobytes()
+        assert reached.all()
+        singles = np.concatenate([density._exponent(alpha, w[i : i + 1]) for i in range(0, n, 7)])
+        assert singles.tobytes() == whole[::7].tobytes()
 
     def test_values_below_the_smallest_double_are_zero(self):
         p = truncated_density(self.SPEC, 0.5, np.array([0.0, 1e3, 1e300]))

@@ -21,6 +21,7 @@ from harnacklab.density import BoundConstants, stable_density
 from harnacklab.harnack_lab import (
     INEQUALITY_IDS,
     SUITE_MAX_DIM,
+    _battery_case,
     _jensen_margins,
     _young_margins,
     InequalityReport,
@@ -981,12 +982,46 @@ class TestFiniteMeasureSuites:
         json.dumps(report.to_dict())
 
 
+class TestBatteryDraws:
+    """The batteries' draws against the numpy calls they stand for, bit for
+    bit and with the generator left in the same state."""
+
+    @staticmethod
+    def _numpy_case(rng, kind, m):
+        mu = rng.dirichlet(np.ones(m))
+        if kind == "jensen":
+            return (mu, np.exp(rng.normal(0.0, 2.0, m))), 0
+        g = rng.exponential(1.0, m)
+        g = g * (rng.random(m) > 0.15)
+        redraws = 0
+        while not float(mu @ g) > 0.0:
+            g = rng.exponential(1.0, m)
+            redraws += 1
+        return (mu, g, rng.uniform(0.0, math.log(1e6), m)), redraws
+
+    @pytest.mark.parametrize("kind", ["young", "jensen"])
+    def test_draws_are_numpys(self, kind):
+        redraws = 0
+        for seed in range(40):
+            for m in range(1, SUITE_MAX_DIM + 1):
+                ours, theirs = np.random.default_rng([seed, m]), np.random.default_rng([seed, m])
+                case = _battery_case(ours, kind, m)
+                expected, redrawn = self._numpy_case(theirs, kind, m)
+                redraws += redrawn
+                assert len(case) == len(expected)
+                for got, want in zip(case, expected):
+                    assert got.shape == (m,) and got.tobytes() == want.tobytes(), (seed, m)
+                assert ours.bit_generator.state == theirs.bit_generator.state, (seed, m)
+        # g all zero at m = 1 (15 % of draws) takes the redraw branch
+        assert redraws > 0 if kind == "young" else redraws == 0
+
+
 class TestFiniteMeasureAndTruncatedReportsPinned:
     """sha256 of canonical_json for the 1,000-case Young and Jensen batteries
-    at seeds 1 and 2, and for truncated_ratio with its default grid and
-    validation on the d = 1, alpha = 1.8, c = 1, r = 0.5 driver.  They pin
-    every drawn case and margin of the batteries, and every density and
-    shape of the truncated-ratio nodes."""
+    at seeds 1 and 2 and at criterion 10's seeds, and for truncated_ratio
+    with its default grid and validation on the d = 1, alpha = 1.8, c = 1,
+    r = 0.5 driver.  They pin every drawn case and margin of the batteries,
+    and every density and shape of the truncated-ratio nodes."""
 
     @pytest.mark.parametrize(
         "suite, seed, digest",
@@ -995,6 +1030,9 @@ class TestFiniteMeasureAndTruncatedReportsPinned:
             (young_suite, 2, "f9c9c00afd4bfd56fb2a14feaa6acf1f2144be8ef9fdf8b26c6bea271e9af5f4"),
             (jensen_suite, 1, "603e3380796e4a9d0286f6752269975926f10b1937d08060eebd9ef208acb002"),
             (jensen_suite, 2, "1e81160fcfe78a1c85f44feb189b3e1686dcfda34f9c603277054bb91ac25c06"),
+            # acceptance criterion 10's seeds
+            (young_suite, 101, "4f5e49ce5cd23f6352e5ee1a81db0e372f9a321b3738ecfa17b94e6faa0cacf7"),
+            (jensen_suite, 102, "7764fc52943ae490b11716ae2526fc7c55e65e4a35bd8bd1a4118bd8bb34a3b9"),
         ],
         ids=lambda v: getattr(v, "__name__", str(v)[:8]),
     )

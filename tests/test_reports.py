@@ -280,6 +280,54 @@ def test_check_accepts_every_inequality_report(real_reports):
         assert _accepts(doc, "report"), doc["inequality_id"]
 
 
+# what may stand where a per-node record holds a number
+RECORD_MUTANTS = {
+    "string": "0.5", "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+    "int64": np.int64(3), "tuple": (0.5,), "bool": True,
+}
+PER_NODE_KEYS = frozenset(load_schema("report")["properties"]["per_node"]["items"]["properties"])
+
+
+@pytest.mark.parametrize("value", RECORD_MUTANTS.values(), ids=RECORD_MUTANTS.keys())
+@pytest.mark.parametrize("where", ["lhs", "ratio", "x", "unnamed"])
+def test_walk_of_mutated_records_is_json_dumps_or_the_old_refusal(real_reports, tmp_path, value, where):
+    # the first record lays out its keys and the later ones reuse that layout;
+    # a float leaf or float vector its node lets through is written inline
+    for inequality, report in real_reports.items():
+        for row in (0, len(report["per_node"]) // 2, -1):
+            doc = copy.deepcopy(report)
+            record = doc["per_node"][row]
+            unnamed = sorted(set(record) - PER_NODE_KEYS)
+            if where == "x":
+                record["x"][-1] = value
+            else:
+                record[where if where != "unnamed" else unnamed[0] if unnamed else "note"] = value
+            try:
+                validate_report(copy.deepcopy(doc))
+            except SchemaError as exc:
+                expected = SchemaError, (exc.path, exc.keyword)
+            else:
+                if isinstance(value, float) and not math.isfinite(value):
+                    expected = ValueError, "non-finite value cannot be written as JSON"
+                elif type(value) in (np.int64, tuple):
+                    expected = TypeError, f"Object of type {type(value).__name__} is not JSON serializable"
+                else:
+                    expected = None
+            out = tmp_path / f"{inequality}.json"
+            if expected is None:
+                write_report(doc, out)
+                assert out.read_text() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+                out.unlink()
+                continue
+            with pytest.raises(expected[0]) as raised:
+                write_report(doc, out)
+            if expected[0] is SchemaError:
+                assert (raised.value.path, raised.value.keyword) == expected[1], (inequality, row)
+            else:
+                assert str(raised.value) == expected[1], (inequality, row)
+            assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "field, value, valid",
     [
